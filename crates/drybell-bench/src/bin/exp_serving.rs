@@ -26,6 +26,7 @@
 //! and `batched_speedup` above a floor; see `doctor.toml [serving]`).
 
 use drybell_bench::args::ExpArgs;
+use drybell_bench::bits_checksum;
 use drybell_features::{FeatureHasher, FeatureSpace, SpaceRegistry, SparseVector};
 use drybell_ml::{FtrlConfig, LogisticRegression, MlpScratch};
 use drybell_obs::Json;
@@ -50,19 +51,6 @@ const POOL: usize = 256;
 /// Seconds the process stays up after finishing when `--live` is set,
 /// so scrapers can read the final gauges before they vanish.
 const LIVE_LINGER_S: u64 = 20;
-
-/// FNV-1a over the exact bit patterns of a float sequence: equal
-/// checksums ⇔ byte-identical values.
-fn bits_checksum(xs: impl Iterator<Item = f64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// A registry serving model `"m"` v1, with v2 staged for the mid-run
 /// promote, plus the hasher and a pool of request payloads.

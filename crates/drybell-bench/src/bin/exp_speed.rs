@@ -29,6 +29,7 @@
 //! attached.
 
 use drybell_bench::args::ExpArgs;
+use drybell_bench::bits_checksum;
 use drybell_core::generative::{GenerativeModel, TrainConfig};
 use drybell_core::gibbs::{GibbsConfig, GibbsTrainer};
 use drybell_core::LabelMatrix;
@@ -62,19 +63,6 @@ fn planted_matrix(examples: usize, lfs: usize, seed: u64) -> LabelMatrix {
         m.push_raw_row(&row).expect("row arity");
     }
     m
-}
-
-/// FNV-1a over the exact bit patterns of a float sequence: equal
-/// checksums ⇔ byte-identical values.
-fn bits_checksum(xs: impl Iterator<Item = f64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// One measured point of the thread-scaling sweep.

@@ -42,6 +42,7 @@
 //! run's telemetry over HTTP while it streams.
 
 use drybell_bench::args::ExpArgs;
+use drybell_bench::bits_checksum;
 use drybell_bench::harness::ContentTask;
 use drybell_core::optim::Optimizer;
 use drybell_core::{GenerativeModel, LabelMatrix, TrainConfig};
@@ -103,19 +104,6 @@ const FOLD_STEPS: usize = 500;
 /// incremental trajectory averages across shards instead of chasing the
 /// most recent one.
 const BASE_LR: f64 = 0.05;
-
-/// FNV-1a over the exact bit patterns of a float sequence: equal
-/// checksums ⇔ byte-identical values.
-fn bits_checksum(xs: impl Iterator<Item = f64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
 
 fn shard_path(spool: &Path, index: usize) -> PathBuf {
     spool.join(format!("shard-{index:04}.rec"))

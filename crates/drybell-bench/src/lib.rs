@@ -26,3 +26,13 @@
 
 pub mod args;
 pub mod harness;
+
+/// FNV-1a over the exact bit patterns of a float sequence: equal
+/// checksums ⇔ byte-identical values.
+pub fn bits_checksum(xs: impl Iterator<Item = f64>) -> u64 {
+    let mut h = drybell_obs::Fnv1a64::new();
+    for x in xs {
+        h.write(&x.to_bits().to_le_bytes());
+    }
+    h.finish()
+}

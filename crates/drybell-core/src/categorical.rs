@@ -14,10 +14,8 @@
 use crate::error::CoreError;
 use crate::logsumexp;
 use crate::optim::{OptimState, Optimizer};
+use crate::train::{self, Params, Sampler, Watch};
 use crate::vote::CatVote;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// A dense `m × n` matrix of categorical votes over `k` classes.
 ///
@@ -256,12 +254,21 @@ impl CategoricalModel {
     }
 
     /// Mean NLL gradient over the given row indices.
-    /// Layout: `[∂α.., ∂β..]`.
-    fn grad_batch(&self, m: &CatLabelMatrix, batch: &[usize], l2: f64, grad: &mut [f64]) {
+    /// Layout: `[∂α.., ∂β..]`. An empty batch leaves `grad` all-zero
+    /// instead of dividing by zero.
+    fn grad_batch(
+        &self,
+        m: &CatLabelMatrix,
+        batch: impl Iterator<Item = usize>,
+        l2: f64,
+        grad: &mut [f64],
+    ) {
         let n = self.alpha.len();
-        grad.iter_mut().for_each(|g| *g = 0.0);
+        grad.fill(0.0);
         let (_, dz_da, dz_db, _) = self.z_terms();
-        for &i in batch {
+        let mut rows = 0usize;
+        for i in batch {
+            rows += 1;
             let row = m.row(i);
             let post = self.posterior(row);
             for (j, &l) in row.iter().enumerate() {
@@ -272,7 +279,10 @@ impl CategoricalModel {
                 }
             }
         }
-        let bsz = batch.len() as f64;
+        if rows == 0 {
+            return;
+        }
+        let bsz = rows as f64;
         for j in 0..n {
             grad[j] += bsz * dz_da[j];
             grad[n + j] += bsz * dz_db[j];
@@ -286,66 +296,64 @@ impl CategoricalModel {
         }
     }
 
-    /// Full-data mean gradient (for gradient checks).
+    /// Full-data mean gradient (for gradient checks); all-zero for an
+    /// empty matrix.
     pub fn full_gradient(&self, m: &CatLabelMatrix, l2: f64) -> Vec<f64> {
-        let idx: Vec<usize> = (0..m.num_examples()).collect();
-        let mut grad = vec![0.0; 2 * self.alpha.len()];
-        self.grad_batch(m, &idx, l2, &mut grad);
+        let mut grad = vec![0.0; self.dim()];
+        self.grad_batch(m, 0..m.num_examples(), l2, &mut grad);
         grad
     }
 
     /// Fit by mini-batch gradient descent on the marginal NLL.
     pub fn fit(&mut self, m: &CatLabelMatrix, cfg: &CatTrainConfig) -> Result<f64, CoreError> {
-        if m.is_empty() {
-            return Err(CoreError::EmptyMatrix);
-        }
-        if m.num_lfs() != self.alpha.len() || m.num_classes() != self.num_classes {
+        let (rows, lfs) = (m.num_examples(), m.num_lfs());
+        train::validate(rows, lfs, self.alpha.len(), cfg.steps, cfg.batch_size)?;
+        if m.num_classes() != self.num_classes {
             return Err(CoreError::LengthMismatch {
-                left: m.num_lfs(),
-                right: self.alpha.len(),
+                left: m.num_classes() as usize,
+                right: self.num_classes as usize,
             });
         }
-        if cfg.batch_size == 0 {
-            return Err(CoreError::BadConfig("batch_size must be > 0".into()));
-        }
-        self.alpha.iter_mut().for_each(|a| *a = cfg.init_alpha);
-        self.beta.iter_mut().for_each(|b| *b = 0.0);
+        self.alpha.fill(cfg.init_alpha);
+        self.beta.fill(0.0);
+        let mut opt = OptimState::new(cfg.optimizer, self.dim());
+        let report = train::run(
+            self,
+            &mut opt,
+            Sampler::new(rows, cfg.batch_size, Some(cfg.seed)),
+            cfg.steps,
+            Watch::default(),
+            |model, sampler, grad| model.grad_batch(m, sampler.batch(), cfg.l2, grad),
+            |model| model.nll(m),
+        )?;
+        Ok(report.final_nll)
+    }
+}
+
+impl Params for CategoricalModel {
+    /// `[α_0..α_n, β_0..β_n]`.
+    fn dim(&self) -> usize {
+        2 * self.alpha.len()
+    }
+
+    fn pack(&self, out: &mut [f64]) {
         let n = self.alpha.len();
-        let mut params = vec![0.0; 2 * n];
-        let mut grad = vec![0.0; 2 * n];
-        let mut opt = OptimState::new(cfg.optimizer, 2 * n);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..m.num_examples()).collect();
-        order.shuffle(&mut rng);
-        let mut cursor = 0usize;
-        for step in 0..cfg.steps {
-            let mut batch = Vec::with_capacity(cfg.batch_size);
-            for _ in 0..cfg.batch_size.min(order.len()) {
-                if cursor == order.len() {
-                    order.shuffle(&mut rng);
-                    cursor = 0;
-                }
-                batch.push(order[cursor]);
-                cursor += 1;
-            }
-            self.grad_batch(m, &batch, cfg.l2, &mut grad);
-            params[..n].copy_from_slice(&self.alpha);
-            params[n..].copy_from_slice(&self.beta);
-            opt.step(&mut params, &grad);
-            if params.iter().any(|p| !p.is_finite()) {
-                return Err(CoreError::Diverged { step });
-            }
-            self.alpha.copy_from_slice(&params[..n]);
-            self.beta.copy_from_slice(&params[n..]);
-        }
-        self.nll(m)
+        out[..n].copy_from_slice(&self.alpha);
+        out[n..].copy_from_slice(&self.beta);
+    }
+
+    fn unpack(&mut self, params: &[f64]) {
+        let n = self.alpha.len();
+        self.alpha.copy_from_slice(&params[..n]);
+        self.beta.copy_from_slice(&params[n..]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn brute_force_nll(m: &CatLabelMatrix, alpha: &[f64], beta: &[f64]) -> f64 {
         let k = m.num_classes();
@@ -516,6 +524,40 @@ mod tests {
             let pb = bin.posterior(&brow);
             assert!((pc - pb).abs() < 1e-10, "{pc} vs {pb}");
         }
+    }
+
+    #[test]
+    fn fit_validates_inputs() {
+        let m = random_cat(10, 3, 4, 0);
+        let cfg = CatTrainConfig::default();
+        let mut wrong_lfs = CategoricalModel::new(2, 4, 0.7).unwrap();
+        assert_eq!(
+            wrong_lfs.fit(&m, &cfg),
+            Err(CoreError::LengthMismatch { left: 3, right: 2 })
+        );
+        // Regression: a class-count mismatch reported the (equal) LF counts.
+        let mut wrong_classes = CategoricalModel::new(3, 5, 0.7).unwrap();
+        assert_eq!(
+            wrong_classes.fit(&m, &cfg),
+            Err(CoreError::LengthMismatch { left: 4, right: 5 })
+        );
+        let mut model = CategoricalModel::new(3, 4, 0.7).unwrap();
+        for bad in [
+            CatTrainConfig {
+                steps: 0,
+                ..cfg.clone()
+            },
+            CatTrainConfig {
+                batch_size: 0,
+                ..cfg.clone()
+            },
+        ] {
+            assert!(matches!(model.fit(&m, &bad), Err(CoreError::BadConfig(_))));
+        }
+        let empty = CatLabelMatrix::new(3, 4).unwrap();
+        assert_eq!(model.fit(&empty, &cfg), Err(CoreError::EmptyMatrix));
+        // Regression: the mean over zero rows was 0/0 in every slot.
+        assert_eq!(model.full_gradient(&empty, 1e-3), vec![0.0; 6]);
     }
 
     #[test]

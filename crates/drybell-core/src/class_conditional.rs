@@ -30,10 +30,8 @@
 use crate::error::CoreError;
 use crate::matrix::LabelMatrix;
 use crate::optim::{OptimState, Optimizer};
+use crate::train::{self, Params, Sampler, Watch};
 use crate::{logsumexp2, sigmoid};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Index helpers into the flat parameter vector:
 /// `theta[j][y][v]` with `y ∈ {0:+1, 1:−1}`, `v ∈ {0:+1, 1:−1}`.
@@ -179,9 +177,16 @@ impl ClassConditionalModel {
         Ok(total / m.num_examples() as f64)
     }
 
-    /// Mean NLL gradient over `batch` rows plus L2.
-    fn grad_batch(&self, m: &LabelMatrix, batch: &[usize], l2: f64, grad: &mut [f64]) {
-        grad.iter_mut().for_each(|g| *g = 0.0);
+    /// Mean NLL gradient over `batch` rows plus L2. An empty batch leaves
+    /// `grad` all-zero instead of dividing by zero.
+    fn grad_batch(
+        &self,
+        m: &LabelMatrix,
+        batch: impl Iterator<Item = usize>,
+        l2: f64,
+        grad: &mut [f64],
+    ) {
+        grad.fill(0.0);
         // Cache the per-(j, y) conditional vote probabilities.
         let mut probs = vec![[0.0f64; 2]; self.num_lfs * 2]; // [P(+1|y), P(-1|y)]
         for j in 0..self.num_lfs {
@@ -192,7 +197,9 @@ impl ClassConditionalModel {
                 probs[j * 2 + y] = [(tp - z).exp(), (tm - z).exp()];
             }
         }
-        for &i in batch {
+        let mut rows = 0usize;
+        for i in batch {
+            rows += 1;
             let row = m.row(i);
             let (sp, sm) = self.joint_scores(row);
             let p_pos = sigmoid(sp - sm);
@@ -207,38 +214,27 @@ impl ClassConditionalModel {
                 }
             }
         }
-        let bsz = batch.len() as f64;
+        if rows == 0 {
+            return;
+        }
+        let bsz = rows as f64;
         for (g, &t) in grad.iter_mut().zip(&self.theta) {
             *g = *g / bsz + l2 * t;
         }
     }
 
-    /// Full-data gradient (gradient checks).
+    /// Full-data gradient (gradient checks); all-zero for an empty matrix.
     pub fn full_gradient(&self, m: &LabelMatrix, l2: f64) -> Vec<f64> {
-        let idxs: Vec<usize> = (0..m.num_examples()).collect();
         let mut grad = vec![0.0; self.theta.len()];
-        self.grad_batch(m, &idxs, l2, &mut grad);
+        self.grad_batch(m, 0..m.num_examples(), l2, &mut grad);
         grad
     }
 
     /// Fit by mini-batch gradient descent on the marginal NLL.
     pub fn fit(&mut self, m: &LabelMatrix, cfg: &CcTrainConfig) -> Result<f64, CoreError> {
-        if m.is_empty() {
-            return Err(CoreError::EmptyMatrix);
-        }
-        if m.num_lfs() != self.num_lfs {
-            return Err(CoreError::LengthMismatch {
-                left: m.num_lfs(),
-                right: self.num_lfs,
-            });
-        }
-        if cfg.batch_size == 0 {
-            return Err(CoreError::BadConfig("batch_size must be > 0".into()));
-        }
-        if !(cfg.class_prior > 0.0 && cfg.class_prior < 1.0) {
-            return Err(CoreError::BadConfig("class_prior must be in (0, 1)".into()));
-        }
-        self.eta = (cfg.class_prior / (1.0 - cfg.class_prior)).ln();
+        let (rows, lfs) = (m.num_examples(), m.num_lfs());
+        train::validate(rows, lfs, self.num_lfs, cfg.steps, cfg.batch_size)?;
+        self.eta = train::prior_log_odds(cfg.class_prior)?;
         // Accuracy-tilted init: voting the true class starts favored.
         for j in 0..self.num_lfs {
             self.theta[idx(j, 0, 0)] = cfg.init_tilt; // P(+1|+1) up
@@ -246,31 +242,31 @@ impl ClassConditionalModel {
             self.theta[idx(j, 1, 0)] = -cfg.init_tilt;
             self.theta[idx(j, 1, 1)] = cfg.init_tilt; // P(−1|−1) up
         }
-        let mut opt = OptimState::new(cfg.optimizer, self.theta.len());
-        let mut grad = vec![0.0; self.theta.len()];
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..m.num_examples()).collect();
-        order.shuffle(&mut rng);
-        let mut cursor = 0usize;
-        for step in 0..cfg.steps {
-            let mut batch = Vec::with_capacity(cfg.batch_size);
-            for _ in 0..cfg.batch_size.min(order.len()) {
-                if cursor == order.len() {
-                    order.shuffle(&mut rng);
-                    cursor = 0;
-                }
-                batch.push(order[cursor]);
-                cursor += 1;
-            }
-            self.grad_batch(m, &batch, cfg.l2, &mut grad);
-            let mut params = std::mem::take(&mut self.theta);
-            opt.step(&mut params, &grad);
-            if params.iter().any(|p| !p.is_finite()) {
-                return Err(CoreError::Diverged { step });
-            }
-            self.theta = params;
-        }
-        self.nll(m)
+        let mut opt = OptimState::new(cfg.optimizer, self.dim());
+        let report = train::run(
+            self,
+            &mut opt,
+            Sampler::new(rows, cfg.batch_size, Some(cfg.seed)),
+            cfg.steps,
+            Watch::default(),
+            |model, sampler, grad| model.grad_batch(m, sampler.batch(), cfg.l2, grad),
+            |model| model.nll(m),
+        )?;
+        Ok(report.final_nll)
+    }
+}
+
+impl Params for ClassConditionalModel {
+    fn dim(&self) -> usize {
+        self.theta.len()
+    }
+
+    fn pack(&self, out: &mut [f64]) {
+        out.copy_from_slice(&self.theta);
+    }
+
+    fn unpack(&mut self, params: &[f64]) {
+        self.theta.copy_from_slice(params);
     }
 }
 
@@ -279,7 +275,8 @@ mod tests {
     use super::*;
     use crate::generative::{GenerativeModel, TrainConfig};
     use crate::vote::Label;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Brute-force NLL straight from the probabilistic definition.
     fn brute_force_nll(m: &LabelMatrix, model: &ClassConditionalModel, prior: f64) -> f64 {
@@ -534,11 +531,23 @@ mod tests {
             ),
             Err(CoreError::BadConfig(_))
         ));
+        assert!(matches!(
+            model.fit(
+                &m,
+                &CcTrainConfig {
+                    steps: 0,
+                    ..CcTrainConfig::default()
+                }
+            ),
+            Err(CoreError::BadConfig(_))
+        ));
         let empty = LabelMatrix::new(3);
         assert!(matches!(
             model.fit(&empty, &CcTrainConfig::default()),
             Err(CoreError::EmptyMatrix)
         ));
+        // Regression: the mean over zero rows was 0/0 in every slot.
+        assert_eq!(model.full_gradient(&empty, 1e-3), vec![0.0; 12]);
     }
 
     #[test]

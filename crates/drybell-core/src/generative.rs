@@ -37,21 +37,18 @@
 //! [`TrainConfig::num_threads`] scoped workers with fixed chunk
 //! boundaries and a fixed-order tree reduction (see [`crate::parallel`]),
 //! so results are **byte-identical at any thread count**. Sparse
-//! matrices additionally use an active-index ([`ActiveRows`]) inner loop
-//! that skips abstain cells without changing a single floating-point
-//! operation.
+//! matrices are scanned through an active index ([`crate::ActiveRows`])
+//! that hands the one row kernel the same entries as the dense row, so
+//! skipping abstain cells changes no floating-point operation.
 
 // drybell-lint: allow-file(no-panic-index) — dense numeric kernel: loop bounds are derived from the matrix shape once and invariant; .get() in the inner loops would hide real shape bugs and cost the hot path
 
 use crate::error::CoreError;
-use crate::matrix::{ActiveRows, LabelMatrix};
+use crate::matrix::{dense_entries, LabelMatrix, VoteRows};
 use crate::optim::{OptimState, Optimizer};
 use crate::parallel;
+use crate::train::{self, Params, Sampler, Watch};
 use crate::{logsumexp2, sigmoid};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Training hyperparameters for [`GenerativeModel::fit`].
@@ -243,10 +240,9 @@ pub struct GenerativeModel {
 }
 
 /// Per-parameter-setting cached quantities: per-LF normalizer gradients,
-/// the summed log-normalizer, and the class-prior terms that used to be
-/// recomputed (two `sigmoid` + `ln` calls) for **every row** inside
-/// `joint_scores`.
-struct LfCache {
+/// the summed log-normalizer, and the class-prior terms, computed once
+/// per step so that no row recomputes them.
+pub(crate) struct LfCache {
     dz_da: Vec<f64>,
     dz_db: Vec<f64>,
     sum_z: f64,
@@ -258,8 +254,8 @@ struct LfCache {
     pi: f64,
 }
 
-/// Density threshold below which `fit` builds an [`ActiveRows`] index
-/// and runs the sparse inner loops. At ≥ 50% non-abstain cells a dense
+/// Density threshold below which `fit` builds a [`crate::ActiveRows`] index
+/// and scans that instead of the dense rows. At ≥ 50% non-abstain cells a dense
 /// scan touches fewer bytes than the `(u32, i8)` entry list, so the
 /// dense path stays the default for well-covered matrices. The choice
 /// depends only on the matrix — never on the thread count — so it can't
@@ -333,7 +329,7 @@ impl GenerativeModel {
         sigmoid(self.eta)
     }
 
-    fn cache(&self) -> LfCache {
+    pub(crate) fn cache(&self) -> LfCache {
         let n = self.alpha.len();
         let mut dz_da = Vec::with_capacity(n);
         let mut dz_db = Vec::with_capacity(n);
@@ -357,34 +353,25 @@ impl GenerativeModel {
         }
     }
 
-    /// Joint log-scores `(log P(Λ_i, Y=+1), log P(Λ_i, Y=−1))` for one row.
-    fn joint_scores(&self, row: &[i8], cache: &LfCache) -> (f64, f64) {
+    /// Joint log-scores `(log P(Λ_i, Y=+1), log P(Λ_i, Y=−1))` for one
+    /// row, given its non-abstain `(column, vote)` entries in column
+    /// order — the one row kernel. The dense row and the active-index
+    /// row yield the same entries ([`VoteRows`]), so both layouts perform
+    /// the same floating-point operations in the same order.
+    fn joint_scores(
+        &self,
+        entries: impl Iterator<Item = (usize, i8)>,
+        cache: &LfCache,
+    ) -> (f64, f64) {
+        // `for_each`, not `for`: only internal iteration compiles the
+        // dense layout's zero-skipping adaptor down to the plain
+        // `if l != 0` loop (a `for` measured 6–15% slower on dense rows).
         let mut margin = 0.0; // Σ_{active} λ·α
         let mut active_beta = 0.0; // Σ_{active} β
-        for (j, &l) in row.iter().enumerate() {
-            if l != 0 {
-                margin += f64::from(l) * self.alpha[j];
-                active_beta += self.beta[j];
-            }
-        }
-        let base = active_beta - cache.sum_z;
-        (
-            cache.log_pi_pos + margin + base,
-            cache.log_pi_neg - margin + base,
-        )
-    }
-
-    /// [`GenerativeModel::joint_scores`] over an active-index row: the
-    /// same accumulations in the same column order, visiting only the
-    /// non-abstain entries — bit-identical to the dense scan.
-    fn joint_scores_active(&self, entries: &[(u32, i8)], cache: &LfCache) -> (f64, f64) {
-        let mut margin = 0.0;
-        let mut active_beta = 0.0;
-        for &(j, l) in entries {
-            let j = j as usize;
+        entries.for_each(|(j, l)| {
             margin += f64::from(l) * self.alpha[j];
             active_beta += self.beta[j];
-        }
+        });
         let base = active_beta - cache.sum_z;
         (
             cache.log_pi_pos + margin + base,
@@ -394,8 +381,7 @@ impl GenerativeModel {
 
     /// Posterior `P(Y_i = +1 | Λ_i)` for one vote row.
     pub fn posterior(&self, row: &[i8]) -> f64 {
-        let cache = self.cache();
-        let (sp, sm) = self.joint_scores(row, &cache);
+        let (sp, sm) = self.joint_scores(dense_entries(row), &self.cache());
         sigmoid(sp - sm)
     }
 
@@ -414,7 +400,7 @@ impl GenerativeModel {
         let chunks = parallel::map_chunks(num_threads, m.num_examples(), |_, range| {
             range
                 .map(|i| {
-                    let (sp, sm) = self.joint_scores(m.row(i), &cache);
+                    let (sp, sm) = self.joint_scores(m.entries(i), &cache);
                     sigmoid(sp - sm)
                 })
                 .collect::<Vec<f64>>()
@@ -457,108 +443,85 @@ impl GenerativeModel {
     /// byte-identical at any thread count (fixed chunking, fixed-order
     /// tree reduction of the per-chunk partial sums).
     pub fn nll_threads(&self, m: &LabelMatrix, num_threads: usize) -> Result<f64, CoreError> {
-        self.nll_inner(m, None, num_threads)
+        self.nll_rows(m, num_threads)
     }
 
-    /// Shared NLL kernel: scans the active index when one is available,
-    /// the dense rows otherwise. Both paths perform identical
-    /// floating-point operations.
-    fn nll_inner(
-        &self,
-        m: &LabelMatrix,
-        active: Option<&ActiveRows>,
-        num_threads: usize,
-    ) -> Result<f64, CoreError> {
-        if m.is_empty() {
+    /// The NLL scan over either row layout.
+    fn nll_rows(&self, rows: &impl VoteRows, num_threads: usize) -> Result<f64, CoreError> {
+        let n = rows.num_rows();
+        if n == 0 {
             return Err(CoreError::EmptyMatrix);
         }
         let cache = self.cache();
-        let partials = parallel::map_chunks(num_threads, m.num_examples(), |_, range| {
+        let partials = parallel::map_chunks(num_threads, n, |_, range| {
             range
                 .map(|i| {
-                    let (sp, sm) = match active {
-                        Some(ix) => self.joint_scores_active(ix.row(i), &cache),
-                        None => self.joint_scores(m.row(i), &cache),
-                    };
+                    let (sp, sm) = self.joint_scores(rows.entries(i), &cache);
                     -logsumexp2(sp, sm)
                 })
                 .sum::<f64>()
         });
         let total = parallel::tree_reduce(partials, |a, b| a + b).unwrap_or(0.0);
-        Ok(total / m.num_examples() as f64)
+        Ok(total / n as f64)
     }
 
-    /// Accumulate the mean gradient of the NLL over the given row indices,
-    /// sharding the accumulation over `num_threads` workers (fixed chunk
-    /// boundaries over the batch positions, fixed-order tree reduction of
-    /// the partial gradient vectors — byte-identical at any thread count).
+    /// Accumulate the mean gradient of the NLL over the given row indices
+    /// of either row layout, sharding the accumulation over `num_threads`
+    /// workers (fixed chunk boundaries over the batch positions,
+    /// fixed-order tree reduction of the partial gradient vectors —
+    /// byte-identical at any thread count).
     ///
     /// Layout of `grad`: `[∂α_0..∂α_n, ∂β_0..∂β_n, ∂η]`. An empty batch
-    /// leaves `grad` all-zero instead of dividing by zero (which used to
-    /// silently poison the optimizer state with NaNs).
+    /// leaves `grad` all-zero instead of dividing by zero.
     fn grad_batch(
         &self,
-        m: &LabelMatrix,
-        active: Option<&ActiveRows>,
+        rows: &impl VoteRows,
         batch: &[usize],
         l2: f64,
         num_threads: usize,
         grad: &mut [f64],
     ) {
-        let n = self.alpha.len();
-        grad.iter_mut().for_each(|g| *g = 0.0);
+        grad.fill(0.0);
         if batch.is_empty() {
             return;
         }
+        let n = self.alpha.len();
         let cache = self.cache();
         let partials = parallel::map_chunks(num_threads, batch.len(), |_, range| {
             let mut part = vec![0.0; 2 * n + 1];
             for &i in batch.get(range).unwrap_or(&[]) {
-                match active {
-                    Some(ix) => {
-                        let entries = ix.row(i);
-                        let (sp, sm) = self.joint_scores_active(entries, &cache);
-                        let p = sigmoid(sp - sm);
-                        for &(j, l) in entries {
-                            let j = j as usize;
-                            part[j] -= (2.0 * p - 1.0) * f64::from(l);
-                            part[n + j] -= 1.0;
-                        }
-                        part[2 * n] += cache.pi - p;
-                    }
-                    None => {
-                        let row = m.row(i);
-                        let (sp, sm) = self.joint_scores(row, &cache);
-                        let p = sigmoid(sp - sm);
-                        for (j, &l) in row.iter().enumerate() {
-                            if l != 0 {
-                                part[j] -= (2.0 * p - 1.0) * f64::from(l);
-                                part[n + j] -= 1.0;
-                            }
-                        }
-                        part[2 * n] += cache.pi - p;
-                    }
-                }
+                let (sp, sm) = self.joint_scores(rows.entries(i), &cache);
+                let p = sigmoid(sp - sm);
+                scatter_votes(rows.entries(i), 2.0 * p - 1.0, n, &mut part);
+                part[2 * n] += cache.pi - p;
             }
             part
         });
-        let reduced = parallel::tree_reduce(partials, |mut a, b| {
+        let summed = parallel::tree_reduce(partials, |mut a, b| {
             for (x, y) in a.iter_mut().zip(&b) {
                 *x += y;
             }
             a
         });
-        if let Some(sum) = reduced {
+        if let Some(sum) = summed {
             grad.copy_from_slice(&sum);
         }
-        // Batch-constant ∂Z terms (every example contributes ∂Z_j regardless
-        // of abstention).
-        let bsz = batch.len() as f64;
+        self.finish_gradient(&cache, batch.len(), l2, grad);
+    }
+
+    /// Turn `grad`'s summed data terms over `rows` examples into the mean
+    /// regularised gradient: add the batch-constant `∂Z` terms (every
+    /// example contributes `∂Z_j` whether or not LF `j` abstained), take
+    /// the mean, add L2 toward zero, and pin `∂η` unless the prior is
+    /// learned. Shared with the Gibbs trainer, whose sampled data terms
+    /// have the same shape.
+    pub(crate) fn finish_gradient(&self, cache: &LfCache, rows: usize, l2: f64, grad: &mut [f64]) {
+        let n = self.alpha.len();
+        let bsz = rows as f64;
         for j in 0..n {
             grad[j] += bsz * cache.dz_da[j];
             grad[n + j] += bsz * cache.dz_db[j];
         }
-        // Mean over the batch plus L2 toward zero.
         for g in grad.iter_mut() {
             *g /= bsz;
         }
@@ -572,8 +535,8 @@ impl GenerativeModel {
     }
 
     /// Mean NLL gradient over the whole matrix (exposed for gradient checks
-    /// and for full-batch training). Errors on an empty matrix — the
-    /// former `Vec` return silently produced `0/0 = NaN` gradients.
+    /// and for full-batch training). Errors on an empty matrix, whose mean
+    /// gradient would be `0/0`.
     pub fn full_gradient(&self, m: &LabelMatrix, l2: f64) -> Result<Vec<f64>, CoreError> {
         self.full_gradient_path(m, l2, m.vote_density() < ACTIVE_INDEX_MAX_DENSITY, 1)
     }
@@ -588,19 +551,14 @@ impl GenerativeModel {
         use_active_index: bool,
         num_threads: usize,
     ) -> Result<Vec<f64>, CoreError> {
-        if m.is_empty() {
-            return Err(CoreError::EmptyMatrix);
-        }
-        if m.num_lfs() != self.alpha.len() {
-            return Err(CoreError::LengthMismatch {
-                left: m.num_lfs(),
-                right: self.alpha.len(),
-            });
-        }
+        self.check(m, 1, 1)?; // shape only: there is no schedule here
         let idx: Vec<usize> = (0..m.num_examples()).collect();
-        let active = use_active_index.then(|| m.active_index());
-        let mut grad = vec![0.0; 2 * self.alpha.len() + 1];
-        self.grad_batch(m, active.as_ref(), &idx, l2, num_threads, &mut grad);
+        let mut grad = vec![0.0; self.dim()];
+        if use_active_index {
+            self.grad_batch(&m.active_index(), &idx, l2, num_threads, &mut grad);
+        } else {
+            self.grad_batch(m, &idx, l2, num_threads, &mut grad);
+        }
         Ok(grad)
     }
 
@@ -627,191 +585,80 @@ impl GenerativeModel {
         cfg: &TrainConfig,
         telemetry: Option<&drybell_obs::Telemetry>,
     ) -> Result<TrainReport, CoreError> {
-        if m.is_empty() {
-            return Err(CoreError::EmptyMatrix);
-        }
-        if m.num_lfs() != self.alpha.len() {
-            return Err(CoreError::LengthMismatch {
-                left: m.num_lfs(),
-                right: self.alpha.len(),
-            });
-        }
-        if cfg.steps == 0 {
-            return Err(CoreError::BadConfig("steps must be >= 1".into()));
-        }
-        if cfg.batch_size == 0 {
-            return Err(CoreError::BadConfig("batch_size must be >= 1".into()));
-        }
-        if !(0.0..=1.0).contains(&cfg.class_prior)
-            || cfg.class_prior == 0.0
-            || cfg.class_prior == 1.0
-        {
-            return Err(CoreError::BadConfig(
-                "class_prior must be in the open interval (0, 1)".into(),
-            ));
-        }
-        self.learn_prior = cfg.learn_class_prior;
-        self.eta = (cfg.class_prior / (1.0 - cfg.class_prior)).ln();
-        self.alpha.iter_mut().for_each(|a| *a = cfg.init_alpha);
-        self.beta.iter_mut().for_each(|b| *b = 0.0);
-
-        let n = self.alpha.len();
-        let dim = 2 * n + 1;
-        let mut params = vec![0.0; dim];
-        let mut grad = vec![0.0; dim];
-        let mut opt = OptimState::new(cfg.optimizer, dim);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..m.num_examples()).collect();
-        order.shuffle(&mut rng);
-        let mut cursor = 0usize;
-        let mut history = Vec::new();
-        // Per-step observations (latency histogram, row counter) buffer
-        // in a thread-local shard and fold into the shared registry only
-        // at epoch boundaries — the hot loop writes plain memory, no
-        // atomics. Building the layout eagerly registers both
-        // instruments, so snapshots match the old unbatched path even
-        // for zero-step edge cases.
-        let mut shard = telemetry.map(|t| {
-            let mut layout = drybell_obs::ShardLayout::new();
-            let step_slot = layout.slot_histogram(t.metrics().histogram("obs/train/step_us"));
-            let rows_slot = layout.slot_counter(t.metrics().counter("obs/train/rows"));
-            (Arc::new(layout).shard(), step_slot, rows_slot)
-        });
+        self.check(m, cfg.steps, cfg.batch_size)?;
+        let mut state = self.begin_incremental(cfg)?;
         let _span = telemetry.map(|t| t.span("train/fit"));
-        // Worker pool for gradient accumulation and full-data NLL scans.
-        // The sparse active index pays off when most cells abstain; the
-        // choice depends only on the matrix, so it cannot perturb the
-        // byte-identical-across-thread-counts guarantee.
-        let threads = cfg.num_threads.max(1);
-        let active = (m.vote_density() < ACTIVE_INDEX_MAX_DENSITY).then(|| m.active_index());
-        let active = active.as_ref();
         if let Some(t) = telemetry {
+            let threads = cfg.num_threads.max(1);
             t.metrics().gauge("obs/train/threads").set(threads as i64);
         }
-
-        // Per-epoch accumulator: closed every time the shuffled order is
-        // exhausted, and once more after the final step.
-        let mut epochs: Vec<EpochStat> = Vec::new();
-        let mut epoch_steps = 0usize;
-        let mut epoch_grad_norm = 0.0f64;
-        let mut epoch_step_norm = 0.0f64;
-        let mut epoch_start = Instant::now();
-        let mut prev_params = vec![0.0; dim];
-
-        let mut rows = 0usize;
-        let start = Instant::now();
-        for step in 0..cfg.steps {
-            let step_start = shard.as_ref().map(|_| Instant::now());
-            // Draw the next mini-batch from the shuffled epoch order.
-            let mut batch = Vec::with_capacity(cfg.batch_size);
-            let mut wrapped = false;
-            for _ in 0..cfg.batch_size.min(order.len()) {
-                if cursor == order.len() {
-                    order.shuffle(&mut rng);
-                    cursor = 0;
-                    wrapped = true;
-                }
-                batch.push(order[cursor]);
-                cursor += 1;
-            }
-            if wrapped && epoch_steps > 0 {
-                // Epoch-boundary NLL costs a full pass over the matrix;
-                // it is opt-in so that observing a run does not multiply
-                // its wall-clock (the final epoch gets the end-of-run
-                // NLL for free below).
-                let nll = if telemetry.is_some()
-                    && cfg.epoch_nll_every > 0
-                    && epochs.len().is_multiple_of(cfg.epoch_nll_every)
-                {
-                    Some(self.nll_inner(m, active, threads)?)
-                } else {
-                    None
-                };
-                if let (Some((s, ..)), Some(t)) = (&mut shard, telemetry) {
-                    s.flush_into(t);
-                }
-                epochs.push(EpochStat {
-                    epoch: epochs.len(),
-                    steps: epoch_steps,
-                    mean_grad_norm: epoch_grad_norm / epoch_steps as f64,
-                    mean_step_norm: epoch_step_norm / epoch_steps as f64,
-                    seconds: epoch_start.elapsed().as_secs_f64(),
-                    nll,
-                });
-                epoch_steps = 0;
-                epoch_grad_norm = 0.0;
-                epoch_step_norm = 0.0;
-                epoch_start = Instant::now();
-            }
-            self.grad_batch(m, active, &batch, cfg.l2, threads, &mut grad);
-            rows += batch.len();
-            if let Some((s, _, rows_slot)) = &mut shard {
-                s.tally(*rows_slot, batch.len() as u64);
-            }
-            params[..n].copy_from_slice(&self.alpha);
-            params[n..2 * n].copy_from_slice(&self.beta);
-            params[2 * n] = self.eta;
-            prev_params.copy_from_slice(&params);
-            opt.step(&mut params, &grad);
-            if params.iter().any(|p| !p.is_finite()) {
-                return Err(CoreError::Diverged { step });
-            }
-            self.alpha.copy_from_slice(&params[..n]);
-            self.beta.copy_from_slice(&params[n..2 * n]);
-            if self.learn_prior {
-                self.eta = params[2 * n];
-            }
-            epoch_steps += 1;
-            epoch_grad_norm += grad.iter().map(|g| g * g).sum::<f64>().sqrt();
-            epoch_step_norm += params
-                .iter()
-                .zip(&prev_params)
-                .map(|(p, q)| (p - q) * (p - q))
-                .sum::<f64>()
-                .sqrt();
-            if cfg.record_every > 0 && (step % cfg.record_every == 0 || step + 1 == cfg.steps) {
-                history.push((step, self.nll_inner(m, active, threads)?));
-            }
-            if let (Some((s, step_slot, _)), Some(t0)) = (&mut shard, step_start) {
-                s.observe_duration(*step_slot, t0.elapsed());
-            }
-        }
-        if epoch_steps > 0 {
-            epochs.push(EpochStat {
-                epoch: epochs.len(),
-                steps: epoch_steps,
-                mean_grad_norm: epoch_grad_norm / epoch_steps as f64,
-                mean_step_norm: epoch_step_norm / epoch_steps as f64,
-                seconds: epoch_start.elapsed().as_secs_f64(),
-                nll: None,
-            });
-        }
-        if let (Some((s, ..)), Some(t)) = (&mut shard, telemetry) {
-            s.flush_into(t);
-        }
-        let seconds = start.elapsed().as_secs_f64();
-        let final_nll = self.nll_inner(m, active, threads)?;
-        if telemetry.is_some() {
-            // The end-of-run pass prices the final epoch's NLL for free
-            // (parameters have not moved since the last step).
-            if let Some(last) = epochs.last_mut() {
-                last.nll = Some(final_nll);
-            }
-        }
-        let report = TrainReport {
-            steps: cfg.steps,
-            final_nll,
-            seconds,
-            steps_per_sec: cfg.steps as f64 / seconds.max(1e-12),
-            rows,
-            rows_per_sec: rows as f64 / seconds.max(1e-12),
-            loss_history: history,
-            epochs,
+        let watch = Watch {
+            record_every: cfg.record_every,
+            epoch_nll_every: cfg.epoch_nll_every,
+            telemetry,
         };
+        let report = self.train(m, cfg, &mut state.opt, Some(cfg.seed), watch)?;
         if let Some(journal) = telemetry.and_then(drybell_obs::Telemetry::journal) {
             report.emit_to(journal);
         }
         Ok(report)
+    }
+
+    /// [`train::validate`] for this model on `m`.
+    fn check(&self, m: &LabelMatrix, steps: usize, batch_size: usize) -> Result<(), CoreError> {
+        train::validate(
+            m.num_examples(),
+            m.num_lfs(),
+            self.alpha.len(),
+            steps,
+            batch_size,
+        )
+    }
+
+    /// The part `fit` and `fit_incremental` share: pick the row layout and
+    /// run the optimiser loop from the current parameters — over shuffled
+    /// epochs if given a seed, in row order if not.
+    fn train(
+        &mut self,
+        m: &LabelMatrix,
+        cfg: &TrainConfig,
+        opt: &mut OptimState,
+        shuffle_seed: Option<u64>,
+        watch: Watch<'_>,
+    ) -> Result<TrainReport, CoreError> {
+        // The sparse active index pays off when most cells abstain; the
+        // choice depends only on the matrix, so it cannot perturb the
+        // byte-identical-across-thread-counts guarantee.
+        if m.vote_density() < ACTIVE_INDEX_MAX_DENSITY {
+            self.train_on(&m.active_index(), cfg, opt, shuffle_seed, watch)
+        } else {
+            self.train_on(m, cfg, opt, shuffle_seed, watch)
+        }
+    }
+
+    /// [`GenerativeModel::train`] on the layout it picked.
+    fn train_on(
+        &mut self,
+        rows: &impl VoteRows,
+        cfg: &TrainConfig,
+        opt: &mut OptimState,
+        shuffle_seed: Option<u64>,
+        watch: Watch<'_>,
+    ) -> Result<TrainReport, CoreError> {
+        // Workers for gradient accumulation and full-data NLL scans.
+        let threads = cfg.num_threads.max(1);
+        train::run(
+            self,
+            opt,
+            Sampler::new(rows.num_rows(), cfg.batch_size, shuffle_seed),
+            cfg.steps,
+            watch,
+            |model, sampler, grad| {
+                let batch: Vec<usize> = sampler.batch().collect();
+                model.grad_batch(rows, &batch, cfg.l2, threads, grad);
+            },
+            |model| model.nll_rows(rows, threads),
+        )
     }
 
     /// Start an incremental (streaming) training run: perform the same
@@ -820,22 +667,12 @@ impl GenerativeModel {
     /// return fresh optimizer state for [`GenerativeModel::fit_incremental`]
     /// to carry across arriving mini-batches.
     pub fn begin_incremental(&mut self, cfg: &TrainConfig) -> Result<IncrementalState, CoreError> {
-        if cfg.batch_size == 0 {
-            return Err(CoreError::BadConfig("batch_size must be >= 1".into()));
-        }
-        if !(0.0..=1.0).contains(&cfg.class_prior)
-            || cfg.class_prior == 0.0
-            || cfg.class_prior == 1.0
-        {
-            return Err(CoreError::BadConfig(
-                "class_prior must be in the open interval (0, 1)".into(),
-            ));
-        }
+        train::validate_schedule(cfg.steps, cfg.batch_size)?;
+        self.eta = train::prior_log_odds(cfg.class_prior)?;
         self.learn_prior = cfg.learn_class_prior;
-        self.eta = (cfg.class_prior / (1.0 - cfg.class_prior)).ln();
-        self.alpha.iter_mut().for_each(|a| *a = cfg.init_alpha);
-        self.beta.iter_mut().for_each(|b| *b = 0.0);
-        let dim = 2 * self.alpha.len() + 1;
+        self.alpha.fill(cfg.init_alpha);
+        self.beta.fill(0.0);
+        let dim = self.dim();
         Ok(IncrementalState {
             opt: OptimState::new(cfg.optimizer, dim),
             dim,
@@ -867,127 +704,65 @@ impl GenerativeModel {
         cfg: &TrainConfig,
         state: &mut IncrementalState,
     ) -> Result<TrainReport, CoreError> {
-        if m.is_empty() {
-            return Err(CoreError::EmptyMatrix);
-        }
-        if m.num_lfs() != self.alpha.len() {
-            return Err(CoreError::LengthMismatch {
-                left: m.num_lfs(),
-                right: self.alpha.len(),
-            });
-        }
-        if cfg.steps == 0 {
-            return Err(CoreError::BadConfig("steps must be >= 1".into()));
-        }
-        if cfg.batch_size == 0 {
-            return Err(CoreError::BadConfig("batch_size must be >= 1".into()));
-        }
-        let n = self.alpha.len();
-        let dim = 2 * n + 1;
-        if state.dim != dim {
+        self.check(m, cfg.steps, cfg.batch_size)?;
+        if state.dim != self.dim() {
             return Err(CoreError::LengthMismatch {
                 left: state.dim,
-                right: dim,
+                right: self.dim(),
             });
         }
-        let threads = cfg.num_threads.max(1);
-        let active = (m.vote_density() < ACTIVE_INDEX_MAX_DENSITY).then(|| m.active_index());
-        let active = active.as_ref();
-
-        let mut params = vec![0.0; dim];
-        let mut prev_params = vec![0.0; dim];
-        let mut grad = vec![0.0; dim];
-        let num_rows = m.num_examples();
-        let mut cursor = 0usize;
-        let mut epochs: Vec<EpochStat> = Vec::new();
-        let mut epoch_steps = 0usize;
-        let mut epoch_grad_norm = 0.0f64;
-        let mut epoch_step_norm = 0.0f64;
-        let mut epoch_start = Instant::now();
-        let mut rows = 0usize;
-        let start = Instant::now();
-        for step in 0..cfg.steps {
-            // Fixed-order batch draw: no shuffle, wrap at the end.
-            let mut batch = Vec::with_capacity(cfg.batch_size);
-            let mut wrapped = false;
-            for _ in 0..cfg.batch_size.min(num_rows) {
-                if cursor == num_rows {
-                    cursor = 0;
-                    wrapped = true;
-                }
-                batch.push(cursor);
-                cursor += 1;
-            }
-            if wrapped && epoch_steps > 0 {
-                epochs.push(EpochStat {
-                    epoch: epochs.len(),
-                    steps: epoch_steps,
-                    mean_grad_norm: epoch_grad_norm / epoch_steps as f64,
-                    mean_step_norm: epoch_step_norm / epoch_steps as f64,
-                    seconds: epoch_start.elapsed().as_secs_f64(),
-                    nll: None,
-                });
-                epoch_steps = 0;
-                epoch_grad_norm = 0.0;
-                epoch_step_norm = 0.0;
-                epoch_start = Instant::now();
-            }
-            self.grad_batch(m, active, &batch, cfg.l2, threads, &mut grad);
-            rows += batch.len();
-            params[..n].copy_from_slice(&self.alpha);
-            params[n..2 * n].copy_from_slice(&self.beta);
-            params[2 * n] = self.eta;
-            prev_params.copy_from_slice(&params);
-            state.opt.step(&mut params, &grad);
-            if params.iter().any(|p| !p.is_finite()) {
-                return Err(CoreError::Diverged { step });
-            }
-            self.alpha.copy_from_slice(&params[..n]);
-            self.beta.copy_from_slice(&params[n..2 * n]);
-            if self.learn_prior {
-                self.eta = params[2 * n];
-            }
-            epoch_steps += 1;
-            epoch_grad_norm += grad.iter().map(|g| g * g).sum::<f64>().sqrt();
-            epoch_step_norm += params
-                .iter()
-                .zip(&prev_params)
-                .map(|(p, q)| (p - q) * (p - q))
-                .sum::<f64>()
-                .sqrt();
-        }
-        if epoch_steps > 0 {
-            epochs.push(EpochStat {
-                epoch: epochs.len(),
-                steps: epoch_steps,
-                mean_grad_norm: epoch_grad_norm / epoch_steps as f64,
-                mean_step_norm: epoch_step_norm / epoch_steps as f64,
-                seconds: epoch_start.elapsed().as_secs_f64(),
-                nll: None,
-            });
-        }
-        state.steps += cfg.steps;
-        state.rows += rows;
-        let seconds = start.elapsed().as_secs_f64();
-        let final_nll = self.nll_inner(m, active, threads)?;
-        Ok(TrainReport {
-            steps: cfg.steps,
-            final_nll,
-            seconds,
-            steps_per_sec: cfg.steps as f64 / seconds.max(1e-12),
-            rows,
-            rows_per_sec: rows as f64 / seconds.max(1e-12),
-            loss_history: Vec::new(),
-            epochs,
-        })
+        let report = self.train(m, cfg, &mut state.opt, None, Watch::default())?;
+        state.steps += report.steps;
+        state.rows += report.rows;
+        Ok(report)
     }
+}
+
+impl Params for GenerativeModel {
+    /// `[α_0..α_n, β_0..β_n, η]`.
+    fn dim(&self) -> usize {
+        2 * self.alpha.len() + 1
+    }
+
+    fn pack(&self, out: &mut [f64]) {
+        let n = self.alpha.len();
+        out[..n].copy_from_slice(&self.alpha);
+        out[n..2 * n].copy_from_slice(&self.beta);
+        out[2 * n] = self.eta;
+    }
+
+    fn unpack(&mut self, params: &[f64]) {
+        let n = self.alpha.len();
+        self.alpha.copy_from_slice(&params[..n]);
+        self.beta.copy_from_slice(&params[n..2 * n]);
+        if self.learn_prior {
+            self.eta = params[2 * n];
+        }
+    }
+}
+
+/// Subtract one row's data term from a `[∂α_0..∂α_n, ∂β_0..∂β_n, …]`
+/// accumulator: `w·λ_ij` from `∂α_j` and 1 from `∂β_j`, for each
+/// non-abstain entry. `w` is the expected label the trainer holds for the
+/// row — `2p_i − 1` analytically, the chain average `ȳ_i` under Gibbs.
+pub(crate) fn scatter_votes(
+    entries: impl Iterator<Item = (usize, i8)>,
+    w: f64,
+    n: usize,
+    acc: &mut [f64],
+) {
+    entries.for_each(|(j, l)| {
+        acc[j] -= w * f64::from(l);
+        acc[n + j] -= 1.0;
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vote::Label;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Brute-force marginal NLL computed directly from the probabilistic
     /// definition of the model, without any of the log-space shortcuts.
@@ -1041,44 +816,64 @@ mod tests {
     #[test]
     fn analytic_gradient_matches_finite_differences() {
         let m = random_matrix(25, 4, 3);
-        let mut model = GenerativeModel::new(4, 0.0);
-        let alpha = vec![0.4, -0.2, 0.9, 0.1];
-        let beta = vec![0.2, -0.5, 0.0, 0.7];
-        let eta = -0.4;
-        model.set_params(alpha.clone(), beta.clone(), eta);
-        model.learn_prior = true;
         let l2 = 0.01;
-        let grad = model.full_gradient(&m, l2).unwrap();
+        // Checked at hand-set parameters and at the point one incremental
+        // fold reaches, on both row layouts.
+        let mut folded = GenerativeModel::new(4, 0.0);
+        let fold_cfg = TrainConfig {
+            steps: 12,
+            batch_size: 10,
+            learn_class_prior: true,
+            class_prior: 0.4,
+            ..TrainConfig::default()
+        };
+        let mut state = folded.begin_incremental(&fold_cfg).unwrap();
+        folded.fit_incremental(&m, &fold_cfg, &mut state).unwrap();
+        let points = [
+            (vec![0.4, -0.2, 0.9, 0.1], vec![0.2, -0.5, 0.0, 0.7], -0.4),
+            (folded.alpha.clone(), folded.beta.clone(), folded.eta),
+        ];
         let h = 1e-6;
         let f = |al: &[f64], be: &[f64], et: f64| {
             let l2_term: f64 = al.iter().chain(be).map(|p| 0.5 * l2 * p * p).sum();
             brute_force_nll(&m, al, be, et) + l2_term
         };
-        for j in 0..4 {
-            let mut ap = alpha.clone();
-            ap[j] += h;
-            let mut am = alpha.clone();
-            am[j] -= h;
-            let fd = (f(&ap, &beta, eta) - f(&am, &beta, eta)) / (2.0 * h);
-            assert!(
-                (grad[j] - fd).abs() < 1e-5,
-                "alpha[{j}]: {} vs {fd}",
-                grad[j]
-            );
+        for ((alpha, beta, eta), use_active_index) in points
+            .into_iter()
+            .flat_map(|point| [(point.clone(), false), (point, true)])
+        {
+            let mut model = GenerativeModel::new(4, 0.0);
+            model.set_params(alpha.clone(), beta.clone(), eta);
+            model.learn_prior = true;
+            let grad = model
+                .full_gradient_path(&m, l2, use_active_index, 1)
+                .unwrap();
+            for j in 0..4 {
+                let mut ap = alpha.clone();
+                ap[j] += h;
+                let mut am = alpha.clone();
+                am[j] -= h;
+                let fd = (f(&ap, &beta, eta) - f(&am, &beta, eta)) / (2.0 * h);
+                assert!(
+                    (grad[j] - fd).abs() < 1e-5,
+                    "alpha[{j}]: {} vs {fd}",
+                    grad[j]
+                );
 
-            let mut bp = beta.clone();
-            bp[j] += h;
-            let mut bm = beta.clone();
-            bm[j] -= h;
-            let fd = (f(&alpha, &bp, eta) - f(&alpha, &bm, eta)) / (2.0 * h);
-            assert!(
-                (grad[4 + j] - fd).abs() < 1e-5,
-                "beta[{j}]: {} vs {fd}",
-                grad[4 + j]
-            );
+                let mut bp = beta.clone();
+                bp[j] += h;
+                let mut bm = beta.clone();
+                bm[j] -= h;
+                let fd = (f(&alpha, &bp, eta) - f(&alpha, &bm, eta)) / (2.0 * h);
+                assert!(
+                    (grad[4 + j] - fd).abs() < 1e-5,
+                    "beta[{j}]: {} vs {fd}",
+                    grad[4 + j]
+                );
+            }
+            let fd = (f(&alpha, &beta, eta + h) - f(&alpha, &beta, eta - h)) / (2.0 * h);
+            assert!((grad[8] - fd).abs() < 1e-5, "eta: {} vs {fd}", grad[8]);
         }
-        let fd = (f(&alpha, &beta, eta + h) - f(&alpha, &beta, eta - h)) / (2.0 * h);
-        assert!((grad[8] - fd).abs() < 1e-5, "eta: {} vs {fd}", grad[8]);
     }
 
     /// Generate a planted-truth dataset: true labels Y, then each LF votes
@@ -1450,6 +1245,27 @@ mod tests {
             model.fit(&empty, &TrainConfig::default()),
             Err(CoreError::EmptyMatrix)
         ));
+        // A stream is refused the same schedules and priors before its
+        // first shard arrives.
+        for bad in [
+            TrainConfig {
+                batch_size: 0,
+                ..TrainConfig::default()
+            },
+            TrainConfig {
+                steps: 0,
+                ..TrainConfig::default()
+            },
+            TrainConfig {
+                class_prior: 0.0,
+                ..TrainConfig::default()
+            },
+        ] {
+            assert!(matches!(
+                model.begin_incremental(&bad),
+                Err(CoreError::BadConfig(_))
+            ));
+        }
     }
 
     #[test]

@@ -16,14 +16,12 @@
 // drybell-lint: allow-file(no-panic-index) — dense numeric kernel: loop bounds are derived from the matrix shape once and invariant; .get() in the inner loops would hide real shape bugs and cost the hot path
 
 use crate::error::CoreError;
-use crate::generative::GenerativeModel;
-use crate::matrix::LabelMatrix;
+use crate::generative::{scatter_votes, GenerativeModel};
+use crate::matrix::{dense_entries, LabelMatrix};
 use crate::optim::{OptimState, Optimizer};
 use crate::sigmoid;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use crate::train::{self, Params, Sampler, Watch};
+use rand::Rng;
 
 /// Hyperparameters for [`GibbsTrainer::fit`].
 #[derive(Debug, Clone)]
@@ -111,135 +109,80 @@ impl GibbsTrainer {
     /// Fit by stochastic gradient descent with Gibbs-sampled label
     /// expectations.
     pub fn fit(&mut self, m: &LabelMatrix, cfg: &GibbsConfig) -> Result<GibbsReport, CoreError> {
-        if m.is_empty() {
-            return Err(CoreError::EmptyMatrix);
+        let (rows, n) = (m.num_examples(), m.num_lfs());
+        train::validate(rows, n, self.model.num_lfs(), cfg.steps, cfg.batch_size)?;
+        if cfg.samples == 0 {
+            return Err(CoreError::BadConfig("samples must be >= 1".into()));
         }
-        if m.num_lfs() != self.model.num_lfs() {
-            return Err(CoreError::LengthMismatch {
-                left: m.num_lfs(),
-                right: self.model.num_lfs(),
-            });
-        }
-        if cfg.batch_size == 0 || cfg.samples == 0 {
-            return Err(CoreError::BadConfig(
-                "batch_size and samples must be > 0".into(),
-            ));
-        }
-        let n = m.num_lfs();
-        let eta = (cfg.class_prior / (1.0 - cfg.class_prior)).ln();
+        let eta = train::prior_log_odds(cfg.class_prior)?;
         self.model
             .set_params(vec![cfg.init_alpha; n], vec![0.0; n], eta);
 
-        let dim = 2 * n;
-        let mut opt = OptimState::new(cfg.optimizer, dim);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..m.num_examples()).collect();
-        order.shuffle(&mut rng);
-        let mut cursor = 0usize;
-        let mut params = vec![0.0; dim];
-        let mut grad = vec![0.0; dim];
+        let mut opt = OptimState::new(cfg.optimizer, self.model.dim());
+        // One RNG drives the epoch shuffles, the chain initialisation and
+        // every chain transition, in that interleaved order.
+        let mut sampler = Sampler::new(rows, cfg.batch_size, Some(cfg.seed));
         // Persistent chain state per example (contrastive-divergence style).
-        let mut chain: Vec<i8> = (0..m.num_examples())
-            .map(|_| if rng.gen_bool(0.5) { 1 } else { -1 })
+        let mut chain: Vec<i8> = (0..rows)
+            .map(|_| if sampler.rng.gen_bool(0.5) { 1 } else { -1 })
             .collect();
 
-        let start = Instant::now();
-        for step in 0..cfg.steps {
-            grad.iter_mut().for_each(|g| *g = 0.0);
-            let mut batch_count = 0usize;
-            for _ in 0..cfg.batch_size.min(order.len()) {
-                if cursor == order.len() {
-                    order.shuffle(&mut rng);
-                    cursor = 0;
-                }
-                let i = order[cursor];
-                cursor += 1;
-                batch_count += 1;
-                let row = m.row(i);
-                // Conditional P(Y_i = +1 | Λ_i, w): depends only on the
-                // active-vote margin and the prior (the Z terms cancel).
-                let mut margin = eta;
-                for (j, &l) in row.iter().enumerate() {
-                    if l != 0 {
-                        margin += 2.0 * f64::from(l) * self.model.alphas()[j];
+        let report = train::run(
+            &mut self.model,
+            &mut opt,
+            sampler,
+            cfg.steps,
+            Watch::default(),
+            |model, sampler, grad| {
+                grad.fill(0.0);
+                for _ in 0..sampler.batch_len {
+                    let i = sampler.next_index();
+                    let row = m.row(i);
+                    // Conditional P(Y_i = +1 | Λ_i, w): depends only on the
+                    // active-vote margin and the prior (the Z terms cancel).
+                    let mut margin = eta;
+                    dense_entries(row)
+                        .for_each(|(j, l)| margin += 2.0 * f64::from(l) * model.alphas()[j]);
+                    let p = sigmoid(margin);
+                    // Run the chain: burn-in, then collect.
+                    let rng = &mut sampler.rng;
+                    let mut y = chain[i];
+                    for _ in 0..cfg.burn_in {
+                        y = if rng.gen_bool(p) { 1 } else { -1 };
                     }
-                }
-                let p = sigmoid(margin);
-                // Run the chain: burn-in, then collect.
-                let mut y = chain[i];
-                for _ in 0..cfg.burn_in {
-                    y = if rng.gen_bool(p) { 1 } else { -1 };
-                }
-                let mut y_sum = 0i64;
-                for _ in 0..cfg.samples {
-                    y = if rng.gen_bool(p) { 1 } else { -1 };
-                    y_sum += i64::from(y);
-                }
-                chain[i] = y;
-                let y_bar = y_sum as f64 / cfg.samples as f64;
-                // Complete-data gradient with the sampled E[Y]:
-                // ∂NLL/∂α_j = ∂Z/∂α − ȳ·λ_ij ; ∂NLL/∂β_j = ∂Z/∂β − 1[λ≠0].
-                for (j, &l) in row.iter().enumerate() {
-                    if l != 0 {
-                        grad[j] -= y_bar * f64::from(l);
-                        grad[n + j] -= 1.0;
+                    let mut y_sum = 0i64;
+                    for _ in 0..cfg.samples {
+                        y = if rng.gen_bool(p) { 1 } else { -1 };
+                        y_sum += i64::from(y);
                     }
+                    chain[i] = y;
+                    // Complete-data gradient with the sampled E[Y]:
+                    // ∂NLL/∂α_j = ∂Z/∂α − ȳ·λ_ij ; ∂NLL/∂β_j = ∂Z/∂β − 1[λ≠0].
+                    let y_bar = y_sum as f64 / cfg.samples as f64;
+                    scatter_votes(dense_entries(row), y_bar, n, grad);
                 }
-            }
-            // Batch-constant ∂Z terms.
-            let (dz_da, dz_db) = z_partials(self.model.alphas(), self.model.betas());
-            let bsz = batch_count as f64;
-            for j in 0..n {
-                grad[j] += bsz * dz_da[j];
-                grad[n + j] += bsz * dz_db[j];
-            }
-            for g in grad.iter_mut() {
-                *g /= bsz;
-            }
-            for j in 0..n {
-                grad[j] += cfg.l2 * self.model.alphas()[j];
-                grad[n + j] += cfg.l2 * self.model.betas()[j];
-            }
-            params[..n].copy_from_slice(self.model.alphas());
-            params[n..].copy_from_slice(self.model.betas());
-            opt.step(&mut params, &grad);
-            if params.iter().any(|p| !p.is_finite()) {
-                return Err(CoreError::Diverged { step });
-            }
-            self.model
-                .set_params(params[..n].to_vec(), params[n..].to_vec(), eta);
-        }
-        let seconds = start.elapsed().as_secs_f64();
+                model.finish_gradient(&model.cache(), sampler.batch_len, cfg.l2, grad);
+            },
+            |model| model.nll(m),
+        )?;
         let examples = cfg.steps * cfg.batch_size;
         Ok(GibbsReport {
             steps: cfg.steps,
             examples,
-            seconds,
-            examples_per_sec: examples as f64 / seconds.max(1e-12),
-            steps_per_sec: cfg.steps as f64 / seconds.max(1e-12),
-            final_nll: self.model.nll(m)?,
+            seconds: report.seconds,
+            examples_per_sec: examples as f64 / report.seconds.max(1e-12),
+            steps_per_sec: report.steps_per_sec,
+            final_nll: report.final_nll,
         })
     }
-}
-
-/// `(∂Z_j/∂α_j, ∂Z_j/∂β_j)` for all LFs.
-fn z_partials(alpha: &[f64], beta: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let mut da = Vec::with_capacity(alpha.len());
-    let mut db = Vec::with_capacity(alpha.len());
-    for (&a, &b) in alpha.iter().zip(beta) {
-        let ea = (a + b).exp();
-        let eb = (-a + b).exp();
-        let d = ea + eb + 1.0;
-        da.push((ea - eb) / d);
-        db.push((ea + eb) / d);
-    }
-    (da, db)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vote::Label;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn planted(m: usize, accs: &[f64], props: &[f64], seed: u64) -> (LabelMatrix, Vec<Label>) {
         let n = accs.len();
@@ -341,6 +284,20 @@ mod tests {
             ..GibbsConfig::default()
         };
         assert!(matches!(t.fit(&mat, &bad), Err(CoreError::BadConfig(_))));
+        // Regression: a prior outside (0, 1) gave η = NaN and panicked
+        // inside `gen_bool`; zero steps "trained" nothing and reported it.
+        for bad in [
+            GibbsConfig {
+                class_prior: 1.5,
+                ..GibbsConfig::default()
+            },
+            GibbsConfig {
+                steps: 0,
+                ..GibbsConfig::default()
+            },
+        ] {
+            assert!(matches!(t.fit(&mat, &bad), Err(CoreError::BadConfig(_))));
+        }
         let empty = LabelMatrix::new(2);
         assert!(matches!(
             t.fit(&empty, &GibbsConfig::default()),

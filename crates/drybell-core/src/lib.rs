@@ -24,6 +24,12 @@
 //! * [`gibbs::GibbsTrainer`] — the open-source Snorkel baseline: a Gibbs
 //!   sampler over the latent labels driving stochastic gradient steps.
 //!
+//! Both — and the [`class_conditional`] and [`categorical`] extensions —
+//! run on one mini-batch optimiser loop, the private `train` module
+//! (input validation, batch sampling, update, divergence check, per-epoch
+//! accounting); a model supplies only its parameter packing and its
+//! gradient, the way §5.2 plugs likelihoods into one optimiser.
+//!
 //! Baseline combiners the paper evaluates against (unweighted average,
 //! logical OR, majority vote) live in [`baselines`].
 //!
@@ -67,6 +73,7 @@ pub mod gibbs;
 pub mod matrix;
 pub mod optim;
 pub mod parallel;
+mod train;
 pub mod vote;
 
 pub use analysis::{LfReport, LfSummary};

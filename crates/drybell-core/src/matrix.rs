@@ -323,6 +323,47 @@ impl ActiveRows {
     }
 }
 
+/// A row layout the label-model kernels can scan: row `i`'s non-abstain
+/// `(column, vote)` entries in column order. The dense matrix and its
+/// [`ActiveRows`] index both yield exactly this sequence, so a kernel
+/// written once over it is bit-identical on either layout.
+pub(crate) trait VoteRows: Sync {
+    /// Number of rows.
+    fn num_rows(&self) -> usize;
+    /// Non-abstain entries of row `i`, in column order.
+    fn entries(&self, i: usize) -> impl Iterator<Item = (usize, i8)>;
+}
+
+/// The non-abstain `(column, vote)` entries of one dense row.
+#[inline]
+pub(crate) fn dense_entries(row: &[i8]) -> impl Iterator<Item = (usize, i8)> + '_ {
+    row.iter()
+        .enumerate()
+        .filter_map(|(j, &l)| (l != 0).then_some((j, l)))
+}
+
+impl VoteRows for LabelMatrix {
+    fn num_rows(&self) -> usize {
+        self.num_examples()
+    }
+
+    #[inline]
+    fn entries(&self, i: usize) -> impl Iterator<Item = (usize, i8)> {
+        dense_entries(self.row(i))
+    }
+}
+
+impl VoteRows for ActiveRows {
+    fn num_rows(&self) -> usize {
+        ActiveRows::num_rows(self)
+    }
+
+    #[inline]
+    fn entries(&self, i: usize) -> impl Iterator<Item = (usize, i8)> {
+        self.row(i).iter().map(|&(j, l)| (j as usize, l))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

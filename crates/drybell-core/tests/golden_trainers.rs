@@ -1,0 +1,229 @@
+//! Golden checksums for the five label-model training entry points.
+//!
+//! The trainers promise a fixed trajectory: same RNG consumption, same
+//! floating-point operation order, hence the same parameters, posteriors
+//! and NLLs at every seed and thread count. Each constant below is the
+//! FNV-1a of the exact bit patterns a run produced **before** the
+//! trainers were moved onto the shared optimiser loop (`train.rs`) and
+//! the single row kernel; a refactor of either must leave them green.
+//! A deliberate change to the numerics re-records them and says so.
+
+// Miri perturbs `exp`/`ln` results by design, so bit patterns recorded on
+// hardware cannot match under it.
+#![cfg(not(miri))]
+
+use drybell_core::categorical::{CatLabelMatrix, CatTrainConfig, CategoricalModel};
+use drybell_core::gibbs::{GibbsConfig, GibbsTrainer};
+use drybell_core::optim::Optimizer;
+use drybell_core::vote::CatVote;
+use drybell_core::{
+    CcTrainConfig, ClassConditionalModel, GenerativeModel, LabelMatrix, TrainConfig,
+};
+use drybell_obs::fnv1a64;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// FNV-1a over the exact bit patterns of a float sequence.
+fn checksum(xs: impl IntoIterator<Item = f64>) -> u64 {
+    let bytes: Vec<u8> = xs
+        .into_iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect();
+    fnv1a64(&bytes)
+}
+
+/// Planted two-class matrix whose per-LF propensity is drawn from
+/// `props`, which decides the layout `fit` picks: above 50% non-abstain
+/// cells the dense scan, below it the CSR active index.
+fn planted(examples: usize, lfs: usize, props: std::ops::Range<f64>, seed: u64) -> LabelMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let accs: Vec<f64> = (0..lfs).map(|_| rng.gen_range(0.6..0.95)).collect();
+    let props: Vec<f64> = (0..lfs).map(|_| rng.gen_range(props.clone())).collect();
+    let mut m = LabelMatrix::with_capacity(lfs, examples);
+    for _ in 0..examples {
+        let y: i8 = if rng.gen_bool(0.4) { 1 } else { -1 };
+        let row: Vec<i8> = (0..lfs)
+            .map(|j| {
+                if !rng.gen_bool(props[j]) {
+                    0
+                } else if rng.gen_bool(accs[j]) {
+                    y
+                } else {
+                    -y
+                }
+            })
+            .collect();
+        m.push_raw_row(&row).unwrap();
+    }
+    m
+}
+
+fn binary_params(model: &GenerativeModel) -> impl Iterator<Item = f64> + '_ {
+    model
+        .alphas()
+        .iter()
+        .chain(model.betas())
+        .copied()
+        .chain([model.eta()])
+}
+
+/// `fit` with a learned prior, multi-chunk batches that wrap the epoch
+/// mid-batch, and a recorded loss history — then posteriors and NLL.
+fn binary_fit_checksum(m: &LabelMatrix, num_threads: usize) -> u64 {
+    let cfg = TrainConfig {
+        steps: 24,
+        batch_size: 1_500,
+        learn_class_prior: true,
+        class_prior: 0.4,
+        seed: 11,
+        record_every: 8,
+        num_threads,
+        ..TrainConfig::default()
+    };
+    let mut model = GenerativeModel::new(m.num_lfs(), 0.7);
+    let report = model.fit(m, &cfg).unwrap();
+    let posteriors = model.predict_proba_threads(m, num_threads);
+    let history = report.loss_history.iter().map(|&(_, nll)| nll);
+    checksum(
+        binary_params(&model)
+            .chain(posteriors)
+            .chain(history)
+            .chain([report.final_nll]),
+    )
+}
+
+#[test]
+fn binary_fit_dense_layout() {
+    let m = planted(4_000, 8, 0.6..0.9, 42);
+    assert!(m.vote_density() >= 0.5, "must take the dense scan");
+    for threads in [1, 4] {
+        assert_eq!(
+            binary_fit_checksum(&m, threads),
+            0x9f32_5523_8925_1f15,
+            "{threads} thread(s)"
+        );
+    }
+}
+
+#[test]
+fn binary_fit_sparse_layout() {
+    let m = planted(4_000, 12, 0.05..0.3, 43);
+    assert!(m.vote_density() < 0.5, "must take the active index");
+    for threads in [1, 4] {
+        assert_eq!(
+            binary_fit_checksum(&m, threads),
+            0x3474_25a3_ae22_3641,
+            "{threads} thread(s)"
+        );
+    }
+}
+
+#[test]
+fn binary_fit_incremental_three_shards() {
+    let cfg = TrainConfig {
+        steps: 10,
+        batch_size: 256,
+        ..TrainConfig::default()
+    };
+    let mut model = GenerativeModel::new(6, cfg.init_alpha);
+    let mut state = model.begin_incremental(&cfg).unwrap();
+    let mut fold_nlls = Vec::new();
+    let shards: Vec<LabelMatrix> = (0..3).map(|k| planted(700, 6, 0.2..0.9, 50 + k)).collect();
+    for (k, shard) in shards.iter().enumerate() {
+        state.set_optimizer(Optimizer::adam(0.05 / (k + 1) as f64));
+        fold_nlls.push(
+            model
+                .fit_incremental(shard, &cfg, &mut state)
+                .unwrap()
+                .final_nll,
+        );
+    }
+    assert_eq!((state.steps(), state.rows()), (30, 30 * 256));
+    let posteriors = shards.iter().flat_map(|s| model.predict_proba(s));
+    let got = checksum(binary_params(&model).chain(posteriors).chain(fold_nlls));
+    assert_eq!(got, 0x661b_9dc8_521b_ebde);
+}
+
+#[test]
+fn class_conditional_fit() {
+    let m = planted(1_500, 5, 0.3..0.8, 44);
+    let mut model = ClassConditionalModel::new(5);
+    let cfg = CcTrainConfig {
+        steps: 120,
+        batch_size: 128,
+        class_prior: 0.4,
+        seed: 5,
+        ..CcTrainConfig::default()
+    };
+    let nll = model.fit(&m, &cfg).unwrap();
+    let got = checksum(
+        model
+            .theta()
+            .iter()
+            .copied()
+            .chain(model.predict_proba(&m))
+            .chain([nll]),
+    );
+    assert_eq!(got, 0x748f_1648_47df_1115);
+}
+
+#[test]
+fn categorical_fit_k4() {
+    let k = 4u32;
+    let mut rng = StdRng::seed_from_u64(45);
+    let mut m = CatLabelMatrix::new(4, k).unwrap();
+    for _ in 0..1_200 {
+        let y = rng.gen_range(1..=k);
+        let row: Vec<CatVote> = (0..4)
+            .map(|j| {
+                if !rng.gen_bool(0.5 + 0.1 * j as f64) {
+                    CatVote::ABSTAIN
+                } else if rng.gen_bool(0.8) {
+                    CatVote(y)
+                } else {
+                    CatVote(rng.gen_range(1..=k))
+                }
+            })
+            .collect();
+        m.push_row(&row).unwrap();
+    }
+    let mut model = CategoricalModel::new(4, k, 0.7).unwrap();
+    let cfg = CatTrainConfig {
+        steps: 150,
+        seed: 6,
+        ..CatTrainConfig::default()
+    };
+    let nll = model.fit(&m, &cfg).unwrap();
+    let got = checksum(
+        model
+            .learned_accuracies()
+            .into_iter()
+            .chain(model.predict_proba(&m).into_iter().flatten())
+            .chain([nll]),
+    );
+    assert_eq!(got, 0x138c_8fcb_e672_e7da);
+}
+
+#[test]
+fn gibbs_fit() {
+    // 800 rows at batch 64 wrap the epoch mid-batch (step 13), so the
+    // reshuffle lands between two examples' chain draws on the one RNG.
+    let m = planted(800, 4, 0.5..0.9, 46);
+    let mut trainer = GibbsTrainer::new(4);
+    let cfg = GibbsConfig {
+        steps: 60,
+        burn_in: 2,
+        samples: 4,
+        class_prior: 0.4,
+        seed: 7,
+        ..GibbsConfig::default()
+    };
+    let report = trainer.fit(&m, &cfg).unwrap();
+    let model = trainer.model();
+    let got = checksum(
+        binary_params(model)
+            .chain(model.predict_proba(&m))
+            .chain([report.final_nll]),
+    );
+    assert_eq!(got, 0x9bae_1fa4_fc25_b730);
+}

@@ -23,6 +23,7 @@
 //! consults the NLP ones, and the LF executor degrades to abstention
 //! when the server errors.
 
+use drybell_obs::fnv1a64;
 use std::time::Duration;
 
 /// What an injected fault does to the attempt it fires on.
@@ -270,18 +271,6 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// FNV-1a 64-bit (text hashing for per-text NLP fault decisions).
-fn fnv1a64(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -8,18 +8,7 @@
 
 use crate::sparse::SparseVector;
 
-/// FNV-1a 64-bit hash.
-#[inline]
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+pub use drybell_obs::fnv1a64;
 
 /// Maps named features into a fixed-dimension hashed space.
 ///
@@ -103,14 +92,6 @@ pub fn concat(vectors: &[SparseVector]) -> SparseVector {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn fnv_known_vectors() {
-        // Reference FNV-1a values.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn hashing_is_deterministic_and_bounded() {

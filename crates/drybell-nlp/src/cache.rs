@@ -9,22 +9,9 @@
 //! exposes hit/miss statistics so the savings show up in job counters.
 
 use crate::server::{NlpError, NlpResult, NlpServer};
-use drybell_obs::MetricsRegistry;
+use drybell_obs::{fnv1a64, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-
-/// FNV-1a 64-bit hash (local copy; `drybell-nlp` sits below
-/// `drybell-features` in the dependency order).
-fn fnv1a64(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// Cumulative cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

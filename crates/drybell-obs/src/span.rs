@@ -19,6 +19,7 @@
 //! [`Tracer`]: crate::trace::Tracer
 
 use crate::flight::FlightRecorder;
+use crate::hash::fnv1a64;
 use crate::trace::{TraceHandle, Tracer};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -54,12 +55,7 @@ impl Default for SpanSet {
 
 /// FNV-1a stripe index for a path.
 fn stripe_of(path: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % STRIPES as u64) as usize
+    (fnv1a64(path.as_bytes()) % STRIPES as u64) as usize
 }
 
 impl SpanSet {
