@@ -5,13 +5,11 @@
 //! (`Y ∈ {-1, +1}`) with abstain encoded as `0`; DryBell also supports
 //! arbitrary categorical targets, represented here by [`CatVote`].
 
-use serde::{Deserialize, Serialize};
-
 /// A binary labeling-function vote: positive, negative, or abstain.
 ///
 /// Encoded on the wire and in [`crate::LabelMatrix`] as an `i8` in
 /// `{+1, -1, 0}`, matching the paper's `λ_j : X → {-1, 0, 1}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vote {
     /// The LF believes the example is in the positive class (`+1`).
     Positive,
@@ -75,7 +73,7 @@ impl From<bool> for Vote {
 /// A categorical labeling-function vote over `k` classes.
 ///
 /// Classes are `1..=k`; `0` means abstain, mirroring the binary encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CatVote(pub u32);
 
 impl CatVote {
@@ -100,7 +98,7 @@ impl CatVote {
 /// A ground-truth binary label, used only for evaluation and for the
 /// hand-label trade-off experiments (Figure 5) — never by the generative
 /// model, which learns from `Λ` alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Label {
     /// The positive class (`+1`).
     Positive,

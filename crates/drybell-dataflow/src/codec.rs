@@ -8,11 +8,12 @@
 //!
 //! The CRC-32 (IEEE 802.3) checksum over the payload lets readers detect
 //! torn writes and corruption — the failure-injection tests rely on it.
-//! Field-level encoding helpers (varints, primitives, strings) are provided
-//! on top of the `bytes` crate's `Buf`/`BufMut` traits so record types can
-//! implement [`Record`] without hand-rolling byte juggling.
+//! Field-level encoding helpers (varints, primitives, strings) read from a
+//! `&mut &[u8]` cursor and append to a `Vec<u8>`, so record types can
+//! implement [`Record`] without hand-rolling byte juggling. Every read goes
+//! through a checked split: short input is [`CodecError::UnexpectedEof`],
+//! never a panic.
 
-use bytes::{Buf, BufMut};
 use std::fmt;
 
 /// Errors from decoding a record or frame.
@@ -124,6 +125,27 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
+// Cursor reads
+// ---------------------------------------------------------------------------
+
+/// Take the next `len` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], CodecError> {
+    let (head, tail) = buf.split_at_checked(len).ok_or(CodecError::UnexpectedEof)?;
+    *buf = tail;
+    Ok(head)
+}
+
+/// Take the next `N` bytes off the front of `buf` (a little-endian
+/// primitive's worth).
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, tail) = buf
+        .split_first_chunk::<N>()
+        .ok_or(CodecError::UnexpectedEof)?;
+    *buf = tail;
+    Ok(*head)
+}
+
+// ---------------------------------------------------------------------------
 // Varints
 // ---------------------------------------------------------------------------
 
@@ -133,10 +155,10 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -145,13 +167,13 @@ pub fn get_varint(buf: &mut &[u8]) -> Result<u64, CodecError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        if buf.is_empty() {
+        let Some((&byte, tail)) = buf.split_first() else {
             return Err(CodecError::UnexpectedEof);
-        }
+        };
         if shift >= 64 {
             return Err(CodecError::VarintOverflow);
         }
-        let byte = buf.get_u8();
+        *buf = tail;
         v |= u64::from(byte & 0x7F) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
@@ -173,12 +195,7 @@ pub fn put_string(buf: &mut Vec<u8>, s: &str) {
 /// Read a length-prefixed UTF-8 string.
 pub fn get_string(buf: &mut &[u8]) -> Result<String, CodecError> {
     let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let (head, tail) = buf.split_at(len);
-    let s = std::str::from_utf8(head).map_err(|_| CodecError::InvalidUtf8)?;
-    *buf = tail;
+    let s = std::str::from_utf8(take(buf, len)?).map_err(|_| CodecError::InvalidUtf8)?;
     Ok(s.to_owned())
 }
 
@@ -191,33 +208,23 @@ pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
 /// Read a length-prefixed byte blob.
 pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, CodecError> {
     let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let (head, tail) = buf.split_at(len);
-    *buf = tail;
-    Ok(head.to_vec())
+    Ok(take(buf, len)?.to_vec())
 }
 
 /// Append an `f64` as little-endian bits.
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.put_f64_le(v);
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Read a little-endian `f64`.
 pub fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_f64_le())
+    Ok(f64::from_le_bytes(take_array(buf)?))
 }
 
 /// Read a single byte.
 pub fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
-    if buf.is_empty() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u8())
+    let [byte] = take_array(buf)?;
+    Ok(byte)
 }
 
 /// ZigZag-encode a signed integer into a varint.
@@ -238,19 +245,15 @@ pub fn get_varint_i64(buf: &mut &[u8]) -> Result<i64, CodecError> {
 /// Append a checksummed frame containing `payload`.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     put_varint(out, payload.len() as u64);
-    out.put_u32_le(crc32(payload));
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
 /// Read one frame; returns the verified payload slice, advancing `buf`.
 pub fn get_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
     let len = get_varint(buf)? as usize;
-    if buf.remaining() < 4 + len {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let expected = buf.get_u32_le();
-    let (payload, tail) = buf.split_at(len);
-    *buf = tail;
+    let expected = u32::from_le_bytes(take_array(buf)?);
+    let payload = take(buf, len)?;
     let actual = crc32(payload);
     if actual != expected {
         return Err(CodecError::ChecksumMismatch { expected, actual });
@@ -280,7 +283,7 @@ pub fn put_footer(out: &mut Vec<u8>, record_count: u64) {
     body.extend_from_slice(&record_count.to_le_bytes());
     let crc = crc32(&body);
     out.extend_from_slice(&body);
-    out.put_u32_le(crc);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Split a fully-buffered shard image into its frame bytes and the
@@ -292,9 +295,9 @@ pub fn split_footer(buf: &[u8]) -> Result<(&[u8], u64), CodecError> {
     let (frames, footer) = buf.split_at(frames_len);
     let (body, mut crc_bytes) = footer.split_at(16);
     let mut cursor = body;
-    let magic = cursor.get_u64_le();
-    let count = cursor.get_u64_le();
-    let stored = crc_bytes.get_u32_le();
+    let magic = u64::from_le_bytes(take_array(&mut cursor)?);
+    let count = u64::from_le_bytes(take_array(&mut cursor)?);
+    let stored = u32::from_le_bytes(take_array(&mut crc_bytes)?);
     if magic != FOOTER_MAGIC {
         return Err(CodecError::MissingFooter);
     }
@@ -488,6 +491,16 @@ mod tests {
             get_frame(&mut s),
             Err(CodecError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn frame_length_near_usize_max_is_eof_not_overflow() {
+        // `4 + len` used to be computed unchecked before the bounds test.
+        let mut out = Vec::new();
+        put_varint(&mut out, u64::MAX - 1);
+        out.extend_from_slice(&[0; 8]);
+        let mut s = out.as_slice();
+        assert_eq!(get_frame(&mut s), Err(CodecError::UnexpectedEof));
     }
 
     #[test]

@@ -9,15 +9,30 @@
 //! cost, privacy flag — so `drybell-serving` can *enforce* the distinction
 //! instead of trusting engineers to remember it.
 
-use serde::{Deserialize, Serialize};
+use drybell_obs::Json;
 use std::collections::HashMap;
 
 /// Identifier of a registered feature space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FeatureSpaceId(pub u32);
 
+impl FeatureSpaceId {
+    /// The id as it appears in an exported model file: a bare integer.
+    pub fn to_json(&self) -> Json {
+        Json::from(self.0)
+    }
+
+    /// Read an id back from [`FeatureSpaceId::to_json`]'s form.
+    pub fn from_json(v: &Json) -> Result<FeatureSpaceId, String> {
+        v.as_u64()
+            .and_then(|id| u32::try_from(id).ok())
+            .map(FeatureSpaceId)
+            .ok_or_else(|| "feature space id is not a u32".to_owned())
+    }
+}
+
 /// Declaration of one feature space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSpace {
     /// Unique name, e.g. `"hashed-unigrams"` or `"nlp-entities"`.
     pub name: String,
@@ -65,7 +80,7 @@ impl FeatureSpace {
 }
 
 /// Registry of feature spaces for one application.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SpaceRegistry {
     spaces: Vec<FeatureSpace>,
     by_name: HashMap<String, FeatureSpaceId>,

@@ -5,8 +5,6 @@
 //! Sortedness makes dot products and merges linear-time and keeps equality
 //! canonical.
 
-use serde::{Deserialize, Serialize};
-
 /// An immutable sparse vector of `f64` features over `u32` indices.
 ///
 /// ```
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let b = SparseVector::from_pairs(vec![(1, 4.0)]);
 /// assert_eq!(a.dot(&b), 8.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVector {
     /// Sorted by index; no duplicate indices; no explicit zeros unless the
     /// caller inserted them.

@@ -15,11 +15,18 @@
 //!   against soft targets.
 //! * [`metrics`] — precision/recall/F1, score histograms (Figure 6), and
 //!   the relative-to-baseline normalization the paper reports.
+//!
+//! The models `drybell-serving` exports ([`LogisticRegression`], [`Mlp`]
+//! and their configs) each carry a `to_json`/`from_json` pair over
+//! [`drybell_obs::Json`]. `from_json` reads outside input: it checks every
+//! length against the declared shape and rejects non-finite numbers, so a
+//! model that loads cannot index out of range when it scores.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod error;
+mod export;
 pub mod logreg;
 pub mod loss;
 pub mod metrics;

@@ -18,15 +18,16 @@
 //! `n += g²`. The L1 term gives the sparse models production systems want.
 
 use crate::error::MlError;
+use crate::export::{field, finite, finite_vec, floats, size};
 use crate::loss::{noise_aware_logistic_grad, sigmoid};
 use drybell_features::SparseVector;
+use drybell_obs::Json;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which update rule the trainer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LrAlgorithm {
     /// FTRL-Proximal with per-coordinate learning rates (the paper's
     /// optimizer).
@@ -36,8 +37,27 @@ pub enum LrAlgorithm {
     Sgd,
 }
 
+impl LrAlgorithm {
+    /// The variant name as a string, as exported model files carry it.
+    pub fn to_json(&self) -> Json {
+        Json::from(match self {
+            LrAlgorithm::FtrlProximal => "FtrlProximal",
+            LrAlgorithm::Sgd => "Sgd",
+        })
+    }
+
+    /// Read a variant back from [`LrAlgorithm::to_json`]'s form.
+    pub fn from_json(v: &Json) -> Result<LrAlgorithm, String> {
+        match v.as_str() {
+            Some("FtrlProximal") => Ok(LrAlgorithm::FtrlProximal),
+            Some("Sgd") => Ok(LrAlgorithm::Sgd),
+            _ => Err(format!("unknown LrAlgorithm {v}")),
+        }
+    }
+}
+
 /// FTRL-Proximal hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FtrlConfig {
     /// Initial step size `α`. The paper uses 0.2.
     pub alpha: f64,
@@ -73,8 +93,38 @@ impl Default for FtrlConfig {
     }
 }
 
+impl FtrlConfig {
+    /// The configuration as an exported model file carries it.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("alpha", Json::Num(self.alpha)),
+            ("beta", Json::Num(self.beta)),
+            ("l1", Json::Num(self.l1)),
+            ("l2", Json::Num(self.l2)),
+            ("iterations", Json::from(self.iterations)),
+            ("batch_size", Json::from(self.batch_size)),
+            ("seed", Json::from(self.seed)),
+            ("algorithm", self.algorithm.to_json()),
+        ])
+    }
+
+    /// Read a configuration back from [`FtrlConfig::to_json`]'s form.
+    pub fn from_json(v: &Json) -> Result<FtrlConfig, String> {
+        Ok(FtrlConfig {
+            alpha: field(v, "alpha", finite)?,
+            beta: field(v, "beta", finite)?,
+            l1: field(v, "l1", finite)?,
+            l2: field(v, "l2", finite)?,
+            iterations: field(v, "iterations", size)?,
+            batch_size: field(v, "batch_size", size)?,
+            seed: field(v, "seed", Json::as_u64)?,
+            algorithm: field(v, "algorithm", Some).and_then(LrAlgorithm::from_json)?,
+        })
+    }
+}
+
 /// A trained (or in-training) sparse logistic-regression model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     /// FTRL accumulated gradients `z`.
     z: Vec<f64>,
@@ -98,6 +148,42 @@ impl LogisticRegression {
             cfg,
             dims,
         }
+    }
+
+    /// The whole model, optimizer state included, as an exported model
+    /// file carries it.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("z", floats(&self.z)),
+            ("n", floats(&self.n)),
+            ("z_bias", Json::Num(self.z_bias)),
+            ("n_bias", Json::Num(self.n_bias)),
+            ("cfg", self.cfg.to_json()),
+            ("dims", Json::from(self.dims)),
+        ])
+    }
+
+    /// Read a model back from [`LogisticRegression::to_json`]'s form.
+    /// Scoring indexes `z` and `n` by coordinate below `dims`, so a file
+    /// whose vectors are not both `dims` long is rejected here.
+    pub fn from_json(v: &Json) -> Result<LogisticRegression, String> {
+        let model = LogisticRegression {
+            z: field(v, "z", finite_vec)?,
+            n: field(v, "n", finite_vec)?,
+            z_bias: field(v, "z_bias", finite)?,
+            n_bias: field(v, "n_bias", finite)?,
+            cfg: field(v, "cfg", Some).and_then(FtrlConfig::from_json)?,
+            dims: field(v, "dims", size)?,
+        };
+        if model.z.len() != model.dims || model.n.len() != model.dims {
+            return Err(format!(
+                "dims is {} but z has {} entries and n has {}",
+                model.dims,
+                model.z.len(),
+                model.n.len()
+            ));
+        }
+        Ok(model)
     }
 
     /// Feature dimensionality.
@@ -353,6 +439,29 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn json_round_trip_keeps_every_bit() {
+        let mut model = LogisticRegression::new(
+            1 << 12,
+            FtrlConfig {
+                iterations: 50,
+                seed: u64::MAX,
+                ..FtrlConfig::default()
+            },
+        );
+        model.fit(&separable(100, 3)).unwrap();
+        let text = model.to_json().to_line();
+        let back = LogisticRegression::from_json(&drybell_obs::parse_json(&text).unwrap()).unwrap();
+        assert_eq!(back.to_json().to_line(), text);
+        let x = hasher().bag_of_words(&["good", "noise"]);
+        assert_eq!(back.score(&x).to_bits(), model.score(&x).to_bits());
+        // A vector shorter than `dims` is rejected, not indexed past.
+        let short = text.replacen("\"z\":[0.0,", "\"z\":[", 1);
+        assert_ne!(short, text);
+        let err = LogisticRegression::from_json(&drybell_obs::parse_json(&short).unwrap());
+        assert!(err.unwrap_err().contains("dims is 4096"));
     }
 
     #[test]

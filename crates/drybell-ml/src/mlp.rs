@@ -8,14 +8,15 @@
 //! needed at this scale.
 
 use crate::error::MlError;
+use crate::export::{array, field, finite, finite_vec, floats, size};
 use crate::loss::{noise_aware_logistic_grad, noise_aware_logistic_loss, sigmoid};
+use drybell_obs::Json;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Network and training hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MlpConfig {
     /// Hidden layer widths, e.g. `[32, 16]`.
     pub hidden: Vec<usize>,
@@ -44,8 +45,37 @@ impl Default for MlpConfig {
     }
 }
 
+impl MlpConfig {
+    /// The configuration as an exported model file carries it.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            (
+                "hidden",
+                Json::Arr(self.hidden.iter().map(|&h| Json::from(h)).collect()),
+            ),
+            ("lr", Json::Num(self.lr)),
+            ("iterations", Json::from(self.iterations)),
+            ("batch_size", Json::from(self.batch_size)),
+            ("l2", Json::Num(self.l2)),
+            ("seed", Json::from(self.seed)),
+        ])
+    }
+
+    /// Read a configuration back from [`MlpConfig::to_json`]'s form.
+    pub fn from_json(v: &Json) -> Result<MlpConfig, String> {
+        Ok(MlpConfig {
+            hidden: field(v, "hidden", |h| array(h)?.iter().map(size).collect())?,
+            lr: field(v, "lr", finite)?,
+            iterations: field(v, "iterations", size)?,
+            batch_size: field(v, "batch_size", size)?,
+            l2: field(v, "l2", finite)?,
+            seed: field(v, "seed", Json::as_u64)?,
+        })
+    }
+}
+
 /// One dense layer's parameters and Adam state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Layer {
     /// Row-major `out × in` weights.
     w: Vec<f64>,
@@ -78,6 +108,49 @@ impl Layer {
         }
     }
 
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("w", floats(&self.w)),
+            ("b", floats(&self.b)),
+            ("n_in", Json::from(self.n_in)),
+            ("n_out", Json::from(self.n_out)),
+            ("mw", floats(&self.mw)),
+            ("vw", floats(&self.vw)),
+            ("mb", floats(&self.mb)),
+            ("vb", floats(&self.vb)),
+        ])
+    }
+
+    /// `forward` slices `w` by `n_in` and indexes `b` by `n_out`, and
+    /// `fit` walks the Adam moments in step with them, so every length
+    /// is checked against the declared shape here.
+    fn from_json(v: &Json) -> Result<Layer, String> {
+        let layer = Layer {
+            w: field(v, "w", finite_vec)?,
+            b: field(v, "b", finite_vec)?,
+            n_in: field(v, "n_in", size)?,
+            n_out: field(v, "n_out", size)?,
+            mw: field(v, "mw", finite_vec)?,
+            vw: field(v, "vw", finite_vec)?,
+            mb: field(v, "mb", finite_vec)?,
+            vb: field(v, "vb", finite_vec)?,
+        };
+        let weights = layer.n_in.checked_mul(layer.n_out);
+        let shaped = [&layer.w, &layer.mw, &layer.vw]
+            .iter()
+            .all(|m| Some(m.len()) == weights)
+            && [&layer.b, &layer.mb, &layer.vb]
+                .iter()
+                .all(|m| m.len() == layer.n_out);
+        if !shaped {
+            return Err(format!(
+                "a {}x{} layer's weights, biases or moments have the wrong length",
+                layer.n_out, layer.n_in
+            ));
+        }
+        Ok(layer)
+    }
+
     fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.n_out);
@@ -101,8 +174,17 @@ pub struct MlpScratch {
     next: Vec<f64>,
 }
 
+/// Widths at the layer boundaries: the input, each hidden layer, one
+/// output. Layer `i` maps width `i` to width `i + 1`.
+fn widths(input_dim: usize, hidden: &[usize]) -> Vec<usize> {
+    let mut dims = vec![input_dim];
+    dims.extend_from_slice(hidden);
+    dims.push(1);
+    dims
+}
+
 /// The multi-layer perceptron.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Layer>,
     cfg: MlpConfig,
@@ -115,10 +197,7 @@ impl Mlp {
     pub fn new(input_dim: usize, cfg: MlpConfig) -> Mlp {
         assert!(input_dim > 0, "input dimension must be positive");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut dims = vec![input_dim];
-        dims.extend_from_slice(&cfg.hidden);
-        dims.push(1);
-        let layers = dims
+        let layers = widths(input_dim, &cfg.hidden)
             .windows(2)
             .map(|w| Layer::new(w[0], w[1], &mut rng))
             .collect();
@@ -128,6 +207,51 @@ impl Mlp {
             input_dim,
             adam_t: 0,
         }
+    }
+
+    /// The whole network, Adam state included, as an exported model
+    /// file carries it.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            (
+                "layers",
+                Json::Arr(self.layers.iter().map(Layer::to_json).collect()),
+            ),
+            ("cfg", self.cfg.to_json()),
+            ("input_dim", Json::from(self.input_dim)),
+            ("adam_t", Json::from(self.adam_t)),
+        ])
+    }
+
+    /// Read a network back from [`Mlp::to_json`]'s form. The layers must
+    /// have the widths [`Mlp::new`] would give them (`input_dim`, then
+    /// `cfg.hidden`, then one output), so each layer's input is the
+    /// previous layer's output and scoring cannot index out of range.
+    pub fn from_json(v: &Json) -> Result<Mlp, String> {
+        let net = Mlp {
+            layers: field(v, "layers", array)?
+                .iter()
+                .map(Layer::from_json)
+                .collect::<Result<_, _>>()?,
+            cfg: field(v, "cfg", Some).and_then(MlpConfig::from_json)?,
+            input_dim: field(v, "input_dim", size)?,
+            adam_t: field(v, "adam_t", Json::as_u64)?,
+        };
+        let dims = widths(net.input_dim, &net.cfg.hidden);
+        let chained = net.input_dim > 0
+            && net.layers.len() + 1 == dims.len()
+            && net
+                .layers
+                .iter()
+                .zip(dims.windows(2))
+                .all(|(layer, shape)| shape == [layer.n_in, layer.n_out]);
+        if !chained {
+            return Err(format!(
+                "layers do not chain from input_dim {} through hidden {:?} to one output",
+                net.input_dim, net.cfg.hidden
+            ));
+        }
+        Ok(net)
     }
 
     /// Input dimensionality.
@@ -418,6 +542,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn json_round_trip_keeps_every_bit() {
+        let mut net = Mlp::new(
+            2,
+            MlpConfig {
+                hidden: vec![3, 2],
+                iterations: 20,
+                ..MlpConfig::default()
+            },
+        );
+        net.fit(&[(vec![0.0, 1.0], 1.0), (vec![1.0, 0.5], 0.0)]);
+        let text = net.to_json().to_line();
+        let back = Mlp::from_json(&drybell_obs::parse_json(&text).unwrap()).unwrap();
+        assert_eq!(back.to_json().to_line(), text);
+        let x = [0.3, -0.2];
+        assert_eq!(back.score(&x).to_bits(), net.score(&x).to_bits());
+        // Adam state came along: training on resumes identically.
+        let (mut a, mut b) = (net, back);
+        a.fit(&[(vec![0.5, 0.5], 1.0)]);
+        b.fit(&[(vec![0.5, 0.5], 1.0)]);
+        assert_eq!(a.score(&x).to_bits(), b.score(&x).to_bits());
+        // Layers that no longer chain are rejected, not indexed past.
+        let widened = text.replacen("\"input_dim\":2", "\"input_dim\":3", 1);
+        let err = Mlp::from_json(&drybell_obs::parse_json(&widened).unwrap());
+        assert!(err.unwrap_err().contains("do not chain"));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!
 //! Integers and floats are kept distinct so counter values survive a
 //! round trip exactly; object keys keep insertion order so rendered
-//! reports are stable and diffable.
+//! reports are stable and diffable. It is also the format of exported
+//! model files (`drybell-serving`), which makes it the workspace's only
+//! JSON reader and writer.
 
 use std::fmt;
 
@@ -17,6 +19,10 @@ pub enum Json {
     Bool(bool),
     /// An integer that fits in `i64` (covers every counter we emit).
     Int(i64),
+    /// An integer above `i64::MAX` (seeds, step counters). `From<u64>`
+    /// and [`parse`] produce it only for such values, so equal integers
+    /// compare equal.
+    UInt(u64),
     /// Any other finite number. Non-finite values render as `null`.
     Num(f64),
     /// A string.
@@ -74,6 +80,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(v) => Some(*v as f64),
+            Json::UInt(v) => Some(*v as f64),
             Json::Num(v) => Some(*v),
             _ => None,
         }
@@ -83,6 +90,16 @@ impl Json {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Non-negative integer value, exact over the whole `u64` range
+    /// (floats do not convert).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(v) => u64::try_from(*v).ok(),
+            Json::UInt(v) => Some(*v),
             _ => None,
         }
     }
@@ -120,6 +137,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Int(v) => out.push_str(&v.to_string()),
+            Json::UInt(v) => out.push_str(&v.to_string()),
             Json::Num(v) => {
                 if v.is_finite() {
                     out.push_str(&format_f64(*v));
@@ -237,11 +255,7 @@ impl From<i64> for Json {
 }
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
-        if v <= i64::MAX as u64 {
-            Json::Int(v as i64)
-        } else {
-            Json::Num(v as f64)
-        }
+        i64::try_from(v).map_or(Json::UInt(v), Json::Int)
     }
 }
 impl From<usize> for Json {
@@ -282,12 +296,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and its input comes off sockets and disks, so the cap
+/// is what keeps `"[[[[…"` an error instead of a stack overflow. Reports
+/// and model files nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document; trailing whitespace is allowed, trailing
-/// content is an error.
+/// content and nesting deeper than 128 levels are errors.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -301,6 +322,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -341,11 +364,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|_| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one array or object, counting it against [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -481,6 +518,9 @@ impl<'a> Parser<'a> {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Json::Int(v));
             }
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Json::UInt(v));
+            }
         }
         text.parse::<f64>()
             .map(Json::Num)
@@ -535,6 +575,40 @@ mod tests {
         let big = i64::MAX - 7;
         let line = Json::Int(big).to_line();
         assert_eq!(parse(&line).unwrap().as_i64(), Some(big));
+    }
+
+    #[test]
+    fn integers_above_i64_max_stay_exact() {
+        for v in [i64::MAX as u64 + 1, u64::MAX] {
+            let line = Json::from(v).to_line();
+            assert_eq!(line, v.to_string());
+            let back = parse(&line).unwrap();
+            assert_eq!(back, Json::from(v));
+            assert_eq!(back.as_u64(), Some(v));
+            assert_eq!(back.as_i64(), None);
+        }
+        // At and below the boundary nothing changes: still `Int`.
+        assert_eq!(Json::from(i64::MAX as u64), Json::Int(i64::MAX));
+        assert_eq!(Json::Int(7).as_u64(), Some(7));
+        assert_eq!(Json::Int(-1).as_u64(), None);
+        assert_eq!(Json::Num(7.0).as_u64(), None);
+        // One past `u64::MAX` has no exact form and falls back to a float.
+        assert!(matches!(parse("18446744073709551616"), Ok(Json::Num(_))));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("deep"));
+        // The case that used to abort the process.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        // Depth is nesting, not count: many siblings are fine.
+        let wide = format!("[{}[]]", "[],".repeat(10_000));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

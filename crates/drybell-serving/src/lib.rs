@@ -10,7 +10,11 @@
 //! knowledge from non-servable resources into servable models.
 //!
 //! Models are exported to JSON files with a manifest, mimicking how TFX
-//! "automatically stage[s] a model for serving" once trained.
+//! "automatically stage[s] a model for serving" once trained. Each type in
+//! an exported model has a `to_json`/`from_json` pair over
+//! [`drybell_obs::Json`]; [`ServingRegistry::load_from_dir`] treats the
+//! directory as outside input and admits a model only if it parses, its
+//! shapes agree, and it passes the same checks `stage` makes.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -25,11 +29,11 @@ pub use slo::{SloBreach, SloConfig, SloTracker, WindowStats};
 
 use drybell_features::{FeatureSpaceId, SpaceRegistry, SparseVector};
 use drybell_ml::{LogisticRegression, MlError, Mlp, MlpScratch, WeightCache};
+use drybell_obs::Json;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
+use std::path::{Component, Path};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -84,8 +88,17 @@ pub enum ServingError {
     },
     /// The front-end is shutting down; the request cannot be served.
     Shutdown,
-    /// Filesystem or serialization failure during export/load.
+    /// Filesystem failure during export/load.
     Io(String),
+    /// A file in an export directory cannot be admitted: it does not
+    /// parse, its shapes disagree, or the manifest row that names it is
+    /// inconsistent.
+    BadExport {
+        /// The offending file, relative to the export directory.
+        file: String,
+        /// What is wrong with it.
+        reason: String,
+    },
     /// A loaded model file disagrees with the manifest that points at it.
     ManifestMismatch {
         /// Model name and version, e.g. `"m v2"`.
@@ -128,6 +141,9 @@ impl fmt::Display for ServingError {
             }
             ServingError::Shutdown => write!(f, "serving front-end is shutting down"),
             ServingError::Io(msg) => write!(f, "serving I/O error: {msg}"),
+            ServingError::BadExport { file, reason } => {
+                write!(f, "cannot load {file}: {reason}")
+            }
             ServingError::ManifestMismatch {
                 model,
                 expected,
@@ -150,7 +166,7 @@ impl std::error::Error for ServingError {
 }
 
 /// A trained model in exportable form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ExportedModel {
     /// Sparse logistic regression (content tasks).
     LogReg(LogisticRegression),
@@ -166,10 +182,51 @@ impl ExportedModel {
             ExportedModel::Mlp(_) => "mlp",
         }
     }
+
+    /// The model under its variant name: `{"LogReg": …}` or `{"Mlp": …}`.
+    pub fn to_json(&self) -> Json {
+        match self {
+            ExportedModel::LogReg(m) => Json::obj(vec![("LogReg", m.to_json())]),
+            ExportedModel::Mlp(m) => Json::obj(vec![("Mlp", m.to_json())]),
+        }
+    }
+
+    /// Read a model back from [`ExportedModel::to_json`]'s form.
+    pub fn from_json(v: &Json) -> Result<ExportedModel, String> {
+        match v {
+            Json::Obj(fields) => match fields.as_slice() {
+                [(tag, m)] if tag == "LogReg" => {
+                    LogisticRegression::from_json(m).map(ExportedModel::LogReg)
+                }
+                [(tag, m)] if tag == "Mlp" => Mlp::from_json(m).map(ExportedModel::Mlp),
+                _ => Err("model must be {\"LogReg\": …} or {\"Mlp\": …}".to_owned()),
+            },
+            _ => Err("model must be an object".to_owned()),
+        }
+    }
+}
+
+/// Member `key` of the object `v`, converted by `read`.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(read)
+        .ok_or_else(|| format!("field `{key}` is missing or malformed"))
+}
+
+fn as_u32(v: &Json) -> Option<u32> {
+    v.as_u64().and_then(|n| u32::try_from(n).ok())
+}
+
+fn as_string(v: &Json) -> Option<String> {
+    v.as_str().map(str::to_owned)
 }
 
 /// A model plus everything serving needs to know about it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelSpec {
     /// Model name (one serving slot per name).
     pub name: String,
@@ -181,13 +238,65 @@ pub struct ModelSpec {
     pub model: ExportedModel,
 }
 
+impl ModelSpec {
+    /// The spec as one exported model file carries it.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::from(self.name.as_str())),
+            ("version", Json::from(self.version)),
+            (
+                "feature_spaces",
+                Json::Arr(
+                    self.feature_spaces
+                        .iter()
+                        .map(FeatureSpaceId::to_json)
+                        .collect(),
+                ),
+            ),
+            ("model", self.model.to_json()),
+        ])
+    }
+
+    /// Read a spec back from [`ModelSpec::to_json`]'s form.
+    pub fn from_json(v: &Json) -> Result<ModelSpec, String> {
+        Ok(ModelSpec {
+            name: field(v, "name", as_string)?,
+            version: field(v, "version", as_u32)?,
+            feature_spaces: match field(v, "feature_spaces", Some)? {
+                Json::Arr(ids) => ids.iter().map(FeatureSpaceId::from_json).collect(),
+                _ => Err("field `feature_spaces` is not an array".to_owned()),
+            }?,
+            model: field(v, "model", Some).and_then(ExportedModel::from_json)?,
+        })
+    }
+}
+
 /// Lifecycle stage of a registered model version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Validated and waiting for promotion.
     Staged,
     /// Live in production.
     Serving,
+}
+
+impl Stage {
+    /// The variant name as a string, as the export manifest carries it.
+    pub fn to_json(&self) -> Json {
+        Json::from(match self {
+            Stage::Staged => "Staged",
+            Stage::Serving => "Serving",
+        })
+    }
+
+    /// Read a stage back from [`Stage::to_json`]'s form.
+    pub fn from_json(v: &Json) -> Result<Stage, String> {
+        match v.as_str() {
+            Some("Staged") => Ok(Stage::Staged),
+            Some("Serving") => Ok(Stage::Serving),
+            _ => Err(format!("unknown Stage {v}")),
+        }
+    }
 }
 
 /// Scoring input: sparse (logistic regression) or dense (MLP).
@@ -269,11 +378,20 @@ impl ServingRegistry {
 
     /// Validate a model spec against servability and the latency budget.
     pub fn validate(&self, spec: &ModelSpec) -> Result<(), ServingError> {
-        let blocking = self.spaces.blocking_spaces(&spec.feature_spaces);
+        // The registry looks ids up by index, and a spec read from a file
+        // can hold an id it never issued: that space is not servable.
+        let unknown = |id: &&FeatureSpaceId| id.0 as usize >= self.spaces.len();
+        let blocking: Vec<String> = match spec.feature_spaces.iter().find(unknown) {
+            Some(id) => vec![format!("unregistered space #{}", id.0)],
+            None => {
+                let blocking = self.spaces.blocking_spaces(&spec.feature_spaces);
+                blocking.into_iter().map(str::to_owned).collect()
+            }
+        };
         if !blocking.is_empty() {
             return Err(ServingError::NotServable {
                 model: spec.name.clone(),
-                blocking: blocking.into_iter().map(str::to_owned).collect(),
+                blocking,
             });
         }
         let cost = self.spaces.total_cost_us(&spec.feature_spaces);
@@ -496,18 +614,18 @@ impl ServingRegistry {
     }
 
     /// Export every registered model version to `dir` as JSON, plus a
-    /// `manifest.json` describing stages.
+    /// `manifest.json` describing stages: one compact `ModelSpec` per
+    /// `<name>-v<version>.json`, and a two-space-indented manifest sorted
+    /// by name and version.
     pub fn export_to_dir(&self, dir: &Path) -> Result<(), ServingError> {
-        std::fs::create_dir_all(dir).map_err(|e| ServingError::Io(e.to_string()))?;
+        let io = |e: std::io::Error| ServingError::Io(e.to_string());
+        std::fs::create_dir_all(dir).map_err(io)?;
         let models = self.models.lock();
         let mut manifest: Vec<ManifestEntry> = Vec::new();
         for versions in models.values() {
             for (spec, stage) in versions {
                 let file = format!("{}-v{}.json", spec.name, spec.version);
-                let body = serde_json::to_string(spec.as_ref())
-                    .map_err(|e| ServingError::Io(e.to_string()))?;
-                std::fs::write(dir.join(&file), body)
-                    .map_err(|e| ServingError::Io(e.to_string()))?;
+                std::fs::write(dir.join(&file), spec.to_json().to_line()).map_err(io)?;
                 manifest.push(ManifestEntry {
                     name: spec.name.clone(),
                     version: spec.version,
@@ -518,29 +636,51 @@ impl ServingRegistry {
             }
         }
         manifest.sort_by(|a, b| (&a.name, a.version).cmp(&(&b.name, b.version)));
-        let body =
-            serde_json::to_string_pretty(&manifest).map_err(|e| ServingError::Io(e.to_string()))?;
-        std::fs::write(dir.join("manifest.json"), body).map_err(|e| ServingError::Io(e.to_string()))
+        let body = Json::Arr(manifest.iter().map(ManifestEntry::to_json).collect()).to_pretty();
+        std::fs::write(dir.join(MANIFEST), body).map_err(io)
     }
 
     /// Load a registry previously written by [`ServingRegistry::export_to_dir`].
+    ///
+    /// The directory is outside input. A file that does not parse or whose
+    /// shapes disagree, a manifest row that points outside `dir` or
+    /// disagrees with its file, and a second `Serving` row for one name
+    /// are [`ServingError::BadExport`]; a repeated `(name, version)` is
+    /// [`ServingError::DuplicateVersion`]; and every spec passes
+    /// [`ServingRegistry::validate`], as it would through `stage`.
     pub fn load_from_dir(
         spaces: SpaceRegistry,
         budget_us: u64,
         dir: &Path,
     ) -> Result<ServingRegistry, ServingError> {
-        let manifest_body = std::fs::read_to_string(dir.join("manifest.json"))
-            .map_err(|e| ServingError::Io(e.to_string()))?;
-        let manifest: Vec<ManifestEntry> =
-            serde_json::from_str(&manifest_body).map_err(|e| ServingError::Io(e.to_string()))?;
+        let read = |file: &str| {
+            let body = std::fs::read_to_string(dir.join(file))
+                .map_err(|e| ServingError::Io(format!("{file}: {e}")))?;
+            drybell_obs::parse_json(&body).map_err(|e| bad_export(file, e.to_string()))
+        };
+        let manifest = match read(MANIFEST)? {
+            Json::Arr(rows) => rows
+                .iter()
+                .map(ManifestEntry::from_json)
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|reason| bad_export(MANIFEST, reason))?,
+            _ => return Err(bad_export(MANIFEST, "not an array".to_owned())),
+        };
         let registry = ServingRegistry::new(spaces, budget_us);
         {
             let mut models = registry.models.lock();
             for entry in manifest {
-                let body = std::fs::read_to_string(dir.join(&entry.file))
-                    .map_err(|e| ServingError::Io(e.to_string()))?;
-                let spec: ModelSpec =
-                    serde_json::from_str(&body).map_err(|e| ServingError::Io(e.to_string()))?;
+                let file = entry.file.as_str();
+                // One plain name, so `dir.join` cannot leave `dir`: no root,
+                // no separator, no `..`.
+                let mut parts = Path::new(file).components();
+                let plain = matches!(parts.next(), Some(Component::Normal(_)));
+                if !plain || parts.next().is_some() {
+                    let reason = format!("{file:?} is not a file name in the export directory");
+                    return Err(bad_export(MANIFEST, reason));
+                }
+                let spec = ModelSpec::from_json(&read(file)?)
+                    .map_err(|reason| bad_export(file, reason))?;
                 if spec.model.family() != entry.family {
                     return Err(ServingError::ManifestMismatch {
                         model: format!("{} v{}", entry.name, entry.version),
@@ -548,13 +688,40 @@ impl ServingRegistry {
                         found: spec.model.family().to_owned(),
                     });
                 }
-                models
-                    .entry(spec.name.clone())
-                    .or_default()
-                    .push((Arc::new(spec), entry.stage));
+                if (&spec.name, spec.version) != (&entry.name, entry.version) {
+                    let reason = format!(
+                        "holds {} v{} but the manifest says {} v{}",
+                        spec.name, spec.version, entry.name, entry.version
+                    );
+                    return Err(bad_export(file, reason));
+                }
+                registry.validate(&spec)?;
+                let versions = models.entry(spec.name.clone()).or_default();
+                if versions.iter().any(|(s, _)| s.version == spec.version) {
+                    return Err(ServingError::DuplicateVersion {
+                        model: spec.name,
+                        version: spec.version,
+                    });
+                }
+                let serving = |st: Stage| st == Stage::Serving;
+                if serving(entry.stage) && versions.iter().any(|(_, st)| serving(*st)) {
+                    let reason = format!("more than one Serving version of {}", spec.name);
+                    return Err(bad_export(MANIFEST, reason));
+                }
+                versions.push((Arc::new(spec), entry.stage));
             }
         }
         Ok(registry)
+    }
+}
+
+/// File name of the export manifest.
+const MANIFEST: &str = "manifest.json";
+
+fn bad_export(file: &str, reason: String) -> ServingError {
+    ServingError::BadExport {
+        file: file.to_owned(),
+        reason,
     }
 }
 
@@ -800,13 +967,35 @@ pub fn score_spec_batch(
 }
 
 /// One line of the export manifest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ManifestEntry {
     name: String,
     version: u32,
     stage: Stage,
     file: String,
     family: String,
+}
+
+impl ManifestEntry {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::from(self.name.as_str())),
+            ("version", Json::from(self.version)),
+            ("stage", self.stage.to_json()),
+            ("file", Json::from(self.file.as_str())),
+            ("family", Json::from(self.family.as_str())),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<ManifestEntry, String> {
+        Ok(ManifestEntry {
+            name: field(v, "name", as_string)?,
+            version: field(v, "version", as_u32)?,
+            stage: field(v, "stage", Some).and_then(Stage::from_json)?,
+            file: field(v, "file", as_string)?,
+            family: field(v, "family", as_string)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1057,7 +1246,7 @@ mod tests {
 
     #[test]
     fn export_and_load_roundtrip() -> TestResult {
-        let (r, text, _, _) = spaces()?;
+        let (r, text, event, _) = spaces()?;
         let reg = ServingRegistry::new(r.clone(), 10_000);
         let h = FeatureHasher::new(1 << 10);
         reg.stage(ModelSpec {
@@ -1067,17 +1256,39 @@ mod tests {
             model: ExportedModel::LogReg(trained_logreg()?),
         })?;
         reg.promote("topic", 3)?;
+        let mut mlp = Mlp::new(
+            2,
+            MlpConfig {
+                hidden: vec![4],
+                iterations: 40,
+                ..MlpConfig::default()
+            },
+        );
+        mlp.fit(&[(vec![0.0, 1.0], 1.0), (vec![1.0, 0.0], 0.0)]);
+        reg.stage(ModelSpec {
+            name: "events".into(),
+            version: 1,
+            feature_spaces: vec![event],
+            model: ExportedModel::Mlp(mlp),
+        })?;
+        reg.promote("events", 1)?;
         let dir = tempfile::tempdir()?;
         reg.export_to_dir(dir.path())?;
         assert!(dir.path().join("manifest.json").exists());
         assert!(dir.path().join("topic-v3.json").exists());
+        assert!(dir.path().join("events-v1.json").exists());
 
         let loaded = ServingRegistry::load_from_dir(r, 10_000, dir.path())?;
         assert_eq!(loaded.serving_version("topic"), Some(3));
+        assert_eq!(loaded.serving_version("events"), Some(1));
         let x = h.bag_of_words(&["yes"]);
         let p0 = reg.score("topic", ScoreInput::Sparse(&x))?;
         let p1 = loaded.score("topic", ScoreInput::Sparse(&x))?;
-        assert!((p0 - p1).abs() < 1e-12);
+        assert_eq!(p0.to_bits(), p1.to_bits());
+        let d = [0.25, 0.75];
+        let q0 = reg.score("events", ScoreInput::Dense(&d))?;
+        let q1 = loaded.score("events", ScoreInput::Dense(&d))?;
+        assert_eq!(q0.to_bits(), q1.to_bits());
         Ok(())
     }
 

@@ -2,6 +2,7 @@
 //! the §4 servability guarantees on a real trained pipeline.
 
 use drybell::features::{FeatureHasher, FeatureSpace, SpaceRegistry};
+use drybell::ml::{Mlp, MlpConfig};
 use drybell::serving::{ExportedModel, ModelSpec, ScoreInput, ServingError, ServingRegistry};
 use drybell_bench::harness::ContentTask;
 use drybell_datagen::topic;
@@ -46,20 +47,53 @@ fn trained_pipeline_exports_and_serves_identically() {
         .unwrap();
     registry.promote("topic", 1).unwrap();
 
+    // The other model family, trained on the same posteriors over two
+    // dense features of each document.
+    let dense = |doc: &topic::TopicDoc| {
+        let x = topic::featurize(doc, &FeatureHasher::new(task.hash_dims));
+        vec![x.entries().len() as f64 / 100.0, x.norm_sq().sqrt()]
+    };
+    let mlp_data: Vec<(Vec<f64>, f64)> = task
+        .unlabeled
+        .iter()
+        .zip(&report.posteriors)
+        .take(200)
+        .map(|(doc, &p)| (dense(doc), p))
+        .collect();
+    let mut mlp = Mlp::new(
+        2,
+        MlpConfig {
+            iterations: 100,
+            ..MlpConfig::default()
+        },
+    );
+    mlp.fit(&mlp_data);
+    registry
+        .stage(ModelSpec {
+            name: "topic-dense".into(),
+            version: 1,
+            feature_spaces: vec![hashed],
+            model: ExportedModel::Mlp(mlp),
+        })
+        .unwrap();
+    registry.promote("topic-dense", 1).unwrap();
+
     let dir = tempfile::tempdir().unwrap();
     registry.export_to_dir(dir.path()).unwrap();
     let reloaded = ServingRegistry::load_from_dir(spaces, 10_000, dir.path()).unwrap();
     assert_eq!(reloaded.serving_version("topic"), Some(1));
+    assert_eq!(reloaded.serving_version("topic-dense"), Some(1));
 
     let hasher = FeatureHasher::new(task.hash_dims);
     for doc in task.test.iter().take(50) {
         let x = topic::featurize(doc, &hasher);
         let a = registry.score("topic", ScoreInput::Sparse(&x)).unwrap();
         let b = reloaded.score("topic", ScoreInput::Sparse(&x)).unwrap();
-        assert!(
-            (a - b).abs() < 1e-12,
-            "export/reload must not change scores"
-        );
+        assert_eq!(a.to_bits(), b.to_bits(), "export/reload changed a score");
+        let d = dense(doc);
+        let a = registry.score("topic-dense", ScoreInput::Dense(&d));
+        let b = reloaded.score("topic-dense", ScoreInput::Dense(&d));
+        assert_eq!(a.unwrap().to_bits(), b.unwrap().to_bits());
     }
 }
 
