@@ -26,11 +26,11 @@ use crate::shard::{ShardReader, ShardSpec, ShardWriter};
 use crate::Record;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration shared by all job types.
@@ -350,55 +350,88 @@ struct Task {
 
 /// A work queue that supports requeueing failed tasks.
 ///
-/// The sender half is kept behind a mutex so any worker can (a) requeue
-/// a failed task for another attempt and (b) close the queue — either
+/// Everything sits under one lock so any worker can (a) requeue a
+/// failed task for another attempt and (b) close the queue — either
 /// because every task completed or because the job failed — which wakes
-/// all workers blocked in `recv`.
+/// all workers blocked in [`TaskQueue::next`].
 struct TaskQueue {
-    tx: Mutex<Option<crossbeam::channel::Sender<Task>>>,
-    rx: crossbeam::channel::Receiver<Task>,
-    pending: AtomicUsize,
+    state: std::sync::Mutex<QueueState>,
+    ready: std::sync::Condvar,
+}
+
+struct QueueState {
+    tasks: VecDeque<Task>,
+    /// Tasks not yet completed, queued or running.
+    pending: usize,
+    closed: bool,
 }
 
 impl TaskQueue {
-    fn new(num_tasks: usize) -> Result<TaskQueue, DataflowError> {
-        let (tx, rx) = crossbeam::channel::unbounded::<Task>();
-        for index in 0..num_tasks {
-            tx.send(Task {
-                index,
-                attempt: 0,
-                not_before: None,
-            })
-            .map_err(|_| DataflowError::internal("work queue closed before fill"))?;
+    fn new(num_tasks: usize) -> TaskQueue {
+        let tasks = (0..num_tasks).map(|index| Task {
+            index,
+            attempt: 0,
+            not_before: None,
+        });
+        TaskQueue {
+            state: std::sync::Mutex::new(QueueState {
+                tasks: tasks.collect(),
+                pending: num_tasks,
+                closed: num_tasks == 0,
+            }),
+            ready: std::sync::Condvar::new(),
         }
-        let queue = TaskQueue {
-            tx: Mutex::new(Some(tx)),
-            rx,
-            pending: AtomicUsize::new(num_tasks),
-        };
-        if num_tasks == 0 {
-            queue.close();
-        }
-        Ok(queue)
     }
 
-    /// Drop the sender: wakes every worker blocked in `recv`.
+    /// Poisoning is absorbed: every update under this lock is one push,
+    /// pop, count or flag store, so a panicking holder leaves it valid.
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The next task, blocking while the queue is empty and open; `None`
+    /// once it is closed and drained.
+    fn next(&self) -> Option<Task> {
+        let mut state = self
+            .ready
+            .wait_while(self.lock(), |s| s.tasks.is_empty() && !s.closed)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.tasks.pop_front()
+    }
+
+    /// Tasks not yet completed.
+    fn pending(&self) -> usize {
+        self.lock().pending
+    }
+
+    /// Stop accepting requeues and wake every worker blocked in `next`.
     fn close(&self) {
-        *self.tx.lock() = None;
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 
     /// Requeue a failed task for another attempt. Returns `false` when
     /// the queue is already closed (the job failed elsewhere).
     fn requeue(&self, task: Task) -> bool {
-        match self.tx.lock().as_ref() {
-            Some(tx) => tx.send(task).is_ok(),
-            None => false,
+        let mut state = self.lock();
+        if state.closed {
+            return false;
         }
+        state.tasks.push_back(task);
+        drop(state);
+        self.ready.notify_one();
+        true
     }
 
     /// Mark one task complete, closing the queue when none remain.
     fn task_done(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+        let mut state = self.lock();
+        state.pending -= 1;
+        let last = state.pending == 0;
+        drop(state);
+        if last {
             self.close();
         }
     }
@@ -450,13 +483,12 @@ fn run_phase<W, InitF, RunF>(
     counters: &Counters,
     init: InitF,
     run: RunF,
-) -> Result<(), DataflowError>
-where
+) where
     W: Send,
     InitF: Fn(&mut WorkerContext) -> Result<W, DataflowError> + Sync,
     RunF: Fn(&mut W, usize, u32, &mut CounterHandle) -> Result<(), DataflowError> + Sync,
 {
-    let queue = TaskQueue::new(num_tasks)?;
+    let queue = TaskQueue::new(num_tasks);
     // Phase span, traced when the job's telemetry carries a tracer, so
     // each worker's shard attempts (and their per-LF trace blocks) nest
     // under the phase in the exported trace.
@@ -500,7 +532,6 @@ where
             });
         }
     });
-    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -549,7 +580,7 @@ fn phase_worker<W, InitF, RunF>(
     // per worker for the entire backoff window.
     let mut earliest_due: Option<Instant> = None;
     let mut deferred_streak = 0usize;
-    while let Ok(task) = queue.rx.recv() {
+    while let Some(task) = queue.next() {
         if state.failed.load(Ordering::SeqCst) {
             return;
         }
@@ -566,7 +597,7 @@ fn phase_worker<W, InitF, RunF>(
                 }
                 earliest_due = Some(earliest_due.map_or(due, |e| e.min(due)));
                 deferred_streak += 1;
-                if deferred_streak >= queue.pending.load(Ordering::SeqCst) {
+                if deferred_streak >= queue.pending() {
                     // Every queued task is deferred: nothing can run
                     // until the earliest stamp passes, so sleep exactly
                     // that long instead of polling. A task finishing on
@@ -751,7 +782,7 @@ where
                 cfg.fault_plan.as_ref(),
             )
         },
-    )?;
+    );
     let seconds = start.elapsed().as_secs_f64();
     let records_in = state.records_in.load(Ordering::SeqCst);
     let records_out = state.records_out.load(Ordering::SeqCst);
@@ -914,7 +945,7 @@ where
                 handle,
             )
         },
-    )?;
+    );
     let map_seconds = start.elapsed().as_secs_f64();
     if state.failed.load(Ordering::SeqCst) {
         // Clean up committed spills from shards that did finish; the
@@ -938,7 +969,7 @@ where
         |_w: &mut (), p, _attempt, _handle| {
             reduce_partition(output, p, input.num_shards(), &reduce, &spill, &state)
         },
-    )?;
+    );
     let reduce_seconds = reduce_start.elapsed().as_secs_f64();
     // Clean up spills regardless of outcome.
     cleanup();
@@ -1259,4 +1290,67 @@ where
         out.extend(slot.into_inner());
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn retry(index: usize) -> Task {
+        Task {
+            index,
+            attempt: 1,
+            not_before: None,
+        }
+    }
+
+    #[test]
+    fn close_wakes_a_worker_blocked_in_next() {
+        // One task, taken and still running: the queue is empty and
+        // open, so a second worker's `next` blocks until the close.
+        let queue = TaskQueue::new(1);
+        assert_eq!(queue.next().map(|t| t.index), Some(0));
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| {
+                barrier.wait();
+                queue.next().map(|t| t.index)
+            });
+            barrier.wait();
+            queue.close();
+            assert_eq!(blocked.join().unwrap(), None);
+        });
+    }
+
+    #[test]
+    fn requeue_after_close_is_refused() {
+        let queue = TaskQueue::new(2);
+        assert_eq!(queue.next().map(|t| t.index), Some(0));
+        queue.close();
+        assert!(!queue.requeue(retry(0)));
+        // Drain-then-stop: what was queued at the close still comes
+        // out, the refused retry does not, then the queue ends.
+        assert_eq!(queue.next().map(|t| (t.index, t.attempt)), Some((1, 0)));
+        assert!(queue.next().is_none());
+    }
+
+    #[test]
+    fn the_last_task_done_closes_the_queue() {
+        let queue = TaskQueue::new(2);
+        assert_eq!(queue.next().map(|t| t.index), Some(0));
+        assert_eq!(queue.next().map(|t| t.index), Some(1));
+        queue.task_done();
+        assert_eq!(queue.pending(), 1);
+        // One task is still out: its retry is accepted and handed out.
+        assert!(queue.requeue(retry(1)));
+        assert_eq!(queue.next().map(|t| (t.index, t.attempt)), Some((1, 1)));
+        queue.task_done();
+        assert!(!queue.requeue(retry(1)));
+        assert!(queue.next().is_none());
+    }
+
+    #[test]
+    fn an_empty_phase_starts_closed() {
+        assert!(TaskQueue::new(0).next().is_none());
+    }
 }

@@ -213,7 +213,7 @@ pub const REGISTRY: &[NameSpec] = &[
     NameSpec {
         family: Family::Gauge,
         template: "serving/queue_depth",
-        doc: "front-end admission-queue depth sampled at each batch drain",
+        doc: "requests waiting in the front-end admission queue, sampled after each batch is taken from it",
     },
     NameSpec {
         family: Family::Gauge,

@@ -18,9 +18,10 @@
 //!          fulfil response slots
 //! ```
 //!
-//! * **Admission** is a bounded counter beside an unbounded channel: a
-//!   full queue rejects with the typed [`ServingError::QueueFull`]
-//!   instead of queueing unbounded work (load shedding, counted in
+//! * **Admission** is the queue itself: one mutex holds the waiting
+//!   requests, and a submit that finds the queue full is rejected under
+//!   that lock with the typed [`ServingError::QueueFull`] instead of
+//!   queueing unbounded work (load shedding, counted in
 //!   `serving/rejected`).
 //! * **Micro-batching** drains the queue into batches of up to
 //!   [`FrontendConfig::max_batch`] requests, waiting at most
@@ -42,15 +43,17 @@
 use crate::slo::{SloConfig, SloTracker, WindowStats};
 use crate::{batch_session, BatchScratch, EpochCell, ScoreInput, ServingError, ServingRegistry};
 use drybell_features::SparseVector;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Front-end tuning knobs.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
-    /// Maximum requests admitted but not yet scored; submissions beyond
-    /// this are rejected with [`ServingError::QueueFull`].
+    /// Maximum requests waiting in the queue; a submission that finds
+    /// this many waiting is rejected with [`ServingError::QueueFull`].
+    /// The batch a worker has taken to gather and score is not counted:
+    /// up to [`FrontendConfig::max_batch`] more per worker are in flight.
     pub queue_depth: usize,
     /// Maximum requests scored in one batch.
     pub max_batch: usize,
@@ -158,13 +161,6 @@ impl ResponseSlot {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
-
-    fn try_take(&self) -> Option<Result<Scored, ServingError>> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-    }
 }
 
 /// A submitted-but-unanswered request (returned by
@@ -180,11 +176,6 @@ impl Pending {
     /// Block until the response arrives.
     pub fn wait(self) -> Result<Scored, ServingError> {
         self.slot.wait()
-    }
-
-    /// Take the response if it already arrived (non-blocking).
-    pub fn try_wait(&self) -> Option<Result<Scored, ServingError>> {
-        self.slot.try_take()
     }
 }
 
@@ -306,14 +297,43 @@ impl SloInstruments {
     }
 }
 
+/// The admission queue: the requests waiting for a worker (its length
+/// *is* the queue depth) and whether more are admitted.
+struct Admission {
+    queue: VecDeque<Request>,
+    open: bool,
+}
+
+impl Admission {
+    /// Move waiting requests into `batch` until it holds `max_batch`;
+    /// returns how many are still waiting.
+    fn take_into(&mut self, batch: &mut Vec<Request>, max_batch: usize) -> usize {
+        let room = max_batch.saturating_sub(batch.len()).min(self.queue.len());
+        batch.extend(self.queue.drain(..room));
+        self.queue.len()
+    }
+}
+
 /// State shared between the front-end handle and its workers.
 struct Shared {
     cell: Arc<EpochCell>,
     cfg: FrontendConfig,
-    /// Admitted-but-unscored request count — the bounded part of the
-    /// admission design (the channel itself is unbounded).
-    depth: AtomicUsize,
+    /// The one lock `submit`, the workers and `shutdown` meet on. A
+    /// [`ResponseSlot`] is never fulfilled while it is held.
+    admission: Mutex<Admission>,
+    /// Signalled per admitted request and on shutdown.
+    ready: Condvar,
     instruments: Option<FrontendInstruments>,
+}
+
+impl Shared {
+    /// Poisoning is absorbed: every update under this lock is one push,
+    /// drain or flag store, so a panicking holder leaves the queue valid.
+    fn lock_admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The serving front-end: admission, batching, hot swap, budgets.
@@ -323,17 +343,10 @@ struct Shared {
 /// model under live traffic with zero scoring-path locks.
 pub struct Frontend {
     shared: Arc<Shared>,
-    tx: parking_lot::Mutex<Option<crossbeam::channel::Sender<Request>>>,
-    rx: crossbeam::channel::Receiver<Request>,
     workers: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Frontend {
-    /// A front-end scoring the live version published in `cell`.
-    pub fn new(cell: Arc<EpochCell>, cfg: FrontendConfig) -> Frontend {
-        Frontend::build(cell, cfg, None)
-    }
-
     /// A front-end for the serving version of `name`, subscribed to the
     /// registry's publication cell: later `promote` calls hot-swap this
     /// front-end live.
@@ -342,7 +355,7 @@ impl Frontend {
         name: &str,
         cfg: FrontendConfig,
     ) -> Result<Frontend, ServingError> {
-        Ok(Frontend::new(registry.epoch_cell(name)?, cfg))
+        Ok(Frontend::build(registry.epoch_cell(name)?, cfg, None))
     }
 
     /// [`Frontend::for_model`] plus telemetry: queue/batch gauges,
@@ -383,28 +396,29 @@ impl Frontend {
         ))
     }
 
+    /// A front-end scoring the live version published in `cell`.
     fn build(
         cell: Arc<EpochCell>,
         cfg: FrontendConfig,
         instruments: Option<FrontendInstruments>,
     ) -> Frontend {
-        let (tx, rx) = crossbeam::channel::unbounded::<Request>();
         let shared = Arc::new(Shared {
             cell,
             cfg,
-            depth: AtomicUsize::new(0),
+            admission: Mutex::new(Admission {
+                queue: VecDeque::new(),
+                open: true,
+            }),
+            ready: Condvar::new(),
             instruments,
         });
         let mut handles = Vec::new();
         for _ in 0..shared.cfg.workers {
             let shared = Arc::clone(&shared);
-            let rx = rx.clone();
-            handles.push(std::thread::spawn(move || worker_loop(&shared, &rx)));
+            handles.push(std::thread::spawn(move || worker_loop(&shared)));
         }
         Frontend {
             shared,
-            tx: parking_lot::Mutex::new(Some(tx)),
-            rx,
             workers: parking_lot::Mutex::new(handles),
         }
     }
@@ -415,29 +429,6 @@ impl Frontend {
     /// [`FrontendConfig::queue_depth`] requests are already waiting, and
     /// [`ServingError::Shutdown`] after [`Frontend::shutdown`].
     pub fn submit(&self, input: OwnedInput) -> Result<Pending, ServingError> {
-        let mut cur = self.shared.depth.load(Ordering::Acquire);
-        let admitted = loop {
-            if cur >= self.shared.cfg.queue_depth {
-                break false;
-            }
-            match self.shared.depth.compare_exchange(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break true,
-                Err(actual) => cur = actual,
-            }
-        };
-        if !admitted {
-            if let Some(i) = &self.shared.instruments {
-                i.rejected.inc();
-            }
-            return Err(ServingError::QueueFull {
-                depth: self.shared.cfg.queue_depth,
-            });
-        }
         let now = Instant::now();
         let slot = Arc::new(ResponseSlot::default());
         let request = Request {
@@ -446,14 +437,22 @@ impl Frontend {
             deadline: now + self.shared.cfg.request_budget,
             slot: Arc::clone(&slot),
         };
-        let sent = match self.tx.lock().as_ref() {
-            Some(tx) => tx.send(request).is_ok(),
-            None => false,
-        };
-        if !sent {
-            self.shared.depth.fetch_sub(1, Ordering::AcqRel);
+        let mut admission = self.shared.lock_admission();
+        if !admission.open {
             return Err(ServingError::Shutdown);
         }
+        if admission.queue.len() >= self.shared.cfg.queue_depth {
+            drop(admission);
+            if let Some(i) = &self.shared.instruments {
+                i.rejected.inc();
+            }
+            return Err(ServingError::QueueFull {
+                depth: self.shared.cfg.queue_depth,
+            });
+        }
+        admission.queue.push_back(request);
+        drop(admission);
+        self.shared.ready.notify_one();
         Ok(Pending { slot })
     }
 
@@ -467,23 +466,24 @@ impl Frontend {
         self.shared.cell.epoch()
     }
 
-    /// Admitted-but-unscored request count.
+    /// Requests waiting in the admission queue.
     pub fn queue_len(&self) -> usize {
-        self.shared.depth.load(Ordering::Acquire)
+        self.shared.lock_admission().queue.len()
     }
 
     /// Stop admitting, let workers drain the queue, join them, and
     /// answer anything still queued (the `workers: 0` case) with
     /// [`ServingError::Shutdown`]. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        *self.tx.lock() = None;
+        self.shared.lock_admission().open = false;
+        self.shared.ready.notify_all();
         let handles: Vec<std::thread::JoinHandle<()>> = self.workers.lock().drain(..).collect();
         for h in handles {
             // drybell-lint: allow(error-discipline) — a panicked worker has no recovery path here; its queued requests are answered by the drain below
             let _ = h.join();
         }
-        while let Some(req) = self.rx.try_recv() {
-            self.shared.depth.fetch_sub(1, Ordering::AcqRel);
+        let left = std::mem::take(&mut self.shared.lock_admission().queue);
+        for req in left {
             req.slot.fulfil(Err(ServingError::Shutdown));
         }
     }
@@ -495,42 +495,49 @@ impl Drop for Frontend {
     }
 }
 
-/// The batcher body: block for the first request, gather stragglers
+/// The batcher body: block for the first requests, gather stragglers
 /// until the batch fills or [`FrontendConfig::batch_wait`] passes,
 /// refresh the epoch pin, then score the whole batch through one
-/// [`crate::BatchSession`].
-fn worker_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Request>) {
+/// [`crate::BatchSession`]. Returns once the queue is closed and empty.
+fn worker_loop(shared: &Shared) {
+    let max_batch = shared.cfg.max_batch.max(1);
     let mut scratch = BatchScratch::default();
     let mut pinned = shared.cell.pin();
-    let mut batch: Vec<Request> = Vec::with_capacity(shared.cfg.max_batch.max(1));
+    let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
     let mut shard = shared.instruments.as_ref().map(|i| i.layout.shard());
     // Per-batch (latency, error) staging for the SLO judge: plain
     // pushes into a reused buffer on the request path, one tracker
     // lock per batch.
-    let mut slo_samples: Vec<(u64, bool)> = Vec::with_capacity(shared.cfg.max_batch.max(1));
-    while let Ok(first) = rx.recv() {
+    let mut slo_samples: Vec<(u64, bool)> = Vec::with_capacity(max_batch);
+    loop {
+        let mut admission = shared
+            .ready
+            .wait_while(shared.lock_admission(), |a| a.queue.is_empty() && a.open)
+            .unwrap_or_else(PoisonError::into_inner);
+        if admission.queue.is_empty() {
+            return;
+        }
+        let mut waiting = admission.take_into(&mut batch, max_batch);
+        drop(admission);
         let batch_started = Instant::now();
         let gather_deadline = batch_started + shared.cfg.batch_wait;
-        batch.push(first);
-        while batch.len() < shared.cfg.max_batch {
-            match rx.try_recv() {
-                Some(req) => batch.push(req),
-                None => {
-                    if Instant::now() >= gather_deadline {
-                        break;
-                    }
-                    std::thread::yield_now();
+        while batch.len() < max_batch {
+            let gathered = batch.len();
+            waiting = shared.lock_admission().take_into(&mut batch, max_batch);
+            if batch.len() == gathered {
+                if Instant::now() >= gather_deadline {
+                    break;
                 }
+                std::thread::yield_now();
             }
         }
-        shared.depth.fetch_sub(batch.len(), Ordering::AcqRel);
         // Batch boundary: one atomic load in steady state; the slot
         // lock is touched only when a promote actually landed.
         pinned.refresh(&shared.cell);
         let spec = Arc::clone(pinned.spec());
         let epoch = pinned.epoch();
         if let (Some(i), Some(shard)) = (&shared.instruments, shard.as_mut()) {
-            shard.level(i.queue_depth, shared.depth.load(Ordering::Acquire) as i64);
+            shard.level(i.queue_depth, waiting as i64);
             shard.level(i.batch_size, batch.len() as i64);
         }
         let mut session = batch_session(&spec, &mut scratch);
@@ -629,8 +636,8 @@ mod tests {
     fn queue_overflow_rejects_with_typed_error_under_contention() -> TestResult {
         let (registry, h) = registry_with_versions(1)?;
         let telemetry = drybell_obs::Telemetry::new();
-        // No workers: nothing drains, so admissions 5..8 must lose the
-        // CAS race and get the typed rejection, not queue unbounded.
+        // No workers: nothing drains, so admissions 5..8 must find the
+        // queue full and get the typed rejection, not queue unbounded.
         let cfg = FrontendConfig {
             queue_depth: 4,
             workers: 0,
@@ -678,6 +685,68 @@ mod tests {
             frontend.submit(OwnedInput::Sparse(h.bag_of_words(&["yes"]))),
             Err(ServingError::Shutdown)
         ));
+        Ok(())
+    }
+
+    #[test]
+    fn submitters_racing_shutdown_are_all_answered() -> TestResult {
+        const SUBMITTERS: usize = 4;
+        const PER_SUBMITTER: usize = 500;
+        let (registry, h) = registry_with_versions(1)?;
+        // A queue the submitters overrun at once, so all three outcomes
+        // race: admitted, `QueueFull`, and `Shutdown` once the close lands.
+        let cfg = FrontendConfig {
+            queue_depth: 8,
+            max_batch: 4,
+            ..FrontendConfig::default()
+        };
+        let frontend = Frontend::for_model(&registry, "m", cfg)?;
+        let barrier = Barrier::new(SUBMITTERS + 1);
+        let outcomes = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..SUBMITTERS)
+                .map(|_| {
+                    let (frontend, barrier) = (&frontend, &barrier);
+                    let x = h.bag_of_words(&["yes"]);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        (0..PER_SUBMITTER)
+                            .map(|_| frontend.submit(OwnedInput::Sparse(x.clone())))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            barrier.wait();
+            frontend.shutdown();
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(outcomes.len(), SUBMITTERS * PER_SUBMITTER);
+        assert_eq!(frontend.queue_len(), 0, "shutdown leaves nothing queued");
+        // Resolve on a helper thread so a request nobody answers fails
+        // the test instead of hanging it.
+        let (done, resolved) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for outcome in outcomes {
+                let verdict = match outcome {
+                    Ok(pending) => match pending.wait() {
+                        Ok(_) | Err(ServingError::Shutdown) => Ok(()),
+                        Err(other) => Err(format!("admitted request answered {other}")),
+                    },
+                    Err(ServingError::QueueFull { .. } | ServingError::Shutdown) => Ok(()),
+                    Err(other) => Err(format!("submit refused with {other}")),
+                };
+                if done.send(verdict).is_err() {
+                    return;
+                }
+            }
+        });
+        for _ in 0..SUBMITTERS * PER_SUBMITTER {
+            resolved
+                .recv_timeout(Duration::from_secs(30))
+                .map_err(|_| "an admitted request was never answered")??;
+        }
         Ok(())
     }
 

@@ -324,8 +324,9 @@ type ModelVersions = Vec<(Arc<ModelSpec>, Stage)>;
 ///
 /// Specs are stored as `Arc<ModelSpec>` so scoring paths can take the
 /// registry lock only long enough to clone a handle, then run the model
-/// outside it. Per-request scoring should go through [`ScoreHandle`]
-/// (via [`ServingRegistry::score_handle`]), which touches no lock at all.
+/// outside it. Per-request scoring should go through a [`Frontend`],
+/// whose workers score against a pinned snapshot and touch no registry
+/// lock at all.
 pub struct ServingRegistry {
     spaces: SpaceRegistry,
     /// Production latency budget per example, in microseconds.
@@ -477,21 +478,12 @@ impl ServingRegistry {
 
     /// The serving version of `name`, if promoted.
     pub fn serving_version(&self, name: &str) -> Option<u32> {
-        let models = self.models.lock();
-        models.get(name).and_then(|versions| {
-            versions
-                .iter()
-                .find(|(_, st)| *st == Stage::Serving)
-                .map(|(s, _)| s.version)
-        })
+        self.resolve_serving(name).ok().map(|spec| spec.version)
     }
 
     /// `true` if `name` has a registered `version` (any stage).
     pub fn has_version(&self, name: &str, version: u32) -> bool {
-        let models = self.models.lock();
-        models
-            .get(name)
-            .is_some_and(|versions| versions.iter().any(|(s, _)| s.version == version))
+        self.resolve_version(name, version).is_ok()
     }
 
     /// Score one example with both the serving version and a specific
@@ -531,24 +523,10 @@ impl ServingRegistry {
         // released before either model runs.
         let (serving_spec, candidate_spec) = {
             let models = self.models.lock();
-            let versions = models
-                .get(name)
-                .ok_or_else(|| ServingError::UnknownModel(name.to_owned()))?;
-            let serving = versions
-                .iter()
-                .find(|(_, st)| *st == Stage::Serving)
-                .map(|(s, _)| Arc::clone(s))
-                .ok_or_else(|| {
-                    ServingError::UnknownModel(format!("{name} (no serving version)"))
-                })?;
-            let candidate = versions
-                .iter()
-                .find(|(s, _)| s.version == candidate_version)
-                .map(|(s, _)| Arc::clone(s))
-                .ok_or_else(|| {
-                    ServingError::UnknownModel(format!("{name} v{candidate_version}"))
-                })?;
-            (serving, candidate)
+            (
+                find_serving(&models, name)?,
+                find_version(&models, name, candidate_version)?,
+            )
         };
         let mut scratch = MlpScratch::default();
         Ok((
@@ -560,15 +538,7 @@ impl ServingRegistry {
     /// The serving `Arc<ModelSpec>` for `name`: the lock is held only
     /// long enough to clone the handle.
     pub(crate) fn resolve_serving(&self, name: &str) -> Result<Arc<ModelSpec>, ServingError> {
-        let models = self.models.lock();
-        let versions = models
-            .get(name)
-            .ok_or_else(|| ServingError::UnknownModel(name.to_owned()))?;
-        versions
-            .iter()
-            .find(|(_, st)| *st == Stage::Serving)
-            .map(|(s, _)| Arc::clone(s))
-            .ok_or_else(|| ServingError::UnknownModel(format!("{name} (no serving version)")))
+        find_serving(&self.models.lock(), name)
     }
 
     /// The `Arc<ModelSpec>` for a specific registered version (any stage).
@@ -577,24 +547,7 @@ impl ServingRegistry {
         name: &str,
         version: u32,
     ) -> Result<Arc<ModelSpec>, ServingError> {
-        let models = self.models.lock();
-        let versions = models
-            .get(name)
-            .ok_or_else(|| ServingError::UnknownModel(name.to_owned()))?;
-        versions
-            .iter()
-            .find(|(s, _)| s.version == version)
-            .map(|(s, _)| Arc::clone(s))
-            .ok_or_else(|| ServingError::UnknownModel(format!("{name} v{version}")))
-    }
-
-    /// Resolve the serving version of `name` into a lock-free
-    /// [`ScoreHandle`] for per-request scoring.
-    pub fn score_handle(&self, name: &str) -> Result<ScoreHandle, ServingError> {
-        Ok(ScoreHandle {
-            spec: self.resolve_serving(name)?,
-            scratch: MlpScratch::default(),
-        })
+        find_version(&self.models.lock(), name, version)
     }
 
     /// Score one example with the serving version of `name`.
@@ -725,6 +678,43 @@ fn bad_export(file: &str, reason: String) -> ServingError {
     }
 }
 
+/// The registry's one lookup: the first version of `name` in the locked
+/// `models` map that `pick` accepts, its handle cloned out. `missing`
+/// completes the [`ServingError::UnknownModel`] message when `name` is
+/// registered without such a version.
+fn find_spec(
+    models: &HashMap<String, ModelVersions>,
+    name: &str,
+    pick: impl Fn(&ModelSpec, Stage) -> bool,
+    missing: fmt::Arguments<'_>,
+) -> Result<Arc<ModelSpec>, ServingError> {
+    let versions = models
+        .get(name)
+        .ok_or_else(|| ServingError::UnknownModel(name.to_owned()))?;
+    versions
+        .iter()
+        .find(|(spec, stage)| pick(spec, *stage))
+        .map(|(spec, _)| Arc::clone(spec))
+        .ok_or_else(|| ServingError::UnknownModel(format!("{name} {missing}")))
+}
+
+fn find_serving(
+    models: &HashMap<String, ModelVersions>,
+    name: &str,
+) -> Result<Arc<ModelSpec>, ServingError> {
+    let serving = |_: &ModelSpec, stage| stage == Stage::Serving;
+    find_spec(models, name, serving, format_args!("(no serving version)"))
+}
+
+fn find_version(
+    models: &HashMap<String, ModelVersions>,
+    name: &str,
+    version: u32,
+) -> Result<Arc<ModelSpec>, ServingError> {
+    let numbered = |spec: &ModelSpec, _| spec.version == version;
+    find_spec(models, name, numbered, format_args!("v{version}"))
+}
+
 /// Score one example against a resolved spec. This is the serving hot
 /// kernel: it runs outside any registry lock, reuses `scratch` across
 /// calls, and builds owned `String`s only on error paths (via `clone`,
@@ -752,33 +742,6 @@ pub fn score_spec(
             model: spec.name.clone(),
             expected: "dense",
         }),
-    }
-}
-
-/// A lock-free scoring handle: a snapshot of the serving version of one
-/// model plus a reusable scratch buffer, built once per worker via
-/// [`ServingRegistry::score_handle`] and then used per request.
-///
-/// `score` touches no lock and — on the success path — performs no heap
-/// allocation; the hot-path lint enforces both properties transitively.
-/// The handle pins the version it was resolved against: a promotion
-/// after `score_handle` is not observed until a new handle is taken
-/// (snapshot semantics, the same trade production model servers make).
-#[derive(Debug, Clone)]
-pub struct ScoreHandle {
-    spec: Arc<ModelSpec>,
-    scratch: MlpScratch,
-}
-
-impl ScoreHandle {
-    /// The pinned model spec.
-    pub fn spec(&self) -> &ModelSpec {
-        &self.spec
-    }
-
-    /// Score one example against the pinned version.
-    pub fn score(&mut self, input: ScoreInput<'_>) -> Result<f64, ServingError> {
-        score_spec(&self.spec, &input, &mut self.scratch)
     }
 }
 
@@ -1207,40 +1170,6 @@ mod tests {
             .score("events", ScoreInput::Dense(&[1.0]))
             .expect_err("wrong width must fail");
         assert!(std::error::Error::source(&err).is_some());
-        Ok(())
-    }
-
-    #[test]
-    fn score_handle_is_lock_free_and_pinned() -> TestResult {
-        let (r, text, _, _) = spaces()?;
-        let reg = ServingRegistry::new(r, 10_000);
-        let h = FeatureHasher::new(1 << 10);
-        for v in [1, 2] {
-            reg.stage(ModelSpec {
-                name: "topic".into(),
-                version: v,
-                feature_spaces: vec![text],
-                model: ExportedModel::LogReg(trained_logreg()?),
-            })?;
-        }
-        assert!(matches!(
-            reg.score_handle("topic"),
-            Err(ServingError::UnknownModel(_))
-        ));
-        reg.promote("topic", 1)?;
-        let mut handle = reg.score_handle("topic")?;
-        assert_eq!(handle.spec().version, 1);
-        let x = h.bag_of_words(&["yes"]);
-        let via_registry = reg.score("topic", ScoreInput::Sparse(&x))?;
-        let via_handle = handle.score(ScoreInput::Sparse(&x))?;
-        assert_eq!(via_handle, via_registry);
-        // Promotion after resolution is not observed: the handle pins v1.
-        reg.promote("topic", 2)?;
-        assert_eq!(handle.spec().version, 1);
-        let pinned = handle.score(ScoreInput::Sparse(&x))?;
-        assert_eq!(pinned, via_handle);
-        let fresh = reg.score_handle("topic")?;
-        assert_eq!(fresh.spec().version, 2);
         Ok(())
     }
 

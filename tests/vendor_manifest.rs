@@ -1,7 +1,8 @@
 //! `vendor/` holds stand-ins for external crates, and a stand-in nothing
 //! depends on is code that is compiled, tested and documented for no
 //! caller. This holds the directory, the workspace manifest and
-//! `vendor/README.md` to one list, and every entry of it to a user.
+//! `vendor/README.md` to one list, every entry of it to a user, and every
+//! manifest row that names one to a `.rs` file of that package that does.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -41,15 +42,60 @@ fn vendor_matches_manifest() {
         .collect();
     assert_eq!(dirs, documented, "vendor/ directories vs vendor/README.md");
 
-    let mut manifests = vec![workspace];
+    // Every package: its manifest, and the `.rs` files under its source
+    // directories (the root package's `crates/` is other packages).
+    let mut packages = vec![(workspace, rust_sources(root, &["src", "tests", "examples"]))];
     for entry in std::fs::read_dir(root.join("crates")).unwrap() {
-        manifests.push(read(&entry.unwrap().path().join("Cargo.toml")));
+        let dir = entry.unwrap().path();
+        packages.push((read(&dir.join("Cargo.toml")), rust_sources(&dir, &["."])));
     }
     for name in &rows {
         let used = format!("{name}.workspace = true");
+        let users: Vec<_> = packages
+            .iter()
+            .filter(|(manifest, _)| manifest.lines().any(|l| l == used))
+            .collect();
         assert!(
-            manifests.iter().any(|m| m.lines().any(|l| l == used)),
+            !users.is_empty(),
             "vendor/{name} is a dependency of no crate: delete it"
         );
+        // A manifest row is a claim that the package's code names the
+        // crate (`parking_lot::Mutex`, `use rand::…`).
+        for (manifest, sources) in users {
+            let package = manifest.lines().find_map(|l| l.strip_prefix("name = "));
+            assert!(
+                sources.iter().any(|source| names_crate(source, name)),
+                "{} lists {name} and no .rs file of it names {name}: drop the row",
+                package.unwrap()
+            );
+        }
     }
+}
+
+/// The text of every `.rs` file under `dirs` of one package.
+fn rust_sources(package: &Path, dirs: &[&str]) -> Vec<String> {
+    let mut pending: Vec<_> = dirs.iter().map(|dir| package.join(dir)).collect();
+    let mut sources = Vec::new();
+    while let Some(dir) = pending.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for path in entries.map(|entry| entry.unwrap().path()) {
+            if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
+                pending.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                sources.push(std::fs::read_to_string(&path).unwrap());
+            }
+        }
+    }
+    sources
+}
+
+/// `name::` somewhere in `source`, `name` a whole identifier.
+fn names_crate(source: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let path = format!("{name}::");
+    source
+        .match_indices(&path)
+        .any(|(at, _)| !source[..at].ends_with(ident))
 }
