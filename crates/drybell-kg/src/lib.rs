@@ -180,9 +180,17 @@ impl KnowledgeGraph {
     /// Resolve any-language alias to `(language code, entity)` —
     /// the query the multilingual keyword LFs issue per token.
     pub fn resolve_alias(&self, term: &str) -> Option<(&str, EntityId)> {
-        self.aliases
-            .get(&term.to_lowercase())
-            .map(|(lang, id)| (lang.as_str(), *id))
+        // Aliases are stored lower-case. A term that is ASCII with no
+        // capital is its own lower-case form and needs no copy.
+        let is_lower_ascii = term
+            .bytes()
+            .all(|b| b.is_ascii() && !b.is_ascii_uppercase());
+        let entry = if is_lower_ascii {
+            self.aliases.get(term)
+        } else {
+            self.aliases.get(&term.to_lowercase())
+        };
+        entry.map(|(lang, id)| (lang.as_str(), *id))
     }
 
     /// All `(language, alias)` pairs of an entity, including its canonical

@@ -6,7 +6,8 @@
 //! profiles built from small seed texts, mirroring how lightweight
 //! production language-ID models work.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// The ten languages the product task covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,36 +129,87 @@ impl Lang {
     }
 }
 
+/// Symbols a normalized byte can be: a space, then `a`..=`z`.
+const SYMBOLS: usize = 27;
+/// Distinct trigram codes (`a·27² + b·27 + c`).
+const CODES: usize = SYMBOLS * SYMBOLS * SYMBOLS;
+
+/// Feed `sink` the trigram codes of `text` in text order: the text is
+/// lower-cased, every byte that is not an ASCII letter becomes a space, and
+/// each three-byte window that is not all spaces yields its code. Nothing
+/// is allocated; a non-ASCII character contributes what the bytes of its
+/// lower-case form would (spaces, or a letter for the likes of Kelvin `K`).
+fn for_each_trigram(text: &str, mut sink: impl FnMut(usize)) {
+    let mut code = 0;
+    let mut seen = 0usize;
+    let mut push = |symbol: usize| {
+        code = (code % (SYMBOLS * SYMBOLS)) * SYMBOLS + symbol;
+        seen += 1;
+        if seen >= 3 && code != 0 {
+            sink(code);
+        }
+    };
+    let symbol = |c: char| match c.to_ascii_lowercase() {
+        l @ 'a'..='z' => l as usize - 'a' as usize + 1,
+        _ => 0,
+    };
+    for c in text.chars() {
+        if c.is_ascii() {
+            push(symbol(c));
+        } else {
+            for l in c.to_lowercase() {
+                for _ in 0..l.len_utf8() {
+                    push(symbol(l));
+                }
+            }
+        }
+    }
+}
+
+/// Every language's trigram profile in one dense table: trigram code →
+/// row → the ten relative frequencies, in [`Lang::ALL`] order.
+#[derive(Debug)]
+struct ProfileTable {
+    /// Row of each trigram code. A trigram in no profile has row 0, which
+    /// is all zeros, so the walk adds a row per trigram without a branch.
+    row_of: Box<[u16]>,
+    rows: Vec<[f64; 10]>,
+}
+
+impl ProfileTable {
+    fn build() -> ProfileTable {
+        let mut profiles: BTreeMap<usize, [f64; 10]> = BTreeMap::new();
+        for (l, lang) in Lang::ALL.iter().enumerate() {
+            let mut total = 0.0;
+            for_each_trigram(lang.seed_text(), |code| {
+                profiles.entry(code).or_insert([0.0; 10])[l] += 1.0;
+                total += 1.0;
+            });
+            for weights in profiles.values_mut() {
+                weights[l] /= total;
+            }
+        }
+        let mut row_of = vec![0; CODES].into_boxed_slice();
+        let mut rows = vec![[0.0; 10]];
+        for (row, (code, weights)) in (1u16..).zip(profiles) {
+            row_of[code] = row;
+            rows.push(weights);
+        }
+        ProfileTable { row_of, rows }
+    }
+
+    /// The process-wide table: the seed texts are constants, so every
+    /// detector reads the same one.
+    fn shared() -> &'static ProfileTable {
+        static TABLE: OnceLock<ProfileTable> = OnceLock::new();
+        TABLE.get_or_init(ProfileTable::build)
+    }
+}
+
 /// Trigram-profile language detector.
 #[derive(Debug, Clone)]
 pub struct LangDetector {
-    /// Per-language trigram relative frequencies.
-    profiles: Vec<(Lang, HashMap<[u8; 3], f64>)>,
-}
-
-fn trigrams(text: &str) -> HashMap<[u8; 3], f64> {
-    let normalized: Vec<u8> = text
-        .to_lowercase()
-        .bytes()
-        .map(|b| if b.is_ascii_alphabetic() { b } else { b' ' })
-        .collect();
-    let mut counts: HashMap<[u8; 3], f64> = HashMap::new();
-    let mut total = 0.0;
-    for w in normalized.windows(3) {
-        let tri = [w[0], w[1], w[2]];
-        if tri.iter().all(|&b| b == b' ') {
-            continue;
-        }
-        *counts.entry(tri).or_insert(0.0) += 1.0;
-        total += 1.0;
-    }
-    if total > 0.0 {
-        // drybell-lint: allow(determinism) — scaling every value by the same constant commutes with visit order
-        for v in counts.values_mut() {
-            *v /= total;
-        }
-    }
-    counts
+    table: &'static ProfileTable,
 }
 
 impl Default for LangDetector {
@@ -170,35 +222,43 @@ impl LangDetector {
     /// Build the detector from the built-in seed texts.
     pub fn new() -> LangDetector {
         LangDetector {
-            profiles: Lang::ALL
-                .iter()
-                .map(|&l| (l, trigrams(l.seed_text())))
-                .collect(),
+            table: ProfileTable::shared(),
         }
+    }
+
+    /// Similarity of `text` to each language, in [`Lang::ALL`] order: the
+    /// dot product of its trigram frequencies with the profile's, summed
+    /// in text order so that equal texts give bit-equal scores.
+    fn similarity(&self, text: &str) -> [f64; 10] {
+        let mut dots = [0.0; 10];
+        let mut total = 0.0;
+        for_each_trigram(text, |code| {
+            total += 1.0;
+            let row = self.table.row_of[code];
+            for (dot, w) in dots.iter_mut().zip(&self.table.rows[row as usize]) {
+                *dot += w;
+            }
+        });
+        if total > 0.0 {
+            for dot in &mut dots {
+                *dot /= total;
+            }
+        }
+        dots
     }
 
     /// Cosine-style similarity score of `text` against each language.
     pub fn scores(&self, text: &str) -> Vec<(Lang, f64)> {
-        let target = trigrams(text);
-        self.profiles
-            .iter()
-            .map(|(lang, profile)| {
-                let mut dot = 0.0;
-                for (tri, w) in &target {
-                    if let Some(pw) = profile.get(tri) {
-                        dot += w * pw;
-                    }
-                }
-                (*lang, dot)
-            })
-            .collect()
+        Lang::ALL.into_iter().zip(self.similarity(text)).collect()
     }
 
     /// The most likely language, or `None` if no trigram matched at all
     /// (e.g. empty or non-alphabetic text).
     pub fn detect(&self, text: &str) -> Option<Lang> {
-        let scores = self.scores(text);
-        let (lang, best) = scores.into_iter().max_by(|a, b| a.1.total_cmp(&b.1))?;
+        let (lang, best) = Lang::ALL
+            .into_iter()
+            .zip(self.similarity(text))
+            .max_by(|a, b| a.1.total_cmp(&b.1))?;
         (best > 0.0).then_some(lang)
     }
 }
@@ -206,6 +266,153 @@ impl LangDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// The detector this module had before the dense table, kept as the
+    /// oracle: a map of trigram frequencies per call, walked against ten
+    /// profile maps.
+    fn reference_trigrams(text: &str) -> HashMap<[u8; 3], f64> {
+        let normalized: Vec<u8> = text
+            .to_lowercase()
+            .bytes()
+            .map(|b| if b.is_ascii_alphabetic() { b } else { b' ' })
+            .collect();
+        let mut counts: HashMap<[u8; 3], f64> = HashMap::new();
+        let mut total = 0.0;
+        for w in normalized.windows(3) {
+            let tri = [w[0], w[1], w[2]];
+            if tri.iter().all(|&b| b == b' ') {
+                continue;
+            }
+            *counts.entry(tri).or_insert(0.0) += 1.0;
+            total += 1.0;
+        }
+        if total > 0.0 {
+            for v in counts.values_mut() {
+                *v /= total;
+            }
+        }
+        counts
+    }
+
+    struct Reference {
+        profiles: Vec<(Lang, HashMap<[u8; 3], f64>)>,
+    }
+
+    impl Reference {
+        fn new() -> Reference {
+            Reference {
+                profiles: Lang::ALL
+                    .iter()
+                    .map(|&l| (l, reference_trigrams(l.seed_text())))
+                    .collect(),
+            }
+        }
+
+        /// Scores in [`Lang::ALL`] order. The sum runs in the map's order,
+        /// so the low bits vary from one call to the next.
+        fn scores(&self, text: &str) -> Vec<(Lang, f64)> {
+            let target = reference_trigrams(text);
+            self.profiles
+                .iter()
+                .map(|(lang, profile)| {
+                    let dot = target
+                        .iter()
+                        .filter_map(|(tri, w)| Some(w * profile.get(tri)?))
+                        .sum();
+                    (*lang, dot)
+                })
+                .collect()
+        }
+    }
+
+    /// `detect(text)` must be the reference's answer, unless the reference
+    /// scores the language it names within 1e-12 (relative) of its best.
+    fn assert_agrees(det: &LangDetector, reference: &Reference, text: &str) {
+        let scores = reference.scores(text);
+        for ((lang, new), (_, old)) in det.scores(text).iter().zip(&scores) {
+            assert!(
+                (new - old).abs() <= 1e-12 * old.abs(),
+                "{lang:?} scores {new} vs reference {old} on {text:?}"
+            );
+        }
+        let (best, top) = scores
+            .iter()
+            .copied()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("ten scores");
+        let expected = (top > 0.0).then_some(best);
+        let got = det.detect(text);
+        if got != expected {
+            let near_tie = scores
+                .iter()
+                .any(|&(lang, score)| Some(lang) == got && top - score <= 1e-12 * top);
+            assert!(
+                near_tie,
+                "detect {got:?}, reference {expected:?} on {text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn detect_agrees_with_the_reference_on_generated_documents() {
+        let det = LangDetector::new();
+        let reference = Reference::new();
+        let (product, topic) = crate::test_corpus::generated();
+        assert!(product.len() >= 5_000 && topic.len() >= 5_000);
+        let mut languages = std::collections::HashSet::new();
+        for text in product.iter().chain(&topic) {
+            assert_agrees(&det, &reference, text);
+            languages.extend(det.detect(text));
+        }
+        assert_eq!(languages.len(), 10, "the corpus covers every language");
+    }
+
+    #[test]
+    fn detect_agrees_with_the_reference_on_hostile_strings() {
+        let det = LangDetector::new();
+        let reference = Reference::new();
+        for text in crate::test_corpus::HOSTILE {
+            assert_agrees(&det, &reference, text);
+            // The streamed normalization is the reference's, window for
+            // window: same trigrams, same counts.
+            let mut counts: HashMap<[u8; 3], f64> = HashMap::new();
+            for_each_trigram(text, |code| {
+                let letter = |symbol: usize| match symbol {
+                    0 => b' ',
+                    s => b'a' + s as u8 - 1,
+                };
+                let tri = [
+                    letter(code / (SYMBOLS * SYMBOLS)),
+                    letter(code / SYMBOLS % SYMBOLS),
+                    letter(code % SYMBOLS),
+                ];
+                *counts.entry(tri).or_insert(0.0) += 1.0;
+            });
+            let total: f64 = counts.values().sum();
+            for v in counts.values_mut() {
+                *v /= total;
+            }
+            assert_eq!(counts, reference_trigrams(text), "trigrams of {text:?}");
+        }
+    }
+
+    #[test]
+    fn separately_built_detectors_score_bit_identically() {
+        let shared = LangDetector::new();
+        let rebuilt = LangDetector {
+            table: Box::leak(Box::new(ProfileTable::build())),
+        };
+        let (product, topic) = crate::test_corpus::generated();
+        let texts = product.iter().chain(&topic).map(String::as_str);
+        for text in texts.chain(crate::test_corpus::HOSTILE.iter().copied()) {
+            let bits = |det: &LangDetector| -> Vec<u64> {
+                det.scores(text).iter().map(|(_, s)| s.to_bits()).collect()
+            };
+            assert_eq!(bits(&shared), bits(&rebuilt), "scores of {text:?}");
+            assert_eq!(bits(&shared), bits(&LangDetector::new()));
+        }
+    }
 
     #[test]
     fn detects_each_seed_language() {

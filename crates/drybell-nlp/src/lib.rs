@@ -40,3 +40,52 @@ pub use ner::{Entity, EntityKind, NerTagger};
 pub use server::{NlpError, NlpResult, NlpServer};
 pub use tokenizer::{tokenize, Token};
 pub use topic_model::{SemanticCategorizer, Topic};
+
+/// Texts the oracle tests run the models over.
+#[cfg(test)]
+pub(crate) mod test_corpus {
+    use drybell_datagen::{product, topic};
+
+    /// Strings that case-folding, multi-byte characters or their absence
+    /// make awkward: a dotted capital I that lower-cases to two characters,
+    /// the Kelvin sign that lower-cases to ASCII `k`, sharp s, a final
+    /// sigma, and inputs too short for one trigram.
+    pub const HOSTILE: &[&str] = &[
+        "İstanbul",
+        "İİİ İstanbul'da İyi bir kamera",
+        "\u{212A}",
+        "273 \u{212A}elvin camera \u{212A}",
+        "ß",
+        "Straße und Fußball-Spiel",
+        "ΟΔΥΣΣΕΥΣ",
+        "Σ",
+        "",
+        "12345 67890",
+        "a",
+        "ab",
+        "é",
+        "Dr. Chen's état-of-the-art DON'T",
+        "-- '' -a- 'b' a--b",
+    ];
+
+    /// At least 5 000 generated product texts (ten languages) and 5 000
+    /// topic texts.
+    pub fn generated() -> (Vec<String>, Vec<String>) {
+        let products = product::generate(&product::ProductTaskConfig {
+            num_unlabeled: 5_000,
+            num_dev: 50,
+            num_test: 50,
+            ..product::ProductTaskConfig::paper()
+        });
+        let topics = topic::generate(&topic::TopicTaskConfig {
+            num_unlabeled: 5_000,
+            num_dev: 50,
+            num_test: 50,
+            ..topic::TopicTaskConfig::paper()
+        });
+        (
+            products.unlabeled.into_iter().map(|d| d.text).collect(),
+            topics.unlabeled.iter().map(|d| d.full_text()).collect(),
+        )
+    }
+}

@@ -9,8 +9,9 @@
 //! suffixes) providing recall beyond the gazetteer and a controlled amount
 //! of noise.
 
-use crate::tokenizer::{tokenize, Token};
+use crate::tokenizer::{words, Word};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// The kind of a recognized entity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,14 +135,34 @@ const TITLES: &[&str] = &["mr", "mrs", "ms", "dr", "prof", "sir"];
 /// Corporate suffixes that signal a preceding organization name.
 const ORG_SUFFIXES: &[&str] = &["inc", "corp", "ltd", "llc", "gmbh", "co"];
 
-/// The gazetteer-plus-heuristics NER tagger.
-#[derive(Debug, Clone)]
-pub struct NerTagger {
+/// The built-in gazetteers as sets. They are constants, so the process
+/// builds them once and every tagger reads the same ones.
+#[derive(Debug)]
+struct Gazetteers {
     persons_first: HashSet<&'static str>,
     persons_last: HashSet<&'static str>,
     orgs: HashSet<&'static str>,
     locations: HashSet<&'static str>,
     products: HashSet<&'static str>,
+}
+
+impl Gazetteers {
+    fn shared() -> &'static Gazetteers {
+        static SETS: OnceLock<Gazetteers> = OnceLock::new();
+        SETS.get_or_init(|| Gazetteers {
+            persons_first: PERSON_FIRST_NAMES.iter().copied().collect(),
+            persons_last: PERSON_LAST_NAMES.iter().copied().collect(),
+            orgs: ORGANIZATIONS.iter().copied().collect(),
+            locations: LOCATIONS.iter().copied().collect(),
+            products: PRODUCT_WORDS.iter().copied().collect(),
+        })
+    }
+}
+
+/// The gazetteer-plus-heuristics NER tagger.
+#[derive(Debug, Clone)]
+pub struct NerTagger {
+    gazetteers: &'static Gazetteers,
 }
 
 impl Default for NerTagger {
@@ -154,21 +175,21 @@ impl NerTagger {
     /// Build the tagger with the built-in gazetteers.
     pub fn new() -> NerTagger {
         NerTagger {
-            persons_first: PERSON_FIRST_NAMES.iter().copied().collect(),
-            persons_last: PERSON_LAST_NAMES.iter().copied().collect(),
-            orgs: ORGANIZATIONS.iter().copied().collect(),
-            locations: LOCATIONS.iter().copied().collect(),
-            products: PRODUCT_WORDS.iter().copied().collect(),
+            gazetteers: Gazetteers::shared(),
         }
     }
 
     /// Tag all entity mentions in `text`.
     pub fn tag(&self, text: &str) -> Vec<Entity> {
-        let tokens = tokenize(text);
+        self.tag_words(&words(text))
+    }
+
+    /// [`NerTagger::tag`] over a text already tokenized and lower-cased.
+    pub(crate) fn tag_words(&self, words: &[Word<'_>]) -> Vec<Entity> {
         let mut entities = Vec::new();
         let mut i = 0;
-        while i < tokens.len() {
-            if let Some((entity, consumed)) = self.match_at(&tokens, i) {
+        while i < words.len() {
+            if let Some((entity, consumed)) = self.match_at(words, i) {
                 entities.push(entity);
                 i += consumed;
             } else {
@@ -187,101 +208,77 @@ impl NerTagger {
             .collect()
     }
 
-    fn match_at(&self, tokens: &[Token], i: usize) -> Option<(Entity, usize)> {
-        let tok = &tokens[i];
-        let low = tok.lower();
+    fn match_at(&self, words: &[Word<'_>], i: usize) -> Option<(Entity, usize)> {
+        let sets = self.gazetteers;
+        let tok = &words[i];
+        let low = tok.lower.as_ref();
+        let capitalized = tok.is_capitalized();
+        let next = words.get(i + 1);
+        let pair = |next: &Word<'_>, kind| {
+            let entity = Entity {
+                text: [tok.text, " ", next.text].concat(),
+                kind,
+                start: tok.start,
+                end: next.end(),
+            };
+            Some((entity, 2))
+        };
+        let single = |kind| {
+            let entity = Entity {
+                text: tok.text.to_owned(),
+                kind,
+                start: tok.start,
+                end: tok.end(),
+            };
+            Some((entity, 1))
+        };
 
         // Title + capitalized word → person ("Dr. Chen").
-        if TITLES.contains(&low.as_str()) {
-            if let Some(next) = tokens.get(i + 1) {
-                if next.is_capitalized() {
-                    return Some((
-                        Entity {
-                            text: format!("{} {}", tok.text, next.text),
-                            kind: EntityKind::Person,
-                            start: tok.start,
-                            end: next.end,
-                        },
-                        2,
-                    ));
-                }
+        if TITLES.contains(&low) {
+            if let Some(next) = next.filter(|n| n.is_capitalized()) {
+                return pair(next, EntityKind::Person);
             }
         }
 
         // Gazetteer first name (capitalized), optionally followed by a
         // capitalized last name.
-        if tok.is_capitalized() && self.persons_first.contains(low.as_str()) {
-            if let Some(next) = tokens.get(i + 1) {
-                if next.is_capitalized() && self.persons_last.contains(next.lower().as_str()) {
-                    return Some((
-                        Entity {
-                            text: format!("{} {}", tok.text, next.text),
-                            kind: EntityKind::Person,
-                            start: tok.start,
-                            end: next.end,
-                        },
-                        2,
-                    ));
-                }
-            }
-            return Some((
-                Entity {
-                    text: tok.text.clone(),
-                    kind: EntityKind::Person,
-                    start: tok.start,
-                    end: tok.end,
-                },
-                1,
-            ));
+        if capitalized && sets.persons_first.contains(low) {
+            let last =
+                next.filter(|n| n.is_capitalized() && sets.persons_last.contains(n.lower.as_ref()));
+            return match last {
+                Some(next) => pair(next, EntityKind::Person),
+                None => single(EntityKind::Person),
+            };
         }
 
         // Capitalized gazetteer last name alone → person.
-        if tok.is_capitalized() && self.persons_last.contains(low.as_str()) {
-            return Some((self.single(tok, EntityKind::Person), 1));
+        if capitalized && sets.persons_last.contains(low) {
+            return single(EntityKind::Person);
         }
 
         // Organization gazetteer, or any capitalized word followed by a
         // corporate suffix ("Figment Inc").
-        if self.orgs.contains(low.as_str()) && tok.is_capitalized() {
-            return Some((self.single(tok, EntityKind::Organization), 1));
+        if capitalized && sets.orgs.contains(low) {
+            return single(EntityKind::Organization);
         }
-        if tok.is_capitalized() {
-            if let Some(next) = tokens.get(i + 1) {
-                if ORG_SUFFIXES.contains(&next.lower().as_str()) {
-                    return Some((
-                        Entity {
-                            text: format!("{} {}", tok.text, next.text),
-                            kind: EntityKind::Organization,
-                            start: tok.start,
-                            end: next.end,
-                        },
-                        2,
-                    ));
-                }
+        if capitalized {
+            if let Some(next) = next.filter(|n| ORG_SUFFIXES.contains(&n.lower.as_ref())) {
+                return pair(next, EntityKind::Organization);
             }
         }
 
         // Location gazetteer (capitalized).
-        if tok.is_capitalized() && self.locations.contains(low.as_str()) {
-            return Some((self.single(tok, EntityKind::Location), 1));
+        if capitalized && sets.locations.contains(low) {
+            return single(EntityKind::Location);
         }
 
         // Product gazetteer (any case — product words appear in running
         // text).
-        if self.products.contains(low.as_str()) {
-            return Some((self.single(tok, EntityKind::Product), 1));
+        if sets.products.contains(low) {
+            return single(EntityKind::Product);
         }
 
         None
-    }
-
-    fn single(&self, tok: &Token, kind: EntityKind) -> Entity {
-        Entity {
-            text: tok.text.clone(),
-            kind,
-            start: tok.start,
-            end: tok.end,
-        }
     }
 }
 

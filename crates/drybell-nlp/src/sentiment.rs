@@ -4,7 +4,7 @@
 //! "previously developed heuristic classifier" (§3.3) that becomes one
 //! more weak supervision source. Scores are in `[-1, 1]`.
 
-use crate::tokenizer::lower_tokens;
+use crate::tokenizer::{words, Word};
 
 const POSITIVE: &[&str] = &[
     "great",
@@ -58,18 +58,24 @@ impl SentimentScorer {
     /// a preceding negator flipping a word's sign. Returns `0.0` when no
     /// lexicon word matches.
     pub fn score(&self, text: &str) -> f64 {
-        let tokens = lower_tokens(text);
+        self.score_words(&words(text))
+    }
+
+    /// [`SentimentScorer::score`] over a text already tokenized and
+    /// lower-cased.
+    pub(crate) fn score_words(&self, words: &[Word<'_>]) -> f64 {
         let mut total = 0.0;
         let mut hits = 0usize;
-        for (i, tok) in tokens.iter().enumerate() {
-            let valence = if POSITIVE.contains(&tok.as_str()) {
+        for (i, word) in words.iter().enumerate() {
+            let tok = word.lower.as_ref();
+            let valence = if POSITIVE.contains(&tok) {
                 1.0
-            } else if NEGATIVE.contains(&tok.as_str()) {
+            } else if NEGATIVE.contains(&tok) {
                 -1.0
             } else {
                 continue;
             };
-            let negated = i > 0 && NEGATORS.contains(&tokens[i - 1].as_str());
+            let negated = i > 0 && NEGATORS.contains(&words[i - 1].lower.as_ref());
             total += if negated { -valence } else { valence };
             hits += 1;
         }

@@ -15,13 +15,13 @@
 use crate::langid::{Lang, LangDetector};
 use crate::ner::{Entity, EntityKind, NerTagger};
 use crate::sentiment::SentimentScorer;
-use crate::tokenizer::{tokenize, Token};
+use crate::tokenizer::{words, Token};
 use crate::topic_model::{SemanticCategorizer, Topic};
 use drybell_dataflow::FaultPlan;
 use drybell_obs::{Counter, Histogram, MetricsRegistry};
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A failed annotation call: the model server was unreachable, overloaded,
@@ -94,6 +94,14 @@ pub struct ServerStats {
     pub simulated_cost_us: u64,
 }
 
+/// The live cells behind [`ServerStats`]. They are statistics and publish
+/// nothing else, so every access is `Relaxed`.
+#[derive(Debug, Default)]
+struct StatCells {
+    calls: AtomicU64,
+    simulated_cost_us: AtomicU64,
+}
+
 /// Live telemetry hooks for one server (see [`NlpServer::with_metrics`]).
 #[derive(Debug, Clone)]
 struct ServerTelemetry {
@@ -107,12 +115,14 @@ struct ServerTelemetry {
 #[derive(Debug, Clone)]
 pub struct NlpServer {
     ner: NerTagger,
-    topics: SemanticCategorizer,
+    /// The seed-trained organizational model: a constant, so the process
+    /// trains it once and every server reads the same one.
+    topics: &'static SemanticCategorizer,
     langid: LangDetector,
     sentiment: SentimentScorer,
     /// Declared cost of one `annotate` call, in simulated microseconds.
     cost_per_call_us: u64,
-    stats: Arc<Mutex<ServerStats>>,
+    stats: Arc<StatCells>,
     telemetry: Option<ServerTelemetry>,
     faults: Option<FaultPlan>,
     warmed_up: bool,
@@ -132,13 +142,14 @@ impl NlpServer {
 
     /// Build a server with all default models.
     pub fn new() -> NlpServer {
+        static SEED_TOPICS: OnceLock<SemanticCategorizer> = OnceLock::new();
         NlpServer {
             ner: NerTagger::new(),
-            topics: SemanticCategorizer::from_seeds(),
+            topics: SEED_TOPICS.get_or_init(SemanticCategorizer::from_seeds),
             langid: LangDetector::new(),
             sentiment: SentimentScorer::new(),
             cost_per_call_us: Self::DEFAULT_COST_US,
-            stats: Arc::new(Mutex::new(ServerStats::default())),
+            stats: Arc::default(),
             telemetry: None,
             faults: None,
             warmed_up: false,
@@ -181,25 +192,28 @@ impl NlpServer {
         self.warmed_up
     }
 
-    /// Run all models over `text`.
+    /// Count one accepted RPC.
+    fn count_call(&self) {
+        self.stats.calls.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .simulated_cost_us
+            .fetch_add(self.cost_per_call_us, Ordering::Relaxed);
+    }
+
+    /// Run all models over `text`: one tokenization and one lower-casing,
+    /// shared by NER, the topic model and sentiment.
     pub fn annotate(&self, text: &str) -> NlpResult {
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        {
-            let mut stats = self.stats.lock();
-            stats.calls += 1;
-            stats.simulated_cost_us += self.cost_per_call_us;
-        }
-        let tokens = tokenize(text);
-        let lower: Vec<String> = tokens.iter().map(|t| t.lower()).collect();
-        let topic_probs = self.topics.classify(&lower);
-        let (top_topic, _) = self.topics.top_topic(&lower);
+        self.count_call();
+        let words = words(text);
+        let topic_probs = self.topics.classify(&words);
         let result = NlpResult {
-            entities: self.ner.tag(text),
+            tokens: words.iter().map(|w| Token::new(w.text, w.start)).collect(),
+            entities: self.ner.tag_words(&words),
             topic_probs,
-            top_topic,
+            top_topic: SemanticCategorizer::top_of(&topic_probs).0,
             language: self.langid.detect(text),
-            sentiment: self.sentiment.score(text),
-            tokens,
+            sentiment: self.sentiment.score_words(&words),
         };
         if let (Some(t), Some(started)) = (&self.telemetry, started) {
             t.calls.inc();
@@ -222,9 +236,7 @@ impl NlpServer {
                 std::thread::sleep(delay);
             }
             if plan.nlp_should_fail(text) {
-                let mut stats = self.stats.lock();
-                stats.calls += 1;
-                stats.simulated_cost_us += self.cost_per_call_us;
+                self.count_call();
                 return Err(NlpError::unavailable(
                     "injected fault: annotate RPC dropped",
                 ));
@@ -236,7 +248,10 @@ impl NlpServer {
     /// Snapshot of cumulative stats (shared across clones of this server,
     /// as clones share one underlying instance per worker).
     pub fn stats(&self) -> ServerStats {
-        *self.stats.lock()
+        ServerStats {
+            calls: self.stats.calls.load(Ordering::Relaxed),
+            simulated_cost_us: self.stats.simulated_cost_us.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -249,11 +264,8 @@ impl drybell_dataflow::Service for NlpServer {
         // Exercise every model once so first-call latency is paid at
         // worker startup, as a real model server would load weights here.
         let _ = self.annotate("warm up Alice Johnson buys a camera");
-        {
-            let mut stats = self.stats.lock();
-            stats.calls = 0;
-            stats.simulated_cost_us = 0;
-        }
+        self.stats.calls.store(0, Ordering::Relaxed);
+        self.stats.simulated_cost_us.store(0, Ordering::Relaxed);
         self.warmed_up = true;
         Ok(())
     }
@@ -262,6 +274,7 @@ impl drybell_dataflow::Service for NlpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenizer::{lower_tokens, tokenize};
     use drybell_dataflow::Service;
 
     #[test]
@@ -279,6 +292,49 @@ mod tests {
         assert!(r.sentiment > 0.0);
         let sum: f64 = r.topic_probs.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
+    }
+
+    /// `annotate` shares one tokenization between the models; the
+    /// standalone public models each do their own. Same answers, entity for
+    /// entity and bit for bit.
+    #[test]
+    fn annotate_equals_the_standalone_models_composed() {
+        let server = NlpServer::new();
+        let ner = NerTagger::new();
+        let topics = SemanticCategorizer::from_seeds();
+        let langid = LangDetector::new();
+        let sentiment = SentimentScorer::new();
+        let (product, topic) = crate::test_corpus::generated();
+        let generated = product.iter().chain(&topic).map(String::as_str);
+        let written = [
+            "Mr Smith of Figment Inc met Alice Johnson, Robert and Kim in Springfield",
+            "not great, NEVER bad: a Terrible Tripod and I don't love the charger",
+            "stock market fund vs. movie premiere and a cheap flight",
+        ];
+        let hostile = crate::test_corpus::HOSTILE.iter().copied();
+        let (mut entities, mut sentiments) = (0, 0);
+        for text in generated.chain(written).chain(hostile) {
+            let r = server.annotate(text);
+            assert_eq!(r.tokens, tokenize(text), "tokens of {text:?}");
+            assert_eq!(r.entities, ner.tag(text), "entities of {text:?}");
+            let lower = lower_tokens(text);
+            let (top, _) = topics.top_topic(&lower);
+            assert_eq!(
+                r.topic_probs.map(f64::to_bits),
+                topics.classify(&lower).map(f64::to_bits),
+                "topic posterior of {text:?}"
+            );
+            assert_eq!(r.top_topic, top, "top topic of {text:?}");
+            assert_eq!(r.language, langid.detect(text), "language of {text:?}");
+            assert_eq!(
+                r.sentiment.to_bits(),
+                sentiment.score(text).to_bits(),
+                "sentiment of {text:?}"
+            );
+            entities += r.entities.len();
+            sentiments += usize::from(r.sentiment != 0.0);
+        }
+        assert!(entities > 1_000 && sentiments > 0, "the corpus has signal");
     }
 
     #[test]

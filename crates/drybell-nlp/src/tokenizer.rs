@@ -5,6 +5,8 @@
 //! text. Intentionally simple — the paper's pipelines treat tokenization
 //! as a solved component of the NLP service.
 
+use std::borrow::Cow;
+
 /// One token with its span in the source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
@@ -17,6 +19,14 @@ pub struct Token {
 }
 
 impl Token {
+    pub(crate) fn new(text: &str, start: usize) -> Token {
+        Token {
+            text: text.to_owned(),
+            start,
+            end: start + text.len(),
+        }
+    }
+
     /// Lowercased token text.
     pub fn lower(&self) -> String {
         self.text.to_lowercase()
@@ -24,7 +34,7 @@ impl Token {
 
     /// `true` if the first character is uppercase.
     pub fn is_capitalized(&self) -> bool {
-        self.text.chars().next().is_some_and(|c| c.is_uppercase())
+        is_capitalized(&self.text)
     }
 
     /// `true` if every alphabetic character is uppercase and the token has
@@ -44,49 +54,118 @@ impl Token {
     }
 }
 
+fn is_capitalized(word: &str) -> bool {
+    word.chars().next().is_some_and(|c| c.is_uppercase())
+}
+
+/// The character starting at byte `i` and its UTF-8 length, decoding only
+/// when the byte is not ASCII.
+fn char_at(text: &str, i: usize) -> Option<(char, usize)> {
+    let b = *text.as_bytes().get(i)?;
+    if b.is_ascii() {
+        return Some((b as char, 1));
+    }
+    let c = text[i..].chars().next()?;
+    Some((c, c.len_utf8()))
+}
+
+/// The tokens of a text as `(start, slice)`, in order: the one scanner
+/// behind [`tokenize`], [`lower_tokens`] and the model server.
+struct Spans<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+fn spans(text: &str) -> Spans<'_> {
+    Spans { text, pos: 0 }
+}
+
+impl<'a> Iterator for Spans<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        loop {
+            let (c, len) = char_at(self.text, self.pos)?;
+            if c.is_alphanumeric() {
+                break;
+            }
+            self.pos += len;
+        }
+        let start = self.pos;
+        while let Some((c, len)) = char_at(self.text, self.pos) {
+            let keep = c.is_alphanumeric()
+                || ((c == '-' || c == '\'')
+                    && char_at(self.text, self.pos + 1).is_some_and(|(n, _)| n.is_alphanumeric()));
+            if !keep {
+                break;
+            }
+            self.pos += len;
+        }
+        Some((start, &self.text[start..self.pos]))
+    }
+}
+
+/// `word.to_lowercase()`, borrowed when the word is ASCII with no capital
+/// and so is its own lower-case form.
+pub(crate) fn lower(word: &str) -> Cow<'_, str> {
+    if !word.is_ascii() {
+        Cow::Owned(word.to_lowercase())
+    } else if word.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(word.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(word)
+    }
+}
+
+/// One token as the models read it: the source slice, where it starts, and
+/// its lower-cased form (which is what a `&[Word]` hands to
+/// [`crate::SemanticCategorizer::classify`]).
+pub(crate) struct Word<'a> {
+    pub text: &'a str,
+    pub start: usize,
+    pub lower: Cow<'a, str>,
+}
+
+impl Word<'_> {
+    pub fn end(&self) -> usize {
+        self.start + self.text.len()
+    }
+
+    pub fn is_capitalized(&self) -> bool {
+        is_capitalized(self.text)
+    }
+}
+
+impl AsRef<str> for Word<'_> {
+    fn as_ref(&self) -> &str {
+        &self.lower
+    }
+}
+
+/// Tokenize and lower-case `text` once, for every model to share.
+pub(crate) fn words(text: &str) -> Vec<Word<'_>> {
+    spans(text)
+        .map(|(start, text)| Word {
+            text,
+            start,
+            lower: lower(text),
+        })
+        .collect()
+}
+
 /// Tokenize `text` into alphanumeric runs (plus internal hyphens and
 /// apostrophes, so "state-of-the-art" and "don't" stay single tokens).
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let bytes = text.char_indices().collect::<Vec<_>>();
-    let mut i = 0;
-    while i < bytes.len() {
-        let (start_byte, c) = bytes[i];
-        if c.is_alphanumeric() {
-            let mut j = i + 1;
-            while j < bytes.len() {
-                let (_, cj) = bytes[j];
-                let keep = cj.is_alphanumeric()
-                    || ((cj == '-' || cj == '\'')
-                        && j + 1 < bytes.len()
-                        && bytes[j + 1].1.is_alphanumeric());
-                if keep {
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            let end_byte = if j < bytes.len() {
-                bytes[j].0
-            } else {
-                text.len()
-            };
-            tokens.push(Token {
-                text: text[start_byte..end_byte].to_owned(),
-                start: start_byte,
-                end: end_byte,
-            });
-            i = j;
-        } else {
-            i += 1;
-        }
-    }
-    tokens
+    spans(text)
+        .map(|(start, word)| Token::new(word, start))
+        .collect()
 }
 
 /// Lowercased token strings (a common convenience for featurizers).
 pub fn lower_tokens(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().map(|t| t.lower()).collect()
+    spans(text)
+        .map(|(_, word)| lower(word).into_owned())
+        .collect()
 }
 
 #[cfg(test)]
@@ -135,7 +214,74 @@ mod tests {
         assert!(tokenize("!!! ... ---").is_empty());
     }
 
+    /// The scanner this module had before [`Spans`]: collect every
+    /// `(offset, char)`, then walk the vector.
+    fn reference_spans(text: &str) -> Vec<(usize, usize)> {
+        let chars = text.char_indices().collect::<Vec<_>>();
+        let offset = |k: usize| chars.get(k).map_or(text.len(), |&(at, _)| at);
+        let mut found = Vec::new();
+        let mut i = 0;
+        while i < chars.len() {
+            if !chars[i].1.is_alphanumeric() {
+                i += 1;
+                continue;
+            }
+            let mut j = i + 1;
+            while j < chars.len()
+                && (chars[j].1.is_alphanumeric()
+                    || ((chars[j].1 == '-' || chars[j].1 == '\'')
+                        && chars.get(j + 1).is_some_and(|c| c.1.is_alphanumeric())))
+            {
+                j += 1;
+            }
+            found.push((offset(i), offset(j)));
+            i = j;
+        }
+        found
+    }
+
+    fn assert_matches_reference(text: &str) {
+        let expected = reference_spans(text);
+        let found: Vec<_> = spans(text).map(|(at, w)| (at, at + w.len())).collect();
+        assert_eq!(found, expected, "{text:?}");
+        let lowered: Vec<String> = expected
+            .iter()
+            .map(|&(start, end)| text[start..end].to_lowercase())
+            .collect();
+        assert_eq!(lower_tokens(text), lowered, "{text:?}");
+        let words = words(text);
+        assert_eq!(words.len(), expected.len());
+        for ((word, &(start, end)), low) in words.iter().zip(&expected).zip(&lowered) {
+            assert_eq!(
+                (word.start, word.end(), word.text),
+                (start, end, &text[start..end])
+            );
+            assert_eq!(word.as_ref(), low);
+        }
+    }
+
+    #[test]
+    fn scanner_matches_the_reference_on_documents_and_hostile_strings() {
+        let (product, topic) = crate::test_corpus::generated();
+        let generated = product.iter().chain(&topic).map(String::as_str);
+        for text in generated.chain(crate::test_corpus::HOSTILE.iter().copied()) {
+            assert_matches_reference(text);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_scanner_matches_the_reference(text in ".{0,200}") {
+            assert_matches_reference(&text);
+        }
+
+        #[test]
+        fn prop_scanner_matches_the_reference_on_wordy_text(
+            text in "[a-zA-Z0-9İßΣσ\u{212A}é' -]{0,60}"
+        ) {
+            assert_matches_reference(&text);
+        }
+
         #[test]
         fn prop_spans_always_valid(text in ".{0,200}") {
             for t in tokenize(&text) {

@@ -276,7 +276,12 @@ impl SemanticCategorizer {
 
     /// The most likely topic and its posterior probability.
     pub fn top_topic<S: AsRef<str>>(&self, tokens: &[S]) -> (Topic, f64) {
-        let probs = self.classify(tokens);
+        Self::top_of(&self.classify(tokens))
+    }
+
+    /// The most likely topic of a posterior [`SemanticCategorizer::classify`]
+    /// returned, and its probability.
+    pub(crate) fn top_of(probs: &[f64; 8]) -> (Topic, f64) {
         let mut idx = 0;
         for (i, &q) in probs.iter().enumerate().skip(1) {
             if q > probs[idx] {

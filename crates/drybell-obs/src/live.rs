@@ -244,7 +244,9 @@ mod tests {
         assert_eq!(body, "ok\n");
         let (status, _) = get(server.local_addr(), "/nope");
         assert!(status.contains("404"), "{status}");
-        // Both requests were handled and counted.
+        // Both requests were handled and counted. A request is counted
+        // after its response is written, so join the accept thread first.
+        drop(server);
         assert_eq!(t.metrics().snapshot().counter("live/requests"), 2);
     }
 
