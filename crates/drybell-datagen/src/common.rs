@@ -100,6 +100,61 @@ pub fn scaled_counts(unlabeled: usize, dev: usize, test: usize, f: f64) -> (usiz
     (s(unlabeled), s(dev), s(test))
 }
 
+/// What the oracle tests of `product::featurize` and `topic::featurize`
+/// share.
+#[cfg(test)]
+pub(crate) mod featurize_oracle {
+    use drybell_features::{FeatureHasher, SparseVector};
+
+    /// A featurizer composed the long way: build each
+    /// `"{namespace}={token}"` string and hash it, make a vector per
+    /// namespace, merge the vectors' entries into one, normalise a copy.
+    pub fn by_parts(hasher: &FeatureHasher, parts: &[(&str, Vec<String>)]) -> SparseVector {
+        let mut merged = Vec::new();
+        for (namespace, tokens) in parts {
+            let indexed = tokens
+                .iter()
+                .map(|t| (hasher.index(&format!("{namespace}={t}")), 1.0));
+            merged.extend_from_slice(SparseVector::from_pairs(indexed.collect()).entries());
+        }
+        SparseVector::from_pairs(merged).l2_normalized()
+    }
+
+    /// Entry for entry, bit for bit.
+    pub fn assert_same(found: &SparseVector, expected: &SparseVector, what: &str) {
+        let bits = |v: &SparseVector| -> Vec<(u32, u64)> {
+            v.entries().iter().map(|&(i, x)| (i, x.to_bits())).collect()
+        };
+        assert_eq!(bits(found), bits(expected), "{what}");
+    }
+
+    /// Hashers of the benchmark's width, of a width small enough that
+    /// tokens share indices, and of width one, where everything does —
+    /// the single-valued namespace included.
+    pub fn hashers() -> [FeatureHasher; 3] {
+        [1 << 16, 97, 1].map(FeatureHasher::new)
+    }
+
+    /// Texts that case-folding, multi-byte characters, their absence or
+    /// repetition make awkward.
+    pub fn hostile_texts() -> Vec<String> {
+        let mut texts: Vec<String> = [
+            "İstanbul",
+            "İİİ İstanbul'da İyi bir kamera",
+            "273 \u{212A}elvin camera \u{212A}",
+            "ß",
+            "Straße und Fußball-Spiel",
+            "",
+            "!!! ... --- ''",
+            "Dr. Chen's état-of-the-art DON'T",
+        ]
+        .map(str::to_owned)
+        .into();
+        texts.push(["camera"; 100].join(" "));
+        texts
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

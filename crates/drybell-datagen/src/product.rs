@@ -22,6 +22,7 @@ use drybell_kg::commerce::{CommerceGraph, LANGS, OTHER_TRANSLATIONS, PHOTO_TRANS
 use drybell_lf::executor::TextExtractor;
 use drybell_lf::{Lf, LfCategory, LfSet};
 use drybell_nlp::langid::Lang;
+use drybell_nlp::tokenizer::{lower_words, max_tokens};
 use drybell_nlp::topic_model::Topic;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -414,8 +415,10 @@ pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
                 let mut photo = false;
                 let mut foreign = false;
                 for w in d.text.split_whitespace() {
-                    photo |= cg_pos.alias_in_photography(w);
-                    foreign |= cg_pos.alias_is_foreign_accessory(w);
+                    if let Some((_, id)) = cg_pos.graph.resolve_alias(w) {
+                        photo |= cg_pos.in_photography(id);
+                        foreign |= cg_pos.is_foreign_accessory(id);
+                    }
                 }
                 match (photo, foreign) {
                     (true, _) => Vote::Positive,
@@ -433,11 +436,11 @@ pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
                 let mut photo = false;
                 let mut foreign_product = false;
                 for w in d.text.split_whitespace() {
-                    photo |= cg_neg.alias_in_photography(w);
                     if let Some((_, id)) = cg_neg.graph.resolve_alias(w) {
-                        foreign_product |= cg_neg.graph.entity(id).kind
-                            == drybell_kg::NodeKind::Product
-                            && !cg_neg.graph.in_category_subtree(id, cg_neg.photography);
+                        let in_photo = cg_neg.in_photography(id);
+                        photo |= in_photo;
+                        foreign_product |= !in_photo
+                            && cg_neg.graph.entity(id).kind == drybell_kg::NodeKind::Product;
                     }
                 }
                 if foreign_product && !photo {
@@ -532,12 +535,11 @@ pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
 
 /// Servable featurization: hashed unigrams plus the locale.
 pub fn featurize(doc: &ProductDoc, hasher: &FeatureHasher) -> SparseVector {
-    let toks = drybell_nlp::tokenizer::lower_tokens(&doc.text);
-    let parts = [
-        hasher.namespaced_bag("text", &toks),
-        hasher.weighted(&[(format!("lang={}", doc.lang), 1.0)]),
-    ];
-    drybell_features::hashing::concat(&parts).l2_normalized()
+    // Room for every token and the locale.
+    let mut counts = hasher.counts(max_tokens(&doc.text) + 1);
+    counts.count("text", lower_words(&doc.text));
+    counts.count("lang", [&doc.lang]);
+    counts.finish()
 }
 
 #[cfg(test)]
@@ -675,6 +677,38 @@ mod tests {
             (acc_high as f64) < 0.2 * acc_total as f64,
             "legacy model should miss accessory-only positives: {acc_high}/{acc_total}"
         );
+    }
+
+    #[test]
+    fn featurize_equals_the_long_composition_bit_for_bit() {
+        use crate::common::featurize_oracle::{assert_same, by_parts, hashers, hostile_texts};
+        use drybell_nlp::tokenizer::lower_tokens as tokens;
+        let mut docs = small().unlabeled;
+        assert!(docs.len() >= 5000);
+        for (i, text) in hostile_texts().into_iter().enumerate() {
+            // A locale that is itself a token of the text, an empty one,
+            // and one no tokenizer would emit.
+            for lang in ["camera", "", "İ=x y"] {
+                docs.push(ProductDoc {
+                    id: i as u64,
+                    text: text.clone(),
+                    lang: lang.to_owned(),
+                    legacy_score: 0.0,
+                });
+            }
+        }
+        for hasher in hashers() {
+            for doc in &docs {
+                let expected = by_parts(
+                    &hasher,
+                    &[
+                        ("text", tokens(&doc.text)),
+                        ("lang", vec![doc.lang.clone()]),
+                    ],
+                );
+                assert_same(&featurize(doc, &hasher), &expected, &doc.text);
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use drybell_dataflow::codec::{self, CodecError, Record};
 use drybell_features::{FeatureHasher, SparseVector};
 use drybell_lf::executor::TextExtractor;
 use drybell_lf::{Lf, LfCategory, LfSet};
+use drybell_nlp::tokenizer::{lower_words, max_tokens};
 use drybell_nlp::topic_model::Topic;
 use drybell_nlp::EntityKind;
 use rand::rngs::StdRng;
@@ -371,12 +372,13 @@ pub fn lf_set(crawl_table: Arc<HashMap<String, f64>>) -> LfSet<TopicDoc> {
             true,
             move |d: &TopicDoc| {
                 // Whole-token matches: "star" must not fire on "startup".
-                let toks = drybell_nlp::tokenizer::lower_tokens(&d.full_text());
-                let hits = CELEB_WORDS
-                    .iter()
-                    .filter(|w| toks.iter().any(|t| t == *w))
-                    .count();
-                if hits >= 2 {
+                let mut seen = [false; CELEB_WORDS.len()];
+                for tok in lower_words(&d.full_text()) {
+                    if let Some(i) = CELEB_WORDS.iter().position(|w| *w == tok) {
+                        seen[i] = true;
+                    }
+                }
+                if seen.iter().filter(|&&hit| hit).count() >= 2 {
                     Vote::Positive
                 } else {
                     Vote::Abstain
@@ -509,14 +511,12 @@ pub fn lf_set(crawl_table: Arc<HashMap<String, f64>>) -> LfSet<TopicDoc> {
 /// Servable featurization for the discriminative model: hashed title and
 /// body unigrams plus the URL domain (all computable in production).
 pub fn featurize(doc: &TopicDoc, hasher: &FeatureHasher) -> SparseVector {
-    let title_toks = drybell_nlp::tokenizer::lower_tokens(&doc.title);
-    let body_toks = drybell_nlp::tokenizer::lower_tokens(&doc.body);
-    let parts = [
-        hasher.namespaced_bag("title", &title_toks),
-        hasher.namespaced_bag("body", &body_toks),
-        hasher.weighted(&[(format!("domain={}", doc.domain()), 1.0)]),
-    ];
-    drybell_features::hashing::concat(&parts).l2_normalized()
+    // Room for every token and the domain.
+    let mut counts = hasher.counts(max_tokens(&doc.title) + max_tokens(&doc.body) + 1);
+    counts.count("title", lower_words(&doc.title));
+    counts.count("body", lower_words(&doc.body));
+    counts.count("domain", [doc.domain()]);
+    counts.finish()
 }
 
 #[cfg(test)]
@@ -618,6 +618,74 @@ mod tests {
         let v = featurize(&ds.unlabeled[0], &hasher);
         assert!(v.nnz() > 5);
         assert!((v.norm_sq() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn featurize_equals_the_long_composition_bit_for_bit() {
+        use crate::common::featurize_oracle::{assert_same, by_parts, hashers, hostile_texts};
+        use drybell_nlp::tokenizer::lower_tokens as tokens;
+        let mut docs = generate(&TopicTaskConfig {
+            num_unlabeled: 5000,
+            num_dev: 1,
+            num_test: 1,
+            ..TopicTaskConfig::paper()
+        })
+        .unlabeled;
+        let hostile = hostile_texts();
+        for (i, title) in hostile.iter().enumerate() {
+            // Every hostile text as a title and as a body, under a URL
+            // with a domain and under one without.
+            let body = &hostile[(i + 1) % hostile.len()];
+            for url in ["https://starbuzz.example/a", "camera"] {
+                docs.push(TopicDoc {
+                    id: i as u64,
+                    title: title.clone(),
+                    body: body.clone(),
+                    url: url.to_owned(),
+                    related_model_score: 0.5,
+                });
+            }
+        }
+        for hasher in hashers() {
+            for doc in &docs {
+                let expected = by_parts(
+                    &hasher,
+                    &[
+                        ("title", tokens(&doc.title)),
+                        ("body", tokens(&doc.body)),
+                        ("domain", vec![doc.domain().to_owned()]),
+                    ],
+                );
+                assert_same(&featurize(doc, &hasher), &expected, &doc.title);
+            }
+        }
+    }
+
+    /// `kw_celeb_words` counts distinct keywords, whole tokens only, in
+    /// any case, across title and body.
+    #[test]
+    fn celeb_keyword_lf_counts_distinct_whole_tokens() {
+        let set = lf_set(Arc::new(HashMap::new()));
+        let lf = set
+            .lfs()
+            .iter()
+            .find(|lf| lf.metadata().name == "kw_celeb_words")
+            .expect("the LF exists");
+        let vote = |title: &str, body: &str| {
+            let doc = TopicDoc {
+                id: 0,
+                title: title.to_owned(),
+                body: body.to_owned(),
+                url: String::new(),
+                related_model_score: 0.5,
+            };
+            lf.try_vote(&doc, None, None).expect("a plain LF")
+        };
+        assert_eq!(vote("A Famous icon", "nothing"), Vote::Positive);
+        assert_eq!(vote("FAMOUS", "an IDOL, they said"), Vote::Positive);
+        assert_eq!(vote("famous famous famous", "famous"), Vote::Abstain);
+        assert_eq!(vote("iconic idols", "superstars infamous"), Vote::Abstain);
+        assert_eq!(vote("", ""), Vote::Abstain);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::sparse::SparseVector;
 
 pub use drybell_obs::fnv1a64;
+use drybell_obs::Fnv1a64;
 
 /// Maps named features into a fixed-dimension hashed space.
 ///
@@ -39,7 +40,13 @@ impl FeatureHasher {
     /// Index of a named feature.
     #[inline]
     pub fn index(&self, name: &str) -> u32 {
-        (fnv1a64(name.as_bytes()) % u64::from(self.dims)) as u32
+        self.bucket(fnv1a64(name.as_bytes()))
+    }
+
+    /// The index a feature whose name hashes to `hash` lands on.
+    #[inline]
+    fn bucket(&self, hash: u64) -> u32 {
+        (hash % u64::from(self.dims)) as u32
     }
 
     /// Hash a bag of tokens into counts: each token contributes `1.0` at
@@ -53,39 +60,61 @@ impl FeatureHasher {
         )
     }
 
-    /// Hash named `(feature, value)` pairs.
-    pub fn weighted<S: AsRef<str>>(&self, feats: &[(S, f64)]) -> SparseVector {
-        SparseVector::from_pairs(
-            feats
-                .iter()
-                .map(|(n, v)| (self.index(n.as_ref()), *v))
-                .collect(),
-        )
-    }
-
-    /// Hash a bag of tokens with a namespace prefix (`"title"` and
-    /// `"body"` tokens shouldn't collide by construction — the prefix
-    /// separates their hash streams).
-    pub fn namespaced_bag<S: AsRef<str>>(&self, namespace: &str, tokens: &[S]) -> SparseVector {
-        SparseVector::from_pairs(
-            tokens
-                .iter()
-                .map(|t| {
-                    let name = format!("{namespace}={}", t.as_ref());
-                    (self.index(&name), 1.0)
-                })
-                .collect(),
-        )
+    /// Start one document's feature counts, with room for `capacity`
+    /// feature occurrences before the list has to grow.
+    pub fn counts(&self, capacity: usize) -> HashedCounts {
+        HashedCounts {
+            hasher: *self,
+            pairs: Vec::with_capacity(capacity),
+        }
     }
 }
 
-/// Merge several sparse vectors into one (entries summed).
-pub fn concat(vectors: &[SparseVector]) -> SparseVector {
-    let mut pairs = Vec::with_capacity(vectors.iter().map(|v| v.nnz()).sum());
-    for v in vectors {
-        pairs.extend_from_slice(v.entries());
+/// One document's hashed feature counts, gathered namespace by namespace
+/// into a single list and turned into the document's unit vector by
+/// [`HashedCounts::finish`]: the whole of a featurizer, in two allocator
+/// calls however many words the document has (the list, and cutting it to
+/// size), given a `capacity` that covers them.
+///
+/// ```
+/// use drybell_features::FeatureHasher;
+/// let hasher = FeatureHasher::new(1 << 16);
+/// let mut counts = hasher.counts(4);
+/// counts.count("title", ["camera", "sale", "camera"]);
+/// counts.count("lang", ["en"]);
+/// let v = counts.finish();
+/// assert_eq!(v.get(hasher.index("title=camera")), 2.0 / 6f64.sqrt());
+/// assert_eq!(v.get(hasher.index("lang=en")), 1.0 / 6f64.sqrt());
+/// ```
+#[derive(Debug, Clone)]
+pub struct HashedCounts {
+    hasher: FeatureHasher,
+    pairs: Vec<(u32, f64)>,
+}
+
+impl HashedCounts {
+    /// Count the feature `"{namespace}={name}"` once for each of `names`,
+    /// at the index [`FeatureHasher::index`] gives that string. The string
+    /// is never built: the hash runs over its pieces, and the namespace's
+    /// part of it is computed once. (`"title"` and `"body"` tokens
+    /// shouldn't collide by construction — the prefix separates their hash
+    /// streams.)
+    pub fn count<S: AsRef<str>>(&mut self, namespace: &str, names: impl IntoIterator<Item = S>) {
+        let mut prefix = Fnv1a64::new();
+        prefix.write(namespace.as_bytes());
+        prefix.write(b"=");
+        for name in names {
+            let mut hash = prefix;
+            hash.write(name.as_ref().as_bytes());
+            self.pairs.push((self.hasher.bucket(hash.finish()), 1.0));
+        }
     }
-    SparseVector::from_pairs(pairs)
+
+    /// The counts as a sparse vector scaled to unit L2 norm, holding
+    /// exactly the memory its entries need.
+    pub fn finish(self) -> SparseVector {
+        SparseVector::from_unit_counts(self.pairs)
+    }
 }
 
 #[cfg(test)]
@@ -113,27 +142,27 @@ mod tests {
     #[test]
     fn namespaces_separate_streams() {
         let h = FeatureHasher::new(1 << 20);
-        let title = h.namespaced_bag("title", &["camera"]);
-        let body = h.namespaced_bag("body", &["camera"]);
+        let mut title = h.counts(1);
+        title.count("title", ["camera"]);
+        let mut body = h.counts(1);
+        body.count("body", ["camera"]);
         // With 2^20 dims these must land on different indices.
-        assert_ne!(title.entries()[0].0, body.entries()[0].0);
+        assert_ne!(title.finish().entries()[0].0, body.finish().entries()[0].0);
     }
 
     #[test]
-    fn weighted_features() {
+    fn counts_land_where_index_puts_the_built_string() {
         let h = FeatureHasher::new(1 << 10);
-        let v = h.weighted(&[("clicks", 3.5), ("dwell", 0.25)]);
-        assert_eq!(v.get(h.index("clicks")), 3.5);
-    }
-
-    #[test]
-    fn concat_sums_overlaps() {
-        let h = FeatureHasher::new(1 << 10);
-        let a = h.bag_of_words(&["x"]);
-        let b = h.bag_of_words(&["x", "y"]);
-        let c = concat(&[a, b]);
-        assert_eq!(c.get(h.index("x")), 2.0);
-        assert_eq!(c.get(h.index("y")), 1.0);
+        let mut counts = h.counts(0);
+        counts.count("text", ["x", "y", "x", ""]);
+        counts.count("", ["x"]);
+        let v = counts.finish();
+        let norm = (4.0f64 + 1.0 + 1.0 + 1.0).sqrt();
+        assert_eq!(v.get(h.index("text=x")), 2.0 / norm);
+        assert_eq!(v.get(h.index("text=y")), 1.0 / norm);
+        assert_eq!(v.get(h.index("text=")), 1.0 / norm);
+        assert_eq!(v.get(h.index("=x")), 1.0 / norm);
+        assert!(h.counts(8).finish().is_empty());
     }
 
     #[test]

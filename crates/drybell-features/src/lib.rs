@@ -22,6 +22,6 @@ pub mod hashing;
 pub mod space;
 pub mod sparse;
 
-pub use hashing::{fnv1a64, FeatureHasher};
+pub use hashing::{fnv1a64, FeatureHasher, HashedCounts};
 pub use space::{FeatureSpace, FeatureSpaceId, SpaceRegistry};
 pub use sparse::SparseVector;

@@ -31,14 +31,24 @@ impl SparseVector {
     /// the result is sorted.
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>) -> SparseVector {
         pairs.sort_by_key(|&(i, _)| i);
-        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(pairs.len());
-        for (i, v) in pairs {
-            match entries.last_mut() {
-                Some((last_i, last_v)) if *last_i == i => *last_v += v,
-                _ => entries.push((i, v)),
-            }
-        }
-        SparseVector { entries }
+        merge_runs(&mut pairs);
+        SparseVector { entries: pairs }
+    }
+
+    /// The unit vector of a document's feature counts: `pairs` holds one
+    /// `(index, 1.0)` per feature occurrence, and is sorted, merged and
+    /// scaled where it lies, then cut to its exact size — a corpus keeps
+    /// one of these per document, so spare capacity is resident memory.
+    pub(crate) fn from_unit_counts(mut pairs: Vec<(u32, f64)>) -> SparseVector {
+        // Whole-number values sum exactly in any order, so the sort need
+        // not be stable (the stable one allocates a merge buffer).
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        merge_runs(&mut pairs);
+        let mut vector = SparseVector { entries: pairs };
+        vector.l2_normalize();
+        // `shrink_to_fit` may keep spare capacity; a boxed slice cannot.
+        vector.entries = vector.entries.into_boxed_slice().into_vec();
+        vector
     }
 
     /// Number of stored entries.
@@ -113,12 +123,17 @@ impl SparseVector {
 
     /// A copy scaled so the L2 norm is 1 (no-op for the zero vector).
     pub fn l2_normalized(&self) -> SparseVector {
+        let mut copy = self.clone();
+        copy.l2_normalize();
+        copy
+    }
+
+    fn l2_normalize(&mut self) {
         let norm = self.norm_sq().sqrt();
-        if norm == 0.0 {
-            return self.clone();
-        }
-        SparseVector {
-            entries: self.entries.iter().map(|&(i, v)| (i, v / norm)).collect(),
+        if norm != 0.0 {
+            for (_, v) in &mut self.entries {
+                *v /= norm;
+            }
         }
     }
 
@@ -129,6 +144,18 @@ impl SparseVector {
             .map(|&(i, _)| i as usize + 1)
             .unwrap_or(0)
     }
+}
+
+/// Sum each run of equal indices in an index-sorted list into the run's
+/// first entry, in list order.
+fn merge_runs(pairs: &mut Vec<(u32, f64)>) {
+    pairs.dedup_by(|next, kept| {
+        let same = kept.0 == next.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
 }
 
 impl FromIterator<(u32, f64)> for SparseVector {
@@ -181,6 +208,20 @@ mod tests {
         assert!((n.get(0) - 0.6).abs() < 1e-12);
         let z = SparseVector::empty().l2_normalized();
         assert!(z.is_empty());
+    }
+
+    #[test]
+    fn unit_counts_are_merged_normalized_and_exactly_sized() {
+        for n in [0usize, 1, 2, 19, 20, 21, 64, 65, 1000] {
+            // Capacity well above the length, indices repeating and
+            // descending: everything `from_unit_counts` has to undo.
+            let mut pairs = Vec::with_capacity(4 * n + 7);
+            pairs.extend((0..n).rev().map(|i| ((i % 37) as u32, 1.0)));
+            let built = SparseVector::from_unit_counts(pairs.clone());
+            assert_eq!(built, SparseVector::from_pairs(pairs).l2_normalized());
+            assert_eq!(built.entries.capacity(), built.entries.len(), "n = {n}");
+            assert_eq!(built.nnz(), n.min(37));
+        }
     }
 
     proptest! {

@@ -234,25 +234,30 @@ pub struct CommerceGraph {
 }
 
 impl CommerceGraph {
+    /// `true` if the entity is a member of the photography subtree.
+    pub fn in_photography(&self, id: EntityId) -> bool {
+        self.graph.in_category_subtree(id, self.photography)
+    }
+
+    /// `true` if the entity is an accessory outside photography.
+    pub fn is_foreign_accessory(&self, id: EntityId) -> bool {
+        self.graph.entity(id).kind == NodeKind::Accessory && !self.in_photography(id)
+    }
+
     /// `true` if the alias (in any language) names a member of the
     /// photography subtree — the core positive-keyword LF query.
     pub fn alias_in_photography(&self, term: &str) -> bool {
-        match self.graph.resolve_alias(term) {
-            Some((_, id)) => self.graph.in_category_subtree(id, self.photography),
-            None => false,
-        }
+        self.graph
+            .resolve_alias(term)
+            .is_some_and(|(_, id)| self.in_photography(id))
     }
 
     /// `true` if the alias names an accessory outside photography — the
     /// negative-keyword LF query ("other accessories not of interest").
     pub fn alias_is_foreign_accessory(&self, term: &str) -> bool {
-        match self.graph.resolve_alias(term) {
-            Some((_, id)) => {
-                self.graph.entity(id).kind == NodeKind::Accessory
-                    && !self.graph.in_category_subtree(id, self.photography)
-            }
-            None => false,
-        }
+        self.graph
+            .resolve_alias(term)
+            .is_some_and(|(_, id)| self.is_foreign_accessory(id))
     }
 }
 

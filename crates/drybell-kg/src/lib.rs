@@ -18,8 +18,11 @@
 
 pub mod commerce;
 
+use drybell_obs::FnvHashMap;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Opaque entity identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,13 +100,31 @@ impl std::error::Error for KgError {}
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeGraph {
     entities: Vec<Entity>,
-    by_name: HashMap<String, EntityId>,
+    by_name: FnvHashMap<String, EntityId>,
     /// Adjacency: per entity, outgoing `(edge, target)` pairs.
     edges: Vec<Vec<(EdgeKind, EntityId)>>,
     /// alias (any language) → (language code, entity).
-    aliases: HashMap<String, (String, EntityId)>,
+    aliases: FnvHashMap<String, (String, EntityId)>,
     /// entity → all its aliases as (language code, alias).
     alias_index: HashMap<EntityId, Vec<(String, String)>>,
+    /// Per entity, the categories above it: what `in_category_subtree`
+    /// reads. Filled by the first query after an edit; `add_entity` and
+    /// `add_edge` empty it.
+    category_closure: OnceLock<Vec<Vec<EntityId>>>,
+}
+
+/// `term.to_lowercase()`, the form names and aliases are stored in —
+/// borrowed when the term is ASCII with no capital and so is that form
+/// already, which is every word of a lower-case document.
+fn lower_key(term: &str) -> Cow<'_, str> {
+    let is_lower_ascii = term
+        .bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase());
+    if is_lower_ascii {
+        Cow::Borrowed(term)
+    } else {
+        Cow::Owned(term.to_lowercase())
+    }
 }
 
 impl KnowledgeGraph {
@@ -126,6 +147,7 @@ impl KnowledgeGraph {
         });
         self.by_name.insert(name.clone(), id);
         self.edges.push(Vec::new());
+        self.category_closure = OnceLock::new();
         // The canonical name is an English alias of itself.
         self.aliases.insert(name.clone(), ("en".to_owned(), id));
         self.alias_index
@@ -137,6 +159,7 @@ impl KnowledgeGraph {
 
     /// Add a directed edge. `RelatedTo` edges are stored symmetrically.
     pub fn add_edge(&mut self, from: EntityId, kind: EdgeKind, to: EntityId) {
+        self.category_closure = OnceLock::new();
         self.edges[from.0 as usize].push((kind, to));
         if kind == EdgeKind::RelatedTo {
             self.edges[to.0 as usize].push((kind, from));
@@ -169,7 +192,7 @@ impl KnowledgeGraph {
 
     /// Entity by canonical name (case-insensitive).
     pub fn lookup(&self, name: &str) -> Option<EntityId> {
-        self.by_name.get(&name.to_lowercase()).copied()
+        self.by_name.get(lower_key(name).as_ref()).copied()
     }
 
     /// Entity metadata.
@@ -180,17 +203,9 @@ impl KnowledgeGraph {
     /// Resolve any-language alias to `(language code, entity)` —
     /// the query the multilingual keyword LFs issue per token.
     pub fn resolve_alias(&self, term: &str) -> Option<(&str, EntityId)> {
-        // Aliases are stored lower-case. A term that is ASCII with no
-        // capital is its own lower-case form and needs no copy.
-        let is_lower_ascii = term
-            .bytes()
-            .all(|b| b.is_ascii() && !b.is_ascii_uppercase());
-        let entry = if is_lower_ascii {
-            self.aliases.get(term)
-        } else {
-            self.aliases.get(&term.to_lowercase())
-        };
-        entry.map(|(lang, id)| (lang.as_str(), *id))
+        self.aliases
+            .get(lower_key(term).as_ref())
+            .map(|(lang, id)| (lang.as_str(), *id))
     }
 
     /// All `(language, alias)` pairs of an entity, including its canonical
@@ -220,10 +235,20 @@ impl KnowledgeGraph {
     /// reachable via one `InCategory` edge followed by any number of
     /// `Subcategory` edges.
     pub fn in_category_subtree(&self, id: EntityId, root: EntityId) -> bool {
+        let above = self.category_closure.get_or_init(|| {
+            let entities = self.entities.iter();
+            entities.map(|e| self.categories_above(e.id)).collect()
+        });
+        above[id.0 as usize].contains(&root)
+    }
+
+    /// Every category whose subtree holds `id`, nearest first: a
+    /// breadth-first walk from the direct categories of `id` (or `id`
+    /// itself if it is a category) up the `Subcategory` edges.
+    fn categories_above(&self, id: EntityId) -> Vec<EntityId> {
         let mut frontier: VecDeque<EntityId> = VecDeque::new();
         let mut seen: HashSet<EntityId> = HashSet::new();
-        // Seed with the direct categories of `id` (or `id` itself if it is
-        // a category).
+        let mut above = Vec::new();
         if self.entity(id).kind == NodeKind::Category {
             frontier.push_back(id);
         } else {
@@ -234,19 +259,17 @@ impl KnowledgeGraph {
             }
         }
         while let Some(cat) = frontier.pop_front() {
-            if cat == root {
-                return true;
-            }
             if !seen.insert(cat) {
                 continue;
             }
+            above.push(cat);
             for &(kind, to) in self.neighbors(cat) {
                 if kind == EdgeKind::Subcategory {
                     frontier.push_back(to);
                 }
             }
         }
-        false
+        above
     }
 
     /// All products/accessories in the subtree rooted at category `root`.
@@ -334,6 +357,91 @@ mod tests {
         assert!(g.in_category_subtree(photo, photo));
     }
 
+    /// `in_category_subtree` as a walk per query, stopping at `root`: the
+    /// reference the per-entity lists are held to.
+    fn walks_up_to(g: &KnowledgeGraph, id: EntityId, root: EntityId) -> bool {
+        let mut frontier: VecDeque<EntityId> = VecDeque::new();
+        let mut seen: HashSet<EntityId> = HashSet::new();
+        if g.entity(id).kind == NodeKind::Category {
+            frontier.push_back(id);
+        } else {
+            for &(kind, to) in g.neighbors(id) {
+                if kind == EdgeKind::InCategory {
+                    frontier.push_back(to);
+                }
+            }
+        }
+        while let Some(cat) = frontier.pop_front() {
+            if cat == root {
+                return true;
+            }
+            if !seen.insert(cat) {
+                continue;
+            }
+            for &(kind, to) in g.neighbors(cat) {
+                if kind == EdgeKind::Subcategory {
+                    frontier.push_back(to);
+                }
+            }
+        }
+        false
+    }
+
+    fn cyclic() -> (KnowledgeGraph, EntityId, EntityId, EntityId) {
+        let mut g = KnowledgeGraph::new();
+        let a = g.add_entity("a", NodeKind::Category).unwrap();
+        let b = g.add_entity("b", NodeKind::Category).unwrap();
+        let c = g.add_entity("unrelated", NodeKind::Category).unwrap();
+        g.add_edge(a, EdgeKind::Subcategory, b);
+        g.add_edge(b, EdgeKind::Subcategory, a);
+        (g, a, b, c)
+    }
+
+    /// Every (entity, root) pair, roots of every kind included.
+    fn assert_subtrees_match_the_walk(g: &KnowledgeGraph) -> usize {
+        let ids = || (0..g.len() as u32).map(EntityId);
+        let mut members = 0;
+        for id in ids() {
+            for root in ids() {
+                let inside = g.in_category_subtree(id, root);
+                assert_eq!(inside, walks_up_to(g, id, root), "{id:?} in {root:?}");
+                members += usize::from(inside);
+            }
+        }
+        members
+    }
+
+    #[test]
+    fn subtree_lists_match_a_walk_per_query() {
+        let commerce = commerce::commerce_graph().graph;
+        assert!(assert_subtrees_match_the_walk(&commerce) > 50);
+        assert_subtrees_match_the_walk(&tiny().0);
+        assert_eq!(assert_subtrees_match_the_walk(&cyclic().0), 5);
+        // A clone answers the same, taken before the first query or after.
+        let fresh = commerce::commerce_graph().graph;
+        assert_subtrees_match_the_walk(&fresh.clone());
+        assert_subtrees_match_the_walk(&commerce.clone());
+    }
+
+    #[test]
+    fn a_query_after_an_edit_sees_the_edit() {
+        let (mut g, root, photo, cam, case) = tiny();
+        assert!(!g.in_category_subtree(case, photo));
+        g.add_edge(case, EdgeKind::InCategory, photo);
+        assert!(g.in_category_subtree(case, photo));
+        // A new entity is known to the next query, and a new category
+        // above an old one reaches what was below it.
+        let lens = g.add_entity("lens", NodeKind::Accessory).unwrap();
+        assert!(!g.in_category_subtree(lens, photo));
+        g.add_edge(lens, EdgeKind::InCategory, photo);
+        assert!(g.in_category_subtree(lens, root));
+        let all = g.add_entity("everything", NodeKind::Category).unwrap();
+        assert!(!g.in_category_subtree(cam, all));
+        g.add_edge(root, EdgeKind::Subcategory, all);
+        assert!(g.in_category_subtree(cam, all));
+        assert_subtrees_match_the_walk(&g);
+    }
+
     #[test]
     fn subtree_members() {
         let (g, root, photo, cam, case) = tiny();
@@ -388,12 +496,7 @@ mod tests {
 
     #[test]
     fn cyclic_categories_terminate() {
-        let mut g = KnowledgeGraph::new();
-        let a = g.add_entity("a", NodeKind::Category).unwrap();
-        let b = g.add_entity("b", NodeKind::Category).unwrap();
-        let c = g.add_entity("unrelated", NodeKind::Category).unwrap();
-        g.add_edge(a, EdgeKind::Subcategory, b);
-        g.add_edge(b, EdgeKind::Subcategory, a);
+        let (g, a, b, c) = cyclic();
         assert!(g.in_category_subtree(a, b));
         assert!(!g.in_category_subtree(a, c));
     }

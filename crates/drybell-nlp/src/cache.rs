@@ -38,13 +38,18 @@ impl CacheStats {
 
 /// A bounded memoizing wrapper around [`NlpServer`].
 ///
-/// Keys are FNV-1a hashes of the text; eviction is random-ish (the entry
-/// displaced is whichever occupies the reused slot list position), which
-/// is cheap and adequate for corpus-shaped reuse patterns.
+/// Keys are FNV-1a hashes of the text, and an entry answers only for the
+/// text it was computed from: a second text with the same hash is
+/// annotated on every call and never cached. Eviction is random-ish (the
+/// entry displaced is whichever occupies the reused slot list position),
+/// which is cheap and adequate for corpus-shaped reuse patterns.
 pub struct CachedNlpServer {
     inner: NlpServer,
     capacity: usize,
     state: Mutex<CacheState>,
+    /// Tests set this to give every text the same key.
+    #[cfg(test)]
+    all_texts_collide: bool,
 }
 
 struct CacheState {
@@ -70,6 +75,8 @@ impl CachedNlpServer {
                 cursor: 0,
                 stats: CacheStats::default(),
             }),
+            #[cfg(test)]
+            all_texts_collide: false,
         }
     }
 
@@ -78,16 +85,33 @@ impl CachedNlpServer {
         &self.inner
     }
 
+    fn key_of(&self, text: &str) -> u64 {
+        #[cfg(test)]
+        if self.all_texts_collide {
+            return 0;
+        }
+        fnv1a64(text.as_bytes())
+    }
+
+    /// The resident annotation of `text`, counting the hit or the miss.
+    /// FNV-1a collisions can be constructed, so the entry under the text's
+    /// key must also carry the text.
+    fn lookup(&self, key: u64, text: &str) -> Option<NlpResult> {
+        let mut state = self.state.lock();
+        let resident = state.map.get(&key);
+        let hit = resident.filter(|r| r.tokens.text() == text).cloned();
+        match hit {
+            Some(_) => state.stats.hits += 1,
+            None => state.stats.misses += 1,
+        }
+        hit
+    }
+
     /// Annotate `text`, consulting the memo table first.
     pub fn annotate(&self, text: &str) -> NlpResult {
-        let key = fnv1a64(text.as_bytes());
-        {
-            let mut state = self.state.lock();
-            if let Some(hit) = state.map.get(&key).cloned() {
-                state.stats.hits += 1;
-                return hit;
-            }
-            state.stats.misses += 1;
+        let key = self.key_of(text);
+        if let Some(hit) = self.lookup(key, text) {
+            return hit;
         }
         // Compute outside the lock: annotation is the expensive part and
         // other workers shouldn't serialize behind it.
@@ -103,14 +127,9 @@ impl CachedNlpServer {
     /// to [`NlpServer::try_annotate`]; failed calls are *never* cached, so
     /// the next request for the same text retries the server.
     pub fn try_annotate(&self, text: &str) -> Result<NlpResult, NlpError> {
-        let key = fnv1a64(text.as_bytes());
-        {
-            let mut state = self.state.lock();
-            if let Some(hit) = state.map.get(&key).cloned() {
-                state.stats.hits += 1;
-                return Ok(hit);
-            }
-            state.stats.misses += 1;
+        let key = self.key_of(text);
+        if let Some(hit) = self.lookup(key, text) {
+            return Ok(hit);
         }
         let result = self.inner.try_annotate(text)?;
         self.insert_result(key, &result);
@@ -122,7 +141,8 @@ impl CachedNlpServer {
         let mut state = self.state.lock();
         if state.map.contains_key(&key) {
             // Another worker missed on the same key and inserted while we
-            // were computing. Keep theirs: inserting again would push a
+            // were computing (or a different text owns the key). Keep the
+            // resident entry: inserting again would push a
             // duplicate ring entry, and a later eviction of one copy
             // leaves the other pointing at nothing — from there the
             // capacity bound decays (the drybell-modelcheck cache model
@@ -184,6 +204,31 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         // The expensive server only ran once.
         assert_eq!(cache.inner().stats().calls, 1);
+    }
+
+    /// Two texts under one key: each gets its own annotation, the first
+    /// keeps the entry, the second is annotated every time.
+    #[test]
+    fn texts_with_one_key_are_not_served_each_other() {
+        let mut cache = CachedNlpServer::new(NlpServer::new(), 4);
+        cache.all_texts_collide = true;
+        let (camera, alice) = ("buy a camera", "Alice Johnson arrived in Springfield");
+        let plain = NlpServer::new();
+        for _ in 0..2 {
+            for text in [camera, alice] {
+                for got in [cache.annotate(text), cache.try_annotate(text).unwrap()] {
+                    let want = plain.annotate(text);
+                    assert_eq!(got.tokens, want.tokens);
+                    assert_eq!(got.entities, want.entities);
+                    assert_eq!(got.topic_probs, want.topic_probs);
+                }
+            }
+        }
+        let stats = cache.stats();
+        // Eight calls: "camera" misses once and then hits; "alice" always
+        // misses, and the entry it cannot take is never evicted for it.
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (3, 5, 0));
+        assert_eq!(cache.inner().stats().calls, 5);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod topic_model;
 pub use cache::{CacheStats, CachedNlpServer};
 pub use ner::{Entity, EntityKind, NerTagger};
 pub use server::{NlpError, NlpResult, NlpServer};
-pub use tokenizer::{tokenize, Token};
+pub use tokenizer::{tokenize, Token, Tokens};
 pub use topic_model::{SemanticCategorizer, Topic};
 
 /// Texts the oracle tests run the models over.

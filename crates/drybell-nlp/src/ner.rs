@@ -10,7 +10,7 @@
 //! of noise.
 
 use crate::tokenizer::{words, Word};
-use std::collections::HashSet;
+use drybell_obs::FnvHashSet;
 use std::sync::OnceLock;
 
 /// The kind of a recognized entity.
@@ -139,11 +139,11 @@ const ORG_SUFFIXES: &[&str] = &["inc", "corp", "ltd", "llc", "gmbh", "co"];
 /// builds them once and every tagger reads the same ones.
 #[derive(Debug)]
 struct Gazetteers {
-    persons_first: HashSet<&'static str>,
-    persons_last: HashSet<&'static str>,
-    orgs: HashSet<&'static str>,
-    locations: HashSet<&'static str>,
-    products: HashSet<&'static str>,
+    persons_first: FnvHashSet<&'static str>,
+    persons_last: FnvHashSet<&'static str>,
+    orgs: FnvHashSet<&'static str>,
+    locations: FnvHashSet<&'static str>,
+    products: FnvHashSet<&'static str>,
 }
 
 impl Gazetteers {

@@ -5,6 +5,8 @@
 //! more weak supervision source. Scores are in `[-1, 1]`.
 
 use crate::tokenizer::{words, Word};
+use drybell_obs::FnvHashMap;
+use std::sync::OnceLock;
 
 const POSITIVE: &[&str] = &[
     "great",
@@ -44,6 +46,19 @@ const NEGATIVE: &[&str] = &[
 
 const NEGATORS: &[&str] = &["not", "no", "never", "hardly", "don't", "doesn't", "isn't"];
 
+/// The valence of a lexicon word: `1.0` for [`POSITIVE`], `-1.0` for
+/// [`NEGATIVE`]. One probe of a table that is a constant, so the process
+/// builds it once.
+fn valence(word: &str) -> Option<f64> {
+    static LEXICON: OnceLock<FnvHashMap<&'static str, f64>> = OnceLock::new();
+    let lexicon = LEXICON.get_or_init(|| {
+        // `POSITIVE` goes in last and so wins a word found in both lists.
+        let negative = NEGATIVE.iter().map(|&w| (w, -1.0));
+        negative.chain(POSITIVE.iter().map(|&w| (w, 1.0))).collect()
+    });
+    lexicon.get(word).copied()
+}
+
 /// Lexicon sentiment scorer.
 #[derive(Debug, Clone, Default)]
 pub struct SentimentScorer;
@@ -67,12 +82,7 @@ impl SentimentScorer {
         let mut total = 0.0;
         let mut hits = 0usize;
         for (i, word) in words.iter().enumerate() {
-            let tok = word.lower.as_ref();
-            let valence = if POSITIVE.contains(&tok) {
-                1.0
-            } else if NEGATIVE.contains(&tok) {
-                -1.0
-            } else {
+            let Some(valence) = valence(&word.lower) else {
                 continue;
             };
             let negated = i > 0 && NEGATORS.contains(&words[i - 1].lower.as_ref());
@@ -117,6 +127,43 @@ mod tests {
         let s = SentimentScorer::new();
         assert_eq!(s.score("the quick brown fox"), 0.0);
         assert_eq!(s.score(""), 0.0);
+    }
+
+    /// `valence` as a scan of the two lists, `POSITIVE` first.
+    fn scanned_valence(word: &str) -> Option<f64> {
+        if POSITIVE.contains(&word) {
+            Some(1.0)
+        } else if NEGATIVE.contains(&word) {
+            Some(-1.0)
+        } else {
+            None
+        }
+    }
+
+    #[test]
+    fn the_table_answers_as_the_list_scans_do() {
+        let lexicon = POSITIVE.iter().chain(NEGATIVE).chain(NEGATORS).copied();
+        let others = (0..1000).map(|i| format!("w{i}"));
+        let cased = ["Great", "BAD", "", " good", "good ", "goo", "goody"];
+        let mut hits = 0;
+        for word in lexicon
+            .map(str::to_owned)
+            .chain(others)
+            .chain(cased.map(str::to_owned))
+        {
+            assert_eq!(valence(&word), scanned_valence(&word), "{word:?}");
+            hits += usize::from(valence(&word).is_some());
+        }
+        assert_eq!(hits, POSITIVE.len() + NEGATIVE.len());
+    }
+
+    /// `valence` lets `POSITIVE` win a word in both lists, as scanning it
+    /// first does; today no word is in both, so nothing rests on it.
+    #[test]
+    fn the_two_lists_are_disjoint() {
+        for word in POSITIVE {
+            assert!(!NEGATIVE.contains(word), "{word:?} is in both lists");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::langid::{Lang, LangDetector};
 use crate::ner::{Entity, EntityKind, NerTagger};
 use crate::sentiment::SentimentScorer;
-use crate::tokenizer::{words, Token};
+use crate::tokenizer::{words, Tokens};
 use crate::topic_model::{SemanticCategorizer, Topic};
 use drybell_dataflow::FaultPlan;
 use drybell_obs::{Counter, Histogram, MetricsRegistry};
@@ -59,7 +59,7 @@ impl std::error::Error for NlpError {}
 #[derive(Debug, Clone)]
 pub struct NlpResult {
     /// Tokenization with spans.
-    pub tokens: Vec<Token>,
+    pub tokens: Tokens,
     /// All entity mentions.
     pub entities: Vec<Entity>,
     /// Coarse topic posterior over [`Topic::ALL`].
@@ -208,7 +208,7 @@ impl NlpServer {
         let words = words(text);
         let topic_probs = self.topics.classify(&words);
         let result = NlpResult {
-            tokens: words.iter().map(|w| Token::new(w.text, w.start)).collect(),
+            tokens: Tokens::new(text, &words),
             entities: self.ner.tag_words(&words),
             topic_probs,
             top_topic: SemanticCategorizer::top_of(&topic_probs).0,
@@ -315,7 +315,9 @@ mod tests {
         let (mut entities, mut sentiments) = (0, 0);
         for text in generated.chain(written).chain(hostile) {
             let r = server.annotate(text);
-            assert_eq!(r.tokens, tokenize(text), "tokens of {text:?}");
+            assert_eq!(r.tokens.text(), text);
+            assert_eq!(r.tokens.to_vec(), tokenize(text), "tokens of {text:?}");
+            assert_eq!(r.tokens.len(), r.tokens.iter().count());
             assert_eq!(r.entities, ner.tag(text), "entities of {text:?}");
             let lower = lower_tokens(text);
             let (top, _) = topics.top_topic(&lower);

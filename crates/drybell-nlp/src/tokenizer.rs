@@ -19,7 +19,7 @@ pub struct Token {
 }
 
 impl Token {
-    pub(crate) fn new(text: &str, start: usize) -> Token {
+    fn new(text: &str, start: usize) -> Token {
         Token {
             text: text.to_owned(),
             start,
@@ -70,7 +70,7 @@ fn char_at(text: &str, i: usize) -> Option<(char, usize)> {
 }
 
 /// The tokens of a text as `(start, slice)`, in order: the one scanner
-/// behind [`tokenize`], [`lower_tokens`] and the model server.
+/// behind [`tokenize`], [`lower_words`] and the model server.
 struct Spans<'a> {
     text: &'a str,
     pos: usize,
@@ -142,15 +142,72 @@ impl AsRef<str> for Word<'_> {
     }
 }
 
+/// The most tokens `text` can hold: a token and the separator after it
+/// take two bytes at least. A list given this capacity up front is
+/// allocated once and never grows.
+pub fn max_tokens(text: &str) -> usize {
+    text.len() / 2 + 1
+}
+
 /// Tokenize and lower-case `text` once, for every model to share.
 pub(crate) fn words(text: &str) -> Vec<Word<'_>> {
-    spans(text)
-        .map(|(start, text)| Word {
-            text,
-            start,
-            lower: lower(text),
-        })
-        .collect()
+    let mut words = Vec::with_capacity(max_tokens(text));
+    words.extend(spans(text).map(|(start, text)| Word {
+        text,
+        start,
+        lower: lower(text),
+    }));
+    words
+}
+
+/// The tokenization [`crate::NlpServer::annotate`] returns: one copy of
+/// the text and the tokens' byte spans in it, where a `Vec<Token>` holds
+/// a `String` per token.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tokens {
+    text: Box<str>,
+    /// `(start, end)` byte offsets into `text`, in order.
+    spans: Vec<(usize, usize)>,
+}
+
+impl Tokens {
+    pub(crate) fn new(text: &str, words: &[Word<'_>]) -> Tokens {
+        Tokens {
+            text: text.into(),
+            spans: words.iter().map(|w| (w.start, w.end())).collect(),
+        }
+    }
+
+    /// The text that was tokenized.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Number of tokens.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// `true` if the text held no token.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The tokens as `(start, slice)`: where each begins in the text, and
+    /// its characters as they appeared.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.spans
+            .iter()
+            .map(|&(start, end)| (start, &self.text[start..end]))
+    }
+
+    /// The tokens as owned [`Token`]s: what [`tokenize`] returns for the
+    /// text.
+    pub fn to_vec(&self) -> Vec<Token> {
+        self.iter()
+            .map(|(start, word)| Token::new(word, start))
+            .collect()
+    }
 }
 
 /// Tokenize `text` into alphanumeric runs (plus internal hyphens and
@@ -161,11 +218,15 @@ pub fn tokenize(text: &str) -> Vec<Token> {
         .collect()
 }
 
+/// The lower-cased tokens of `text`, one at a time: each borrows from the
+/// text unless it holds a capital or a non-ASCII character.
+pub fn lower_words(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
+    spans(text).map(|(_, word)| lower(word))
+}
+
 /// Lowercased token strings (a common convenience for featurizers).
 pub fn lower_tokens(text: &str) -> Vec<String> {
-    spans(text)
-        .map(|(_, word)| lower(word).into_owned())
-        .collect()
+    lower_words(text).map(Cow::into_owned).collect()
 }
 
 #[cfg(test)]
@@ -249,8 +310,10 @@ mod tests {
             .map(|&(start, end)| text[start..end].to_lowercase())
             .collect();
         assert_eq!(lower_tokens(text), lowered, "{text:?}");
+        assert!(lower_words(text).eq(lowered.iter().map(String::as_str)));
         let words = words(text);
         assert_eq!(words.len(), expected.len());
+        assert!(words.len() <= max_tokens(text));
         for ((word, &(start, end)), low) in words.iter().zip(&expected).zip(&lowered) {
             assert_eq!(
                 (word.start, word.end(), word.text),

@@ -8,7 +8,8 @@
 //! Bayes classifier over eight coarse topics, trained from seed keyword
 //! counts (and re-trainable on any corpus).
 
-use std::collections::HashMap;
+use drybell_obs::FnvHashMap;
+use std::sync::OnceLock;
 
 /// The coarse semantic categories the organizational topic model knows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,11 +188,14 @@ impl Topic {
 #[derive(Debug, Clone)]
 pub struct SemanticCategorizer {
     /// `word → per-topic counts`.
-    counts: HashMap<String, [f64; 8]>,
+    counts: FnvHashMap<String, [f64; 8]>,
     /// Total token mass per topic.
     totals: [f64; 8],
     /// Laplace smoothing constant.
     smoothing: f64,
+    /// `word → ln P(word | topic)` for the counts as they stand: filled by
+    /// the first `classify` after an `observe`, which empties it.
+    log_probs: OnceLock<FnvHashMap<String, [f64; 8]>>,
 }
 
 impl Default for SemanticCategorizer {
@@ -204,9 +208,10 @@ impl SemanticCategorizer {
     /// An empty, untrained categorizer.
     pub fn new() -> SemanticCategorizer {
         SemanticCategorizer {
-            counts: HashMap::new(),
+            counts: FnvHashMap::default(),
             totals: [0.0; 8],
             smoothing: 0.5,
+            log_probs: OnceLock::new(),
         }
     }
 
@@ -227,6 +232,7 @@ impl SemanticCategorizer {
         let entry = self.counts.entry(word.to_owned()).or_insert([0.0; 8]);
         entry[topic.index()] += weight;
         self.totals[topic.index()] += weight;
+        self.log_probs = OnceLock::new();
     }
 
     /// Train on a corpus of `(lowercased tokens, topic)` documents,
@@ -244,16 +250,33 @@ impl SemanticCategorizer {
         self.counts.len()
     }
 
-    /// Posterior `P(topic | tokens)` for all topics (uniform prior).
-    pub fn classify<S: AsRef<str>>(&self, tokens: &[S]) -> [f64; 8] {
-        let vocab = self.counts.len().max(1) as f64;
-        let mut log_scores = [0.0f64; 8];
-        for tok in tokens {
-            if let Some(counts) = self.counts.get(tok.as_ref()) {
-                for (t, score) in log_scores.iter_mut().enumerate() {
+    /// The smoothed log-likelihood of every vocabulary word under every
+    /// topic: eight logarithms a word that depend on the counts alone, so
+    /// they are taken once per model and not once per token classified.
+    fn log_probs(&self) -> &FnvHashMap<String, [f64; 8]> {
+        self.log_probs.get_or_init(|| {
+            let vocab = self.counts.len().max(1) as f64;
+            let rows = self.counts.iter().map(|(word, counts)| {
+                let mut row = [0.0f64; 8];
+                for (t, log_p) in row.iter_mut().enumerate() {
                     let p =
                         (counts[t] + self.smoothing) / (self.totals[t] + self.smoothing * vocab);
-                    *score += p.ln();
+                    *log_p = p.ln();
+                }
+                (word.clone(), row)
+            });
+            rows.collect()
+        })
+    }
+
+    /// Posterior `P(topic | tokens)` for all topics (uniform prior).
+    pub fn classify<S: AsRef<str>>(&self, tokens: &[S]) -> [f64; 8] {
+        let log_probs = self.log_probs();
+        let mut log_scores = [0.0f64; 8];
+        for tok in tokens {
+            if let Some(row) = log_probs.get(tok.as_ref()) {
+                for (score, log_p) in log_scores.iter_mut().zip(row) {
+                    *score += log_p;
                 }
             }
             // Out-of-vocabulary tokens contribute the same smoothed mass to
@@ -344,6 +367,67 @@ mod tests {
         assert_eq!(topic, Topic::Technology);
         let (topic, _) = model.top_topic(&["ballot"]);
         assert_eq!(topic, Topic::Politics);
+    }
+
+    /// `classify` with the logarithms taken per token, as the formula is
+    /// written: the reference the cached table is held to.
+    fn classify_taking_logs_per_token<S: AsRef<str>>(
+        model: &SemanticCategorizer,
+        tokens: &[S],
+    ) -> [f64; 8] {
+        let vocab = model.counts.len().max(1) as f64;
+        let mut log_scores = [0.0f64; 8];
+        for tok in tokens {
+            if let Some(counts) = model.counts.get(tok.as_ref()) {
+                for (t, score) in log_scores.iter_mut().enumerate() {
+                    let p =
+                        (counts[t] + model.smoothing) / (model.totals[t] + model.smoothing * vocab);
+                    *score += p.ln();
+                }
+            }
+        }
+        let max = log_scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut probs = [0.0f64; 8];
+        let mut sum = 0.0;
+        for (p, &s) in probs.iter_mut().zip(&log_scores) {
+            *p = (s - max).exp();
+            sum += *p;
+        }
+        probs.map(|p| p / sum)
+    }
+
+    #[test]
+    fn the_cached_log_table_classifies_as_the_formula_does() {
+        let (product, topic) = crate::test_corpus::generated();
+        let docs: Vec<Vec<String>> = product
+            .iter()
+            .chain(&topic)
+            .map(|text| crate::tokenizer::lower_tokens(text))
+            .collect();
+        let agree = |model: &SemanticCategorizer| {
+            let mut informative = 0;
+            for doc in &docs {
+                let probs = model.classify(doc);
+                assert_eq!(
+                    probs.map(f64::to_bits),
+                    classify_taking_logs_per_token(model, doc).map(f64::to_bits),
+                    "{doc:?}"
+                );
+                informative += usize::from(probs[0] != probs[1]);
+            }
+            assert!(informative > docs.len() / 2, "the corpus has signal");
+        };
+        let mut model = SemanticCategorizer::from_seeds();
+        agree(&model);
+        // An `observe` after a `classify` must reach the next `classify`:
+        // a new word changes every row (the vocabulary grew), a known one
+        // its topic's total.
+        let before = model.classify(&docs[0]);
+        model.observe("zoom", Topic::Technology, 40.0);
+        model.observe("price", Topic::Finance, 3.0);
+        assert_ne!(model.classify(&docs[0]), before);
+        agree(&model);
+        agree(&model.clone());
     }
 
     #[test]

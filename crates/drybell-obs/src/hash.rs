@@ -6,6 +6,16 @@
 //! this function. It lives here because `drybell-obs` is the bottom of
 //! the dependency graph; `drybell_features::hashing::fnv1a64` re-exports
 //! it.
+//!
+//! It is also the workspace's one fast table hash: [`Fnv1a64`] is a
+//! [`std::hash::Hasher`], and [`FnvHashMap`] / [`FnvHashSet`] are the std
+//! tables over it. FNV has no key and collisions can be constructed, so
+//! these are for tables whose keys the program builds itself (alias
+//! tables, gazetteers, lexicons, a trained vocabulary). A table keyed by
+//! input from outside keeps the default `RandomState`.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -45,6 +55,24 @@ impl Fnv1a64 {
     }
 }
 
+impl std::hash::Hasher for Fnv1a64 {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a64::write(self, bytes);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`Fnv1a64`] (see the module docs for when).
+pub type FnvHashMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a64>>;
+
+/// A `HashSet` hashed by [`Fnv1a64`] (see the module docs for when).
+pub type FnvHashSet<K> = HashSet<K, BuildHasherDefault<Fnv1a64>>;
+
 /// FNV-1a 64-bit hash of a byte slice.
 #[inline]
 pub fn fnv1a64(data: &[u8]) -> u64 {
@@ -72,5 +100,18 @@ mod tests {
         h.write(b"");
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    }
+
+    /// As a table hash it is the same function: std hashes a `str` as its
+    /// bytes and a `0xff` terminator.
+    #[test]
+    fn the_hasher_impl_is_the_same_function() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<Fnv1a64>::default();
+        assert_eq!(build.hash_one("foobar"), fnv1a64(b"foobar\xff"));
+        let mut set = FnvHashSet::default();
+        assert!(set.insert("camera") && !set.insert("camera"));
+        let map: FnvHashMap<&str, u32> = [("a", 1), ("b", 2)].into_iter().collect();
+        assert_eq!((map.get("a"), map.get("c")), (Some(&1), None));
     }
 }

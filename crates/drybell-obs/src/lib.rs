@@ -50,7 +50,7 @@ pub mod span;
 pub mod trace;
 
 pub use flight::FlightRecorder;
-pub use hash::{fnv1a64, Fnv1a64};
+pub use hash::{fnv1a64, Fnv1a64, FnvHashMap, FnvHashSet};
 pub use journal::{config_fingerprint, Event, JournalBuffer, RunJournal, SCHEMA_VERSION};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use live::LiveServer;

@@ -1,0 +1,171 @@
+//! Allocation budget of the document path: how many times featurizing,
+//! annotating and voting on one product document may call the allocator.
+//!
+//! The per-document path runs 650K times in a `product_batch` window, on
+//! two workers sharing one allocator, so a `String` per word is both the
+//! time and the contention. The counts here are exact properties of the
+//! code (no clock involved), which is what lets a test hold them.
+//!
+//! The counter is process-wide, so that executor workers are counted, and
+//! this file therefore holds exactly one `#[test]`: a second would run on
+//! another thread of the same process and leak into the counts.
+
+use drybell_core::Vote;
+use drybell_datagen::product::{self, ProductDoc, ProductTaskConfig};
+use drybell_features::FeatureHasher;
+use drybell_lf::executor::execute_in_memory;
+use drybell_lf::{Lf, LfCategory, LfSet};
+use drybell_nlp::{CachedNlpServer, NlpResult, NlpServer};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator, counting every call that can return new memory.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller was promised; the counter touches no
+// memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls `work` makes, on every thread.
+fn allocations(work: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    work();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+const DOCS: usize = 2_000;
+
+/// Allocator calls per document of `each`, averaged over `docs`.
+fn per_doc<D>(docs: &[D], mut each: impl FnMut(&D)) -> f64 {
+    allocations(|| docs.iter().for_each(&mut each)) as f64 / docs.len() as f64
+}
+
+#[test]
+fn the_document_path_stays_within_its_allocation_budget() {
+    let ds = product::generate(&ProductTaskConfig {
+        num_unlabeled: DOCS,
+        num_dev: 0,
+        num_test: 0,
+        seed: 17,
+        ..ProductTaskConfig::paper()
+    });
+    let docs = ds.unlabeled;
+    let words: usize = docs.iter().map(|d| d.text.split_whitespace().count()).sum();
+    let mean_words = words as f64 / DOCS as f64;
+    assert!((30.0..45.0).contains(&mean_words), "{mean_words} words");
+    // The same documents with twice the words: a count that scales with
+    // the words doubles here.
+    let doubled: Vec<ProductDoc> = docs
+        .iter()
+        .map(|d| ProductDoc {
+            text: format!("{} {}", d.text, d.text),
+            ..d.clone()
+        })
+        .collect();
+
+    let hasher = FeatureHasher::new(1 << 16);
+    let server = NlpServer::new();
+    let set = product::lf_set(ds.kg.clone());
+    let kg = set.knowledge_graph().map(|g| g.as_ref());
+    let annotate_all = |docs: &[ProductDoc]| -> Vec<NlpResult> {
+        docs.iter().map(|d| server.annotate(&d.text)).collect()
+    };
+    // Annotating everything once also fills every lazily built table (the
+    // gazetteers, the trigram table, the topic model's logarithms); one
+    // vote per LF fills the graphs' category lists.
+    let annotations = annotate_all(&docs);
+    let doubled_annotations = annotate_all(&doubled);
+    for lf in set.lfs() {
+        lf.try_vote(&docs[0], Some(&annotations[0]), kg).unwrap();
+    }
+
+    // --- features ---
+    let featurize = |d: &ProductDoc| drop(black_box(product::featurize(d, &hasher)));
+    let n = per_doc(&docs, featurize);
+    assert!(n <= 3.0, "featurize: {n} allocations a document");
+    let n = per_doc(&doubled, featurize);
+    assert!(n <= 5.0, "featurize, doubled: {n} allocations a document");
+
+    // --- nlp ---
+    let n = per_doc(&docs, |d| drop(black_box(server.annotate(&d.text))));
+    assert!(n <= 8.0, "annotate: {n} allocations a document");
+    let cached = CachedNlpServer::new(NlpServer::new(), DOCS);
+    for d in &docs {
+        cached.annotate(&d.text);
+    }
+    let n = per_doc(&docs, |d| drop(black_box(cached.annotate(&d.text))));
+    assert!(n <= 6.0, "cache hit: {n} allocations a document");
+    assert_eq!(cached.stats().hits, DOCS as u64);
+
+    // --- lf ---
+    assert_eq!(set.len(), 8);
+    for lf in set.lfs() {
+        let name = &lf.metadata().name;
+        for (docs, annotations) in [(&docs, &annotations), (&doubled, &doubled_annotations)] {
+            let mut next = annotations.iter();
+            let n = per_doc(docs, |d| {
+                black_box(lf.try_vote(d, next.next(), kg).unwrap());
+            });
+            let words = docs[0].text.split_whitespace().count();
+            assert!(
+                n <= 0.05,
+                "{name}: {n} allocations a document ({words} words in the first)"
+            );
+        }
+    }
+
+    // --- the executor: one row, allocated once at its final size ---
+    const ROWS: usize = 10_000;
+    let mut wide: LfSet<u32> = LfSet::new();
+    for j in 0..140u32 {
+        let vote = [Vote::Positive, Vote::Negative, Vote::Abstain][j as usize % 3];
+        wide = wide.with(Lf::plain(
+            &format!("constant_{j}"),
+            LfCategory::ContentHeuristic,
+            true,
+            move |_: &u32| vote,
+        ));
+    }
+    let examples: Vec<u32> = (0..ROWS as u32).collect();
+    for workers in [1, 2] {
+        let n = allocations(|| {
+            let (matrix, _) = execute_in_memory(&wide, None, &examples, workers).unwrap();
+            assert_eq!(matrix.num_examples(), ROWS);
+        });
+        let per_row = n as f64 / ROWS as f64;
+        assert!(
+            per_row <= 1.1,
+            "executor, {workers} worker(s): {per_row} allocations a row"
+        );
+    }
+}
