@@ -36,17 +36,18 @@
 //! the full-matrix row scans (`predict_proba`, `nll`) shard over
 //! [`TrainConfig::num_threads`] scoped workers with fixed chunk
 //! boundaries and a fixed-order tree reduction (see [`crate::parallel`]),
-//! so results are **byte-identical at any thread count**. Sparse
-//! matrices are scanned through an active index ([`crate::ActiveRows`])
-//! that hands the one row kernel the same entries as the dense row, so
-//! skipping abstain cells changes no floating-point operation.
+//! so results are **byte-identical at any thread count**. A sparse
+//! matrix that the schedule revisits often is trained through an active
+//! index ([`crate::ActiveRows`]); its kernel adds the terms the dense
+//! kernel adds, in the same order, minus the `+0.0` of each abstain cell,
+//! so the layout changes no result bit.
 
 // drybell-lint: allow-file(no-panic-index) — dense numeric kernel: loop bounds are derived from the matrix shape once and invariant; .get() in the inner loops would hide real shape bugs and cost the hot path
 
 use crate::error::CoreError;
-use crate::matrix::{dense_entries, LabelMatrix, VoteRows};
+use crate::matrix::{ActiveRows, LabelMatrix};
 use crate::optim::{OptimState, Optimizer};
-use crate::parallel;
+use crate::parallel::{self, CHUNK_ROWS};
 use crate::train::{self, Params, Sampler, Watch};
 use crate::{logsumexp2, sigmoid};
 use std::time::Instant;
@@ -240,8 +241,11 @@ pub struct GenerativeModel {
 }
 
 /// Per-parameter-setting cached quantities: per-LF normalizer gradients,
-/// the summed log-normalizer, and the class-prior terms, computed once
-/// per step so that no row recomputes them.
+/// the summed log-normalizer, the class-prior terms and the dense
+/// kernel's term table, computed once per step so that no row recomputes
+/// them. A training run keeps one and refills it
+/// ([`GenerativeModel::refresh`]), so a step allocates nothing.
+#[derive(Default)]
 pub(crate) struct LfCache {
     dz_da: Vec<f64>,
     dz_db: Vec<f64>,
@@ -252,15 +256,102 @@ pub(crate) struct LfCache {
     log_pi_neg: f64,
     /// `σ(η)` — the prior itself, used by the `∂η` gradient term.
     pi: f64,
+    /// What a cell of column `j` adds to its row's `[Σ λ·α, Σ β]`, looked
+    /// up by its vote as `λ as u8 & 3`: 0 abstains, 1 is `+1`, 3 is `−1`
+    /// (2 is no vote). An abstain adds a literal `+0.0`, the identity for
+    /// sums that start at `+0.0` and therefore never hold `−0.0`.
+    terms: Vec<[[f64; 2]; 4]>,
 }
 
-/// Density threshold below which `fit` builds a [`crate::ActiveRows`] index
-/// and scans that instead of the dense rows. At ≥ 50% non-abstain cells a dense
-/// scan touches fewer bytes than the `(u32, i8)` entry list, so the
-/// dense path stays the default for well-covered matrices. The choice
-/// depends only on the matrix — never on the thread count — so it can't
-/// perturb the determinism guarantee.
+impl LfCache {
+    /// The dense row kernel: joint log-scores `(log P(Λ_i, Y=+1),
+    /// log P(Λ_i, Y=−1))` of the rows `row(0)..row(n)`, handed to
+    /// `each(k, s⁺, s⁻)` in that order.
+    ///
+    /// No compare, no convert: every cell adds its looked-up term, so a
+    /// row's sums see what the entry-iterator kernel adds, in column
+    /// order, plus `+0.0`s. Four rows are summed at a time because one
+    /// row is a serial chain of dependent adds and four independent
+    /// chains keep the adder busy (a short last block repeats its last
+    /// row and drops the copies).
+    fn dense_scores<'a>(
+        &self,
+        n: usize,
+        row: impl Fn(usize) -> &'a [i8],
+        mut each: impl FnMut(usize, f64, f64),
+    ) {
+        for first in (0..n).step_by(4) {
+            let [r0, r1, r2, r3] = std::array::from_fn(|s| row((first + s).min(n - 1)));
+            let mut sums = [[0.0; 2]; 4];
+            let votes = r0.iter().zip(r1).zip(r2).zip(r3);
+            for (terms, (((&l0, &l1), &l2), &l3)) in self.terms.iter().zip(votes) {
+                for (sum, l) in sums.iter_mut().zip([l0, l1, l2, l3]) {
+                    let term = terms[usize::from(l as u8 & 3)];
+                    sum[0] += term[0];
+                    sum[1] += term[1];
+                }
+            }
+            for (k, [margin, active_beta]) in (first..n).zip(sums) {
+                let base = active_beta - self.sum_z;
+                each(
+                    k,
+                    self.log_pi_pos + margin + base,
+                    self.log_pi_neg - margin + base,
+                );
+            }
+        }
+    }
+}
+
+/// One chunk's share of a mini-batch gradient: the summed data terms
+/// `[∂α_0..∂α_n, ∂β_0..∂β_n, ∂η]`, and for the dense layout each
+/// column's non-abstain count, which becomes its `∂β` term when the chunk
+/// ends (subtracting 1.0 a vote from `+0.0` is exact, so is the count).
+struct Partial {
+    grad: Vec<f64>,
+    votes: Vec<u32>,
+}
+
+/// What a training run keeps from step to step so that a step allocates
+/// nothing: the batch's row indices, the parameter cache, and one
+/// [`Partial`] per chunk of the batch.
+struct GradBuffers {
+    batch: Vec<usize>,
+    cache: LfCache,
+    partials: Vec<Partial>,
+}
+
+impl GradBuffers {
+    fn new(num_lfs: usize, batch_len: usize) -> GradBuffers {
+        GradBuffers {
+            batch: Vec::with_capacity(batch_len),
+            cache: LfCache::default(),
+            partials: (0..parallel::num_chunks(batch_len))
+                .map(|_| Partial {
+                    grad: vec![0.0; 2 * num_lfs + 1],
+                    votes: vec![0; num_lfs],
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Below this share of non-abstain cells `fit` may train through a
+/// [`crate::ActiveRows`] index instead of the dense rows. An entry is a
+/// `(u32, i8)`, 8 bytes for a 1-byte cell, so the index is the *larger*
+/// layout above 12.5% density; what it saves is the visit, which touches
+/// only the cells that voted.
 const ACTIVE_INDEX_MAX_DENSITY: f64 = 0.5;
+
+/// … and only if the schedule draws each row at least this many times
+/// (`steps × batch ≥ 8 × rows`): building the index costs about five dense
+/// visits of a row, so a million-row matrix seen 1.5 times (the events
+/// task) is trained dense, and a 500-row shard seen a hundred times (a
+/// stream fold) through the index. Both halves of the rule are read off
+/// the matrix and the schedule — never the thread count — so the choice
+/// cannot perturb the determinism guarantee, and the two layouts agree
+/// bit for bit anyway.
+const ACTIVE_INDEX_MIN_VISITS: usize = 8;
 
 impl GenerativeModel {
     /// Create a model for `num_lfs` labeling functions with the given
@@ -329,43 +420,49 @@ impl GenerativeModel {
         sigmoid(self.eta)
     }
 
-    pub(crate) fn cache(&self) -> LfCache {
+    /// Fill `cache` for the current parameters, reusing its storage.
+    pub(crate) fn refresh(&self, cache: &mut LfCache) {
         let n = self.alpha.len();
-        let mut dz_da = Vec::with_capacity(n);
-        let mut dz_db = Vec::with_capacity(n);
-        let mut sum_z = 0.0;
-        for j in 0..n {
-            let a = (self.alpha[j] + self.beta[j]).exp();
-            let b = (-self.alpha[j] + self.beta[j]).exp();
+        cache.dz_da.clear();
+        cache.dz_da.reserve(n);
+        cache.dz_db.clear();
+        cache.dz_db.reserve(n);
+        cache.terms.clear();
+        cache.terms.reserve(n);
+        cache.sum_z = 0.0;
+        for (&alpha, &beta) in self.alpha.iter().zip(&self.beta) {
+            let a = (alpha + beta).exp();
+            let b = (-alpha + beta).exp();
             let d = a + b + 1.0;
-            dz_da.push((a - b) / d);
-            dz_db.push((a + b) / d);
-            sum_z += d.ln();
+            cache.dz_da.push((a - b) / d);
+            cache.dz_db.push((a + b) / d);
+            cache.sum_z += d.ln();
+            // The products the entry-iterator kernel forms per cell.
+            let vote = |l: i8| [f64::from(l) * alpha, beta];
+            cache.terms.push([[0.0; 2], vote(1), [0.0; 2], vote(-1)]);
         }
-        let pi = sigmoid(self.eta);
-        LfCache {
-            dz_da,
-            dz_db,
-            sum_z,
-            log_pi_pos: pi.ln(),
-            log_pi_neg: sigmoid(-self.eta).ln(),
-            pi,
-        }
+        cache.pi = sigmoid(self.eta);
+        cache.log_pi_pos = cache.pi.ln();
+        cache.log_pi_neg = sigmoid(-self.eta).ln();
+    }
+
+    /// A fresh [`LfCache`] for the current parameters.
+    pub(crate) fn cache(&self) -> LfCache {
+        let mut cache = LfCache::default();
+        self.refresh(&mut cache);
+        cache
     }
 
     /// Joint log-scores `(log P(Λ_i, Y=+1), log P(Λ_i, Y=−1))` for one
     /// row, given its non-abstain `(column, vote)` entries in column
-    /// order — the one row kernel. The dense row and the active-index
-    /// row yield the same entries ([`VoteRows`]), so both layouts perform
-    /// the same floating-point operations in the same order.
+    /// order — the entry-iterator row kernel, which the active-index
+    /// layout runs and which [`LfCache::dense_scores`] is held to, bit
+    /// for bit.
     fn joint_scores(
         &self,
         entries: impl Iterator<Item = (usize, i8)>,
         cache: &LfCache,
     ) -> (f64, f64) {
-        // `for_each`, not `for`: only internal iteration compiles the
-        // dense layout's zero-skipping adaptor down to the plain
-        // `if l != 0` loop (a `for` measured 6–15% slower on dense rows).
         let mut margin = 0.0; // Σ_{active} λ·α
         let mut active_beta = 0.0; // Σ_{active} β
         entries.for_each(|(j, l)| {
@@ -381,8 +478,16 @@ impl GenerativeModel {
 
     /// Posterior `P(Y_i = +1 | Λ_i)` for one vote row.
     pub fn posterior(&self, row: &[i8]) -> f64 {
-        let (sp, sm) = self.joint_scores(dense_entries(row), &self.cache());
-        sigmoid(sp - sm)
+        assert!(
+            row.len() <= self.alpha.len(),
+            "a row of {} votes for {} labeling functions",
+            row.len(),
+            self.alpha.len()
+        );
+        let mut p = 0.0;
+        self.cache()
+            .dense_scores(1, |_| row, |_, sp, sm| p = sigmoid(sp - sm));
+        p
     }
 
     /// Posterior probabilities for every row of the matrix — these are the
@@ -393,22 +498,23 @@ impl GenerativeModel {
 
     /// [`GenerativeModel::predict_proba`] sharded across `num_threads`
     /// scoped workers. Output is byte-identical at any thread count: each
-    /// posterior depends only on its own row, and rows are emitted in
-    /// fixed chunk order.
+    /// posterior depends only on its own row, and every chunk writes its
+    /// own stretch of the output.
     pub fn predict_proba_threads(&self, m: &LabelMatrix, num_threads: usize) -> Vec<f64> {
         let cache = self.cache();
-        let chunks = parallel::map_chunks(num_threads, m.num_examples(), |_, range| {
-            range
-                .map(|i| {
-                    let (sp, sm) = self.joint_scores(m.entries(i), &cache);
-                    sigmoid(sp - sm)
-                })
-                .collect::<Vec<f64>>()
-        });
-        let mut out = Vec::with_capacity(m.num_examples());
-        for chunk in chunks {
-            out.extend_from_slice(&chunk);
-        }
+        let mut out = vec![0.0; m.num_examples()];
+        parallel::map_chunks(
+            num_threads,
+            out.len(),
+            out.chunks_mut(CHUNK_ROWS),
+            |range, posteriors| {
+                cache.dense_scores(
+                    range.len(),
+                    |k| m.row(range.start + k),
+                    |k, sp, sm| posteriors[k] = sigmoid(sp - sm),
+                );
+            },
+        );
         out
     }
 
@@ -443,70 +549,100 @@ impl GenerativeModel {
     /// byte-identical at any thread count (fixed chunking, fixed-order
     /// tree reduction of the per-chunk partial sums).
     pub fn nll_threads(&self, m: &LabelMatrix, num_threads: usize) -> Result<f64, CoreError> {
-        self.nll_rows(m, num_threads)
-    }
-
-    /// The NLL scan over either row layout.
-    fn nll_rows(&self, rows: &impl VoteRows, num_threads: usize) -> Result<f64, CoreError> {
-        let n = rows.num_rows();
+        let n = m.num_examples();
         if n == 0 {
             return Err(CoreError::EmptyMatrix);
         }
         let cache = self.cache();
-        let partials = parallel::map_chunks(num_threads, n, |_, range| {
-            range
-                .map(|i| {
-                    let (sp, sm) = self.joint_scores(rows.entries(i), &cache);
-                    -logsumexp2(sp, sm)
-                })
-                .sum::<f64>()
+        let mut partials = vec![0.0; parallel::num_chunks(n)];
+        parallel::map_chunks(num_threads, n, partials.iter_mut(), |range, partial| {
+            let mut terms = [0.0; CHUNK_ROWS];
+            cache.dense_scores(
+                range.len(),
+                |k| m.row(range.start + k),
+                |k, sp, sm| terms[k] = -logsumexp2(sp, sm),
+            );
+            *partial = terms[..range.len()].iter().sum::<f64>();
         });
-        let total = parallel::tree_reduce(partials, |a, b| a + b).unwrap_or(0.0);
-        Ok(total / n as f64)
+        parallel::tree_reduce(&mut partials, |a, b| *a += b);
+        Ok(partials[0] / n as f64)
     }
 
-    /// Accumulate the mean gradient of the NLL over the given row indices
-    /// of either row layout, sharding the accumulation over `num_threads`
-    /// workers (fixed chunk boundaries over the batch positions,
-    /// fixed-order tree reduction of the partial gradient vectors —
-    /// byte-identical at any thread count).
+    /// Accumulate the mean gradient of the NLL over `buffers.batch`'s rows
+    /// of `m` — through `index`, its active index, if the caller built
+    /// one — sharding the accumulation over `num_threads` workers (fixed
+    /// chunk boundaries over the batch positions, fixed-order tree
+    /// reduction of the partial gradient vectors — byte-identical at any
+    /// thread count).
     ///
     /// Layout of `grad`: `[∂α_0..∂α_n, ∂β_0..∂β_n, ∂η]`. An empty batch
     /// leaves `grad` all-zero instead of dividing by zero.
     fn grad_batch(
         &self,
-        rows: &impl VoteRows,
-        batch: &[usize],
+        m: &LabelMatrix,
+        index: Option<&ActiveRows>,
         l2: f64,
         num_threads: usize,
+        buffers: &mut GradBuffers,
         grad: &mut [f64],
     ) {
+        let GradBuffers {
+            batch,
+            cache,
+            partials,
+        } = buffers;
         grad.fill(0.0);
         if batch.is_empty() {
             return;
         }
         let n = self.alpha.len();
-        let cache = self.cache();
-        let partials = parallel::map_chunks(num_threads, batch.len(), |_, range| {
-            let mut part = vec![0.0; 2 * n + 1];
-            for &i in batch.get(range).unwrap_or(&[]) {
-                let (sp, sm) = self.joint_scores(rows.entries(i), &cache);
-                let p = sigmoid(sp - sm);
-                scatter_votes(rows.entries(i), 2.0 * p - 1.0, n, &mut part);
-                part[2 * n] += cache.pi - p;
-            }
-            part
-        });
-        let summed = parallel::tree_reduce(partials, |mut a, b| {
-            for (x, y) in a.iter_mut().zip(&b) {
+        self.refresh(cache);
+        let cache = &*cache;
+        parallel::map_chunks(
+            num_threads,
+            batch.len(),
+            partials.iter_mut(),
+            |range, part: &mut Partial| {
+                let batch = batch.get(range).unwrap_or(&[]);
+                let (grad, votes) = (&mut part.grad[..], &mut part.votes[..]);
+                grad.fill(0.0);
+                match index {
+                    // A loop of its own, not a callback of a shared one:
+                    // a row here is a handful of entries, and the
+                    // indirection measured 12% of a stream fold.
+                    Some(index) => {
+                        for &i in batch {
+                            let (sp, sm) = self.joint_scores(index.entries(i), cache);
+                            let p = sigmoid(sp - sm);
+                            scatter_votes(index.entries(i), 2.0 * p - 1.0, n, grad);
+                            grad[2 * n] += cache.pi - p;
+                        }
+                    }
+                    None => {
+                        votes.fill(0);
+                        cache.dense_scores(
+                            batch.len(),
+                            |k| m.row(batch[k]),
+                            |k, sp, sm| {
+                                let p = sigmoid(sp - sm);
+                                scatter_row(m.row(batch[k]), 2.0 * p - 1.0, grad, votes);
+                                grad[2 * n] += cache.pi - p;
+                            },
+                        );
+                        for (beta, &votes) in grad[n..2 * n].iter_mut().zip(&*votes) {
+                            *beta -= f64::from(votes);
+                        }
+                    }
+                }
+            },
+        );
+        parallel::tree_reduce(partials, |a, b| {
+            for (x, y) in a.grad.iter_mut().zip(&b.grad) {
                 *x += y;
             }
-            a
         });
-        if let Some(sum) = summed {
-            grad.copy_from_slice(&sum);
-        }
-        self.finish_gradient(&cache, batch.len(), l2, grad);
+        grad.copy_from_slice(&partials[0].grad);
+        self.finish_gradient(cache, batch.len(), l2, grad);
     }
 
     /// Turn `grad`'s summed data terms over `rows` examples into the mean
@@ -538,12 +674,12 @@ impl GenerativeModel {
     /// and for full-batch training). Errors on an empty matrix, whose mean
     /// gradient would be `0/0`.
     pub fn full_gradient(&self, m: &LabelMatrix, l2: f64) -> Result<Vec<f64>, CoreError> {
-        self.full_gradient_path(m, l2, m.vote_density() < ACTIVE_INDEX_MAX_DENSITY, 1)
+        self.full_gradient_path(m, l2, false, 1)
     }
 
-    /// [`GenerativeModel::full_gradient`] with the sparse/dense inner
-    /// loop forced and a worker count. Exposed so the equivalence
-    /// proptest can assert both paths produce bit-identical gradients.
+    /// [`GenerativeModel::full_gradient`] with the row layout forced and
+    /// a worker count. Exposed so the equivalence proptest can assert
+    /// both layouts produce bit-identical gradients.
     pub fn full_gradient_path(
         &self,
         m: &LabelMatrix,
@@ -552,13 +688,11 @@ impl GenerativeModel {
         num_threads: usize,
     ) -> Result<Vec<f64>, CoreError> {
         self.check(m, 1, 1)?; // shape only: there is no schedule here
-        let idx: Vec<usize> = (0..m.num_examples()).collect();
+        let index = use_active_index.then(|| m.active_index());
+        let mut buffers = GradBuffers::new(self.alpha.len(), m.num_examples());
+        buffers.batch.extend(0..m.num_examples());
         let mut grad = vec![0.0; self.dim()];
-        if use_active_index {
-            self.grad_batch(&m.active_index(), &idx, l2, num_threads, &mut grad);
-        } else {
-            self.grad_batch(m, &idx, l2, num_threads, &mut grad);
-        }
+        self.grad_batch(m, index.as_ref(), l2, num_threads, &mut buffers, &mut grad);
         Ok(grad)
     }
 
@@ -615,8 +749,9 @@ impl GenerativeModel {
         )
     }
 
-    /// The part `fit` and `fit_incremental` share: pick the row layout and
-    /// run the optimiser loop from the current parameters — over shuffled
+    /// The part `fit` and `fit_incremental` share: build the active index
+    /// if the matrix and the schedule call for one, and run the optimiser
+    /// loop from the current parameters — over shuffled
     /// epochs if given a seed, in row order if not.
     fn train(
         &mut self,
@@ -626,38 +761,26 @@ impl GenerativeModel {
         shuffle_seed: Option<u64>,
         watch: Watch<'_>,
     ) -> Result<TrainReport, CoreError> {
-        // The sparse active index pays off when most cells abstain; the
-        // choice depends only on the matrix, so it cannot perturb the
-        // byte-identical-across-thread-counts guarantee.
-        if m.vote_density() < ACTIVE_INDEX_MAX_DENSITY {
-            self.train_on(&m.active_index(), cfg, opt, shuffle_seed, watch)
-        } else {
-            self.train_on(m, cfg, opt, shuffle_seed, watch)
-        }
-    }
-
-    /// [`GenerativeModel::train`] on the layout it picked.
-    fn train_on(
-        &mut self,
-        rows: &impl VoteRows,
-        cfg: &TrainConfig,
-        opt: &mut OptimState,
-        shuffle_seed: Option<u64>,
-        watch: Watch<'_>,
-    ) -> Result<TrainReport, CoreError> {
+        let sampler = Sampler::new(m.num_examples(), cfg.batch_size, shuffle_seed);
+        let draws = cfg.steps.saturating_mul(sampler.batch_len);
+        let index = (draws >= ACTIVE_INDEX_MIN_VISITS.saturating_mul(m.num_examples())
+            && m.vote_density() < ACTIVE_INDEX_MAX_DENSITY)
+            .then(|| m.active_index());
         // Workers for gradient accumulation and full-data NLL scans.
         let threads = cfg.num_threads.max(1);
+        let mut buffers = GradBuffers::new(self.alpha.len(), sampler.batch_len);
         train::run(
             self,
             opt,
-            Sampler::new(rows.num_rows(), cfg.batch_size, shuffle_seed),
+            sampler,
             cfg.steps,
             watch,
             |model, sampler, grad| {
-                let batch: Vec<usize> = sampler.batch().collect();
-                model.grad_batch(rows, &batch, cfg.l2, threads, grad);
+                buffers.batch.clear();
+                buffers.batch.extend(sampler.batch());
+                model.grad_batch(m, index.as_ref(), cfg.l2, threads, &mut buffers, grad);
             },
-            |model| model.nll_rows(rows, threads),
+            |model| model.nll_threads(m, threads),
         )
     }
 
@@ -755,6 +878,22 @@ pub(crate) fn scatter_votes(
         acc[j] -= w * f64::from(l);
         acc[n + j] -= 1.0;
     });
+}
+
+/// [`scatter_votes`] for a dense row, across every column with no
+/// compare: each `∂α_j` loses the product its vote selects — for an
+/// abstain a literal `+0.0`, which changes no sum — and each column's
+/// vote count gains 0 or 1.
+fn scatter_row(row: &[i8], w: f64, grad: &mut [f64], votes: &mut [u32]) {
+    // Indexed like `LfCache::terms`; looked up rather than converted and
+    // multiplied per cell, which measured a third slower.
+    let products = [0.0, w * f64::from(1i8), 0.0, w * f64::from(-1i8)];
+    for (d_alpha, &l) in grad.iter_mut().zip(row) {
+        *d_alpha -= products[usize::from(l as u8 & 3)];
+    }
+    for (votes, &l) in votes.iter_mut().zip(row) {
+        *votes += u32::from(l != 0);
+    }
 }
 
 #[cfg(test)]

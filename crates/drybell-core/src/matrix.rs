@@ -65,12 +65,7 @@ impl LabelMatrix {
                 got: data.len() % num_lfs,
             });
         }
-        if let Some(&bad) = data.iter().find(|v| !(-1..=1).contains(*v)) {
-            return Err(CoreError::InvalidVote {
-                value: bad as i64,
-                expected: "-1, 0, or +1",
-            });
-        }
+        check_votes(&data)?;
         Ok(LabelMatrix { data, num_lfs })
     }
 
@@ -94,12 +89,7 @@ impl LabelMatrix {
                 got: votes.len(),
             });
         }
-        if let Some(&bad) = votes.iter().find(|v| !(-1..=1).contains(*v)) {
-            return Err(CoreError::InvalidVote {
-                value: bad as i64,
-                expected: "-1, 0, or +1",
-            });
-        }
+        check_votes(votes)?;
         self.data.extend_from_slice(votes);
         Ok(())
     }
@@ -258,8 +248,8 @@ impl LabelMatrix {
     /// Fraction of matrix cells holding a non-abstain vote (`nnz / m·n`).
     ///
     /// Distinct from [`LabelMatrix::label_density`], which is the fraction
-    /// of *rows* with at least one vote. The trainer uses cell density to
-    /// decide whether the active-index gradient path pays off.
+    /// of *rows* with at least one vote. Cell density is half of how the
+    /// trainer decides whether the active-index gradient path pays off.
     pub fn vote_density(&self) -> f64 {
         if self.data.is_empty() {
             return 0.0;
@@ -287,16 +277,36 @@ impl LabelMatrix {
     }
 }
 
+/// Every vote is `-1`, `0` or `+1`, or the first that is not is the error.
+/// The label-model kernels look terms up by a vote's low bits, so nothing
+/// else may get into a matrix.
+fn check_votes(votes: &[i8]) -> Result<(), CoreError> {
+    let valid = |v: &i8| (-1..=1).contains(v);
+    // No early exit on the common path: this loop vectorises, a `find`
+    // does not, and the executor hands over a hundred million votes.
+    if votes.iter().fold(true, |ok, v| ok & valid(v)) {
+        return Ok(());
+    }
+    match votes.iter().find(|&v| !valid(v)) {
+        Some(&bad) => Err(CoreError::InvalidVote {
+            value: i64::from(bad),
+            expected: "-1, 0, or +1",
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A compressed (CSR-style) index of the non-abstain entries of a
 /// [`LabelMatrix`]: for each row, the `(column, vote)` pairs with a
 /// non-zero vote, in column order.
 ///
-/// The generative trainer builds this once per `fit` and iterates it in
-/// the gradient inner loops, so high-abstention matrices skip their zero
+/// The generative trainer builds this once per `fit` whose schedule comes
+/// back to each row often enough to repay it, and iterates it in the
+/// gradient inner loops, so high-abstention matrices skip their zero
 /// cells entirely. Because the per-row entries preserve column order,
-/// accumulating over them performs the *same floating-point operations
-/// in the same order* as a dense scan that tests `!= 0` — the two paths
-/// are bit-identical, which a proptest asserts.
+/// accumulating over them adds the same non-abstain terms in the same
+/// order as the dense kernel, whose abstain cells add `+0.0` — the two
+/// paths are bit-identical, which a proptest asserts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActiveRows {
     /// `offsets[i]..offsets[i+1]` bounds row `i`'s slice of `entries`.
@@ -312,6 +322,12 @@ impl ActiveRows {
         &self.entries[self.offsets[i]..self.offsets[i + 1]]
     }
 
+    /// Row `i`'s entries as the entry-iterator kernels take them.
+    #[inline]
+    pub(crate) fn entries(&self, i: usize) -> impl Iterator<Item = (usize, i8)> + '_ {
+        self.row(i).iter().map(|&(j, l)| (j as usize, l))
+    }
+
     /// Number of indexed rows.
     pub fn num_rows(&self) -> usize {
         self.offsets.len().saturating_sub(1)
@@ -323,45 +339,13 @@ impl ActiveRows {
     }
 }
 
-/// A row layout the label-model kernels can scan: row `i`'s non-abstain
-/// `(column, vote)` entries in column order. The dense matrix and its
-/// [`ActiveRows`] index both yield exactly this sequence, so a kernel
-/// written once over it is bit-identical on either layout.
-pub(crate) trait VoteRows: Sync {
-    /// Number of rows.
-    fn num_rows(&self) -> usize;
-    /// Non-abstain entries of row `i`, in column order.
-    fn entries(&self, i: usize) -> impl Iterator<Item = (usize, i8)>;
-}
-
-/// The non-abstain `(column, vote)` entries of one dense row.
+/// The non-abstain `(column, vote)` entries of one dense row, in column
+/// order — what [`ActiveRows::entries`] yields for the same row.
 #[inline]
 pub(crate) fn dense_entries(row: &[i8]) -> impl Iterator<Item = (usize, i8)> + '_ {
     row.iter()
         .enumerate()
         .filter_map(|(j, &l)| (l != 0).then_some((j, l)))
-}
-
-impl VoteRows for LabelMatrix {
-    fn num_rows(&self) -> usize {
-        self.num_examples()
-    }
-
-    #[inline]
-    fn entries(&self, i: usize) -> impl Iterator<Item = (usize, i8)> {
-        dense_entries(self.row(i))
-    }
-}
-
-impl VoteRows for ActiveRows {
-    fn num_rows(&self) -> usize {
-        ActiveRows::num_rows(self)
-    }
-
-    #[inline]
-    fn entries(&self, i: usize) -> impl Iterator<Item = (usize, i8)> {
-        self.row(i).iter().map(|&(j, l)| (j as usize, l))
-    }
 }
 
 #[cfg(test)]

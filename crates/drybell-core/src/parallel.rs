@@ -7,9 +7,9 @@
 //!
 //! 1. **Fixed chunking.** Work is split into [`CHUNK_ROWS`]-sized chunks
 //!    whose boundaries depend only on the input length — never on the
-//!    worker count. Workers pull chunk *indices* from an atomic cursor,
-//!    so scheduling is dynamic but each chunk's result is a pure
-//!    function of its index.
+//!    worker count. Workers pull `(chunk, output slot)` pairs from a
+//!    shared queue, so scheduling is dynamic but what each slot ends up
+//!    holding is a pure function of its chunk's index.
 //! 2. **Fixed-order reduction.** Chunk results are combined with
 //!    [`tree_reduce`], a pairwise reduction whose association order
 //!    depends only on the chunk count. Floating-point addition is not
@@ -21,11 +21,10 @@
 //! so the small-batch fast path keeps its PR-1 performance profile.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Rows per work chunk. Large enough that a chunk's compute dwarfs the
-/// scheduling overhead (one atomic fetch-add plus one mutex push), small
+/// scheduling overhead (one uncontended lock to take it), small
 /// enough that a 100k-row matrix yields ~100 chunks for load balancing.
 pub const CHUNK_ROWS: usize = 1024;
 
@@ -40,75 +39,66 @@ fn chunk_range(c: usize, n: usize) -> Range<usize> {
     start..((start + CHUNK_ROWS).min(n))
 }
 
-/// Map every fixed chunk of `0..n` through `f` on up to `num_threads`
-/// scoped workers, returning results in chunk order.
+/// Run `f(item_range, slot)` for every fixed chunk of `0..n` on up to
+/// `num_threads` scoped workers, chunk `c` getting the `c`-th item of
+/// `slots` to write its result into — a sub-slice of the output, a
+/// partial-sum buffer the caller keeps from step to step — so mapping the
+/// chunks allocates nothing.
 ///
-/// `f` receives `(chunk_index, item_range)` and must be a pure function
-/// of them (plus captured shared state); chunk scheduling order is
-/// nondeterministic but the returned vector is not. With one worker (or
-/// one chunk) everything runs inline on the caller's thread.
-pub fn map_chunks<T, F>(num_threads: usize, n: usize, f: F) -> Vec<T>
+/// `f` must be a pure function of its range (plus captured shared state)
+/// and write only through its slot; chunk scheduling order is
+/// nondeterministic but what each slot holds afterwards is not. `slots`
+/// must yield one item per chunk ([`num_chunks`]). With one worker (or one
+/// chunk) everything runs inline on the caller's thread.
+pub fn map_chunks<S, F>(num_threads: usize, n: usize, slots: impl Iterator<Item = S> + Send, f: F)
 where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
+    F: Fn(Range<usize>, S) + Sync,
 {
     let chunks = num_chunks(n);
     let workers = num_threads.clamp(1, chunks.max(1));
+    let slots = (0..chunks).zip(slots);
     if workers == 1 {
-        return (0..chunks).map(|c| f(c, chunk_range(c, n))).collect();
+        slots.for_each(|(c, slot)| f(chunk_range(c, n), slot));
+        return;
     }
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(chunks));
+    let queue = Mutex::new(slots);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
-                    break;
-                }
-                let out = f(c, chunk_range(c, n));
                 // A poisoned lock only means another worker panicked
-                // mid-push; the Vec is still structurally sound, and the
-                // panic itself propagates out of the scope.
-                let mut guard = match slots.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
+                // inside `next`; the panic itself propagates out of the
+                // scope. The guard is dropped before the chunk runs.
+                let next = match queue.lock() {
+                    Ok(mut guard) => guard.next(),
+                    Err(poisoned) => poisoned.into_inner().next(),
                 };
-                guard.push((c, out));
+                match next {
+                    Some((c, slot)) => f(chunk_range(c, n), slot),
+                    None => break,
+                }
             });
         }
     });
-    let mut collected = match slots.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    collected.sort_by_key(|&(c, _)| c);
-    collected.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Pairwise tree reduction in a fixed association order: adjacent pairs
-/// `(0,1), (2,3), …` are combined, then the survivors are paired again,
-/// until one value remains. The order depends only on `items.len()`, so
-/// reducing the same chunk results always produces bit-identical output
-/// regardless of how many workers computed them.
-///
-/// Returns `None` for an empty input.
-pub fn tree_reduce<T>(mut items: Vec<T>, mut combine: impl FnMut(T, T) -> T) -> Option<T> {
-    if items.is_empty() {
-        return None;
-    }
-    while items.len() > 1 {
-        let mut next = Vec::with_capacity(items.len().div_ceil(2));
-        let mut it = items.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(combine(a, b)),
-                None => next.push(a),
+/// Pairwise tree reduction in a fixed association order, in place:
+/// adjacent pairs `(0,1), (2,3), …` are combined into their left member,
+/// then the survivors are paired again, until everything is folded into
+/// `items[0]`. The order depends only on `items.len()`, so reducing the
+/// same chunk results always produces bit-identical output regardless of
+/// how many workers computed them.
+pub fn tree_reduce<T>(items: &mut [T], mut combine: impl FnMut(&mut T, &T)) {
+    let mut stride = 1;
+    while stride < items.len() {
+        for group in items.chunks_mut(2 * stride) {
+            if let Some((left, rest)) = group.split_first_mut() {
+                if let Some(right) = rest.get(stride - 1) {
+                    combine(left, right);
+                }
             }
         }
-        items = next;
+        stride *= 2;
     }
-    items.pop()
 }
 
 #[cfg(test)]
@@ -139,9 +129,15 @@ mod tests {
     #[test]
     fn map_chunks_is_thread_count_invariant() {
         let n = 3 * CHUNK_ROWS + 123;
-        let run = |threads| map_chunks(threads, n, |c, r| (c, r.start, r.end, r.len() as u64));
+        let run = |threads| {
+            let mut out = vec![(0, 0); num_chunks(n)];
+            map_chunks(threads, n, out.iter_mut(), |r, slot| {
+                *slot = (r.start, r.end)
+            });
+            out
+        };
         let base = run(1);
-        assert_eq!(base.len(), num_chunks(n));
+        assert_eq!(base[3], (3 * CHUNK_ROWS, n));
         for threads in [2, 3, 8, 64] {
             assert_eq!(run(threads), base, "threads={threads}");
         }
@@ -149,19 +145,27 @@ mod tests {
 
     #[test]
     fn map_chunks_handles_empty_and_tiny_inputs() {
-        assert!(map_chunks(4, 0, |c, _| c).is_empty());
-        assert_eq!(map_chunks(8, 1, |_, r| r.len()), vec![1]);
+        map_chunks(4, 0, std::iter::empty::<&mut usize>(), |_, _| {
+            unreachable!("no rows, no chunk")
+        });
+        let mut len = [0];
+        map_chunks(8, 1, len.iter_mut(), |r, slot| *slot = r.len());
+        assert_eq!(len, [1]);
     }
 
     #[test]
     fn tree_reduce_order_is_fixed() {
         // Combine into parenthesized strings: the association order must
         // match the documented adjacent-pairs tree exactly.
-        let items: Vec<String> = (0..5).map(|i| i.to_string()).collect();
-        let got = tree_reduce(items, |a, b| format!("({a}+{b})"));
-        assert_eq!(got.as_deref(), Some("(((0+1)+(2+3))+4)"));
-        assert_eq!(tree_reduce(Vec::<u32>::new(), |a, b| a + b), None);
-        assert_eq!(tree_reduce(vec![7u32], |a, b| a + b), Some(7));
+        let reduced = |n: usize| {
+            let mut items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+            tree_reduce(&mut items, |a, b| *a = format!("({a}+{b})"));
+            items.into_iter().next()
+        };
+        assert_eq!(reduced(5).as_deref(), Some("(((0+1)+(2+3))+4)"));
+        assert_eq!(reduced(6).as_deref(), Some("(((0+1)+(2+3))+(4+5))"));
+        assert_eq!(reduced(0), None);
+        assert_eq!(reduced(1).as_deref(), Some("0"));
     }
 
     #[test]
@@ -171,10 +175,12 @@ mod tests {
             .map(|i| ((i * 2654435761) % 1000) as f64 / 7.0)
             .collect();
         let sum_with = |threads| {
-            let partials = map_chunks(threads, n, |_, r| {
-                xs.get(r).map(|s| s.iter().sum::<f64>()).unwrap_or(0.0)
+            let mut partials = vec![0.0; num_chunks(n)];
+            map_chunks(threads, n, partials.iter_mut(), |r, slot| {
+                *slot = xs.get(r).map(|s| s.iter().sum::<f64>()).unwrap_or(0.0)
             });
-            tree_reduce(partials, |a, b| a + b).unwrap_or(0.0)
+            tree_reduce(&mut partials, |a, b| *a += b);
+            partials[0]
         };
         let base = sum_with(1).to_bits();
         for threads in [2, 4, 8] {

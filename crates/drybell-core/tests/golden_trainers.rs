@@ -5,8 +5,10 @@
 //! and NLLs at every seed and thread count. Each constant below is the
 //! FNV-1a of the exact bit patterns a run produced **before** the
 //! trainers were moved onto the shared optimiser loop (`train.rs`) and
-//! the single row kernel; a refactor of either must leave them green.
-//! A deliberate change to the numerics re-records them and says so.
+//! the single row kernel — the events-shaped pair at b2be6ef, before the
+//! dense kernel and the layout rule; a refactor of any of these must
+//! leave them green. A deliberate change to the numerics re-records them
+//! and says so.
 
 // Miri perturbs `exp`/`ln` results by design, so bit patterns recorded on
 // hardware cannot match under it.
@@ -33,8 +35,10 @@ fn checksum(xs: impl IntoIterator<Item = f64>) -> u64 {
 }
 
 /// Planted two-class matrix whose per-LF propensity is drawn from
-/// `props`, which decides the layout `fit` picks: above 50% non-abstain
-/// cells the dense scan, below it the CSR active index.
+/// `props`, which is half of what decides the layout `fit` picks: at 50%
+/// non-abstain cells or more the dense kernel, below it the CSR active
+/// index if the schedule revisits rows often enough to repay building it
+/// (`steps × batch ≥ 8 × rows`) and the dense kernel if not.
 fn planted(examples: usize, lfs: usize, props: std::ops::Range<f64>, seed: u64) -> LabelMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let accs: Vec<f64> = (0..lfs).map(|_| rng.gen_range(0.6..0.95)).collect();
@@ -67,12 +71,17 @@ fn binary_params(model: &GenerativeModel) -> impl Iterator<Item = f64> + '_ {
         .chain([model.eta()])
 }
 
-/// `fit` with a learned prior, multi-chunk batches that wrap the epoch
-/// mid-batch, and a recorded loss history — then posteriors and NLL.
-fn binary_fit_checksum(m: &LabelMatrix, num_threads: usize) -> u64 {
+/// `fit` with a learned prior, batches that wrap the epoch mid-batch, and
+/// a recorded loss history — then posteriors and NLL.
+fn binary_fit_checksum(
+    m: &LabelMatrix,
+    steps: usize,
+    batch_size: usize,
+    num_threads: usize,
+) -> u64 {
     let cfg = TrainConfig {
-        steps: 24,
-        batch_size: 1_500,
+        steps,
+        batch_size,
         learn_class_prior: true,
         class_prior: 0.4,
         seed: 11,
@@ -95,10 +104,10 @@ fn binary_fit_checksum(m: &LabelMatrix, num_threads: usize) -> u64 {
 #[test]
 fn binary_fit_dense_layout() {
     let m = planted(4_000, 8, 0.6..0.9, 42);
-    assert!(m.vote_density() >= 0.5, "must take the dense scan");
+    assert!(m.vote_density() >= 0.5, "too dense for the active index");
     for threads in [1, 4] {
         assert_eq!(
-            binary_fit_checksum(&m, threads),
+            binary_fit_checksum(&m, 24, 1_500, threads),
             0x9f32_5523_8925_1f15,
             "{threads} thread(s)"
         );
@@ -108,13 +117,40 @@ fn binary_fit_dense_layout() {
 #[test]
 fn binary_fit_sparse_layout() {
     let m = planted(4_000, 12, 0.05..0.3, 43);
-    assert!(m.vote_density() < 0.5, "must take the active index");
+    assert!(
+        m.vote_density() < 0.5 && 24 * 1_500 >= 8 * m.num_examples(),
+        "sparse and revisited nine times: worth the active index"
+    );
     for threads in [1, 4] {
         assert_eq!(
-            binary_fit_checksum(&m, threads),
+            binary_fit_checksum(&m, 24, 1_500, threads),
             0x3474_25a3_ae22_3641,
             "{threads} thread(s)"
         );
+    }
+}
+
+/// The events task's shape (§3.3): 140 sources at about 40% cell density,
+/// a row count that is a multiple neither of the dense kernel's 4-row
+/// block nor of `CHUNK_ROWS`, and a batch that wraps the epoch mid-batch.
+/// Four steps visit each row 1.4 times, which does not repay an index (the
+/// dense kernel); forty visit it 13.7 times (the active index).
+#[test]
+fn binary_fit_events_shape_on_both_layouts() {
+    let m = planted(2_051, 140, 0.05..0.75, 47);
+    assert!(m.vote_density() < 0.5);
+    for (steps, golden) in [
+        (4, 0xa229_4826_90a3_4e77u64),
+        (40, 0xc784_c0b9_7bf4_7662u64),
+    ] {
+        assert_eq!(steps * 700 >= 8 * m.num_examples(), steps == 40);
+        for threads in [1, 4] {
+            assert_eq!(
+                binary_fit_checksum(&m, steps, 700, threads),
+                golden,
+                "{steps} steps, {threads} thread(s)"
+            );
+        }
     }
 }
 

@@ -5,10 +5,12 @@
 //! boundaries depend only on input length and partial results are
 //! combined with a fixed-order tree reduction. These tests compare raw
 //! `f64::to_bits` patterns — not epsilons — across thread counts, and a
-//! property test pins the sparse (active-index) gradient path to the
-//! dense scan bit-for-bit.
+//! property test pins the sparse (active-index) gradient path and the
+//! dense kernel to each other, and the dense kernel's scores to the row
+//! arithmetic written out, bit-for-bit.
 
-use drybell_core::{GenerativeModel, LabelMatrix, TrainConfig};
+use drybell_core::optim::Optimizer;
+use drybell_core::{logsumexp2, sigmoid, CoreError, GenerativeModel, LabelMatrix, TrainConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,30 +135,163 @@ fn thread_counts_beyond_chunk_count_are_harmless() {
     assert_eq!(wide, param_bits(&model));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// The row arithmetic both layouts are held to, written out with nothing
+/// shared with the code under test but `sigmoid`: a non-abstain cell adds
+/// `λ·α_j` and `β_j` in column order, an abstain adds nothing.
+fn reference_scores(model: &GenerativeModel, row: &[i8]) -> (f64, f64) {
+    let (alpha, beta) = (model.alphas(), model.betas());
+    let mut sum_z = 0.0;
+    for (a, b) in alpha.iter().zip(beta) {
+        sum_z += ((a + b).exp() + (-a + b).exp() + 1.0).ln();
+    }
+    let (mut margin, mut active_beta) = (0.0, 0.0);
+    for (j, &l) in row.iter().enumerate() {
+        if l != 0 {
+            margin += f64::from(l) * alpha[j];
+            active_beta += beta[j];
+        }
+    }
+    let base = active_beta - sum_z;
+    (
+        sigmoid(model.eta()).ln() + margin + base,
+        sigmoid(-model.eta()).ln() - margin + base,
+    )
+}
 
-    /// The active-index (sparse) gradient path performs the same
-    /// floating-point operations in the same order as the dense scan,
-    /// so the two must agree bit-for-bit — on any matrix, dense or
-    /// abstention-heavy, at any thread count.
+/// Bit patterns with every NaN folded into one: which NaN an operation on
+/// two NaNs returns is the instruction's choice, not the program's.
+fn bits_nan_folded(xs: &[f64]) -> Vec<u64> {
+    xs.iter()
+        .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+        .collect()
+}
+
+/// `predict_proba` and `nll` of the dense kernel against
+/// [`reference_scores`], at 1 and 4 threads.
+fn assert_scores_match_reference(model: &GenerativeModel, m: &LabelMatrix) {
+    let scores: Vec<(f64, f64)> = m.rows().map(|row| reference_scores(model, row)).collect();
+    let posteriors: Vec<f64> = scores.iter().map(|(sp, sm)| sigmoid(sp - sm)).collect();
+    let nll = scores
+        .iter()
+        .map(|&(sp, sm)| -logsumexp2(sp, sm))
+        .sum::<f64>()
+        / m.num_examples() as f64;
+    for threads in [1, 4] {
+        assert_eq!(
+            bits_nan_folded(&model.predict_proba_threads(m, threads)),
+            bits_nan_folded(&posteriors),
+            "predict_proba at {threads} thread(s)"
+        );
+        assert_eq!(
+            bits_nan_folded(&[model.nll_threads(m, threads).unwrap()]),
+            bits_nan_folded(&[nll]),
+            "nll at {threads} thread(s)"
+        );
+    }
+}
+
+#[test]
+fn abstaining_on_a_hostile_column_adds_nothing() {
+    // Column 1 never votes; row 1 is all abstains.
+    let votes = vec![1, 0, -1, 0, 0, 0, -1, 0, 1, 1, 0, 0, 0, 0, -1];
+    let m = LabelMatrix::from_raw(3, votes).unwrap();
+    let mut model = GenerativeModel::new(3, 0.7);
+    // β = −∞ is an LF that never votes: e^{±α+β} = 0 and Z = 0, so every
+    // score is finite — unless the abstain term is the product `0·β`,
+    // which is NaN, rather than a literal zero.
+    model.set_params(vec![0.4, 0.9, -0.3], vec![0.1, f64::NEG_INFINITY, 0.2], 0.3);
+    let posteriors = model.predict_proba(&m);
+    assert!(posteriors.iter().all(|p| p.is_finite()), "{posteriors:?}");
+    assert_scores_match_reference(&model, &m);
+    // The all-abstain row is scored by the prior alone.
+    assert!((posteriors[1] - sigmoid(0.3)).abs() < 1e-12);
+    // Parameters that make Z itself infinite or NaN leave no finite score
+    // in any kernel; the kernels still have to agree on which is which.
+    for (alpha, beta) in [
+        (f64::INFINITY, 0.0),
+        (f64::NEG_INFINITY, 0.0),
+        (f64::NAN, 0.0),
+        (0.5, f64::INFINITY),
+        (0.5, f64::NAN),
+    ] {
+        model.set_params(vec![0.4, alpha, -0.3], vec![0.1, beta, 0.2], 0.3);
+        assert_scores_match_reference(&model, &m);
+        let dense = model.full_gradient_path(&m, 0.01, false, 1).unwrap();
+        let active = model.full_gradient_path(&m, 0.01, true, 1).unwrap();
+        assert_eq!(bits_nan_folded(&dense), bits_nan_folded(&active));
+    }
+}
+
+#[test]
+fn a_diverging_fit_fails_at_the_same_step_on_either_layout() {
+    // A step size that throws the parameters to ±1e200 at step 0, which
+    // overflows the normalizer at step 1 — recorded on the code before
+    // the dense kernel, and the same on both sides of the layout rule.
+    let m = planted(300, 6, 5);
+    assert!(m.vote_density() >= 0.5);
+    let sparse = LabelMatrix::from_raw(
+        6,
+        m.raw()
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| if k % 3 == 0 { v } else { 0 })
+            .collect(),
+    )
+    .unwrap();
+    assert!(sparse.vote_density() < 0.5);
+    for (matrix, steps) in [(&m, 50), (&sparse, 4), (&sparse, 50)] {
+        let mut model = GenerativeModel::new(6, 0.7);
+        let err = model.fit(
+            matrix,
+            &TrainConfig {
+                steps,
+                batch_size: 64,
+                optimizer: Optimizer::sgd(1e200),
+                ..TrainConfig::default()
+            },
+        );
+        assert_eq!(err.unwrap_err(), CoreError::Diverged { step: 1 });
+        assert!(model.alphas().iter().all(|a| a.is_finite()));
+    }
+}
+
+/// The LF counts the layout proptest draws from: below, at and above the
+/// kernels' vector and block widths, and the events task's 140.
+const WIDTHS: [usize; 5] = [1, 3, 5, 8, 140];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The active-index (sparse) gradient path adds the same non-abstain
+    /// terms in the same order as the dense kernel, whose abstain cells
+    /// add `+0.0`, so the two must agree bit-for-bit — on any matrix,
+    /// dense or abstention-heavy, at any width and thread count, and with
+    /// every remainder of the dense kernel's 4-row block (0 to 9 rows).
     #[test]
     fn prop_active_and_dense_gradients_are_bitwise_equal(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(-1i8..=1, 4usize..=4),
-            1..120,
-        ),
-        alphas in proptest::collection::vec(-1.5..1.5f64, 4usize..=4),
-        betas in proptest::collection::vec(-1.5..1.5f64, 4usize..=4),
+        width in 0usize..WIDTHS.len(),
+        num_rows in 0usize..=9,
+        cells in proptest::collection::vec(-1i8..=1, 9 * 140),
+        alphas in proptest::collection::vec(-1.5..1.5f64, 140),
+        betas in proptest::collection::vec(-1.5..1.5f64, 140),
         eta in -1.0..1.0f64,
         l2 in 0.0..0.1f64,
     ) {
-        let mut m = LabelMatrix::new(4);
-        for row in &rows {
-            m.push_raw_row(row).unwrap();
+        let width = WIDTHS[width];
+        let m = LabelMatrix::from_raw(width, cells[..width * num_rows].to_vec()).unwrap();
+        let mut model = GenerativeModel::new(width, 0.7);
+        model.set_params(alphas[..width].to_vec(), betas[..width].to_vec(), eta);
+        if num_rows == 0 {
+            for use_active_index in [false, true] {
+                prop_assert_eq!(
+                    model.full_gradient_path(&m, l2, use_active_index, 1),
+                    Err(CoreError::EmptyMatrix)
+                );
+            }
+            prop_assert_eq!(model.nll(&m), Err(CoreError::EmptyMatrix));
+            prop_assert!(model.predict_proba(&m).is_empty());
+            return Ok(());
         }
-        let mut model = GenerativeModel::new(4, 0.7);
-        model.set_params(alphas, betas, eta);
 
         let dense = model.full_gradient_path(&m, l2, false, 1).unwrap();
         let active = model.full_gradient_path(&m, l2, true, 1).unwrap();
@@ -167,5 +302,7 @@ proptest! {
         let active4 = model.full_gradient_path(&m, l2, true, 4).unwrap();
         prop_assert_eq!(bits(&dense), bits(&dense4));
         prop_assert_eq!(bits(&active), bits(&active4));
+
+        assert_scores_match_reference(&model, &m);
     }
 }

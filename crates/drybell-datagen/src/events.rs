@@ -205,7 +205,6 @@ pub fn lf_set(num_lfs: usize, seed: u64) -> LfSet<RealTimeEvent> {
     // the statistic looks clearly benign.
     for i in 0..n_heuristic {
         let dim = rng.gen_range(0..AGGREGATE_DIMS);
-        let informative = dim % 3 != 0;
         let positive_rule = rng.gen_bool(0.5);
         let threshold = if positive_rule {
             // High thresholds: with a 5% positive rate, a usable
@@ -240,7 +239,6 @@ pub fn lf_set(num_lfs: usize, seed: u64) -> LfSet<RealTimeEvent> {
             )
             .with_feature_spaces(&["aggregate-stats"]),
         );
-        let _ = informative;
     }
 
     // Smaller models: linear scorers over random aggregate subsets with
@@ -297,9 +295,9 @@ pub fn lf_set(num_lfs: usize, seed: u64) -> LfSet<RealTimeEvent> {
                 LfCategory::GraphBased,
                 false,
                 move |e: &RealTimeEvent| {
-                    let h = drybell_features::fnv1a64(
-                        &[e.id.to_le_bytes(), lf_salt.to_le_bytes()].concat(),
-                    );
+                    // The id's eight little-endian bytes, then the salt's.
+                    let key = (u128::from(lf_salt) << 64 | u128::from(e.id)).to_le_bytes();
+                    let h = drybell_features::fnv1a64(&key);
                     let noise = (h % 10_000) as f64 / 10_000.0 * 0.24 - 0.12;
                     if e.graph_score + noise > threshold {
                         Vote::Positive

@@ -14,7 +14,7 @@
 //!   measures.
 
 use crate::{Lf, LfSet};
-use drybell_core::{CoreError, LabelMatrix};
+use drybell_core::LabelMatrix;
 use drybell_dataflow::codec::{self, CodecError, Record};
 use drybell_dataflow::FaultPlan;
 use drybell_dataflow::{
@@ -24,7 +24,7 @@ use drybell_dataflow::{
 use drybell_kg::KnowledgeGraph;
 use drybell_nlp::{CacheStats, CachedNlpServer, NlpError, NlpResult, NlpServer};
 use drybell_obs::{CounterSlot, HistogramSlot, LocalShard, ShardLayout, Span, Telemetry, Tracer};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Per-example text extractor used to feed the NLP model server (the
@@ -278,10 +278,11 @@ impl Drop for LfWorkerShard {
     }
 }
 
-/// Evaluate every LF on one example, optionally timing each evaluation.
-/// A missing feature space (an NLP LF with no annotation, a graph LF
-/// with no graph) is a wiring bug in the caller and surfaces as a
-/// [`DataflowError::User`] rather than a panic inside a worker.
+/// Evaluate every LF on one example into `votes` (one slot per LF, in
+/// column order), optionally timing each evaluation. A missing feature
+/// space (an NLP LF with no annotation, a graph LF with no graph) is a
+/// wiring bug in the caller and surfaces as a [`DataflowError::User`]
+/// rather than a panic inside a worker.
 ///
 /// `degraded` marks an example whose NLP annotation call failed: its NLP
 /// LFs abstain (vote 0, with the `lf/<name>/degraded` instrument bumped
@@ -294,46 +295,43 @@ fn row_of<X>(
     kg: Option<&KnowledgeGraph>,
     obs: Option<&mut LfWorkerShard>,
     degraded: bool,
-) -> Result<Vec<i8>, DataflowError> {
+    votes: &mut [i8],
+) -> Result<(), DataflowError> {
+    debug_assert_eq!(votes.len(), lfs.len());
     match obs {
+        // The row is written where it will live — a stretch of the
+        // matrix, a `VoteRow`'s vector — so a row costs no allocation: on
+        // the million-row events task a `Vec` per row was most of the
+        // executor's time and, with two workers, a contended allocator.
         None => {
-            // One allocation of the row's final size. Collecting through
-            // `Result` starts empty and grows by doubling: six `realloc`s
-            // a row, which on the million-row events task is most of the
-            // executor's time and, with two workers growing rows in step,
-            // a contended allocator.
-            let mut votes = Vec::with_capacity(lfs.len());
-            for lf in lfs {
-                votes.push(if degraded && lf.needs_nlp() {
+            for (lf, vote) in lfs.iter().zip(votes) {
+                *vote = if degraded && lf.needs_nlp() {
                     0
                 } else {
                     lf.try_vote(x, annotation, kg)
                         .map_err(|e| DataflowError::user(e.to_string()))?
                         .as_i8()
-                });
+                };
             }
-            Ok(votes)
         }
         Some(obs) => {
             obs.begin_row();
-            let mut votes = Vec::with_capacity(lfs.len());
-            for (i, lf) in lfs.iter().enumerate() {
+            for (i, (lf, vote)) in lfs.iter().zip(votes).enumerate() {
                 if degraded && lf.needs_nlp() {
                     obs.degraded(i);
-                    votes.push(0);
+                    *vote = 0;
                     continue;
                 }
                 let started = Instant::now();
-                let v = lf
+                *vote = lf
                     .try_vote(x, annotation, kg)
                     .map_err(|e| DataflowError::user(e.to_string()))?
                     .as_i8();
-                obs.eval(i, started.elapsed(), v != 0);
-                votes.push(v);
+                obs.eval(i, started.elapsed(), *vote != 0);
             }
-            Ok(votes)
         }
     }
+    Ok(())
 }
 
 /// One worker's full state: its NLP service handle and, on observed
@@ -407,6 +405,10 @@ fn worker_nlp<X>(
     Ok(WorkerNlp::Plain(Box::new(server)))
 }
 
+/// Most rows in one unit of in-memory work (see
+/// [`execute_in_memory_observed`]).
+const BLOCK_ROWS: usize = 256;
+
 /// Run every LF over every example with `workers` threads, producing the
 /// label matrix `Λ` with rows in example order.
 ///
@@ -444,8 +446,20 @@ pub fn execute_in_memory_observed<X: Sync>(
     let start = Instant::now();
     let nlp_calls = std::sync::atomic::AtomicU64::new(0);
     let nlp_degraded = std::sync::atomic::AtomicU64::new(0);
-    let rows: Vec<Vec<i8>> = par_map_vec(
-        examples,
+    // The matrix's own buffer, filled in place. A `par_map_vec` item is a
+    // block of examples with its stretch of the buffer, behind a mutex
+    // that only the worker given the block ever takes; blocks are short so
+    // that a failure elsewhere stops a worker soon, and no longer than an
+    // even share so that a small input still splits across the workers.
+    let width = set.len();
+    let mut votes = vec![0i8; width * examples.len()];
+    let block = examples.len().div_ceil(workers.max(1)).clamp(1, BLOCK_ROWS);
+    let blocks: Vec<(&[X], Mutex<&mut [i8]>)> = examples
+        .chunks(block)
+        .zip(votes.chunks_mut(block * width.max(1)).map(Mutex::new))
+        .collect();
+    par_map_vec(
+        &blocks,
         workers,
         // One model server per worker (or one shared memo table per
         // node), warmed up before any record, plus the worker's local
@@ -456,38 +470,47 @@ pub fn execute_in_memory_observed<X: Sync>(
                 obs: shards.as_ref().map(|s| s.worker(exec_parent)),
             })
         },
-        |worker: &mut LfWorker, x: &X| {
-            let (annotation, degraded) = match (set.needs_nlp(), text) {
-                (true, Some(t)) => {
-                    nlp_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    match worker.nlp.try_annotate(&t(x)) {
-                        Ok(r) => (Some(r), false),
-                        Err(_) => {
-                            // Service outage on this example: NLP LFs
-                            // abstain instead of failing the run.
-                            nlp_degraded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            (None, true)
+        |worker: &mut LfWorker, (examples, votes)| {
+            // Bytes have no invalid state for a panicked holder to leave,
+            // and a failed run drops the buffer anyway.
+            let mut votes = votes.lock().unwrap_or_else(PoisonError::into_inner);
+            for (x, row) in examples.iter().zip(votes.chunks_mut(width)) {
+                let (annotation, degraded) = match (set.needs_nlp(), text) {
+                    (true, Some(t)) => {
+                        nlp_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        match worker.nlp.try_annotate(&t(x)) {
+                            Ok(r) => (Some(r), false),
+                            Err(_) => {
+                                // Service outage on this example: NLP LFs
+                                // abstain instead of failing the run.
+                                nlp_degraded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                (None, true)
+                            }
                         }
                     }
-                }
-                _ => (None, false),
-            };
-            row_of(
-                set.lfs(),
-                x,
-                annotation.as_ref(),
-                kg.as_deref(),
-                worker.obs.as_mut(),
-                degraded,
-            )
+                    _ => (None, false),
+                };
+                row_of(
+                    set.lfs(),
+                    x,
+                    annotation.as_ref(),
+                    kg.as_deref(),
+                    worker.obs.as_mut(),
+                    degraded,
+                    row,
+                )?;
+            }
+            Ok(())
         },
     )?;
-    let mut matrix = LabelMatrix::with_capacity(set.len(), rows.len());
-    for row in &rows {
-        matrix
-            .push_raw_row(row)
-            .map_err(|e: CoreError| DataflowError::user(e.to_string()))?;
-    }
+    drop(blocks);
+    // A set with no LFs labels nothing: an empty matrix of width 0, which
+    // `from_raw` (rightly) refuses to make out of data.
+    let matrix = if width == 0 {
+        LabelMatrix::new(0)
+    } else {
+        LabelMatrix::from_raw(width, votes).map_err(|e| DataflowError::user(e.to_string()))?
+    };
     let cache = shared_cache.as_ref().map(|c| c.stats());
     if let (Some(t), Some(c)) = (&opts.telemetry, &shared_cache) {
         c.export_to(t.metrics());
@@ -656,13 +679,15 @@ where
                     counters.inc(name);
                 }
             }
-            let votes = row_of(
+            let mut votes = vec![0; set.len()];
+            row_of(
                 set.lfs(),
                 &x,
                 annotation.as_ref(),
                 kg.as_deref(),
                 worker.obs.as_mut(),
                 degraded,
+                &mut votes,
             )?;
             for (name, &v) in vote_names.iter().zip(&votes) {
                 if v != 0 {
@@ -771,6 +796,70 @@ mod tests {
         assert_eq!(stats.examples, 4);
         assert_eq!(stats.nlp_calls, 4);
         assert!(stats.throughput() > 0.0);
+    }
+
+    /// `n` documents cycling through [`docs`]' texts, ids `0..n`.
+    fn many_docs(n: u64) -> Vec<Doc> {
+        let texts = docs();
+        (0..n)
+            .map(|i| (i, texts[i as usize % texts.len()].1.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn empty_inputs_keep_their_answers() {
+        let ext = extractor();
+        // No examples: a matrix of the set's width with no rows, and no
+        // worker is even started.
+        let (matrix, stats) = execute_in_memory(&doc_set(), Some(&ext), &[], 3).unwrap();
+        assert_eq!(matrix, LabelMatrix::with_capacity(3, 0));
+        assert_eq!((matrix.num_lfs(), matrix.num_examples()), (3, 0));
+        assert_eq!((stats.examples, stats.nlp_calls), (0, 0));
+        // No LFs: the empty matrix of width 0 that pushing empty rows
+        // used to leave (`from_raw` would refuse to build it).
+        let (matrix, stats) = execute_in_memory(&LfSet::new(), None, &docs(), 2).unwrap();
+        assert_eq!(matrix, LabelMatrix::new(0));
+        assert_eq!((matrix.num_lfs(), matrix.num_examples()), (0, 0));
+        assert_eq!((stats.examples, stats.nlp_calls), (4, 0));
+    }
+
+    #[test]
+    fn a_failure_on_a_late_row_returns_no_partial_matrix() {
+        // 700 rows are three blocks at one worker, and row 650 is in the
+        // last block whichever worker gets it.
+        let corpus = many_docs(700);
+        let mut set = doc_set();
+        set.push(Lf::plain(
+            "panics_late",
+            LfCategory::ContentHeuristic,
+            true,
+            |d: &Doc| {
+                assert!(d.0 != 650, "boom at row {}", d.0);
+                Vote::Abstain
+            },
+        ));
+        let ext = extractor();
+        for workers in [1, 2, 3] {
+            match execute_in_memory(&set, Some(&ext), &corpus, workers) {
+                Err(DataflowError::WorkerPanicked { message, .. }) => {
+                    assert!(message.contains("boom at row 650"), "{message}");
+                }
+                other => panic!("{workers} worker(s): {:?}", other.map(|(m, _)| m)),
+            }
+        }
+        // An LF whose feature space was never wired is an error, not a
+        // panic, from whichever row meets it first.
+        let mut set = doc_set();
+        set.push(Lf::graph("needs_a_graph", false, |_: &Doc, _| {
+            Vote::Positive
+        }));
+        for workers in [1, 2] {
+            let err = execute_in_memory(&set, Some(&ext), &corpus, workers).unwrap_err();
+            assert!(
+                matches!(&err, DataflowError::User(m) if m.contains("needs_a_graph")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1046,6 +1135,13 @@ mod tests {
             let (matrix, _) = execute_in_memory(&set, Some(&ext), &docs(), workers).unwrap();
             let (reference, _) = execute_in_memory(&set, Some(&ext), &docs(), 1).unwrap();
             prop_assert_eq!(matrix, reference);
+            // More than one block of rows, the last one short.
+            let corpus = many_docs(2 * BLOCK_ROWS as u64 + 89);
+            let (matrix, _) = execute_in_memory(&set, Some(&ext), &corpus, workers).unwrap();
+            prop_assert_eq!(matrix.num_examples(), corpus.len());
+            for (i, row) in matrix.rows().enumerate() {
+                prop_assert_eq!((i, row), (i, reference.row(i % 4)));
+            }
         }
     }
 }

@@ -165,6 +165,68 @@ impl Layer {
     }
 }
 
+/// The rows of a row-major matrix `width` wide. A layer next to a hidden
+/// layer of width 0 has no weights, and so no rows, rather than rows of
+/// no width (which `chunks_exact` refuses to count).
+fn rows(matrix: &[f64], width: usize) -> std::slice::ChunksExact<'_, f64> {
+    matrix.chunks_exact(width.max(1))
+}
+
+/// [`rows`], mutably.
+fn rows_mut(matrix: &mut [f64], width: usize) -> std::slice::ChunksExactMut<'_, f64> {
+    matrix.chunks_exact_mut(width.max(1))
+}
+
+/// [`Mlp::fit`]'s working memory, shaped by the layers once so that a step
+/// allocates nothing. Every field has one entry per layer.
+struct FitBuffers {
+    /// The weights in-major (`in × out`), copied from the stored out-major
+    /// `w` once a step: with them the forward pass adds input `i`'s
+    /// contribution to every output at once — a loop across the outputs,
+    /// which vectorises — while each output still sums `b + Σ_i w·x` for
+    /// `i` ascending, as [`Layer::forward`] does.
+    wt: Vec<Vec<f64>>,
+    /// The layer's output for the current example, after its activation.
+    acts: Vec<Vec<f64>>,
+    /// The loss gradient at the layer's output for the current example.
+    deltas: Vec<Vec<f64>>,
+    /// The batch's summed `(∂w, ∂b)`, shaped like the layer's `w` and `b`.
+    grads: Vec<(Vec<f64>, Vec<f64>)>,
+}
+
+impl FitBuffers {
+    fn new(layers: &[Layer]) -> FitBuffers {
+        let per_layer = |len: fn(&Layer) -> usize| -> Vec<Vec<f64>> {
+            layers.iter().map(|l| vec![0.0; len(l)]).collect()
+        };
+        FitBuffers {
+            wt: per_layer(|l| l.w.len()),
+            acts: per_layer(|l| l.n_out),
+            deltas: per_layer(|l| l.n_out),
+            grads: layers
+                .iter()
+                .map(|l| (vec![0.0; l.w.len()], vec![0.0; l.b.len()]))
+                .collect(),
+        }
+    }
+
+    /// Start a step: zero the batch gradient and take the layers' current
+    /// weights.
+    fn begin_step(&mut self, layers: &[Layer]) {
+        for (gw, gb) in &mut self.grads {
+            gw.fill(0.0);
+            gb.fill(0.0);
+        }
+        for (wt, layer) in self.wt.iter_mut().zip(layers) {
+            for (o, row) in rows(&layer.w, layer.n_in).enumerate() {
+                for (column, &w) in rows_mut(wt, layer.n_out).zip(row) {
+                    column[o] = w;
+                }
+            }
+        }
+    }
+}
+
 /// Reusable forward-pass buffers for allocation-free scoring via
 /// [`Mlp::try_score_into`]. Create one per scoring thread/handle; the
 /// buffers grow to the widest layer on first use and are reused after.
@@ -325,58 +387,64 @@ impl Mlp {
             / data.len() as f64
     }
 
-    /// Forward pass keeping post-activation values per layer, then
-    /// backprop one example's gradient into `grads` (same shapes as the
-    /// layers' `w`/`b`).
-    fn accumulate_grad(&self, x: &[f64], target: f64, grads: &mut [(Vec<f64>, Vec<f64>)]) -> f64 {
-        // Forward with cached activations: acts[0] = input, acts[l+1] =
-        // activation after layer l (ReLU for hidden, identity for output).
-        let mut acts: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.to_vec());
-        for (li, layer) in self.layers.iter().enumerate() {
-            let mut out = Vec::new();
-            layer.forward(&acts[li], &mut out);
-            if li + 1 < self.layers.len() {
-                for v in out.iter_mut() {
-                    *v = v.max(0.0);
+    /// One example's step: a forward pass keeping each layer's output in
+    /// `buffers.acts`, then backprop adding the example's gradient to
+    /// `buffers.grads`. `buffers.wt` holds the current weights.
+    fn accumulate_grad(&self, x: &[f64], target: f64, buffers: &mut FitBuffers) {
+        let FitBuffers {
+            wt,
+            acts,
+            deltas,
+            grads,
+        } = buffers;
+        let last = self.layers.len() - 1;
+        for (li, (layer, wt)) in self.layers.iter().zip(&*wt).enumerate() {
+            let (before, from) = acts.split_at_mut(li);
+            let input = before.last().map_or(x, Vec::as_slice);
+            let out = &mut from[0];
+            out.copy_from_slice(&layer.b);
+            for (column, &xi) in rows(wt, layer.n_out).zip(input) {
+                for (s, &wi) in out.iter_mut().zip(column) {
+                    *s += wi * xi;
                 }
             }
-            acts.push(out);
+            if li < last {
+                for v in out.iter_mut() {
+                    *v = v.max(0.0); // ReLU
+                }
+            }
         }
-        let score = acts[self.layers.len()][0];
-        let loss = noise_aware_logistic_loss(score, target);
-        // Backward.
-        let mut delta = vec![noise_aware_logistic_grad(score, target)];
-        for li in (0..self.layers.len()).rev() {
-            let layer = &self.layers[li];
-            let input = &acts[li];
+        // Construction pins the output layer at width 1.
+        deltas[last][0] = noise_aware_logistic_grad(acts[last][0], target);
+        for (li, layer) in self.layers.iter().enumerate().rev() {
+            let input = if li == 0 { x } else { &acts[li - 1] };
+            let (before, from) = deltas.split_at_mut(li);
+            let delta = &from[0];
             let (gw, gb) = &mut grads[li];
-            for (o, &d) in delta.iter().enumerate() {
-                gb[o] += d;
-                let row = &mut gw[o * layer.n_in..(o + 1) * layer.n_in];
+            for (g, &d) in gb.iter_mut().zip(delta) {
+                *g += d;
+            }
+            for (&d, row) in delta.iter().zip(rows_mut(gw, layer.n_in)) {
                 for (g, &xi) in row.iter_mut().zip(input) {
                     *g += d * xi;
                 }
             }
-            if li > 0 {
+            if let Some(prev) = before.last_mut() {
                 // Propagate through weights and the ReLU of the previous
                 // layer (derivative 1 where the activation is positive).
-                let mut prev = vec![0.0; layer.n_in];
-                for (o, &d) in delta.iter().enumerate() {
-                    let row = &layer.w[o * layer.n_in..(o + 1) * layer.n_in];
+                prev.fill(0.0);
+                for (&d, row) in delta.iter().zip(rows(&layer.w, layer.n_in)) {
                     for (p, &wi) in prev.iter_mut().zip(row) {
                         *p += d * wi;
                     }
                 }
-                for (p, &a) in prev.iter_mut().zip(&acts[li]) {
+                for (p, &a) in prev.iter_mut().zip(input) {
                     if a <= 0.0 {
                         *p = 0.0;
                     }
                 }
-                delta = prev;
             }
         }
-        loss
     }
 
     /// Train on `(dense features, soft target)` pairs with Adam.
@@ -392,16 +460,9 @@ impl Mlp {
         order.shuffle(&mut rng);
         let mut cursor = 0usize;
         let (beta1, beta2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-        let mut grads: Vec<(Vec<f64>, Vec<f64>)> = self
-            .layers
-            .iter()
-            .map(|l| (vec![0.0; l.w.len()], vec![0.0; l.b.len()]))
-            .collect();
+        let mut buffers = FitBuffers::new(&self.layers);
         for _ in 0..self.cfg.iterations {
-            for (gw, gb) in grads.iter_mut() {
-                gw.iter_mut().for_each(|g| *g = 0.0);
-                gb.iter_mut().for_each(|g| *g = 0.0);
-            }
+            buffers.begin_step(&self.layers);
             let bsz = self.cfg.batch_size.min(data.len());
             for _ in 0..bsz {
                 if cursor == order.len() {
@@ -410,27 +471,26 @@ impl Mlp {
                 }
                 let (x, p) = &data[order[cursor]];
                 cursor += 1;
-                self.accumulate_grad(x, *p, &mut grads);
+                self.accumulate_grad(x, *p, &mut buffers);
             }
             self.adam_t += 1;
             let bc1 = 1.0 - beta1.powi(self.adam_t as i32);
             let bc2 = 1.0 - beta2.powi(self.adam_t as i32);
             let scale = 1.0 / bsz as f64;
-            #[allow(clippy::needless_range_loop)] // i indexes four parallel arrays
-            for (layer, (gw, gb)) in self.layers.iter_mut().zip(&grads) {
-                for i in 0..layer.w.len() {
-                    let g = gw[i] * scale + self.cfg.l2 * layer.w[i];
-                    layer.mw[i] = beta1 * layer.mw[i] + (1.0 - beta1) * g;
-                    layer.vw[i] = beta2 * layer.vw[i] + (1.0 - beta2) * g * g;
-                    layer.w[i] -=
-                        self.cfg.lr * (layer.mw[i] / bc1) / ((layer.vw[i] / bc2).sqrt() + eps);
+            let (lr, l2) = (self.cfg.lr, self.cfg.l2);
+            let adam = |p: &mut f64, m: &mut f64, v: &mut f64, g: f64| {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                *p -= lr * (*m / bc1) / ((*v / bc2).sqrt() + eps);
+            };
+            for (layer, (gw, gb)) in self.layers.iter_mut().zip(&buffers.grads) {
+                let moments = layer.mw.iter_mut().zip(&mut layer.vw);
+                for ((w, (m, v)), &g) in layer.w.iter_mut().zip(moments).zip(gw) {
+                    adam(w, m, v, g * scale + l2 * *w);
                 }
-                for i in 0..layer.b.len() {
-                    let g = gb[i] * scale;
-                    layer.mb[i] = beta1 * layer.mb[i] + (1.0 - beta1) * g;
-                    layer.vb[i] = beta2 * layer.vb[i] + (1.0 - beta2) * g * g;
-                    layer.b[i] -=
-                        self.cfg.lr * (layer.mb[i] / bc1) / ((layer.vb[i] / bc2).sqrt() + eps);
+                let moments = layer.mb.iter_mut().zip(&mut layer.vb);
+                for ((b, (m, v)), &g) in layer.b.iter_mut().zip(moments).zip(gb) {
+                    adam(b, m, v, g * scale);
                 }
             }
         }
@@ -518,12 +578,10 @@ mod tests {
         let mut net = Mlp::new(2, cfg);
         let x = vec![0.4, -0.7];
         let target = 0.8;
-        let mut grads: Vec<(Vec<f64>, Vec<f64>)> = net
-            .layers
-            .iter()
-            .map(|l| (vec![0.0; l.w.len()], vec![0.0; l.b.len()]))
-            .collect();
-        net.accumulate_grad(&x, target, &mut grads);
+        let mut buffers = FitBuffers::new(&net.layers);
+        buffers.begin_step(&net.layers);
+        net.accumulate_grad(&x, target, &mut buffers);
+        let grads = buffers.grads;
         let h = 1e-6;
         #[allow(clippy::needless_range_loop)] // li indexes both net and grads
         for li in 0..net.layers.len() {
@@ -542,6 +600,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_hidden_layer_of_no_width_trains_the_output_bias() {
+        // Degenerate, but `MlpConfig::hidden` is anyone's to set: nothing
+        // reaches the output but its bias, and nothing panics.
+        let mut net = Mlp::new(
+            2,
+            MlpConfig {
+                hidden: vec![0],
+                iterations: 300,
+                ..MlpConfig::default()
+            },
+        );
+        net.fit(&[(vec![0.3, -0.1], 0.9), (vec![-0.6, 0.2], 0.9)]);
+        let p = net.predict_proba(&[5.0, 5.0]);
+        assert!(p > 0.7, "{p}");
     }
 
     #[test]

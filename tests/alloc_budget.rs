@@ -1,20 +1,26 @@
-//! Allocation budget of the document path: how many times featurizing,
-//! annotating and voting on one product document may call the allocator.
+//! Allocation budget of the per-example paths: how many times featurizing,
+//! annotating and voting on one product document, and voting on, training
+//! the label model on and taking an end-model step for one event, may call
+//! the allocator.
 //!
-//! The per-document path runs 650K times in a `product_batch` window, on
-//! two workers sharing one allocator, so a `String` per word is both the
-//! time and the contention. The counts here are exact properties of the
-//! code (no clock involved), which is what lets a test hold them.
+//! The per-document path runs 650K times in a `product_batch` window and
+//! the per-event ones one to three million times in an `events_wide`
+//! window, the executor's on two workers sharing one allocator, so a
+//! `String` per word or a `Vec` per vote is both the time and the
+//! contention. The counts here are exact properties of the code (no clock
+//! involved), which is what lets a test hold them.
 //!
 //! The counter is process-wide, so that executor workers are counted, and
 //! this file therefore holds exactly one `#[test]`: a second would run on
 //! another thread of the same process and leak into the counts.
 
-use drybell_core::Vote;
+use drybell_core::{GenerativeModel, TrainConfig, Vote};
+use drybell_datagen::events::{self, EventTaskConfig};
 use drybell_datagen::product::{self, ProductDoc, ProductTaskConfig};
 use drybell_features::FeatureHasher;
 use drybell_lf::executor::execute_in_memory;
 use drybell_lf::{Lf, LfCategory, LfSet};
+use drybell_ml::{Mlp, MlpConfig};
 use drybell_nlp::{CachedNlpServer, NlpResult, NlpServer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -144,7 +150,7 @@ fn the_document_path_stays_within_its_allocation_budget() {
         }
     }
 
-    // --- the executor: one row, allocated once at its final size ---
+    // --- the executor: rows are written into the matrix's own buffer ---
     const ROWS: usize = 10_000;
     let mut wide: LfSet<u32> = LfSet::new();
     for j in 0..140u32 {
@@ -164,8 +170,83 @@ fn the_document_path_stays_within_its_allocation_budget() {
         });
         let per_row = n as f64 / ROWS as f64;
         assert!(
-            per_row <= 1.1,
+            per_row <= 0.05,
             "executor, {workers} worker(s): {per_row} allocations a row"
         );
     }
+
+    // --- the events task: 140 sources, no text ---
+    let paper = EventTaskConfig::paper();
+    let stream = events::generate(&EventTaskConfig {
+        num_unlabeled: DOCS,
+        num_test: 1,
+        ..paper.clone()
+    })
+    .unlabeled;
+    let sources = events::lf_set(paper.num_lfs, paper.seed);
+    for lf in sources.lfs() {
+        let n = per_doc(&stream, |e| {
+            black_box(lf.try_vote(e, None, None).unwrap());
+        });
+        let name = &lf.metadata().name;
+        assert!(n == 0.0, "{name}: {n} allocations an event");
+    }
+    let mut votes = None;
+    for workers in [1, 2] {
+        let n = allocations(|| {
+            votes = Some(
+                execute_in_memory(&sources, None, &stream, workers)
+                    .unwrap()
+                    .0,
+            );
+        });
+        let per_event = n as f64 / DOCS as f64;
+        assert!(
+            per_event <= 0.05,
+            "events executor, {workers} worker(s): {per_event} allocations an event"
+        );
+    }
+    let votes = votes.expect("the executor ran");
+
+    // --- the label model: a step allocates nothing, on either layout ---
+    // At under 50% density (39% here) the schedule picks the layout: 8
+    // rows a step comes back to a row at most four times (dense kernel),
+    // 64 rows a step sixteen times or more (active index).
+    assert!(votes.vote_density() < 0.5);
+    for (batch_size, layout) in [(8, "dense"), (64, "index")] {
+        let [shorter, longer] = [500, 1_000].map(|steps| {
+            assert_eq!(steps * batch_size >= 8 * DOCS, layout == "index");
+            let cfg = TrainConfig {
+                steps,
+                batch_size,
+                ..TrainConfig::default()
+            };
+            let mut model = GenerativeModel::new(votes.num_lfs(), cfg.init_alpha);
+            allocations(|| drop(black_box(model.fit(&votes, &cfg).unwrap())))
+        });
+        assert!(
+            longer.abs_diff(shorter) <= 10,
+            "label model, {layout}: {shorter} allocations for 500 steps, {longer} for 1000"
+        );
+    }
+
+    // --- the end model: a step allocates nothing ---
+    let soft: Vec<(Vec<f64>, f64)> = stream
+        .iter()
+        .map(|e| (e.servable.clone(), e.graph_score))
+        .collect();
+    let [shorter, longer] = [100, 200].map(|iterations| {
+        let mut net = Mlp::new(
+            events::SERVABLE_DIMS,
+            MlpConfig {
+                iterations,
+                ..MlpConfig::default()
+            },
+        );
+        allocations(|| net.fit(&soft))
+    });
+    assert_eq!(
+        shorter, longer,
+        "end model: {shorter} allocations for 100 iterations, {longer} for 200"
+    );
 }
