@@ -101,11 +101,6 @@ impl GibbsTrainer {
         &self.model
     }
 
-    /// Consume the trainer, returning the trained model.
-    pub fn into_model(self) -> GenerativeModel {
-        self.model
-    }
-
     /// Fit by stochastic gradient descent with Gibbs-sampled label
     /// expectations.
     pub fn fit(&mut self, m: &LabelMatrix, cfg: &GibbsConfig) -> Result<GibbsReport, CoreError> {

@@ -38,17 +38,6 @@ impl LabelMatrix {
         }
     }
 
-    /// Build a matrix from per-example vote rows.
-    ///
-    /// Every row must have exactly `num_lfs` entries.
-    pub fn from_rows(num_lfs: usize, rows: &[Vec<Vote>]) -> Result<LabelMatrix, CoreError> {
-        let mut m = LabelMatrix::with_capacity(num_lfs, rows.len());
-        for row in rows {
-            m.push_row(row)?;
-        }
-        Ok(m)
-    }
-
     /// Build a matrix from raw `i8` votes in row-major order.
     ///
     /// Returns [`CoreError::ZeroLabelingFunctions`] for `num_lfs == 0`
@@ -238,11 +227,6 @@ impl LabelMatrix {
             }
         }
         Ok((active > 0).then(|| correct as f64 / active as f64))
-    }
-
-    /// Empirical non-abstain propensity of each LF.
-    pub fn propensities(&self) -> Vec<f64> {
-        (0..self.num_lfs).map(|j| self.coverage(j)).collect()
     }
 
     /// Fraction of matrix cells holding a non-abstain vote (`nnz / m·n`).

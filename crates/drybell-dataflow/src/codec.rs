@@ -199,18 +199,6 @@ pub fn get_string(buf: &mut &[u8]) -> Result<String, CodecError> {
     Ok(s.to_owned())
 }
 
-/// Append a length-prefixed byte blob.
-pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_varint(buf, b.len() as u64);
-    buf.extend_from_slice(b);
-}
-
-/// Read a length-prefixed byte blob.
-pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, CodecError> {
-    let len = get_varint(buf)? as usize;
-    Ok(take(buf, len)?.to_vec())
-}
-
 /// Append an `f64` as little-endian bits.
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -219,12 +207,6 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
 /// Read a little-endian `f64`.
 pub fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
     Ok(f64::from_le_bytes(take_array(buf)?))
-}
-
-/// Read a single byte.
-pub fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
-    let [byte] = take_array(buf)?;
-    Ok(byte)
 }
 
 /// ZigZag-encode a signed integer into a varint.

@@ -1,10 +1,10 @@
 //! Named job counters, in the spirit of MapReduce counters.
 //!
 //! Workers increment counters cheaply through a [`CounterHandle`]; the
-//! engine merges per-worker tallies into a [`CounterSnapshot`] attached to
-//! the job's final stats. Counters are how LF pipelines report vote
-//! distributions, service cache hits, skipped records, etc. without
-//! funneling everything through return values.
+//! engine merges the tally of each shard attempt that commits into a
+//! [`CounterSnapshot`] attached to the job's final stats. Counters are
+//! how LF pipelines report vote distributions, service cache hits, skipped
+//! records, etc. without funneling everything through return values.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -106,6 +106,12 @@ impl CounterHandle {
             self.shared.merge(&self.local);
             self.local.clear();
         }
+    }
+
+    /// Throw the local tally away unflushed: what a failed shard attempt
+    /// counted must not reach the job's totals.
+    pub(crate) fn discard(&mut self) {
+        self.local.clear();
     }
 }
 

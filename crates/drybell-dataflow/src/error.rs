@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 /// Errors surfaced by shard I/O and job execution.
 #[derive(Debug)]
 pub enum DataflowError {
-    /// Filesystem error touching a shard or spill file.
+    /// Filesystem error touching a shard file.
     Io {
         /// File the operation touched.
         path: PathBuf,
@@ -28,12 +28,12 @@ pub enum DataflowError {
         /// Panic payload rendered as text, when available.
         message: String,
     },
-    /// A user map/reduce/init function returned an error.
+    /// A user map or init function returned an error.
     User(String),
     /// The job was misconfigured (e.g. mismatched shard counts).
     BadJob(String),
     /// An engine-internal invariant failed (a broken work queue, a
-    /// partition index out of range). These indicate bugs in the
+    /// shard index out of range). These indicate bugs in the
     /// dataflow substrate itself, not in user code or input data.
     Internal(String),
 }

@@ -17,14 +17,13 @@
 //! retry is designed to absorb. Persistent failures are expressed with
 //! explicit schedule entries covering several attempts.
 //!
-//! The same plan carries NLP-server knobs ([`FaultPlan::nlp_should_fail`]
-//! et al.) so one seeded object can poison the whole pipeline: the
-//! engine consults the task-level faults, `NlpServer::try_annotate`
-//! consults the NLP ones, and the LF executor degrades to abstention
-//! when the server errors.
+//! The same plan carries the NLP-server outage schedule
+//! ([`FaultPlan::nlp_should_fail`]) so one seeded object can poison the
+//! whole pipeline: the engine consults the task-level faults,
+//! `NlpServer::try_annotate` consults the NLP ones, and the LF executor
+//! degrades to abstention when the server errors.
 
 use drybell_obs::fnv1a64;
-use std::time::Duration;
 
 /// What an injected fault does to the attempt it fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,11 +40,8 @@ pub enum FaultKind {
 /// Which engine phase a task-level fault applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// Map tasks: one per input shard (`par_map_shards` and the map
-    /// phase of `map_reduce`).
+    /// Map tasks: one per input shard of `par_map_shards`.
     Map,
-    /// Reduce tasks: one per output partition.
-    Reduce,
     /// Streaming ingestion: one task per shard *arrival* (keyed by the
     /// order in which the [`crate::stream::StreamIngestor`] first sights
     /// each spool file).
@@ -57,7 +53,6 @@ impl FaultSite {
     pub fn as_str(self) -> &'static str {
         match self {
             FaultSite::Map => "map",
-            FaultSite::Reduce => "reduce",
             FaultSite::Stream => "stream",
         }
     }
@@ -65,7 +60,6 @@ impl FaultSite {
     fn tag(self) -> u64 {
         match self {
             FaultSite::Map => 0x6d61_7000,
-            FaultSite::Reduce => 0x7265_6400,
             FaultSite::Stream => 0x7374_7200,
         }
     }
@@ -89,11 +83,8 @@ pub struct FaultPlan {
     seed: u64,
     map_error_rate: f64,
     map_panic_rate: f64,
-    reduce_error_rate: f64,
-    reduce_panic_rate: f64,
     record_error_rate: f64,
     nlp_error_rate: f64,
-    nlp_delay_us: u64,
     schedule: Vec<ScheduledFault>,
     nlp_fail_texts: Vec<u64>,
 }
@@ -119,18 +110,6 @@ impl FaultPlan {
         self
     }
 
-    /// Fraction of first reduce attempts that return an injected error.
-    pub fn with_reduce_error_rate(mut self, rate: f64) -> FaultPlan {
-        self.reduce_error_rate = rate;
-        self
-    }
-
-    /// Fraction of first reduce attempts that panic.
-    pub fn with_reduce_panic_rate(mut self, rate: f64) -> FaultPlan {
-        self.reduce_panic_rate = rate;
-        self
-    }
-
     /// Fraction of individual input records whose map call fails with an
     /// injected user error (the `skip_bad_record_budget` path). Unlike
     /// attempt-level rates, record faults are a property of the record
@@ -144,13 +123,6 @@ impl FaultPlan {
     /// decision hashes the text, so a given text fails consistently.
     pub fn with_nlp_error_rate(mut self, rate: f64) -> FaultPlan {
         self.nlp_error_rate = rate;
-        self
-    }
-
-    /// Delay every fault-aware NLP call by this many microseconds
-    /// (flaky-model-server latency simulation).
-    pub fn with_nlp_delay_us(mut self, delay_us: u64) -> FaultPlan {
-        self.nlp_delay_us = delay_us;
         self
     }
 
@@ -209,7 +181,6 @@ impl FaultPlan {
         }
         let (error_rate, panic_rate) = match site {
             FaultSite::Map => (self.map_error_rate, self.map_panic_rate),
-            FaultSite::Reduce => (self.reduce_error_rate, self.reduce_panic_rate),
             // Stream-arrival faults are schedule-only: random rates would
             // make the retry count (and thus the deterministic arrival
             // sequence numbering) depend on poll timing.
@@ -238,11 +209,6 @@ impl FaultPlan {
             return true;
         }
         self.nlp_error_rate > 0.0 && self.draw(0x6e6c_7000, h, 0) < self.nlp_error_rate
-    }
-
-    /// The configured NLP call delay, zero when none.
-    pub fn nlp_delay(&self) -> Duration {
-        Duration::from_micros(self.nlp_delay_us)
     }
 
     /// Whether the plan can inject anything at all (lets hot paths skip
@@ -283,7 +249,7 @@ mod tests {
         assert!(plan.is_empty());
         for task in 0..100 {
             assert_eq!(plan.task_fault(FaultSite::Map, task, 0), None);
-            assert_eq!(plan.task_fault(FaultSite::Reduce, task, 0), None);
+            assert_eq!(plan.task_fault(FaultSite::Stream, task, 0), None);
             assert!(!plan.record_fault(task, 0));
         }
         assert!(!plan.nlp_should_fail("anything"));
@@ -294,7 +260,7 @@ mod tests {
         let plan = FaultPlan::seeded(1)
             .fail_task(FaultSite::Map, 3, 0)
             .panic_task(FaultSite::Map, 3, 1)
-            .delay_task(FaultSite::Reduce, 0, 0, 25);
+            .delay_task(FaultSite::Stream, 0, 0, 25);
         assert_eq!(
             plan.task_fault(FaultSite::Map, 3, 0),
             Some(FaultKind::Error)
@@ -306,7 +272,7 @@ mod tests {
         assert_eq!(plan.task_fault(FaultSite::Map, 3, 2), None);
         assert_eq!(plan.task_fault(FaultSite::Map, 4, 0), None);
         assert_eq!(
-            plan.task_fault(FaultSite::Reduce, 0, 0),
+            plan.task_fault(FaultSite::Stream, 0, 0),
             Some(FaultKind::Delay(25))
         );
         assert!(!plan.is_empty());
@@ -331,8 +297,8 @@ mod tests {
         for t in 0..64 {
             assert_eq!(plan.task_fault(FaultSite::Map, t, 1), None);
         }
-        // Reduce site is an independent stream.
-        assert!((0..64).all(|t| plan.task_fault(FaultSite::Reduce, t, 0).is_none()));
+        // The stream site takes scheduled faults only, never a rate.
+        assert!((0..64).all(|t| plan.task_fault(FaultSite::Stream, t, 0).is_none()));
     }
 
     #[test]

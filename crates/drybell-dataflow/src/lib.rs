@@ -12,10 +12,10 @@
 //!   interchange format between pipeline stages, mirroring how the paper's
 //!   labeling-function binaries "use a distributed filesystem to share
 //!   data".
-//! * [`mapreduce`] — the job engine: shard-parallel maps with per-worker
+//! * [`mapreduce`] — the job engine: a shard-parallel map with per-worker
 //!   state (the hook DryBell uses to launch an NLP model server per
-//!   compute node), a full map-shuffle-reduce with optional combining,
-//!   job counters, and per-shard retry with atomic shard commits.
+//!   compute node), job counters, and per-shard retry with atomic shard
+//!   commits.
 //! * [`counters`] — named job counters in the MapReduce tradition.
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]) used by the
 //!   chaos test suite to exercise the retry and skip paths.
@@ -37,7 +37,6 @@ pub mod counters;
 pub mod error;
 pub mod fault;
 pub mod mapreduce;
-pub mod pipeline;
 pub mod shard;
 pub mod stream;
 
@@ -49,9 +48,7 @@ pub use counters::{CounterHandle, CounterSnapshot, Counters};
 pub use error::DataflowError;
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use mapreduce::{
-    map_reduce, par_map_shards, par_map_vec, reference_map_reduce, Emit, JobConfig, JobStats,
-    PhaseStats, Service, WorkerContext,
+    par_map_shards, par_map_vec, Emit, JobConfig, JobStats, PhaseStats, Service, WorkerContext,
 };
-pub use pipeline::{Pipeline, PipelineRun};
 pub use shard::{read_all, write_all, ShardReader, ShardSpec, ShardWriter, ShardWriterSet};
 pub use stream::{ArrivedShard, StreamIngestor};

@@ -1,16 +1,17 @@
 //! The MapReduce-style execution engine.
 //!
 //! Snorkel DryBell executes every labeling function as a MapReduce pipeline
-//! over Google's distributed compute environment (§5.1). This module is the
-//! local substitute: a thread-per-worker engine over [`crate::shard`]
-//! datasets that preserves the architectural properties the paper relies
-//! on —
+//! over Google's distributed compute environment (§5.1), and that job is a
+//! map: a worker reads an input shard, votes, and writes a vote shard. This
+//! module is the local substitute: a thread-per-worker, shard-parallel map
+//! ([`par_map_shards`]) over [`crate::shard`] datasets, beside the same map
+//! over a slice already in memory ([`par_map_vec`]). It preserves the
+//! architectural properties the paper relies on —
 //!
 //! * workers process whole shards and may hold per-worker state (the hook
 //!   used to "launch a model server on each compute node"),
-//! * jobs expose named counters and wall-clock stats,
-//! * a full shuffle ([`map_reduce`]) with optional map-side combining is
-//!   available for aggregation pipelines,
+//! * jobs expose named counters and wall-clock stats, and a shard that is
+//!   retried counts once,
 //! * failures are handled the way production MapReduce handles them
 //!   (§5.4's pipelines assume workers die routinely): a failed or
 //!   panicked shard attempt is retried on whichever worker is free, up
@@ -25,25 +26,23 @@ use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::shard::{ShardReader, ShardSpec, ShardWriter};
 use crate::Record;
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Configuration shared by all job types.
+/// Name of a job's one phase: in its `phase` and `shard_attempt` journal
+/// events, its [`PhaseStats`] and injected-fault messages.
+const PHASE: &str = "map";
+
+/// Configuration of a job.
 #[derive(Debug, Clone)]
 pub struct JobConfig {
     /// Job name used in stats and error messages.
     pub name: String,
-    /// Number of worker threads (both map and reduce phases).
+    /// Number of worker threads.
     pub workers: usize,
-    /// Map-side buffer size (in key-value pairs) before a spill flush;
-    /// only used by [`map_reduce`].
-    pub spill_buffer: usize,
-    /// Maximum executions of any one shard/partition task before the job
+    /// Maximum executions of any one shard task before the job
     /// fails. `1` (the default) is fail-stop: the first failed attempt
     /// aborts the job. Higher values requeue a failed task for another
     /// worker, with [`JobConfig::retry_backoff_ms`] between attempts.
@@ -80,7 +79,6 @@ impl JobConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            spill_buffer: 64 * 1024,
             max_attempts: 1,
             skip_bad_record_budget: 0,
             retry_backoff_ms: 1,
@@ -95,7 +93,7 @@ impl JobConfig {
         self
     }
 
-    /// Allow up to `attempts` executions per shard/partition task.
+    /// Allow up to `attempts` executions per shard task.
     pub fn with_max_attempts(mut self, attempts: u32) -> JobConfig {
         self.max_attempts = attempts.max(1);
         self
@@ -126,7 +124,9 @@ impl JobConfig {
     }
 }
 
-/// Wall-clock accounting for one phase of a job (`map`, `reduce`).
+/// Wall-clock accounting for one phase of a job. A job has exactly one,
+/// `map`; [`JobStats::phases`] stays a list because the run journal and
+/// the doctor's summary schema carry it as one.
 #[derive(Debug, Clone)]
 pub struct PhaseStats {
     /// Phase name.
@@ -135,8 +135,7 @@ pub struct PhaseStats {
     pub seconds: f64,
     /// Records entering the phase.
     pub records_in: u64,
-    /// Records leaving the phase (spilled pairs for a map phase feeding
-    /// a shuffle, final records for a reduce phase).
+    /// Records leaving the phase.
     pub records_out: u64,
 }
 
@@ -155,16 +154,13 @@ pub struct JobStats {
     pub workers: usize,
     /// Final counter values.
     pub counters: CounterSnapshot,
-    /// Per-phase wall-clock breakdown, in execution order. Phase times
-    /// sum to (slightly less than) `seconds`; the gap is setup/cleanup.
+    /// Per-phase wall-clock breakdown: one entry, `map`, spanning the job.
     pub phases: Vec<PhaseStats>,
-    /// Seconds each worker spent executing tasks (indexed by worker id,
-    /// summed across phases). Time blocked on the work queue and worker
-    /// startup are *not* charged, so a worker that received no shards
-    /// reads exactly zero. Uneven values reveal stragglers.
+    /// Seconds each worker spent executing tasks (indexed by worker id).
+    /// Time blocked on the work queue and worker startup are *not*
+    /// charged, so a worker that received no shards reads exactly zero.
+    /// Uneven values reveal stragglers.
     pub worker_busy: Vec<f64>,
-    /// Bytes spilled to intermediate shuffle files (zero for pure maps).
-    pub spill_bytes: u64,
 }
 
 impl JobStats {
@@ -209,7 +205,6 @@ impl JobStats {
             .field("seconds", self.seconds)
             .field("workers", self.workers)
             .field("straggler_ratio", self.straggler_ratio())
-            .field("spill_bytes", self.spill_bytes)
             .field(
                 "worker_busy",
                 drybell_obs::Json::Arr(
@@ -336,8 +331,7 @@ impl JobState {
 // Retrying task queue
 // ---------------------------------------------------------------------------
 
-/// One unit of phase work: a shard (map) or partition (reduce) index,
-/// plus which attempt this is.
+/// One unit of work: an input shard index, plus which attempt this is.
 #[derive(Debug, Clone, Copy)]
 struct Task {
     index: usize,
@@ -440,7 +434,6 @@ impl TaskQueue {
 /// Record one task attempt into the job's telemetry sink, when present.
 fn record_attempt(
     cfg: &JobConfig,
-    site: FaultSite,
     task: Task,
     started: Instant,
     outcome: &str,
@@ -453,7 +446,7 @@ fn record_attempt(
     t.spans().record("job/shard_attempt", us);
     let mut event = drybell_obs::Event::new("shard_attempt")
         .field("job", cfg.name.as_str())
-        .field("phase", site.as_str())
+        .field("phase", PHASE)
         .field("task", task.index as u64)
         .field("attempt", u64::from(task.attempt))
         .field("outcome", outcome);
@@ -463,7 +456,7 @@ fn record_attempt(
     t.emit(event);
 }
 
-/// Run one phase of a job over a retrying task queue.
+/// Run a job's map phase over a retrying task queue.
 ///
 /// Each of `workers` threads builds per-worker state via `init`, then
 /// drains tasks. A failed or panicked attempt (including injected
@@ -474,7 +467,6 @@ fn record_attempt(
 /// via `state` and close the queue so every worker winds down promptly.
 #[allow(clippy::too_many_arguments)]
 fn run_phase<W, InitF, RunF>(
-    site: FaultSite,
     num_tasks: usize,
     workers: usize,
     cfg: &JobConfig,
@@ -486,16 +478,13 @@ fn run_phase<W, InitF, RunF>(
 ) where
     W: Send,
     InitF: Fn(&mut WorkerContext) -> Result<W, DataflowError> + Sync,
-    RunF: Fn(&mut W, usize, u32, &mut CounterHandle) -> Result<(), DataflowError> + Sync,
+    RunF: Fn(&mut W, usize, &mut CounterHandle) -> Result<(), DataflowError> + Sync,
 {
     let queue = TaskQueue::new(num_tasks);
     // Phase span, traced when the job's telemetry carries a tracer, so
     // each worker's shard attempts (and their per-LF trace blocks) nest
     // under the phase in the exported trace.
-    let phase_span = cfg.telemetry.as_ref().map(|t| match site {
-        FaultSite::Map => t.span("job/map"),
-        FaultSite::Reduce | FaultSite::Stream => t.span("job/reduce"),
-    });
+    let phase_span = cfg.telemetry.as_ref().map(|t| t.span("job/map"));
     let phase_parent = phase_span.as_ref().and_then(drybell_obs::Span::trace_id);
     std::thread::scope(|scope| {
         for worker_id in 0..workers {
@@ -510,7 +499,6 @@ fn run_phase<W, InitF, RunF>(
                 // an engine bug, which fails the job outright.
                 let backstop = catch_unwind(AssertUnwindSafe(|| {
                     phase_worker(
-                        site,
                         worker_id,
                         queue,
                         counters,
@@ -536,7 +524,6 @@ fn run_phase<W, InitF, RunF>(
 
 #[allow(clippy::too_many_arguments)]
 fn phase_worker<W, InitF, RunF>(
-    site: FaultSite,
     worker_id: usize,
     queue: &TaskQueue,
     counters: Counters,
@@ -549,7 +536,7 @@ fn phase_worker<W, InitF, RunF>(
 ) where
     W: Send,
     InitF: Fn(&mut WorkerContext) -> Result<W, DataflowError> + Sync,
-    RunF: Fn(&mut W, usize, u32, &mut CounterHandle) -> Result<(), DataflowError> + Sync,
+    RunF: Fn(&mut W, usize, &mut CounterHandle) -> Result<(), DataflowError> + Sync,
 {
     let mut ctx = WorkerContext {
         worker_id,
@@ -565,7 +552,14 @@ fn phase_worker<W, InitF, RunF>(
             return;
         }
     };
-    let mut handle = CounterHandle::new(counters);
+    // What the map function counts during one attempt. It is flushed to
+    // the job's counters only once the attempt has committed its shard
+    // and thrown away when the attempt errors or panics, so a retried
+    // shard counts once. It lives outside the per-attempt `catch_unwind`
+    // so that an unwinding attempt cannot drop (and thereby flush) it.
+    // The engine's own counters count every retry and deferral, and go
+    // through the worker's handle.
+    let mut tally = CounterHandle::new(counters);
     let tracer = cfg
         .telemetry
         .as_ref()
@@ -591,7 +585,7 @@ fn phase_worker<W, InitF, RunF>(
         if let Some(due) = task.not_before {
             let now = Instant::now();
             if now < due {
-                handle.inc("dataflow/backoff_deferrals");
+                ctx.counters.inc("dataflow/backoff_deferrals");
                 if !queue.requeue(task) {
                     return;
                 }
@@ -620,7 +614,7 @@ fn phase_worker<W, InitF, RunF>(
         let injected = cfg
             .fault_plan
             .as_ref()
-            .and_then(|p| p.task_fault(site, task.index, task.attempt));
+            .and_then(|p| p.task_fault(FaultSite::Map, task.index, task.attempt));
         let started = Instant::now();
         // Each attempt gets its own trace interval, explicitly parented
         // under the coordinator's phase span. Opening the handle pushes
@@ -631,25 +625,21 @@ fn phase_worker<W, InitF, RunF>(
         // attempt, not the whole job.
         let outcome = catch_unwind(AssertUnwindSafe(|| match injected {
             Some(FaultKind::Error) => Err(DataflowError::user(format!(
-                "injected fault: {} task {} attempt {}",
-                site.as_str(),
-                task.index,
-                task.attempt
+                "injected fault: {PHASE} task {} attempt {}",
+                task.index, task.attempt
             ))),
             Some(FaultKind::Panic) => {
                 // drybell-lint: allow(no-panic) — deliberate chaos-test injection; caught by the per-attempt catch_unwind directly above
                 panic!(
-                    "injected panic: {} task {} attempt {}",
-                    site.as_str(),
-                    task.index,
-                    task.attempt
+                    "injected panic: {PHASE} task {} attempt {}",
+                    task.index, task.attempt
                 );
             }
             other => {
                 if let Some(FaultKind::Delay(ms)) = other {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
-                run(&mut wstate, task.index, task.attempt, &mut handle)
+                run(&mut wstate, task.index, &mut tally)
             }
         }));
         // Busy time covers task execution only — never queue waits or
@@ -668,10 +658,12 @@ fn phase_worker<W, InitF, RunF>(
         };
         match error {
             None => {
-                record_attempt(cfg, site, task, started, "ok", None);
+                tally.flush();
+                record_attempt(cfg, task, started, "ok", None);
                 queue.task_done();
             }
             Some(e) => {
+                tally.discard();
                 if state.failed.load(Ordering::SeqCst) {
                     // The job already failed elsewhere; this attempt's
                     // error is noise (often "job aborted"), not a retry.
@@ -679,8 +671,8 @@ fn phase_worker<W, InitF, RunF>(
                 }
                 let next = task.attempt + 1;
                 if next < cfg.max_attempts {
-                    handle.inc("dataflow/retries");
-                    record_attempt(cfg, site, task, started, "retry", Some(&e));
+                    ctx.counters.inc("dataflow/retries");
+                    record_attempt(cfg, task, started, "retry", Some(&e));
                     // Requeue immediately with a not-before stamp; the
                     // deferral check at the top of the loop enforces
                     // the linear backoff without this worker sleeping.
@@ -698,7 +690,7 @@ fn phase_worker<W, InitF, RunF>(
                         return;
                     }
                 } else {
-                    record_attempt(cfg, site, task, started, "failed", Some(&e));
+                    record_attempt(cfg, task, started, "failed", Some(&e));
                     state.fail(e);
                     queue.close();
                     return;
@@ -708,13 +700,15 @@ fn phase_worker<W, InitF, RunF>(
     }
 }
 
-/// Consume one unit of skip budget, if any remains.
-fn try_skip_record(skip_budget: &AtomicU64, handle: &mut CounterHandle) -> bool {
+/// Consume one unit of skip budget, if any remains. The skip is counted
+/// on the job's counters at once, not on the attempt's tally: a failed
+/// attempt is not refunded, so the counter equals the budget consumed.
+fn try_skip_record(skip_budget: &AtomicU64, counters: &Counters) -> bool {
     let mut cur = skip_budget.load(Ordering::SeqCst);
     while cur > 0 {
         match skip_budget.compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst) {
             Ok(_) => {
-                handle.inc("dataflow/skipped_records");
+                counters.inc("dataflow/skipped_records");
                 return true;
             }
             Err(actual) => cur = actual,
@@ -733,6 +727,8 @@ fn try_skip_record(skip_budget: &AtomicU64, handle: &mut CounterHandle) -> bool 
 /// [`JobConfig::max_attempts`]); its output shard is committed
 /// atomically on success, so a retried shard rewrites its stage file
 /// from scratch and the final dataset is identical to a fault-free run.
+/// So are the job's counters: what `f` adds through its `CounterHandle`
+/// counts only for the attempt that commits the shard.
 pub fn par_map_shards<I, O, S, Init, F>(
     input: &ShardSpec,
     output: &ShardSpec,
@@ -761,7 +757,6 @@ where
     let workers = cfg.workers.max(1);
     let busy = BusyClock::new(workers);
     run_phase(
-        FaultSite::Map,
         input.num_shards(),
         workers,
         cfg,
@@ -769,7 +764,7 @@ where
         &busy,
         &counters,
         init,
-        |user_state: &mut S, shard, _attempt, handle| {
+        |user_state: &mut S, shard, tally| {
             run_one_shard(
                 input,
                 output,
@@ -777,7 +772,7 @@ where
                 user_state,
                 &f,
                 &state,
-                handle,
+                tally,
                 &skip_budget,
                 cfg.fault_plan.as_ref(),
             )
@@ -794,13 +789,12 @@ where
         workers,
         counters: counters.snapshot(),
         phases: vec![PhaseStats {
-            name: "map".to_string(),
+            name: PHASE.to_string(),
             seconds,
             records_in,
             records_out,
         }],
         worker_busy: busy.seconds(),
-        spill_bytes: 0,
     };
     state.into_result(stats)
 }
@@ -813,7 +807,7 @@ fn run_one_shard<I, O, S, F>(
     user_state: &mut S,
     f: &F,
     state: &JobState,
-    handle: &mut CounterHandle,
+    tally: &mut CounterHandle,
     skip_budget: &AtomicU64,
     plan: Option<&FaultPlan>,
 ) -> Result<(), DataflowError>
@@ -840,11 +834,11 @@ where
                 "injected record fault: shard {shard} record {read}"
             )))
         } else {
-            f(user_state, record, &mut emit, handle).err()
+            f(user_state, record, &mut emit, tally).err()
         };
         read += 1;
         if let Some(e) = record_error {
-            if try_skip_record(skip_budget, handle) {
+            if try_skip_record(skip_budget, tally.shared()) {
                 continue;
             }
             return Err(e);
@@ -857,366 +851,6 @@ where
     state.records_in.fetch_add(read, Ordering::SeqCst);
     state.records_out.fetch_add(emitted, Ordering::SeqCst);
     Ok(())
-}
-
-fn hash_key<K: Hash>(k: &K) -> u64 {
-    let mut h = DefaultHasher::new();
-    k.hash(&mut h);
-    h.finish()
-}
-
-/// Run a full map-shuffle-reduce over sharded datasets.
-///
-/// * `map` emits `(K, V)` pairs per input record;
-/// * pairs are hash-partitioned into `output.num_shards()` partitions and
-///   spilled under `tmp_dir`, with optional map-side combining;
-/// * `reduce` folds each key's values (presented in key order) and emits
-///   output records to its partition's shard.
-///
-/// Fault tolerance mirrors [`par_map_shards`]: every input shard (map)
-/// and every partition (reduce) is a retryable task. Spill files are
-/// keyed by *input shard*, not by worker, and committed atomically when
-/// the shard finishes, so a retried map shard deterministically rewrites
-/// exactly its own spills regardless of which worker runs it.
-pub fn map_reduce<I, K, V, O, M, C, R>(
-    input: &ShardSpec,
-    output: &ShardSpec,
-    tmp_dir: &Path,
-    cfg: &JobConfig,
-    map: M,
-    combiner: Option<C>,
-    reduce: R,
-) -> Result<JobStats, DataflowError>
-where
-    I: Record,
-    O: Record,
-    K: Record + Ord + Clone + Hash + Eq,
-    V: Record,
-    M: Fn(I, &mut dyn FnMut(K, V)) -> Result<(), DataflowError> + Sync,
-    C: Fn(&K, Vec<V>) -> V + Sync,
-    R: Fn(&K, Vec<V>, &mut dyn FnMut(&O) -> Result<(), DataflowError>) -> Result<(), DataflowError>
-        + Sync,
-{
-    let partitions = output.num_shards();
-    let workers = cfg.workers.max(1);
-    let counters = Counters::new();
-    let state = JobState::new();
-    let busy = BusyClock::new(workers);
-    let spill_meter = SpillMeter::default();
-    let skip_budget = AtomicU64::new(cfg.skip_bad_record_budget);
-    let start = Instant::now();
-
-    // Spills are per input shard (not per worker) so that a shard retry
-    // on any worker reproduces the same files.
-    let spill =
-        |shard: usize, p: usize| ShardSpec::new(tmp_dir, format!("spill-{shard:05}-{p:03}"), 1);
-    let cleanup = || {
-        for shard in 0..input.num_shards() {
-            for p in 0..partitions {
-                // drybell-lint: allow(error-discipline) — best-effort spill cleanup; a missing file is already the goal state
-                let _ = spill(shard, p).remove();
-            }
-        }
-    };
-
-    // ---- Map phase -------------------------------------------------------
-    run_phase(
-        FaultSite::Map,
-        input.num_shards(),
-        workers,
-        cfg,
-        &state,
-        &busy,
-        &counters,
-        |_ctx| Ok(()),
-        |_w: &mut (), shard, _attempt, handle| {
-            map_one_shard(
-                input,
-                shard,
-                partitions,
-                cfg.spill_buffer,
-                &map,
-                combiner.as_ref(),
-                &spill,
-                &state,
-                &spill_meter,
-                &skip_budget,
-                cfg.fault_plan.as_ref(),
-                handle,
-            )
-        },
-    );
-    let map_seconds = start.elapsed().as_secs_f64();
-    if state.failed.load(Ordering::SeqCst) {
-        // Clean up committed spills from shards that did finish; the
-        // failure return must not leak intermediate files.
-        cleanup();
-        let stats = empty_stats(cfg, workers, &counters);
-        return state.into_result(stats);
-    }
-
-    // ---- Reduce phase ----------------------------------------------------
-    let reduce_start = Instant::now();
-    run_phase(
-        FaultSite::Reduce,
-        partitions,
-        workers.min(partitions).max(1),
-        cfg,
-        &state,
-        &busy,
-        &counters,
-        |_ctx| Ok(()),
-        |_w: &mut (), p, _attempt, _handle| {
-            reduce_partition(output, p, input.num_shards(), &reduce, &spill, &state)
-        },
-    );
-    let reduce_seconds = reduce_start.elapsed().as_secs_f64();
-    // Clean up spills regardless of outcome.
-    cleanup();
-    let seconds = start.elapsed().as_secs_f64();
-    let records_in = state.records_in.load(Ordering::SeqCst);
-    let records_out = state.records_out.load(Ordering::SeqCst);
-    let spill_pairs = spill_meter.pairs.load(Ordering::Relaxed);
-    let stats = JobStats {
-        name: cfg.name.clone(),
-        records_in,
-        records_out,
-        seconds,
-        workers,
-        counters: counters.snapshot(),
-        phases: vec![
-            PhaseStats {
-                name: "map".to_string(),
-                seconds: map_seconds,
-                records_in,
-                records_out: spill_pairs,
-            },
-            PhaseStats {
-                name: "reduce".to_string(),
-                seconds: reduce_seconds,
-                records_in: spill_pairs,
-                records_out,
-            },
-        ],
-        worker_busy: busy.seconds(),
-        spill_bytes: spill_meter.bytes.load(Ordering::Relaxed),
-    };
-    state.into_result(stats)
-}
-
-/// Shuffle volume accounting shared by all map workers.
-#[derive(Default)]
-struct SpillMeter {
-    bytes: AtomicU64,
-    pairs: AtomicU64,
-}
-
-/// Map one input shard into its per-partition spill files.
-///
-/// The whole shard is one atomic unit of work: partition writers stage
-/// into `.tmp` files and are only committed (footer + rename) after the
-/// shard maps completely, and the spill meter / `records_in` accounting
-/// runs only after every commit succeeds. A failed or aborted attempt
-/// therefore leaves nothing behind, and a retry is byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn map_one_shard<I, K, V, M, C>(
-    input: &ShardSpec,
-    shard: usize,
-    partitions: usize,
-    spill_buffer: usize,
-    map: &M,
-    combiner: Option<&C>,
-    spill: &dyn Fn(usize, usize) -> ShardSpec,
-    state: &JobState,
-    spill_meter: &SpillMeter,
-    skip_budget: &AtomicU64,
-    plan: Option<&FaultPlan>,
-    handle: &mut CounterHandle,
-) -> Result<(), DataflowError>
-where
-    I: Record,
-    K: Record + Ord + Clone + Hash + Eq,
-    V: Record,
-    M: Fn(I, &mut dyn FnMut(K, V)) -> Result<(), DataflowError> + Sync,
-    C: Fn(&K, Vec<V>) -> V + Sync,
-{
-    let mut writers: Vec<ShardWriter<(K, V)>> = (0..partitions)
-        .map(|p| ShardWriter::create(&spill(shard, p).shard_path(0)))
-        .collect::<Result<_, _>>()?;
-    let mut buffer: HashMap<K, Vec<V>> = HashMap::new();
-    let mut buffered = 0usize;
-    let mut read = 0u64;
-
-    let flush = |buffer: &mut HashMap<K, Vec<V>>,
-                 writers: &mut Vec<ShardWriter<(K, V)>>|
-     -> Result<(), DataflowError> {
-        // Drain in key order: HashMap iteration order would leak into the
-        // spill files (and from there into any byte-level comparison of
-        // reduce inputs), making runs non-reproducible.
-        // drybell-lint: allow(determinism) — drained into a Vec and sorted by key on the next line
-        let mut entries: Vec<(K, Vec<V>)> = buffer.drain().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (k, vs) in entries {
-            let p = (hash_key(&k) % partitions as u64) as usize;
-            let writer = writers
-                .get_mut(p)
-                .ok_or_else(|| DataflowError::internal("spill partition out of range"))?;
-            match combiner {
-                Some(c) if vs.len() > 1 => {
-                    let combined = c(&k, vs);
-                    writer.write(&(k, combined))?;
-                }
-                _ => {
-                    for v in vs {
-                        writer.write(&(k.clone(), v))?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-
-    let reader = ShardReader::<I>::open(&input.shard_path(shard))?;
-    for record in reader {
-        if state.failed.load(Ordering::SeqCst) {
-            // Doomed job: bail out *before* flushing or committing any
-            // spill writers — they are about to be deleted anyway.
-            return Err(DataflowError::internal("job aborted during map"));
-        }
-        let record = record?;
-        let record_error = if plan.is_some_and(|p| p.record_fault(shard, read)) {
-            Some(DataflowError::user(format!(
-                "injected record fault: shard {shard} record {read}"
-            )))
-        } else {
-            let mut map_err: Option<DataflowError> = None;
-            let mut emit = |k: K, v: V| {
-                buffer.entry(k).or_default().push(v);
-                buffered += 1;
-            };
-            if let Err(e) = map(record, &mut emit) {
-                map_err = Some(e);
-            }
-            map_err
-        };
-        read += 1;
-        if let Some(e) = record_error {
-            if try_skip_record(skip_budget, handle) {
-                continue;
-            }
-            return Err(e);
-        }
-        if buffered >= spill_buffer {
-            flush(&mut buffer, &mut writers)?;
-            buffered = 0;
-        }
-    }
-    if state.failed.load(Ordering::SeqCst) {
-        return Err(DataflowError::internal("job aborted during map"));
-    }
-    flush(&mut buffer, &mut writers)?;
-    let mut bytes = 0u64;
-    let mut pairs = 0u64;
-    for w in writers {
-        bytes += w.bytes_written();
-        pairs += w.records_written();
-        w.finish()?;
-    }
-    // Meter and record accounting only after every partition committed:
-    // a retried shard must not double-count.
-    spill_meter.bytes.fetch_add(bytes, Ordering::Relaxed);
-    spill_meter.pairs.fetch_add(pairs, Ordering::Relaxed);
-    state.records_in.fetch_add(read, Ordering::SeqCst);
-    Ok(())
-}
-
-fn reduce_partition<K, V, O, R>(
-    output: &ShardSpec,
-    partition: usize,
-    input_shards: usize,
-    reduce: &R,
-    spill: &dyn Fn(usize, usize) -> ShardSpec,
-    state: &JobState,
-) -> Result<(), DataflowError>
-where
-    K: Record + Ord + Clone + Hash + Eq,
-    V: Record,
-    O: Record,
-    R: Fn(&K, Vec<V>, &mut dyn FnMut(&O) -> Result<(), DataflowError>) -> Result<(), DataflowError>
-        + Sync,
-{
-    let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for shard in 0..input_shards {
-        if state.failed.load(Ordering::SeqCst) {
-            return Err(DataflowError::internal("job aborted during reduce"));
-        }
-        // Every map shard commits a spill for every partition (possibly
-        // empty), so a missing file is a real error, not a skip.
-        let path = spill(shard, partition).shard_path(0);
-        for rec in ShardReader::<(K, V)>::open(&path)? {
-            let (k, v) = rec?;
-            groups.entry(k).or_default().push(v);
-        }
-    }
-    let mut writer = ShardWriter::<O>::create(&output.shard_path(partition))?;
-    let mut emitted = 0u64;
-    for (k, vs) in groups {
-        let mut sink = |o: &O| -> Result<(), DataflowError> {
-            writer.write(o)?;
-            emitted += 1;
-            Ok(())
-        };
-        reduce(&k, vs, &mut sink)?;
-    }
-    writer.finish()?;
-    state.records_out.fetch_add(emitted, Ordering::SeqCst);
-    Ok(())
-}
-
-fn empty_stats(cfg: &JobConfig, workers: usize, counters: &Counters) -> JobStats {
-    JobStats {
-        name: cfg.name.clone(),
-        records_in: 0,
-        records_out: 0,
-        seconds: 0.0,
-        workers,
-        counters: counters.snapshot(),
-        phases: Vec::new(),
-        worker_busy: Vec::new(),
-        spill_bytes: 0,
-    }
-}
-
-/// Single-threaded in-memory reference MapReduce, used by tests to verify
-/// the distributed engine produces identical results.
-pub fn reference_map_reduce<I, K, V, O, M, R>(
-    inputs: &[I],
-    map: M,
-    reduce: R,
-) -> Result<Vec<O>, DataflowError>
-where
-    I: Clone,
-    K: Ord + Clone,
-    M: Fn(I, &mut dyn FnMut(K, V)) -> Result<(), DataflowError>,
-    R: Fn(&K, Vec<V>, &mut dyn FnMut(&O) -> Result<(), DataflowError>) -> Result<(), DataflowError>,
-    O: Clone,
-{
-    let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for input in inputs {
-        let mut emit = |k: K, v: V| {
-            groups.entry(k).or_default().push(v);
-        };
-        map(input.clone(), &mut emit)?;
-    }
-    let mut out = Vec::new();
-    for (k, vs) in groups {
-        let mut sink = |o: &O| -> Result<(), DataflowError> {
-            out.push(o.clone());
-            Ok(())
-        };
-        reduce(&k, vs, &mut sink)?;
-    }
-    Ok(out)
 }
 
 /// Parallel in-memory map preserving input order, with per-worker state.

@@ -134,7 +134,6 @@ pub struct ShardWriter<R: Record> {
     scratch: Vec<u8>,
     frame: Vec<u8>,
     records: u64,
-    bytes: u64,
     committed: bool,
     _marker: PhantomData<fn(&R)>,
 }
@@ -157,7 +156,6 @@ impl<R: Record> ShardWriter<R> {
             scratch: Vec::new(),
             frame: Vec::new(),
             records: 0,
-            bytes: 0,
             committed: false,
             _marker: PhantomData,
         })
@@ -175,18 +173,7 @@ impl<R: Record> ShardWriter<R> {
             .write_all(&self.frame)
             .map_err(|e| DataflowError::io(&self.tmp_path, e))?;
         self.records += 1;
-        self.bytes += self.frame.len() as u64;
         Ok(())
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
-    }
-
-    /// Framed bytes written so far (spill accounting).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
     }
 
     /// Commit the shard: append the record-count footer, flush, and
@@ -221,7 +208,7 @@ impl<R: Record> Drop for ShardWriter<R> {
     }
 }
 
-/// A set of shard writers distributing records round-robin or by key hash.
+/// A set of shard writers distributing records round-robin.
 pub struct ShardWriterSet<R: Record> {
     writers: Vec<ShardWriter<R>>,
     next: usize,
@@ -243,15 +230,6 @@ impl<R: Record> ShardWriterSet<R> {
         self.writers
             .get_mut(i)
             .ok_or_else(|| DataflowError::internal("round-robin shard index out of range"))?
-            .write(record)
-    }
-
-    /// Append a record to the shard owning `hash` (stable partitioning).
-    pub fn write_hashed(&mut self, record: &R, hash: u64) -> Result<(), DataflowError> {
-        let i = (hash % self.writers.len() as u64) as usize;
-        self.writers
-            .get_mut(i)
-            .ok_or_else(|| DataflowError::internal("hashed shard index out of range"))?
             .write(record)
     }
 
@@ -417,24 +395,6 @@ mod tests {
         let mut back: Vec<(u64, String)> = read_all(&spec).unwrap();
         back.sort();
         assert_eq!(back, records);
-    }
-
-    #[test]
-    fn hashed_writes_are_stable_partitions() {
-        let dir = tempfile::tempdir().unwrap();
-        let spec = ShardSpec::new(dir.path(), "keyed", 3);
-        let mut set = ShardWriterSet::<(u64, String)>::create(&spec).unwrap();
-        for i in 0..30u64 {
-            set.write_hashed(&(i, format!("v{i}")), i).unwrap();
-        }
-        set.finish().unwrap();
-        // Shard s must contain exactly the keys ≡ s (mod 3).
-        for s in 0..3 {
-            for rec in ShardReader::<(u64, String)>::open(&spec.shard_path(s)).unwrap() {
-                let (k, _) = rec.unwrap();
-                assert_eq!(k % 3, s as u64);
-            }
-        }
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Tests for the MapReduce engine (kept in a separate module to keep
 //! `mapreduce.rs` focused on the engine itself).
 
-use crate::codec::Record;
 use crate::counters::CounterHandle;
 use crate::error::DataflowError;
 use crate::fault::{FaultPlan, FaultSite};
-use crate::mapreduce::{map_reduce, par_map_shards, par_map_vec, reference_map_reduce, JobConfig};
+use crate::mapreduce::{par_map_shards, par_map_vec, JobConfig};
 use crate::shard::{read_all, write_all, ShardSpec};
 use proptest::prelude::*;
 
 type WordRec = (u64, String);
-type CountSink<'a> = &'a mut dyn FnMut(&(String, i64)) -> Result<(), DataflowError>;
 
 fn write_input(dir: &std::path::Path, shards: usize, records: &[WordRec]) -> ShardSpec {
     let spec = ShardSpec::new(dir, "input", shards);
@@ -160,105 +158,6 @@ fn par_map_shard_count_mismatch_rejected() {
     assert!(matches!(result, Err(DataflowError::BadJob(_))));
 }
 
-/// Word count: the canonical MapReduce correctness check, verified against
-/// the single-threaded reference implementation.
-#[test]
-fn word_count_matches_reference() {
-    let docs: Vec<WordRec> = vec![
-        (0, "the quick brown fox".into()),
-        (1, "the lazy dog".into()),
-        (2, "the quick dog jumps".into()),
-        (3, "brown dog brown fox".into()),
-    ];
-    let map = |(_, text): WordRec, emit: &mut dyn FnMut(String, i64)| {
-        for word in text.split_whitespace() {
-            emit(word.to_owned(), 1);
-        }
-        Ok(())
-    };
-    let reduce =
-        |k: &String, vs: Vec<i64>, sink: CountSink<'_>| sink(&(k.clone(), vs.into_iter().sum()));
-    let want: Vec<(String, i64)> = reference_map_reduce(&docs, map, reduce).unwrap();
-
-    let dir = tempfile::tempdir().unwrap();
-    let input = write_input(dir.path(), 2, &docs);
-    let output = ShardSpec::new(dir.path(), "counts", 3);
-    let stats = map_reduce(
-        &input,
-        &output,
-        dir.path(),
-        &JobConfig::new("wordcount").with_workers(2),
-        map,
-        None::<fn(&String, Vec<i64>) -> i64>,
-        reduce,
-    )
-    .unwrap();
-    assert_eq!(stats.records_in, 4);
-    let mut got: Vec<(String, i64)> = read_all(&output).unwrap();
-    got.sort();
-    let mut want_sorted = want;
-    want_sorted.sort();
-    assert_eq!(got, want_sorted);
-    // Spot-check a value.
-    assert!(got.contains(&("the".to_string(), 3)));
-}
-
-#[test]
-fn combiner_does_not_change_results() {
-    let docs: Vec<WordRec> = (0..200)
-        .map(|i| (i, format!("w{} w{} w{}", i % 7, i % 3, i % 7)))
-        .collect();
-    let map = |(_, text): WordRec, emit: &mut dyn FnMut(String, i64)| {
-        for w in text.split_whitespace() {
-            emit(w.to_owned(), 1);
-        }
-        Ok(())
-    };
-    let reduce =
-        |k: &String, vs: Vec<i64>, sink: CountSink<'_>| sink(&(k.clone(), vs.into_iter().sum()));
-    let run = |combine: bool, dir: &std::path::Path| -> Vec<(String, i64)> {
-        let input = write_input(dir, 4, &docs);
-        let output = ShardSpec::new(dir, "out", 2);
-        let combiner = combine.then_some(|_k: &String, vs: Vec<i64>| vs.into_iter().sum::<i64>());
-        let mut cfg = JobConfig::new("wc").with_workers(3);
-        cfg.spill_buffer = 16; // force frequent spills so combining matters
-        map_reduce(&input, &output, dir, &cfg, map, combiner, reduce).unwrap();
-        let mut got: Vec<(String, i64)> = read_all(&output).unwrap();
-        got.sort();
-        got
-    };
-    let d1 = tempfile::tempdir().unwrap();
-    let d2 = tempfile::tempdir().unwrap();
-    assert_eq!(run(false, d1.path()), run(true, d2.path()));
-}
-
-#[test]
-fn map_reduce_cleans_spill_files() {
-    let dir = tempfile::tempdir().unwrap();
-    let docs: Vec<WordRec> = (0..20).map(|i| (i, format!("x{}", i % 3))).collect();
-    let input = write_input(dir.path(), 2, &docs);
-    let output = ShardSpec::new(dir.path(), "out", 2);
-    map_reduce(
-        &input,
-        &output,
-        dir.path(),
-        &JobConfig::new("wc").with_workers(2),
-        |(_, t): WordRec, emit: &mut dyn FnMut(String, i64)| {
-            emit(t, 1);
-            Ok(())
-        },
-        None::<fn(&String, Vec<i64>) -> i64>,
-        |k: &String, vs: Vec<i64>, sink: CountSink<'_>| sink(&(k.clone(), vs.len() as i64)),
-    )
-    .unwrap();
-    let leftover = std::fs::read_dir(dir.path())
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("spill-"))
-        .count();
-    assert_eq!(leftover, 0, "spill files must be removed");
-}
-
 #[test]
 fn par_map_vec_preserves_order() {
     let items: Vec<u64> = (0..1000).collect();
@@ -330,38 +229,6 @@ fn par_map_reports_phase_and_worker_telemetry() {
     assert_eq!(stats.worker_busy.len(), 3);
     assert!(stats.worker_busy.iter().all(|&b| b <= stats.seconds + 0.01));
     assert!(stats.straggler_ratio() >= 1.0 - 1e-9);
-    assert_eq!(stats.spill_bytes, 0);
-}
-
-#[test]
-fn map_reduce_reports_both_phases_and_spill_volume() {
-    let dir = tempfile::tempdir().unwrap();
-    let docs: Vec<WordRec> = (0..100).map(|i| (i, format!("w{}", i % 5))).collect();
-    let input = write_input(dir.path(), 4, &docs);
-    let output = ShardSpec::new(dir.path(), "out", 2);
-    let stats = map_reduce(
-        &input,
-        &output,
-        dir.path(),
-        &JobConfig::new("wc").with_workers(2),
-        |(_, t): WordRec, emit: &mut dyn FnMut(String, i64)| {
-            emit(t, 1);
-            Ok(())
-        },
-        None::<fn(&String, Vec<i64>) -> i64>,
-        |k: &String, vs: Vec<i64>, sink: CountSink<'_>| sink(&(k.clone(), vs.len() as i64)),
-    )
-    .unwrap();
-    assert_eq!(stats.phases.len(), 2);
-    assert_eq!(stats.phases[0].name, "map");
-    assert_eq!(stats.phases[1].name, "reduce");
-    // Map spilled one pair per record; reduce consumed them all.
-    assert_eq!(stats.phases[0].records_out, 100);
-    assert_eq!(stats.phases[1].records_in, 100);
-    assert_eq!(stats.phases[1].records_out, 5);
-    assert!(stats.spill_bytes > 0, "shuffle must account spilled bytes");
-    let phase_sum: f64 = stats.phases.iter().map(|p| p.seconds).sum();
-    assert!(phase_sum <= stats.seconds + 1e-9);
 }
 
 #[test]
@@ -397,80 +264,6 @@ fn job_stats_emit_to_journal() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Phase wall-clock times always partition the job's total time:
-    /// they sum to no more than `seconds`, and the unattributed gap
-    /// (setup + spill cleanup) stays small.
-    #[test]
-    fn prop_phase_times_sum_to_job_seconds(
-        docs in proptest::collection::vec((any::<u64>(), "[a-c ]{0,10}"), 1..50),
-        shards in 1usize..4,
-        workers in 1usize..4,
-    ) {
-        let docs: Vec<WordRec> = docs;
-        let dir = tempfile::tempdir().unwrap();
-        let input = write_input(dir.path(), shards, &docs);
-        let output = ShardSpec::new(dir.path(), "out", 2);
-        let stats = map_reduce(
-            &input, &output, dir.path(),
-            &JobConfig::new("phase-sum").with_workers(workers),
-            |(_, t): WordRec, emit: &mut dyn FnMut(String, i64)| {
-                for w in t.split_whitespace() {
-                    emit(w.to_owned(), 1);
-                }
-                Ok(())
-            },
-            None::<fn(&String, Vec<i64>) -> i64>,
-            |k: &String, vs: Vec<i64>, sink: CountSink<'_>| {
-                sink(&(k.clone(), vs.into_iter().sum()))
-            },
-        ).unwrap();
-        let phase_sum: f64 = stats.phases.iter().map(|p| p.seconds).sum();
-        prop_assert!(phase_sum <= stats.seconds + 1e-9,
-            "phases {phase_sum} exceed total {}", stats.seconds);
-        // The gap not covered by a phase is bounded: spill cleanup on a
-        // handful of tiny files takes well under a second.
-        prop_assert!(stats.seconds - phase_sum < 1.0,
-            "unattributed gap too large: {} vs {}", phase_sum, stats.seconds);
-    }
-
-    /// The distributed engine must agree with the reference fold for
-    /// arbitrary inputs, shard counts, worker counts, and buffer sizes.
-    #[test]
-    fn prop_map_reduce_equals_reference(
-        docs in proptest::collection::vec((any::<u64>(), "[a-d ]{0,12}"), 0..60),
-        shards in 1usize..5,
-        partitions in 1usize..4,
-        workers in 1usize..5,
-        spill in 1usize..40,
-    ) {
-        let docs: Vec<WordRec> = docs;
-        let map = |(_, text): WordRec, emit: &mut dyn FnMut(String, i64)| {
-            for w in text.split_whitespace() {
-                emit(w.to_owned(), 1);
-            }
-            Ok(())
-        };
-        let reduce = |k: &String, vs: Vec<i64>, sink: CountSink<'_>| {
-            sink(&(k.clone(), vs.into_iter().sum()))
-        };
-        let mut want: Vec<(String, i64)> = reference_map_reduce(&docs, map, reduce).unwrap();
-        want.sort();
-
-        let dir = tempfile::tempdir().unwrap();
-        let input = write_input(dir.path(), shards, &docs);
-        let output = ShardSpec::new(dir.path(), "out", partitions);
-        let mut cfg = JobConfig::new("prop").with_workers(workers);
-        cfg.spill_buffer = spill;
-        map_reduce(
-            &input, &output, dir.path(), &cfg, map,
-            Some(|_k: &String, vs: Vec<i64>| vs.into_iter().sum::<i64>()),
-            reduce,
-        ).unwrap();
-        let mut got: Vec<(String, i64)> = read_all(&output).unwrap();
-        got.sort();
-        prop_assert_eq!(got, want);
-    }
 
     #[test]
     fn prop_par_map_vec_matches_sequential(
@@ -520,31 +313,6 @@ fn busy_clock_excludes_queue_wait() {
         "busy worker absorbed the delay: {:?}",
         stats.worker_busy
     );
-}
-
-#[test]
-fn map_reduce_with_more_workers_than_partitions() {
-    let dir = tempfile::tempdir().unwrap();
-    let docs: Vec<WordRec> = (0..60).map(|i| (i, format!("k{}", i % 4))).collect();
-    let input = write_input(dir.path(), 3, &docs);
-    let output = ShardSpec::new(dir.path(), "out", 1);
-    let stats = map_reduce(
-        &input,
-        &output,
-        dir.path(),
-        &JobConfig::new("wide").with_workers(8),
-        |(_, t): WordRec, emit: &mut dyn FnMut(String, i64)| {
-            emit(t, 1);
-            Ok(())
-        },
-        None::<fn(&String, Vec<i64>) -> i64>,
-        |k: &String, vs: Vec<i64>, sink: CountSink<'_>| sink(&(k.clone(), vs.len() as i64)),
-    )
-    .unwrap();
-    assert_eq!(stats.records_in, 60);
-    assert_eq!(stats.records_out, 4);
-    let got: Vec<(String, i64)> = read_all(&output).unwrap();
-    assert_eq!(got.len(), 4);
 }
 
 #[test]
@@ -723,47 +491,7 @@ fn zero_skip_budget_is_fail_stop() {
 }
 
 #[test]
-fn map_reduce_failure_cleans_spill_files() {
-    let dir = tempfile::tempdir().unwrap();
-    let docs: Vec<WordRec> = (0..40).map(|i| (i, format!("k{}", i % 3))).collect();
-    let input = write_input(dir.path(), 4, &docs);
-    let output = ShardSpec::new(dir.path(), "out", 2);
-    let result = map_reduce(
-        &input,
-        &output,
-        dir.path(),
-        &JobConfig::new("failing").with_workers(2),
-        |(k, t): WordRec, emit: &mut dyn FnMut(String, i64)| {
-            if k == 25 {
-                return Err(DataflowError::user("map blew up"));
-            }
-            emit(t, 1);
-            Ok(())
-        },
-        None::<fn(&String, Vec<i64>) -> i64>,
-        |k: &String, vs: Vec<i64>, sink: CountSink<'_>| sink(&(k.clone(), vs.len() as i64)),
-    );
-    assert!(result.is_err());
-    let leftover = std::fs::read_dir(dir.path())
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("spill-"))
-        .count();
-    assert_eq!(leftover, 0, "failed jobs must not leak spill files");
-}
-
-#[test]
 fn zero_max_attempts_is_clamped_to_one() {
     let cfg = JobConfig::new("clamped").with_max_attempts(0);
     assert_eq!(cfg.max_attempts, 1);
-}
-
-/// `Record` impl sanity for the key types the engine shuffles.
-#[test]
-fn shuffle_key_roundtrip() {
-    let mut buf = Vec::new();
-    ("key".to_string(), 42i64).encode(&mut buf);
-    let mut s = buf.as_slice();
-    let back = <(String, i64)>::decode(&mut s).unwrap();
-    assert_eq!(back, ("key".to_string(), 42));
 }

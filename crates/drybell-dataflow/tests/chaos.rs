@@ -1,7 +1,7 @@
 //! Chaos suite: seeded, deterministic fault injection against the
 //! dataflow engine.
 //!
-//! Every test here drives `par_map_shards` / `map_reduce` through a
+//! Every test here drives `par_map_shards` through a
 //! [`FaultPlan`] that injects worker panics, shard errors, and record
 //! errors, and asserts the engine's two fault-tolerance invariants:
 //!
@@ -13,12 +13,12 @@
 //! file is timing-dependent.
 
 use drybell_dataflow::{
-    map_reduce, par_map_shards, read_all, reference_map_reduce, write_all, CounterHandle,
-    DataflowError, FaultPlan, FaultSite, JobConfig, ShardReader, ShardSpec,
+    par_map_shards, write_all, CounterHandle, DataflowError, FaultPlan, FaultSite, JobConfig,
+    ShardReader, ShardSpec,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 
 type Rec = (u64, String);
-type CountSink<'a> = &'a mut dyn FnMut(&(String, i64)) -> Result<(), DataflowError>;
 
 fn write_input(dir: &std::path::Path, shards: usize, records: &[Rec]) -> ShardSpec {
     let spec = ShardSpec::new(dir, "input", shards);
@@ -96,81 +96,6 @@ fn par_map_survives_chaos_with_byte_identical_output() {
         shard_bytes(&chaos_out),
         "chaos output must be byte-identical to the fault-free run"
     );
-}
-
-/// Full shuffle under chaos in both phases: results must match both the
-/// in-memory reference fold and a fault-free distributed run, byte for
-/// byte.
-#[test]
-fn map_reduce_survives_chaos_in_both_phases() {
-    let records = docs(400);
-    let map = |(_, text): Rec, emit: &mut dyn FnMut(String, i64)| {
-        for w in text.split_whitespace() {
-            emit(w.to_owned(), 1);
-        }
-        Ok(())
-    };
-    let reduce =
-        |k: &String, vs: Vec<i64>, sink: CountSink<'_>| sink(&(k.clone(), vs.into_iter().sum()));
-
-    let mut want: Vec<(String, i64)> = reference_map_reduce(&records, map, reduce).unwrap();
-    want.sort();
-
-    let clean_dir = tempfile::tempdir().unwrap();
-    let clean_in = write_input(clean_dir.path(), 8, &records);
-    let clean_out = ShardSpec::new(clean_dir.path(), "counts", 3);
-    map_reduce(
-        &clean_in,
-        &clean_out,
-        clean_dir.path(),
-        &JobConfig::new("clean").with_workers(3),
-        map,
-        None::<fn(&String, Vec<i64>) -> i64>,
-        reduce,
-    )
-    .unwrap();
-
-    let chaos_dir = tempfile::tempdir().unwrap();
-    let chaos_in = write_input(chaos_dir.path(), 8, &records);
-    let chaos_out = ShardSpec::new(chaos_dir.path(), "counts", 3);
-    let plan = FaultPlan::seeded(42)
-        .with_map_error_rate(0.20)
-        .with_map_panic_rate(0.10)
-        .with_reduce_error_rate(0.25)
-        .with_reduce_panic_rate(0.10)
-        .fail_task(FaultSite::Reduce, 1, 0);
-    let cfg = JobConfig::new("chaos")
-        .with_workers(3)
-        .with_max_attempts(5)
-        .with_retry_backoff_ms(0)
-        .with_fault_plan(plan);
-    let stats = map_reduce(
-        &chaos_in,
-        &chaos_out,
-        chaos_dir.path(),
-        &cfg,
-        map,
-        None::<fn(&String, Vec<i64>) -> i64>,
-        reduce,
-    )
-    .unwrap();
-
-    assert!(stats.counters.get("dataflow/retries") >= 1);
-    let mut got: Vec<(String, i64)> = read_all(&chaos_out).unwrap();
-    got.sort();
-    assert_eq!(got, want, "chaos shuffle must match the reference fold");
-    assert_eq!(
-        shard_bytes(&clean_out),
-        shard_bytes(&chaos_out),
-        "chaos shuffle output must be byte-identical to the fault-free run"
-    );
-    // Chaos or not, no spill files may survive the job.
-    let leftover = std::fs::read_dir(chaos_dir.path())
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("spill-"))
-        .count();
-    assert_eq!(leftover, 0, "chaos run leaked spill files");
 }
 
 /// Kill-mid-job: a fail-stop job that dies partway through must never
@@ -298,6 +223,80 @@ fn skip_budget_counts_are_exact() {
         .with_fault_plan(FaultPlan::seeded(11).with_record_error_rate(0.10));
     let out2 = input.derive("out2");
     assert!(par_map_shards(&input, &out2, &strict, |_ctx| Ok(()), identity_map).is_err());
+}
+
+/// A job counter counts a shard once: what the map function counted
+/// during an attempt that then errors or panics goes with the attempt,
+/// and only the attempt that commits the shard is tallied.
+#[test]
+fn job_counters_count_a_retried_shard_once() {
+    for panics in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        let input = write_input(dir.path(), 1, &docs(100));
+        let output = input.derive("out");
+        let cfg = JobConfig::new("once")
+            .with_workers(2)
+            .with_max_attempts(2)
+            .with_retry_backoff_ms(0);
+        let failed_once = AtomicBool::new(false);
+        let stats = par_map_shards(
+            &input,
+            &output,
+            &cfg,
+            |_ctx| Ok(()),
+            |_s: &mut (), rec: Rec, emit, c: &mut CounterHandle| {
+                c.inc("seen");
+                if rec.0 == 60 && !failed_once.swap(true, Ordering::SeqCst) {
+                    assert!(!panics, "transient panic at record 60");
+                    return Err(DataflowError::user("transient error at record 60"));
+                }
+                emit.emit(&rec)
+            },
+        )
+        .unwrap();
+        assert_eq!(stats.counters.get("dataflow/retries"), 1);
+        assert_eq!(stats.records_in, 100);
+        assert_eq!(stats.counters.get("seen"), 100, "panics = {panics}");
+    }
+}
+
+/// The engine's own skip counter is the budget consumed: a failed attempt
+/// is not refunded the records it skipped, so its skips stay counted
+/// while everything the map function counted in it is dropped.
+#[test]
+fn skips_of_a_failed_attempt_stay_counted() {
+    let dir = tempfile::tempdir().unwrap();
+    let input = write_input(dir.path(), 1, &docs(100));
+    let output = input.derive("out");
+    let cfg = JobConfig::new("skips-kept")
+        .with_workers(1)
+        .with_max_attempts(2)
+        .with_retry_backoff_ms(0)
+        .with_skip_bad_record_budget(2);
+    let panicked_once = AtomicBool::new(false);
+    let stats = par_map_shards(
+        &input,
+        &output,
+        &cfg,
+        |_ctx| Ok(()),
+        |_s: &mut (), rec: Rec, emit, c: &mut CounterHandle| {
+            c.inc("seen");
+            if rec.0 == 10 {
+                return Err(DataflowError::user("record 10 is always bad"));
+            }
+            assert!(
+                rec.0 != 60 || panicked_once.swap(true, Ordering::SeqCst),
+                "transient panic at record 60"
+            );
+            emit.emit(&rec)
+        },
+    )
+    .unwrap();
+    // Record 10 was skipped by both attempts: the whole budget is spent.
+    assert_eq!(stats.counters.get("dataflow/skipped_records"), 2);
+    assert_eq!(stats.counters.get("dataflow/retries"), 1);
+    assert_eq!(stats.counters.get("seen"), 100);
+    assert_eq!((stats.records_in, stats.records_out), (100, 99));
 }
 
 /// Every attempt — success, retry, and terminal failure — lands in the

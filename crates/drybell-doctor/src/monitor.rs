@@ -28,7 +28,6 @@
 use crate::config::DoctorConfig;
 use crate::drift::DriftReport;
 use crate::summary::RunSummary;
-use crate::DoctorError;
 use drybell_obs::{Json, MetricsSnapshot, Telemetry};
 use std::collections::BTreeMap;
 
@@ -59,13 +58,6 @@ impl WindowFolder {
     /// Journal events folded into the current (unclosed) window.
     pub fn events(&self) -> usize {
         self.events
-    }
-
-    /// Fold one JSONL journal line.
-    pub fn fold_line(&mut self, line: &str) -> Result<(), DoctorError> {
-        let event = drybell_obs::parse_json(line).map_err(DoctorError::BadJson)?;
-        self.fold_event(&event);
-        Ok(())
     }
 
     /// Fold one already-parsed journal event.
@@ -224,13 +216,6 @@ impl StreamMonitor {
     /// Windows closed (and therefore judged) so far.
     pub fn windows_closed(&self) -> u64 {
         self.windows_closed
-    }
-
-    /// Observe one JSONL journal line; returns the window verdict when
-    /// this line closes a window.
-    pub fn observe_line(&mut self, line: &str) -> Result<Option<WindowVerdict>, DoctorError> {
-        let event = drybell_obs::parse_json(line).map_err(DoctorError::BadJson)?;
-        Ok(self.observe_event(&event))
     }
 
     /// Observe one already-parsed journal event; returns the window

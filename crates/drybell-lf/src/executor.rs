@@ -641,7 +641,7 @@ where
     let _span = opts.telemetry.as_ref().map(|t| t.span("lf_exec/sharded"));
     let exec_parent = _span.as_ref().and_then(Span::trace_id);
     // The dataflow layer reads `JobConfig::telemetry` for its
-    // `job/map`/`job/reduce` phase spans and per-attempt
+    // `job/map` phase span and per-attempt
     // `job/shard_attempt` spans; callers attach the sink via
     // `ExecOptions`, so mirror it onto the job config here — otherwise
     // the trace tree is missing its middle layer.
@@ -1067,6 +1067,70 @@ mod tests {
         assert_eq!(stats.counters.get("lf/mentions_person/degraded"), 1);
         assert_eq!(stats.counters.get("lf/has_good/degraded"), 0);
         assert_eq!(stats.counters.get("nlp_calls"), 4);
+    }
+
+    /// [`doc_set`] plus an LF that votes on even ids and, when `armed`,
+    /// panics the first time it meets row 150 (a transient failure in the
+    /// middle of that row's shard).
+    fn set_with_tripwire(armed: bool) -> LfSet<Doc> {
+        let tripped = std::sync::atomic::AtomicBool::new(!armed);
+        doc_set().with(Lf::plain(
+            "even_id",
+            LfCategory::ContentHeuristic,
+            true,
+            move |d: &Doc| {
+                let trips = d.0 == 150 && !tripped.swap(true, std::sync::atomic::Ordering::SeqCst);
+                assert!(!trips, "transient failure at row 150");
+                if d.0.is_multiple_of(2) {
+                    Vote::Positive
+                } else {
+                    Vote::Abstain
+                }
+            },
+        ))
+    }
+
+    #[test]
+    fn sharded_job_counters_are_exact_under_retry() {
+        let corpus = many_docs(300);
+        let ext = extractor();
+        let run = |set: &LfSet<Doc>, cfg: &JobConfig| {
+            let dir = tempfile::tempdir().unwrap();
+            let input = ShardSpec::new(dir.path(), "docs", 6);
+            write_all(&input, &corpus).unwrap();
+            let output = input.derive("votes");
+            execute_sharded(set, Some(&ext), &input, &output, cfg, |d| d.0).unwrap()
+        };
+        let set = set_with_tripwire(false);
+        let (clean_matrix, clean) = run(&set, &JobConfig::new("clean").with_workers(2));
+        // Task-level faults cost an attempt before it counts anything;
+        // the tripwire kills one after 25 rows of shard 0 were counted.
+        let plan = FaultPlan::seeded(7)
+            .with_map_error_rate(0.3)
+            .with_map_panic_rate(0.2)
+            .fail_task(drybell_dataflow::FaultSite::Map, 3, 0);
+        let cfg = JobConfig::new("chaos")
+            .with_workers(2)
+            .with_max_attempts(3)
+            .with_retry_backoff_ms(0)
+            .with_fault_plan(plan);
+        let (matrix, stats) = run(&set_with_tripwire(true), &cfg);
+        assert_eq!(matrix, clean_matrix);
+        assert!(stats.counters.get("dataflow/retries") >= 2);
+        assert_eq!(clean.counters.get("nlp_calls"), 300);
+        assert_eq!(stats.counters.get("nlp_calls"), 300);
+        let mut votes = 0;
+        for name in set.names() {
+            let counter = format!("votes/{name}");
+            assert_eq!(
+                stats.counters.get(&counter),
+                clean.counters.get(&counter),
+                "{counter}"
+            );
+            votes += stats.counters.get(&counter);
+        }
+        let cells = matrix.raw().iter().filter(|&&v| v != 0).count();
+        assert_eq!(votes, cells as u64);
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl NlpServer {
     }
 
     /// Attach a deterministic fault-injection plan: [`NlpServer::try_annotate`]
-    /// fails (and delays) according to the plan's NLP schedule. Chaos tests
+    /// fails according to the plan's NLP schedule. Chaos tests
     /// only; the infallible [`NlpServer::annotate`] ignores the plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> NlpServer {
         self.faults = Some(plan);
@@ -231,10 +231,6 @@ impl NlpServer {
     /// annotation work happens. Without a fault plan this never fails.
     pub fn try_annotate(&self, text: &str) -> Result<NlpResult, NlpError> {
         if let Some(plan) = &self.faults {
-            let delay = plan.nlp_delay();
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
             if plan.nlp_should_fail(text) {
                 self.count_call();
                 return Err(NlpError::unavailable(

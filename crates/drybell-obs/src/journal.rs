@@ -365,11 +365,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.jsonl");
         let journal = RunJournal::to_path(&path).unwrap();
-        journal.emit(Event::new("phase").field("name", "reduce"));
+        journal.emit(Event::new("phase").field("name", "map"));
         journal.flush().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let line = crate::json::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(line.get("name").unwrap().as_str(), Some("reduce"));
+        assert_eq!(line.get("name").unwrap().as_str(), Some("map"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -177,17 +177,6 @@ impl Telemetry {
             ("spans", spans_to_json(&self.spans.snapshot())),
         ])
     }
-
-    /// Everything measured so far, as text tables.
-    pub fn report_text(&self) -> String {
-        let mut out = metrics_to_text(&self.metrics.snapshot());
-        let spans = spans_to_text(&self.spans.snapshot());
-        if !out.is_empty() && !spans.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(&spans);
-        out
-    }
 }
 
 #[cfg(test)]

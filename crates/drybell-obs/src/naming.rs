@@ -314,18 +314,13 @@ pub const REGISTRY: &[NameSpec] = &[
     },
     NameSpec {
         family: Family::Span,
-        template: "job/reduce",
-        doc: "reduce phase of a MapReduce job",
-    },
-    NameSpec {
-        family: Family::Span,
         template: "worker/busy",
         doc: "per-worker busy time",
     },
     NameSpec {
         family: Family::Span,
         template: "job/shard_attempt",
-        doc: "one attempt at one shard/partition task (retries record one span each)",
+        doc: "one attempt at one shard task (retries record one span each)",
     },
     NameSpec {
         family: Family::Span,
@@ -336,17 +331,12 @@ pub const REGISTRY: &[NameSpec] = &[
     NameSpec {
         family: Family::JournalKind,
         template: "phase",
-        doc: "a MapReduce phase started or finished",
+        doc: "the map phase of a job, with its seconds and record counts",
     },
     NameSpec {
         family: Family::JournalKind,
         template: "job",
         doc: "one MapReduce job completed, with its counters",
-    },
-    NameSpec {
-        family: Family::JournalKind,
-        template: "pipeline",
-        doc: "a multi-job pipeline completed",
     },
     NameSpec {
         family: Family::JournalKind,

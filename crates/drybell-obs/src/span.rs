@@ -225,13 +225,13 @@ mod tests {
         for _ in 0..3 {
             let _s = set.span("job/map");
         }
-        let _other = set.span("job/reduce");
+        let _other = set.span("job/shard_attempt");
         drop(_other);
         let snap = set.snapshot();
         assert_eq!(snap.get("job/map").unwrap().count, 3);
-        assert_eq!(snap.get("job/reduce").unwrap().count, 1);
+        assert_eq!(snap.get("job/shard_attempt").unwrap().count, 1);
         assert!(snap.get("missing").is_none());
-        // Sorted: "job/map" < "job/reduce".
+        // Sorted: "job/map" < "job/shard_attempt".
         assert_eq!(snap.entries()[0].0, "job/map");
     }
 

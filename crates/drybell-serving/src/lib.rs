@@ -481,11 +481,6 @@ impl ServingRegistry {
         self.resolve_serving(name).ok().map(|spec| spec.version)
     }
 
-    /// `true` if `name` has a registered `version` (any stage).
-    pub fn has_version(&self, name: &str, version: u32) -> bool {
-        self.resolve_version(name, version).is_ok()
-    }
-
     /// Score one example with both the serving version and a specific
     /// registered version (shadow evaluation). Returns
     /// `(serving score, candidate score)`.

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use drybell_core::{
         CcTrainConfig, ClassConditionalModel, DependencyReport, LabelMatrix, LfReport,
     };
-    pub use drybell_dataflow::{JobConfig, Pipeline, ShardSpec};
+    pub use drybell_dataflow::{JobConfig, ShardSpec};
     pub use drybell_features::{FeatureHasher, FeatureSpace, SpaceRegistry, SparseVector};
     pub use drybell_lf::executor::{execute_in_memory, execute_sharded, TextExtractor};
     pub use drybell_lf::{Lf, LfCategory, LfSet};
