@@ -67,7 +67,8 @@ impl MlpConfig {
             hidden: field(v, "hidden", |h| array(h)?.iter().map(size).collect())?,
             lr: field(v, "lr", finite)?,
             iterations: field(v, "iterations", size)?,
-            batch_size: field(v, "batch_size", size)?,
+            // `fit` divides the batch's gradient by its size.
+            batch_size: field(v, "batch_size", |b| size(b).filter(|&b| b > 0))?,
             l2: field(v, "l2", finite)?,
             seed: field(v, "seed", Json::as_u64)?,
         })
@@ -177,32 +178,100 @@ fn rows_mut(matrix: &mut [f64], width: usize) -> std::slice::ChunksExactMut<'_, 
     matrix.chunks_exact_mut(width.max(1))
 }
 
-/// [`Mlp::fit`]'s working memory, shaped by the layers once so that a step
-/// allocates nothing. Every field has one entry per layer.
+/// Columns an [`add_product`] tile spans: eight sums a row, two rows a
+/// tile, is what sixteen two-lane registers hold.
+const TILE: usize = 8;
+
+/// `out[r][c] += Σ_k lhs(r, k) · m[k][c]` over row-major `out` and `m`,
+/// both `width` wide. Each sum starts from what `out` holds and takes `k`
+/// ascending, one rounded multiply and one rounded add a term — the
+/// operations, in the order, of a loop that visits `k` outermost and adds
+/// into `out` in memory — but it runs a tile at a time with the tile's
+/// sums in local arrays, so they stay in registers across `k` and each
+/// load of `m` serves two rows. Columns past the last whole tile are
+/// summed one at a time.
+fn add_product(out: &mut [f64], width: usize, lhs: impl Fn(usize, usize) -> f64, m: &[f64]) {
+    if width == 0 {
+        return;
+    }
+    let height = out.len() / width;
+    let tiled = width - width % TILE;
+    for c in (0..tiled).step_by(TILE) {
+        for r in (0..height - height % 2).step_by(2) {
+            add_product_tile(out, width, ([r, r + 1], c), &lhs, m);
+        }
+        if height % 2 == 1 {
+            add_product_tile(out, width, ([height - 1], c), &lhs, m);
+        }
+    }
+    for (r, row) in rows_mut(out, width).enumerate() {
+        for (c, sum) in row.iter_mut().enumerate().skip(tiled) {
+            for (k, m_row) in rows(m, width).enumerate() {
+                *sum += lhs(r, k) * m_row[c];
+            }
+        }
+    }
+}
+
+/// The tile of [`add_product`] over rows `rs` and columns `c..c + TILE`.
+fn add_product_tile<const ROWS: usize>(
+    out: &mut [f64],
+    width: usize,
+    (rs, c): ([usize; ROWS], usize),
+    lhs: &impl Fn(usize, usize) -> f64,
+    m: &[f64],
+) {
+    let mut sums = [[0.0; TILE]; ROWS];
+    for (sums, r) in sums.iter_mut().zip(rs) {
+        sums.copy_from_slice(&out[r * width + c..][..TILE]);
+    }
+    for (k, m_row) in rows(m, width).enumerate() {
+        let m_tile = &m_row[c..c + TILE];
+        for (sums, r) in sums.iter_mut().zip(rs) {
+            let a = lhs(r, k);
+            for (sum, &w) in sums.iter_mut().zip(m_tile) {
+                *sum += a * w;
+            }
+        }
+    }
+    for (sums, r) in sums.iter().zip(rs) {
+        out[r * width + c..][..TILE].copy_from_slice(sums);
+    }
+}
+
+/// [`Mlp::fit`]'s working memory, shaped by the layers and the batch once
+/// so that a step allocates nothing. `wt`, `acts`, `deltas` and `grads`
+/// have one entry per layer; a per-example entry is row-major, one row an
+/// example of the batch.
 struct FitBuffers {
     /// The weights in-major (`in × out`), copied from the stored out-major
-    /// `w` once a step: with them the forward pass adds input `i`'s
-    /// contribution to every output at once — a loop across the outputs,
-    /// which vectorises — while each output still sums `b + Σ_i w·x` for
-    /// `i` ascending, as [`Layer::forward`] does.
+    /// `w` once a step: as [`add_product`]'s `m` they let the forward pass
+    /// add input `i`'s contribution to a tile of outputs at once while
+    /// each output still sums `b + Σ_i w·x` for `i` ascending, as
+    /// [`Layer::forward`] does.
     wt: Vec<Vec<f64>>,
-    /// The layer's output for the current example, after its activation.
+    /// The batch's examples, gathered from the dataset in visiting order.
+    inputs: Vec<f64>,
+    /// Their soft targets.
+    targets: Vec<f64>,
+    /// The layer's output for each example, after its activation.
     acts: Vec<Vec<f64>>,
-    /// The loss gradient at the layer's output for the current example.
+    /// The loss gradient at the layer's output for each example.
     deltas: Vec<Vec<f64>>,
     /// The batch's summed `(∂w, ∂b)`, shaped like the layer's `w` and `b`.
     grads: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
 impl FitBuffers {
-    fn new(layers: &[Layer]) -> FitBuffers {
-        let per_layer = |len: fn(&Layer) -> usize| -> Vec<Vec<f64>> {
-            layers.iter().map(|l| vec![0.0; len(l)]).collect()
-        };
+    fn new(layers: &[Layer], batch: usize) -> FitBuffers {
+        let per_example =
+            || -> Vec<Vec<f64>> { layers.iter().map(|l| vec![0.0; batch * l.n_out]).collect() };
         FitBuffers {
-            wt: per_layer(|l| l.w.len()),
-            acts: per_layer(|l| l.n_out),
-            deltas: per_layer(|l| l.n_out),
+            wt: layers.iter().map(|l| vec![0.0; l.w.len()]).collect(),
+            inputs: vec![0.0; batch * layers.first().map_or(0, |l| l.n_in)],
+            targets: vec![0.0; batch],
+            acts: per_example(),
+            deltas: per_example(),
             grads: layers
                 .iter()
                 .map(|l| (vec![0.0; l.w.len()], vec![0.0; l.b.len()]))
@@ -387,12 +456,16 @@ impl Mlp {
             / data.len() as f64
     }
 
-    /// One example's step: a forward pass keeping each layer's output in
-    /// `buffers.acts`, then backprop adding the example's gradient to
-    /// `buffers.grads`. `buffers.wt` holds the current weights.
-    fn accumulate_grad(&self, x: &[f64], target: f64, buffers: &mut FitBuffers) {
+    /// One mini-batch's step over the examples gathered in
+    /// `buffers.inputs`: a forward pass keeping each layer's outputs in
+    /// `buffers.acts`, then backprop adding the batch's gradient, example
+    /// by example in batch order, to `buffers.grads`. `buffers.wt` holds
+    /// the current weights.
+    fn batch_step(&self, buffers: &mut FitBuffers) {
         let FitBuffers {
             wt,
+            inputs,
+            targets,
             acts,
             deltas,
             grads,
@@ -400,14 +473,13 @@ impl Mlp {
         let last = self.layers.len() - 1;
         for (li, (layer, wt)) in self.layers.iter().zip(&*wt).enumerate() {
             let (before, from) = acts.split_at_mut(li);
-            let input = before.last().map_or(x, Vec::as_slice);
+            let input = before.last().unwrap_or(inputs);
             let out = &mut from[0];
-            out.copy_from_slice(&layer.b);
-            for (column, &xi) in rows(wt, layer.n_out).zip(input) {
-                for (s, &wi) in out.iter_mut().zip(column) {
-                    *s += wi * xi;
-                }
+            for row in rows_mut(out, layer.n_out) {
+                row.copy_from_slice(&layer.b);
             }
+            let x = |b: usize, i: usize| input[b * layer.n_in + i];
+            add_product(out, layer.n_out, x, wt);
             if li < last {
                 for v in out.iter_mut() {
                     *v = v.max(0.0); // ReLU
@@ -415,29 +487,26 @@ impl Mlp {
             }
         }
         // Construction pins the output layer at width 1.
-        deltas[last][0] = noise_aware_logistic_grad(acts[last][0], target);
+        for ((d, &score), &target) in deltas[last].iter_mut().zip(&acts[last]).zip(&*targets) {
+            *d = noise_aware_logistic_grad(score, target);
+        }
         for (li, layer) in self.layers.iter().enumerate().rev() {
-            let input = if li == 0 { x } else { &acts[li - 1] };
+            let input = if li == 0 { &*inputs } else { &acts[li - 1] };
             let (before, from) = deltas.split_at_mut(li);
             let delta = &from[0];
             let (gw, gb) = &mut grads[li];
-            for (g, &d) in gb.iter_mut().zip(delta) {
-                *g += d;
-            }
-            for (&d, row) in delta.iter().zip(rows_mut(gw, layer.n_in)) {
-                for (g, &xi) in row.iter_mut().zip(input) {
-                    *g += d * xi;
+            for row in rows(delta, layer.n_out) {
+                for (g, &d) in gb.iter_mut().zip(row) {
+                    *g += d;
                 }
             }
+            let d = |b: usize, o: usize| delta[b * layer.n_out + o];
+            add_product(gw, layer.n_in, |o, b| d(b, o), input);
             if let Some(prev) = before.last_mut() {
                 // Propagate through weights and the ReLU of the previous
                 // layer (derivative 1 where the activation is positive).
                 prev.fill(0.0);
-                for (&d, row) in delta.iter().zip(rows(&layer.w, layer.n_in)) {
-                    for (p, &wi) in prev.iter_mut().zip(row) {
-                        *p += d * wi;
-                    }
-                }
+                add_product(prev, layer.n_in, d, &layer.w);
                 for (p, &a) in prev.iter_mut().zip(input) {
                     if a <= 0.0 {
                         *p = 0.0;
@@ -449,9 +518,11 @@ impl Mlp {
 
     /// Train on `(dense features, soft target)` pairs with Adam.
     ///
-    /// Panics if `data` is empty or any input has the wrong dimension.
+    /// Panics if `data` is empty, the configured batch size is zero, or
+    /// any input has the wrong dimension.
     pub fn fit(&mut self, data: &[(Vec<f64>, f64)]) {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
+        assert!(self.cfg.batch_size > 0, "batch size must be positive");
         for (x, _) in data {
             assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
         }
@@ -460,22 +531,28 @@ impl Mlp {
         order.shuffle(&mut rng);
         let mut cursor = 0usize;
         let (beta1, beta2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-        let mut buffers = FitBuffers::new(&self.layers);
+        let bsz = self.cfg.batch_size.min(data.len());
+        let mut buffers = FitBuffers::new(&self.layers, bsz);
         for _ in 0..self.cfg.iterations {
             buffers.begin_step(&self.layers);
-            let bsz = self.cfg.batch_size.min(data.len());
-            for _ in 0..bsz {
+            let gathered = rows_mut(&mut buffers.inputs, self.input_dim);
+            for (row, target) in gathered.zip(&mut buffers.targets) {
                 if cursor == order.len() {
                     order.shuffle(&mut rng);
                     cursor = 0;
                 }
                 let (x, p) = &data[order[cursor]];
                 cursor += 1;
-                self.accumulate_grad(x, *p, &mut buffers);
+                row.copy_from_slice(x);
+                *target = *p;
             }
+            self.batch_step(&mut buffers);
             self.adam_t += 1;
-            let bc1 = 1.0 - beta1.powi(self.adam_t as i32);
-            let bc2 = 1.0 - beta2.powi(self.adam_t as i32);
+            // `powi` takes an `i32`; a later step saturates, and by then the
+            // power has long been 0, its limit.
+            let t = i32::try_from(self.adam_t).unwrap_or(i32::MAX);
+            let bc1 = 1.0 - beta1.powi(t);
+            let bc2 = 1.0 - beta2.powi(t);
             let scale = 1.0 / bsz as f64;
             let (lr, l2) = (self.cfg.lr, self.cfg.l2);
             let adam = |p: &mut f64, m: &mut f64, v: &mut f64, g: f64| {
@@ -570,36 +647,86 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_difference() {
+        // Widths and a batch the tiles do not divide: 8 + 3 inputs, 8 + 1
+        // and 3 hidden units, 2 + 2 + 1 examples.
         let cfg = MlpConfig {
-            hidden: vec![3],
+            hidden: vec![9, 3],
             seed: 11,
             ..MlpConfig::default()
         };
-        let mut net = Mlp::new(2, cfg);
-        let x = vec![0.4, -0.7];
-        let target = 0.8;
-        let mut buffers = FitBuffers::new(&net.layers);
+        let mut net = Mlp::new(11, cfg);
+        let mut rng = StdRng::seed_from_u64(5);
+        let batch: Vec<(Vec<f64>, f64)> = (0..5)
+            .map(|_| {
+                let x = (0..11).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                (x, rng.gen_range(0.0..1.0))
+            })
+            .collect();
+        let mut buffers = FitBuffers::new(&net.layers, batch.len());
         buffers.begin_step(&net.layers);
-        net.accumulate_grad(&x, target, &mut buffers);
-        let grads = buffers.grads;
+        for ((row, target), (x, p)) in rows_mut(&mut buffers.inputs, 11)
+            .zip(&mut buffers.targets)
+            .zip(&batch)
+        {
+            row.copy_from_slice(x);
+            *target = *p;
+        }
+        net.batch_step(&mut buffers);
+        // The oracle: central differences of the batch's summed loss,
+        // through `score`, which shares nothing with the batch kernels.
+        let summed_loss = |net: &Mlp| -> f64 {
+            batch
+                .iter()
+                .map(|(x, p)| noise_aware_logistic_loss(net.score(x), *p))
+                .sum()
+        };
         let h = 1e-6;
-        #[allow(clippy::needless_range_loop)] // li indexes both net and grads
-        for li in 0..net.layers.len() {
-            for wi in 0..net.layers[li].w.len() {
-                let orig = net.layers[li].w[wi];
-                net.layers[li].w[wi] = orig + h;
-                let lp = noise_aware_logistic_loss(net.score(&x), target);
-                net.layers[li].w[wi] = orig - h;
-                let lm = noise_aware_logistic_loss(net.score(&x), target);
-                net.layers[li].w[wi] = orig;
-                let fd = (lp - lm) / (2.0 * h);
-                assert!(
-                    (grads[li].0[wi] - fd).abs() < 1e-5,
-                    "layer {li} w[{wi}]: {} vs {fd}",
-                    grads[li].0[wi]
-                );
+        let mut central_difference = |param: fn(&mut Layer) -> &mut Vec<f64>, li: usize, i| {
+            let orig = param(&mut net.layers[li])[i];
+            param(&mut net.layers[li])[i] = orig + h;
+            let above = summed_loss(&net);
+            param(&mut net.layers[li])[i] = orig - h;
+            let below = summed_loss(&net);
+            param(&mut net.layers[li])[i] = orig;
+            (above - below) / (2.0 * h)
+        };
+        for (li, (gw, gb)) in buffers.grads.iter().enumerate() {
+            for (i, g) in gw.iter().enumerate() {
+                let fd = central_difference(|l| &mut l.w, li, i);
+                assert!((g - fd).abs() < 1e-5, "layer {li} w[{i}]: {g} vs {fd}");
+            }
+            for (i, g) in gb.iter().enumerate() {
+                let fd = central_difference(|l| &mut l.b, li, i);
+                assert!((g - fd).abs() < 1e-5, "layer {li} b[{i}]: {g} vs {fd}");
             }
         }
+    }
+
+    #[test]
+    fn a_short_fit_walks_every_tile_and_remainder() {
+        // Sized for Miri (the golden file sits out under it): widths of a
+        // tile and a bit, an odd batch that wraps the 12 rows mid-batch.
+        let data: Vec<(Vec<f64>, f64)> = (0..12)
+            .map(|r| {
+                let x: Vec<f64> = (0..9)
+                    .map(|c| f64::from((r * 7 + c * 3) % 5) - 2.0)
+                    .collect();
+                let target = if x[0] > 0.0 { 0.9 } else { 0.1 };
+                (x, target)
+            })
+            .collect();
+        let mut net = Mlp::new(
+            9,
+            MlpConfig {
+                hidden: vec![10, 3],
+                iterations: 40,
+                batch_size: 5,
+                ..MlpConfig::default()
+            },
+        );
+        let before = net.mean_loss(&data);
+        net.fit(&data);
+        assert!(net.mean_loss(&data) < before);
     }
 
     #[test]
@@ -690,6 +817,47 @@ mod tests {
         // Scratch reuse across widths must not leak state.
         let p = net.try_predict_proba(&x, &mut scratch).unwrap();
         assert_eq!(p, net.predict_proba(&x));
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn a_batch_size_of_zero_panics() {
+        let cfg = MlpConfig {
+            batch_size: 0,
+            ..MlpConfig::default()
+        };
+        Mlp::new(2, cfg).fit(&[(vec![0.0, 1.0], 1.0)]);
+    }
+
+    #[test]
+    fn config_from_json_rejects_a_batch_size_of_zero() {
+        let cfg = MlpConfig::default().to_json().to_line();
+        let parsed = |text: &str| MlpConfig::from_json(&drybell_obs::parse_json(text).unwrap());
+        assert_eq!(parsed(&cfg).unwrap().batch_size, 64);
+        let zero = cfg.replacen("\"batch_size\":64", "\"batch_size\":0", 1);
+        assert!(parsed(&zero).unwrap_err().contains("batch_size"));
+    }
+
+    #[test]
+    fn a_step_count_past_i32_still_trains() {
+        // An exported net may carry any step count. One too large for
+        // `powi`'s `i32` must read as a late step (no bias correction
+        // left), not wrap to an early or a negative one.
+        let data = [(vec![0.0, 1.0], 1.0), (vec![1.0, 0.5], 0.0)];
+        let cfg = MlpConfig {
+            hidden: vec![3],
+            iterations: 50,
+            ..MlpConfig::default()
+        };
+        let fresh = Mlp::new(2, cfg).to_json().to_line();
+        for adam_t in [i32::MAX as u64, (1 << 32) + 1] {
+            let text = fresh.replacen("\"adam_t\":0", &format!("\"adam_t\":{adam_t}"), 1);
+            let mut net = Mlp::from_json(&drybell_obs::parse_json(&text).unwrap()).unwrap();
+            let before = net.score(&[0.0, 1.0]);
+            net.fit(&data);
+            let after = net.score(&[0.0, 1.0]);
+            assert!(after.is_finite() && after > before, "{before} -> {after}");
+        }
     }
 
     #[test]
