@@ -186,8 +186,7 @@ impl<X: Sync + Send> ContentTask<X> {
     /// positive-voting LFs are deemed inaccurate, because flipping a
     /// handful of positives costs less than paying `logit(π)` per example.
     /// The uniform prior lets agreement structure, not the prior, assign
-    /// the clusters (the `exp_table4`-adjacent ablation in
-    /// `benches/label_model.rs` measures this).
+    /// the clusters.
     pub fn label_model_config(&self) -> TrainConfig {
         TrainConfig {
             steps: 6000,

@@ -1,7 +1,7 @@
 //! # drybell-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§6), plus criterion micro-benchmarks. The shared pipeline
+//! evaluation (§6), plus the `e2e` benchmark. The shared pipeline
 //! logic lives in [`harness`]; each `exp_*` binary parameterizes it and
 //! prints the rows the paper reports. See `EXPERIMENTS.md` at the
 //! workspace root for the paper-vs-measured record.

@@ -16,7 +16,7 @@ pub enum CoreError {
     EmptyMatrix,
     /// A matrix was requested with zero labeling functions (no columns).
     ZeroLabelingFunctions,
-    /// Vote value outside `{-1, 0, +1}` (binary) or `0..=k` (categorical).
+    /// Vote value outside `{-1, 0, +1}`.
     InvalidVote {
         /// The raw encoded vote value.
         value: i64,

@@ -903,28 +903,33 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Brute-force marginal NLL computed directly from the probabilistic
-    /// definition of the model, without any of the log-space shortcuts.
-    fn brute_force_nll(m: &LabelMatrix, alpha: &[f64], beta: &[f64], eta: f64) -> f64 {
+    /// Brute-force joint `[P(Λ_i, Y=+1), P(Λ_i, Y=−1)]` of one row, computed
+    /// directly from the probabilistic definition of the model, without any
+    /// of the log-space shortcuts.
+    fn brute_force_joint(row: &[i8], alpha: &[f64], beta: &[f64], eta: f64) -> [f64; 2] {
         let pi_pos = sigmoid(eta);
+        [(1i8, pi_pos), (-1i8, 1.0 - pi_pos)].map(|(y, pi)| {
+            let mut p = pi;
+            for (j, &l) in row.iter().enumerate() {
+                let a = (alpha[j] + beta[j]).exp();
+                let b = (-alpha[j] + beta[j]).exp();
+                let d = a + b + 1.0;
+                p *= match l {
+                    0 => 1.0 / d,
+                    l if l == y => a / d,
+                    _ => b / d,
+                };
+            }
+            p
+        })
+    }
+
+    /// Brute-force marginal NLL: the mean of `−log Σ_y` [`brute_force_joint`].
+    fn brute_force_nll(m: &LabelMatrix, alpha: &[f64], beta: &[f64], eta: f64) -> f64 {
         let mut total = 0.0;
         for row in m.rows() {
-            let mut marginal = 0.0;
-            for (y, pi) in [(1i8, pi_pos), (-1i8, 1.0 - pi_pos)] {
-                let mut p = pi;
-                for (j, &l) in row.iter().enumerate() {
-                    let a = (alpha[j] + beta[j]).exp();
-                    let b = (-alpha[j] + beta[j]).exp();
-                    let d = a + b + 1.0;
-                    p *= match l {
-                        0 => 1.0 / d,
-                        l if l == y => a / d,
-                        _ => b / d,
-                    };
-                }
-                marginal += p;
-            }
-            total -= marginal.ln();
+            let [pos, neg] = brute_force_joint(row, alpha, beta, eta);
+            total -= (pos + neg).ln();
         }
         total / m.num_examples() as f64
     }
@@ -950,6 +955,15 @@ mod tests {
         let fast = model.nll(&m).unwrap();
         let slow = brute_force_nll(&m, &alpha, &beta, eta);
         assert!((fast - slow).abs() < 1e-10, "fast={fast} slow={slow}");
+        // The posterior is the same product normalised over y.
+        let proba = model.predict_proba(&m);
+        for (i, row) in m.rows().enumerate() {
+            let [pos, neg] = brute_force_joint(row, &alpha, &beta, eta);
+            let want = pos / (pos + neg);
+            for got in [model.posterior(row), proba[i]] {
+                assert!((got - want).abs() < 1e-12, "row {i}: {got} vs {want}");
+            }
+        }
     }
 
     #[test]

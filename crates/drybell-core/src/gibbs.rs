@@ -69,7 +69,8 @@ impl Default for GibbsConfig {
 pub struct GibbsReport {
     /// Gradient steps taken.
     pub steps: usize,
-    /// Total examples processed (`steps × batch_size`).
+    /// Total examples processed: `steps × batch_size`, the batch capped at
+    /// the row count as the sampler caps it.
     pub examples: usize,
     /// Wall-clock seconds.
     pub seconds: f64,
@@ -160,12 +161,11 @@ impl GibbsTrainer {
             },
             |model| model.nll(m),
         )?;
-        let examples = cfg.steps * cfg.batch_size;
         Ok(GibbsReport {
             steps: cfg.steps,
-            examples,
+            examples: report.rows,
             seconds: report.seconds,
-            examples_per_sec: examples as f64 / report.seconds.max(1e-12),
+            examples_per_sec: report.rows_per_sec,
             steps_per_sec: report.steps_per_sec,
             final_nll: report.final_nll,
         })
@@ -302,15 +302,20 @@ mod tests {
 
     #[test]
     fn throughput_fields_are_consistent() {
-        let (mat, _) = planted(500, &[0.8, 0.8], &[0.9, 0.9], 1);
-        let mut t = GibbsTrainer::new(2);
-        let cfg = GibbsConfig {
-            steps: 100,
-            batch_size: 32,
-            ..GibbsConfig::default()
-        };
-        let r = t.fit(&mat, &cfg).unwrap();
-        assert_eq!(r.examples, 3200);
-        assert!((r.examples_per_sec / r.steps_per_sec - 32.0).abs() < 1e-6);
+        // Regression: a batch larger than the matrix was counted in full
+        // (50 rows at batch 64 reported 640 examples over 10 steps).
+        for (rows, steps, batch_size, examples) in [(500, 100, 32, 3200), (50, 10, 64, 500)] {
+            let (mat, _) = planted(rows, &[0.8, 0.8], &[0.9, 0.9], 1);
+            let mut t = GibbsTrainer::new(2);
+            let cfg = GibbsConfig {
+                steps,
+                batch_size,
+                ..GibbsConfig::default()
+            };
+            let r = t.fit(&mat, &cfg).unwrap();
+            assert_eq!(r.examples, examples);
+            let per_step = (examples / steps) as f64;
+            assert!((r.examples_per_sec / r.steps_per_sec - per_step).abs() < 1e-6);
+        }
     }
 }

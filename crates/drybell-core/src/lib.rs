@@ -24,11 +24,11 @@
 //! * [`gibbs::GibbsTrainer`] — the open-source Snorkel baseline: a Gibbs
 //!   sampler over the latent labels driving stochastic gradient steps.
 //!
-//! Both — and the [`class_conditional`] and [`categorical`] extensions —
-//! run on one mini-batch optimiser loop, the private `train` module
-//! (input validation, batch sampling, update, divergence check, per-epoch
-//! accounting); a model supplies only its parameter packing and its
-//! gradient, the way §5.2 plugs likelihoods into one optimiser.
+//! Both — and the [`class_conditional`] extension — run on one mini-batch
+//! optimiser loop, the private `train` module (input validation, batch
+//! sampling, update, divergence check, per-epoch accounting); a model
+//! supplies only its parameter packing and its gradient, the way §5.2
+//! plugs likelihoods into one optimiser.
 //!
 //! Baseline combiners the paper evaluates against (unweighted average,
 //! logical OR, majority vote) live in [`baselines`].
@@ -64,7 +64,6 @@
 
 pub mod analysis;
 pub mod baselines;
-pub mod categorical;
 pub mod class_conditional;
 pub mod dependencies;
 pub mod error;
@@ -93,17 +92,6 @@ pub fn logsumexp2(a: f64, b: f64) -> f64 {
     } else {
         hi + (lo - hi).exp().ln_1p()
     }
-}
-
-/// Numerically stable `log Σ exp(xs)` over a slice.
-#[inline]
-pub fn logsumexp(xs: &[f64]) -> f64 {
-    let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if hi == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    let sum: f64 = xs.iter().map(|x| (x - hi).exp()).sum();
-    hi + sum.ln()
 }
 
 /// The logistic sigmoid `1 / (1 + e^{-x})`, stable for large `|x|`.
@@ -137,16 +125,6 @@ mod tests {
         );
         assert!((logsumexp2(1000.0, 1000.0) - (1000.0 + 2.0_f64.ln())).abs() < 1e-9);
         assert!((logsumexp2(-1000.0, 0.0) - 0.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn logsumexp_slice_matches_pairwise() {
-        let xs = [0.1, -0.5, 2.0, 1.0];
-        let mut acc = f64::NEG_INFINITY;
-        for &x in &xs {
-            acc = logsumexp2(acc, x);
-        }
-        assert!((logsumexp(&xs) - acc).abs() < 1e-12);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Labeling-function votes.
 //!
 //! A labeling function maps an example to a [`Vote`]: a class label or an
-//! explicit abstention. The paper focuses on binary classification
-//! (`Y ∈ {-1, +1}`) with abstain encoded as `0`; DryBell also supports
-//! arbitrary categorical targets, represented here by [`CatVote`].
+//! explicit abstention. All three of the paper's applications are binary
+//! (`Y ∈ {-1, +1}`, Table 1), with abstain encoded as `0`.
 
 /// A binary labeling-function vote: positive, negative, or abstain.
 ///
@@ -67,31 +66,6 @@ impl From<bool> for Vote {
         } else {
             Vote::Negative
         }
-    }
-}
-
-/// A categorical labeling-function vote over `k` classes.
-///
-/// Classes are `1..=k`; `0` means abstain, mirroring the binary encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CatVote(pub u32);
-
-impl CatVote {
-    /// The abstain vote.
-    pub const ABSTAIN: CatVote = CatVote(0);
-
-    /// Vote for class `c` (1-based). Panics if `c == 0`; use
-    /// [`CatVote::ABSTAIN`] to abstain.
-    #[inline]
-    pub fn class(c: u32) -> CatVote {
-        assert!(c > 0, "class labels are 1-based; 0 is reserved for abstain");
-        CatVote(c)
-    }
-
-    /// `true` unless this is the abstain vote.
-    #[inline]
-    pub fn is_active(self) -> bool {
-        self.0 != 0
     }
 }
 
@@ -181,14 +155,6 @@ mod tests {
         assert!(Vote::Positive.is_active());
         assert!(Vote::Negative.is_active());
         assert!(!Vote::Abstain.is_active());
-        assert!(!CatVote::ABSTAIN.is_active());
-        assert!(CatVote::class(3).is_active());
-    }
-
-    #[test]
-    #[should_panic(expected = "1-based")]
-    fn cat_vote_class_zero_panics() {
-        let _ = CatVote::class(0);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Golden checksums for the five label-model training entry points.
+//! Golden checksums for the four label-model training entry points
+//! (`GenerativeModel::{fit, fit_incremental}`, `ClassConditionalModel::fit`,
+//! `GibbsTrainer::fit`).
 //!
 //! The trainers promise a fixed trajectory: same RNG consumption, same
 //! floating-point operation order, hence the same parameters, posteriors
@@ -14,10 +16,8 @@
 // hardware cannot match under it.
 #![cfg(not(miri))]
 
-use drybell_core::categorical::{CatLabelMatrix, CatTrainConfig, CategoricalModel};
 use drybell_core::gibbs::{GibbsConfig, GibbsTrainer};
 use drybell_core::optim::Optimizer;
-use drybell_core::vote::CatVote;
 use drybell_core::{
     CcTrainConfig, ClassConditionalModel, GenerativeModel, LabelMatrix, TrainConfig,
 };
@@ -201,43 +201,6 @@ fn class_conditional_fit() {
             .chain([nll]),
     );
     assert_eq!(got, 0x748f_1648_47df_1115);
-}
-
-#[test]
-fn categorical_fit_k4() {
-    let k = 4u32;
-    let mut rng = StdRng::seed_from_u64(45);
-    let mut m = CatLabelMatrix::new(4, k).unwrap();
-    for _ in 0..1_200 {
-        let y = rng.gen_range(1..=k);
-        let row: Vec<CatVote> = (0..4)
-            .map(|j| {
-                if !rng.gen_bool(0.5 + 0.1 * j as f64) {
-                    CatVote::ABSTAIN
-                } else if rng.gen_bool(0.8) {
-                    CatVote(y)
-                } else {
-                    CatVote(rng.gen_range(1..=k))
-                }
-            })
-            .collect();
-        m.push_row(&row).unwrap();
-    }
-    let mut model = CategoricalModel::new(4, k, 0.7).unwrap();
-    let cfg = CatTrainConfig {
-        steps: 150,
-        seed: 6,
-        ..CatTrainConfig::default()
-    };
-    let nll = model.fit(&m, &cfg).unwrap();
-    let got = checksum(
-        model
-            .learned_accuracies()
-            .into_iter()
-            .chain(model.predict_proba(&m).into_iter().flatten())
-            .chain([nll]),
-    );
-    assert_eq!(got, 0x138c_8fcb_e672_e7da);
 }
 
 #[test]
