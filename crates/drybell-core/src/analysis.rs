@@ -8,7 +8,10 @@
 //! and — when a hand-labeled development set is available — the empirical
 //! accuracy for comparison.
 
-// drybell-lint: allow-file(no-panic-index) — dense numeric kernel: loop bounds are derived from the matrix shape once and invariant; .get() in the inner loops would hide real shape bugs and cost the hot path
+#![expect(
+    clippy::indexing_slicing,
+    reason = "dense numeric kernel: loop bounds come from the matrix shape once; .get() in the inner loops would hide shape bugs and cost the hot path"
+)]
 
 use crate::error::CoreError;
 use crate::generative::GenerativeModel;

@@ -23,7 +23,10 @@
 //! its own marginals: duplicated heuristics show a large positive excess,
 //! genuinely independent LFs sit near zero.
 
-// drybell-lint: allow-file(no-panic-index) — dense numeric kernel: loop bounds are derived from the matrix shape once and invariant; .get() in the inner loops would hide real shape bugs and cost the hot path
+#![expect(
+    clippy::indexing_slicing,
+    reason = "dense numeric kernel: loop bounds come from the matrix shape once; .get() in the inner loops would hide shape bugs and cost the hot path"
+)]
 
 use crate::error::CoreError;
 use crate::matrix::LabelMatrix;
@@ -97,7 +100,10 @@ impl DependencyReport {
         // Triplet estimates of c_j² = q_jk·q_jl / q_kl, median over all
         // usable (k, l) with the denominator bounded away from zero.
         let mut c = vec![0.0f64; n];
-        #[allow(clippy::needless_range_loop)] // j also drives the k/l skip logic
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "j also drives the k/l skip logic"
+        )]
         for j in 0..n {
             let mut estimates = Vec::new();
             for k in 0..n {

@@ -42,7 +42,10 @@
 //! kernel adds, in the same order, minus the `+0.0` of each abstain cell,
 //! so the layout changes no result bit.
 
-// drybell-lint: allow-file(no-panic-index) — dense numeric kernel: loop bounds are derived from the matrix shape once and invariant; .get() in the inner loops would hide real shape bugs and cost the hot path
+#![expect(
+    clippy::indexing_slicing,
+    reason = "dense numeric kernel: loop bounds come from the matrix shape once; .get() in the inner loops would hide shape bugs and cost the hot path"
+)]
 
 use crate::error::CoreError;
 use crate::matrix::{ActiveRows, LabelMatrix};

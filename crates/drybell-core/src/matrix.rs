@@ -9,7 +9,10 @@
 //! largest scale (6.5M examples × 8 LFs) is ~52 MB — comfortably in memory
 //! and friendly to the sequential scans the trainer performs.
 
-// drybell-lint: allow-file(no-panic-index) — dense numeric kernel: loop bounds are derived from the matrix shape once and invariant; .get() in the inner loops would hide real shape bugs and cost the hot path
+#![expect(
+    clippy::indexing_slicing,
+    reason = "dense numeric kernel: loop bounds come from the matrix shape once; .get() in the inner loops would hide shape bugs and cost the hot path"
+)]
 
 use crate::error::CoreError;
 use crate::vote::{Label, Vote};

@@ -104,6 +104,10 @@ impl Sampler {
     }
 
     /// Draw one row index.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cursor was just stepped from below order.len(), and validate() rejects zero rows"
+    )]
     pub(crate) fn next_index(&mut self) -> usize {
         if self.cursor == self.order.len() {
             if self.reshuffle {
@@ -112,7 +116,6 @@ impl Sampler {
             self.cursor = 0;
         }
         self.cursor += 1;
-        // drybell-lint: allow(no-panic-index) — cursor was just stepped from below order.len(), and validate() rejects zero rows
         self.order[self.cursor - 1]
     }
 

@@ -117,8 +117,11 @@ fn crc32_table() -> &'static [u32; 256] {
 pub fn crc32(data: &[u8]) -> u32 {
     let table = crc32_table();
     let mut c = 0xFFFF_FFFFu32;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index is masked to 0..=255 against a 256-entry table; per-byte hot loop"
+    )]
     for &b in data {
-        // drybell-lint: allow(no-panic-index) — index is masked to 0..=255 against a 256-entry table; per-byte hot loop
         c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF

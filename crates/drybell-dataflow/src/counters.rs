@@ -55,7 +55,10 @@ impl Counters {
     /// Merge a local tally into the registry in one lock acquisition.
     pub fn merge(&self, local: &HashMap<String, u64>) {
         let mut map = self.inner.lock();
-        // drybell-lint: allow(determinism) — addition commutes; visit order cannot affect the merged totals
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "addition commutes; visit order cannot affect the merged totals"
+        )]
         for (k, v) in local {
             *map.entry(k.clone()).or_insert(0) += v;
         }

@@ -465,7 +465,10 @@ fn record_attempt(
 /// not-before timestamp on the requeued task (the failing worker never
 /// sleeps, so other tasks keep flowing); exhausted retries fail the job
 /// via `state` and close the queue so every worker winds down promptly.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the job's shared state, borrowed for the phase's scoped threads"
+)]
 fn run_phase<W, InitF, RunF>(
     num_tasks: usize,
     workers: usize,
@@ -522,7 +525,10 @@ fn run_phase<W, InitF, RunF>(
     });
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "run_phase's arguments plus the worker's own id and parent span"
+)]
 fn phase_worker<W, InitF, RunF>(
     worker_id: usize,
     queue: &TaskQueue,
@@ -628,8 +634,11 @@ fn phase_worker<W, InitF, RunF>(
                 "injected fault: {PHASE} task {} attempt {}",
                 task.index, task.attempt
             ))),
+            #[expect(
+                clippy::panic,
+                reason = "deliberate chaos-test injection; caught by the per-attempt catch_unwind above"
+            )]
             Some(FaultKind::Panic) => {
-                // drybell-lint: allow(no-panic) — deliberate chaos-test injection; caught by the per-attempt catch_unwind directly above
                 panic!(
                     "injected panic: {PHASE} task {} attempt {}",
                     task.index, task.attempt
@@ -799,7 +808,10 @@ where
     state.into_result(stats)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one attempt's inputs, each borrowed from a different owner"
+)]
 fn run_one_shard<I, O, S, F>(
     input: &ShardSpec,
     output: &ShardSpec,

@@ -203,6 +203,10 @@ impl<R: Record> Drop for ShardWriter<R> {
             // Abandoned attempt: close and discard the stage file so a
             // retry (or a later cleanup pass) finds no leftovers.
             self.out = None;
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best effort: a leftover stage file is never read, and a retry overwrites it"
+            )]
             let _ = fs::remove_file(&self.tmp_path);
         }
     }

@@ -39,7 +39,6 @@ use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-// drybell-lint: allow(determinism) — wall-clock feeds only the stream/lag_us telemetry gauge, never delivery order or results
 use std::time::SystemTime;
 
 #[cfg(doc)]
@@ -205,10 +204,13 @@ impl StreamIngestor {
                 }
                 None => {}
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "commit-to-pickup lag is a telemetry-only gauge; it never influences delivery"
+            )]
             let lag_us = std::fs::metadata(&path)
                 .and_then(|m| m.modified())
                 .ok()
-                // drybell-lint: allow(determinism) — commit-to-pickup lag is a telemetry-only gauge; it never influences delivery
                 .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
                 .map(|d| d.as_micros().min(i64::MAX as u128) as i64);
             if let Some(s) = self.sightings.get_mut(&name) {

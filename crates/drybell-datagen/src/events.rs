@@ -421,7 +421,7 @@ mod tests {
         let names = set.names();
         let mut informative = 0usize;
         let mut voted = 0usize;
-        #[allow(clippy::needless_range_loop)] // j indexes names and the matrix
+        #[expect(clippy::needless_range_loop, reason = "j indexes names and the matrix")]
         for j in 0..set.len() {
             // Graph LFs are low-precision by design; they are validated
             // separately in `graph_lfs_have_high_recall_low_precision`.

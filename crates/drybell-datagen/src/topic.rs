@@ -309,7 +309,6 @@ pub fn generate(cfg: &TopicTaskConfig) -> TopicDataset {
     }
     // Deterministic order: HashMap iteration order varies per instance,
     // and each domain consumes RNG draws.
-    // drybell-lint: allow(determinism) — collected into a Vec and sorted on the next line
     let mut sorted: Vec<(String, (u64, u64))> = counts.into_iter().collect();
     sorted.sort();
     for (domain, (pos, total)) in sorted {

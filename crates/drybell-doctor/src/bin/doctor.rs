@@ -12,6 +12,15 @@
 //! or I/O error. Budgets come from `--config <doctor.toml>`, else
 //! `./doctor.toml` when present, else the built-in defaults.
 
+// Non-test code only; DESIGN.md "Guards" says what each lint stands for.
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), warn(clippy::unused_result_ok))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
+
 use drybell_doctor::{BenchReport, DoctorConfig, DriftReport, RunSummary};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -159,7 +168,7 @@ fn load_summary(cli: &Cli) -> Result<RunSummary, String> {
             std::fs::read_to_string(journal).map_err(|e| format!("{}: {e}", journal.display()))?;
         RunSummary::from_journal_str(&text).map_err(|e| format!("{}: {e}", journal.display()))?
     } else {
-        let path = cli.summary.as_ref().expect("validated in parse_args");
+        let path = cli.summary.as_ref().ok_or("need --journal or --summary")?;
         RunSummary::from_json(&load_json(path)?).map_err(|e| format!("{}: {e}", path.display()))?
     };
     if let Some(path) = &cli.metrics {
@@ -259,7 +268,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         });
     }
     if cli.command == "bench" {
-        let path = cli.file.as_ref().expect("validated in parse_args");
+        let path = cli.file.as_ref().ok_or("bench needs --file <path>")?;
         let report = BenchReport::gate(&load_json(path)?, &load_config(cli)?)
             .map_err(|e| format!("{}: {e}", path.display()))?;
         if cli.json {
@@ -300,7 +309,10 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "check" => {
-            let baseline_path = cli.baseline.as_ref().expect("validated in parse_args");
+            let baseline_path = cli
+                .baseline
+                .as_ref()
+                .ok_or("check needs --baseline <path>")?;
             let baseline = RunSummary::from_json(&load_json(baseline_path)?)
                 .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
             let cfg = load_config(cli)?;

@@ -262,6 +262,10 @@ impl CommerceGraph {
 }
 
 /// Build the reference commerce graph.
+#[expect(
+    clippy::expect_used,
+    reason = "every entity name below is a distinct constant; a duplicate is a bug in this table"
+)]
 pub fn commerce_graph() -> CommerceGraph {
     let mut g = KnowledgeGraph::new();
     let electronics = g

@@ -15,6 +15,14 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// Non-test code only; DESIGN.md "Guards" says what each lint stands for.
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), warn(clippy::unused_result_ok))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
 pub mod commerce;
 
@@ -303,7 +311,6 @@ impl KnowledgeGraph {
                 }
             }
         }
-        // drybell-lint: allow(determinism) — collected into a Vec and sorted on the next line
         let mut out: Vec<(EntityId, usize)> = seen.into_iter().collect();
         out.sort();
         out

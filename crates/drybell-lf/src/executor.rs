@@ -600,7 +600,6 @@ where
 /// counters `nlp_cache/hits`, `nlp_cache/misses`, and
 /// `nlp_cache/evictions` alongside the existing `nlp_calls` and
 /// `votes/<lf>` counters.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_sharded_observed<X>(
     set: &LfSet<X>,
     text: Option<&TextExtractor<X>>,

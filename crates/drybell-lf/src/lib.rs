@@ -23,6 +23,19 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// Non-test code only; DESIGN.md "Guards" says what each lint stands for.
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable))]
+#![cfg_attr(not(test), warn(clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), warn(clippy::unused_result_ok))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
 pub mod executor;
 
@@ -87,7 +100,10 @@ pub struct LfMetadata {
 
 /// The engineer-written vote function, in one of the three template
 /// flavors of §5.1.
-#[allow(clippy::type_complexity)] // boxed callbacks are the template slots
+#[expect(
+    clippy::type_complexity,
+    reason = "boxed callbacks are the template slots"
+)]
 enum LfKind<X> {
     /// Default pipeline: a pure function of the example.
     Plain(Box<dyn Fn(&X) -> Vote + Send + Sync>),
@@ -217,8 +233,11 @@ impl<X> Lf<X> {
     /// Compute this LF's vote. Convenience wrapper over [`Lf::try_vote`]
     /// for direct callers who have already matched feature spaces to LF
     /// kinds; panics with the LF's name if they have not.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract of this convenience API; executors use try_vote"
+    )]
     pub fn vote(&self, x: &X, nlp: Option<&NlpResult>, kg: Option<&KnowledgeGraph>) -> Vote {
-        // drybell-lint: allow(no-panic) — documented contract of this convenience API; executors use try_vote
         self.try_vote(x, nlp, kg).unwrap_or_else(|e| panic!("{e}"))
     }
 }

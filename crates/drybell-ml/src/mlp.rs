@@ -414,7 +414,18 @@ impl Mlp {
                 got: x.len(),
             });
         }
+        // The buffers trade places once a layer, so with an odd number of
+        // layers each holds the input on every other call: size both to
+        // the widest boundary now, or the second call grows one.
+        let widest = self
+            .layers
+            .iter()
+            .map(|l| l.n_out)
+            .fold(x.len(), usize::max);
+        scratch.next.clear();
+        scratch.next.reserve(widest);
         scratch.cur.clear();
+        scratch.cur.reserve(widest);
         scratch.cur.extend_from_slice(x);
         for (li, layer) in self.layers.iter().enumerate() {
             layer.forward(&scratch.cur, &mut scratch.next);

@@ -26,6 +26,15 @@
 //! covers the complementary question (data races in the real
 //! implementations) that a model cannot.
 
+// Non-test code only; DESIGN.md "Guards" says what each lint stands for.
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), warn(clippy::unused_result_ok))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
+
 /// One atomic step of a model thread: a mutation of the shared model
 /// state that the schedule cannot interrupt.
 pub type Step<S> = Box<dyn Fn(&mut S)>;

@@ -141,7 +141,10 @@ impl FlightRecorder {
             ring.dumps += 1;
             (lines, dropped, ring.dumps)
         };
-        // drybell-lint: allow(determinism) — flight dumps are post-mortem artifacts named by wall-clock time, never replayed
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "flight dumps are post-mortem artifacts named by wall-clock time, never replayed"
+        )]
         let ts = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_micros().min(u64::MAX as u128) as u64)

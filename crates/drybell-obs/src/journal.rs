@@ -160,6 +160,10 @@ impl RunJournal {
         let seq = state.seq;
         state.seq += 1;
         let line = event.into_json(seq, t).to_line();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "telemetry must never take down the pipeline it observes"
+        )]
         let _ = writeln!(state.sink, "{line}");
     }
 
@@ -175,6 +179,10 @@ impl RunJournal {
             let seq = state.seq;
             state.seq += 1;
             let line = event.into_json(seq, t).to_line();
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "telemetry must never take down the pipeline it observes"
+            )]
             let _ = writeln!(state.sink, "{line}");
         }
     }

@@ -148,19 +148,28 @@ impl Json {
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
-                    // drybell-lint: allow(no-panic-index) — write_seq only passes i in 0..items.len()
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "write_seq only passes i in 0..items.len()"
+                    )]
                     items[i].write(out, indent, d);
                 });
             }
             Json::Obj(fields) => {
                 write_seq(out, indent, depth, '{', '}', fields.len(), |out, i, d| {
-                    // drybell-lint: allow(no-panic-index) — write_seq only passes i in 0..fields.len()
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "write_seq only passes i in 0..fields.len()"
+                    )]
                     write_escaped(out, &fields[i].0);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
                     }
-                    // drybell-lint: allow(no-panic-index) — write_seq only passes i in 0..fields.len()
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "write_seq only passes i in 0..fields.len()"
+                    )]
                     fields[i].1.write(out, indent, d);
                 });
             }

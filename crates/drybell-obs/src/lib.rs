@@ -21,14 +21,13 @@
 //! (or options types defaulting to none) so the un-instrumented hot
 //! path stays allocation- and branch-trivial.
 //!
-//! Naming conventions (see `DESIGN.md` for the full list): job-level
-//! counters keep their MapReduce names (`votes/<lf>`, `nlp_calls`,
-//! `nlp_cache/hits`); instruments owned by this layer are namespaced
-//! `obs/<area>/<metric>`, with `_us` suffixing microsecond histograms.
+//! Naming conventions: job-level counters keep their MapReduce names
+//! (`votes/<lf>`, `nlp_calls`, `nlp_cache/hits`); instruments owned by
+//! this layer are namespaced `obs/<area>/<metric>`, with `_us` suffixing
+//! microsecond histograms.
 //! The machine-readable form of that convention is [`naming::REGISTRY`]:
-//! every name production code emits is declared there, and
-//! `drybell-lint`'s `telemetry-conventions` rule checks call sites
-//! against it.
+//! every name production code emits is declared there, and the telemetry
+//! tests check every name a real run emits against it.
 //!
 //! [`MetricsRegistry`]: metrics::MetricsRegistry
 //! [`SpanSet`]: span::SpanSet
@@ -36,6 +35,19 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// Non-test code only; DESIGN.md "Guards" says what each lint stands for.
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable))]
+#![cfg_attr(not(test), warn(clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), warn(clippy::unused_result_ok))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
 pub mod flight;
 pub mod hash;

@@ -29,10 +29,11 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Per-connection read/write timeout: the handler must never hang the
-/// accept thread on a stalled client.
+/// How long a client has to send its whole request head, and each write
+/// of the response: the handler must never hang the accept thread on a
+/// stalled or dribbling client.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Largest request head we bother reading.
@@ -95,8 +96,16 @@ impl LiveServer {
         self.stop.store(true, Ordering::Release);
         // Unblock accept(2) with a throwaway connection; the flag is
         // already set, so the loop exits before handling it.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the connection only wakes accept(2); if it fails, accept is not blocked"
+        )]
         let _ = TcpStream::connect_timeout(&self.addr, IO_TIMEOUT);
         if let Some(handle) = self.handle.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "shutdown is idempotent and infallible; a panicked accept thread has nothing left to stop"
+            )]
             let _ = handle.join();
         }
     }
@@ -109,12 +118,22 @@ impl Drop for LiveServer {
 }
 
 /// Read the request head, route it, and write one HTTP/1.0 response.
+///
+/// The head has one deadline, [`IO_TIMEOUT`] after accept, and each read
+/// waits only for what is left of it: a client sending a byte just
+/// inside a per-read timeout would otherwise hold the one accept thread
+/// for as long as it takes to send [`MAX_REQUEST_BYTES`].
 fn handle_connection(mut stream: TcpStream, telemetry: &Telemetry) -> io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    let deadline = Instant::now() + IO_TIMEOUT;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut head = Vec::with_capacity(256);
     let mut buf = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             break;
@@ -301,6 +320,35 @@ mod tests {
         server.shutdown();
         server.shutdown();
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+    }
+
+    #[test]
+    fn a_dribbling_client_cannot_stall_healthz() {
+        let t = Telemetry::new();
+        let server = LiveServer::bind("127.0.0.1:0", &t).unwrap();
+        let addr = server.local_addr();
+        // A byte every 200 ms for 3 s, never finishing the head: inside a
+        // 500 ms per-read timeout every time. It connects first, so it is
+        // the connection the accept thread takes first.
+        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).unwrap();
+        let dribbler = std::thread::spawn(move || {
+            for _ in 0..15 {
+                if stream.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+        let started = Instant::now();
+        let (status, body) = get(addr, "/healthz");
+        let waited = started.elapsed();
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(body, "ok\n");
+        assert!(
+            waited < Duration::from_millis(1500),
+            "/healthz took {waited:?}"
+        );
+        dribbler.join().unwrap();
     }
 
     #[test]

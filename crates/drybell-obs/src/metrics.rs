@@ -96,7 +96,10 @@ fn bucket_of(v: u64) -> usize {
 impl Histogram {
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        // drybell-lint: allow(no-panic-index) — bucket_of(v) ≤ 64 < HISTOGRAM_BUCKETS; per-sample hot path
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_of(v) ≤ 64 < HISTOGRAM_BUCKETS; per-sample hot path"
+        )]
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -124,7 +127,10 @@ impl Histogram {
         }
         for (i, &n) in local.buckets.iter().enumerate() {
             if n > 0 {
-                // drybell-lint: allow(no-panic-index) — both bucket arrays share HISTOGRAM_BUCKETS length
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "both bucket arrays share HISTOGRAM_BUCKETS length"
+                )]
                 self.buckets[i].fetch_add(n, Ordering::Relaxed);
             }
         }
@@ -172,8 +178,11 @@ impl LocalHistogram {
 
     /// Buffer one sample (no synchronization).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bucket_of(v) ≤ 64 < HISTOGRAM_BUCKETS; per-sample hot path"
+    )]
     pub fn observe(&mut self, v: u64) {
-        // drybell-lint: allow(no-panic-index) — bucket_of(v) ≤ 64 < HISTOGRAM_BUCKETS; per-sample hot path
         self.buckets[bucket_of(v)] += 1;
         self.count += 1;
         self.sum += v;
@@ -208,8 +217,11 @@ impl LocalHistogram {
         if other.count == 0 {
             return;
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "both bucket arrays share HISTOGRAM_BUCKETS length"
+        )]
         for (i, n) in other.buckets.iter().enumerate() {
-            // drybell-lint: allow(no-panic-index) — both bucket arrays share HISTOGRAM_BUCKETS length
             self.buckets[i] += n;
         }
         self.count += other.count;
@@ -222,9 +234,12 @@ impl LocalHistogram {
 
 impl Histogram {
     /// Copy out an immutable view for percentile queries.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "from_fn passes i in 0..HISTOGRAM_BUCKETS, the array's own length"
+    )]
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            // drybell-lint: allow(no-panic-index) — from_fn passes i in 0..HISTOGRAM_BUCKETS, the array's own length
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
@@ -400,21 +415,18 @@ impl MetricsRegistry {
         let inner = self.locked();
         let mut counters: Vec<(String, u64)> = inner
             .counters
-            // drybell-lint: allow(determinism) — collected into a Vec and sorted two lines down
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         counters.sort();
         let mut gauges: Vec<(String, i64)> = inner
             .gauges
-            // drybell-lint: allow(determinism) — collected into a Vec and sorted two lines down
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         gauges.sort();
         let mut histograms: Vec<(String, HistogramSnapshot)> = inner
             .histograms
-            // drybell-lint: allow(determinism) — collected into a Vec and sorted two lines down
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();

@@ -8,16 +8,20 @@
 //! `obs/<area>/<metric>`, with `_us` suffixing microsecond-latency
 //! histograms. This module turns that prose into data so that:
 //!
-//! * `drybell-lint`'s `telemetry-conventions` rule can check the string
-//!   literal at every `counter(..)` / `gauge(..)` / `histogram(..)` /
-//!   `span(..)` / `Event::new(..)` call site against the registry, and
+//! * tests can check every name a real run emits — the metrics and span
+//!   snapshots and the journal's event kinds — against the registry
+//!   (`tests/telemetry_journal.rs`, the serving front-end's telemetry
+//!   test), and
 //! * dashboards and journal consumers have a single source of truth for
 //!   what a run can emit.
 //!
 //! Templates may contain `{placeholder}` segments standing for one
 //! dynamic `/`-separated segment — `votes/{lf}` matches the per-LF
 //! counter family built with `format!("votes/{}", name)`. Adding a new
-//! instrument means adding a row here first; the lint fails otherwise.
+//! instrument means adding a row here first; those tests fail otherwise.
+
+use crate::metrics::MetricsSnapshot;
+use crate::span::SpanSnapshot;
 
 /// Which instrument family a name belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,7 +40,7 @@ pub enum Family {
 }
 
 impl Family {
-    /// Stable lower-case name, used in lint diagnostics.
+    /// Stable lower-case name, used in [`validate`]'s messages.
     pub fn as_str(self) -> &'static str {
         match self {
             Family::Counter => "counter",
@@ -440,9 +444,9 @@ pub fn template_matches(template: &str, name: &str) -> bool {
     }
 }
 
-/// Whether every segment of `template` is dynamic. A lint cannot judge
-/// such a name statically (e.g. the `{parent}/{child}` path a child
-/// span builds), so callers treat it as out of scope.
+/// Whether every segment of `template` is dynamic (e.g. the
+/// `{parent}/{child}` path a child span builds): such a template would
+/// accept any name of its length, so [`validate`] refuses it.
 pub fn is_fully_dynamic(template: &str) -> bool {
     template.split('/').all(is_placeholder)
 }
@@ -459,19 +463,32 @@ pub fn is_registered(family: Family, name: &str) -> bool {
     lookup(family, name).is_some()
 }
 
-/// All registered templates in `family` (for diagnostics: "did you mean
-/// one of ...").
-pub fn templates(family: Family) -> impl Iterator<Item = &'static str> {
-    REGISTRY
-        .iter()
-        .filter(move |spec| spec.family == family)
-        .map(|spec| spec.template)
+/// Every name in a run's metrics and span snapshots and journal event
+/// `kinds` that no registry row matches, as `"<family> <name>"`. Empty
+/// means the run emitted only declared names.
+pub fn unregistered<'a>(
+    metrics: &'a MetricsSnapshot,
+    spans: &'a SpanSnapshot,
+    kinds: impl IntoIterator<Item = &'a str>,
+) -> Vec<String> {
+    named(Family::Counter, &metrics.counters)
+        .chain(named(Family::Gauge, &metrics.gauges))
+        .chain(named(Family::Histogram, &metrics.histograms))
+        .chain(named(Family::Span, spans.entries()))
+        .chain(kinds.into_iter().map(|kind| (Family::JournalKind, kind)))
+        .filter(|&(family, name)| !is_registered(family, name))
+        .map(|(family, name)| format!("{} {name}", family.as_str()))
+        .collect()
+}
+
+/// The names of one snapshot section, tagged with their family.
+fn named<T>(family: Family, entries: &[(String, T)]) -> impl Iterator<Item = (Family, &str)> {
+    entries.iter().map(move |(name, _)| (family, name.as_str()))
 }
 
 /// Check the registry's own invariants, returning every violation.
-/// Empty means well-formed. Exercised by unit tests and by
-/// `drybell-lint` at startup so a malformed registry fails loudly
-/// instead of silently accepting everything.
+/// Empty means well-formed. A unit test holds it, so a malformed
+/// registry fails loudly instead of silently accepting everything.
 pub fn validate() -> Vec<String> {
     let mut problems = Vec::new();
     for spec in REGISTRY {
@@ -607,7 +624,11 @@ mod tests {
     fn lookup_surfaces_docs_and_templates() {
         let spec = lookup(Family::Histogram, "obs/nlp/annotate_us").unwrap();
         assert!(spec.doc.contains("annotate"));
-        let spans: Vec<_> = templates(Family::Span).collect();
+        let spans: Vec<_> = REGISTRY
+            .iter()
+            .filter(|spec| spec.family == Family::Span)
+            .map(|spec| spec.template)
+            .collect();
         assert!(spans.contains(&"job/map"));
         assert!(spans.len() >= 8);
     }

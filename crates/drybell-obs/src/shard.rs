@@ -113,8 +113,8 @@ impl ShardLayout {
 ///
 /// The method names are deliberately distinct from the shared
 /// instruments' (`tally`/`bump`/`observe` instead of `add`/`inc`/
-/// `record`): `drybell-lint`'s `telemetry-conventions` rule flags the
-/// shared spellings inside hot-path loops, steering per-row code here.
+/// `record`), so a per-row call reads differently from a synchronized
+/// one.
 ///
 /// [`flush_into`]: LocalShard::flush_into
 #[derive(Debug)]

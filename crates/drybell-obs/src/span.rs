@@ -76,8 +76,11 @@ impl SpanSet {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "stripe_of is h % STRIPES, always in range"
+    )]
     fn stripe(&self, path: &str) -> std::sync::MutexGuard<'_, HashMap<String, SpanStat>> {
-        // drybell-lint: allow(no-panic-index) — stripe_of is h % STRIPES, always in range
         self.stripes[stripe_of(path)]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

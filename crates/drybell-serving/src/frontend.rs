@@ -479,7 +479,10 @@ impl Frontend {
         self.shared.ready.notify_all();
         let handles: Vec<std::thread::JoinHandle<()>> = self.workers.lock().drain(..).collect();
         for h in handles {
-            // drybell-lint: allow(error-discipline) — a panicked worker has no recovery path here; its queued requests are answered by the drain below
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked worker has no recovery path here; its queued requests are answered by the drain below"
+            )]
             let _ = h.join();
         }
         let left = std::mem::take(&mut self.shared.lock_admission().queue);
@@ -850,6 +853,11 @@ mod tests {
         );
         assert!(text.starts_with("{\"kind\":\"flight_header\""));
         assert!(text.contains("\"reason\":\"slo_breach\""));
+        // Every name the front-end emitted — metrics, span paths, event
+        // kinds — is declared in `naming::REGISTRY`.
+        let spans = telemetry.spans().snapshot();
+        let unregistered = drybell_obs::naming::unregistered(&snap, &spans, kinds.iter().copied());
+        assert!(unregistered.is_empty(), "unregistered: {unregistered:?}");
         let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }

@@ -18,6 +18,19 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// Non-test code only; DESIGN.md "Guards" says what each lint stands for.
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable))]
+#![cfg_attr(not(test), warn(clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), warn(clippy::unused_result_ok))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
 pub mod frontend;
 pub mod shadow;
@@ -300,6 +313,7 @@ impl Stage {
 }
 
 /// Scoring input: sparse (logistic regression) or dense (MLP).
+#[derive(Clone, Copy)]
 pub enum ScoreInput<'a> {
     /// Hashed sparse features.
     Sparse(&'a SparseVector),
@@ -570,6 +584,10 @@ impl ServingRegistry {
         std::fs::create_dir_all(dir).map_err(io)?;
         let models = self.models.lock();
         let mut manifest: Vec<ManifestEntry> = Vec::new();
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each model is its own file, and the manifest is sorted below"
+        )]
         for versions in models.values() {
             for (spec, stage) in versions {
                 let file = format!("{}-v{}.json", spec.name, spec.version);
@@ -712,9 +730,8 @@ fn find_version(
 
 /// Score one example against a resolved spec. This is the serving hot
 /// kernel: it runs outside any registry lock, reuses `scratch` across
-/// calls, and builds owned `String`s only on error paths (via `clone`,
-/// which the hot-path lint deliberately permits — error construction is
-/// off the success path).
+/// calls, and builds owned `String`s only on error paths (the success
+/// path allocates nothing; `tests/alloc_budget.rs` counts it).
 pub fn score_spec(
     spec: &ModelSpec,
     input: &ScoreInput<'_>,

@@ -35,6 +35,15 @@
 //! run labeling functions, fit the generative model, train a noise-aware
 //! discriminative classifier, and stage it for serving.
 
+// Non-test code only; DESIGN.md "Guards" says what each lint stands for.
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), warn(clippy::unused_result_ok))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
+
 /// Convenience re-exports for the common pipeline: votes, label matrix,
 /// label models, LF templates, executors, featurization, trainers,
 /// metrics, and serving.
@@ -81,3 +90,6 @@ pub use drybell_ml as ml;
 pub use drybell_nlp as nlp;
 pub use drybell_obs as obs;
 pub use drybell_serving as serving;
+
+#[cfg(test)]
+mod tests;

@@ -1,7 +1,8 @@
 //! Allocation budget of the per-example paths: how many times featurizing,
 //! annotating and voting on one product document, and voting on, training
 //! the label model on and taking an end-model step for one event, may call
-//! the allocator.
+//! the allocator; and the per-call kernels that must not call it at all:
+//! language ID, the serving score paths and the SLO tracker.
 //!
 //! The per-document path runs 650K times in a `product_batch` window and
 //! the per-event ones one to three million times in an `events_wide`
@@ -17,11 +18,17 @@
 use drybell_core::{GenerativeModel, TrainConfig, Vote};
 use drybell_datagen::events::{self, EventTaskConfig};
 use drybell_datagen::product::{self, ProductDoc, ProductTaskConfig};
-use drybell_features::FeatureHasher;
+use drybell_features::{FeatureHasher, FeatureSpace, SpaceRegistry, SparseVector};
 use drybell_lf::executor::execute_in_memory;
 use drybell_lf::{Lf, LfCategory, LfSet};
-use drybell_ml::{Mlp, MlpConfig};
+use drybell_ml::{FtrlConfig, LogisticRegression, Mlp, MlpConfig, MlpScratch};
+use drybell_nlp::langid::LangDetector;
 use drybell_nlp::{CachedNlpServer, NlpResult, NlpServer};
+use drybell_obs::Telemetry;
+use drybell_serving::{
+    batch_session, score_spec, score_spec_batch, BatchScratch, ExportedModel, ModelSpec,
+    ScoreInput, ServingRegistry, ShadowEval, SloConfig, SloTracker,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -249,4 +256,97 @@ fn the_document_path_stays_within_its_allocation_budget() {
         shorter, longer,
         "end model: {shorter} allocations for 100 iterations, {longer} for 200"
     );
+
+    // --- language ID: a dense-table walk in text order ---
+    let detector = LangDetector::new();
+    let n = per_doc(&docs, |d| {
+        black_box(detector.detect(&d.text));
+    });
+    assert!(n == 0.0, "language ID: {n} allocations a document");
+
+    // --- serving: a score allocates nothing once its scratch is warm ---
+    let sparse: Vec<SparseVector> = docs
+        .iter()
+        .map(|d| product::featurize(d, &hasher))
+        .collect();
+    let labelled: Vec<(SparseVector, f64)> = sparse
+        .iter()
+        .enumerate()
+        .map(|(i, x)| (x.clone(), (i % 2) as f64))
+        .collect();
+    let mut logreg = LogisticRegression::new(1 << 16, FtrlConfig::default());
+    logreg.fit(&labelled).unwrap();
+    let mut net = Mlp::new(events::SERVABLE_DIMS, MlpConfig::default());
+    net.fit(&soft);
+    let mut spaces = SpaceRegistry::new();
+    let space = spaces
+        .register(FeatureSpace::servable("servable", 1))
+        .unwrap();
+    // With telemetry, so the shadow loop times every pair as it does in a run.
+    let registry = ServingRegistry::new(spaces, 10_000).with_telemetry(&Telemetry::new());
+    for version in [1, 2] {
+        for (name, model) in [
+            ("text", ExportedModel::LogReg(logreg.clone())),
+            ("event", ExportedModel::Mlp(net.clone())),
+        ] {
+            let feature_spaces = vec![space];
+            let spec = ModelSpec {
+                name: name.into(),
+                version,
+                feature_spaces,
+                model,
+            };
+            registry.stage(spec).unwrap();
+        }
+    }
+    let text: Vec<ScoreInput<'_>> = sparse.iter().map(ScoreInput::Sparse).collect();
+    let event: Vec<ScoreInput<'_>> = stream
+        .iter()
+        .map(|e| ScoreInput::Dense(&e.servable))
+        .collect();
+    let mut scores = vec![0.0; DOCS];
+    for (name, inputs) in [("text", &text), ("event", &event)] {
+        registry.promote(name, 1).unwrap();
+        let spec = registry.epoch_cell(name).unwrap().pin().spec().clone();
+        let mut scratch = MlpScratch::default();
+        score_spec(&spec, &inputs[0], &mut scratch).unwrap();
+        let n = per_doc(inputs, |x| {
+            black_box(score_spec(&spec, x, &mut scratch).unwrap());
+        });
+        assert!(n == 0.0, "score_spec, {name}: {n} allocations a row");
+
+        let mut scratch = BatchScratch::default();
+        score_spec_batch(&spec, inputs, &mut scratch, &mut scores).unwrap();
+        let n = allocations(|| score_spec_batch(&spec, inputs, &mut scratch, &mut scores).unwrap());
+        assert!(n == 0, "score_spec_batch, {name}: {n} allocations a batch");
+        let mut session = batch_session(&spec, &mut scratch);
+        let n = per_doc(inputs, |x| {
+            black_box(session.score(x).unwrap());
+        });
+        assert!(
+            n == 0.0,
+            "BatchSession::score, {name}: {n} allocations a row"
+        );
+
+        let mut shadow = ShadowEval::new(&registry, name, 2).unwrap();
+        shadow.observe(inputs[0]).unwrap();
+        let n = per_doc(inputs, |x| {
+            black_box(shadow.observe(*x).unwrap());
+        });
+        assert!(
+            n == 0.0,
+            "ShadowEval::observe, {name}: {n} allocations a row"
+        );
+    }
+
+    // --- the SLO tracker: a ring write and integer window stats ---
+    let mut slo = SloTracker::new(SloConfig::default());
+    let latencies: Vec<u64> = (0..20_000u64).map(|i| 50 + (i * 7919) % 40_000).collect();
+    for &us in &latencies {
+        slo.observe(us, us % 97 == 0);
+    }
+    let n = per_doc(&latencies, |&us| {
+        black_box(slo.observe(us, us % 97 == 0));
+    });
+    assert!(n == 0.0, "SloTracker::observe: {n} allocations a request");
 }

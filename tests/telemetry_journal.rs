@@ -6,7 +6,7 @@
 use drybell::core::generative::{GenerativeModel, TrainConfig};
 use drybell::dataflow::{write_all, JobConfig, ShardSpec};
 use drybell::lf::executor::{execute_sharded_observed, ExecOptions};
-use drybell::obs::{parse_json, Json, RunJournal, Telemetry};
+use drybell::obs::{naming, parse_json, Json, RunJournal, Telemetry};
 use drybell_datagen::topic::{self, TopicTaskConfig};
 
 #[test]
@@ -156,4 +156,9 @@ fn pipeline_run_writes_a_valid_jsonl_journal() {
     let spans = telemetry.spans().snapshot();
     assert!(spans.entries().iter().any(|(p, _)| p == "lf_exec/sharded"));
     assert!(spans.entries().iter().any(|(p, _)| p == "train/fit"));
+
+    // Every name the run emitted — metrics, span paths, event kinds — is
+    // declared in `naming::REGISTRY`.
+    let unregistered = naming::unregistered(&snap, &spans, kinds.iter().copied());
+    assert!(unregistered.is_empty(), "unregistered: {unregistered:?}");
 }
