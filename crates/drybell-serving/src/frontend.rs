@@ -15,7 +15,7 @@
 //!          score batch (amortized weights) ── budget exceeded ──▶ default score
 //!               │                                                   (degraded)
 //!               ▼
-//!          fulfil response slots
+//!          write every slot of the batch, then one publish on the wake board
 //! ```
 //!
 //! * **Admission** is the queue itself: one mutex holds the waiting
@@ -39,6 +39,9 @@
 //!   the declared [`FrontendConfig::default_score`] immediately
 //!   (`degraded: true`, counted in `serving/degraded`) instead of
 //!   burning batch time on an answer the caller has given up on.
+//! * **One wake per batch**: a worker writes every slot of the batch, then
+//!   takes the wake-board lock once, waking waiters only if any sleep; the
+//!   `wake` model in `drybell-modelcheck` proves no wake-up is lost.
 
 use crate::slo::{SloConfig, SloTracker, WindowStats};
 use crate::{batch_session, BatchScratch, EpochCell, ScoreInput, ServingError, ServingRegistry};
@@ -126,56 +129,71 @@ pub struct Scored {
     pub degraded: bool,
 }
 
-/// One-shot response slot: the worker fulfils it, the submitter waits
-/// on it. Built on `std::sync` because the vendored `parking_lot` has
-/// no `Condvar`; poisoning is absorbed (the payload is a plain enum, a
-/// panicking peer cannot leave it half-written).
+/// Write-once response slot: the worker fills it, the submitter takes it.
+/// Poisoning is absorbed here and on the [`WakeBoard`]: a plain enum and
+/// one integer cannot be left half-written by a panicking peer.
 #[derive(Debug, Default)]
-struct ResponseSlot {
-    state: std::sync::Mutex<Option<Result<Scored, ServingError>>>,
-    ready: std::sync::Condvar,
-}
+struct ResponseSlot(Mutex<Option<Result<Scored, ServingError>>>);
 
 impl ResponseSlot {
-    fn fulfil(&self, result: Result<Scored, ServingError>) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *state = Some(result);
-        self.ready.notify_all();
+    fn lock(&self) -> MutexGuard<'_, Option<Result<Scored, ServingError>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Where every waiter of one front-end sleeps: how many are asleep, and
+/// one condvar. A publisher writes its slots *before* it takes this
+/// lock, and a waiter re-checks its slot *under* it before sleeping, so
+/// no publish falls between a waiter's check and its sleep.
+#[derive(Debug, Default)]
+struct WakeBoard {
+    asleep: Mutex<usize>,
+    wake: Condvar,
+}
+
+impl WakeBoard {
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.asleep.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn wait(&self) -> Result<Scored, ServingError> {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if let Some(result) = state.take() {
-                return result;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+    /// Make every slot written so far visible: one lock, and a wake only
+    /// if somebody sleeps.
+    fn publish(&self) {
+        if *self.lock() > 0 {
+            self.wake.notify_all();
         }
     }
 }
 
 /// A submitted-but-unanswered request (returned by
 /// [`Frontend::submit`]). Dropping it abandons the response; the worker
-/// still scores and fulfils the slot, which open-loop load generators
-/// rely on.
+/// still scores the request and fills its slot, which open-loop load
+/// generators rely on.
 #[derive(Debug)]
 pub struct Pending {
     slot: Arc<ResponseSlot>,
+    board: Arc<WakeBoard>,
 }
 
 impl Pending {
     /// Block until the response arrives.
     pub fn wait(self) -> Result<Scored, ServingError> {
-        self.slot.wait()
+        if let Some(result) = self.slot.lock().take() {
+            return result;
+        }
+        let mut asleep = self.board.lock();
+        loop {
+            if let Some(result) = self.slot.lock().take() {
+                return result;
+            }
+            *asleep += 1;
+            asleep = self
+                .board
+                .wake
+                .wait(asleep)
+                .unwrap_or_else(PoisonError::into_inner);
+            *asleep -= 1;
+        }
     }
 }
 
@@ -183,7 +201,6 @@ impl Pending {
 struct Request {
     input: OwnedInput,
     enqueued: Instant,
-    deadline: Instant,
     slot: Arc<ResponseSlot>,
 }
 
@@ -214,8 +231,9 @@ struct FrontendInstruments {
     batch_size: drybell_obs::GaugeSlot,
     /// `obs/serving/batch_us` — wall time per batch (gather + score).
     batch_us: drybell_obs::HistogramSlot,
-    /// `obs/serving/request_us` — end-to-end admission-to-fulfil
-    /// latency per request (the p50/p99/p999 source).
+    /// `obs/serving/request_us` — end-to-end latency per request, from
+    /// admission to the publish that made its answer visible (the
+    /// p50/p99/p999 source).
     request_us: drybell_obs::HistogramSlot,
     /// SLO judge, present when [`FrontendConfig::slo`] is set.
     slo: Option<SloInstruments>,
@@ -319,10 +337,12 @@ struct Shared {
     cell: Arc<EpochCell>,
     cfg: FrontendConfig,
     /// The one lock `submit`, the workers and `shutdown` meet on. A
-    /// [`ResponseSlot`] is never fulfilled while it is held.
+    /// [`ResponseSlot`] is never written while it is held.
     admission: Mutex<Admission>,
     /// Signalled per admitted request and on shutdown.
     ready: Condvar,
+    /// Where this front-end's waiters sleep; published once per batch.
+    board: Arc<WakeBoard>,
     instruments: Option<FrontendInstruments>,
 }
 
@@ -410,6 +430,7 @@ impl Frontend {
                 open: true,
             }),
             ready: Condvar::new(),
+            board: Arc::default(),
             instruments,
         });
         let mut handles = Vec::new();
@@ -429,12 +450,10 @@ impl Frontend {
     /// [`FrontendConfig::queue_depth`] requests are already waiting, and
     /// [`ServingError::Shutdown`] after [`Frontend::shutdown`].
     pub fn submit(&self, input: OwnedInput) -> Result<Pending, ServingError> {
-        let now = Instant::now();
         let slot = Arc::new(ResponseSlot::default());
         let request = Request {
             input,
-            enqueued: now,
-            deadline: now + self.shared.cfg.request_budget,
+            enqueued: Instant::now(),
             slot: Arc::clone(&slot),
         };
         let mut admission = self.shared.lock_admission();
@@ -453,7 +472,10 @@ impl Frontend {
         admission.queue.push_back(request);
         drop(admission);
         self.shared.ready.notify_one();
-        Ok(Pending { slot })
+        Ok(Pending {
+            slot,
+            board: Arc::clone(&self.shared.board),
+        })
     }
 
     /// Admit one request and block for its response (closed loop).
@@ -487,8 +509,9 @@ impl Frontend {
         }
         let left = std::mem::take(&mut self.shared.lock_admission().queue);
         for req in left {
-            req.slot.fulfil(Err(ServingError::Shutdown));
+            *req.slot.lock() = Some(Err(ServingError::Shutdown));
         }
+        self.shared.board.publish();
     }
 }
 
@@ -522,15 +545,18 @@ fn worker_loop(shared: &Shared) {
         }
         let mut waiting = admission.take_into(&mut batch, max_batch);
         drop(admission);
+        // Limits are compared with elapsed time: `Instant + Duration::MAX` panics.
         let batch_started = Instant::now();
-        let gather_deadline = batch_started + shared.cfg.batch_wait;
         while batch.len() < max_batch {
             let gathered = batch.len();
-            waiting = shared.lock_admission().take_into(&mut batch, max_batch);
+            let mut admission = shared.lock_admission();
+            waiting = admission.take_into(&mut batch, max_batch);
             if batch.len() == gathered {
-                if Instant::now() >= gather_deadline {
+                // A closed queue gets no stragglers: stop, so `shutdown` joins.
+                if !admission.open || batch_started.elapsed() >= shared.cfg.batch_wait {
                     break;
                 }
+                drop(admission);
                 std::thread::yield_now();
             }
         }
@@ -546,8 +572,9 @@ fn worker_loop(shared: &Shared) {
         let mut session = batch_session(&spec, &mut scratch);
         let scoring_started = Instant::now();
         let track_slo = shared.instruments.as_ref().is_some_and(|i| i.slo.is_some());
-        for req in batch.drain(..) {
-            let result = if scoring_started >= req.deadline {
+        for req in &batch {
+            let queued = scoring_started.saturating_duration_since(req.enqueued);
+            let result = if queued >= shared.cfg.request_budget {
                 if let (Some(i), Some(shard)) = (&shared.instruments, shard.as_mut()) {
                     shard.bump(i.degraded);
                 }
@@ -567,29 +594,37 @@ fn worker_loop(shared: &Shared) {
                         degraded: false,
                     })
             };
-            // A degraded answer is an SLO error: the caller got the
-            // default score, not the model's.
-            let error = matches!(&result, Ok(s) if s.degraded) || result.is_err();
-            req.slot.fulfil(result);
-            if let (Some(i), Some(shard)) = (&shared.instruments, shard.as_mut()) {
-                let latency = req.enqueued.elapsed();
+            if track_slo {
+                // A degraded answer is an SLO error: the caller got the
+                // default score, not the model's. The latency is
+                // stamped at publish.
+                let error = matches!(&result, Ok(s) if s.degraded) || result.is_err();
+                slo_samples.push((0, error));
+            }
+            *req.slot.lock() = Some(result);
+        }
+        shared.board.publish();
+        // Batch boundary: one wake, request latencies stamped at that
+        // publish (when the answers became visible), one amortized fold
+        // of the worker's local telemetry into the shared registry, and
+        // one SLO-tracker lock for the whole batch.
+        if let (Some(i), Some(shard)) = (&shared.instruments, shard.as_mut()) {
+            let published = Instant::now();
+            for (k, req) in batch.iter().enumerate() {
+                let latency = published.saturating_duration_since(req.enqueued);
                 shard.observe_duration(i.request_us, latency);
-                if track_slo {
-                    slo_samples.push((latency.as_micros() as u64, error));
+                if let Some(sample) = slo_samples.get_mut(k) {
+                    sample.0 = latency.as_micros() as u64;
                 }
             }
-        }
-        // Batch boundary: one amortized fold of the worker's local
-        // telemetry into the shared registry, and one SLO-tracker lock
-        // for the whole batch.
-        if let (Some(i), Some(shard)) = (&shared.instruments, shard.as_mut()) {
-            shard.observe_duration(i.batch_us, batch_started.elapsed());
+            shard.observe_duration(i.batch_us, published.duration_since(batch_started));
             shard.flush_into(&i.telemetry);
             if let Some(slo) = &i.slo {
                 slo.observe_batch(&slo_samples, &i.telemetry);
             }
             slo_samples.clear();
         }
+        batch.clear();
     }
 }
 
@@ -600,9 +635,20 @@ mod tests {
     use drybell_features::{FeatureHasher, FeatureSpace, SpaceRegistry};
     use drybell_ml::{FtrlConfig, LogisticRegression, MlpScratch};
     use proptest::prelude::*;
-    use std::sync::Barrier;
+    use std::sync::{mpsc, Barrier};
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    /// How long a test waits for an answer before calling it lost.
+    const LIMIT: Duration = Duration::from_secs(30);
+
+    /// Run `f` on a thread of its own and hand back the channel its result
+    /// arrives on, so a test bounds its wait instead of hanging.
+    fn on_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> mpsc::Receiver<T> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || drop(tx.send(f())));
+        rx
+    }
 
     /// A registry with `n` identical logreg versions of model `"m"`,
     /// version 1 promoted. With the publication cell created at
@@ -894,6 +940,147 @@ mod tests {
         // a request admitted after promote returns scores v2.
         let scored = frontend.score(OwnedInput::Sparse(h.bag_of_words(&["yes"])))?;
         assert_eq!((scored.epoch, scored.version), (2, 2));
+        Ok(())
+    }
+
+    #[test]
+    fn a_request_budget_of_duration_max_scores_without_degrading() -> TestResult {
+        let (registry, h) = registry_with_versions(1)?;
+        let cfg = FrontendConfig {
+            request_budget: Duration::MAX,
+            ..FrontendConfig::default()
+        };
+        let frontend = Frontend::for_model(&registry, "m", cfg)?;
+        let scored = frontend.score(OwnedInput::Sparse(h.bag_of_words(&["yes"])))?;
+        assert!(!scored.degraded);
+        Ok(())
+    }
+
+    #[test]
+    fn a_batch_wait_of_duration_max_answers_a_full_batch() -> TestResult {
+        let (registry, h) = registry_with_versions(1)?;
+        let cfg = FrontendConfig {
+            batch_wait: Duration::MAX,
+            max_batch: 1,
+            ..FrontendConfig::default()
+        };
+        let frontend = Frontend::for_model(&registry, "m", cfg)?;
+        let pending = frontend.submit(OwnedInput::Sparse(h.bag_of_words(&["yes"])))?;
+        let scored = on_thread(move || pending.wait())
+            .recv_timeout(LIMIT)
+            .map_err(|_| "the request was never answered")??;
+        assert_eq!((scored.epoch, scored.version), (1, 1));
+        Ok(())
+    }
+
+    #[test]
+    fn shutdown_ends_a_gather_of_duration_max() -> TestResult {
+        let (registry, h) = registry_with_versions(1)?;
+        let cfg = FrontendConfig {
+            batch_wait: Duration::MAX,
+            max_batch: 4,
+            ..FrontendConfig::default()
+        };
+        let frontend = Arc::new(Frontend::for_model(&registry, "m", cfg)?);
+        // One request of a batch of four: only the close ends the gather.
+        let pending = frontend.submit(OwnedInput::Sparse(h.bag_of_words(&["yes"])))?;
+        let closing = Arc::clone(&frontend);
+        let closed = on_thread(move || closing.shutdown());
+        let scored = on_thread(move || pending.wait())
+            .recv_timeout(LIMIT)
+            .map_err(|_| "the gathered request was never answered")??;
+        assert_eq!(scored.version, 1);
+        closed
+            .recv_timeout(LIMIT)
+            .map_err(|_| "shutdown never joined the worker")?;
+        Ok(())
+    }
+
+    #[test]
+    fn a_waiter_asleep_when_shutdown_sweeps_is_woken() -> TestResult {
+        let (registry, h) = registry_with_versions(1)?;
+        let cfg = FrontendConfig {
+            workers: 0,
+            ..FrontendConfig::default()
+        };
+        let frontend = Frontend::for_model(&registry, "m", cfg)?;
+        let pending = frontend.submit(OwnedInput::Sparse(h.bag_of_words(&["yes"])))?;
+        let answer = on_thread(move || pending.wait());
+        // With no worker only the sweep can answer, so the waiter sleeps;
+        // it counts itself asleep and sleeps under one hold of the lock.
+        let started = Instant::now();
+        while *frontend.shared.board.lock() == 0 {
+            if started.elapsed() > LIMIT {
+                return Err("the waiter never went to sleep".into());
+            }
+            std::thread::yield_now();
+        }
+        frontend.shutdown();
+        let result = answer
+            .recv_timeout(LIMIT)
+            .map_err(|_| "the sleeping waiter was never woken")?;
+        assert!(matches!(result, Err(ServingError::Shutdown)), "{result:?}");
+        Ok(())
+    }
+
+    #[test]
+    fn dropped_pendings_do_not_stall_the_others() -> TestResult {
+        const CLIENTS: usize = 4;
+        const IN_FLIGHT: usize = 16;
+        const PER_CLIENT: usize = 300;
+        let (registry, h) = registry_with_versions(1)?;
+        let spec = registry.resolve_serving("m")?;
+        let inputs: Vec<SparseVector> = ["yes", "nothing", "maybe", "filler"]
+            .iter()
+            .map(|token| h.bag_of_words(&[token]))
+            .collect();
+        let mut scratch = MlpScratch::default();
+        let expected = inputs
+            .iter()
+            .map(|x| score_spec(&spec, &ScoreInput::Sparse(x), &mut scratch).map(f64::to_bits))
+            .collect::<Result<Vec<u64>, _>>()?;
+        // No answer may degrade to the default score, however slow the host.
+        let cfg = FrontendConfig {
+            request_budget: Duration::MAX,
+            ..FrontendConfig::default()
+        };
+        let frontend = Arc::new(Frontend::for_model(&registry, "m", cfg)?);
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (frontend, inputs) = (Arc::clone(&frontend), inputs.clone());
+                on_thread(move || {
+                    let mut in_flight = VecDeque::with_capacity(IN_FLIGHT);
+                    let mut kept = Vec::new();
+                    for k in 0..PER_CLIENT {
+                        let item = (c + k) % inputs.len();
+                        let pending = frontend.submit(OwnedInput::Sparse(inputs[item].clone()))?;
+                        // Every third is abandoned, as an open loop does.
+                        if k % 3 != 2 {
+                            in_flight.push_back((pending, item));
+                        }
+                        if in_flight.len() == IN_FLIGHT {
+                            if let Some((pending, item)) = in_flight.pop_front() {
+                                kept.push((pending.wait()?, item));
+                            }
+                        }
+                    }
+                    for (pending, item) in in_flight {
+                        kept.push((pending.wait()?, item));
+                    }
+                    Ok::<_, ServingError>(kept)
+                })
+            })
+            .collect();
+        for client in clients {
+            let kept = client
+                .recv_timeout(LIMIT)
+                .map_err(|_| "a client stalled")??;
+            assert_eq!(kept.len(), PER_CLIENT - PER_CLIENT / 3);
+            for (scored, item) in kept {
+                assert!(!scored.degraded);
+                assert_eq!(scored.score.to_bits(), expected[item]);
+            }
+        }
         Ok(())
     }
 

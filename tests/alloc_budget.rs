@@ -1,8 +1,9 @@
 //! Allocation budget of the per-example paths: how many times featurizing,
 //! annotating and voting on one product document, and voting on, training
-//! the label model on and taking an end-model step for one event, may call
-//! the allocator; and the per-call kernels that must not call it at all:
-//! language ID, the serving score paths and the SLO tracker.
+//! the label model on and taking an end-model step for one event, and
+//! serving one request through the front-end, may call the allocator; and
+//! the per-call kernels that must not call it at all: language ID, the
+//! serving score paths and the SLO tracker.
 //!
 //! The per-document path runs 650K times in a `product_batch` window and
 //! the per-event ones one to three million times in an `events_wide`
@@ -26,8 +27,9 @@ use drybell_nlp::langid::LangDetector;
 use drybell_nlp::{CachedNlpServer, NlpResult, NlpServer};
 use drybell_obs::Telemetry;
 use drybell_serving::{
-    batch_session, score_spec, score_spec_batch, BatchScratch, ExportedModel, ModelSpec,
-    ScoreInput, ServingRegistry, ShadowEval, SloConfig, SloTracker,
+    batch_session, score_spec, score_spec_batch, BatchScratch, ExportedModel, Frontend,
+    FrontendConfig, ModelSpec, OwnedInput, Pending, ScoreInput, ServingRegistry, ShadowEval,
+    SloConfig, SloTracker,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -338,6 +340,36 @@ fn the_document_path_stays_within_its_allocation_budget() {
             "ShadowEval::observe, {name}: {n} allocations a row"
         );
     }
+
+    // --- the front-end: a served request allocates its response slot ---
+    // Sixteen requests in flight at a time, so the worker scores batches
+    // and its allocations are counted too; the inputs are built outside
+    // the count.
+    let frontend = Frontend::for_model(&registry, "text", FrontendConfig::default()).unwrap();
+    const IN_FLIGHT: usize = 16;
+    let mut in_flight: Vec<Pending> = Vec::with_capacity(IN_FLIGHT);
+    let mut serve = |inputs: Vec<OwnedInput>| {
+        for input in inputs {
+            in_flight.push(frontend.submit(input).unwrap());
+            if in_flight.len() == IN_FLIGHT {
+                for pending in in_flight.drain(..) {
+                    black_box(pending.wait().unwrap());
+                }
+            }
+        }
+        for pending in in_flight.drain(..) {
+            black_box(pending.wait().unwrap());
+        }
+    };
+    let mut requests: Vec<OwnedInput> = sparse.iter().cloned().map(OwnedInput::Sparse).collect();
+    let counted = requests.split_off(DOCS / 2);
+    serve(requests);
+    let n = allocations(|| serve(counted)) as f64 / (DOCS - DOCS / 2) as f64;
+    assert!(
+        n <= 1.0,
+        "Frontend::submit + Pending::wait: {n} allocations a request"
+    );
+    frontend.shutdown();
 
     // --- the SLO tracker: a ring write and integer window stats ---
     let mut slo = SloTracker::new(SloConfig::default());
