@@ -11,11 +11,12 @@
 //! re-takes the lock, uncounts itself and checks again.
 //!
 //! The worker has taken request 0 into its batch; request 1 is still
-//! queued. The worker writes slot 0, gathers request 1 and writes its
-//! slot if it is still queued, then publishes. The sweep takes what is
-//! queued (the admission lock), writes it, then publishes. The model lets
-//! the sweep run beside the worker — more schedules than the real `join`
-//! allows, among them a sweep that writes after the worker's publish.
+//! queued and goes in the worker's next batch. The worker writes slot 0
+//! and publishes, then takes request 1 if it is still queued, writes its
+//! slot and publishes again. The sweep takes what is queued (the
+//! admission lock), writes it, then publishes. The model lets the sweep
+//! run beside the worker — more schedules than the real `join` allows,
+//! among them a sweep that writes after the worker's publish.
 //! Over every interleaving it proves that at quiescence no waiter sleeps
 //! with its slot written and no wake-up pending, and that each answer is
 //! taken exactly once.
@@ -77,8 +78,8 @@ impl WakeModel {
         self.write(0);
     }
 
-    /// Worker: gather request 1 if it is still queued (the admission
-    /// lock), then write its slot.
+    /// Worker, next batch: take request 1 if it is still queued (the
+    /// admission lock), then write its slot.
     fn worker_write_1(&mut self) {
         if self.queued.contains(&1) {
             self.queued.clear();
@@ -203,6 +204,7 @@ fn worker() -> ModelThread<WakeModel> {
         "worker",
         vec![
             Box::new(WakeModel::worker_write_0),
+            Box::new(WakeModel::publish),
             Box::new(WakeModel::worker_write_1),
             Box::new(WakeModel::publish),
         ],
@@ -251,15 +253,15 @@ fn no_wake_up_is_lost_under_all_interleavings() {
         waiter("wait_1", 1, true),
     ];
     let interleavings = check(&threads).unwrap_or_else(|v| panic!("wake board violated: {v}"));
-    // 12 steps over 4 threads, exhaustively scheduled.
-    assert_eq!(interleavings, 369_600); // 12! / (3!·3!·3!·3!)
+    // 13 steps over 4 threads, exhaustively scheduled.
+    assert_eq!(interleavings, 1_201_200); // 13! / (4!·3!·3!·3!)
 }
 
 #[test]
 fn checking_outside_the_board_lock_loses_a_wake_up() {
     // One waiter and no sweep: the waiter sees its slot empty, the
-    // worker writes both slots and publishes to nobody, then the waiter
-    // counts itself asleep and sleeps for good.
+    // worker answers both of its batches and publishes each to nobody,
+    // then the waiter counts itself asleep and sleeps for good.
     let threads = [waiter("wait_0", 0, false), worker()];
     // Answer 1 has no waiter here, so only the lost-wake-up half of
     // acceptance applies.
@@ -276,6 +278,6 @@ fn checking_outside_the_board_lock_loses_a_wake_up() {
     );
     assert_eq!(
         violation.schedule,
-        ["wait_0", "wait_0", "worker", "worker", "worker", "wait_0", "wait_0"]
+        ["wait_0", "wait_0", "worker", "worker", "worker", "worker", "wait_0", "wait_0"]
     );
 }

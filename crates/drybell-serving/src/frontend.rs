@@ -9,7 +9,7 @@
 //! submit ──▶ admission (bounded, reject-on-overflow)
 //!               │
 //!               ▼
-//!          micro-batcher (size- or deadline-triggered)
+//!          worker takes what is queued (up to max_batch, one lock hold)
 //!               │  refresh pinned epoch   ◀── promote republishes
 //!               ▼
 //!          score batch (amortized weights) ── budget exceeded ──▶ default score
@@ -23,11 +23,11 @@
 //!   that lock with the typed [`ServingError::QueueFull`] instead of
 //!   queueing unbounded work (load shedding, counted in
 //!   `serving/rejected`).
-//! * **Micro-batching** drains the queue into batches of up to
-//!   [`FrontendConfig::max_batch`] requests, waiting at most
-//!   [`FrontendConfig::batch_wait`] for stragglers, then scores the
-//!   whole batch through one [`crate::BatchSession`] so FTRL weight
-//!   materialization is amortized across the batch.
+//! * **Micro-batching** without a timer: a worker takes what is queued,
+//!   up to [`FrontendConfig::max_batch`] requests, and scores it at once
+//!   through one [`crate::BatchSession`], amortizing FTRL weight
+//!   materialization. Requests pile up while a worker scores, so batch
+//!   size follows the load and a lone request waits for no stragglers.
 //! * **Hot swap**: workers score against a [`crate::PinnedSpec`]
 //!   refreshed from the registry's [`crate::EpochCell`] at batch
 //!   boundaries — zero locks on the scoring path, one atomic load per
@@ -55,14 +55,11 @@ use std::time::{Duration, Instant};
 pub struct FrontendConfig {
     /// Maximum requests waiting in the queue; a submission that finds
     /// this many waiting is rejected with [`ServingError::QueueFull`].
-    /// The batch a worker has taken to gather and score is not counted:
-    /// up to [`FrontendConfig::max_batch`] more per worker are in flight.
+    /// The batch a worker has taken to score is not counted: up to
+    /// [`FrontendConfig::max_batch`] more per worker are in flight.
     pub queue_depth: usize,
     /// Maximum requests scored in one batch.
     pub max_batch: usize,
-    /// How long a worker waits for stragglers before scoring a partial
-    /// batch.
-    pub batch_wait: Duration,
     /// Per-request latency budget, measured from admission to scoring;
     /// an expired request degrades to [`FrontendConfig::default_score`].
     pub request_budget: Duration,
@@ -84,7 +81,6 @@ impl Default for FrontendConfig {
         FrontendConfig {
             queue_depth: 1024,
             max_batch: 64,
-            batch_wait: Duration::from_micros(200),
             request_budget: Duration::from_millis(20),
             default_score: 0.5,
             workers: 2,
@@ -229,7 +225,8 @@ struct FrontendInstruments {
     queue_depth: drybell_obs::GaugeSlot,
     /// `serving/batch_size` — size of the most recent batch.
     batch_size: drybell_obs::GaugeSlot,
-    /// `obs/serving/batch_us` — wall time per batch (gather + score).
+    /// `obs/serving/batch_us` — wall time per batch, from its take to
+    /// its publish.
     batch_us: drybell_obs::HistogramSlot,
     /// `obs/serving/request_us` — end-to-end latency per request, from
     /// admission to the publish that made its answer visible (the
@@ -323,11 +320,11 @@ struct Admission {
 }
 
 impl Admission {
-    /// Move waiting requests into `batch` until it holds `max_batch`;
-    /// returns how many are still waiting.
+    /// Move up to `max_batch` waiting requests into `batch`; returns how
+    /// many are still waiting.
     fn take_into(&mut self, batch: &mut Vec<Request>, max_batch: usize) -> usize {
-        let room = max_batch.saturating_sub(batch.len()).min(self.queue.len());
-        batch.extend(self.queue.drain(..room));
+        let taken = max_batch.min(self.queue.len());
+        batch.extend(self.queue.drain(..taken));
         self.queue.len()
     }
 }
@@ -521,10 +518,11 @@ impl Drop for Frontend {
     }
 }
 
-/// The batcher body: block for the first requests, gather stragglers
-/// until the batch fills or [`FrontendConfig::batch_wait`] passes,
-/// refresh the epoch pin, then score the whole batch through one
-/// [`crate::BatchSession`]. Returns once the queue is closed and empty.
+/// The batcher body: block until requests wait, take up to
+/// [`FrontendConfig::max_batch`] of them in that one lock hold, refresh
+/// the epoch pin, and score them at once through one
+/// [`crate::BatchSession`]; what arrives meanwhile forms the next batch.
+/// Returns once the queue is closed and empty.
 fn worker_loop(shared: &Shared) {
     let max_batch = shared.cfg.max_batch.max(1);
     let mut scratch = BatchScratch::default();
@@ -543,23 +541,9 @@ fn worker_loop(shared: &Shared) {
         if admission.queue.is_empty() {
             return;
         }
-        let mut waiting = admission.take_into(&mut batch, max_batch);
+        let waiting = admission.take_into(&mut batch, max_batch);
         drop(admission);
-        // Limits are compared with elapsed time: `Instant + Duration::MAX` panics.
-        let batch_started = Instant::now();
-        while batch.len() < max_batch {
-            let gathered = batch.len();
-            let mut admission = shared.lock_admission();
-            waiting = admission.take_into(&mut batch, max_batch);
-            if batch.len() == gathered {
-                // A closed queue gets no stragglers: stop, so `shutdown` joins.
-                if !admission.open || batch_started.elapsed() >= shared.cfg.batch_wait {
-                    break;
-                }
-                drop(admission);
-                std::thread::yield_now();
-            }
-        }
+        let started = Instant::now();
         // Batch boundary: one atomic load in steady state; the slot
         // lock is touched only when a promote actually landed.
         pinned.refresh(&shared.cell);
@@ -570,10 +554,9 @@ fn worker_loop(shared: &Shared) {
             shard.level(i.batch_size, batch.len() as i64);
         }
         let mut session = batch_session(&spec, &mut scratch);
-        let scoring_started = Instant::now();
         let track_slo = shared.instruments.as_ref().is_some_and(|i| i.slo.is_some());
         for req in &batch {
-            let queued = scoring_started.saturating_duration_since(req.enqueued);
+            let queued = started.saturating_duration_since(req.enqueued);
             let result = if queued >= shared.cfg.request_budget {
                 if let (Some(i), Some(shard)) = (&shared.instruments, shard.as_mut()) {
                     shard.bump(i.degraded);
@@ -617,7 +600,7 @@ fn worker_loop(shared: &Shared) {
                     sample.0 = latency.as_micros() as u64;
                 }
             }
-            shard.observe_duration(i.batch_us, published.duration_since(batch_started));
+            shard.observe_duration(i.batch_us, published.duration_since(started));
             shard.flush_into(&i.telemetry);
             if let Some(slo) = &i.slo {
                 slo.observe_batch(&slo_samples, &i.telemetry);
@@ -957,42 +940,68 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_wait_of_duration_max_answers_a_full_batch() -> TestResult {
+    fn a_lone_request_is_not_held_for_stragglers() -> TestResult {
         let (registry, h) = registry_with_versions(1)?;
+        let telemetry = drybell_obs::Telemetry::new();
         let cfg = FrontendConfig {
-            batch_wait: Duration::MAX,
-            max_batch: 1,
+            workers: 1,
             ..FrontendConfig::default()
         };
-        let frontend = Frontend::for_model(&registry, "m", cfg)?;
-        let pending = frontend.submit(OwnedInput::Sparse(h.bag_of_words(&["yes"])))?;
-        let scored = on_thread(move || pending.wait())
-            .recv_timeout(LIMIT)
-            .map_err(|_| "the request was never answered")??;
-        assert_eq!((scored.epoch, scored.version), (1, 1));
+        let frontend = Frontend::for_model_with_telemetry(&registry, "m", cfg, &telemetry)?;
+        // Sequential calls: each batch holds one request, and a batch of
+        // one far short of `max_batch` is scored as soon as it is taken.
+        for _ in 0..20 {
+            frontend.score(OwnedInput::Sparse(h.bag_of_words(&["yes"])))?;
+        }
+        frontend.shutdown();
+        let snap = telemetry.metrics().snapshot();
+        let batch_us = snap
+            .histogram("obs/serving/batch_us")
+            .ok_or("missing batch histogram")?;
+        assert_eq!(batch_us.count(), 20);
+        let fastest = batch_us.min().ok_or("no batch recorded")?;
+        assert!(fastest < 100, "the fastest batch took {fastest} µs");
         Ok(())
     }
 
     #[test]
-    fn shutdown_ends_a_gather_of_duration_max() -> TestResult {
+    fn queued_requests_are_taken_max_batch_at_a_time() -> TestResult {
         let (registry, h) = registry_with_versions(1)?;
+        let spec = registry.resolve_serving("m")?;
+        let telemetry = drybell_obs::Telemetry::new();
         let cfg = FrontendConfig {
-            batch_wait: Duration::MAX,
             max_batch: 4,
+            request_budget: Duration::MAX,
+            workers: 0,
             ..FrontendConfig::default()
         };
-        let frontend = Arc::new(Frontend::for_model(&registry, "m", cfg)?);
-        // One request of a batch of four: only the close ends the gather.
-        let pending = frontend.submit(OwnedInput::Sparse(h.bag_of_words(&["yes"])))?;
-        let closing = Arc::clone(&frontend);
-        let closed = on_thread(move || closing.shutdown());
-        let scored = on_thread(move || pending.wait())
-            .recv_timeout(LIMIT)
-            .map_err(|_| "the gathered request was never answered")??;
-        assert_eq!(scored.version, 1);
-        closed
-            .recv_timeout(LIMIT)
-            .map_err(|_| "shutdown never joined the worker")?;
+        let frontend = Frontend::for_model_with_telemetry(&registry, "m", cfg, &telemetry)?;
+        let mut scratch = MlpScratch::default();
+        let mut queued = Vec::new();
+        for token in ["yes", "nothing", "maybe", "filler"]
+            .iter()
+            .cycle()
+            .take(10)
+        {
+            let x = h.bag_of_words(&[token]);
+            let direct = score_spec(&spec, &ScoreInput::Sparse(&x), &mut scratch)?;
+            queued.push((frontend.submit(OwnedInput::Sparse(x))?, direct));
+        }
+        // Ten waiting before any worker runs: batches of 4, 4 and 2.
+        let shared = Arc::clone(&frontend.shared);
+        let worker = std::thread::spawn(move || worker_loop(&shared));
+        for (pending, direct) in queued {
+            let served = pending.wait()?;
+            assert!(!served.degraded);
+            assert_eq!(served.score.to_bits(), direct.to_bits());
+        }
+        frontend.shutdown();
+        worker.join().map_err(|_| "the worker panicked")?;
+        let snap = telemetry.metrics().snapshot();
+        let batch_us = snap
+            .histogram("obs/serving/batch_us")
+            .ok_or("missing batch histogram")?;
+        assert_eq!(batch_us.count(), 3);
         Ok(())
     }
 
@@ -1013,7 +1022,7 @@ mod tests {
             if started.elapsed() > LIMIT {
                 return Err("the waiter never went to sleep".into());
             }
-            std::thread::yield_now();
+            std::thread::sleep(Duration::from_micros(50));
         }
         frontend.shutdown();
         let result = answer
@@ -1102,7 +1111,6 @@ mod tests {
             let (registry, h) = registry_with_versions(4).unwrap();
             let cfg = FrontendConfig {
                 max_batch,
-                batch_wait: Duration::from_micros(50),
                 workers: 2,
                 ..FrontendConfig::default()
             };
