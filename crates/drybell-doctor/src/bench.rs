@@ -16,64 +16,15 @@ use crate::drift::Status;
 use crate::{DoctorConfig, DoctorError};
 use drybell_obs::Json;
 
-/// Whether a gated value must stay under its budget or above it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// `value ≤ budget` passes (overheads, latencies).
-    Ceiling,
-    /// `value ≥ budget` passes (speedups, throughputs).
-    Floor,
-}
-
-impl Direction {
-    fn as_str(self) -> &'static str {
-        match self {
-            Direction::Ceiling => "ceiling",
-            Direction::Floor => "floor",
-        }
-    }
-}
-
 /// Which fields gate, per bench document: `(bench tag, JSON field,
-/// budget key, direction)`. These are absolute bounds, not deltas.
-const GATED_FIELDS: &[(&str, &str, &str, Direction)] = &[
+/// budget key)`. Every budget is an absolute ceiling, not a delta.
+const GATED_FIELDS: &[(&str, &str, &str)] = &[
     (
         "obs_overhead",
         "train_overhead_pct",
         "obs.train_overhead_pct",
-        Direction::Ceiling,
     ),
-    (
-        "obs_overhead",
-        "lf_overhead_pct",
-        "obs.lf_overhead_pct",
-        Direction::Ceiling,
-    ),
-    ("serving", "p99_us", "serving.p99_us", Direction::Ceiling),
-    (
-        "serving",
-        "batched_speedup",
-        "serving.batched_speedup",
-        Direction::Floor,
-    ),
-    (
-        "streaming",
-        "detect_events",
-        "streaming.detect_events",
-        Direction::Ceiling,
-    ),
-    (
-        "streaming",
-        "score_shift_detect_events",
-        "streaming.detect_events",
-        Direction::Ceiling,
-    ),
-    (
-        "streaming",
-        "nll_gap",
-        "streaming.nll_gap",
-        Direction::Ceiling,
-    ),
+    ("obs_overhead", "lf_overhead_pct", "obs.lf_overhead_pct"),
 ];
 
 /// One gated (or informational) value from a bench document.
@@ -89,8 +40,6 @@ pub struct BenchVerdict {
     pub status: Status,
     /// The `doctor.toml` key the budget comes from.
     pub budget_key: String,
-    /// Whether the budget is a ceiling or a floor.
-    pub direction: Direction,
 }
 
 /// The outcome of gating one bench document.
@@ -116,7 +65,7 @@ impl BenchReport {
             .to_string();
         let gates: Vec<_> = GATED_FIELDS
             .iter()
-            .filter(|(tag, _, _, _)| *tag == bench)
+            .filter(|(tag, _, _)| *tag == bench)
             .collect();
         if gates.is_empty() {
             return Err(DoctorError::BadSummary(format!(
@@ -124,23 +73,14 @@ impl BenchReport {
             )));
         }
         let mut verdicts = Vec::with_capacity(gates.len());
-        for &&(_, field, key, direction) in &gates {
+        for &&(_, field, key) in &gates {
             let value = doc.get(field).and_then(Json::as_f64).ok_or_else(|| {
                 DoctorError::BadSummary(format!("bench {bench:?} is missing field {field:?}"))
             })?;
             let budget = cfg.budget(key);
             let status = match budget {
-                Some(b) => {
-                    let within = match direction {
-                        Direction::Ceiling => value <= b,
-                        Direction::Floor => value >= b,
-                    };
-                    if within {
-                        Status::Ok
-                    } else {
-                        Status::Drift
-                    }
-                }
+                Some(b) if value <= b => Status::Ok,
+                Some(_) => Status::Drift,
                 None => Status::Info,
             };
             verdicts.push(BenchVerdict {
@@ -149,7 +89,6 @@ impl BenchReport {
                 budget,
                 status,
                 budget_key: key.to_string(),
-                direction,
             });
         }
         Ok(BenchReport { bench, verdicts })
@@ -168,12 +107,8 @@ impl BenchReport {
             "field", "value", "budget", "status"
         ));
         for v in &self.verdicts {
-            let bound = match v.direction {
-                Direction::Ceiling => "<=",
-                Direction::Floor => ">=",
-            };
             let budget = match v.budget {
-                Some(b) => format!("{bound} {b:.2}"),
+                Some(b) => format!("<= {b:.2}"),
                 None => "-".to_string(),
             };
             out.push_str(&format!(
@@ -207,7 +142,6 @@ impl BenchReport {
                                 ("value", Json::from(v.value)),
                                 ("budget", v.budget.map(Json::from).unwrap_or(Json::Null)),
                                 ("budget_key", Json::from(v.budget_key.clone())),
-                                ("direction", Json::from(v.direction.as_str())),
                                 (
                                     "status",
                                     Json::from(match v.status {
@@ -273,77 +207,6 @@ mod tests {
         let report = BenchReport::gate(&overhead_doc(66.7, 1.1), &off).unwrap();
         assert!(!report.has_violation(), "negative budget disables");
         assert_eq!(report.verdicts[0].status, Status::Info);
-    }
-
-    fn serving_doc(p99_us: f64, speedup: f64) -> Json {
-        Json::obj(vec![
-            ("bench", Json::from("serving")),
-            ("p99_us", Json::from(p99_us)),
-            ("batched_speedup", Json::from(speedup)),
-        ])
-    }
-
-    #[test]
-    fn serving_gates_p99_ceiling_and_speedup_floor() {
-        let cfg = DoctorConfig::default();
-        let clean = BenchReport::gate(&serving_doc(900.0, 2.5), &cfg).unwrap();
-        assert!(!clean.has_violation(), "{}", clean.to_table());
-        // p99 over its ceiling gates.
-        let slow = BenchReport::gate(&serving_doc(80_000.0, 2.5), &cfg).unwrap();
-        assert!(slow.has_violation());
-        assert_eq!(slow.verdicts[0].field, "p99_us");
-        assert_eq!(slow.verdicts[0].status, Status::Drift);
-        // A speedup *below* its floor gates — the batched path
-        // regressing to slower-than-one-at-a-time must fail CI even
-        // though the value is small, not large.
-        let regressed = BenchReport::gate(&serving_doc(900.0, 0.8), &cfg).unwrap();
-        assert!(regressed.has_violation());
-        let v = &regressed.verdicts[1];
-        assert_eq!(v.field, "batched_speedup");
-        assert_eq!(v.direction, Direction::Floor);
-        assert_eq!(v.status, Status::Drift);
-        assert!(regressed.to_table().contains(">= 1.00"));
-        assert_eq!(
-            regressed
-                .to_json()
-                .get("verdicts")
-                .unwrap()
-                .at(1)
-                .unwrap()
-                .get("direction")
-                .and_then(Json::as_str),
-            Some("floor")
-        );
-    }
-
-    #[test]
-    fn streaming_gates_detection_latency_and_nll_gap() {
-        let cfg = DoctorConfig::default();
-        let doc = |detect: f64, shift: f64, gap: f64| {
-            Json::obj(vec![
-                ("bench", Json::from("streaming")),
-                ("detect_events", Json::from(detect)),
-                ("score_shift_detect_events", Json::from(shift)),
-                ("nll_gap", Json::from(gap)),
-            ])
-        };
-        let clean = BenchReport::gate(&doc(3.0, 2.0, 0.01), &cfg).unwrap();
-        assert!(!clean.has_violation(), "{}", clean.to_table());
-        // The monitor taking too many events to flag a seeded outage
-        // is exactly the regression this gate exists to catch.
-        let late = BenchReport::gate(&doc(40.0, 2.0, 0.01), &cfg).unwrap();
-        assert!(late.has_violation());
-        assert_eq!(late.verdicts[0].field, "detect_events");
-        assert_eq!(late.verdicts[0].status, Status::Drift);
-        // A candidate-model score shift slipping past the shadow-PSI
-        // window shares the same event budget.
-        let slow_shift = BenchReport::gate(&doc(3.0, 40.0, 0.01), &cfg).unwrap();
-        assert!(slow_shift.has_violation());
-        assert_eq!(slow_shift.verdicts[1].field, "score_shift_detect_events");
-        // An incremental fit drifting away from the batch refit gates.
-        let diverged = BenchReport::gate(&doc(3.0, 2.0, 0.2), &cfg).unwrap();
-        assert!(diverged.has_violation());
-        assert_eq!(diverged.verdicts[2].field, "nll_gap");
     }
 
     #[test]

@@ -20,21 +20,26 @@ pub struct DoctorConfig {
     values: BTreeMap<String, f64>,
 }
 
-/// The built-in budgets `DoctorConfig::default()` starts from. These
-/// gate only signals that are deterministic for a seeded pipeline —
-/// wall-clock and latency stay informational unless a `doctor.toml`
-/// opts them in, so timing noise cannot fail a CI gate.
+/// The built-in budgets `DoctorConfig::default()` starts from, and the
+/// list of every key the doctor reads: a `doctor.toml` key outside it is
+/// an error. These gate only signals that are deterministic for a
+/// seeded pipeline — wall-clock and latency ship disabled (−1) unless a
+/// `doctor.toml` opts them in, so timing noise cannot fail a CI gate.
 const DEFAULT_BUDGETS: &[(&str, f64)] = &[
     // Dataflow health: a golden run retries and skips nothing.
     ("scalar.retries_abs", 0.0),
     ("scalar.skipped_records_abs", 0.0),
     // NLP service health: degradations are drift by definition.
+    ("scalar.nlp_calls_rel", -1.0),
     ("scalar.nlp_degraded_abs", 0.0),
     ("scalar.nlp_cache_hit_rate_abs", 0.15),
     // Label-model convergence.
     ("scalar.final_nll_rel", 0.05),
     // End-model quality (seeded pipelines reproduce F1 exactly).
     ("scalar.drybell_f1_abs", 0.05),
+    // Machine-dependent timings.
+    ("timing.wall_rel", -1.0),
+    ("timing.straggler_rel", -1.0),
     // Per-LF statistics (§3.3's monitored-over-time signals).
     ("lf.coverage_abs", 0.10),
     ("lf.overlap_abs", 0.20),
@@ -42,31 +47,15 @@ const DEFAULT_BUDGETS: &[(&str, f64)] = &[
     ("lf.learned_accuracy_abs", 0.12),
     ("lf.degraded_abs", 0.0),
     // Serving score distribution: the conventional "drifted" PSI cut.
+    // Latency distributions stay informational.
     ("psi.score_dist", 0.25),
+    ("psi.latency", -1.0),
     // Telemetry self-cost ceilings (`doctor bench` over
     // BENCH_obs_overhead.json): absolute percentages, not deltas.
     ("obs.train_overhead_pct", 10.0),
     ("obs.lf_overhead_pct", 5.0),
-    // Serving front-end. Any NaN score out of a shadowed model is
-    // drift by definition; the p99 ceiling and batched-speedup floor
-    // gate `doctor bench` over BENCH_serving.json.
+    // Any NaN score out of a shadowed model is drift by definition.
     ("serving.invalid_scores_abs", 0.0),
-    ("serving.p99_us", 20_000.0),
-    ("serving.batched_speedup", 1.0),
-    // Streaming mode (`doctor bench` over BENCH_streaming.json): how
-    // many journal events the in-stream monitor may lag behind a seeded
-    // NLP outage before flagging it, and how far the incremental
-    // warm-start fit may sit above a from-scratch batch refit (mean NLL
-    // over the full stream).
-    ("streaming.detect_events", 12.0),
-    ("streaming.nll_gap", 0.05),
-    // Live SLO tracking (front-end rolling windows): p99 latency
-    // ceiling, error-rate ceiling in parts-per-million, and the
-    // burn-rate multiple both windows must exceed before a breach
-    // fires (1.0 = burning exactly the budget).
-    ("slo.p99_us", 20_000.0),
-    ("slo.error_ppm", 1_000.0),
-    ("slo.burn", 1.0),
 ];
 
 impl Default for DoctorConfig {
@@ -98,7 +87,8 @@ impl DoctorConfig {
     /// and `key = <number|true|false>` pairs (booleans read as 1/0, so
     /// `foo_abs = false` is an explicit "never budget this"... use a
     /// negative number for clarity). Anything else is an error — a typo
-    /// in a gating file must not silently relax a budget.
+    /// in a gating file must not silently relax a budget, so a key the
+    /// doctor does not read and a NaN or infinite value are errors too.
     pub fn from_toml_str(text: &str) -> Result<DoctorConfig, DoctorError> {
         let mut cfg = DoctorConfig::default();
         let mut section = String::new();
@@ -131,14 +121,22 @@ impl DoctorConfig {
             let value = match value {
                 "true" => 1.0,
                 "false" => 0.0,
-                v => v.parse::<f64>().map_err(|_| bad("bad numeric value"))?,
+                v => v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| bad("bad numeric value"))?,
             };
             let full = if section.is_empty() {
                 key.to_string()
             } else {
                 format!("{section}.{key}")
             };
-            cfg.values.insert(full, value);
+            let slot = cfg
+                .values
+                .get_mut(&full)
+                .ok_or_else(|| bad("unknown budget key"))?;
+            *slot = value;
         }
         Ok(cfg)
     }
@@ -146,11 +144,6 @@ impl DoctorConfig {
     /// Load a `doctor.toml` from disk on top of the defaults.
     pub fn from_path(path: &std::path::Path) -> Result<DoctorConfig, DoctorError> {
         DoctorConfig::from_toml_str(&std::fs::read_to_string(path)?)
-    }
-
-    /// Every configured `(key, value)` pair, sorted by key.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, &v)| (k.as_str(), v))
     }
 }
 
@@ -212,6 +205,12 @@ mod tests {
             "key = \"string\"\n",
             "[bad section]\nx = 1",
             "spaced key = 1\n",
+            // NaN reads as no budget and infinity as one nothing
+            // exceeds: either turns a gate off without saying so.
+            "[obs]\ntrain_overhead_pct = nan\n",
+            "[obs]\ntrain_overhead_pct = inf\n",
+            // A misspelt key must not be dropped in silence.
+            "[obs]\ntrain_overhead_pc = 2\n",
         ] {
             assert!(
                 DoctorConfig::from_toml_str(bad).is_err(),

@@ -256,6 +256,29 @@ learned_accuracy_abs = -1\ndegraded_abs = -1\n\
 }
 
 #[test]
+fn live_folds_a_running_endpoint_and_fails_on_a_dead_one() {
+    let dir = tempfile::tempdir().unwrap();
+    let telemetry = drybell_obs::Telemetry::new();
+    telemetry.metrics().counter("nlp_calls").add(42);
+    let server = drybell_obs::LiveServer::bind("127.0.0.1:0", &telemetry).unwrap();
+    let addr = server.local_addr().to_string();
+    let out = doctor(dir.path(), &["live", &addr, "--json"]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let doc = drybell_obs::parse_json(&stdout(&out)).unwrap();
+    assert_eq!(doc.get("nlp_calls").and_then(|v| v.as_i64()), Some(42));
+
+    // A port that was just free: nothing listens there.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let out = doctor(dir.path(), &["live", &dead, "--json"]);
+    assert_eq!(code(&out), 2);
+    assert!(stderr(&out).contains(&dead), "{}", stderr(&out));
+}
+
+#[test]
 fn usage_errors_exit_two() {
     let dir = tempfile::tempdir().unwrap();
     // No subcommand.

@@ -394,16 +394,6 @@ pub const REGISTRY: &[NameSpec] = &[
     },
     NameSpec {
         family: Family::JournalKind,
-        template: "serving_bench",
-        doc: "one exp_serving load-generator run: throughput, tail latencies, degrade counts",
-    },
-    NameSpec {
-        family: Family::JournalKind,
-        template: "streaming_bench",
-        doc: "one exp_streaming run: detection latency, incremental-vs-refit gap, replay check",
-    },
-    NameSpec {
-        family: Family::JournalKind,
         template: "slo_breach",
         doc: "both SLO burn-rate windows exceeded budget (front-end, edge-triggered)",
     },

@@ -4,7 +4,7 @@
 //! served classifier. This module keeps two rolling request windows — a
 //! *fast* window that reacts within ~1k requests and a *slow* window
 //! (~10k) that remembers enough history to ignore blips — and judges
-//! both against the budgets in `doctor.toml [slo]`. A breach fires only
+//! both against the budgets in [`SloConfig`]. A breach fires only
 //! when **both** windows burn over the threshold (the standard
 //! multi-window burn-rate rule: the fast window proves the problem is
 //! current, the slow one proves it is sustained), and it is
@@ -15,8 +15,8 @@
 //! locks, no allocation, no clock reads — so [`SloTracker::observe`]
 //! is safe to call from the front-end's batch loop.
 
-/// Budgets the tracker judges windows against. Built by the harness
-/// from `doctor.toml [slo]` — this crate stays doctor-agnostic.
+/// Budgets the tracker judges windows against; `SloConfig::default()`
+/// holds the service objectives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
     /// p99 latency ceiling in microseconds.
