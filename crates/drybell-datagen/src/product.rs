@@ -19,8 +19,9 @@ use drybell_core::vote::{Label, Vote};
 use drybell_dataflow::codec::{self, CodecError, Record};
 use drybell_features::{FeatureHasher, SparseVector};
 use drybell_kg::commerce::{CommerceGraph, LANGS, OTHER_TRANSLATIONS, PHOTO_TRANSLATIONS};
+use drybell_kg::NodeKind;
 use drybell_lf::executor::TextExtractor;
-use drybell_lf::{Lf, LfCategory, LfSet};
+use drybell_lf::{Lf, LfCategory, LfSet, Words};
 use drybell_nlp::langid::Lang;
 use drybell_nlp::tokenizer::{lower_words, max_tokens};
 use drybell_nlp::topic_model::Topic;
@@ -345,13 +346,18 @@ pub fn text_extractor() -> TextExtractor<ProductDoc> {
     Arc::new(|d: &ProductDoc| d.text.clone())
 }
 
-/// Build the eight labeling functions of §3.2.
+/// `true` for an English keyword of the photography subtree.
+fn photo_keyword(w: &str) -> bool {
+    PHOTO_CORE.contains(&w) || PHOTO_ACCESSORIES.contains(&w)
+}
+
+/// Build the eight labeling functions of §3.2. Six read the document's
+/// [`Words`]; every word of the four keyword lists resolves in the graph,
+/// so the keyword rules skip the words that do not.
 pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
     let kg_arc = Arc::new(cg.graph.clone());
     let cg_pos = cg.clone();
     let cg_neg = cg.clone();
-    let cg_combo = cg.clone();
-    let cg_none = cg.clone();
 
     LfSet::new()
         .with_knowledge_graph(kg_arc)
@@ -361,21 +367,22 @@ pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
         // --- interest". Bipolar LFs are what make the label model
         // --- identifiable: an LF voting on both sides cannot be
         // --- explained away as "always wrong when it fires".
-        .with(Lf::plain("kw_en", LfCategory::ContentHeuristic, true, {
-            let cg = cg.clone();
-            move |d: &ProductDoc| {
+        .with(Lf::words(
+            "kw_en",
+            LfCategory::ContentHeuristic,
+            true,
+            |_: &ProductDoc, words: &Words<'_>| {
                 // One embedded keyword-table rule (§3.2's keyword LF):
                 // photography terms → positive; other products → negative;
                 // *no* catalog term at all → negative (product content
                 // always names a product). The table is exported from the
                 // KG at build time, so the rule itself is servable.
-                let mut photo = false;
-                let mut other = false;
-                let mut any_alias = false;
-                for w in d.text.split_whitespace() {
-                    photo |= PHOTO_CORE.contains(&w) || PHOTO_ACCESSORIES.contains(&w);
-                    other |= OTHER_ACCESSORIES.contains(&w) || OTHER_PRODUCTS.contains(&w);
-                    any_alias |= cg.graph.resolve_alias(w).is_some();
+                let (mut photo, mut other, mut any_alias) = (false, false, false);
+                for w in words.named() {
+                    any_alias = true;
+                    photo |= photo_keyword(w.text);
+                    other |=
+                        OTHER_ACCESSORIES.contains(&w.text) || OTHER_PRODUCTS.contains(&w.text);
                 }
                 match (photo, other, any_alias) {
                     (true, _, _) => Vote::Positive,
@@ -383,22 +390,18 @@ pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
                     (false, false, false) => Vote::Negative,
                     (false, false, true) => Vote::Abstain,
                 }
-            }
-        }))
-        .with(Lf::plain(
+            },
+        ))
+        .with(Lf::words(
             "kw_photo_strict_en",
             LfCategory::ContentHeuristic,
             true,
-            |d: &ProductDoc| {
+            |_: &ProductDoc, words: &Words<'_>| {
                 // Two distinct photography terms: high-precision English
                 // positive rule.
-                let mut seen = std::collections::HashSet::new();
-                for w in d.text.split_whitespace() {
-                    if PHOTO_CORE.contains(&w) || PHOTO_ACCESSORIES.contains(&w) {
-                        seen.insert(w);
-                    }
-                }
-                if seen.len() >= 2 {
+                let mut terms = words.named().filter(|w| photo_keyword(w.text));
+                let first = terms.next().map(|w| w.text);
+                if terms.any(|w| Some(w.text) != first) {
                     Vote::Positive
                 } else {
                     Vote::Abstain
@@ -411,37 +414,29 @@ pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
         .with(Lf::graph(
             "kg_multilang",
             false,
-            move |d: &ProductDoc, _kg| {
-                let mut photo = false;
-                let mut foreign = false;
-                for w in d.text.split_whitespace() {
-                    if let Some((_, id)) = cg_pos.graph.resolve_alias(w) {
-                        photo |= cg_pos.in_photography(id);
-                        foreign |= cg_pos.is_foreign_accessory(id);
-                    }
-                }
-                match (photo, foreign) {
-                    (true, _) => Vote::Positive,
-                    (false, true) => Vote::Negative,
-                    (false, false) => Vote::Abstain,
+            move |_: &ProductDoc, words: &Words<'_>| {
+                let ids = || words.named().filter_map(|w| w.alias).map(|(_, id)| id);
+                if ids().any(|id| cg_pos.in_photography(id)) {
+                    Vote::Positive
+                } else if ids().any(|id| cg_pos.is_foreign_accessory(id)) {
+                    Vote::Negative
+                } else {
+                    Vote::Abstain
                 }
             },
         ))
         .with(Lf::graph(
             "kg_foreign_product",
             false,
-            move |d: &ProductDoc, _kg| {
+            move |_: &ProductDoc, words: &Words<'_>| {
                 // Any-language mention of a *non-photography product*
                 // (phones, laptops, ...) without photography terms.
-                let mut photo = false;
-                let mut foreign_product = false;
-                for w in d.text.split_whitespace() {
-                    if let Some((_, id)) = cg_neg.graph.resolve_alias(w) {
-                        let in_photo = cg_neg.in_photography(id);
-                        photo |= in_photo;
-                        foreign_product |= !in_photo
-                            && cg_neg.graph.entity(id).kind == drybell_kg::NodeKind::Product;
-                    }
+                let (mut photo, mut foreign_product) = (false, false);
+                for (_, id) in words.named().filter_map(|w| w.alias) {
+                    let in_photo = cg_neg.in_photography(id);
+                    photo |= in_photo;
+                    foreign_product |=
+                        !in_photo && cg_neg.graph.entity(id).kind == NodeKind::Product;
                 }
                 if foreign_product && !photo {
                     Vote::Negative
@@ -467,16 +462,14 @@ pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
         .with(Lf::graph(
             "kg_core_plus_accessory",
             false,
-            move |d: &ProductDoc, kg| {
-                let mut saw_core = false;
-                let mut saw_acc = false;
-                for w in d.text.split_whitespace() {
-                    if let Some((_, id)) = kg.resolve_alias(w) {
-                        if kg.in_category_subtree(id, cg_combo.cameras) {
-                            saw_core = true;
-                        } else if kg.in_category_subtree(id, cg_combo.camera_accessories) {
-                            saw_acc = true;
-                        }
+            move |_: &ProductDoc, words: &Words<'_>| {
+                let kg = words.graph();
+                let (mut saw_core, mut saw_acc) = (false, false);
+                for (_, id) in words.named().filter_map(|w| w.alias) {
+                    if kg.in_category_subtree(id, cg.cameras) {
+                        saw_core = true;
+                    } else if kg.in_category_subtree(id, cg.camera_accessories) {
+                        saw_acc = true;
                     }
                 }
                 if saw_core && saw_acc {
@@ -507,22 +500,14 @@ pub fn lf_set(cg: Arc<CommerceGraph>) -> LfSet<ProductDoc> {
         // --- alias table is a static keyword list exported from the KG
         // --- once at build time and embedded in the serving binary — the
         // --- live graph is not queried.
-        .with(Lf::plain(
+        .with(Lf::words(
             "no_product_terms",
             LfCategory::ContentHeuristic,
             true,
-            move |d: &ProductDoc| {
-                let any_product = d.text.split_whitespace().any(|w| {
-                    cg_none
-                        .graph
-                        .resolve_alias(w)
-                        .map(|(_, id)| {
-                            matches!(
-                                cg_none.graph.entity(id).kind,
-                                drybell_kg::NodeKind::Product | drybell_kg::NodeKind::Accessory
-                            )
-                        })
-                        .unwrap_or(false)
+            |_: &ProductDoc, words: &Words<'_>| {
+                let kg = words.graph();
+                let any_product = words.named().filter_map(|w| w.alias).any(|(_, id)| {
+                    matches!(kg.entity(id).kind, NodeKind::Product | NodeKind::Accessory)
                 });
                 if any_product {
                     Vote::Abstain
@@ -709,6 +694,200 @@ mod tests {
                 assert_same(&featurize(doc, &hasher), &expected, &doc.text);
             }
         }
+    }
+
+    /// The six word-reading LF bodies as they were before the word view:
+    /// each splits the text itself and resolves each word itself.
+    fn replaced_bodies(d: &ProductDoc, cg: &CommerceGraph) -> [(&'static str, Vote); 6] {
+        let kw_en = {
+            let mut photo = false;
+            let mut other = false;
+            let mut any_alias = false;
+            for w in d.text.split_whitespace() {
+                photo |= PHOTO_CORE.contains(&w) || PHOTO_ACCESSORIES.contains(&w);
+                other |= OTHER_ACCESSORIES.contains(&w) || OTHER_PRODUCTS.contains(&w);
+                any_alias |= cg.graph.resolve_alias(w).is_some();
+            }
+            match (photo, other, any_alias) {
+                (true, _, _) => Vote::Positive,
+                (false, true, _) => Vote::Negative,
+                (false, false, false) => Vote::Negative,
+                (false, false, true) => Vote::Abstain,
+            }
+        };
+        let kw_photo_strict_en = {
+            let mut seen = std::collections::HashSet::new();
+            for w in d.text.split_whitespace() {
+                if PHOTO_CORE.contains(&w) || PHOTO_ACCESSORIES.contains(&w) {
+                    seen.insert(w);
+                }
+            }
+            if seen.len() >= 2 {
+                Vote::Positive
+            } else {
+                Vote::Abstain
+            }
+        };
+        let kg_multilang = {
+            let mut photo = false;
+            let mut foreign = false;
+            for w in d.text.split_whitespace() {
+                if let Some((_, id)) = cg.graph.resolve_alias(w) {
+                    photo |= cg.in_photography(id);
+                    foreign |= cg.is_foreign_accessory(id);
+                }
+            }
+            match (photo, foreign) {
+                (true, _) => Vote::Positive,
+                (false, true) => Vote::Negative,
+                (false, false) => Vote::Abstain,
+            }
+        };
+        let kg_foreign_product = {
+            let mut photo = false;
+            let mut foreign_product = false;
+            for w in d.text.split_whitespace() {
+                if let Some((_, id)) = cg.graph.resolve_alias(w) {
+                    let in_photo = cg.in_photography(id);
+                    photo |= in_photo;
+                    foreign_product |= !in_photo && cg.graph.entity(id).kind == NodeKind::Product;
+                }
+            }
+            if foreign_product && !photo {
+                Vote::Negative
+            } else {
+                Vote::Abstain
+            }
+        };
+        let kg_core_plus_accessory = {
+            let kg = &cg.graph;
+            let mut saw_core = false;
+            let mut saw_acc = false;
+            for w in d.text.split_whitespace() {
+                if let Some((_, id)) = kg.resolve_alias(w) {
+                    if kg.in_category_subtree(id, cg.cameras) {
+                        saw_core = true;
+                    } else if kg.in_category_subtree(id, cg.camera_accessories) {
+                        saw_acc = true;
+                    }
+                }
+            }
+            if saw_core && saw_acc {
+                Vote::Positive
+            } else {
+                Vote::Abstain
+            }
+        };
+        let no_product_terms = {
+            let any_product = d.text.split_whitespace().any(|w| {
+                cg.graph
+                    .resolve_alias(w)
+                    .map(|(_, id)| {
+                        matches!(
+                            cg.graph.entity(id).kind,
+                            NodeKind::Product | NodeKind::Accessory
+                        )
+                    })
+                    .unwrap_or(false)
+            });
+            if any_product {
+                Vote::Abstain
+            } else {
+                Vote::Negative
+            }
+        };
+        [
+            ("kw_en", kw_en),
+            ("kw_photo_strict_en", kw_photo_strict_en),
+            ("kg_multilang", kg_multilang),
+            ("kg_foreign_product", kg_foreign_product),
+            ("kg_core_plus_accessory", kg_core_plus_accessory),
+            ("no_product_terms", no_product_terms),
+        ]
+    }
+
+    /// Texts whose whitespace, capitals, repeats or emptiness a word view
+    /// could get wrong, plus the featurizer oracle's hostile strings.
+    fn hostile_texts() -> Vec<String> {
+        let mut texts = crate::common::featurize_oracle::hostile_texts();
+        texts.extend(
+            [
+                "camera\tlens",
+                "camera\x0Blens",
+                "camera\u{85}tripod",
+                "camara\u{A0}objektiv",
+                "kamera\u{3000}statyw",
+                "   camera   ",
+                " ",
+                "\t\n\x0B\u{85}\u{A0}\u{3000}",
+                "CAMERA Cámara camara Camera camera",
+                "camera camera",
+                "lens lens tripod",
+                "charger phone",
+                "headphones laptop",
+                "appareil objectif trepied kopfhoerer",
+            ]
+            .map(str::to_owned),
+        );
+        let each_language = PHOTO_TRANSLATIONS
+            .iter()
+            .zip(0..)
+            .map(|((_, row), i)| row[i % 10]);
+        texts.push(each_language.collect::<Vec<_>>().join(" "));
+        texts
+    }
+
+    #[test]
+    fn every_keyword_resolves_in_the_commerce_graph() {
+        let cg = drybell_kg::commerce::commerce_graph();
+        for list in [
+            PHOTO_CORE,
+            PHOTO_ACCESSORIES,
+            OTHER_PRODUCTS,
+            OTHER_ACCESSORIES,
+        ] {
+            for word in list {
+                assert!(cg.graph.resolve_alias(word).is_some(), "{word}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_lfs_vote_as_the_bodies_they_replaced() {
+        let ds = small();
+        let set = lf_set(ds.kg.clone());
+        let mut docs = ds.unlabeled;
+        assert!(docs.len() >= 5000);
+        let doubled: Vec<ProductDoc> = docs
+            .iter()
+            .map(|d| ProductDoc {
+                text: format!("{} {}", d.text, d.text),
+                ..d.clone()
+            })
+            .collect();
+        docs.extend(doubled);
+        docs.extend(hostile_texts().into_iter().map(|text| ProductDoc {
+            id: 0,
+            text,
+            lang: "en".to_owned(),
+            legacy_score: 0.0,
+        }));
+        let names = set.names();
+        let column = |name: &str| names.iter().position(|n| n == name).unwrap();
+        let (matrix, _) = execute_in_memory(&set, Some(&text_extractor()), &docs, 2).unwrap();
+        let server = drybell_nlp::NlpServer::new();
+        let kg = set.knowledge_graph().map(|g| g.as_ref());
+        let mut fired = [0usize; 6];
+        for (d, row) in docs.iter().zip(matrix.rows()) {
+            let annotation = server.annotate(&d.text);
+            for (k, (name, want)) in replaced_bodies(d, &ds.kg).into_iter().enumerate() {
+                let lf = &set.lfs()[column(name)];
+                assert_eq!(row[column(name)], want.as_i8(), "{name} on {:?}", d.text);
+                assert_eq!(lf.try_vote(d, Some(&annotation), kg), Ok(want), "{name}");
+                fired[k] += usize::from(want != Vote::Abstain);
+            }
+        }
+        assert!(fired.iter().all(|&n| n > 100), "{fired:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   scaling experiment (§1's "6M+ data points with sub-30min execution")
 //!   measures.
 
-use crate::{Lf, LfSet};
+use crate::{Lf, LfSet, Resolved, Words};
 use drybell_core::LabelMatrix;
 use drybell_dataflow::codec::{self, CodecError, Record};
 use drybell_dataflow::FaultPlan;
@@ -27,8 +27,9 @@ use drybell_obs::{CounterSlot, HistogramSlot, LocalShard, ShardLayout, Span, Tel
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Per-example text extractor used to feed the NLP model server (the
-/// paper's `GetText`, shared across the set's NLP LFs).
+/// Per-example text extractor (the paper's `GetText`): called once per
+/// example, its string feeds both the NLP model server and the word view
+/// of the set's word LFs.
 pub type TextExtractor<X> = Arc<dyn Fn(&X) -> String + Send + Sync>;
 
 /// Wall-clock statistics from an in-memory execution.
@@ -280,7 +281,7 @@ impl Drop for LfWorkerShard {
 
 /// Evaluate every LF on one example into `votes` (one slot per LF, in
 /// column order), optionally timing each evaluation. A missing feature
-/// space (an NLP LF with no annotation, a graph LF with no graph) is a
+/// space (an NLP LF with no annotation, a word LF with no graph) is a
 /// wiring bug in the caller and surfaces as a [`DataflowError::User`]
 /// rather than a panic inside a worker.
 ///
@@ -292,7 +293,7 @@ fn row_of<X>(
     lfs: &[Lf<X>],
     x: &X,
     annotation: Option<&NlpResult>,
-    kg: Option<&KnowledgeGraph>,
+    words: Option<&Words<'_>>,
     obs: Option<&mut LfWorkerShard>,
     degraded: bool,
     votes: &mut [i8],
@@ -308,7 +309,7 @@ fn row_of<X>(
                 *vote = if degraded && lf.needs_nlp() {
                     0
                 } else {
-                    lf.try_vote(x, annotation, kg)
+                    lf.vote_in(x, annotation, words)
                         .map_err(|e| DataflowError::user(e.to_string()))?
                         .as_i8()
                 };
@@ -324,7 +325,7 @@ fn row_of<X>(
                 }
                 let started = Instant::now();
                 *vote = lf
-                    .try_vote(x, annotation, kg)
+                    .vote_in(x, annotation, words)
                     .map_err(|e| DataflowError::user(e.to_string()))?
                     .as_i8();
                 obs.eval(i, started.elapsed(), *vote != 0);
@@ -334,11 +335,66 @@ fn row_of<X>(
     Ok(())
 }
 
-/// One worker's full state: its NLP service handle and, on observed
-/// runs, its telemetry shard.
-struct LfWorker {
+/// One worker's state: the set it runs, its NLP service handle, the
+/// buffer its word views are built in and its telemetry shard, if any.
+struct LfWorker<'s, X> {
+    lfs: &'s [Lf<X>],
+    text: Option<&'s TextExtractor<X>>,
+    reads_nlp: bool,
+    /// The set's graph, when the set has word LFs to resolve words for.
+    words_kg: Option<&'s KnowledgeGraph>,
     nlp: WorkerNlp,
+    words: Vec<Resolved<'s>>,
     obs: Option<LfWorkerShard>,
+}
+
+impl<'s, X> LfWorker<'s, X> {
+    fn new(
+        set: &'s LfSet<X>,
+        text: Option<&'s TextExtractor<X>>,
+        opts: &ExecOptions,
+        shared: &Option<Arc<CachedNlpServer>>,
+        obs: Option<LfWorkerShard>,
+    ) -> Result<LfWorker<'s, X>, DataflowError> {
+        Ok(LfWorker {
+            lfs: set.lfs(),
+            text,
+            reads_nlp: set.needs_nlp(),
+            words_kg: set
+                .knowledge_graph()
+                .map(Arc::as_ref)
+                .filter(|_| set.lfs().iter().any(Lf::needs_graph)),
+            nlp: worker_nlp(set, opts, shared)?,
+            words: Vec::new(),
+            obs,
+        })
+    }
+
+    /// Label one example into `votes`. Its text is extracted once: the NLP
+    /// server annotates it if the set has NLP LFs, and its word view is
+    /// built if the set has word LFs. Returns `None` when no annotation
+    /// was asked for, else whether the call failed — its NLP LFs then
+    /// abstained, and its word LFs voted as usual.
+    fn label(&mut self, x: &X, votes: &mut [i8]) -> Result<Option<bool>, DataflowError> {
+        let text = match self.text {
+            Some(t) if self.reads_nlp || self.words_kg.is_some() => Some(t(x)),
+            _ => None,
+        };
+        let (mut annotation, mut words, mut degraded) = (None, None, None);
+        if let Some(text) = &text {
+            if self.reads_nlp {
+                annotation = self.nlp.try_annotate(text).ok();
+                degraded = Some(annotation.is_none());
+            }
+            if let Some(kg) = self.words_kg {
+                words = Some(Words::resolve(text, kg, &mut self.words));
+            }
+        }
+        let failed = degraded == Some(true);
+        let (nlp, obs) = (annotation.as_ref(), self.obs.as_mut());
+        row_of(self.lfs, x, nlp, words.as_ref(), obs, failed, votes)?;
+        Ok(degraded)
+    }
 }
 
 /// The per-worker view of the NLP service: either a private plain server
@@ -365,21 +421,25 @@ fn build_shared_cache<X>(
     set: &LfSet<X>,
     opts: &ExecOptions,
 ) -> Result<Option<Arc<CachedNlpServer>>, DataflowError> {
-    let Some(capacity) = opts.nlp_cache else {
-        return Ok(None);
-    };
+    opts.nlp_cache
+        .map(|capacity| Ok(Arc::new(CachedNlpServer::new(server(set, opts)?, capacity))))
+        .transpose()
+}
+
+/// A model server, warmed up if the set has NLP LFs, then instrumented
+/// (so the warm-up call is not counted) and given the fault plan.
+fn server<X>(set: &LfSet<X>, opts: &ExecOptions) -> Result<NlpServer, DataflowError> {
     let mut server = NlpServer::new();
     if set.needs_nlp() {
         server.warm_up()?;
     }
     if let Some(t) = &opts.telemetry {
-        // Instrument after warm-up so the warm-up call is not counted.
         server = server.with_metrics(t.metrics());
     }
     if let Some(plan) = &opts.nlp_faults {
         server = server.with_fault_plan(plan.clone());
     }
-    Ok(Some(Arc::new(CachedNlpServer::new(server, capacity))))
+    Ok(server)
 }
 
 /// Build one worker's NLP handle: a clone of the shared cache, or a
@@ -389,20 +449,21 @@ fn worker_nlp<X>(
     opts: &ExecOptions,
     shared: &Option<Arc<CachedNlpServer>>,
 ) -> Result<WorkerNlp, DataflowError> {
-    if let Some(cache) = shared {
-        return Ok(WorkerNlp::Shared(Arc::clone(cache)));
+    Ok(match shared {
+        Some(cache) => WorkerNlp::Shared(Arc::clone(cache)),
+        None => WorkerNlp::Plain(Box::new(server(set, opts)?)),
+    })
+}
+
+/// Refuse a set whose NLP or word LFs would get no text.
+fn check_text<X>(set: &LfSet<X>, text: Option<&TextExtractor<X>>) -> Result<(), DataflowError> {
+    let reads_text = |lf: &Lf<X>| lf.needs_nlp() || lf.needs_graph();
+    match text {
+        None if set.lfs().iter().any(reads_text) => Err(DataflowError::BadJob(
+            "LF set has NLP or word labeling functions but no text extractor".into(),
+        )),
+        _ => Ok(()),
     }
-    let mut server = NlpServer::new();
-    if set.needs_nlp() {
-        server.warm_up()?;
-    }
-    if let Some(t) = &opts.telemetry {
-        server = server.with_metrics(t.metrics());
-    }
-    if let Some(plan) = &opts.nlp_faults {
-        server = server.with_fault_plan(plan.clone());
-    }
-    Ok(WorkerNlp::Plain(Box::new(server)))
 }
 
 /// Most rows in one unit of in-memory work (see
@@ -412,9 +473,9 @@ const BLOCK_ROWS: usize = 256;
 /// Run every LF over every example with `workers` threads, producing the
 /// label matrix `Λ` with rows in example order.
 ///
-/// Returns an error if an NLP LF is present but the set has no text
-/// extractor, or if a worker fails. This is the uninstrumented fast path;
-/// see [`execute_in_memory_observed`] for caching and telemetry.
+/// Returns an error if an NLP or word LF is present but the set has no
+/// text extractor, or if a worker fails. This is the uninstrumented fast
+/// path; see [`execute_in_memory_observed`] for caching and telemetry.
 pub fn execute_in_memory<X: Sync>(
     set: &LfSet<X>,
     text: Option<&TextExtractor<X>>,
@@ -433,12 +494,7 @@ pub fn execute_in_memory_observed<X: Sync>(
     workers: usize,
     opts: &ExecOptions,
 ) -> Result<(LabelMatrix, ExecutionStats), DataflowError> {
-    if set.needs_nlp() && text.is_none() {
-        return Err(DataflowError::BadJob(
-            "LF set contains NLP labeling functions but no text extractor was provided".into(),
-        ));
-    }
-    let kg = set.knowledge_graph().cloned();
+    check_text(set, text)?;
     let shards = opts.telemetry.as_ref().map(|t| LfShards::for_set(set, t));
     let shared_cache = build_shared_cache(set, opts)?;
     let _span = opts.telemetry.as_ref().map(|t| t.span("lf_exec/in_memory"));
@@ -465,40 +521,20 @@ pub fn execute_in_memory_observed<X: Sync>(
         // node), warmed up before any record, plus the worker's local
         // telemetry shard (flushed when the worker retires).
         |_worker| {
-            Ok(LfWorker {
-                nlp: worker_nlp(set, opts, &shared_cache)?,
-                obs: shards.as_ref().map(|s| s.worker(exec_parent)),
-            })
+            let obs = shards.as_ref().map(|s| s.worker(exec_parent));
+            LfWorker::new(set, text, opts, &shared_cache, obs)
         },
-        |worker: &mut LfWorker, (examples, votes)| {
+        |worker: &mut LfWorker<'_, X>, (examples, votes)| {
             // Bytes have no invalid state for a panicked holder to leave,
             // and a failed run drops the buffer anyway.
             let mut votes = votes.lock().unwrap_or_else(PoisonError::into_inner);
             for (x, row) in examples.iter().zip(votes.chunks_mut(width)) {
-                let (annotation, degraded) = match (set.needs_nlp(), text) {
-                    (true, Some(t)) => {
-                        nlp_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        match worker.nlp.try_annotate(&t(x)) {
-                            Ok(r) => (Some(r), false),
-                            Err(_) => {
-                                // Service outage on this example: NLP LFs
-                                // abstain instead of failing the run.
-                                nlp_degraded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                (None, true)
-                            }
-                        }
+                if let Some(degraded) = worker.label(x, row)? {
+                    nlp_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if degraded {
+                        nlp_degraded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
-                    _ => (None, false),
-                };
-                row_of(
-                    set.lfs(),
-                    x,
-                    annotation.as_ref(),
-                    kg.as_deref(),
-                    worker.obs.as_mut(),
-                    degraded,
-                    row,
-                )?;
+                }
             }
             Ok(())
         },
@@ -612,12 +648,7 @@ pub fn execute_sharded_observed<X>(
 where
     X: Record + Sync,
 {
-    if set.needs_nlp() && text.is_none() {
-        return Err(DataflowError::BadJob(
-            "LF set contains NLP labeling functions but no text extractor was provided".into(),
-        ));
-    }
-    let kg = set.knowledge_graph().cloned();
+    check_text(set, text)?;
     // Job-counter names interned once: the per-record loop below must not
     // allocate a `votes/<lf>` string per vote.
     let vote_names: Vec<String> = set
@@ -657,46 +688,31 @@ where
         output,
         cfg,
         |_ctx| {
-            Ok(LfWorker {
-                nlp: worker_nlp(set, opts, &shared_cache)?,
-                obs: shards.as_ref().map(|s| s.worker(exec_parent)),
-            })
+            let obs = shards.as_ref().map(|s| s.worker(exec_parent));
+            let worker = LfWorker::new(set, text, opts, &shared_cache, obs)?;
+            // One row per worker, overwritten by each record.
+            let votes = vec![0; set.len()];
+            Ok((worker, VoteRow { id: 0, votes }))
         },
-        |worker: &mut LfWorker, x: X, emit, counters: &mut CounterHandle| {
-            let (annotation, degraded) = match (set.needs_nlp(), text) {
-                (true, Some(t)) => {
-                    counters.inc("nlp_calls");
-                    match worker.nlp.try_annotate(&t(&x)) {
-                        Ok(r) => (Some(r), false),
-                        Err(_) => (None, true),
+        |(worker, row): &mut (LfWorker<'_, X>, VoteRow),
+         x: X,
+         emit,
+         counters: &mut CounterHandle| {
+            if let Some(degraded) = worker.label(&x, &mut row.votes)? {
+                counters.inc("nlp_calls");
+                if degraded {
+                    for name in degraded_names.iter().flatten() {
+                        counters.inc(name);
                     }
                 }
-                _ => (None, false),
-            };
-            if degraded {
-                for name in degraded_names.iter().flatten() {
-                    counters.inc(name);
-                }
             }
-            let mut votes = vec![0; set.len()];
-            row_of(
-                set.lfs(),
-                &x,
-                annotation.as_ref(),
-                kg.as_deref(),
-                worker.obs.as_mut(),
-                degraded,
-                &mut votes,
-            )?;
-            for (name, &v) in vote_names.iter().zip(&votes) {
+            for (name, &v) in vote_names.iter().zip(&row.votes) {
                 if v != 0 {
                     counters.inc(name);
                 }
             }
-            emit.emit(&VoteRow {
-                id: id_of(&x),
-                votes,
-            })
+            row.id = id_of(&x);
+            emit.emit(row)
         },
     )?;
     if let Some(cache) = &shared_cache {

@@ -11,12 +11,14 @@
 //!
 //! * [`Lf`] wraps an engineer-written vote function with metadata (name,
 //!   Figure 2 category, servability, feature spaces read);
-//! * the three constructors mirror the paper's pipelines —
+//! * the three template slots mirror the paper's pipelines —
 //!   [`Lf::plain`] (the default `LabelingFunction` pipeline),
 //!   [`Lf::nlp`] (the `NLPLabelingFunction` pipeline, whose executor
 //!   launches an NLP model server per worker and hands each vote function
 //!   the `NlpResult`, exactly like the paper's `GetText`/`GetValue`
-//!   template slots), and [`Lf::graph`] (knowledge-graph queries);
+//!   template slots), and [`Lf::graph`] / [`Lf::words`] (the document's
+//!   [`Words`], split and resolved against the knowledge graph once for
+//!   every such LF);
 //! * [`executor`] runs a whole [`LfSet`] over a corpus — in memory with
 //!   worker threads, or shard-to-shard over `drybell-dataflow` — and
 //!   produces the label matrix `Λ` for `drybell-core`.
@@ -40,7 +42,7 @@
 pub mod executor;
 
 use drybell_core::Vote;
-use drybell_kg::KnowledgeGraph;
+use drybell_kg::{EntityId, KnowledgeGraph};
 use drybell_nlp::NlpResult;
 use std::fmt;
 use std::sync::Arc;
@@ -110,8 +112,9 @@ enum LfKind<X> {
     /// NLP pipeline: also receives the per-example NLP model-server
     /// output (the paper's `GetValue(x, nlp)`).
     Nlp(Box<dyn Fn(&X, &NlpResult) -> Vote + Send + Sync>),
-    /// Graph pipeline: also receives the knowledge graph.
-    Graph(Box<dyn Fn(&X, &KnowledgeGraph) -> Vote + Send + Sync>),
+    /// Word pipeline: also receives the document's words, each resolved
+    /// against the knowledge graph.
+    Words(Box<dyn Fn(&X, &Words<'_>) -> Vote + Send + Sync>),
 }
 
 impl<X> fmt::Debug for LfKind<X> {
@@ -119,7 +122,7 @@ impl<X> fmt::Debug for LfKind<X> {
         let s = match self {
             LfKind::Plain(_) => "Plain",
             LfKind::Nlp(_) => "Nlp",
-            LfKind::Graph(_) => "Graph",
+            LfKind::Words(_) => "Words",
         };
         f.write_str(s)
     }
@@ -167,23 +170,36 @@ impl<X> Lf<X> {
         }
     }
 
-    /// A knowledge-graph labeling function. Graph lookups are an offline
-    /// resource, hence non-servable by default; pass `servable = true`
-    /// for graphs small enough to ship with the model (e.g. a keyword
-    /// translation table baked into the server).
+    /// A knowledge-graph labeling function over the document's [`Words`].
+    /// Graph lookups are an offline resource, hence non-servable by
+    /// default; pass `servable = true` for graphs small enough to ship with
+    /// the model (e.g. a keyword translation table baked into the server).
     pub fn graph(
         name: &str,
         servable: bool,
-        f: impl Fn(&X, &KnowledgeGraph) -> Vote + Send + Sync + 'static,
+        f: impl Fn(&X, &Words<'_>) -> Vote + Send + Sync + 'static,
+    ) -> Lf<X> {
+        Lf::words(name, LfCategory::GraphBased, servable, f)
+            .with_feature_spaces(&["knowledge-graph"])
+    }
+
+    /// A labeling function over the document's [`Words`] in any category
+    /// (a keyword rule, say): the executor splits the text once and
+    /// resolves each word against the set's graph once for all of them.
+    pub fn words(
+        name: &str,
+        category: LfCategory,
+        servable: bool,
+        f: impl Fn(&X, &Words<'_>) -> Vote + Send + Sync + 'static,
     ) -> Lf<X> {
         Lf {
             meta: LfMetadata {
                 name: name.to_owned(),
-                category: LfCategory::GraphBased,
+                category,
                 servable,
-                feature_spaces: vec!["knowledge-graph".to_owned()],
+                feature_spaces: Vec::new(),
             },
-            kind: LfKind::Graph(Box::new(f)),
+            kind: LfKind::Words(Box::new(f)),
         }
     }
 
@@ -203,30 +219,43 @@ impl<X> Lf<X> {
         matches!(self.kind, LfKind::Nlp(_))
     }
 
-    /// `true` if this LF needs the knowledge graph.
+    /// `true` if this LF reads the document's [`Words`], which need the
+    /// knowledge graph ([`Lf::graph`] and [`Lf::words`]).
     pub fn needs_graph(&self) -> bool {
-        matches!(self.kind, LfKind::Graph(_))
+        matches!(self.kind, LfKind::Words(_))
     }
 
-    /// Compute this LF's vote, or report which feature space is missing.
-    /// `nlp` must be `Some` for NLP LFs and `kg` must be `Some` for
-    /// graph LFs; the executors establish this before calling.
+    /// Compute this LF's vote, or report which feature space is missing:
+    /// an NLP LF needs `nlp`, a word LF `nlp` and `kg` — it reads the
+    /// annotated text (`nlp.tokens.text()`), resolving each word against
+    /// `kg` as it goes.
     pub fn try_vote(
         &self,
         x: &X,
         nlp: Option<&NlpResult>,
         kg: Option<&KnowledgeGraph>,
     ) -> Result<Vote, LfError> {
+        let words = nlp.zip(kg).map(|(n, kg)| Words::new(n.tokens.text(), kg));
+        self.vote_in(x, nlp, words.as_ref())
+    }
+
+    /// The executors' vote: an NLP LF reads `nlp`, a word LF the view the
+    /// executor built for the document.
+    pub(crate) fn vote_in(
+        &self,
+        x: &X,
+        nlp: Option<&NlpResult>,
+        words: Option<&Words<'_>>,
+    ) -> Result<Vote, LfError> {
+        let missing = |e: fn(String) -> LfError| e(self.meta.name.clone());
         match &self.kind {
             LfKind::Plain(f) => Ok(f(x)),
-            LfKind::Nlp(f) => match nlp {
-                Some(nlp) => Ok(f(x, nlp)),
-                None => Err(LfError::MissingNlp(self.meta.name.clone())),
-            },
-            LfKind::Graph(f) => match kg {
-                Some(kg) => Ok(f(x, kg)),
-                None => Err(LfError::MissingGraph(self.meta.name.clone())),
-            },
+            LfKind::Nlp(f) => nlp
+                .map(|n| f(x, n))
+                .ok_or_else(|| missing(LfError::MissingNlp)),
+            LfKind::Words(f) => words
+                .map(|w| f(x, w))
+                .ok_or_else(|| missing(LfError::MissingWords)),
         }
     }
 
@@ -249,20 +278,106 @@ impl<X> Lf<X> {
 pub enum LfError {
     /// An NLP LF ran without an NLP annotation for the example.
     MissingNlp(String),
-    /// A graph LF ran without a knowledge graph.
-    MissingGraph(String),
+    /// A word LF ran without its words: no text, or no knowledge graph.
+    MissingWords(String),
 }
 
 impl std::fmt::Display for LfError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LfError::MissingNlp(name) => write!(f, "LF {name:?} needs an NLP annotation"),
-            LfError::MissingGraph(name) => write!(f, "LF {name:?} needs a knowledge graph"),
+            LfError::MissingWords(name) => write!(f, "LF {name:?} needs a text and a graph"),
         }
     }
 }
 
 impl std::error::Error for LfError {}
+
+/// One word of a [`Words`] view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Word<'a> {
+    /// The word, as `split_whitespace` yields it.
+    pub text: &'a str,
+    /// Its [`KnowledgeGraph::resolve_alias`]: language and entity.
+    pub alias: Option<(&'a str, EntityId)>,
+}
+
+/// A document's words (`split_whitespace`), each with its alias in the
+/// set's graph, and the graph. The executor splits and resolves each
+/// document once, into a buffer its worker keeps, for every word LF of
+/// the set; the view [`Lf::try_vote`] builds resolves each word as it is
+/// read.
+#[derive(Debug, Clone, Copy)]
+pub struct Words<'a> {
+    text: &'a str,
+    kg: &'a KnowledgeGraph,
+    resolved: Option<&'a [Resolved<'a>]>,
+}
+
+/// A word the executor resolved: its byte span in the text, its alias.
+type Resolved<'k> = (usize, usize, Option<(&'k str, EntityId)>);
+
+impl<'a> Words<'a> {
+    /// The words of `text`, each resolved against `kg` when it is read.
+    fn new(text: &'a str, kg: &'a KnowledgeGraph) -> Words<'a> {
+        let resolved = None;
+        Words { text, kg, resolved }
+    }
+
+    /// Split and resolve `text` once, into `buf`: emptied, and grown only
+    /// when a document could hold more words than any before it.
+    fn resolve<'k: 'a>(
+        text: &'a str,
+        kg: &'k KnowledgeGraph,
+        buf: &'a mut Vec<Resolved<'k>>,
+    ) -> Words<'a> {
+        buf.clear();
+        buf.reserve(text.len() / 2 + 1);
+        buf.extend(text.split_whitespace().map(|w| {
+            let start = w.as_ptr().addr() - text.as_ptr().addr();
+            (start, start + w.len(), kg.resolve_alias(w))
+        }));
+        let resolved = Some(&buf[..]);
+        Words { text, kg, resolved }
+    }
+
+    /// The graph the words resolve against.
+    pub fn graph(&self) -> &'a KnowledgeGraph {
+        self.kg
+    }
+
+    /// The words in text order.
+    pub fn iter(&self) -> impl Iterator<Item = Word<'a>> + 'a {
+        self.words(false)
+    }
+
+    /// The words that name an entity, in text order; the executor's view
+    /// skips the others without slicing them out of the text.
+    pub fn named(&self) -> impl Iterator<Item = Word<'a>> + 'a {
+        self.words(true)
+    }
+
+    fn words(&self, named: bool) -> impl Iterator<Item = Word<'a>> + 'a {
+        let Words { text, kg, resolved } = *self;
+        let mut spans = resolved.map(<[_]>::iter);
+        let mut lazy = text.split_whitespace();
+        std::iter::from_fn(move || match &mut spans {
+            Some(spans) => spans
+                .find(|r| !named || r.2.is_some())
+                .map(|&(start, end, alias)| {
+                    let text = text.get(start..end).unwrap_or_default();
+                    Word { text, alias }
+                }),
+            None => lazy
+                .by_ref()
+                .map(|text| Word {
+                    text,
+                    alias: kg.resolve_alias(text),
+                })
+                .find(|w| !named || w.alias.is_some()),
+        })
+    }
+}
 
 /// An ordered collection of labeling functions for one application.
 #[derive(Debug)]
@@ -358,6 +473,7 @@ impl<X> LfSet<X> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drybell_kg::commerce::{commerce_graph, LANGS, OTHER_TRANSLATIONS, PHOTO_TRANSLATIONS};
 
     struct Doc {
         text: String,
@@ -396,8 +512,8 @@ mod tests {
                     Vote::Abstain
                 }
             }))
-            .with(Lf::graph("kg_widget", false, |d: &Doc, kg| {
-                if d.text.split_whitespace().any(|w| kg.lookup(w).is_some()) {
+            .with(Lf::graph("kg_widget", false, |_d: &Doc, words| {
+                if words.iter().any(|w| words.graph().lookup(w.text).is_some()) {
                     Vote::Positive
                 } else {
                     Vote::Abstain
@@ -472,6 +588,117 @@ mod tests {
             text: String::new(),
         };
         let _ = lf.vote(&doc, None, None);
+    }
+
+    #[test]
+    fn a_word_lf_reads_the_annotated_text_and_says_what_it_lacks() {
+        let set = sample_set();
+        let kg = set.knowledge_graph().unwrap().clone();
+        let kw_widget = Lf::words(
+            "kw_widget",
+            LfCategory::ContentHeuristic,
+            true,
+            |_, words| match words.iter().filter(|w| w.alias.is_some()).count() {
+                0 => Vote::Abstain,
+                _ => Vote::Positive,
+            },
+        );
+        let meta = kw_widget.metadata();
+        assert_eq!(meta.category, LfCategory::ContentHeuristic);
+        assert!(meta.feature_spaces.is_empty() && meta.servable);
+        assert!(kw_widget.needs_graph() && !kw_widget.needs_nlp());
+        // The words come from the annotation, not from the example.
+        let doc = Doc {
+            text: "no products here".into(),
+        };
+        let nlp = drybell_nlp::NlpServer::new().annotate("a WIDGET");
+        assert_eq!(
+            kw_widget.try_vote(&doc, Some(&nlp), Some(&kg)),
+            Ok(Vote::Positive)
+        );
+        let missing = Err(LfError::MissingWords("kw_widget".into()));
+        assert_eq!(kw_widget.try_vote(&doc, None, Some(&kg)), missing);
+        assert_eq!(kw_widget.try_vote(&doc, Some(&nlp), None), missing);
+    }
+
+    /// Texts whose whitespace, capitals or emptiness a faster splitter
+    /// could get wrong, and one alias in each of the ten languages.
+    fn hostile_texts() -> Vec<String> {
+        let mut texts: Vec<String> = [
+            "camera\tlens\ttripod",
+            "camera\nlens\r\nflash",
+            "camera\x0Blens\x0Cstrap",
+            "camera\u{85}lens",
+            "camara\u{A0}objektiv",
+            "kamera\u{3000}statyw\u{2003}drone",
+            "   camera   lens   ",
+            "\t\n camera",
+            "camera \u{A0}",
+            "",
+            " ",
+            " \t\n\x0B\u{85}\u{A0}\u{3000} ",
+            "CAMERA Cámara Camara camara KAMERA",
+            "İstanbul'da bir kamera \u{212A}amera",
+            "camera\u{200B}lens zero-width is not whitespace",
+        ]
+        .map(str::to_owned)
+        .into();
+        let rows = PHOTO_TRANSLATIONS.iter().chain(OTHER_TRANSLATIONS);
+        let each_language = rows
+            .zip(0..)
+            .map(|((_, row), i)| row[i % LANGS.len()])
+            .collect::<Vec<_>>();
+        texts.push(each_language.join(" "));
+        texts
+    }
+
+    /// `text.split_whitespace()` zipped with `resolve_alias`: the oracle
+    /// both kinds of view are held to.
+    fn expected<'a>(text: &'a str, kg: &'a KnowledgeGraph) -> Vec<Word<'a>> {
+        text.split_whitespace()
+            .map(|w| Word {
+                text: w,
+                alias: kg.resolve_alias(w),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn words_equal_split_whitespace_zipped_with_resolve_alias() {
+        let kg = commerce_graph().graph;
+        let mut buf = Vec::new();
+        let texts = hostile_texts();
+        let mut resolved = 0;
+        for text in &texts {
+            let want = expected(text, &kg);
+            let lazy: Vec<Word<'_>> = Words::new(text, &kg).iter().collect();
+            assert_eq!(lazy, want, "{text:?}");
+            let named: Vec<Word<'_>> = want.iter().copied().filter(|w| w.alias.is_some()).collect();
+            assert_eq!(Words::new(text, &kg).named().collect::<Vec<_>>(), named);
+            let built = Words::resolve(text, &kg, &mut buf);
+            assert_eq!(built.iter().collect::<Vec<_>>(), want, "{text:?}");
+            assert_eq!(built.named().collect::<Vec<_>>(), named, "{text:?}");
+            assert!(std::ptr::eq(built.graph(), &kg));
+            resolved += want.iter().filter(|w| w.alias.is_some()).count();
+        }
+        // Every language's alias resolves, and so do the capitals.
+        let last = texts.last().map(|t| expected(t, &kg)).unwrap();
+        let langs: Vec<&str> = last.iter().map(|w| w.alias.unwrap().0).collect();
+        assert!(LANGS.iter().all(|l| langs.contains(l)), "{langs:?}");
+        assert!(resolved > 25, "{resolved} words resolved");
+    }
+
+    #[test]
+    fn words_reuse_one_buffer_across_documents() {
+        let kg = commerce_graph().graph;
+        let mut buf = Vec::new();
+        let long = ["camera"; 40].join(" ");
+        assert_eq!(Words::resolve(&long, &kg, &mut buf).iter().count(), 40);
+        let capacity = buf.capacity();
+        let short = Words::resolve("lens  tripod", &kg, &mut buf);
+        let texts: Vec<&str> = short.iter().map(|w| w.text).collect();
+        assert_eq!(texts, ["lens", "tripod"]);
+        assert_eq!(buf.capacity(), capacity);
     }
 
     #[test]

@@ -83,21 +83,17 @@ fn main() {
                 Vote::Abstain
             }
         }))
-        .with(Lf::graph("kg_gear_context", false, |p: &Post, kg| {
+        .with(Lf::graph("kg_gear_context", false, |_p: &Post, words| {
             // Bipolar graph heuristic: camera gear next to a proper name
             // is celebrity-with-gear coverage; gear with no names is a
             // product review. (Bipolar LFs anchor the label model — an
             // LF that votes both ways cannot be explained away as
-            // always-wrong.)
-            let gear_terms = p
-                .text
-                .split_whitespace()
-                .filter(|w| kg.lookup(w).is_some())
-                .count();
-            let has_name = p
-                .text
-                .split_whitespace()
-                .any(|w| w.chars().next().is_some_and(char::is_uppercase));
+            // always-wrong.) The executor splits each post once and
+            // resolves every word against the graph for all such LFs.
+            let gear_terms = words.iter().filter(|w| w.alias.is_some()).count();
+            let has_name = words
+                .iter()
+                .any(|w| w.text.chars().next().is_some_and(char::is_uppercase));
             match (gear_terms, has_name) {
                 (0, _) => Vote::Abstain,
                 (_, true) => Vote::Positive,

@@ -159,6 +159,22 @@ fn the_document_path_stays_within_its_allocation_budget() {
         }
     }
 
+    // --- the product executor: one text and one word view a document ---
+    // The parent of the word view measured 11 633 allocations at one
+    // worker and 11 646 at two on these documents; the view's buffer is
+    // reserved once per worker and reused, so it adds none a document.
+    let ext = product::text_extractor();
+    for (workers, budget) in [(1, 11_633), (2, 11_646)] {
+        let n = allocations(|| {
+            let (matrix, _) = execute_in_memory(&set, Some(&ext), &docs, workers).unwrap();
+            assert_eq!(matrix.num_examples(), DOCS);
+        });
+        assert!(
+            n <= budget,
+            "product executor, {workers} worker(s): {n} allocations, budget {budget}"
+        );
+    }
+
     // --- the executor: rows are written into the matrix's own buffer ---
     const ROWS: usize = 10_000;
     let mut wide: LfSet<u32> = LfSet::new();

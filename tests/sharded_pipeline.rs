@@ -4,8 +4,13 @@
 //! assembled from the output dataset. Verifies it agrees exactly with the
 //! in-memory path.
 
-use drybell::dataflow::{read_all, write_all, JobConfig, ShardSpec};
-use drybell::lf::executor::{execute_in_memory, execute_sharded, VoteRow};
+use drybell::core::LabelMatrix;
+use drybell::dataflow::{read_all, write_all, FaultPlan, JobConfig, ShardSpec};
+use drybell::lf::executor::{
+    execute_in_memory, execute_in_memory_observed, execute_sharded, execute_sharded_observed,
+    ExecOptions, VoteRow,
+};
+use drybell_datagen::product::{self, ProductTaskConfig};
 use drybell_datagen::topic::{self, TopicTaskConfig};
 
 #[test]
@@ -82,4 +87,55 @@ fn worker_count_does_not_change_sharded_results() {
     }
     assert_eq!(matrices[0], matrices[1]);
     assert_eq!(matrices[1], matrices[2]);
+}
+
+/// An NLP outage on every call degrades the one NLP LF and nothing else:
+/// the word LFs read the text the executor extracted, not the annotation,
+/// so their columns equal the healthy run's on both executors.
+#[test]
+fn word_lfs_vote_through_an_nlp_outage() {
+    let ds = product::generate(&ProductTaskConfig {
+        num_unlabeled: 1_000,
+        num_dev: 0,
+        num_test: 0,
+        seed: 23,
+        ..ProductTaskConfig::paper()
+    });
+    let set = product::lf_set(ds.kg.clone());
+    let ext = product::text_extractor();
+    let docs = &ds.unlabeled;
+    let (healthy, _) = execute_in_memory(&set, Some(&ext), docs, 2).unwrap();
+    let outage = ExecOptions::new().with_nlp_faults(FaultPlan::seeded(1).with_nlp_error_rate(1.0));
+    let (in_memory, stats) =
+        execute_in_memory_observed(&set, Some(&ext), docs, 2, &outage).unwrap();
+    assert_eq!((stats.nlp_calls, stats.nlp_degraded), (1_000, 1_000));
+
+    let dir = tempfile::tempdir().unwrap();
+    let input = ShardSpec::new(dir.path(), "docs", 4);
+    write_all(&input, docs).unwrap();
+    let job = JobConfig::new("outage").with_workers(2);
+    let output = input.derive("votes");
+    let (sharded, job_stats) =
+        execute_sharded_observed(&set, Some(&ext), &input, &output, &job, |d| d.id, &outage)
+            .unwrap();
+
+    let column = |m: &LabelMatrix, j: usize| m.rows().map(|row| row[j]).collect::<Vec<i8>>();
+    let mut degraded = Vec::new();
+    for (j, lf) in set.lfs().iter().enumerate() {
+        let name = &lf.metadata().name;
+        let counted = job_stats.counters.get(&format!("lf/{name}/degraded"));
+        if lf.needs_nlp() {
+            assert!(column(&healthy, j).iter().any(|&v| v != 0), "{name}");
+            for outage in [&in_memory, &sharded] {
+                assert!(column(outage, j).iter().all(|&v| v == 0), "{name}");
+            }
+            assert_eq!(counted, 1_000, "{name}");
+            degraded.push(name.as_str());
+        } else {
+            assert_eq!(column(&in_memory, j), column(&healthy, j), "{name}");
+            assert_eq!(column(&sharded, j), column(&healthy, j), "{name}");
+            assert_eq!(counted, 0, "{name}");
+        }
+    }
+    assert_eq!(degraded, ["topic_noncommerce"]);
 }
