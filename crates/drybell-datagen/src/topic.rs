@@ -334,14 +334,80 @@ pub fn text_extractor() -> TextExtractor<TopicDoc> {
     Arc::new(|d: &TopicDoc| d.full_text())
 }
 
+/// Which of up to 64 ASCII lower-case keywords, of two bytes or more, occur
+/// in a text's `to_lowercase()`: one scan of the text, comparing a keyword
+/// only where the text's next two bytes may be its first two.
+struct Keywords {
+    words: Vec<&'static str>,
+    /// Bit `k` of `pairs[pair(a, b)]` is set if keyword `k` begins `ab`.
+    pairs: [u64; 1024],
+}
+
+/// The [`Keywords::pairs`] slot of two bytes: their low five bits, which
+/// drop the ASCII case bit. Other bytes share slots with letters; the
+/// compare that follows tells them apart.
+fn pair(a: u8, b: u8) -> usize {
+    usize::from(a & 31) << 5 | usize::from(b & 31)
+}
+
+impl Keywords {
+    /// Add `list`, returning the mask of its keywords.
+    fn add(&mut self, list: &[&'static str]) -> u64 {
+        let from = self.words.len();
+        for &word in list {
+            let (k, bytes) = (self.words.len(), word.as_bytes());
+            let lower = word.is_ascii() && !bytes.iter().any(u8::is_ascii_uppercase);
+            assert!(
+                k < 64 && bytes.len() >= 2 && lower,
+                "not a keyword: {word:?}"
+            );
+            self.pairs[pair(bytes[0], bytes[1])] |= 1 << k;
+            self.words.push(word);
+        }
+        (from..self.words.len()).fold(0, |mask, k| mask | 1 << k)
+    }
+
+    /// The keywords of `wanted` that occur in `text.to_lowercase()`, or the
+    /// first `enough` of them found. ASCII text is scanned as it is, its
+    /// case folded as it is compared; any other text is lower-cased first.
+    fn find(&self, text: &str, wanted: u64, enough: u32) -> u64 {
+        let lower = (!text.is_ascii()).then(|| text.to_lowercase());
+        let text = lower.as_deref().unwrap_or(text).as_bytes();
+        let mut found = 0u64;
+        for (i, two) in text.windows(2).enumerate() {
+            let mut candidates = self.pairs[pair(two[0], two[1])] & wanted & !found;
+            while candidates != 0 {
+                let k = candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                let word = self.words[k].as_bytes();
+                let at = text.get(i..i + word.len());
+                if at.is_some_and(|at| at.eq_ignore_ascii_case(word)) {
+                    found |= 1 << k;
+                    if found.count_ones() >= enough {
+                        return found;
+                    }
+                }
+            }
+        }
+        found
+    }
+}
+
 /// Build the ten labeling functions of §3.1.
 ///
 /// `crawl_table` is the dataset's crawl-reputation resource.
 pub fn lf_set(crawl_table: Arc<HashMap<String, f64>>) -> LfSet<TopicDoc> {
-    let contains_any = |text: &str, words: &[&str]| {
-        let lower = text.to_lowercase();
-        words.iter().any(|w| lower.contains(w))
+    let mut keywords = Keywords {
+        words: Vec::new(),
+        pairs: [0; 1024],
     };
+    let celeb_words = keywords.add(CELEB_WORDS);
+    let patterns = keywords.add(CELEB_PATTERNS);
+    let jargon = [Topic::Sports, Topic::Finance, Topic::Politics]
+        .iter()
+        .fold(0, |mask, t| mask | keywords.add(t.seed_keywords()));
+    let keywords = Arc::new(keywords);
+    let [celeb_kw, title_kw, jargon_kw, person_kw] = [(); 4].map(|()| Arc::clone(&keywords));
 
     LfSet::new()
         // --- Servable heuristics (pattern-based rules; what remains in
@@ -370,9 +436,18 @@ pub fn lf_set(crawl_table: Arc<HashMap<String, f64>>) -> LfSet<TopicDoc> {
             LfCategory::ContentHeuristic,
             true,
             move |d: &TopicDoc| {
+                // A whole token is a substring of its field, and no word
+                // holds the space that joins title and body: a document
+                // with fewer than two words as substrings has fewer than
+                // two as tokens.
+                let substrings = celeb_kw.find(&d.title, celeb_words, 2)
+                    | celeb_kw.find(&d.body, celeb_words, 2);
+                if substrings.count_ones() < 2 {
+                    return Vote::Abstain;
+                }
                 // Whole-token matches: "star" must not fire on "startup".
                 let mut seen = [false; CELEB_WORDS.len()];
-                for tok in lower_words(&d.full_text()) {
+                for tok in lower_words(&d.title).chain(lower_words(&d.body)) {
                     if let Some(i) = CELEB_WORDS.iter().position(|w| *w == tok) {
                         seen[i] = true;
                     }
@@ -389,7 +464,7 @@ pub fn lf_set(crawl_table: Arc<HashMap<String, f64>>) -> LfSet<TopicDoc> {
             LfCategory::ContentHeuristic,
             true,
             move |d: &TopicDoc| {
-                if contains_any(&d.title, CELEB_PATTERNS) {
+                if title_kw.find(&d.title, patterns, 1) != 0 {
                     Vote::Positive
                 } else {
                     Vote::Abstain
@@ -401,18 +476,8 @@ pub fn lf_set(crawl_table: Arc<HashMap<String, f64>>) -> LfSet<TopicDoc> {
             LfCategory::ContentHeuristic,
             true,
             move |d: &TopicDoc| {
-                let text = d.body.to_lowercase();
-                let offtopic = [Topic::Sports, Topic::Finance, Topic::Politics];
-                let hits: usize = offtopic
-                    .iter()
-                    .map(|t| {
-                        t.seed_keywords()
-                            .iter()
-                            .filter(|w| text.contains(*w))
-                            .count()
-                    })
-                    .sum();
-                if hits >= 3 {
+                // Three distinct sports, finance or politics keywords.
+                if jargon_kw.find(&d.body, jargon, 3).count_ones() >= 3 {
                     Vote::Negative
                 } else {
                     Vote::Abstain
@@ -423,27 +488,29 @@ pub fn lf_set(crawl_table: Arc<HashMap<String, f64>>) -> LfSet<TopicDoc> {
         .with(Lf::nlp("nlp_no_person", |_d: &TopicDoc, nlp| {
             // §5.1's example: content mentioning no person is not about
             // celebrities.
-            if nlp.people().is_empty() {
+            if nlp.entities_of(EntityKind::Person).next().is_none() {
                 Vote::Negative
             } else {
                 Vote::Abstain
             }
         }))
-        .with(Lf::nlp("nlp_person_pattern_title", |d: &TopicDoc, nlp| {
-            // A person mentioned in the title together with celebrity
-            // phrasing.
-            let title_end = d.title.len();
-            let person_in_title = nlp
-                .entities_of(EntityKind::Person)
-                .any(|e| e.start < title_end);
-            let lower = d.title.to_lowercase();
-            let has_pattern = CELEB_PATTERNS.iter().any(|p| lower.contains(p));
-            if person_in_title && has_pattern {
-                Vote::Positive
-            } else {
-                Vote::Abstain
-            }
-        }))
+        .with(Lf::nlp(
+            "nlp_person_pattern_title",
+            move |d: &TopicDoc, nlp| {
+                // A person mentioned in the title together with celebrity
+                // phrasing.
+                let title_end = d.title.len();
+                let person_in_title = nlp
+                    .entities_of(EntityKind::Person)
+                    .any(|e| e.start < title_end);
+                let has_pattern = person_kw.find(&d.title, patterns, 1) != 0;
+                if person_in_title && has_pattern {
+                    Vote::Positive
+                } else {
+                    Vote::Abstain
+                }
+            },
+        ))
         // --- Topic-model-based (non-servable). The categorizer is too
         // --- coarse for the target topic but is an effective *negative*
         // --- heuristic (§3.1).
@@ -522,6 +589,7 @@ pub fn featurize(doc: &TopicDoc, hasher: &FeatureHasher) -> SparseVector {
 mod tests {
     use super::*;
     use drybell_lf::executor::execute_in_memory;
+    use drybell_nlp::{NlpResult, NlpServer};
 
     fn small() -> TopicDataset {
         generate(&TopicTaskConfig {
@@ -685,6 +753,124 @@ mod tests {
         assert_eq!(vote("famous famous famous", "famous"), Vote::Abstain);
         assert_eq!(vote("iconic idols", "superstars infamous"), Vote::Abstain);
         assert_eq!(vote("", ""), Vote::Abstain);
+    }
+
+    /// The bodies `Keywords` replaced, and `nlp_no_person` as it was: each
+    /// lower-cases its fields and tests every keyword with `contains`.
+    fn reference_vote(name: &str, d: &TopicDoc, nlp: &NlpResult) -> Option<Vote> {
+        let contains_any = |text: &str, words: &[&str]| {
+            let lower = text.to_lowercase();
+            words.iter().any(|w| lower.contains(w))
+        };
+        let fires = match name {
+            "kw_celeb_words" => {
+                let mut seen = [false; CELEB_WORDS.len()];
+                for tok in lower_words(&d.full_text()) {
+                    if let Some(i) = CELEB_WORDS.iter().position(|w| *w == tok) {
+                        seen[i] = true;
+                    }
+                }
+                seen.iter().filter(|&&hit| hit).count() >= 2
+            }
+            "kw_title_pattern" => contains_any(&d.title, CELEB_PATTERNS),
+            "kw_offtopic_jargon" => {
+                let text = d.body.to_lowercase();
+                let offtopic = [Topic::Sports, Topic::Finance, Topic::Politics];
+                let hits: usize = offtopic
+                    .iter()
+                    .map(|t| {
+                        t.seed_keywords()
+                            .iter()
+                            .filter(|w| text.contains(*w))
+                            .count()
+                    })
+                    .sum();
+                hits >= 3
+            }
+            "nlp_no_person" => nlp.people().is_empty(),
+            "nlp_person_pattern_title" => {
+                let title_end = d.title.len();
+                let person_in_title = nlp
+                    .entities_of(EntityKind::Person)
+                    .any(|e| e.start < title_end);
+                person_in_title && contains_any(&d.title, CELEB_PATTERNS)
+            }
+            _ => return None,
+        };
+        let vote = match name {
+            "kw_offtopic_jargon" | "nlp_no_person" => Vote::Negative,
+            _ => Vote::Positive,
+        };
+        Some(if fires { vote } else { Vote::Abstain })
+    }
+
+    /// Fields that case folding, multi-byte characters, field edges and
+    /// the title–body join make awkward, each crossed with every other.
+    const HOSTILE_FIELDS: &[&str] = &[
+        "SPOTTED",
+        "Red-Carpet",
+        "brea\u{212A}up",
+        "DATİNG İ",
+        "ΣTUNS ΟΔΥΣΣΕΥΣ",
+        "Alice Johnson reveals",
+        "she was spotted",
+        "fund stock leagu",
+        "MARKET Stock BANK",
+        "famous supe",
+        "rstar iconic",
+        "FAMOUS IDOL",
+        "ICON",
+        "a",
+        "s",
+        "",
+    ];
+
+    #[test]
+    fn keyword_lfs_vote_as_their_contains_scans_did() {
+        let generated = generate(&TopicTaskConfig {
+            num_unlabeled: 5000,
+            num_dev: 1,
+            num_test: 1,
+            ..TopicTaskConfig::paper()
+        })
+        .unlabeled;
+        let doubled = generated.iter().map(|d| TopicDoc {
+            title: format!("{0} {0}", d.title),
+            body: format!("{0} {0}", d.body),
+            ..d.clone()
+        });
+        let hostile = HOSTILE_FIELDS.iter().flat_map(|&title| {
+            HOSTILE_FIELDS.iter().map(move |&body| TopicDoc {
+                id: 0,
+                title: title.to_owned(),
+                body: body.to_owned(),
+                url: String::new(),
+                related_model_score: 0.5,
+            })
+        });
+        let docs: Vec<TopicDoc> = generated.iter().cloned().chain(doubled).collect();
+        let hostile: Vec<TopicDoc> = hostile.collect();
+        let set = lf_set(Arc::new(HashMap::new()));
+        let server = NlpServer::new();
+        for docs in [&docs, &hostile] {
+            let mut fired = HashMap::new();
+            for doc in docs {
+                let nlp = server.annotate(&doc.full_text());
+                for lf in set.lfs() {
+                    let name = lf.metadata().name.as_str();
+                    let Some(expected) = reference_vote(name, doc, &nlp) else {
+                        continue;
+                    };
+                    let vote = lf.try_vote(doc, Some(&nlp), None).expect("a vote");
+                    assert_eq!(vote, expected, "{name} on {doc:?}");
+                    *fired.entry(name).or_insert(0) += usize::from(vote != Vote::Abstain);
+                }
+            }
+            assert_eq!(fired.len(), 5);
+            for (name, n) in fired {
+                assert!(n > 0, "{name} never voted");
+            }
+        }
     }
 
     #[test]

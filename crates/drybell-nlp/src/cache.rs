@@ -40,9 +40,9 @@ impl CacheStats {
 ///
 /// Keys are FNV-1a hashes of the text, and an entry answers only for the
 /// text it was computed from: a second text with the same hash is
-/// annotated on every call and never cached. Eviction is random-ish (the
-/// entry displaced is whichever occupies the reused slot list position),
-/// which is cheap and adequate for corpus-shaped reuse patterns.
+/// annotated on every call and never cached. Eviction is first in, first
+/// out (a full table displaces its oldest insertion), which is cheap and
+/// adequate for corpus-shaped reuse patterns.
 pub struct CachedNlpServer {
     inner: NlpServer,
     capacity: usize,

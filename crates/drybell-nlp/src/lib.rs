@@ -37,6 +37,7 @@
 
 pub mod cache;
 pub mod langid;
+mod lexicon;
 pub mod ner;
 pub mod sentiment;
 pub mod server;

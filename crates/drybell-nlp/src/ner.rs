@@ -9,9 +9,8 @@
 //! suffixes) providing recall beyond the gazetteer and a controlled amount
 //! of noise.
 
+use crate::lexicon::{FIRST_NAME, LAST_NAME, LOCATION, ORG, ORG_SUFFIX, PRODUCT, TITLE};
 use crate::tokenizer::{words, Word};
-use drybell_obs::FnvHashSet;
-use std::sync::OnceLock;
 
 /// The kind of a recognized entity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,53 +129,20 @@ pub const PRODUCT_WORDS: &[&str] = &[
 ];
 
 /// Honorific titles that signal a following person name.
-const TITLES: &[&str] = &["mr", "mrs", "ms", "dr", "prof", "sir"];
+pub(crate) const TITLES: &[&str] = &["mr", "mrs", "ms", "dr", "prof", "sir"];
 
 /// Corporate suffixes that signal a preceding organization name.
-const ORG_SUFFIXES: &[&str] = &["inc", "corp", "ltd", "llc", "gmbh", "co"];
+pub(crate) const ORG_SUFFIXES: &[&str] = &["inc", "corp", "ltd", "llc", "gmbh", "co"];
 
-/// The built-in gazetteers as sets. They are constants, so the process
-/// builds them once and every tagger reads the same ones.
-#[derive(Debug)]
-struct Gazetteers {
-    persons_first: FnvHashSet<&'static str>,
-    persons_last: FnvHashSet<&'static str>,
-    orgs: FnvHashSet<&'static str>,
-    locations: FnvHashSet<&'static str>,
-    products: FnvHashSet<&'static str>,
-}
-
-impl Gazetteers {
-    fn shared() -> &'static Gazetteers {
-        static SETS: OnceLock<Gazetteers> = OnceLock::new();
-        SETS.get_or_init(|| Gazetteers {
-            persons_first: PERSON_FIRST_NAMES.iter().copied().collect(),
-            persons_last: PERSON_LAST_NAMES.iter().copied().collect(),
-            orgs: ORGANIZATIONS.iter().copied().collect(),
-            locations: LOCATIONS.iter().copied().collect(),
-            products: PRODUCT_WORDS.iter().copied().collect(),
-        })
-    }
-}
-
-/// The gazetteer-plus-heuristics NER tagger.
-#[derive(Debug, Clone)]
-pub struct NerTagger {
-    gazetteers: &'static Gazetteers,
-}
-
-impl Default for NerTagger {
-    fn default() -> NerTagger {
-        NerTagger::new()
-    }
-}
+/// The gazetteer-plus-heuristics NER tagger. Its gazetteers are the
+/// process-wide lexicon's flags, read from each word's entry.
+#[derive(Debug, Clone, Default)]
+pub struct NerTagger;
 
 impl NerTagger {
     /// Build the tagger with the built-in gazetteers.
     pub fn new() -> NerTagger {
-        NerTagger {
-            gazetteers: Gazetteers::shared(),
-        }
+        NerTagger
     }
 
     /// Tag all entity mentions in `text`.
@@ -209,9 +175,7 @@ impl NerTagger {
     }
 
     fn match_at(&self, words: &[Word<'_>], i: usize) -> Option<(Entity, usize)> {
-        let sets = self.gazetteers;
         let tok = &words[i];
-        let low = tok.lower.as_ref();
         let capitalized = tok.is_capitalized();
         let next = words.get(i + 1);
         let pair = |next: &Word<'_>, kind| {
@@ -234,7 +198,7 @@ impl NerTagger {
         };
 
         // Title + capitalized word → person ("Dr. Chen").
-        if TITLES.contains(&low) {
+        if tok.is(TITLE) {
             if let Some(next) = next.filter(|n| n.is_capitalized()) {
                 return pair(next, EntityKind::Person);
             }
@@ -242,9 +206,8 @@ impl NerTagger {
 
         // Gazetteer first name (capitalized), optionally followed by a
         // capitalized last name.
-        if capitalized && sets.persons_first.contains(low) {
-            let last =
-                next.filter(|n| n.is_capitalized() && sets.persons_last.contains(n.lower.as_ref()));
+        if capitalized && tok.is(FIRST_NAME) {
+            let last = next.filter(|n| n.is_capitalized() && n.is(LAST_NAME));
             return match last {
                 Some(next) => pair(next, EntityKind::Person),
                 None => single(EntityKind::Person),
@@ -252,32 +215,138 @@ impl NerTagger {
         }
 
         // Capitalized gazetteer last name alone → person.
-        if capitalized && sets.persons_last.contains(low) {
+        if capitalized && tok.is(LAST_NAME) {
             return single(EntityKind::Person);
         }
 
         // Organization gazetteer, or any capitalized word followed by a
         // corporate suffix ("Figment Inc").
-        if capitalized && sets.orgs.contains(low) {
+        if capitalized && tok.is(ORG) {
             return single(EntityKind::Organization);
         }
         if capitalized {
-            if let Some(next) = next.filter(|n| ORG_SUFFIXES.contains(&n.lower.as_ref())) {
+            if let Some(next) = next.filter(|n| n.is(ORG_SUFFIX)) {
                 return pair(next, EntityKind::Organization);
             }
         }
 
         // Location gazetteer (capitalized).
-        if capitalized && sets.locations.contains(low) {
+        if capitalized && tok.is(LOCATION) {
             return single(EntityKind::Location);
         }
 
         // Product gazetteer (any case — product words appear in running
         // text).
-        if sets.products.contains(low) {
+        if tok.is(PRODUCT) {
             return single(EntityKind::Product);
         }
 
+        None
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod oracle {
+    //! The tagger as it was before the lexicon: gazetteer sets probed with
+    //! each token's `to_lowercase`, and scans of the cue lists.
+
+    use super::*;
+    use crate::tokenizer::{tokenize, Token};
+    use drybell_obs::FnvHashSet;
+
+    struct Gazetteers {
+        persons_first: FnvHashSet<&'static str>,
+        persons_last: FnvHashSet<&'static str>,
+        orgs: FnvHashSet<&'static str>,
+        locations: FnvHashSet<&'static str>,
+        products: FnvHashSet<&'static str>,
+    }
+
+    /// The entities of `text`, found without the lexicon.
+    pub(crate) fn tag(text: &str) -> Vec<Entity> {
+        let sets = Gazetteers {
+            persons_first: PERSON_FIRST_NAMES.iter().copied().collect(),
+            persons_last: PERSON_LAST_NAMES.iter().copied().collect(),
+            orgs: ORGANIZATIONS.iter().copied().collect(),
+            locations: LOCATIONS.iter().copied().collect(),
+            products: PRODUCT_WORDS.iter().copied().collect(),
+        };
+        let tokens = tokenize(text);
+        let lower: Vec<String> = tokens.iter().map(Token::lower).collect();
+        let mut entities = Vec::new();
+        let mut i = 0;
+        while i < tokens.len() {
+            if let Some((entity, consumed)) = match_at(&sets, &tokens, &lower, i) {
+                entities.push(entity);
+                i += consumed;
+            } else {
+                i += 1;
+            }
+        }
+        entities
+    }
+
+    fn match_at(
+        sets: &Gazetteers,
+        tokens: &[Token],
+        lower: &[String],
+        i: usize,
+    ) -> Option<(Entity, usize)> {
+        let tok = &tokens[i];
+        let low = lower[i].as_str();
+        let capitalized = tok.is_capitalized();
+        let next = tokens.get(i + 1);
+        let next_low = lower.get(i + 1).map(String::as_str);
+        let pair = |next: &Token, kind| {
+            let entity = Entity {
+                text: format!("{} {}", tok.text, next.text),
+                kind,
+                start: tok.start,
+                end: next.end,
+            };
+            Some((entity, 2))
+        };
+        let single = |kind| {
+            let entity = Entity {
+                text: tok.text.clone(),
+                kind,
+                start: tok.start,
+                end: tok.end,
+            };
+            Some((entity, 1))
+        };
+        if TITLES.contains(&low) {
+            if let Some(next) = next.filter(|n| n.is_capitalized()) {
+                return pair(next, EntityKind::Person);
+            }
+        }
+        if capitalized && sets.persons_first.contains(low) {
+            let last = next.filter(|n| {
+                n.is_capitalized() && next_low.is_some_and(|l| sets.persons_last.contains(l))
+            });
+            return match last {
+                Some(next) => pair(next, EntityKind::Person),
+                None => single(EntityKind::Person),
+            };
+        }
+        if capitalized && sets.persons_last.contains(low) {
+            return single(EntityKind::Person);
+        }
+        if capitalized && sets.orgs.contains(low) {
+            return single(EntityKind::Organization);
+        }
+        if capitalized {
+            if let Some(next) = next.filter(|_| next_low.is_some_and(|l| ORG_SUFFIXES.contains(&l)))
+            {
+                return pair(next, EntityKind::Organization);
+            }
+        }
+        if capitalized && sets.locations.contains(low) {
+            return single(EntityKind::Location);
+        }
+        if sets.products.contains(low) {
+            return single(EntityKind::Product);
+        }
         None
     }
 }

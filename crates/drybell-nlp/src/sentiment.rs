@@ -4,11 +4,10 @@
 //! "previously developed heuristic classifier" (§3.3) that becomes one
 //! more weak supervision source. Scores are in `[-1, 1]`.
 
+use crate::lexicon::NEGATOR;
 use crate::tokenizer::{words, Word};
-use drybell_obs::FnvHashMap;
-use std::sync::OnceLock;
 
-const POSITIVE: &[&str] = &[
+pub(crate) const POSITIVE: &[&str] = &[
     "great",
     "excellent",
     "amazing",
@@ -26,7 +25,7 @@ const POSITIVE: &[&str] = &[
     "enjoy",
 ];
 
-const NEGATIVE: &[&str] = &[
+pub(crate) const NEGATIVE: &[&str] = &[
     "terrible",
     "awful",
     "hate",
@@ -44,20 +43,7 @@ const NEGATIVE: &[&str] = &[
     "scam",
 ];
 
-const NEGATORS: &[&str] = &["not", "no", "never", "hardly", "don't", "doesn't", "isn't"];
-
-/// The valence of a lexicon word: `1.0` for [`POSITIVE`], `-1.0` for
-/// [`NEGATIVE`]. One probe of a table that is a constant, so the process
-/// builds it once.
-fn valence(word: &str) -> Option<f64> {
-    static LEXICON: OnceLock<FnvHashMap<&'static str, f64>> = OnceLock::new();
-    let lexicon = LEXICON.get_or_init(|| {
-        // `POSITIVE` goes in last and so wins a word found in both lists.
-        let negative = NEGATIVE.iter().map(|&w| (w, -1.0));
-        negative.chain(POSITIVE.iter().map(|&w| (w, 1.0))).collect()
-    });
-    lexicon.get(word).copied()
-}
+pub(crate) const NEGATORS: &[&str] = &["not", "no", "never", "hardly", "don't", "doesn't", "isn't"];
 
 /// Lexicon sentiment scorer.
 #[derive(Debug, Clone, Default)]
@@ -76,16 +62,59 @@ impl SentimentScorer {
         self.score_words(&words(text))
     }
 
-    /// [`SentimentScorer::score`] over a text already tokenized and
-    /// lower-cased.
+    /// [`SentimentScorer::score`] over a text already tokenized and looked
+    /// up: a word's valence and negator bit are in its lexicon entry.
     pub(crate) fn score_words(&self, words: &[Word<'_>]) -> f64 {
         let mut total = 0.0;
         let mut hits = 0usize;
-        for (i, word) in words.iter().enumerate() {
-            let Some(valence) = valence(&word.lower) else {
+        let mut negated = false;
+        for word in words {
+            if let Some(valence) = word.entry.and_then(|e| e.valence) {
+                total += if negated { -valence } else { valence };
+                hits += 1;
+            }
+            negated = word.is(NEGATOR);
+        }
+        if hits == 0 {
+            0.0
+        } else {
+            total / hits as f64
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod oracle {
+    //! The scorer as it was before the lexicon: a valence map probed with
+    //! each token's `to_lowercase`, and a scan of the negator list.
+
+    use super::*;
+    use crate::tokenizer::lower_tokens;
+    use drybell_obs::FnvHashMap;
+    use std::sync::OnceLock;
+
+    /// The valence of a lexicon word: `1.0` for [`POSITIVE`], `-1.0` for
+    /// [`NEGATIVE`].
+    pub(crate) fn valence(word: &str) -> Option<f64> {
+        static LEXICON: OnceLock<FnvHashMap<&'static str, f64>> = OnceLock::new();
+        let lexicon = LEXICON.get_or_init(|| {
+            // `POSITIVE` goes in last and so wins a word found in both lists.
+            let negative = NEGATIVE.iter().map(|&w| (w, -1.0));
+            negative.chain(POSITIVE.iter().map(|&w| (w, 1.0))).collect()
+        });
+        lexicon.get(word).copied()
+    }
+
+    /// The sentiment of `text`, scored without the lexicon.
+    pub(crate) fn score(text: &str) -> f64 {
+        let lower = lower_tokens(text);
+        let mut total = 0.0;
+        let mut hits = 0usize;
+        for (i, word) in lower.iter().enumerate() {
+            let Some(valence) = valence(word) else {
                 continue;
             };
-            let negated = i > 0 && NEGATORS.contains(&words[i - 1].lower.as_ref());
+            let negated = i > 0 && NEGATORS.contains(&lower[i - 1].as_str());
             total += if negated { -valence } else { valence };
             hits += 1;
         }
@@ -99,6 +128,7 @@ impl SentimentScorer {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::valence;
     use super::*;
 
     #[test]

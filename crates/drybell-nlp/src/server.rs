@@ -21,7 +21,7 @@ use drybell_dataflow::FaultPlan;
 use drybell_obs::{Counter, Histogram, MetricsRegistry};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A failed annotation call: the model server was unreachable, overloaded,
@@ -115,9 +115,6 @@ struct ServerTelemetry {
 #[derive(Debug, Clone)]
 pub struct NlpServer {
     ner: NerTagger,
-    /// The seed-trained organizational model: a constant, so the process
-    /// trains it once and every server reads the same one.
-    topics: &'static SemanticCategorizer,
     langid: LangDetector,
     sentiment: SentimentScorer,
     /// Declared cost of one `annotate` call, in simulated microseconds.
@@ -142,10 +139,8 @@ impl NlpServer {
 
     /// Build a server with all default models.
     pub fn new() -> NlpServer {
-        static SEED_TOPICS: OnceLock<SemanticCategorizer> = OnceLock::new();
         NlpServer {
             ner: NerTagger::new(),
-            topics: SEED_TOPICS.get_or_init(SemanticCategorizer::from_seeds),
             langid: LangDetector::new(),
             sentiment: SentimentScorer::new(),
             cost_per_call_us: Self::DEFAULT_COST_US,
@@ -200,13 +195,15 @@ impl NlpServer {
             .fetch_add(self.cost_per_call_us, Ordering::Relaxed);
     }
 
-    /// Run all models over `text`: one tokenization and one lower-casing,
-    /// shared by NER, the topic model and sentiment.
+    /// Run all models over `text`: one tokenization and one lexicon probe a
+    /// word, shared by NER, the seed topic model and sentiment.
     pub fn annotate(&self, text: &str) -> NlpResult {
         let started = self.telemetry.as_ref().map(|_| Instant::now());
         self.count_call();
         let words = words(text);
-        let topic_probs = self.topics.classify(&words);
+        // The seed categorizer's `classify`, its rows read from the lexicon.
+        let rows = words.iter().filter_map(|w| w.entry?.topic.as_ref());
+        let topic_probs = SemanticCategorizer::posterior(rows);
         let result = NlpResult {
             tokens: Tokens::new(text, &words),
             entities: self.ner.tag_words(&words),
@@ -270,6 +267,8 @@ impl drybell_dataflow::Service for NlpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ner::oracle as ner_oracle;
+    use crate::sentiment::oracle as sentiment_oracle;
     use crate::tokenizer::{lower_tokens, tokenize};
     use drybell_dataflow::Service;
 
@@ -290,9 +289,10 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
-    /// `annotate` shares one tokenization between the models; the
-    /// standalone public models each do their own. Same answers, entity for
-    /// entity and bit for bit.
+    /// `annotate` shares one tokenization and one lexicon probe a word
+    /// between the models; the standalone public models each do their own.
+    /// Same answers, entity for entity and bit for bit, and the same as the
+    /// gazetteer sets and valence map the lexicon replaced.
     #[test]
     fn annotate_equals_the_standalone_models_composed() {
         let server = NlpServer::new();
@@ -306,6 +306,7 @@ mod tests {
             "Mr Smith of Figment Inc met Alice Johnson, Robert and Kim in Springfield",
             "not great, NEVER bad: a Terrible Tripod and I don't love the charger",
             "stock market fund vs. movie premiere and a cheap flight",
+            "Figment inc, Hooli CO and ACME, dr Chen, MR. LEE, MARIA garcia met kim KIM",
         ];
         let hostile = crate::test_corpus::HOSTILE.iter().copied();
         let (mut entities, mut sentiments) = (0, 0);
@@ -315,6 +316,7 @@ mod tests {
             assert_eq!(r.tokens.to_vec(), tokenize(text), "tokens of {text:?}");
             assert_eq!(r.tokens.len(), r.tokens.iter().count());
             assert_eq!(r.entities, ner.tag(text), "entities of {text:?}");
+            assert_eq!(r.entities, ner_oracle::tag(text), "entities of {text:?}");
             let lower = lower_tokens(text);
             let (top, _) = topics.top_topic(&lower);
             assert_eq!(
@@ -327,6 +329,11 @@ mod tests {
             assert_eq!(
                 r.sentiment.to_bits(),
                 sentiment.score(text).to_bits(),
+                "sentiment of {text:?}"
+            );
+            assert_eq!(
+                r.sentiment.to_bits(),
+                sentiment_oracle::score(text).to_bits(),
                 "sentiment of {text:?}"
             );
             entities += r.entities.len();

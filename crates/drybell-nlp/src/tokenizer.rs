@@ -5,6 +5,7 @@
 //! text. Intentionally simple — the paper's pipelines treat tokenization
 //! as a solved component of the NLP service.
 
+use crate::lexicon::{self, Entry};
 use std::borrow::Cow;
 
 /// One token with its span in the source text.
@@ -105,25 +106,12 @@ impl<'a> Iterator for Spans<'a> {
     }
 }
 
-/// `word.to_lowercase()`, borrowed when the word is ASCII with no capital
-/// and so is its own lower-case form.
-pub(crate) fn lower(word: &str) -> Cow<'_, str> {
-    if !word.is_ascii() {
-        Cow::Owned(word.to_lowercase())
-    } else if word.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(word.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(word)
-    }
-}
-
 /// One token as the models read it: the source slice, where it starts, and
-/// its lower-cased form (which is what a `&[Word]` hands to
-/// [`crate::SemanticCategorizer::classify`]).
+/// its entry in the lexicon, looked up once for every model to read.
 pub(crate) struct Word<'a> {
     pub text: &'a str,
     pub start: usize,
-    pub lower: Cow<'a, str>,
+    pub entry: Option<&'static Entry>,
 }
 
 impl Word<'_> {
@@ -134,11 +122,10 @@ impl Word<'_> {
     pub fn is_capitalized(&self) -> bool {
         is_capitalized(self.text)
     }
-}
 
-impl AsRef<str> for Word<'_> {
-    fn as_ref(&self) -> &str {
-        &self.lower
+    /// `true` if the word's lexicon entry carries `flag`.
+    pub fn is(&self, flag: u16) -> bool {
+        self.entry.is_some_and(|e| e.flags & flag != 0)
     }
 }
 
@@ -149,13 +136,13 @@ pub fn max_tokens(text: &str) -> usize {
     text.len() / 2 + 1
 }
 
-/// Tokenize and lower-case `text` once, for every model to share.
+/// Tokenize `text` and look each word up once, for every model to share.
 pub(crate) fn words(text: &str) -> Vec<Word<'_>> {
     let mut words = Vec::with_capacity(max_tokens(text));
     words.extend(spans(text).map(|(start, text)| Word {
         text,
         start,
-        lower: lower(text),
+        entry: lexicon::lookup(text),
     }));
     words
 }
@@ -221,7 +208,15 @@ pub fn tokenize(text: &str) -> Vec<Token> {
 /// The lower-cased tokens of `text`, one at a time: each borrows from the
 /// text unless it holds a capital or a non-ASCII character.
 pub fn lower_words(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
-    spans(text).map(|(_, word)| lower(word))
+    spans(text).map(|(_, word)| {
+        if !word.is_ascii() {
+            Cow::Owned(word.to_lowercase())
+        } else if word.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(word.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(word)
+        }
+    })
 }
 
 /// Lowercased token strings (a common convenience for featurizers).
@@ -319,7 +314,11 @@ mod tests {
                 (word.start, word.end(), word.text),
                 (start, end, &text[start..end])
             );
-            assert_eq!(word.as_ref(), low);
+            let (found, expected) = (word.entry, lexicon::exact(low));
+            assert!(
+                found.map(std::ptr::from_ref) == expected.map(std::ptr::from_ref),
+                "the entry of {low:?}"
+            );
         }
     }
 

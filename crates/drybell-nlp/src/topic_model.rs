@@ -253,7 +253,7 @@ impl SemanticCategorizer {
     /// The smoothed log-likelihood of every vocabulary word under every
     /// topic: eight logarithms a word that depend on the counts alone, so
     /// they are taken once per model and not once per token classified.
-    fn log_probs(&self) -> &FnvHashMap<String, [f64; 8]> {
+    pub(crate) fn log_probs(&self) -> &FnvHashMap<String, [f64; 8]> {
         self.log_probs.get_or_init(|| {
             let vocab = self.counts.len().max(1) as f64;
             let rows = self.counts.iter().map(|(word, counts)| {
@@ -272,18 +272,21 @@ impl SemanticCategorizer {
     /// Posterior `P(topic | tokens)` for all topics (uniform prior).
     pub fn classify<S: AsRef<str>>(&self, tokens: &[S]) -> [f64; 8] {
         let log_probs = self.log_probs();
+        // Out-of-vocabulary tokens contribute the same smoothed mass to
+        // every topic (up to per-topic totals); skipping them keeps the
+        // model robust to the long tail, as real coarse categorizers do.
+        Self::posterior(tokens.iter().filter_map(|tok| log_probs.get(tok.as_ref())))
+    }
+
+    /// The posterior under a uniform prior of a text whose in-vocabulary
+    /// tokens have these `ln P(word | topic)` rows, summed in token order.
+    pub(crate) fn posterior<'a>(rows: impl Iterator<Item = &'a [f64; 8]>) -> [f64; 8] {
         let mut log_scores = [0.0f64; 8];
-        for tok in tokens {
-            if let Some(row) = log_probs.get(tok.as_ref()) {
-                for (score, log_p) in log_scores.iter_mut().zip(row) {
-                    *score += log_p;
-                }
+        for row in rows {
+            for (score, log_p) in log_scores.iter_mut().zip(row) {
+                *score += log_p;
             }
-            // Out-of-vocabulary tokens contribute the same smoothed mass to
-            // every topic (up to per-topic totals); skipping them keeps the
-            // model robust to the long tail, as real coarse categorizers do.
         }
-        // Softmax-normalize.
         let max = log_scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut probs = [0.0f64; 8];
         let mut sum = 0.0;
