@@ -67,8 +67,10 @@ impl ExpArgs {
                     out.scale = v
                         .parse::<f64>()
                         .map_err(|e| format!("bad --scale {v:?}: {e}"))?;
-                    if out.scale <= 0.0 {
-                        return Err("--scale must be positive".into());
+                    // `<= 0.0` alone lets NaN through, and infinity would size
+                    // corpora at `usize::MAX`.
+                    if !(out.scale.is_finite() && out.scale > 0.0) {
+                        return Err("--scale must be finite and positive".into());
                     }
                 }
                 "--seed" => {
@@ -384,6 +386,8 @@ mod tests {
         assert!(parse(&["--scale"]).is_err());
         assert!(parse(&["--scale", "abc"]).is_err());
         assert!(parse(&["--scale", "-1"]).is_err());
+        assert!(parse(&["--scale", "nan"]).is_err());
+        assert!(parse(&["--scale", "inf"]).is_err());
         assert!(parse(&["--journal"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--help"]).is_err());

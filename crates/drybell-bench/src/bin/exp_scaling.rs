@@ -24,6 +24,7 @@ use std::time::Instant;
 fn main() {
     let args = ExpArgs::parse();
     let telemetry = args.telemetry_or_exit();
+    let _live = telemetry.as_ref().and_then(|t| args.serve_live_or_exit(t));
     let say = |line: String| {
         if !args.json {
             println!("{line}");

@@ -49,6 +49,7 @@ fn main() {
     // `--journal <path>`: both tasks append to one JSONL journal
     // (`lf_execution`, `train_epoch`, `train`, `content_report` events).
     let telemetry = args.telemetry_or_exit();
+    let _live = telemetry.as_ref().and_then(|t| args.serve_live_or_exit(t));
     println!(
         "== Table 2: relative P/R/F1 vs dev-set baseline (scale {}) ==\n",
         args.scale

@@ -32,6 +32,7 @@ const TASK: &str = "quickstart";
 fn main() {
     let args = ExpArgs::parse();
     let telemetry = args.telemetry_or_exit();
+    let _live = telemetry.as_ref().and_then(|t| args.serve_live_or_exit(t));
     if let Some(t) = &telemetry {
         args.emit_header(t, TASK);
     }

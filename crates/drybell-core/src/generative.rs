@@ -146,8 +146,7 @@ pub struct TrainReport {
     pub steps_per_sec: f64,
     /// Example rows consumed by gradient accumulation (steps × batch).
     pub rows: usize,
-    /// Row throughput of training (`rows / seconds`) — the scaling metric
-    /// `BENCH_label_model.json` tracks across thread counts.
+    /// Row throughput of training (`rows / seconds`).
     pub rows_per_sec: f64,
     /// `(step, mean NLL)` samples if `record_every > 0`.
     pub loss_history: Vec<(usize, f64)>,

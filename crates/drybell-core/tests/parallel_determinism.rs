@@ -73,16 +73,19 @@ fn fit_with_threads(m: &LabelMatrix, batch_size: usize, num_threads: usize) -> G
 
 #[test]
 fn fit_is_byte_identical_across_thread_counts() {
-    // Multi-chunk batches (2048 rows = 2 chunks) so the parallel
-    // gradient reduction actually runs.
-    let m = planted(6_000, 8, 42);
-    let baseline = param_bits(&fit_with_threads(&m, 2_048, 1));
-    for threads in [2usize, 4, 8] {
-        let got = param_bits(&fit_with_threads(&m, 2_048, threads));
-        assert_eq!(
-            got, baseline,
-            "fit diverged at num_threads = {threads} (batch 2048)"
-        );
+    // Multi-chunk batches so the parallel gradient reduction actually
+    // runs: 2048 rows are 2 chunks, and 8192 rows are 8, more chunks
+    // than workers at 2 and 4 threads and one per worker at 8.
+    let m = planted(10_000, 8, 42);
+    for batch in [2_048, 8_192] {
+        let baseline = param_bits(&fit_with_threads(&m, batch, 1));
+        for threads in [2usize, 4, 8] {
+            let got = param_bits(&fit_with_threads(&m, batch, threads));
+            assert_eq!(
+                got, baseline,
+                "fit diverged at num_threads = {threads} (batch {batch})"
+            );
+        }
     }
 }
 

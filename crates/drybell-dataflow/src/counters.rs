@@ -6,9 +6,8 @@
 //! how LF pipelines report vote distributions, service cache hits, skipped
 //! records, etc. without funneling everything through return values.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Shared counter registry for one job.
 #[derive(Debug, Default, Clone)]
@@ -24,7 +23,7 @@ impl Counters {
 
     /// Add `n` to the counter `name`, creating it at zero if absent.
     pub fn add(&self, name: &str, n: u64) {
-        let mut map = self.inner.lock();
+        let mut map = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         // Fast path avoids allocating a String for names already present
         // (the common case on per-record paths).
         if let Some(slot) = map.get_mut(name) {
@@ -41,12 +40,17 @@ impl Counters {
 
     /// Current value of `name` (zero if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.inner.lock().get(name).copied().unwrap_or(0)
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Snapshot all counters, sorted by name.
     pub fn snapshot(&self) -> CounterSnapshot {
-        let map = self.inner.lock();
+        let map = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut entries: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.clone(), *v)).collect();
         entries.sort();
         CounterSnapshot { entries }
@@ -54,7 +58,7 @@ impl Counters {
 
     /// Merge a local tally into the registry in one lock acquisition.
     pub fn merge(&self, local: &HashMap<String, u64>) {
-        let mut map = self.inner.lock();
+        let mut map = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         #[expect(
             clippy::iter_over_hash_type,
             reason = "addition commutes; visit order cannot affect the merged totals"

@@ -25,10 +25,10 @@ use crate::error::DataflowError;
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::shard::{ShardReader, ShardSpec, ShardWriter};
 use crate::Record;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Name of a job's one phase: in its `phase` and `shard_attempt` journal
@@ -312,7 +312,10 @@ impl JobState {
     }
 
     fn fail(&self, err: DataflowError) {
-        let mut slot = self.first_error.lock();
+        let mut slot = self
+            .first_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some(err);
         }
@@ -320,7 +323,11 @@ impl JobState {
     }
 
     fn into_result(self, stats: JobStats) -> Result<JobStats, DataflowError> {
-        match self.first_error.into_inner() {
+        match self
+            .first_error
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
             Some(err) => Err(err),
             None => Ok(stats),
         }
@@ -349,8 +356,8 @@ struct Task {
 /// because every task completed or because the job failed — which wakes
 /// all workers blocked in [`TaskQueue::next`].
 struct TaskQueue {
-    state: std::sync::Mutex<QueueState>,
-    ready: std::sync::Condvar,
+    state: Mutex<QueueState>,
+    ready: Condvar,
 }
 
 struct QueueState {
@@ -368,21 +375,19 @@ impl TaskQueue {
             not_before: None,
         });
         TaskQueue {
-            state: std::sync::Mutex::new(QueueState {
+            state: Mutex::new(QueueState {
                 tasks: tasks.collect(),
                 pending: num_tasks,
                 closed: num_tasks == 0,
             }),
-            ready: std::sync::Condvar::new(),
+            ready: Condvar::new(),
         }
     }
 
     /// Poisoning is absorbed: every update under this lock is one push,
     /// pop, count or flag store, so a panicking holder leaves it valid.
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The next task, blocking while the queue is empty and open; `None`
@@ -391,7 +396,7 @@ impl TaskQueue {
         let mut state = self
             .ready
             .wait_while(self.lock(), |s| s.tasks.is_empty() && !s.closed)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         state.tasks.pop_front()
     }
 
@@ -917,7 +922,7 @@ where
                             }
                         }
                     }
-                    *slot.lock() = out;
+                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = out;
                 }));
                 if let Err(payload) = result {
                     state.fail(DataflowError::WorkerPanicked {
@@ -928,12 +933,16 @@ where
             });
         }
     });
-    if let Some(err) = state.first_error.into_inner() {
+    if let Some(err) = state
+        .first_error
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
         return Err(err);
     }
     let mut out = Vec::with_capacity(items.len());
     for slot in results {
-        out.extend(slot.into_inner());
+        out.extend(slot.into_inner().unwrap_or_else(PoisonError::into_inner));
     }
     Ok(out)
 }

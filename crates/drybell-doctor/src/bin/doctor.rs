@@ -4,11 +4,10 @@
 //! doctor summarize --journal run.jsonl [--metrics m.json] [--lf-report r.json] [--json]
 //! doctor baseline  --journal run.jsonl [--out results/BASELINE_run.json]
 //! doctor check     --baseline results/BASELINE_run.json --journal run.jsonl [--json]
-//! doctor bench     --file results/BENCH_obs_overhead.json [--json]
 //! doctor live      127.0.0.1:9800 [--baseline results/BASELINE_run.json]
 //! ```
 //!
-//! Exit codes: `0` clean, `1` drift detected (`check` only), `2` usage
+//! Exit codes: `0` clean, `1` drift detected (`check`, `live`), `2` usage
 //! or I/O error. Budgets come from `--config <doctor.toml>`, else
 //! `./doctor.toml` when present, else the built-in defaults.
 
@@ -21,7 +20,7 @@
 #![cfg_attr(not(test), warn(clippy::allow_attributes))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
-use drybell_doctor::{BenchReport, DoctorConfig, DriftReport, RunSummary};
+use drybell_doctor::{DoctorConfig, DriftReport, RunSummary};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -32,13 +31,11 @@ USAGE:
     doctor summarize (--journal <p> | --summary <p>) [options]
     doctor baseline  (--journal <p> | --summary <p>) [--out <p>] [options]
     doctor check     --baseline <p> (--journal <p> | --summary <p>) [options]
-    doctor bench     --file <p> [--config <p>] [--json]
     doctor live      <addr> [--baseline <p>] [--config <p>] [--json]
 
-INPUT (exactly one of; `bench` instead takes --file, `live` an address):
+INPUT (exactly one of; `live` instead takes an address):
     --journal <path>     drybell-obs JSONL journal to summarize
     --summary <path>     a previously written RunSummary JSON document
-    --file <path>        a results/BENCH_*.json document to budget-gate
     <addr>               a --live snapshot endpoint, e.g. 127.0.0.1:9800
 
 OPTIONS:
@@ -51,7 +48,7 @@ OPTIONS:
     --help               this text
 
 EXIT CODES:
-    0  clean    1  drift / over budget (check, bench)    2  usage / I/O error
+    0  clean    1  drift (check, live)    2  usage / I/O error
 ";
 
 struct Cli {
@@ -63,7 +60,6 @@ struct Cli {
     baseline: Option<PathBuf>,
     config: Option<PathBuf>,
     out: Option<PathBuf>,
-    file: Option<PathBuf>,
     addr: Option<String>,
     json: bool,
 }
@@ -77,7 +73,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     };
     if !matches!(
         command.as_str(),
-        "summarize" | "baseline" | "check" | "bench" | "live"
+        "summarize" | "baseline" | "check" | "live"
     ) {
         return Err(format!("unknown subcommand {command:?}"));
     }
@@ -90,7 +86,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         baseline: None,
         config: None,
         out: None,
-        file: None,
         addr: None,
         json: false,
     };
@@ -111,7 +106,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--baseline" => path_arg(&mut cli.baseline)?,
             "--config" => path_arg(&mut cli.config)?,
             "--out" => path_arg(&mut cli.out)?,
-            "--file" => path_arg(&mut cli.file)?,
             "--json" => cli.json = true,
             "--help" | "-h" => return Err(String::new()),
             other if cli.command == "live" && !other.starts_with('-') => {
@@ -127,22 +121,10 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         if cli.addr.is_none() {
             return Err("live needs an <addr> like 127.0.0.1:9800".to_string());
         }
-        if cli.journal.is_some() || cli.summary.is_some() || cli.file.is_some() {
-            return Err("live takes an <addr>, not --journal/--summary/--file".to_string());
-        }
-        return Ok(cli);
-    }
-    if cli.command == "bench" {
-        if cli.file.is_none() {
-            return Err("bench needs --file <path>".to_string());
-        }
         if cli.journal.is_some() || cli.summary.is_some() {
-            return Err("bench takes --file, not --journal/--summary".to_string());
+            return Err("live takes an <addr>, not --journal/--summary".to_string());
         }
         return Ok(cli);
-    }
-    if cli.file.is_some() {
-        return Err("--file is only for the bench subcommand".to_string());
     }
     match (&cli.journal, &cli.summary) {
         (None, None) => return Err("need --journal or --summary".to_string()),
@@ -262,21 +244,6 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
             print!("{}", report.to_table());
         }
         return Ok(if report.has_drift() {
-            ExitCode::from(1)
-        } else {
-            ExitCode::SUCCESS
-        });
-    }
-    if cli.command == "bench" {
-        let path = cli.file.as_ref().ok_or("bench needs --file <path>")?;
-        let report = BenchReport::gate(&load_json(path)?, &load_config(cli)?)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        if cli.json {
-            println!("{}", report.to_json().to_pretty());
-        } else {
-            print!("{}", report.to_table());
-        }
-        return Ok(if report.has_violation() {
             ExitCode::from(1)
         } else {
             ExitCode::SUCCESS

@@ -50,10 +50,6 @@ const DEFAULT_BUDGETS: &[(&str, f64)] = &[
     // Latency distributions stay informational.
     ("psi.score_dist", 0.25),
     ("psi.latency", -1.0),
-    // Telemetry self-cost ceilings (`doctor bench` over
-    // BENCH_obs_overhead.json): absolute percentages, not deltas.
-    ("obs.train_overhead_pct", 10.0),
-    ("obs.lf_overhead_pct", 5.0),
     // Any NaN score out of a shadowed model is drift by definition.
     ("serving.invalid_scores_abs", 0.0),
 ];
@@ -207,10 +203,10 @@ mod tests {
             "spaced key = 1\n",
             // NaN reads as no budget and infinity as one nothing
             // exceeds: either turns a gate off without saying so.
-            "[obs]\ntrain_overhead_pct = nan\n",
-            "[obs]\ntrain_overhead_pct = inf\n",
+            "[scalar]\nfinal_nll_rel = nan\n",
+            "[scalar]\nfinal_nll_rel = inf\n",
             // A misspelt key must not be dropped in silence.
-            "[obs]\ntrain_overhead_pc = 2\n",
+            "[scalar]\nfinal_nll_re = 2\n",
         ] {
             assert!(
                 DoctorConfig::from_toml_str(bad).is_err(),

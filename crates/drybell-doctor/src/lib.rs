@@ -46,14 +46,12 @@
 #![cfg_attr(not(test), warn(clippy::allow_attributes))]
 #![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
-pub mod bench;
 pub mod config;
 pub mod drift;
 pub mod monitor;
 pub mod psi;
 pub mod summary;
 
-pub use bench::{BenchReport, BenchVerdict};
 pub use config::DoctorConfig;
 pub use drift::{BudgetKind, DriftReport, Status, Verdict};
 pub use monitor::{StreamMonitor, WindowFolder, WindowVerdict};

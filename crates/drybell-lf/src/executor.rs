@@ -315,20 +315,25 @@ fn row_of<X>(
                 };
             }
         }
+        // One clock read per LF boundary: an evaluation ends where the
+        // next one starts, so its latency also carries the recording of
+        // the one before it. A read costs about what a cheap LF does.
         Some(obs) => {
             obs.begin_row();
+            let mut last = Instant::now();
             for (i, (lf, vote)) in lfs.iter().zip(votes).enumerate() {
                 if degraded && lf.needs_nlp() {
                     obs.degraded(i);
                     *vote = 0;
                     continue;
                 }
-                let started = Instant::now();
                 *vote = lf
                     .vote_in(x, annotation, words)
                     .map_err(|e| DataflowError::user(e.to_string()))?
                     .as_i8();
-                obs.eval(i, started.elapsed(), *vote != 0);
+                let now = Instant::now();
+                obs.eval(i, now - last, *vote != 0);
+                last = now;
             }
         }
     }

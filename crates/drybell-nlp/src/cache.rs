@@ -10,8 +10,8 @@
 
 use crate::server::{NlpError, NlpResult, NlpServer};
 use drybell_obs::{fnv1a64, MetricsRegistry};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Cumulative cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,7 +97,7 @@ impl CachedNlpServer {
     /// FNV-1a collisions can be constructed, so the entry under the text's
     /// key must also carry the text.
     fn lookup(&self, key: u64, text: &str) -> Option<NlpResult> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resident = state.map.get(&key);
         let hit = resident.filter(|r| r.tokens.text() == text).cloned();
         match hit {
@@ -138,7 +138,7 @@ impl CachedNlpServer {
 
     /// Insert a freshly computed result, enforcing the capacity bound.
     fn insert_result(&self, key: u64, result: &NlpResult) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.map.contains_key(&key) {
             // Another worker missed on the same key and inserted while we
             // were computing (or a different text owns the key). Keep the
@@ -164,7 +164,10 @@ impl CachedNlpServer {
 
     /// Snapshot of cache statistics.
     pub fn stats(&self) -> CacheStats {
-        self.state.lock().stats
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats
     }
 
     /// Publish the current [`CacheStats`] into `metrics` as the gauges
@@ -176,7 +179,7 @@ impl CachedNlpServer {
     /// double-counts.
     pub fn export_to(&self, metrics: &MetricsRegistry) {
         let (stats, size) = {
-            let state = self.state.lock();
+            let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             (state.stats, state.map.len())
         };
         metrics.gauge("nlp_cache/hits").set(stats.hits as i64);

@@ -266,7 +266,7 @@ impl SloGauges {
 /// per batch** (never per request) to fold that batch's latency/error
 /// pairs, refresh the burn gauges, and catch the breach edge.
 struct SloInstruments {
-    tracker: parking_lot::Mutex<SloTracker>,
+    tracker: Mutex<SloTracker>,
     fast: SloGauges,
     slow: SloGauges,
 }
@@ -274,7 +274,7 @@ struct SloInstruments {
 impl SloInstruments {
     fn interned(metrics: &drybell_obs::MetricsRegistry, cfg: SloConfig) -> SloInstruments {
         SloInstruments {
-            tracker: parking_lot::Mutex::new(SloTracker::new(cfg)),
+            tracker: Mutex::new(SloTracker::new(cfg)),
             fast: SloGauges::interned(metrics, "fast"),
             slow: SloGauges::interned(metrics, "slow"),
         }
@@ -287,7 +287,7 @@ impl SloInstruments {
     fn observe_batch(&self, samples: &[(u64, bool)], telemetry: &drybell_obs::Telemetry) {
         let mut breaches = Vec::new();
         {
-            let mut tracker = self.tracker.lock();
+            let mut tracker = self.tracker.lock().unwrap_or_else(PoisonError::into_inner);
             for &(latency_us, error) in samples {
                 breaches.extend(tracker.observe(latency_us, error));
             }
@@ -360,7 +360,7 @@ impl Shared {
 /// model under live traffic with zero scoring-path locks.
 pub struct Frontend {
     shared: Arc<Shared>,
-    workers: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Frontend {
@@ -437,7 +437,7 @@ impl Frontend {
         }
         Frontend {
             shared,
-            workers: parking_lot::Mutex::new(handles),
+            workers: Mutex::new(handles),
         }
     }
 
@@ -496,7 +496,12 @@ impl Frontend {
     pub fn shutdown(&self) {
         self.shared.lock_admission().open = false;
         self.shared.ready.notify_all();
-        let handles: Vec<std::thread::JoinHandle<()>> = self.workers.lock().drain(..).collect();
+        let handles: Vec<std::thread::JoinHandle<()>> = self
+            .workers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+            .collect();
         for h in handles {
             #[expect(
                 clippy::let_underscore_must_use,

@@ -43,12 +43,11 @@ pub use slo::{SloBreach, SloConfig, SloTracker, WindowStats};
 use drybell_features::{FeatureSpaceId, SpaceRegistry, SparseVector};
 use drybell_ml::{LogisticRegression, MlError, Mlp, MlpScratch, WeightCache};
 use drybell_obs::Json;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Component, Path};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors from staging, promoting, or scoring models.
 #[derive(Debug)]
@@ -423,7 +422,7 @@ impl ServingRegistry {
     /// Stage a model for serving (validation included).
     pub fn stage(&self, spec: ModelSpec) -> Result<(), ServingError> {
         self.validate(&spec)?;
-        let mut models = self.models.lock();
+        let mut models = lock(&self.models);
         let versions = models.entry(spec.name.clone()).or_default();
         if versions.iter().any(|(s, _)| s.version == spec.version) {
             return Err(ServingError::DuplicateVersion {
@@ -442,9 +441,9 @@ impl ServingRegistry {
     pub fn promote(&self, name: &str, version: u32) -> Result<(), ServingError> {
         // `cells` before `models` — the workspace-wide lock order for
         // this pair (see the `cells` field doc).
-        let cells = self.cells.lock();
+        let cells = lock(&self.cells);
         let promoted = {
-            let mut models = self.models.lock();
+            let mut models = lock(&self.models);
             let versions = models
                 .get_mut(name)
                 .ok_or_else(|| ServingError::UnknownModel(name.to_owned()))?;
@@ -476,7 +475,7 @@ impl ServingRegistry {
     /// so front-ends holding it observe promotions without polling the
     /// registry.
     pub fn epoch_cell(&self, name: &str) -> Result<Arc<EpochCell>, ServingError> {
-        let mut cells = self.cells.lock();
+        let mut cells = lock(&self.cells);
         if let Some(cell) = cells.get(name) {
             return Ok(Arc::clone(cell));
         }
@@ -531,7 +530,7 @@ impl ServingRegistry {
         // One lock acquisition so both specs come from the same snapshot,
         // released before either model runs.
         let (serving_spec, candidate_spec) = {
-            let models = self.models.lock();
+            let models = lock(&self.models);
             (
                 find_serving(&models, name)?,
                 find_version(&models, name, candidate_version)?,
@@ -547,7 +546,7 @@ impl ServingRegistry {
     /// The serving `Arc<ModelSpec>` for `name`: the lock is held only
     /// long enough to clone the handle.
     pub(crate) fn resolve_serving(&self, name: &str) -> Result<Arc<ModelSpec>, ServingError> {
-        find_serving(&self.models.lock(), name)
+        find_serving(&lock(&self.models), name)
     }
 
     /// The `Arc<ModelSpec>` for a specific registered version (any stage).
@@ -556,7 +555,7 @@ impl ServingRegistry {
         name: &str,
         version: u32,
     ) -> Result<Arc<ModelSpec>, ServingError> {
-        find_version(&self.models.lock(), name, version)
+        find_version(&lock(&self.models), name, version)
     }
 
     /// Score one example with the serving version of `name`.
@@ -582,7 +581,7 @@ impl ServingRegistry {
     pub fn export_to_dir(&self, dir: &Path) -> Result<(), ServingError> {
         let io = |e: std::io::Error| ServingError::Io(e.to_string());
         std::fs::create_dir_all(dir).map_err(io)?;
-        let models = self.models.lock();
+        let models = lock(&self.models);
         let mut manifest: Vec<ManifestEntry> = Vec::new();
         #[expect(
             clippy::iter_over_hash_type,
@@ -634,7 +633,7 @@ impl ServingRegistry {
         };
         let registry = ServingRegistry::new(spaces, budget_us);
         {
-            let mut models = registry.models.lock();
+            let mut models = lock(&registry.models);
             for entry in manifest {
                 let file = entry.file.as_str();
                 // One plain name, so `dir.join` cannot leave `dir`: no root,
@@ -689,6 +688,11 @@ fn bad_export(file: &str, reason: String) -> ServingError {
         file: file.to_owned(),
         reason,
     }
+}
+
+/// Lock `mutex`, recovering the guard if an earlier holder panicked.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The registry's one lookup: the first version of `name` in the locked
@@ -795,14 +799,14 @@ impl EpochCell {
     /// reader that reads both under the same lock can never observe a
     /// torn (epoch, spec) pairing.
     fn publish(&self, spec: Arc<ModelSpec>) {
-        let mut slot = self.slot.lock();
+        let mut slot = lock(&self.slot);
         *slot = spec;
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Pin the currently-published spec for lock-free scoring.
     pub fn pin(&self) -> PinnedSpec {
-        let slot = self.slot.lock();
+        let slot = lock(&self.slot);
         PinnedSpec {
             epoch: self.epoch.load(Ordering::Acquire),
             spec: Arc::clone(&slot),
@@ -843,7 +847,7 @@ impl PinnedSpec {
         if cell.epoch.load(Ordering::Acquire) == self.epoch {
             return false;
         }
-        let slot = cell.slot.lock();
+        let slot = lock(&cell.slot);
         self.spec = Arc::clone(&slot);
         self.epoch = cell.epoch.load(Ordering::Acquire);
         true
