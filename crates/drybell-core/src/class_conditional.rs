@@ -108,13 +108,6 @@ impl ClassConditionalModel {
         &self.theta
     }
 
-    /// Set logits directly (tests). Length must be `num_lfs * 4`.
-    pub fn set_theta(&mut self, theta: Vec<f64>, eta: f64) {
-        assert_eq!(theta.len(), self.num_lfs * 4);
-        self.theta = theta;
-        self.eta = eta;
-    }
-
     /// The learned conditional vote table of LF `j`:
     /// `[ [P(+1|+1), P(−1|+1), P(0|+1)], [P(+1|−1), P(−1|−1), P(0|−1)] ]`.
     pub fn confusion(&self, j: usize) -> [[f64; 3]; 2] {
@@ -303,6 +296,15 @@ mod tests {
         total / m.num_examples() as f64
     }
 
+    /// A model of `lfs` LFs with its logits and prior set directly.
+    fn with_theta(lfs: usize, theta: Vec<f64>, eta: f64) -> ClassConditionalModel {
+        let mut model = ClassConditionalModel::new(lfs);
+        assert_eq!(theta.len(), lfs * 4);
+        model.theta = theta;
+        model.eta = eta;
+        model
+    }
+
     fn random_matrix(examples: usize, lfs: usize, seed: u64) -> LabelMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut data = Vec::with_capacity(examples * lfs);
@@ -315,10 +317,9 @@ mod tests {
     #[test]
     fn nll_matches_brute_force() {
         let m = random_matrix(30, 4, 1);
-        let mut model = ClassConditionalModel::new(4);
         let mut rng = StdRng::seed_from_u64(2);
         let theta: Vec<f64> = (0..16).map(|_| rng.gen_range(-1.0..1.5)).collect();
-        model.set_theta(theta, 0.4);
+        let model = with_theta(4, theta, 0.4);
         let fast = model.nll(&m).unwrap();
         let slow = brute_force_nll(&m, &model, sigmoid(0.4));
         assert!((fast - slow).abs() < 1e-10, "{fast} vs {slow}");
@@ -327,10 +328,9 @@ mod tests {
     #[test]
     fn gradient_matches_finite_differences() {
         let m = random_matrix(20, 3, 3);
-        let mut model = ClassConditionalModel::new(3);
         let mut rng = StdRng::seed_from_u64(4);
         let theta: Vec<f64> = (0..12).map(|_| rng.gen_range(-0.8..0.8)).collect();
-        model.set_theta(theta.clone(), 0.0);
+        let model = with_theta(3, theta.clone(), 0.0);
         let l2 = 0.01;
         let grad = model.full_gradient(&m, l2);
         let h = 1e-6;
@@ -340,10 +340,8 @@ mod tests {
             let mut down = theta.clone();
             down[k] -= h;
             let f = |t: Vec<f64>| {
-                let mut mm = ClassConditionalModel::new(3);
-                mm.set_theta(t.clone(), 0.0);
                 let l2_term: f64 = t.iter().map(|p| 0.5 * l2 * p * p).sum();
-                mm.nll(&m).unwrap() + l2_term
+                with_theta(3, t, 0.0).nll(&m).unwrap() + l2_term
             };
             let fd = (f(up) - f(down)) / (2.0 * h);
             assert!(
@@ -503,9 +501,8 @@ mod tests {
 
     #[test]
     fn confusion_rows_are_distributions() {
-        let mut model = ClassConditionalModel::new(2);
         let mut rng = StdRng::seed_from_u64(11);
-        model.set_theta((0..8).map(|_| rng.gen_range(-2.0..2.0)).collect(), 0.3);
+        let model = with_theta(2, (0..8).map(|_| rng.gen_range(-2.0..2.0)).collect(), 0.3);
         for j in 0..2 {
             for row in model.confusion(j) {
                 let sum: f64 = row.iter().sum();

@@ -680,7 +680,7 @@ impl GenerativeModel {
     }
 
     /// [`GenerativeModel::full_gradient`] with the row layout forced and
-    /// a worker count. Exposed so the equivalence proptest can assert
+    /// a worker count. Exposed so the equivalence property test can assert
     /// both layouts produce bit-identical gradients.
     pub fn full_gradient_path(
         &self,

@@ -15,7 +15,7 @@
 )]
 
 use crate::error::CoreError;
-use crate::vote::{Label, Vote};
+use crate::vote::Label;
 
 /// A dense `m × n` matrix of binary LF votes (`m` examples, `n` LFs).
 #[derive(Debug, Clone, PartialEq)]
@@ -59,18 +59,6 @@ impl LabelMatrix {
         }
         check_votes(&data)?;
         Ok(LabelMatrix { data, num_lfs })
-    }
-
-    /// Append one example's votes.
-    pub fn push_row(&mut self, votes: &[Vote]) -> Result<(), CoreError> {
-        if votes.len() != self.num_lfs {
-            return Err(CoreError::RowArity {
-                expected: self.num_lfs,
-                got: votes.len(),
-            });
-        }
-        self.data.extend(votes.iter().map(|v| v.as_i8()));
-        Ok(())
     }
 
     /// Append one example's votes already encoded as `i8`.
@@ -127,13 +115,18 @@ impl LabelMatrix {
     }
 
     /// Project the matrix onto a subset of LF columns (for ablations such as
-    /// Table 3's "servable LFs only"). `keep[j]` selects column `j`.
+    /// Table 3's "servable LFs only"). `keep[j]` selects column `j`; keeping
+    /// none is [`CoreError::ZeroLabelingFunctions`], as in
+    /// [`LabelMatrix::from_raw`]: a matrix of no columns has no rows.
     pub fn select_columns(&self, keep: &[bool]) -> Result<LabelMatrix, CoreError> {
         if keep.len() != self.num_lfs {
             return Err(CoreError::LengthMismatch {
                 left: keep.len(),
                 right: self.num_lfs,
             });
+        }
+        if !keep.contains(&true) {
+            return Err(CoreError::ZeroLabelingFunctions);
         }
         let kept: Vec<usize> = keep
             .iter()
@@ -147,18 +140,6 @@ impl LabelMatrix {
             }
         }
         Ok(out)
-    }
-
-    /// Concatenate another matrix's rows below this one's.
-    pub fn extend_rows(&mut self, other: &LabelMatrix) -> Result<(), CoreError> {
-        if other.num_lfs != self.num_lfs {
-            return Err(CoreError::RowArity {
-                expected: self.num_lfs,
-                got: other.num_lfs,
-            });
-        }
-        self.data.extend_from_slice(&other.data);
-        Ok(())
     }
 
     /// Fraction of examples on which LF `j` does not abstain.
@@ -293,7 +274,7 @@ fn check_votes(votes: &[i8]) -> Result<(), CoreError> {
 /// cells entirely. Because the per-row entries preserve column order,
 /// accumulating over them adds the same non-abstain terms in the same
 /// order as the dense kernel, whose abstain cells add `+0.0` — the two
-/// paths are bit-identical, which a proptest asserts.
+/// paths are bit-identical, which a property test asserts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActiveRows {
     /// `offsets[i]..offsets[i+1]` bounds row `i`'s slice of `entries`.
@@ -357,8 +338,8 @@ mod tests {
     #[test]
     fn push_row_checks_arity() {
         let mut m = LabelMatrix::new(2);
-        assert!(m.push_row(&[Vote::Positive, Vote::Abstain]).is_ok());
-        let err = m.push_row(&[Vote::Positive]).unwrap_err();
+        assert!(m.push_raw_row(&[1, 0]).is_ok());
+        let err = m.push_raw_row(&[1]).unwrap_err();
         assert_eq!(
             err,
             CoreError::RowArity {
@@ -463,16 +444,9 @@ mod tests {
         assert_eq!(sub.row(0), &[1, 0]);
         assert_eq!(sub.row(3), &[-1, -1]);
         assert!(m.select_columns(&[true]).is_err());
-    }
-
-    #[test]
-    fn extend_rows_concatenates() {
-        let mut a = sample();
-        let b = sample();
-        a.extend_rows(&b).unwrap();
-        assert_eq!(a.num_examples(), 8);
-        assert_eq!(a.row(4), b.row(0));
-        let mut c = LabelMatrix::new(2);
-        assert!(c.extend_rows(&b).is_err());
+        assert_eq!(
+            m.select_columns(&[false; 3]),
+            Err(CoreError::ZeroLabelingFunctions)
+        );
     }
 }

@@ -41,12 +41,6 @@ impl Vote {
         }
     }
 
-    /// `true` unless the vote is [`Vote::Abstain`].
-    #[inline]
-    pub fn is_active(self) -> bool {
-        !matches!(self, Vote::Abstain)
-    }
-
     /// Flip positive to negative and vice versa; abstain is unchanged.
     #[inline]
     pub fn flipped(self) -> Vote {
@@ -108,15 +102,6 @@ impl Label {
         }
     }
 
-    /// The vote an oracle LF would emit.
-    #[inline]
-    pub fn as_vote(self) -> Vote {
-        match self {
-            Label::Positive => Vote::Positive,
-            Label::Negative => Vote::Negative,
-        }
-    }
-
     /// Threshold a probability of the positive class at `0.5`.
     #[inline]
     pub fn from_prob(p: f64) -> Label {
@@ -151,19 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn activity_matches_abstain() {
-        assert!(Vote::Positive.is_active());
-        assert!(Vote::Negative.is_active());
-        assert!(!Vote::Abstain.is_active());
-    }
-
-    #[test]
     fn label_encodings_agree() {
         assert_eq!(Label::Positive.as_f64(), 1.0);
         assert_eq!(Label::Negative.as_f64(), -1.0);
         assert_eq!(Label::from_prob(0.7), Label::Positive);
         assert_eq!(Label::from_prob(0.2), Label::Negative);
-        assert_eq!(Label::Positive.as_vote(), Vote::Positive);
-        assert_eq!(Label::Negative.as_vote().as_i8(), -1);
     }
 }

@@ -11,7 +11,6 @@
 
 use drybell_core::optim::Optimizer;
 use drybell_core::{logsumexp2, sigmoid, CoreError, GenerativeModel, LabelMatrix, TrainConfig};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -258,53 +257,50 @@ fn a_diverging_fit_fails_at_the_same_step_on_either_layout() {
     }
 }
 
-/// The LF counts the layout proptest draws from: below, at and above the
+/// The LF counts the layout property runs at: below, at and above the
 /// kernels' vector and block widths, and the events task's 140.
 const WIDTHS: [usize; 5] = [1, 3, 5, 8, 140];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The active-index (sparse) gradient path adds the same non-abstain
-    /// terms in the same order as the dense kernel, whose abstain cells
-    /// add `+0.0`, so the two must agree bit-for-bit — on any matrix,
-    /// dense or abstention-heavy, at any width and thread count, and with
-    /// every remainder of the dense kernel's 4-row block (0 to 9 rows).
-    #[test]
-    fn prop_active_and_dense_gradients_are_bitwise_equal(
-        width in 0usize..WIDTHS.len(),
-        num_rows in 0usize..=9,
-        cells in proptest::collection::vec(-1i8..=1, 9 * 140),
-        alphas in proptest::collection::vec(-1.5..1.5f64, 140),
-        betas in proptest::collection::vec(-1.5..1.5f64, 140),
-        eta in -1.0..1.0f64,
-        l2 in 0.0..0.1f64,
-    ) {
-        let width = WIDTHS[width];
-        let m = LabelMatrix::from_raw(width, cells[..width * num_rows].to_vec()).unwrap();
+/// The active-index (sparse) gradient path adds the same non-abstain
+/// terms in the same order as the dense kernel, whose abstain cells add
+/// `+0.0`, so the two must agree bit-for-bit — on any matrix, dense or
+/// abstention-heavy, at any width and thread count, and with every
+/// remainder of the dense kernel's 4-row block (0 to 9 rows). Each of the
+/// 50 (width, rows) pairs runs on one seeded matrix and parameter set.
+#[test]
+fn prop_active_and_dense_gradients_are_bitwise_equal() {
+    let mut rng = StdRng::seed_from_u64(48);
+    for (width, num_rows) in WIDTHS.iter().flat_map(|&w| (0..=9).map(move |r| (w, r))) {
+        let cells = (0..width * num_rows)
+            .map(|_| rng.gen_range(-1i8..=1))
+            .collect();
+        let m = LabelMatrix::from_raw(width, cells).unwrap();
+        let alphas = (0..width).map(|_| rng.gen_range(-1.5..1.5)).collect();
+        let betas = (0..width).map(|_| rng.gen_range(-1.5..1.5)).collect();
         let mut model = GenerativeModel::new(width, 0.7);
-        model.set_params(alphas[..width].to_vec(), betas[..width].to_vec(), eta);
+        model.set_params(alphas, betas, rng.gen_range(-1.0..1.0));
+        let l2 = rng.gen_range(0.0..0.1);
         if num_rows == 0 {
             for use_active_index in [false, true] {
-                prop_assert_eq!(
+                assert_eq!(
                     model.full_gradient_path(&m, l2, use_active_index, 1),
                     Err(CoreError::EmptyMatrix)
                 );
             }
-            prop_assert_eq!(model.nll(&m), Err(CoreError::EmptyMatrix));
-            prop_assert!(model.predict_proba(&m).is_empty());
-            return Ok(());
+            assert_eq!(model.nll(&m), Err(CoreError::EmptyMatrix));
+            assert!(model.predict_proba(&m).is_empty());
+            continue;
         }
 
         let dense = model.full_gradient_path(&m, l2, false, 1).unwrap();
         let active = model.full_gradient_path(&m, l2, true, 1).unwrap();
-        prop_assert_eq!(bits(&dense), bits(&active));
+        assert_eq!(bits(&dense), bits(&active));
 
         // And both paths are thread-count invariant.
         let dense4 = model.full_gradient_path(&m, l2, false, 4).unwrap();
         let active4 = model.full_gradient_path(&m, l2, true, 4).unwrap();
-        prop_assert_eq!(bits(&dense), bits(&dense4));
-        prop_assert_eq!(bits(&active), bits(&active4));
+        assert_eq!(bits(&dense), bits(&dense4));
+        assert_eq!(bits(&active), bits(&active4));
 
         assert_scores_match_reference(&model, &m);
     }

@@ -21,7 +21,7 @@ use std::fmt;
 pub enum CodecError {
     /// The buffer ended before the value was complete.
     UnexpectedEof,
-    /// A varint ran past 10 bytes (not a valid u64).
+    /// A varint ran past 64 bits (not a valid u64).
     VarintOverflow,
     /// The frame checksum did not match the payload.
     ChecksumMismatch {
@@ -53,7 +53,7 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::UnexpectedEof => write!(f, "unexpected end of buffer"),
-            CodecError::VarintOverflow => write!(f, "varint longer than 10 bytes"),
+            CodecError::VarintOverflow => write!(f, "varint overflows u64"),
             CodecError::ChecksumMismatch { expected, actual } => {
                 write!(
                     f,
@@ -173,7 +173,8 @@ pub fn get_varint(buf: &mut &[u8]) -> Result<u64, CodecError> {
         let Some((&byte, tail)) = buf.split_first() else {
             return Err(CodecError::UnexpectedEof);
         };
-        if shift >= 64 {
+        // The tenth byte holds bit 63 alone: more than that is past u64.
+        if shift == 63 && byte > 1 {
             return Err(CodecError::VarintOverflow);
         }
         *buf = tail;
@@ -388,9 +389,10 @@ pub fn decode_record<R: Record>(mut buf: &[u8]) -> Result<R, CodecError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn footer_roundtrips() {
@@ -448,9 +450,19 @@ mod tests {
 
     #[test]
     fn varint_overflow_detected() {
-        let buf = [0xFFu8; 11];
-        let mut s = buf.as_slice();
-        assert_eq!(get_varint(&mut s), Err(CodecError::VarintOverflow));
+        // Eleven bytes, and ten whose last one carries bits past 63:
+        // 2^64 and 2^64 + 2^63 - 1 must not wrap to 0 and 2^63 - 1.
+        let mut two_to_64 = [0x80u8; 10];
+        two_to_64[9] = 0x02;
+        let mut past_max = [0xFFu8; 10];
+        past_max[9] = 0x02;
+        for buf in [&[0xFFu8; 11][..], &two_to_64, &past_max] {
+            let mut s = buf;
+            assert_eq!(get_varint(&mut s), Err(CodecError::VarintOverflow));
+        }
+        let mut max = [0xFFu8; 10];
+        max[9] = 0x01;
+        assert_eq!(get_varint(&mut max.as_slice()), Ok(u64::MAX));
     }
 
     #[test]
@@ -521,60 +533,125 @@ mod tests {
         assert_eq!(get_string(&mut s), Err(CodecError::InvalidUtf8));
     }
 
-    proptest! {
-        #[test]
-        fn prop_varint_roundtrip(v in any::<u64>()) {
+    /// Every length boundary of a varint (`2^7k - 1`, `2^7k`, `2^7k + 1`),
+    /// the ends of `u64`, then `seeded` draws.
+    fn varints(seeded: usize) -> Vec<u64> {
+        let mut values = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for k in 1..=9 {
+            let edge = 1u64 << (7 * k);
+            values.extend([edge - 1, edge, edge + 1]);
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        values.extend((0..seeded).map(|_| rng.gen::<u64>()));
+        values
+    }
+
+    /// A string of at most `max` characters drawn the way a `.` pattern
+    /// is: mostly printable ASCII, with control and multi-byte characters
+    /// mixed in so byte-level code sees them.
+    pub(crate) fn any_text(rng: &mut StdRng, max: usize) -> String {
+        const WIDE: [char; 8] = ['é', 'ß', 'Ω', '雪', 'д', '☃', '😀', char::MAX];
+        let len = rng.gen_range(0..=max);
+        (0..len)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => char::from(rng.gen_range(0..0x20u8)),
+                1 | 2 => WIDE[rng.gen_range(0..WIDE.len())],
+                _ => char::from(rng.gen_range(0x20..0x7Fu8)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prop_varint_roundtrip() {
+        for v in varints(64) {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             let mut s = buf.as_slice();
-            prop_assert_eq!(get_varint(&mut s).unwrap(), v);
-            prop_assert!(s.is_empty());
+            assert_eq!(get_varint(&mut s), Ok(v));
+            assert!(s.is_empty());
         }
+    }
 
-        #[test]
-        fn prop_zigzag_roundtrip(v in any::<i64>()) {
+    #[test]
+    fn prop_zigzag_roundtrip() {
+        // Each signed value whose ZigZag code is a varint boundary, which
+        // includes `i64::MIN` and `i64::MAX`.
+        for raw in varints(64) {
+            let v = ((raw >> 1) as i64) ^ -((raw & 1) as i64);
             let mut buf = Vec::new();
             put_varint_i64(&mut buf, v);
-            let mut s = buf.as_slice();
-            prop_assert_eq!(get_varint_i64(&mut s).unwrap(), v);
+            assert_eq!(get_varint(&mut buf.as_slice()), Ok(raw));
+            assert_eq!(get_varint_i64(&mut buf.as_slice()), Ok(v));
         }
+    }
 
-        #[test]
-        fn prop_string_roundtrip(s in ".*") {
+    #[test]
+    fn prop_string_roundtrip() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..64 {
+            let text = any_text(&mut rng, 32);
             let mut buf = Vec::new();
-            put_string(&mut buf, &s);
+            put_string(&mut buf, &text);
             let mut r = buf.as_slice();
-            prop_assert_eq!(get_string(&mut r).unwrap(), s);
+            assert_eq!(get_string(&mut r), Ok(text));
         }
+    }
 
-        #[test]
-        fn prop_tuple_record_roundtrip(a in any::<u64>(), b in ".*", c in any::<f64>()) {
+    #[test]
+    fn prop_tuple_record_roundtrip() {
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        let mut rng = StdRng::seed_from_u64(3);
+        for case in 0..64 {
+            let a = rng.gen::<u64>();
+            let b = any_text(&mut rng, 32);
+            // The special values, then a sign and mantissa over 2^-64..2^64.
+            let c = special.get(case).copied().unwrap_or_else(|| {
+                let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+                sign * rng.gen::<f64>() * f64::from(rng.gen_range(-64..=64)).exp2()
+            });
             let rec = (a, (b.clone(), c));
-            let buf = encode_record(&rec);
-            let back: (u64, (String, f64)) = decode_record(&buf).unwrap();
-            prop_assert_eq!(back.0, a);
-            prop_assert_eq!(back.1.0, b);
-            prop_assert!(back.1.1 == c || (back.1.1.is_nan() && c.is_nan()));
+            let (a_back, (b_back, c_back)): (u64, (String, f64)) =
+                decode_record(&encode_record(&rec)).unwrap();
+            assert_eq!((a_back, b_back), (a, b));
+            assert_eq!(c_back.to_bits(), c.to_bits());
         }
+    }
 
-        #[test]
-        fn prop_vec_record_roundtrip(xs in proptest::collection::vec(any::<i64>(), 0..50)) {
-            let buf = encode_record(&xs);
-            let back: Vec<i64> = decode_record(&buf).unwrap();
-            prop_assert_eq!(back, xs);
+    #[test]
+    fn prop_vec_record_roundtrip() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..64 {
+            let xs: Vec<i64> = (0..rng.gen_range(0..50)).map(|_| rng.gen()).collect();
+            let back: Vec<i64> = decode_record(&encode_record(&xs)).unwrap();
+            assert_eq!(back, xs);
         }
+    }
 
-        #[test]
-        fn prop_frame_roundtrip(payload in proptest::collection::vec(any::<u8>(), 0..200)) {
+    #[test]
+    fn prop_frame_roundtrip() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..64 {
+            let payload: Vec<u8> = (0..rng.gen_range(0..200)).map(|_| rng.gen()).collect();
             let mut out = Vec::new();
             put_frame(&mut out, &payload);
             let mut s = out.as_slice();
-            prop_assert_eq!(get_frame(&mut s).unwrap(), payload.as_slice());
+            assert_eq!(get_frame(&mut s), Ok(payload.as_slice()));
         }
+    }
 
-        #[test]
-        fn prop_random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..100)) {
-            // Decoding arbitrary garbage must error, never panic.
+    #[test]
+    fn prop_random_bytes_never_panic() {
+        // Decoding arbitrary garbage must error, never panic.
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..64 {
+            let bytes: Vec<u8> = (0..rng.gen_range(0..100)).map(|_| rng.gen()).collect();
             let _ = decode_record::<(u64, String)>(&bytes);
             let mut s = bytes.as_slice();
             let _ = get_frame(&mut s);

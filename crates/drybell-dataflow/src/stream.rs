@@ -37,8 +37,6 @@ use crate::shard::shard_is_committed;
 use std::collections::BTreeMap;
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 use std::time::SystemTime;
 
 #[cfg(doc)]
@@ -239,42 +237,6 @@ impl StreamIngestor {
         }
         Ok(delivered)
     }
-
-    /// Run [`StreamIngestor::poll`] as a daemon: poll, hand every
-    /// non-empty batch to `on_batch`, sleep `interval`, repeat until
-    /// `shutdown` is set (or a poll fails). The sleep is sliced into
-    /// ≤10 ms naps so a shutdown requested mid-interval takes effect
-    /// promptly even with a multi-second poll interval — the shape a
-    /// supervisor thread expects from a stoppable worker.
-    ///
-    /// Returns the number of shards delivered to `on_batch` over the
-    /// loop's lifetime.
-    pub fn poll_loop(
-        &mut self,
-        interval: Duration,
-        shutdown: &AtomicBool,
-        mut on_batch: impl FnMut(Vec<ArrivedShard>),
-    ) -> Result<u64, DataflowError> {
-        const NAP: Duration = Duration::from_millis(10);
-        let mut handed = 0_u64;
-        while !shutdown.load(Ordering::Acquire) {
-            let batch = self.poll()?;
-            if !batch.is_empty() {
-                handed += batch.len() as u64;
-                on_batch(batch);
-            }
-            let mut remaining = interval;
-            while remaining > Duration::ZERO {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(handed);
-                }
-                let nap = remaining.min(NAP);
-                std::thread::sleep(nap);
-                remaining = remaining.saturating_sub(nap);
-            }
-        }
-        Ok(handed)
-    }
 }
 
 #[cfg(test)]
@@ -387,52 +349,6 @@ mod tests {
             .with_max_attempts(2);
         assert!(ing.poll().unwrap().is_empty());
         assert!(matches!(ing.poll(), Err(DataflowError::User(_))));
-    }
-
-    #[test]
-    fn poll_loop_delivers_and_shutdown_mid_interval_is_prompt() {
-        let dir = tempfile::tempdir().unwrap();
-        write_committed(dir.path(), "a-00000.rec", 0, 5);
-        let shutdown = std::sync::Arc::new(AtomicBool::new(false));
-        let spool = dir.path().to_path_buf();
-        let flag = std::sync::Arc::clone(&shutdown);
-        let worker = std::thread::spawn(move || {
-            let mut ing = StreamIngestor::new(&spool);
-            let mut seen = Vec::new();
-            // A one-hour interval: only sliced napping lets shutdown in.
-            let handed = ing
-                .poll_loop(Duration::from_secs(3600), &flag, |batch| {
-                    seen.extend(batch.into_iter().map(|s| s.sequence));
-                })
-                .unwrap();
-            (handed, seen)
-        });
-        // Let the first poll land, then stop the daemon mid-interval.
-        std::thread::sleep(Duration::from_millis(50));
-        let stopped_at = std::time::Instant::now();
-        shutdown.store(true, Ordering::Release);
-        let (handed, seen) = worker.join().unwrap();
-        assert!(
-            stopped_at.elapsed() < Duration::from_secs(5),
-            "shutdown must not wait out the interval"
-        );
-        assert_eq!(handed, 1);
-        assert_eq!(seen, vec![0]);
-    }
-
-    #[test]
-    fn poll_loop_with_shutdown_preset_exits_before_polling() {
-        let dir = tempfile::tempdir().unwrap();
-        write_committed(dir.path(), "a-00000.rec", 0, 5);
-        let mut ing = StreamIngestor::new(dir.path());
-        let shutdown = AtomicBool::new(true);
-        let handed = ing
-            .poll_loop(Duration::from_millis(1), &shutdown, |_| {
-                panic!("must not deliver after shutdown")
-            })
-            .unwrap();
-        assert_eq!(handed, 0);
-        assert_eq!(ing.shards_seen(), 0);
     }
 
     #[test]

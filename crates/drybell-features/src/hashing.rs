@@ -120,7 +120,8 @@ impl HashedCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn hashing_is_deterministic_and_bounded() {
@@ -171,20 +172,47 @@ mod tests {
         let _ = FeatureHasher::new(0);
     }
 
-    proptest! {
-        #[test]
-        fn prop_indices_in_range(name in ".{0,40}", dims in 1u32..100_000) {
-            let h = FeatureHasher::new(dims);
-            prop_assert!(h.index(&name) < dims);
-        }
+    /// A string of at most `max` characters drawn the way a `.` pattern
+    /// is: mostly printable ASCII, with control and multi-byte characters
+    /// mixed in.
+    fn any_text(rng: &mut StdRng, max: usize) -> String {
+        const WIDE: [char; 8] = ['é', 'ß', 'Ω', '雪', 'д', '☃', '😀', char::MAX];
+        let len = rng.gen_range(0..=max);
+        (0..len)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => char::from(rng.gen_range(0..0x20u8)),
+                1 | 2 => WIDE[rng.gen_range(0..WIDE.len())],
+                _ => char::from(rng.gen_range(0x20..0x7Fu8)),
+            })
+            .collect()
+    }
 
-        #[test]
-        fn prop_bag_nnz_bounded_by_tokens(tokens in proptest::collection::vec("[a-z]{1,6}", 0..50)) {
-            let h = FeatureHasher::new(1 << 18);
+    #[test]
+    fn prop_indices_in_range() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..64 {
+            let name = any_text(&mut rng, 40);
+            let dims = rng.gen_range(1..100_000);
+            assert!(FeatureHasher::new(dims).index(&name) < dims);
+        }
+    }
+
+    #[test]
+    fn prop_bag_nnz_bounded_by_tokens() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let h = FeatureHasher::new(1 << 18);
+        for _ in 0..64 {
+            let tokens: Vec<String> = (0..rng.gen_range(0..50))
+                .map(|_| {
+                    (0..rng.gen_range(1..=6))
+                        .map(|_| char::from(rng.gen_range(b'a'..=b'z')))
+                        .collect()
+                })
+                .collect();
             let v = h.bag_of_words(&tokens);
-            prop_assert!(v.nnz() <= tokens.len());
+            assert!(v.nnz() <= tokens.len());
             let total: f64 = v.entries().iter().map(|&(_, c)| c).sum();
-            prop_assert!((total - tokens.len() as f64).abs() < 1e-9);
+            assert!((total - tokens.len() as f64).abs() < 1e-9);
         }
     }
 }

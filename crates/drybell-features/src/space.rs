@@ -123,14 +123,6 @@ impl SpaceRegistry {
         self.spaces.is_empty()
     }
 
-    /// Are *all* the given spaces servable (and none private)?
-    pub fn all_servable(&self, ids: &[FeatureSpaceId]) -> bool {
-        ids.iter().all(|&id| {
-            let s = self.get(id);
-            s.servable && !s.private
-        })
-    }
-
     /// Total declared per-example cost of the given spaces.
     pub fn total_cost_us(&self, ids: &[FeatureSpaceId]) -> u64 {
         ids.iter().map(|&id| self.get(id).cost_us).sum()
@@ -192,10 +184,6 @@ mod tests {
     #[test]
     fn servability_checks() {
         let (r, text, nlp, agg) = registry();
-        assert!(r.all_servable(&[text]));
-        assert!(!r.all_servable(&[text, nlp]));
-        // Private spaces block serving even though cost is tiny.
-        assert!(!r.all_servable(&[text, agg]));
         assert_eq!(
             r.blocking_spaces(&[text, nlp, agg]),
             vec!["nlp-entities", "aggregate-stats"]

@@ -94,28 +94,6 @@ impl SparseVector {
         sum
     }
 
-    /// Dot product against a dense weight slice; indices past the end of
-    /// `weights` contribute zero.
-    pub fn dot_dense(&self, weights: &[f64]) -> f64 {
-        self.entries
-            .iter()
-            .filter_map(|&(i, v)| weights.get(i as usize).map(|w| w * v))
-            .sum()
-    }
-
-    /// Accumulate `scale * self` into a dense buffer (grows `buf` as
-    /// needed).
-    pub fn add_scaled_into(&self, scale: f64, buf: &mut Vec<f64>) {
-        if let Some(&(max_i, _)) = self.entries.last() {
-            if buf.len() <= max_i as usize {
-                buf.resize(max_i as usize + 1, 0.0);
-            }
-        }
-        for &(i, v) in &self.entries {
-            buf[i as usize] += scale * v;
-        }
-    }
-
     /// Squared L2 norm.
     pub fn norm_sq(&self) -> f64 {
         self.entries.iter().map(|&(_, v)| v * v).sum()
@@ -135,14 +113,6 @@ impl SparseVector {
                 *v /= norm;
             }
         }
-    }
-
-    /// Largest stored index plus one (0 for the empty vector).
-    pub fn dim_bound(&self) -> usize {
-        self.entries
-            .last()
-            .map(|&(i, _)| i as usize + 1)
-            .unwrap_or(0)
     }
 }
 
@@ -167,7 +137,8 @@ impl FromIterator<(u32, f64)> for SparseVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn from_pairs_sorts_and_merges() {
@@ -176,7 +147,6 @@ mod tests {
         assert_eq!(v.nnz(), 3);
         assert_eq!(v.get(5), 4.0);
         assert_eq!(v.get(1), 0.0);
-        assert_eq!(v.dim_bound(), 6);
     }
 
     #[test]
@@ -186,18 +156,6 @@ mod tests {
         assert_eq!(a.dot(&b), 2.0 * 5.0 + 3.0 * 1.0);
         assert_eq!(b.dot(&a), a.dot(&b));
         assert_eq!(a.dot(&SparseVector::empty()), 0.0);
-        let w = vec![1.0, 0.0, 0.5, 0.0, 2.0];
-        assert_eq!(a.dot_dense(&w), 1.0 + 1.0 + 6.0);
-        // Weights shorter than the max index: missing dims contribute 0.
-        assert_eq!(a.dot_dense(&[1.0]), 1.0);
-    }
-
-    #[test]
-    fn add_scaled_grows_buffer() {
-        let a = SparseVector::from_pairs(vec![(1, 2.0), (3, -1.0)]);
-        let mut buf = vec![0.0; 2];
-        a.add_scaled_into(0.5, &mut buf);
-        assert_eq!(buf, vec![0.0, 1.0, 0.0, -0.5]);
     }
 
     #[test]
@@ -224,41 +182,67 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn prop_from_pairs_is_canonical(pairs in proptest::collection::vec((0u32..100, -10.0..10.0f64), 0..60)) {
+    /// Up to `max_len` pairs with indices below `dims` and values in
+    /// `-bound..bound`.
+    fn pairs(rng: &mut StdRng, max_len: usize, dims: u32, bound: f64) -> Vec<(u32, f64)> {
+        (0..rng.gen_range(0..max_len))
+            .map(|_| (rng.gen_range(0..dims), rng.gen_range(-bound..bound)))
+            .collect()
+    }
+
+    #[test]
+    fn prop_from_pairs_is_canonical() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..64 {
+            let pairs = pairs(&mut rng, 60, 100, 10.0);
             let v = SparseVector::from_pairs(pairs.clone());
             // Sorted, unique indices.
             for w in v.entries().windows(2) {
-                prop_assert!(w[0].0 < w[1].0);
+                assert!(w[0].0 < w[1].0);
             }
             // Values equal the sum per index.
             for &(i, val) in v.entries() {
-                let want: f64 = pairs.iter().filter(|&&(j, _)| j == i).map(|&(_, x)| x).sum();
-                prop_assert!((val - want).abs() < 1e-9);
+                let want: f64 = pairs
+                    .iter()
+                    .filter(|&&(j, _)| j == i)
+                    .map(|&(_, x)| x)
+                    .sum();
+                assert!((val - want).abs() < 1e-9);
             }
         }
+    }
 
-        #[test]
-        fn prop_dot_commutes_and_matches_dense(
-            a in proptest::collection::vec((0u32..50, -5.0..5.0f64), 0..30),
-            b in proptest::collection::vec((0u32..50, -5.0..5.0f64), 0..30),
-        ) {
-            let va = SparseVector::from_pairs(a);
-            let vb = SparseVector::from_pairs(b);
-            prop_assert!((va.dot(&vb) - vb.dot(&va)).abs() < 1e-9);
-            let mut dense = Vec::new();
-            vb.add_scaled_into(1.0, &mut dense);
-            prop_assert!((va.dot(&vb) - va.dot_dense(&dense)).abs() < 1e-9);
+    #[test]
+    fn prop_dot_commutes_and_matches_dense() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..64 {
+            let va = SparseVector::from_pairs(pairs(&mut rng, 30, 50, 5.0));
+            let vb = SparseVector::from_pairs(pairs(&mut rng, 30, 50, 5.0));
+            assert!((va.dot(&vb) - vb.dot(&va)).abs() < 1e-9);
+            // The dense reference: `vb` spread over a buffer, `va` read
+            // against it.
+            let mut dense = [0.0; 50];
+            for &(i, v) in vb.entries() {
+                dense[i as usize] = v;
+            }
+            let reference: f64 = va
+                .entries()
+                .iter()
+                .map(|&(i, v)| v * dense[i as usize])
+                .sum();
+            assert!((va.dot(&vb) - reference).abs() < 1e-9);
         }
+    }
 
-        #[test]
-        fn prop_norm_nonnegative(pairs in proptest::collection::vec((0u32..50, -5.0..5.0f64), 0..30)) {
-            let v = SparseVector::from_pairs(pairs);
-            prop_assert!(v.norm_sq() >= 0.0);
+    #[test]
+    fn prop_norm_nonnegative() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..64 {
+            let v = SparseVector::from_pairs(pairs(&mut rng, 30, 50, 5.0));
+            assert!(v.norm_sq() >= 0.0);
             let n = v.l2_normalized();
             if v.norm_sq() > 1e-12 {
-                prop_assert!((n.norm_sq() - 1.0).abs() < 1e-9);
+                assert!((n.norm_sq() - 1.0).abs() < 1e-9);
             }
         }
     }

@@ -280,18 +280,6 @@ impl KnowledgeGraph {
         above
     }
 
-    /// All products/accessories in the subtree rooted at category `root`.
-    pub fn members_of_subtree(&self, root: EntityId) -> Vec<EntityId> {
-        self.entities
-            .iter()
-            .filter(|e| {
-                matches!(e.kind, NodeKind::Product | NodeKind::Accessory)
-                    && self.in_category_subtree(e.id, root)
-            })
-            .map(|e| e.id)
-            .collect()
-    }
-
     /// Breadth-first search: all entities within `max_hops` of `start`
     /// following any edge kind. Used by graph-based LFs over relationship
     /// graphs (§3.3).
@@ -447,15 +435,6 @@ mod tests {
         g.add_edge(root, EdgeKind::Subcategory, all);
         assert!(g.in_category_subtree(cam, all));
         assert_subtrees_match_the_walk(&g);
-    }
-
-    #[test]
-    fn subtree_members() {
-        let (g, root, photo, cam, case) = tiny();
-        assert_eq!(g.members_of_subtree(photo), vec![cam]);
-        let mut all = g.members_of_subtree(root);
-        all.sort();
-        assert_eq!(all, vec![cam, case]);
     }
 
     #[test]

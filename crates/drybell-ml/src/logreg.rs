@@ -219,11 +219,6 @@ impl LogisticRegression {
         self.weight_at(self.z_bias, self.n_bias)
     }
 
-    /// Number of non-zero materialized weights (L1 sparsity diagnostic).
-    pub fn nnz_weights(&self) -> usize {
-        (0..self.dims).filter(|&i| self.weight(i) != 0.0).count()
-    }
-
     /// Raw decision score `w·x + b`.
     pub fn score(&self, x: &SparseVector) -> f64 {
         let mut s = self.bias();
@@ -426,6 +421,11 @@ mod tests {
         drybell_features::FeatureHasher::new(1 << 12)
     }
 
+    /// Number of non-zero materialized weights (L1 sparsity).
+    fn nnz_weights(m: &LogisticRegression) -> usize {
+        (0..m.dims).filter(|&i| m.weight(i) != 0.0).count()
+    }
+
     /// Linearly separable two-token dataset.
     fn separable(n: usize, seed: u64) -> Vec<(SparseVector, f64)> {
         let h = hasher();
@@ -525,7 +525,7 @@ mod tests {
                 },
             );
             m.fit(&data).unwrap();
-            m.nnz_weights()
+            nnz_weights(&m)
         };
         let light = {
             let mut m = LogisticRegression::new(
@@ -537,7 +537,7 @@ mod tests {
                 },
             );
             m.fit(&data).unwrap();
-            m.nnz_weights()
+            nnz_weights(&m)
         };
         assert!(heavy < light, "L1 should prune weights: {heavy} vs {light}");
         // The informative tokens must survive pruning.
@@ -575,7 +575,7 @@ mod tests {
         let h = hasher();
         assert_eq!(model.predict_proba(&h.bag_of_words(&["x"])), 0.5);
         assert_eq!(model.bias(), 0.0);
-        assert_eq!(model.nnz_weights(), 0);
+        assert_eq!(nnz_weights(&model), 0);
     }
 
     #[test]
@@ -599,7 +599,7 @@ mod tests {
         assert_eq!(model.fit(&[]), Err(MlError::EmptyDataset));
         // The failed fit must leave the model untouched and usable.
         assert_eq!(model.bias(), 0.0);
-        assert_eq!(model.nnz_weights(), 0);
+        assert_eq!(nnz_weights(&model), 0);
     }
 
     #[test]
@@ -654,10 +654,10 @@ mod tests {
         let ftrl = train(LrAlgorithm::FtrlProximal);
         let sgd = train(LrAlgorithm::Sgd);
         assert!(
-            ftrl.nnz_weights() * 2 < sgd.nnz_weights(),
+            nnz_weights(&ftrl) * 2 < nnz_weights(&sgd),
             "FTRL {} non-zeros should be far sparser than SGD {}",
-            ftrl.nnz_weights(),
-            sgd.nnz_weights()
+            nnz_weights(&ftrl),
+            nnz_weights(&sgd)
         );
         // Both still learn the informative tokens.
         assert!(ftrl.predict_proba(&h.bag_of_words(&["pos"])) > 0.6);

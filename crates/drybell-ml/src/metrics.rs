@@ -187,9 +187,10 @@ pub fn histogram_entropy(hist: &[u64]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn perfect_classifier() {
@@ -275,42 +276,59 @@ mod tests {
         assert!(s.contains("#"));
     }
 
-    proptest! {
-        #[test]
-        fn prop_metrics_in_unit_interval(
-            data in proptest::collection::vec((0.0..1.0f64, any::<bool>()), 0..200),
-            threshold in 0.0..1.0f64,
-        ) {
-            let scores: Vec<f64> = data.iter().map(|&(s, _)| s).collect();
-            let gold: Vec<bool> = data.iter().map(|&(_, y)| y).collect();
-            let m = BinaryMetrics::at_threshold(&scores, &gold, threshold);
+    /// A score in `[0, 1]` that lands on either end one time in 32.
+    pub(crate) fn unit_score(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..32) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.gen(),
+        }
+    }
+
+    /// Up to `max_len` (score in `[0, 1)`, label) pairs, at least `min_len`.
+    fn scored(rng: &mut StdRng, min_len: usize, max_len: usize) -> (Vec<f64>, Vec<bool>) {
+        (0..rng.gen_range(min_len..max_len))
+            .map(|_| (rng.gen::<f64>(), rng.gen::<bool>()))
+            .unzip()
+    }
+
+    #[test]
+    fn prop_metrics_in_unit_interval() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..64 {
+            let (scores, gold) = scored(&mut rng, 0, 200);
+            let m = BinaryMetrics::at_threshold(&scores, &gold, rng.gen());
             for v in [m.precision(), m.recall(), m.f1(), m.accuracy()] {
-                prop_assert!((0.0..=1.0).contains(&v));
+                assert!((0.0..=1.0).contains(&v));
             }
-            prop_assert_eq!(m.tp + m.fp + m.tn + m.fn_, scores.len() as u64);
+            assert_eq!(m.tp + m.fp + m.tn + m.fn_, scores.len() as u64);
         }
+    }
 
-        #[test]
-        fn prop_histogram_preserves_mass(
-            scores in proptest::collection::vec(0.0..=1.0f64, 0..300),
-            bins in 1usize..30,
-        ) {
+    #[test]
+    fn prop_histogram_preserves_mass() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..64 {
+            let scores: Vec<f64> = (0..rng.gen_range(0..300))
+                .map(|_| unit_score(&mut rng))
+                .collect();
+            let bins = rng.gen_range(1..30);
             let hist = score_histogram(&scores, bins);
-            prop_assert_eq!(hist.len(), bins);
-            prop_assert_eq!(hist.iter().sum::<u64>(), scores.len() as u64);
+            assert_eq!(hist.len(), bins);
+            assert_eq!(hist.iter().sum::<u64>(), scores.len() as u64);
         }
+    }
 
-        #[test]
-        fn prop_f1_between_precision_and_recall(
-            data in proptest::collection::vec((0.0..1.0f64, any::<bool>()), 1..200),
-        ) {
-            let scores: Vec<f64> = data.iter().map(|&(s, _)| s).collect();
-            let gold: Vec<bool> = data.iter().map(|&(_, y)| y).collect();
+    #[test]
+    fn prop_f1_between_precision_and_recall() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..64 {
+            let (scores, gold) = scored(&mut rng, 1, 200);
             let m = BinaryMetrics::at_threshold(&scores, &gold, 0.5);
             let (p, r, f1) = (m.precision(), m.recall(), m.f1());
             if p > 0.0 && r > 0.0 {
-                prop_assert!(f1 <= p.max(r) + 1e-12);
-                prop_assert!(f1 >= p.min(r) - 1e-12);
+                assert!(f1 <= p.max(r) + 1e-12);
+                assert!(f1 >= p.min(r) - 1e-12);
             }
         }
     }

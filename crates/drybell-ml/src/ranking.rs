@@ -114,7 +114,9 @@ pub fn expected_calibration_error(scores: &[f64], gold: &[bool], bins: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::metrics::tests::unit_score;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn perfect_ranking() {
@@ -168,35 +170,41 @@ mod tests {
         assert!(expected_calibration_error(&scores, &gold_flipped, 10) > 0.99);
     }
 
-    proptest! {
-        #[test]
-        fn prop_metrics_bounded(
-            data in proptest::collection::vec((0.0..=1.0f64, any::<bool>()), 1..200),
-            k in 0usize..50,
-        ) {
-            let scores: Vec<f64> = data.iter().map(|&(s, _)| s).collect();
-            let gold: Vec<bool> = data.iter().map(|&(_, g)| g).collect();
+    /// Between `min_len` and `max_len - 1` (score, label) pairs, each
+    /// score in `[0, 1]` and on either end one time in 32.
+    fn ranked(rng: &mut StdRng, min_len: usize, max_len: usize) -> (Vec<f64>, Vec<bool>) {
+        (0..rng.gen_range(min_len..max_len))
+            .map(|_| (unit_score(rng), rng.gen::<bool>()))
+            .unzip()
+    }
+
+    #[test]
+    fn prop_metrics_bounded() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..64 {
+            let (scores, gold) = ranked(&mut rng, 1, 200);
+            let k = rng.gen_range(0..50);
             for v in [
                 average_precision(&scores, &gold),
                 roc_auc(&scores, &gold),
                 precision_at_k(&scores, &gold, k),
                 expected_calibration_error(&scores, &gold, 10),
             ] {
-                prop_assert!((0.0..=1.0).contains(&v), "{v}");
+                assert!((0.0..=1.0).contains(&v), "{v}");
             }
         }
+    }
 
-        #[test]
-        fn prop_auc_is_flip_symmetric(
-            data in proptest::collection::vec((0.0..=1.0f64, any::<bool>()), 2..100),
-        ) {
-            let scores: Vec<f64> = data.iter().map(|&(s, _)| s).collect();
-            let gold: Vec<bool> = data.iter().map(|&(_, g)| g).collect();
+    #[test]
+    fn prop_auc_is_flip_symmetric() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..64 {
+            let (scores, gold) = ranked(&mut rng, 2, 100);
             let flipped: Vec<f64> = scores.iter().map(|s| 1.0 - s).collect();
             let inv_gold: Vec<bool> = gold.iter().map(|g| !g).collect();
             let a = roc_auc(&scores, &gold);
             let b = roc_auc(&flipped, &inv_gold);
-            prop_assert!((a - b).abs() < 1e-9);
+            assert!((a - b).abs() < 1e-9);
         }
     }
 }

@@ -65,11 +65,6 @@ impl Lang {
         }
     }
 
-    /// Parse an ISO code.
-    pub fn from_code(code: &str) -> Option<Lang> {
-        Lang::ALL.iter().copied().find(|l| l.code() == code)
-    }
-
     /// Seed text used to build this language's trigram profile. Also used
     /// by `drybell-datagen` as filler text for non-English documents, so
     /// detection on synthetic corpora is realistic.
@@ -441,14 +436,6 @@ mod tests {
         let det = LangDetector::new();
         assert_eq!(det.detect(""), None);
         assert_eq!(det.detect("12345 !!! ???"), None);
-    }
-
-    #[test]
-    fn codes_roundtrip() {
-        for lang in Lang::ALL {
-            assert_eq!(Lang::from_code(lang.code()), Some(lang));
-        }
-        assert_eq!(Lang::from_code("xx"), None);
     }
 
     #[test]

@@ -122,7 +122,6 @@ pub struct NlpServer {
     stats: Arc<StatCells>,
     telemetry: Option<ServerTelemetry>,
     faults: Option<FaultPlan>,
-    warmed_up: bool,
 }
 
 impl Default for NlpServer {
@@ -147,7 +146,6 @@ impl NlpServer {
             stats: Arc::default(),
             telemetry: None,
             faults: None,
-            warmed_up: false,
         }
     }
 
@@ -180,11 +178,6 @@ impl NlpServer {
     /// The declared per-call cost in microseconds.
     pub fn cost_per_call_us(&self) -> u64 {
         self.cost_per_call_us
-    }
-
-    /// `true` once `warm_up` has run.
-    pub fn is_warm(&self) -> bool {
-        self.warmed_up
     }
 
     /// Count one accepted RPC.
@@ -259,7 +252,6 @@ impl drybell_dataflow::Service for NlpServer {
         let _ = self.annotate("warm up Alice Johnson buys a camera");
         self.stats.calls.store(0, Ordering::Relaxed);
         self.stats.simulated_cost_us.store(0, Ordering::Relaxed);
-        self.warmed_up = true;
         Ok(())
     }
 }
@@ -353,11 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_up_resets_stats_and_marks_warm() {
+    fn warm_up_resets_stats() {
         let mut server = NlpServer::new();
-        assert!(!server.is_warm());
         server.warm_up().unwrap();
-        assert!(server.is_warm());
         assert_eq!(server.stats().calls, 0);
         assert_eq!(server.name(), "nlp-model-server");
     }

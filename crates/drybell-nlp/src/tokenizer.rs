@@ -37,22 +37,6 @@ impl Token {
     pub fn is_capitalized(&self) -> bool {
         is_capitalized(&self.text)
     }
-
-    /// `true` if every alphabetic character is uppercase and the token has
-    /// at least two characters (an acronym like "NASA").
-    pub fn is_acronym(&self) -> bool {
-        self.text.chars().count() >= 2
-            && self
-                .text
-                .chars()
-                .all(|c| !c.is_alphabetic() || c.is_uppercase())
-            && self.text.chars().any(|c| c.is_alphabetic())
-    }
-
-    /// `true` if the token is all digits.
-    pub fn is_numeric(&self) -> bool {
-        !self.text.is_empty() && self.text.chars().all(|c| c.is_ascii_digit())
-    }
 }
 
 fn is_capitalized(word: &str) -> bool {
@@ -227,7 +211,8 @@ pub fn lower_tokens(text: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn splits_on_whitespace_and_punct() {
@@ -256,11 +241,8 @@ mod tests {
     #[test]
     fn classification_helpers() {
         let toks = tokenize("NASA Alice runs 500 miles");
-        assert!(toks[0].is_acronym());
         assert!(toks[0].is_capitalized());
         assert!(toks[1].is_capitalized());
-        assert!(!toks[1].is_acronym());
-        assert!(toks[3].is_numeric());
         assert!(!toks[4].is_capitalized());
     }
 
@@ -331,34 +313,83 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn prop_scanner_matches_the_reference(text in ".{0,200}") {
+    /// A string of at most `max` characters drawn the way a `.` pattern
+    /// is: mostly printable ASCII, with control and multi-byte characters
+    /// mixed in.
+    fn any_text(rng: &mut StdRng, max: usize) -> String {
+        const WIDE: [char; 8] = ['é', 'ß', 'Ω', '雪', 'д', '☃', '😀', char::MAX];
+        let len = rng.gen_range(0..=max);
+        (0..len)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => char::from(rng.gen_range(0..0x20u8)),
+                1 | 2 => WIDE[rng.gen_range(0..WIDE.len())],
+                _ => char::from(rng.gen_range(0x20..0x7Fu8)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prop_scanner_matches_the_reference() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..64 {
+            assert_matches_reference(&any_text(&mut rng, 200));
+        }
+    }
+
+    #[test]
+    fn prop_scanner_matches_the_reference_on_wordy_text() {
+        // Word characters, the apostrophe and hyphen a word may hold, and
+        // letters whose case mapping changes their length or is not 1:1
+        // (`İ`, `ß`, final sigma, the Kelvin sign): each class as likely
+        // as the others.
+        const CLASSES: [&str; 12] = [
+            "abcdefghijklmnopqrstuvwxyz",
+            "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+            "0123456789",
+            "İ",
+            "ß",
+            "Σ",
+            "σ",
+            "\u{212A}",
+            "é",
+            "'",
+            " ",
+            "-",
+        ];
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..64 {
+            let text: String = (0..rng.gen_range(0..=60))
+                .map(|_| {
+                    let class: Vec<char> =
+                        CLASSES[rng.gen_range(0..CLASSES.len())].chars().collect();
+                    class[rng.gen_range(0..class.len())]
+                })
+                .collect();
             assert_matches_reference(&text);
         }
+    }
 
-        #[test]
-        fn prop_scanner_matches_the_reference_on_wordy_text(
-            text in "[a-zA-Z0-9İßΣσ\u{212A}é' -]{0,60}"
-        ) {
-            assert_matches_reference(&text);
-        }
-
-        #[test]
-        fn prop_spans_always_valid(text in ".{0,200}") {
+    #[test]
+    fn prop_spans_always_valid() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..64 {
+            let text = any_text(&mut rng, 200);
             for t in tokenize(&text) {
-                prop_assert!(t.start < t.end);
-                prop_assert!(t.end <= text.len());
-                prop_assert_eq!(&text[t.start..t.end], t.text.as_str());
-                prop_assert!(!t.text.is_empty());
+                assert!(t.start < t.end);
+                assert!(t.end <= text.len());
+                assert_eq!(&text[t.start..t.end], t.text.as_str());
+                assert!(!t.text.is_empty());
             }
         }
+    }
 
-        #[test]
-        fn prop_tokens_are_ordered_and_disjoint(text in ".{0,200}") {
-            let toks = tokenize(&text);
-            for pair in toks.windows(2) {
-                prop_assert!(pair[0].end <= pair[1].start);
+    #[test]
+    fn prop_tokens_are_ordered_and_disjoint() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..64 {
+            let text = any_text(&mut rng, 200);
+            for pair in tokenize(&text).windows(2) {
+                assert!(pair[0].end <= pair[1].start);
             }
         }
     }

@@ -245,11 +245,6 @@ impl SemanticCategorizer {
         }
     }
 
-    /// Number of distinct words observed.
-    pub fn vocab_size(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The smoothed log-likelihood of every vocabulary word under every
     /// topic: eight logarithms a word that depend on the counts alone, so
     /// they are taken once per model and not once per token classified.
@@ -365,7 +360,7 @@ mod tests {
             (vec!["ballot", "widget"], Topic::Politics),
         ];
         model.train(&corpus);
-        assert_eq!(model.vocab_size(), 4);
+        assert_eq!(model.counts.len(), 4);
         let (topic, _) = model.top_topic(&["gizmo"]);
         assert_eq!(topic, Topic::Technology);
         let (topic, _) = model.top_topic(&["ballot"]);

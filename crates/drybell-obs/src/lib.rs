@@ -69,9 +69,7 @@ pub use live::LiveServer;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricsRegistry, MetricsSnapshot,
 };
-pub use report::{
-    histogram_to_json, metrics_to_json, metrics_to_text, spans_to_json, spans_to_text, ReportMode,
-};
+pub use report::{histogram_to_json, metrics_to_json, spans_to_json};
 pub use shard::{CounterSlot, GaugeSlot, HistogramSlot, LocalShard, ShardGroup, ShardLayout};
 pub use span::{Span, SpanSet, SpanSnapshot, SpanStat};
 pub use trace::{SelfTime, TraceEvent, TraceHandle, Tracer};

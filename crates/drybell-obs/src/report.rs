@@ -1,31 +1,9 @@
-//! Report renderers: the same telemetry snapshot as a human-readable
-//! table or a machine-readable JSON document (the `--json` mode of the
-//! diagnostic binaries).
+//! Report renderers: a telemetry snapshot as a machine-readable JSON
+//! document (the `--json` mode of the diagnostic binaries).
 
 use crate::json::Json;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::span::SpanSnapshot;
-
-/// How a binary should render its report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReportMode {
-    /// Aligned text tables for terminals.
-    #[default]
-    Text,
-    /// One pretty-printed JSON document on stdout.
-    Json,
-}
-
-impl ReportMode {
-    /// Detect `--json` in an argument list.
-    pub fn from_args<S: AsRef<str>>(args: &[S]) -> ReportMode {
-        if args.iter().any(|a| a.as_ref() == "--json") {
-            ReportMode::Json
-        } else {
-            ReportMode::Text
-        }
-    }
-}
 
 /// JSON summary of one histogram: count, mean, the percentile ladder,
 /// and the non-empty log buckets as `[index, count]` pairs (the raw
@@ -82,45 +60,6 @@ pub fn metrics_to_json(snapshot: &MetricsSnapshot) -> Json {
     ])
 }
 
-/// The metrics snapshot as aligned text tables, omitting empty sections.
-pub fn metrics_to_text(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    if !snapshot.counters.is_empty() {
-        out.push_str(&format!("{:<40} {:>14}\n", "counter", "value"));
-        for (name, v) in &snapshot.counters {
-            out.push_str(&format!("{name:<40} {v:>14}\n"));
-        }
-    }
-    if !snapshot.gauges.is_empty() {
-        out.push_str(&format!("{:<40} {:>14}\n", "gauge", "value"));
-        for (name, v) in &snapshot.gauges {
-            out.push_str(&format!("{name:<40} {v:>14}\n"));
-        }
-    }
-    if !snapshot.histograms.is_empty() {
-        out.push_str(&format!(
-            "{:<40} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-            "histogram (µs)", "count", "p50", "p95", "p99", "max"
-        ));
-        for (name, h) in &snapshot.histograms {
-            out.push_str(&format!(
-                "{:<40} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-                name,
-                h.count(),
-                opt(h.p50()),
-                opt(h.p95()),
-                opt(h.p99()),
-                opt(h.max()),
-            ));
-        }
-    }
-    out
-}
-
-fn opt(v: Option<u64>) -> String {
-    v.map(|v| v.to_string()).unwrap_or_else(|| "-".to_string())
-}
-
 /// The span snapshot as a JSON array (one object per path, sorted).
 pub fn spans_to_json(snapshot: &SpanSnapshot) -> Json {
     Json::Arr(
@@ -139,30 +78,6 @@ pub fn spans_to_json(snapshot: &SpanSnapshot) -> Json {
     )
 }
 
-/// The span snapshot as an indented tree (depth = `/` count in the path).
-pub fn spans_to_text(snapshot: &SpanSnapshot) -> String {
-    if snapshot.entries().is_empty() {
-        return String::new();
-    }
-    let mut out = format!(
-        "{:<40} {:>8} {:>12} {:>12}\n",
-        "span", "count", "total (s)", "max (s)"
-    );
-    for (path, stat) in snapshot.entries() {
-        let depth = path.matches('/').count();
-        let leaf = path.rsplit('/').next().unwrap_or(path);
-        let label = format!("{}{}", "  ".repeat(depth), leaf);
-        out.push_str(&format!(
-            "{:<40} {:>8} {:>12.3} {:>12.3}\n",
-            label,
-            stat.count,
-            stat.total_us as f64 / 1e6,
-            stat.max_us as f64 / 1e6,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,22 +85,12 @@ mod tests {
     use crate::span::SpanSet;
 
     #[test]
-    fn report_mode_detects_json_flag() {
-        assert_eq!(ReportMode::from_args(&["--scale", "2"]), ReportMode::Text);
-        assert_eq!(ReportMode::from_args(&["--json"]), ReportMode::Json);
-    }
-
-    #[test]
-    fn metrics_render_both_ways() {
+    fn metrics_render_as_json() {
         let reg = MetricsRegistry::new();
         reg.counter("votes/has_good").add(7);
         reg.gauge("nlp_cache/size").set(3);
         reg.histogram("obs/lf/eval_us").record(120);
         let snap = reg.snapshot();
-
-        let text = metrics_to_text(&snap);
-        assert!(text.contains("votes/has_good"));
-        assert!(text.contains("obs/lf/eval_us"));
 
         let json = metrics_to_json(&snap);
         assert_eq!(
@@ -213,26 +118,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_renders_nulls_and_dashes() {
+    fn empty_histogram_renders_nulls() {
         let reg = MetricsRegistry::new();
         reg.histogram("obs/empty_us");
-        let snap = reg.snapshot();
-        assert!(metrics_to_text(&snap).contains('-'));
-        let json = metrics_to_json(&snap);
+        let json = metrics_to_json(&reg.snapshot());
         let hist = json.get("histograms").unwrap().get("obs/empty_us").unwrap();
         assert_eq!(hist.get("p50"), Some(&Json::Null));
     }
 
     #[test]
-    fn spans_render_as_indented_tree() {
+    fn spans_render_as_sorted_json() {
         let set = SpanSet::new();
         {
             let run = set.span("run");
             let _fit = run.child("fit");
         }
-        let text = spans_to_text(&set.snapshot());
-        assert!(text.contains("run"));
-        assert!(text.contains("  fit"));
         let json = spans_to_json(&set.snapshot());
         assert_eq!(json.items().len(), 2);
         assert_eq!(

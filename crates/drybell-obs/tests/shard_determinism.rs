@@ -14,7 +14,8 @@ use drybell_obs::{
     CounterSlot, Event, GaugeSlot, HistogramSlot, JournalBuffer, Json, LocalShard, RunJournal,
     ShardGroup, ShardLayout, Telemetry,
 };
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// One buffered telemetry action.
@@ -32,16 +33,15 @@ enum Op {
     PushEvent(u64),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    // (variant selector, payload) — the vendored proptest has no
-    // `prop_oneof`, so dispatch in a map.
-    (0..5usize, 0..10_000u64).prop_map(|(kind, v)| match kind {
+fn random_op(rng: &mut StdRng) -> Op {
+    let v = rng.gen_range(0..10_000u64);
+    match rng.gen_range(0..5) {
         0 => Op::Tally(v as usize % 2, v % 99 + 1),
         1 => Op::Level((v % 100) as i64 - 50),
         2 => Op::Observe(v),
         3 => Op::SpanSample(v % 5_000 + 1),
         _ => Op::PushEvent(v % 1_000),
-    })
+    }
 }
 
 /// A telemetry bundle with an in-memory journal and a shard layout
@@ -107,14 +107,14 @@ fn journal_lines(rig: &Rig) -> Vec<Json> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn sharded_flushes_match_sequential(
-        ops in proptest::collection::vec(op_strategy(), 0..60),
-        shards in 1..5usize,
-    ) {
+#[test]
+fn sharded_flushes_match_sequential() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for _ in 0..64 {
+        let ops: Vec<Op> = (0..rng.gen_range(0..60))
+            .map(|_| random_op(&mut rng))
+            .collect();
+        let shards = rng.gen_range(1..5);
         // Sequential reference: one shard, ops in order.
         let seq = rig();
         let mut shard = seq.layout.shard();
@@ -145,7 +145,7 @@ proptest! {
         });
         group.fold_into(&par.telemetry);
 
-        prop_assert_eq!(par.telemetry.report_json().to_pretty(), want_report);
-        prop_assert_eq!(journal_lines(&par), want_journal);
+        assert_eq!(par.telemetry.report_json().to_pretty(), want_report);
+        assert_eq!(journal_lines(&par), want_journal);
     }
 }

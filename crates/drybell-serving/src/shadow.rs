@@ -115,12 +115,6 @@ impl ShadowReport {
         }
     }
 
-    /// A conservative promotion gate: enough traffic observed and the
-    /// decision-flip rate under `max_flip_rate`.
-    pub fn recommend_promotion(&self, min_examples: u64, max_flip_rate: f64) -> bool {
-        self.examples >= min_examples && self.flip_rate() <= max_flip_rate
-    }
-
     /// Fold one (serving, candidate) score pair into the report. Plain
     /// memory writes on owned buckets — safe inside the shadow hot loop.
     pub fn record_pair(&mut self, serving: f64, candidate: f64) {
@@ -464,20 +458,6 @@ mod tests {
                 .count(),
             4
         );
-        Ok(())
-    }
-
-    #[test]
-    fn promotion_gate() -> TestResult {
-        let (registry, h) = registry_with_two_versions()?;
-        let mut shadow = ShadowEval::new(&registry, "m", 2)?;
-        for _ in 0..10 {
-            let x = h.bag_of_words(&["nothing"]);
-            shadow.observe(ScoreInput::Sparse(&x))?;
-        }
-        // No flips on this traffic → promotable once volume suffices.
-        assert!(shadow.report().recommend_promotion(10, 0.05));
-        assert!(!shadow.report().recommend_promotion(100, 0.05));
         Ok(())
     }
 
