@@ -10,7 +10,7 @@
 use crate::codec::{self, CodecError, Record};
 use crate::error::DataflowError;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
@@ -110,11 +110,20 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 }
 
 /// Whether the file at `path` exists and ends in a valid commit footer.
+/// Only the footer is read, so a stream poll that meets a torn or
+/// in-flight shard does not read the whole of it.
 pub(crate) fn shard_is_committed(path: &Path) -> bool {
-    let Ok(bytes) = fs::read(path) else {
-        return false;
-    };
-    codec::split_footer(&bytes).is_ok()
+    read_footer(path).is_ok_and(|footer| codec::split_footer(&footer).is_ok())
+}
+
+/// The last [`codec::FOOTER_LEN`] bytes of the file at `path`. Fails on a
+/// shorter file, and on a directory when it reads.
+fn read_footer(path: &Path) -> std::io::Result<[u8; codec::FOOTER_LEN]> {
+    let mut footer = [0u8; codec::FOOTER_LEN];
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::End(-(codec::FOOTER_LEN as i64)))?;
+    file.read_exact(&mut footer)?;
+    Ok(footer)
 }
 
 /// Buffered writer for one shard file, with atomic commit.
@@ -464,6 +473,81 @@ mod tests {
                 assert_eq!(source, CodecError::MissingFooter);
             }
             other => panic!("expected MissingFooter, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_flipped_byte_and_every_truncation_is_corrupt() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("three.rec");
+        let mut w = ShardWriter::<(u64, String)>::create(&path).unwrap();
+        for (i, text) in ["one", "two two", "three three three"]
+            .into_iter()
+            .enumerate()
+        {
+            w.write(&(i as u64, text.to_owned())).unwrap();
+        }
+        w.finish().unwrap();
+        let good = fs::read(&path).unwrap();
+        let read = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            std::panic::catch_unwind(|| -> Result<Vec<(u64, String)>, DataflowError> {
+                ShardReader::open(&path)?.collect()
+            })
+        };
+        assert_eq!(read(&good).unwrap().unwrap().len(), 3);
+        let mut cases = Vec::new();
+        for at in 0..good.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[at] ^= mask;
+                cases.push((format!("byte {at} ^ {mask:#04x}"), bad));
+            }
+        }
+        for len in 0..good.len() {
+            cases.push((format!("first {len} bytes"), good[..len].to_vec()));
+        }
+        for (case, bytes) in cases {
+            let got = read(&bytes);
+            assert!(
+                matches!(got, Ok(Err(DataflowError::Corrupt { .. }))),
+                "{case}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn committed_means_a_valid_footer_at_the_end() {
+        let dir = tempfile::tempdir().unwrap();
+        let committed = dir.path().join("committed.rec");
+        let mut w = ShardWriter::<(u64, String)>::create(&committed).unwrap();
+        w.write(&(1, "x".to_owned())).unwrap();
+        w.finish().unwrap();
+        let bytes = fs::read(&committed).unwrap();
+        let torn = dir.path().join("torn.rec");
+        fs::write(&torn, &bytes[..bytes.len() - 1]).unwrap();
+        let short = dir.path().join("short.rec");
+        fs::write(&short, &bytes[bytes.len() - codec::FOOTER_LEN + 1..]).unwrap();
+        let footer_only = dir.path().join("footer-only.rec");
+        fs::write(&footer_only, &bytes[bytes.len() - codec::FOOTER_LEN..]).unwrap();
+        let empty = dir.path().join("empty.rec");
+        fs::write(&empty, b"").unwrap();
+        let directory = dir.path().join("x.rec");
+        fs::create_dir(&directory).unwrap();
+        let missing = dir.path().join("missing.rec");
+        // What a poll decided when it read the whole file.
+        let whole_file = |p: &Path| fs::read(p).is_ok_and(|b| codec::split_footer(&b).is_ok());
+        for (path, expected) in [
+            (&committed, true),
+            (&footer_only, true),
+            (&torn, false),
+            (&short, false),
+            (&empty, false),
+            (&directory, false),
+            (&missing, false),
+        ] {
+            assert_eq!(shard_is_committed(path), expected, "{}", path.display());
+            assert_eq!(whole_file(path), expected, "{}", path.display());
         }
     }
 

@@ -81,15 +81,26 @@ pub fn gaussian(rng: &mut StdRng) -> f64 {
 pub fn person_name(rng: &mut StdRng) -> String {
     let first = pick(rng, drybell_nlp::ner::PERSON_FIRST_NAMES);
     let last = pick(rng, drybell_nlp::ner::PERSON_LAST_NAMES);
-    format!("{} {}", capitalize(first), capitalize(last))
+    let mut name = String::with_capacity(first.len() + 1 + last.len());
+    push_capitalized(&mut name, first);
+    name.push(' ');
+    push_capitalized(&mut name, last);
+    name
 }
 
 /// Uppercase the first ASCII letter.
 pub fn capitalize(word: &str) -> String {
+    let mut out = String::with_capacity(word.len());
+    push_capitalized(&mut out, word);
+    out
+}
+
+/// Append `word` to `out` with its first letter upper-cased.
+fn push_capitalized(out: &mut String, word: &str) {
     let mut chars = word.chars();
-    match chars.next() {
-        Some(c) => c.to_uppercase().collect::<String>() + chars.as_str(),
-        None => String::new(),
+    if let Some(c) = chars.next() {
+        out.extend(c.to_uppercase());
+        out.push_str(chars.as_str());
     }
 }
 

@@ -27,7 +27,7 @@ use drybell_nlp::tokenizer::{lower_words, max_tokens};
 use drybell_nlp::topic_model::Topic;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One piece of product-referencing (or not) content.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,12 +163,21 @@ const PHOTO_CONTEXT: &[&str] = &[
     "autofocus",
 ];
 
-fn lang_filler(rng: &mut StdRng, lang: Lang) -> String {
-    let words: Vec<&str> = lang.seed_text().split_whitespace().collect();
-    words[rng.gen_range(0..words.len())].to_owned()
+/// The words of `lang`'s seed text, split once for every document.
+fn lang_words(lang: Lang) -> &'static [&'static str] {
+    static WORDS: OnceLock<[Vec<&'static str>; Lang::ALL.len()]> = OnceLock::new();
+    let words = WORDS.get_or_init(|| Lang::ALL.map(|l| l.seed_text().split_whitespace().collect()));
+    &words[lang as usize]
 }
 
-fn generate_doc(rng: &mut StdRng, id: u64, label: Label, english_rate: f64) -> ProductDoc {
+/// Build one document, using `words` as its word buffer.
+fn generate_doc(
+    rng: &mut StdRng,
+    id: u64,
+    label: Label,
+    english_rate: f64,
+    words: &mut Vec<&'static str>,
+) -> ProductDoc {
     let lang = if rng.gen_bool(english_rate) {
         Lang::En
     } else {
@@ -176,7 +185,7 @@ fn generate_doc(rng: &mut StdRng, id: u64, label: Label, english_rate: f64) -> P
     };
     let lang_code = lang.code();
     let len = rng.gen_range(20..50);
-    let mut words: Vec<String> = Vec::with_capacity(len + 6);
+    words.clear();
 
     // Product mentions.
     let mut product_free = false;
@@ -198,16 +207,16 @@ fn generate_doc(rng: &mut StdRng, id: u64, label: Label, english_rate: f64) -> P
                     } else {
                         pick(rng, PHOTO_CORE)
                     };
-                    words.push(alias_for(word, lang_code).to_owned());
+                    words.push(alias_for(word, lang_code));
                 }
                 // Accessory docs usually also name the core product.
                 if about_accessory && rng.gen_bool(0.5) {
-                    words.push(alias_for(pick(rng, PHOTO_CORE), lang_code).to_owned());
+                    words.push(alias_for(pick(rng, PHOTO_CORE), lang_code));
                 }
             }
             // Photography jargon (KG-invisible, feature-visible).
             for _ in 0..rng.gen_range(1..=3) {
-                words.push((*pick(rng, PHOTO_CONTEXT)).to_owned());
+                words.push(pick(rng, PHOTO_CONTEXT));
             }
         }
         Label::Negative => {
@@ -216,11 +225,11 @@ fn generate_doc(rng: &mut StdRng, id: u64, label: Label, english_rate: f64) -> P
             let r: f64 = rng.gen();
             if r < 0.45 {
                 for _ in 0..rng.gen_range(1..=3) {
-                    words.push(alias_for(pick(rng, OTHER_PRODUCTS), lang_code).to_owned());
+                    words.push(alias_for(pick(rng, OTHER_PRODUCTS), lang_code));
                 }
             } else if r < 0.75 {
                 for _ in 0..rng.gen_range(1..=2) {
-                    words.push(alias_for(pick(rng, OTHER_ACCESSORIES), lang_code).to_owned());
+                    words.push(alias_for(pick(rng, OTHER_ACCESSORIES), lang_code));
                 }
                 // "phone charger", "laptop battery": shared accessory
                 // vocabulary creates genuine ambiguity with photography
@@ -228,7 +237,7 @@ fn generate_doc(rng: &mut StdRng, id: u64, label: Label, english_rate: f64) -> P
                 // even a 1% false-fire rate would swamp the positive
                 // keyword LFs' precision.
                 if rng.gen_bool(0.008) {
-                    words.push(alias_for("charger", lang_code).to_owned());
+                    words.push(alias_for("charger", lang_code));
                 }
             } else {
                 // No product mention at all: off-topic chatter that
@@ -259,26 +268,26 @@ fn generate_doc(rng: &mut StdRng, id: u64, label: Label, english_rate: f64) -> P
         let r: f64 = rng.gen();
         if offtopic_background {
             if r < 0.30 {
-                words.push((*pick(rng, offtopic.seed_keywords())).to_owned());
+                words.push(pick(rng, offtopic.seed_keywords()));
             } else if r < 0.33 {
-                words.push((*pick(rng, Topic::Commerce.seed_keywords())).to_owned());
+                words.push(pick(rng, Topic::Commerce.seed_keywords()));
             } else if lang == Lang::En {
-                words.push((*pick(rng, FILLER_WORDS)).to_owned());
+                words.push(pick(rng, FILLER_WORDS));
             } else {
-                words.push(lang_filler(rng, lang));
+                words.push(pick(rng, lang_words(lang)));
             }
         } else if r < 0.18 {
-            words.push((*pick(rng, Topic::Commerce.seed_keywords())).to_owned());
+            words.push(pick(rng, Topic::Commerce.seed_keywords()));
         } else if r < 0.22 {
-            words.push((*pick(rng, Topic::Technology.seed_keywords())).to_owned());
+            words.push(pick(rng, Topic::Technology.seed_keywords()));
         } else if r < 0.223 && label == Label::Negative {
             // A sprinkle of photography jargon in negatives ("phone with
             // great zoom") keeps the jargon features imperfect.
-            words.push((*pick(rng, PHOTO_CONTEXT)).to_owned());
+            words.push(pick(rng, PHOTO_CONTEXT));
         } else if lang == Lang::En {
-            words.push((*pick(rng, FILLER_WORDS)).to_owned());
+            words.push(pick(rng, FILLER_WORDS));
         } else {
-            words.push(lang_filler(rng, lang));
+            words.push(pick(rng, lang_words(lang)));
         }
     }
     // Shuffle mentions into the text (Fisher–Yates).
@@ -290,9 +299,9 @@ fn generate_doc(rng: &mut StdRng, id: u64, label: Label, english_rate: f64) -> P
     // Legacy classifier: trained on the *old* category (cameras/drones
     // only, English market). Still precise on core-product positives,
     // blind to the accessory expansion, slightly noisy overall.
-    let mentions_core = words
+    let mentions_core = PHOTO_CORE
         .iter()
-        .any(|w| PHOTO_CORE.iter().any(|c| w == alias_for(c, lang_code)));
+        .any(|c| words.contains(&alias_for(c, lang_code)));
     let high_side = if mentions_core && lang == Lang::En {
         rng.gen_bool(0.93)
     } else {
@@ -312,6 +321,7 @@ fn generate_doc(rng: &mut StdRng, id: u64, label: Label, english_rate: f64) -> P
 /// Generate the full task.
 pub fn generate(cfg: &ProductTaskConfig) -> ProductDataset {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut words = Vec::new();
     let mut make_split = |n: usize, id_base: u64| {
         let mut docs = Vec::with_capacity(n);
         let mut gold = Vec::with_capacity(n);
@@ -322,6 +332,7 @@ pub fn generate(cfg: &ProductTaskConfig) -> ProductDataset {
                 id_base + i as u64,
                 label,
                 cfg.english_rate,
+                &mut words,
             ));
             gold.push(label);
         }

@@ -143,22 +143,40 @@ pub struct TopicDataset {
     pub crawl_table: Arc<HashMap<String, f64>>,
 }
 
-fn sample_body(rng: &mut StdRng, label: Label, hard_negative: bool, len: usize) -> String {
-    let mut words: Vec<String> = Vec::with_capacity(len + 4);
+/// Append `word` to `text`, after a space unless it is the first: a
+/// `join(" ")` that needs no `Vec` of the words.
+fn push_word(text: &mut String, word: &str) {
+    if !text.is_empty() {
+        text.push(' ');
+    }
+    text.push_str(word);
+}
+
+/// A body of `len` words, built in `buf` and copied out at its length.
+fn sample_body(
+    rng: &mut StdRng,
+    label: Label,
+    hard_negative: bool,
+    len: usize,
+    buf: &mut String,
+) -> String {
+    buf.clear();
     for _ in 0..len {
         let r: f64 = rng.gen();
-        let w: String = match label {
+        let name: String;
+        let w: &str = match label {
             Label::Positive => {
                 if r < 0.26 {
-                    (*pick(rng, Topic::Entertainment.seed_keywords())).to_owned()
+                    pick(rng, Topic::Entertainment.seed_keywords())
                 } else if r < 0.34 {
-                    (*pick(rng, CELEB_WORDS)).to_owned()
+                    pick(rng, CELEB_WORDS)
                 } else if r < 0.41 {
-                    (*pick(rng, CELEB_PATTERNS)).to_owned()
+                    pick(rng, CELEB_PATTERNS)
                 } else if r < 0.49 {
-                    person_name(rng)
+                    name = person_name(rng);
+                    &name
                 } else {
-                    (*pick(rng, FILLER_WORDS)).to_owned()
+                    pick(rng, FILLER_WORDS)
                 }
             }
             Label::Negative => {
@@ -181,40 +199,39 @@ fn sample_body(rng: &mut StdRng, label: Label, hard_negative: bool, len: usize) 
                     )
                 };
                 if r < 0.33 {
-                    (*pick(rng, topic.seed_keywords())).to_owned()
+                    pick(rng, topic.seed_keywords())
                 } else if r < 0.3312 {
                     // Rare celebrity-word noise: keeps keyword LFs imperfect
                     // without drowning the 0.86% positive class.
-                    (*pick(rng, CELEB_WORDS)).to_owned()
+                    pick(rng, CELEB_WORDS)
                 } else if r < 0.34 && hard_negative {
-                    person_name(rng)
+                    name = person_name(rng);
+                    &name
                 } else {
-                    (*pick(rng, FILLER_WORDS)).to_owned()
+                    pick(rng, FILLER_WORDS)
                 }
             }
         };
-        words.push(w);
+        push_word(buf, w);
     }
-    words.join(" ")
+    buf.as_str().to_owned()
 }
 
-fn sample_title(rng: &mut StdRng, label: Label, hard_negative: bool) -> String {
+fn sample_title(rng: &mut StdRng, label: Label, hard_negative: bool, buf: &mut String) -> String {
     match label {
         Label::Positive => {
             // e.g. "Alice Johnson spotted at premiere"
-            let mut parts = vec![person_name(rng)];
-            parts.push((*pick(rng, CELEB_PATTERNS)).to_owned());
-            parts.push("at".to_owned());
-            parts.push((*pick(rng, Topic::Entertainment.seed_keywords())).to_owned());
+            let name = person_name(rng);
+            let pattern = pick(rng, CELEB_PATTERNS);
+            let keyword = pick(rng, Topic::Entertainment.seed_keywords());
             if rng.gen_bool(0.1) {
                 // A fraction of positives have uninformative titles, so no
                 // single title LF is perfect.
-                parts = vec![
-                    capitalize(pick(rng, FILLER_WORDS)),
-                    (*pick(rng, FILLER_WORDS)).to_owned(),
-                ];
+                let first = capitalize(pick(rng, FILLER_WORDS));
+                [first.as_str(), pick(rng, FILLER_WORDS)].join(" ")
+            } else {
+                [name.as_str(), pattern, "at", keyword].join(" ")
             }
-            parts.join(" ")
         }
         Label::Negative => {
             let topic = if hard_negative {
@@ -222,21 +239,24 @@ fn sample_title(rng: &mut StdRng, label: Label, hard_negative: bool) -> String {
             } else {
                 Topic::Finance
             };
-            let mut parts = vec![
-                capitalize(pick(rng, topic.seed_keywords())),
-                (*pick(rng, FILLER_WORDS)).to_owned(),
-                (*pick(rng, topic.seed_keywords())).to_owned(),
-            ];
+            let first = capitalize(pick(rng, topic.seed_keywords()));
+            let filler = pick(rng, FILLER_WORDS);
+            let second = pick(rng, topic.seed_keywords());
             // Hard negatives occasionally headline a person (industry news).
-            if hard_negative && rng.gen_bool(0.08) {
-                parts.insert(0, person_name(rng));
-            }
+            let name = (hard_negative && rng.gen_bool(0.08)).then(|| person_name(rng));
             // Celebrity phrasing leaks into ordinary headlines ("minister
             // reveals budget"), keeping the title-pattern LF imperfect.
-            if rng.gen_bool(0.004) {
-                parts.push((*pick(rng, CELEB_PATTERNS)).to_owned());
+            let pattern = rng.gen_bool(0.004).then(|| pick(rng, CELEB_PATTERNS));
+            buf.clear();
+            for word in name
+                .as_deref()
+                .into_iter()
+                .chain([first.as_str(), filler, second])
+                .chain(pattern)
+            {
+                push_word(buf, word);
             }
-            parts.join(" ")
+            buf.as_str().to_owned()
         }
     }
 }
@@ -267,13 +287,14 @@ fn related_model_score(rng: &mut StdRng, label: Label) -> f64 {
     (center + 0.18 * gaussian(rng)).clamp(0.0, 1.0)
 }
 
-fn generate_doc(rng: &mut StdRng, id: u64, label: Label) -> TopicDoc {
+/// Build one document, using `buf` to assemble its texts.
+fn generate_doc(rng: &mut StdRng, id: u64, label: Label, buf: &mut String) -> TopicDoc {
     let hard_negative = label == Label::Negative && rng.gen_bool(0.25);
     let len = rng.gen_range(30..70);
     TopicDoc {
         id,
-        title: sample_title(rng, label, hard_negative),
-        body: sample_body(rng, label, hard_negative, len),
+        title: sample_title(rng, label, hard_negative, buf),
+        body: sample_body(rng, label, hard_negative, len, buf),
         url: sample_url(rng, label),
         related_model_score: related_model_score(rng, label),
     }
@@ -282,12 +303,13 @@ fn generate_doc(rng: &mut StdRng, id: u64, label: Label) -> TopicDoc {
 /// Generate the full task from a config.
 pub fn generate(cfg: &TopicTaskConfig) -> TopicDataset {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut buf = String::new();
     let mut make_split = |n: usize, id_base: u64| {
         let mut docs = Vec::with_capacity(n);
         let mut gold = Vec::with_capacity(n);
         for i in 0..n {
             let label = draw_label(&mut rng, cfg.pos_rate);
-            docs.push(generate_doc(&mut rng, id_base + i as u64, label));
+            docs.push(generate_doc(&mut rng, id_base + i as u64, label, &mut buf));
             gold.push(label);
         }
         (docs, gold)
@@ -299,9 +321,9 @@ pub fn generate(cfg: &TopicTaskConfig) -> TopicDataset {
     // The crawl table reflects what a crawler would measure: the true
     // per-domain celebrity-content fraction, with sampling noise.
     let mut crawl_table = HashMap::new();
-    let mut counts: HashMap<String, (u64, u64)> = HashMap::new();
+    let mut counts: HashMap<&str, (u64, u64)> = HashMap::new();
     for (doc, gold) in unlabeled.iter().zip(&unlabeled_gold) {
-        let entry = counts.entry(doc.domain().to_owned()).or_insert((0, 0));
+        let entry = counts.entry(doc.domain()).or_insert((0, 0));
         entry.1 += 1;
         if *gold == Label::Positive {
             entry.0 += 1;
@@ -309,12 +331,12 @@ pub fn generate(cfg: &TopicTaskConfig) -> TopicDataset {
     }
     // Deterministic order: HashMap iteration order varies per instance,
     // and each domain consumes RNG draws.
-    let mut sorted: Vec<(String, (u64, u64))> = counts.into_iter().collect();
+    let mut sorted: Vec<(&str, (u64, u64))> = counts.into_iter().collect();
     sorted.sort();
     for (domain, (pos, total)) in sorted {
         let noise = 1.0 + 0.1 * gaussian(&mut rng);
         let frac = (pos as f64 / total.max(1) as f64) * noise.max(0.0);
-        crawl_table.insert(domain, frac);
+        crawl_table.insert(domain.to_owned(), frac);
     }
 
     TopicDataset {
