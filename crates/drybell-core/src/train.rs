@@ -190,7 +190,7 @@ pub(crate) fn run<M: Params>(
         let mut layout = drybell_obs::ShardLayout::new();
         let step_slot = layout.slot_histogram(t.metrics().histogram("obs/train/step_us"));
         let rows_slot = layout.slot_counter(t.metrics().counter("obs/train/rows"));
-        (Arc::new(layout).shard(), step_slot, rows_slot, t)
+        (Arc::new(layout).shard(), step_slot, rows_slot)
     });
     let mut epochs = Vec::new();
     let mut loss_history = Vec::new();
@@ -211,13 +211,13 @@ pub(crate) fn run<M: Params>(
             } else {
                 None
             };
-            if let Some((s, _, _, t)) = &mut shard {
-                s.flush_into(t);
+            if let Some((s, ..)) = &mut shard {
+                s.flush_into();
             }
             epochs.push(close_epoch(&mut epoch, &mut epoch_start, nll));
         }
         gradient(model, &mut sampler, &mut grad);
-        if let Some((s, _, rows_slot, _)) = &mut shard {
+        if let Some((s, _, rows_slot)) = &mut shard {
             s.tally(*rows_slot, sampler.batch_len as u64);
         }
         model.pack(&mut params);
@@ -245,8 +245,8 @@ pub(crate) fn run<M: Params>(
     if epoch.steps > 0 {
         epochs.push(close_epoch(&mut epoch, &mut epoch_start, None));
     }
-    if let Some((s, _, _, t)) = &mut shard {
-        s.flush_into(t);
+    if let Some((s, ..)) = &mut shard {
+        s.flush_into();
     }
     let seconds = start.elapsed().as_secs_f64();
     let final_nll = full_nll(model)?;

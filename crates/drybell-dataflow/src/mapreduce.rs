@@ -44,8 +44,8 @@ pub struct JobConfig {
     pub workers: usize,
     /// Maximum executions of any one shard task before the job
     /// fails. `1` (the default) is fail-stop: the first failed attempt
-    /// aborts the job. Higher values requeue a failed task for another
-    /// worker, with [`JobConfig::retry_backoff_ms`] between attempts.
+    /// aborts the job. Higher values requeue a failed task, at the back
+    /// of the queue, for whichever worker is free next.
     pub max_attempts: u32,
     /// Job-wide budget of input records whose map-function errors are
     /// *skipped* (dropped, with the `dataflow/skipped_records` counter
@@ -54,15 +54,6 @@ pub struct JobConfig {
     /// shard attempt that skips records and later fails anyway does not
     /// refund them.
     pub skip_bad_record_budget: u64,
-    /// Base backoff between attempts of one task, in milliseconds; the
-    /// k-th retry becomes eligible `k * retry_backoff_ms` after the
-    /// failure. The delay is carried on the requeued task as a
-    /// not-before timestamp — the failing worker never sleeps it off,
-    /// so a single flaky shard cannot serialize the rest of the queue
-    /// behind its backoff. A worker that pops a not-yet-due task
-    /// requeues it (counted by `dataflow/backoff_deferrals`) and naps
-    /// only a short slice before looking for ready work.
-    pub retry_backoff_ms: u64,
     /// Deterministic fault-injection schedule (chaos tests). `None` in
     /// production.
     pub fault_plan: Option<FaultPlan>,
@@ -81,7 +72,6 @@ impl JobConfig {
                 .unwrap_or(4),
             max_attempts: 1,
             skip_bad_record_budget: 0,
-            retry_backoff_ms: 1,
             fault_plan: None,
             telemetry: None,
         }
@@ -102,12 +92,6 @@ impl JobConfig {
     /// Allow up to `budget` bad records to be skipped job-wide.
     pub fn with_skip_bad_record_budget(mut self, budget: u64) -> JobConfig {
         self.skip_bad_record_budget = budget;
-        self
-    }
-
-    /// Override the base retry backoff in milliseconds.
-    pub fn with_retry_backoff_ms(mut self, ms: u64) -> JobConfig {
-        self.retry_backoff_ms = ms;
         self
     }
 
@@ -343,10 +327,6 @@ impl JobState {
 struct Task {
     index: usize,
     attempt: u32,
-    /// Earliest instant this task may run again (retry backoff). The
-    /// timestamp rides the queue instead of the failing worker sleeping
-    /// it off, which would stall every task queued behind it.
-    not_before: Option<Instant>,
 }
 
 /// A work queue that supports requeueing failed tasks.
@@ -369,11 +349,7 @@ struct QueueState {
 
 impl TaskQueue {
     fn new(num_tasks: usize) -> TaskQueue {
-        let tasks = (0..num_tasks).map(|index| Task {
-            index,
-            attempt: 0,
-            not_before: None,
-        });
+        let tasks = (0..num_tasks).map(|index| Task { index, attempt: 0 });
         TaskQueue {
             state: Mutex::new(QueueState {
                 tasks: tasks.collect(),
@@ -398,11 +374,6 @@ impl TaskQueue {
             .wait_while(self.lock(), |s| s.tasks.is_empty() && !s.closed)
             .unwrap_or_else(PoisonError::into_inner);
         state.tasks.pop_front()
-    }
-
-    /// Tasks not yet completed.
-    fn pending(&self) -> usize {
-        self.lock().pending
     }
 
     /// Stop accepting requeues and wake every worker blocked in `next`.
@@ -465,11 +436,10 @@ fn record_attempt(
 ///
 /// Each of `workers` threads builds per-worker state via `init`, then
 /// drains tasks. A failed or panicked attempt (including injected
-/// faults from [`JobConfig::fault_plan`]) is requeued for another
-/// worker while attempts remain, with linear backoff carried as a
-/// not-before timestamp on the requeued task (the failing worker never
-/// sleeps, so other tasks keep flowing); exhausted retries fail the job
-/// via `state` and close the queue so every worker winds down promptly.
+/// faults from [`JobConfig::fault_plan`]) goes to the back of the queue
+/// while attempts remain, so other tasks keep flowing; exhausted retries
+/// fail the job via `state` and close the queue so every worker winds
+/// down promptly.
 #[expect(
     clippy::too_many_arguments,
     reason = "the job's shared state, borrowed for the phase's scoped threads"
@@ -568,60 +538,18 @@ fn phase_worker<W, InitF, RunF>(
     // and thrown away when the attempt errors or panics, so a retried
     // shard counts once. It lives outside the per-attempt `catch_unwind`
     // so that an unwinding attempt cannot drop (and thereby flush) it.
-    // The engine's own counters count every retry and deferral, and go
-    // through the worker's handle.
+    // The engine's own counters count every retry, and go through the
+    // worker's handle.
     let mut tally = CounterHandle::new(counters);
     let tracer = cfg
         .telemetry
         .as_ref()
         .and_then(drybell_obs::Telemetry::tracer)
         .cloned();
-    // Deferral bookkeeping since the last executed task: the earliest
-    // not-before instant seen and how many deferrals in a row. Once the
-    // streak covers every pending task, the whole queue is waiting out
-    // backoff and this worker parks until the earliest due instant —
-    // previously it kept cycling the queue on 1ms naps, which burned a
-    // wakeup (and a `dataflow/backoff_deferrals` bump) per millisecond
-    // per worker for the entire backoff window.
-    let mut earliest_due: Option<Instant> = None;
-    let mut deferred_streak = 0usize;
     while let Some(task) = queue.next() {
         if state.failed.load(Ordering::SeqCst) {
             return;
         }
-        // A retried task carries its backoff as a not-before stamp. If
-        // it is not due yet, put it back — this worker stays available
-        // for ready tasks instead of serializing the queue behind one
-        // flaky shard's backoff.
-        if let Some(due) = task.not_before {
-            let now = Instant::now();
-            if now < due {
-                ctx.counters.inc("dataflow/backoff_deferrals");
-                if !queue.requeue(task) {
-                    return;
-                }
-                earliest_due = Some(earliest_due.map_or(due, |e| e.min(due)));
-                deferred_streak += 1;
-                if deferred_streak >= queue.pending() {
-                    // Every queued task is deferred: nothing can run
-                    // until the earliest stamp passes, so sleep exactly
-                    // that long instead of polling. A task finishing on
-                    // another worker can only *shrink* the queue, and a
-                    // requeued failure is stamped even later, so no
-                    // ready work can appear before the wakeup.
-                    if let Some(e) = earliest_due.take() {
-                        let now = Instant::now();
-                        if e > now {
-                            std::thread::sleep(e - now);
-                        }
-                    }
-                    deferred_streak = 0;
-                }
-                continue;
-            }
-        }
-        earliest_due = None;
-        deferred_streak = 0;
         let injected = cfg
             .fault_plan
             .as_ref()
@@ -656,8 +584,8 @@ fn phase_worker<W, InitF, RunF>(
                 run(&mut wstate, task.index, &mut tally)
             }
         }));
-        // Busy time covers task execution only — never queue waits or
-        // retry backoff — so an idle worker's clock reads zero.
+        // Busy time covers task execution only — never queue waits — so
+        // an idle worker's clock reads zero.
         busy.charge(worker_id, started);
         if let Some(handle) = attempt_trace {
             handle.close("job/shard_attempt", started);
@@ -687,19 +615,9 @@ fn phase_worker<W, InitF, RunF>(
                 if next < cfg.max_attempts {
                     ctx.counters.inc("dataflow/retries");
                     record_attempt(cfg, task, started, "retry", Some(&e));
-                    // Requeue immediately with a not-before stamp; the
-                    // deferral check at the top of the loop enforces
-                    // the linear backoff without this worker sleeping.
-                    let not_before = (cfg.retry_backoff_ms > 0).then(|| {
-                        Instant::now()
-                            + Duration::from_millis(
-                                cfg.retry_backoff_ms.saturating_mul(u64::from(next)),
-                            )
-                    });
                     if !queue.requeue(Task {
                         index: task.index,
                         attempt: next,
-                        not_before,
                     }) {
                         return;
                     }
@@ -952,11 +870,7 @@ mod tests {
     use super::*;
 
     fn retry(index: usize) -> Task {
-        Task {
-            index,
-            attempt: 1,
-            not_before: None,
-        }
+        Task { index, attempt: 1 }
     }
 
     #[test]
@@ -995,7 +909,7 @@ mod tests {
         assert_eq!(queue.next().map(|t| t.index), Some(0));
         assert_eq!(queue.next().map(|t| t.index), Some(1));
         queue.task_done();
-        assert_eq!(queue.pending(), 1);
+        assert_eq!(queue.lock().pending, 1);
         // One task is still out: its retry is accepted and handed out.
         assert!(queue.requeue(retry(1)));
         assert_eq!(queue.next().map(|t| (t.index, t.attempt)), Some((1, 1)));

@@ -328,7 +328,6 @@ fn retry_recovers_from_transient_shard_fault() {
     let cfg = JobConfig::new("flaky")
         .with_workers(2)
         .with_max_attempts(2)
-        .with_retry_backoff_ms(0)
         .with_fault_plan(FaultPlan::seeded(7).fail_task(FaultSite::Map, 2, 0));
     let stats = par_map_shards(
         &input,
@@ -347,95 +346,6 @@ fn retry_recovers_from_transient_shard_fault() {
 }
 
 #[test]
-fn retry_backoff_defers_on_the_queue_instead_of_sleeping_the_worker() {
-    // One worker, a flaky shard with a visible backoff: the retried
-    // task must come back as a not-before deferral (counted) rather
-    // than the worker sleeping through the backoff, and the job must
-    // still complete with every record intact.
-    let dir = tempfile::tempdir().unwrap();
-    let records: Vec<WordRec> = (0..80).map(|i| (i, format!("doc {i}"))).collect();
-    let input = write_input(dir.path(), 4, &records);
-    let output = input.derive("out");
-    let cfg = JobConfig::new("deferred")
-        .with_workers(1)
-        .with_max_attempts(2)
-        .with_retry_backoff_ms(20)
-        .with_fault_plan(FaultPlan::seeded(7).fail_task(FaultSite::Map, 0, 0));
-    let stats = par_map_shards(
-        &input,
-        &output,
-        &cfg,
-        |_ctx| Ok(()),
-        |_s: &mut (), rec: WordRec, emit, _c: &mut CounterHandle| emit.emit(&rec),
-    )
-    .unwrap();
-    assert_eq!(stats.records_in, 80);
-    assert_eq!(stats.records_out, 80);
-    assert_eq!(stats.counters.get("dataflow/retries"), 1);
-    // Shard 0 fails first; its retry is stamped 20ms out while shards
-    // 1-3 are still queued, so the single worker must hit the deferral
-    // path at least once before the retry becomes due.
-    assert!(
-        stats.counters.get("dataflow/backoff_deferrals") > 0,
-        "expected the not-yet-due retry to be requeued, got {:?}",
-        stats.counters.get("dataflow/backoff_deferrals")
-    );
-    let mut back: Vec<WordRec> = read_all(&output).unwrap();
-    back.sort();
-    assert_eq!(back, records);
-}
-
-#[test]
-fn fully_deferred_queue_parks_instead_of_spinning() {
-    // Every shard fails its first attempt, so for a whole backoff
-    // window (150ms here) the queue holds nothing but not-yet-due
-    // retries. Workers must park until the earliest due instant rather
-    // than cycling the queue on short naps — the old path burned one
-    // deferral (and a wakeup) per millisecond per worker, several
-    // hundred for this configuration. A parked worker pops each
-    // deferred task at most once per queue cycle, so the count stays
-    // within a few small cycles.
-    let dir = tempfile::tempdir().unwrap();
-    let records: Vec<WordRec> = (0..80).map(|i| (i, format!("doc {i}"))).collect();
-    let input = write_input(dir.path(), 4, &records);
-    let output = input.derive("out");
-    let plan = FaultPlan::seeded(11)
-        .fail_task(FaultSite::Map, 0, 0)
-        .fail_task(FaultSite::Map, 1, 0)
-        .fail_task(FaultSite::Map, 2, 0)
-        .fail_task(FaultSite::Map, 3, 0);
-    let cfg = JobConfig::new("all-deferred")
-        .with_workers(2)
-        .with_max_attempts(2)
-        .with_retry_backoff_ms(150)
-        .with_fault_plan(plan);
-    let started = std::time::Instant::now();
-    let stats = par_map_shards(
-        &input,
-        &output,
-        &cfg,
-        |_ctx| Ok(()),
-        |_s: &mut (), rec: WordRec, emit, _c: &mut CounterHandle| emit.emit(&rec),
-    )
-    .unwrap();
-    assert!(
-        started.elapsed() >= std::time::Duration::from_millis(140),
-        "retries must actually wait out the backoff"
-    );
-    assert_eq!(stats.records_in, 80);
-    assert_eq!(stats.records_out, 80);
-    assert_eq!(stats.counters.get("dataflow/retries"), 4);
-    let deferrals = stats.counters.get("dataflow/backoff_deferrals");
-    assert!(
-        deferrals <= 64,
-        "a fully-deferred queue must park, not poll: {deferrals} deferrals"
-    );
-    let mut back: Vec<WordRec> = read_all(&output).unwrap();
-    back.sort();
-    assert_eq!(back, records);
-}
-
-#[test]
 fn exhausted_retries_fail_the_job() {
     let dir = tempfile::tempdir().unwrap();
     let records: Vec<WordRec> = (0..40).map(|i| (i, String::new())).collect();
@@ -448,7 +358,6 @@ fn exhausted_retries_fail_the_job() {
     let cfg = JobConfig::new("doomed")
         .with_workers(2)
         .with_max_attempts(3)
-        .with_retry_backoff_ms(0)
         .with_fault_plan(plan);
     let result = par_map_shards(
         &input,

@@ -77,7 +77,6 @@ fn par_map_survives_chaos_with_byte_identical_output() {
     let cfg = JobConfig::new("chaos")
         .with_workers(4)
         .with_max_attempts(4)
-        .with_retry_backoff_ms(0)
         .with_fault_plan(plan);
     let stats = par_map_shards(&chaos_in, &chaos_out, &cfg, |_ctx| Ok(()), identity_map).unwrap();
 
@@ -162,7 +161,6 @@ fn retry_budget_boundary_is_exact() {
         let cfg = JobConfig::new("boundary")
             .with_workers(2)
             .with_max_attempts(attempts)
-            .with_retry_backoff_ms(0)
             .with_fault_plan(plan.clone());
         par_map_shards(&input, &output, &cfg, |_ctx| Ok(()), identity_map)
             .map(|stats| stats.counters.get("dataflow/retries"))
@@ -234,10 +232,7 @@ fn job_counters_count_a_retried_shard_once() {
         let dir = tempfile::tempdir().unwrap();
         let input = write_input(dir.path(), 1, &docs(100));
         let output = input.derive("out");
-        let cfg = JobConfig::new("once")
-            .with_workers(2)
-            .with_max_attempts(2)
-            .with_retry_backoff_ms(0);
+        let cfg = JobConfig::new("once").with_workers(2).with_max_attempts(2);
         let failed_once = AtomicBool::new(false);
         let stats = par_map_shards(
             &input,
@@ -271,7 +266,6 @@ fn skips_of_a_failed_attempt_stay_counted() {
     let cfg = JobConfig::new("skips-kept")
         .with_workers(1)
         .with_max_attempts(2)
-        .with_retry_backoff_ms(0)
         .with_skip_bad_record_budget(2);
     let panicked_once = AtomicBool::new(false);
     let stats = par_map_shards(
@@ -313,7 +307,6 @@ fn shard_attempts_are_journaled() {
     let cfg = JobConfig::new("observed")
         .with_workers(2)
         .with_max_attempts(2)
-        .with_retry_backoff_ms(0)
         .with_fault_plan(FaultPlan::seeded(5).fail_task(FaultSite::Map, 1, 0))
         .with_telemetry(telemetry.clone());
     par_map_shards(&input, &output, &cfg, |_ctx| Ok(()), identity_map).unwrap();

@@ -18,12 +18,12 @@ use drybell_core::LabelMatrix;
 use drybell_dataflow::codec::{self, CodecError, Record};
 use drybell_dataflow::FaultPlan;
 use drybell_dataflow::{
-    par_map_shards, par_map_vec, CounterHandle, DataflowError, JobConfig, JobStats, Service,
-    ShardSpec,
+    par_map_shards, par_map_vec, CounterHandle, CounterSnapshot, DataflowError, JobConfig,
+    JobStats, Service, ShardSpec,
 };
 use drybell_kg::KnowledgeGraph;
 use drybell_nlp::{CacheStats, CachedNlpServer, NlpError, NlpResult, NlpServer};
-use drybell_obs::{CounterSlot, HistogramSlot, LocalShard, ShardLayout, Span, Telemetry, Tracer};
+use drybell_obs::{HistogramSlot, LocalShard, ShardLayout, Span, Telemetry, Tracer};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -121,49 +121,42 @@ impl ExecOptions {
     }
 }
 
-/// Shard layout for the per-LF instruments, slots parallel to
-/// `set.lfs()` column order. Built once per job (eagerly registering
-/// every instrument, so zero-vote LFs still appear in snapshots); each
-/// worker buffers its rows in a private [`LocalShard`] and the whole
-/// batch folds into the shared registry when the worker retires — the
-/// per-row cost is plain memory writes, no atomics or locks.
+/// Shard layout for the per-LF latency histograms, slots parallel to
+/// `set.lfs()` column order. Built once per job; each worker buffers its
+/// rows in a private [`LocalShard`] and the whole batch folds into the
+/// shared registry when the worker retires — the per-row cost is plain
+/// memory writes, no atomics or locks. The per-LF counts are not
+/// recorded here but read off Λ ([`report_counts`]); building the layout
+/// registers their counters, so an LF that never votes still appears in
+/// snapshots, and so does a run that fails before it has a Λ.
 struct LfShards {
     layout: Arc<ShardLayout>,
-    /// `votes/<lf>` — bumped when the LF does not abstain.
-    votes: Vec<CounterSlot>,
     /// `obs/lf/<lf>/eval_us` — wall-clock latency of each evaluation.
     eval_us: Vec<HistogramSlot>,
-    /// `lf/<lf>/degraded` — bumped when the LF abstained because its
-    /// backing NLP service errored.
-    degraded: Vec<CounterSlot>,
     /// Trace block names (`lf/<lf>`), interned for the trace exporter.
     trace_names: Vec<String>,
-    telemetry: Telemetry,
+    tracer: Option<Tracer>,
 }
 
 impl LfShards {
     fn for_set<X>(set: &LfSet<X>, telemetry: &Telemetry) -> Arc<LfShards> {
         let metrics = telemetry.metrics();
         let mut layout = ShardLayout::new();
-        let mut votes = Vec::with_capacity(set.len());
         let mut eval_us = Vec::with_capacity(set.len());
-        let mut degraded = Vec::with_capacity(set.len());
         let mut trace_names = Vec::with_capacity(set.len());
         for lf in set.lfs() {
             let name = &lf.metadata().name;
-            votes.push(layout.slot_counter(metrics.counter(&format!("votes/{name}"))));
+            metrics.counter(&format!("votes/{name}"));
+            metrics.counter(&format!("lf/{name}/degraded"));
             eval_us
                 .push(layout.slot_histogram(metrics.histogram(&format!("obs/lf/{name}/eval_us"))));
-            degraded.push(layout.slot_counter(metrics.counter(&format!("lf/{name}/degraded"))));
             trace_names.push(format!("lf/{name}"));
         }
         Arc::new(LfShards {
             layout: Arc::new(layout),
-            votes,
             eval_us,
-            degraded,
             trace_names,
-            telemetry: telemetry.clone(),
+            tracer: telemetry.tracer().cloned(),
         })
     }
 
@@ -173,7 +166,7 @@ impl LfShards {
     fn worker(self: &Arc<LfShards>, exec_parent: Option<u64>) -> LfWorkerShard {
         LfWorkerShard {
             shard: self.layout.shard(),
-            trace: self.telemetry.tracer().map(|tracer| LfTrace {
+            trace: self.tracer.as_ref().map(|tracer| LfTrace {
                 tracer: tracer.clone(),
                 elapsed: vec![0; self.trace_names.len()],
                 parent: None,
@@ -244,28 +237,15 @@ impl LfWorkerShard {
         }
     }
 
-    /// Record one LF evaluation: latency, a vote if it did not abstain,
-    /// and trace-block time.
-    fn eval(&mut self, i: usize, elapsed: std::time::Duration, voted: bool) {
+    /// Record one LF evaluation's latency and trace-block time.
+    fn eval(&mut self, i: usize, elapsed: std::time::Duration) {
         if let Some(&slot) = self.shards.eval_us.get(i) {
             self.shard.observe_duration(slot, elapsed);
-        }
-        if voted {
-            if let Some(&slot) = self.shards.votes.get(i) {
-                self.shard.bump(slot);
-            }
         }
         if let Some(trace) = &mut self.trace {
             if let Some(us) = trace.elapsed.get_mut(i) {
                 *us += elapsed.as_micros().min(u64::MAX as u128) as u64;
             }
-        }
-    }
-
-    /// Record that LF `i` degraded to abstain (NLP outage).
-    fn degraded(&mut self, i: usize) {
-        if let Some(&slot) = self.shards.degraded.get(i) {
-            self.shard.bump(slot);
         }
     }
 }
@@ -275,7 +255,7 @@ impl Drop for LfWorkerShard {
         if let Some(trace) = &mut self.trace {
             trace.emit_blocks(&self.shards.trace_names);
         }
-        self.shard.flush_into(&self.shards.telemetry);
+        self.shard.flush_into();
     }
 }
 
@@ -286,9 +266,8 @@ impl Drop for LfWorkerShard {
 /// rather than a panic inside a worker.
 ///
 /// `degraded` marks an example whose NLP annotation call failed: its NLP
-/// LFs abstain (vote 0, with the `lf/<name>/degraded` instrument bumped
-/// when telemetry is attached) instead of erroring on the intentionally
-/// absent annotation.
+/// LFs abstain (vote 0) instead of erroring on the intentionally absent
+/// annotation.
 fn row_of<X>(
     lfs: &[Lf<X>],
     x: &X,
@@ -323,7 +302,6 @@ fn row_of<X>(
             let mut last = Instant::now();
             for (i, (lf, vote)) in lfs.iter().zip(votes).enumerate() {
                 if degraded && lf.needs_nlp() {
-                    obs.degraded(i);
                     *vote = 0;
                     continue;
                 }
@@ -332,7 +310,7 @@ fn row_of<X>(
                     .map_err(|e| DataflowError::user(e.to_string()))?
                     .as_i8();
                 let now = Instant::now();
-                obs.eval(i, now - last, *vote != 0);
+                obs.eval(i, now - last);
                 last = now;
             }
         }
@@ -377,28 +355,27 @@ impl<'s, X> LfWorker<'s, X> {
 
     /// Label one example into `votes`. Its text is extracted once: the NLP
     /// server annotates it if the set has NLP LFs, and its word view is
-    /// built if the set has word LFs. Returns `None` when no annotation
-    /// was asked for, else whether the call failed — its NLP LFs then
-    /// abstained, and its word LFs voted as usual.
-    fn label(&mut self, x: &X, votes: &mut [i8]) -> Result<Option<bool>, DataflowError> {
+    /// built if the set has word LFs. Returns whether the annotation call
+    /// failed — its NLP LFs then abstained, and its word LFs voted as
+    /// usual.
+    fn label(&mut self, x: &X, votes: &mut [i8]) -> Result<bool, DataflowError> {
         let text = match self.text {
             Some(t) if self.reads_nlp || self.words_kg.is_some() => Some(t(x)),
             _ => None,
         };
-        let (mut annotation, mut words, mut degraded) = (None, None, None);
+        let (mut annotation, mut words, mut failed) = (None, None, false);
         if let Some(text) = &text {
             if self.reads_nlp {
                 annotation = self.nlp.try_annotate(text).ok();
-                degraded = Some(annotation.is_none());
+                failed = annotation.is_none();
             }
             if let Some(kg) = self.words_kg {
                 words = Some(Words::resolve(text, kg, &mut self.words));
             }
         }
-        let failed = degraded == Some(true);
         let (nlp, obs) = (annotation.as_ref(), self.obs.as_mut());
         row_of(self.lfs, x, nlp, words.as_ref(), obs, failed, votes)?;
-        Ok(degraded)
+        Ok(failed)
     }
 }
 
@@ -471,6 +448,48 @@ fn check_text<X>(set: &LfSet<X>, text: Option<&TextExtractor<X>>) -> Result<(), 
     }
 }
 
+/// Write the per-LF counts, read off Λ, where the run reports them. Λ's
+/// non-abstain cells per column are `votes/<lf>`, and a set that reads
+/// NLP made one `nlp_calls` request per row; both go to the job counters
+/// (zero counts stay absent). The telemetry counters get `votes/<lf>` and,
+/// for each NLP LF, `degraded` — the failed annotations — as
+/// `lf/<lf>/degraded` (its `nlp_calls` is the NLP server's own). Returns
+/// `nlp_calls`.
+fn report_counts<X>(
+    set: &LfSet<X>,
+    matrix: &LabelMatrix,
+    degraded: u64,
+    telemetry: Option<&Telemetry>,
+    mut job: Option<&mut CounterSnapshot>,
+) -> u64 {
+    let nlp_calls = matrix.num_examples() as u64 * u64::from(set.needs_nlp());
+    if telemetry.is_none() && job.is_none() {
+        return nlp_calls;
+    }
+    let mut votes = vec![0u64; set.len()];
+    for row in matrix.raw().chunks_exact(set.len().max(1)) {
+        for (n, &v) in votes.iter_mut().zip(row) {
+            *n += u64::from(v != 0);
+        }
+    }
+    for (lf, n) in set.lfs().iter().zip(votes) {
+        let name = &lf.metadata().name;
+        if let Some(m) = telemetry.map(Telemetry::metrics) {
+            m.counter(&format!("votes/{name}")).add(n);
+            if lf.needs_nlp() {
+                m.counter(&format!("lf/{name}/degraded")).add(degraded);
+            }
+        }
+        if let Some(job) = job.as_deref_mut().filter(|_| n > 0) {
+            job.add(&format!("votes/{name}"), n);
+        }
+    }
+    if let Some(job) = job.filter(|_| nlp_calls > 0) {
+        job.add("nlp_calls", nlp_calls);
+    }
+    nlp_calls
+}
+
 /// Most rows in one unit of in-memory work (see
 /// [`execute_in_memory_observed`]).
 const BLOCK_ROWS: usize = 256;
@@ -505,7 +524,6 @@ pub fn execute_in_memory_observed<X: Sync>(
     let _span = opts.telemetry.as_ref().map(|t| t.span("lf_exec/in_memory"));
     let exec_parent = _span.as_ref().and_then(Span::trace_id);
     let start = Instant::now();
-    let nlp_calls = std::sync::atomic::AtomicU64::new(0);
     let nlp_degraded = std::sync::atomic::AtomicU64::new(0);
     // The matrix's own buffer, filled in place. A `par_map_vec` item is a
     // block of examples with its stretch of the buffer, behind a mutex
@@ -534,11 +552,8 @@ pub fn execute_in_memory_observed<X: Sync>(
             // and a failed run drops the buffer anyway.
             let mut votes = votes.lock().unwrap_or_else(PoisonError::into_inner);
             for (x, row) in examples.iter().zip(votes.chunks_mut(width)) {
-                if let Some(degraded) = worker.label(x, row)? {
-                    nlp_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if degraded {
-                        nlp_degraded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
+                if worker.label(x, row)? {
+                    nlp_degraded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
             }
             Ok(())
@@ -556,11 +571,12 @@ pub fn execute_in_memory_observed<X: Sync>(
     if let (Some(t), Some(c)) = (&opts.telemetry, &shared_cache) {
         c.export_to(t.metrics());
     }
+    let nlp_degraded = nlp_degraded.into_inner();
     let stats = ExecutionStats {
         examples: examples.len(),
         seconds: start.elapsed().as_secs_f64(),
-        nlp_calls: nlp_calls.into_inner(),
-        nlp_degraded: nlp_degraded.into_inner(),
+        nlp_calls: report_counts(set, &matrix, nlp_degraded, opts.telemetry.as_ref(), None),
+        nlp_degraded,
         cache,
     };
     if let Some(journal) = opts.telemetry.as_ref().and_then(Telemetry::journal) {
@@ -639,8 +655,8 @@ where
 ///
 /// With a cache enabled, its final [`CacheStats`] are surfaced as the job
 /// counters `nlp_cache/hits`, `nlp_cache/misses`, and
-/// `nlp_cache/evictions` alongside the existing `nlp_calls` and
-/// `votes/<lf>` counters.
+/// `nlp_cache/evictions` alongside the `nlp_calls` and `votes/<lf>`
+/// counters read off Λ.
 pub fn execute_sharded_observed<X>(
     set: &LfSet<X>,
     text: Option<&TextExtractor<X>>,
@@ -654,22 +670,13 @@ where
     X: Record + Sync,
 {
     check_text(set, text)?;
-    // Job-counter names interned once: the per-record loop below must not
-    // allocate a `votes/<lf>` string per vote.
-    let vote_names: Vec<String> = set
-        .lfs()
-        .iter()
-        .map(|lf| format!("votes/{}", lf.metadata().name))
-        .collect();
     // `lf/<name>/degraded` job-counter names for the NLP LFs, interned
-    // for the same reason.
-    let degraded_names: Vec<Option<String>> = set
+    // once: the per-record loop below must not allocate them.
+    let degraded_names: Vec<String> = set
         .lfs()
         .iter()
-        .map(|lf| {
-            lf.needs_nlp()
-                .then(|| format!("lf/{}/degraded", lf.metadata().name))
-        })
+        .filter(|lf| lf.needs_nlp())
+        .map(|lf| format!("lf/{}/degraded", lf.metadata().name))
         .collect();
     let shards = opts.telemetry.as_ref().map(|t| LfShards::for_set(set, t));
     let shared_cache = build_shared_cache(set, opts)?;
@@ -703,16 +710,10 @@ where
          x: X,
          emit,
          counters: &mut CounterHandle| {
-            if let Some(degraded) = worker.label(&x, &mut row.votes)? {
-                counters.inc("nlp_calls");
-                if degraded {
-                    for name in degraded_names.iter().flatten() {
-                        counters.inc(name);
-                    }
-                }
-            }
-            for (name, &v) in vote_names.iter().zip(&row.votes) {
-                if v != 0 {
+            // The one count made per record: counted through the attempt's
+            // handle, it counts once however often the shard is retried.
+            if worker.label(&x, &mut row.votes)? {
+                for name in &degraded_names {
                     counters.inc(name);
                 }
             }
@@ -729,9 +730,6 @@ where
             cache.export_to(t.metrics());
         }
     }
-    if let Some(journal) = opts.telemetry.as_ref().and_then(Telemetry::journal) {
-        stats.emit_to(journal);
-    }
     // Assemble the matrix in id order.
     let mut rows: Vec<VoteRow> = drybell_dataflow::read_all(output)?;
     rows.sort_by_key(|r| r.id);
@@ -740,6 +738,12 @@ where
         matrix
             .push_raw_row(&row.votes)
             .map_err(|e| DataflowError::user(e.to_string()))?;
+    }
+    let degraded = degraded_names.first().map_or(0, |n| stats.counters.get(n));
+    let telemetry = opts.telemetry.as_ref();
+    report_counts(set, &matrix, degraded, telemetry, Some(&mut stats.counters));
+    if let Some(journal) = telemetry.and_then(Telemetry::journal) {
+        stats.emit_to(journal);
     }
     Ok((matrix, stats))
 }
@@ -1115,15 +1119,16 @@ mod tests {
     fn sharded_job_counters_are_exact_under_retry() {
         let corpus = many_docs(300);
         let ext = extractor();
-        let run = |set: &LfSet<Doc>, cfg: &JobConfig| {
+        let run = |set: &LfSet<Doc>, cfg: &JobConfig, opts: &ExecOptions| {
             let dir = tempfile::tempdir().unwrap();
             let input = ShardSpec::new(dir.path(), "docs", 6);
             write_all(&input, &corpus).unwrap();
             let output = input.derive("votes");
-            execute_sharded(set, Some(&ext), &input, &output, cfg, |d| d.0).unwrap()
+            execute_sharded_observed(set, Some(&ext), &input, &output, cfg, |d| d.0, opts).unwrap()
         };
         let set = set_with_tripwire(false);
-        let (clean_matrix, clean) = run(&set, &JobConfig::new("clean").with_workers(2));
+        let plain = ExecOptions::new();
+        let (clean_matrix, clean) = run(&set, &JobConfig::new("clean").with_workers(2), &plain);
         // Task-level faults cost an attempt before it counts anything;
         // the tripwire kills one after 25 rows of shard 0 were counted.
         let plan = FaultPlan::seeded(7)
@@ -1133,9 +1138,8 @@ mod tests {
         let cfg = JobConfig::new("chaos")
             .with_workers(2)
             .with_max_attempts(3)
-            .with_retry_backoff_ms(0)
             .with_fault_plan(plan);
-        let (matrix, stats) = run(&set_with_tripwire(true), &cfg);
+        let (matrix, stats) = run(&set_with_tripwire(true), &cfg, &plain);
         assert_eq!(matrix, clean_matrix);
         assert!(stats.counters.get("dataflow/retries") >= 2);
         assert_eq!(clean.counters.get("nlp_calls"), 300);
@@ -1149,6 +1153,32 @@ mod tests {
                 "{counter}"
             );
             votes += stats.counters.get(&counter);
+        }
+        let cells = matrix.raw().iter().filter(|&&v| v != 0).count();
+        assert_eq!(votes, cells as u64);
+
+        // The same chaos job observed, with one text's annotations
+        // failing: its telemetry counts are the job's, not one per attempt,
+        // and its votes add up to Λ's non-abstain cells.
+        let telemetry = Telemetry::new();
+        let outage = FaultPlan::seeded(4).fail_nlp_text("nothing notable");
+        let opts = ExecOptions::new()
+            .with_telemetry(telemetry.clone())
+            .with_nlp_faults(outage);
+        let (matrix, stats) = run(&set_with_tripwire(true), &cfg, &opts);
+        assert!(stats.counters.get("dataflow/retries") >= 2);
+        assert_eq!(stats.counters.get("lf/mentions_person/degraded"), 75);
+        let snap = telemetry.metrics().snapshot();
+        let mut votes = 0;
+        for name in set.names() {
+            for counter in [format!("votes/{name}"), format!("lf/{name}/degraded")] {
+                assert_eq!(
+                    snap.counter(&counter),
+                    stats.counters.get(&counter),
+                    "{counter}"
+                );
+            }
+            votes += snap.counter(&format!("votes/{name}"));
         }
         let cells = matrix.raw().iter().filter(|&&v| v != 0).count();
         assert_eq!(votes, cells as u64);

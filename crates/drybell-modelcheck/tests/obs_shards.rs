@@ -8,13 +8,10 @@
 //! writer mutex) — and the explorer must **find** the interleaving
 //! where a later seq lands in the file first. The *single-section*
 //! one mirrors the current implementation (one `Mutex<JournalState>`
-//! assigns the seq and appends the line together, `emit_batch` doing
-//! so for a whole slice) and must hold over every schedule. The shard
-//! model proves flush/merge loses no updates and that the
-//! ordinal-keyed `ShardGroup` fold is schedule-independent.
+//! assigns the seq and appends the line together) and must hold over
+//! every schedule. The shard model proves flush/merge loses no updates.
 
 use drybell_modelcheck::{explore, ModelThread};
-use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Journal: seq allocation vs line write
@@ -60,16 +57,6 @@ impl JournalModel {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.lines.push(seq);
-    }
-
-    /// `emit_batch`: one critical section assigns `n` consecutive
-    /// seqs and appends all `n` lines.
-    fn emit_batch(&mut self, _thread: usize, n: u64) {
-        for _ in 0..n {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.lines.push(seq);
-        }
     }
 
     /// Written seqs must appear in the file in increasing order.
@@ -121,11 +108,18 @@ fn single_critical_section_emit_keeps_seq_order() {
         ),
         ModelThread::new(
             "b",
-            vec![Box::new(|s: &mut JournalModel| s.emit_batch(1, 3))],
+            vec![
+                Box::new(|s: &mut JournalModel| s.emit(1)),
+                Box::new(|s: &mut JournalModel| s.emit(1)),
+                Box::new(|s: &mut JournalModel| s.emit(1)),
+            ],
         ),
         ModelThread::new(
             "c",
-            vec![Box::new(|s: &mut JournalModel| s.emit_batch(2, 2))],
+            vec![
+                Box::new(|s: &mut JournalModel| s.emit(2)),
+                Box::new(|s: &mut JournalModel| s.emit(2)),
+            ],
         ),
     ];
     let stats = explore(
@@ -148,10 +142,11 @@ fn single_critical_section_emit_keeps_seq_order() {
 // Shards: thread-local tallies, flushed at a boundary
 // ---------------------------------------------------------------------------
 
-/// Mirror of `LocalShard` + `Telemetry`: per-worker counter tallies
-/// and histogram sample buffers (thread-local, no lock), flushed as
-/// two critical sections — the counter merge (one atomic add per
-/// instrument) and the histogram merge (one lock per instrument).
+/// Mirror of `LocalShard` and its layout's shared instruments:
+/// per-worker counter tallies and histogram sample buffers
+/// (thread-local, no lock), flushed as two critical sections — the
+/// counter merge (one atomic add per instrument) and the histogram
+/// merge (one lock per instrument).
 #[derive(Clone, Default)]
 struct ShardModel {
     counter: u64,
@@ -246,57 +241,4 @@ fn shard_flush_merge_loses_no_updates() {
     )
     .expect("flush/merge is exact under all interleavings");
     assert!(stats.interleavings > 100);
-}
-
-// ---------------------------------------------------------------------------
-// ShardGroup: ordinal-keyed commit, deterministic fold
-// ---------------------------------------------------------------------------
-
-/// Mirror of `ShardGroup`: workers commit their buffered journal
-/// events under the group's lock keyed by shard ordinal; the fold
-/// walks ordinals in order, so the folded journal is independent of
-/// commit timing.
-#[derive(Clone, Default)]
-struct GroupModel {
-    committed: BTreeMap<usize, Vec<&'static str>>,
-}
-
-impl GroupModel {
-    /// One critical section: `ShardGroup::commit(ordinal, shard)`.
-    fn commit(&mut self, ordinal: usize, events: &[&'static str]) {
-        self.committed.entry(ordinal).or_default().extend(events);
-    }
-
-    /// `fold_into`: concatenate in ordinal order.
-    fn fold(&self) -> Vec<&'static str> {
-        self.committed.values().flatten().copied().collect()
-    }
-}
-
-#[test]
-fn shard_group_fold_is_commit_order_independent() {
-    let threads: Vec<ModelThread<GroupModel>> = vec![
-        ModelThread::new(
-            "w0",
-            vec![Box::new(|s: &mut GroupModel| s.commit(0, &["a0", "a1"]))],
-        ),
-        ModelThread::new(
-            "w1",
-            vec![Box::new(|s: &mut GroupModel| s.commit(1, &["b0"]))],
-        ),
-        ModelThread::new(
-            "w2",
-            vec![Box::new(|s: &mut GroupModel| s.commit(2, &["c0", "c1"]))],
-        ),
-    ];
-    let stats = explore(&GroupModel::default(), &threads, &|_| None, &|s| {
-        let folded = s.fold();
-        if folded == ["a0", "a1", "b0", "c0", "c1"] {
-            None
-        } else {
-            Some(format!("fold order depends on schedule: {folded:?}"))
-        }
-    })
-    .expect("ordinal-keyed fold is schedule-independent");
-    assert_eq!(stats.interleavings, 6, "3! commit orders");
 }

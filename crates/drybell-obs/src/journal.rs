@@ -167,26 +167,6 @@ impl RunJournal {
         let _ = writeln!(state.sink, "{line}");
     }
 
-    /// Append a batch of events under one lock acquisition, with
-    /// consecutive sequence numbers and a shared timestamp — the flush
-    /// path for thread-local telemetry shards (`crate::shard`), where
-    /// buffered events must land contiguously rather than interleaved
-    /// with other threads' flushes.
-    pub fn emit_batch(&self, events: impl IntoIterator<Item = Event>) {
-        let t = self.inner.start.elapsed().as_secs_f64();
-        let mut state = self.locked();
-        for event in events {
-            let seq = state.seq;
-            state.seq += 1;
-            let line = event.into_json(seq, t).to_line();
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "telemetry must never take down the pipeline it observes"
-            )]
-            let _ = writeln!(state.sink, "{line}");
-        }
-    }
-
     fn locked(&self) -> std::sync::MutexGuard<'_, JournalState> {
         self.inner
             .state
@@ -285,49 +265,10 @@ mod tests {
         });
         let lines = buffer.parsed_lines().unwrap();
         assert_eq!(lines.len(), 200);
-        // All sequence numbers present exactly once.
-        let mut seqs: Vec<i64> = lines
-            .iter()
-            .map(|l| l.get("seq").unwrap().as_i64().unwrap())
-            .collect();
-        seqs.sort();
-        assert_eq!(seqs, (0..200).collect::<Vec<i64>>());
-    }
-
-    #[test]
-    fn batches_are_contiguous_under_interleaved_writers() {
-        let (journal, buffer) = RunJournal::in_memory();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let journal = journal.clone();
-                scope.spawn(move || {
-                    for batch in 0..10 {
-                        journal.emit_batch((0..5).map(|i| {
-                            Event::new("tick")
-                                .field("worker", t as u64)
-                                .field("batch", batch as u64)
-                                .field("i", i as u64)
-                        }));
-                    }
-                });
-            }
-        });
-        let lines = buffer.parsed_lines().unwrap();
-        assert_eq!(lines.len(), 200);
-        assert_eq!(journal.events(), 200);
-        // Sequence numbers are dense and in file order...
+        // Every sequence number exactly once, and in file order: the seq
+        // is assigned under the lock that writes the line.
         for (i, line) in lines.iter().enumerate() {
             assert_eq!(line.get("seq").unwrap().as_i64(), Some(i as i64));
-        }
-        // ...and each 5-event batch landed contiguously.
-        for window in lines.chunks(5) {
-            let worker = window[0].get("worker").unwrap().as_i64();
-            let batch = window[0].get("batch").unwrap().as_i64();
-            for (i, line) in window.iter().enumerate() {
-                assert_eq!(line.get("worker").unwrap().as_i64(), worker);
-                assert_eq!(line.get("batch").unwrap().as_i64(), batch);
-                assert_eq!(line.get("i").unwrap().as_i64(), Some(i as i64));
-            }
         }
     }
 

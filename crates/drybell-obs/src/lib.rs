@@ -70,7 +70,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricsRegistry, MetricsSnapshot,
 };
 pub use report::{histogram_to_json, metrics_to_json, spans_to_json};
-pub use shard::{CounterSlot, GaugeSlot, HistogramSlot, LocalShard, ShardGroup, ShardLayout};
+pub use shard::{CounterSlot, GaugeSlot, HistogramSlot, LocalShard, ShardLayout};
 pub use span::{Span, SpanSet, SpanSnapshot, SpanStat};
 pub use trace::{SelfTime, TraceEvent, TraceHandle, Tracer};
 

@@ -211,25 +211,6 @@ impl LocalHistogram {
         shared.merge_local(self);
         *self = LocalHistogram::default();
     }
-
-    /// Fold another local buffer into this one and reset it.
-    pub fn absorb(&mut self, other: &mut LocalHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "both bucket arrays share HISTOGRAM_BUCKETS length"
-        )]
-        for (i, n) in other.buckets.iter().enumerate() {
-            self.buckets[i] += n;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        *other = LocalHistogram::default();
-    }
 }
 
 impl Histogram {
@@ -576,11 +557,10 @@ mod tests {
             direct.record(v);
             b.observe(v);
         }
-        a.absorb(&mut b);
-        assert!(b.is_empty());
-        assert_eq!(a.count(), 7);
+        assert_eq!(a.count() + b.count(), 7);
         a.drain_into(&shared);
-        assert!(a.is_empty());
+        b.drain_into(&shared);
+        assert!(a.is_empty() && b.is_empty());
         let d = direct.snapshot();
         let s = shared.snapshot();
         assert_eq!(d.buckets(), s.buckets());

@@ -105,11 +105,6 @@ pub const REGISTRY: &[NameSpec] = &[
     },
     NameSpec {
         family: Family::Counter,
-        template: "dataflow/backoff_deferrals",
-        doc: "not-yet-due retry tasks a worker requeued instead of sleeping their backoff",
-    },
-    NameSpec {
-        family: Family::Counter,
         template: "serving/rejected",
         doc: "requests rejected because the front-end admission queue was full",
     },

@@ -99,8 +99,7 @@ impl SpanSet {
         );
     }
 
-    /// Fold a whole pre-aggregated [`SpanStat`] into `path` — the bulk
-    /// form thread-local shards use to flush many samples under one
+    /// Fold a whole pre-aggregated [`SpanStat`] into `path` under one
     /// stripe lock.
     pub fn merge(&self, path: &str, stat: SpanStat) {
         let mut map = self.stripe(path);

@@ -1,18 +1,17 @@
-//! Property: the sharded telemetry path reproduces the sequential one
-//! byte-for-byte.
+//! Property: the sharded telemetry path reproduces the sequential one.
 //!
 //! Random op sequences are applied two ways: once through a single
 //! [`LocalShard`] in order (the sequential reference), and once
 //! chunked contiguously across N shards that real threads fill and
-//! commit to a [`ShardGroup`] in whatever order the scheduler
-//! produces. After the ordinal-ordered fold, the metrics report must
-//! be byte-identical and the journal line-identical (modulo the wall
-//! clock `t` field) — the determinism contract the bench binaries'
-//! instrumentation relies on at any `--workers` count.
+//! flush straight into the shared registry in whatever order the
+//! scheduler produces. Counter and histogram merges are commutative, so
+//! their report must be byte-identical to the sequential one — the
+//! determinism contract the bench binaries' instrumentation relies on
+//! at any `--workers` count. A gauge keeps the last flushed write, so it
+//! is checked on the sequential run only.
 
 use drybell_obs::{
-    CounterSlot, Event, GaugeSlot, HistogramSlot, JournalBuffer, Json, LocalShard, RunJournal,
-    ShardGroup, ShardLayout, Telemetry,
+    metrics_to_json, CounterSlot, GaugeSlot, HistogramSlot, LocalShard, ShardLayout, Telemetry,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,29 +26,22 @@ enum Op {
     Level(i64),
     /// Record a histogram sample.
     Observe(u64),
-    /// Aggregate a span sample.
-    SpanSample(u64),
-    /// Buffer a journal event.
-    PushEvent(u64),
 }
 
 fn random_op(rng: &mut StdRng) -> Op {
     let v = rng.gen_range(0..10_000u64);
-    match rng.gen_range(0..5) {
+    match rng.gen_range(0..3) {
         0 => Op::Tally(v as usize % 2, v % 99 + 1),
         1 => Op::Level((v % 100) as i64 - 50),
-        2 => Op::Observe(v),
-        3 => Op::SpanSample(v % 5_000 + 1),
-        _ => Op::PushEvent(v % 1_000),
+        _ => Op::Observe(v),
     }
 }
 
-/// A telemetry bundle with an in-memory journal and a shard layout
-/// over two counters, a gauge, and a histogram (registered names, so
-/// the fixture mirrors production call sites).
+/// A telemetry bundle and a shard layout over two counters, a gauge,
+/// and a histogram (registered names, so the fixture mirrors production
+/// call sites).
 struct Rig {
     telemetry: Telemetry,
-    buffer: JournalBuffer,
     layout: Arc<ShardLayout>,
     counters: [CounterSlot; 2],
     gauge: GaugeSlot,
@@ -57,8 +49,7 @@ struct Rig {
 }
 
 fn rig() -> Rig {
-    let (journal, buffer) = RunJournal::in_memory();
-    let telemetry = Telemetry::with_journal(journal);
+    let telemetry = Telemetry::new();
     let mut layout = ShardLayout::new();
     let c0 = layout.slot_counter(telemetry.metrics().counter("nlp_calls"));
     let c1 = layout.slot_counter(telemetry.metrics().counter("trace/spans"));
@@ -66,7 +57,6 @@ fn rig() -> Rig {
     let hist = layout.slot_histogram(telemetry.metrics().histogram("obs/nlp/annotate_us"));
     Rig {
         telemetry,
-        buffer,
         layout: Arc::new(layout),
         counters: [c0, c1],
         gauge,
@@ -79,32 +69,14 @@ fn apply(shard: &mut LocalShard, rig: &Rig, op: &Op) {
         Op::Tally(i, n) => shard.tally(rig.counters[i], n),
         Op::Level(v) => shard.level(rig.gauge, v),
         Op::Observe(v) => shard.observe(rig.hist, v),
-        Op::SpanSample(us) => shard.span_sample("lf_exec/in_memory", us),
-        Op::PushEvent(v) => shard.push_event(Event::new("lf_execution").field("op", v)),
     }
 }
 
-/// A journal line with its wall-clock field removed — the only part
-/// of a line that may differ between the two executions.
-fn scrub(line: &Json) -> Json {
-    match line {
-        Json::Obj(pairs) => Json::Obj(pairs.iter().filter(|(k, _)| k != "t").cloned().collect()),
-        other => other.clone(),
-    }
-}
-
-fn journal_lines(rig: &Rig) -> Vec<Json> {
-    rig.telemetry
-        .journal()
-        .expect("rig has a journal")
-        .flush()
-        .expect("in-memory flush");
-    rig.buffer
-        .parsed_lines()
-        .expect("journal lines parse")
-        .iter()
-        .map(scrub)
-        .collect()
+/// The rig's counters and histograms as a report, gauges left out.
+fn commutative_report(rig: &Rig) -> String {
+    let mut snapshot = rig.telemetry.metrics().snapshot();
+    snapshot.gauges.clear();
+    metrics_to_json(&snapshot).to_pretty()
 }
 
 #[test]
@@ -121,31 +93,35 @@ fn sharded_flushes_match_sequential() {
         for op in &ops {
             apply(&mut shard, &seq, op);
         }
-        shard.flush_into(&seq.telemetry);
-        let want_report = seq.telemetry.report_json().to_pretty();
-        let want_journal = journal_lines(&seq);
+        shard.flush_into();
+        let last_level = ops.iter().rev().find_map(|op| match op {
+            Op::Level(v) => Some(*v),
+            _ => None,
+        });
+        let gauge = seq.telemetry.metrics().snapshot().gauge("nlp_cache/size");
+        assert_eq!(gauge, last_level.unwrap_or(0), "{ops:?}");
 
-        // Sharded: contiguous chunks, filled and committed from real
-        // threads in scheduler order, folded by ordinal.
+        // Sharded: contiguous chunks, filled and flushed from real
+        // threads in scheduler order.
         let par = rig();
-        let group = ShardGroup::new(par.layout.clone());
         let per = ops.len().div_ceil(shards).max(1);
         std::thread::scope(|scope| {
-            for (ordinal, chunk) in ops.chunks(per).enumerate() {
-                let group = &group;
+            for chunk in ops.chunks(per) {
                 let par = &par;
                 scope.spawn(move || {
-                    let mut s = group.shard();
+                    let mut s = par.layout.shard();
                     for op in chunk {
                         apply(&mut s, par, op);
                     }
-                    group.commit(ordinal, s);
+                    s.flush_into();
                 });
             }
         });
-        group.fold_into(&par.telemetry);
 
-        assert_eq!(par.telemetry.report_json().to_pretty(), want_report);
-        assert_eq!(journal_lines(&par), want_journal);
+        assert_eq!(
+            commutative_report(&par),
+            commutative_report(&seq),
+            "{ops:?}"
+        );
     }
 }

@@ -601,7 +601,7 @@ fn worker_loop(shared: &Shared) {
                 }
             }
             shard.observe_duration(i.batch_us, published.duration_since(started));
-            shard.flush_into(&i.telemetry);
+            shard.flush_into();
             if let Some(slo) = &i.slo {
                 slo.observe_batch(&slo_samples, &i.telemetry);
             }
