@@ -25,9 +25,6 @@ pub struct ExpArgs {
     /// Simulated NLP-service outage: per-call error rate in `[0, 1]`,
     /// injected via a seeded `FaultPlan` (binaries that run LFs only).
     pub nlp_outage: Option<f64>,
-    /// Write a Chrome trace-event JSON (loadable in Perfetto /
-    /// `chrome://tracing`) of the run's span tree to this path.
-    pub trace: Option<PathBuf>,
     /// Serve the live observability plane (`/metrics`, `/snapshot`,
     /// `/healthz`) on this address (e.g. `127.0.0.1:9800`; port `0`
     /// picks a free one, printed to stderr). Also arms a flight
@@ -49,7 +46,6 @@ impl Default for ExpArgs {
             summary: None,
             run_id: None,
             nlp_outage: None,
-            trace: None,
             live: None,
         }
     }
@@ -100,10 +96,6 @@ impl ExpArgs {
                     let v = args.next().ok_or("--run-id needs a value")?;
                     out.run_id = Some(v);
                 }
-                "--trace" => {
-                    let v = args.next().ok_or("--trace needs a path")?;
-                    out.trace = Some(PathBuf::from(v));
-                }
                 "--live" => {
                     let v = args.next().ok_or("--live needs an address")?;
                     out.live = Some(v);
@@ -121,8 +113,7 @@ impl ExpArgs {
                 "--help" | "-h" => {
                     return Err("usage: exp_* [--scale <f>] [--seed <n>] [--workers <n>] \
                          [--json] [--journal <path>] [--summary <path>] \
-                         [--run-id <id>] [--nlp-outage <rate>] [--trace <path>] \
-                         [--live <addr>]"
+                         [--run-id <id>] [--nlp-outage <rate>] [--live <addr>]"
                         .into())
                 }
                 other => return Err(format!("unknown flag {other:?}")),
@@ -156,8 +147,7 @@ impl ExpArgs {
 
     /// Build the telemetry bundle these flags ask for: `--journal <path>`
     /// (or `--summary`, via its sidecar journal) attaches a JSONL
-    /// [`drybell_obs::RunJournal`], `--trace <path>` attaches a
-    /// [`drybell_obs::Tracer`] (exported by [`ExpArgs::finish_trace`]),
+    /// [`drybell_obs::RunJournal`], `--live <addr>` a flight recorder,
     /// and `--json` alone still collects metrics and spans for the final
     /// report. `None` when no flag was given, so the default invocation
     /// keeps the un-instrumented fast path.
@@ -172,23 +162,15 @@ impl ExpArgs {
                 let journal = drybell_obs::RunJournal::to_path(&path)?;
                 Some(drybell_obs::Telemetry::with_journal(journal))
             }
-            None if self.json || self.trace.is_some() || self.live.is_some() => {
-                Some(drybell_obs::Telemetry::new())
-            }
+            None if self.json || self.live.is_some() => Some(drybell_obs::Telemetry::new()),
             None => None,
         };
-        Ok(base.map(|t| {
-            let t = match self.trace {
-                Some(_) => t.with_trace(drybell_obs::Tracer::new()),
-                None => t,
-            };
-            match self.live {
-                // The live plane comes with a black box: drift windows,
-                // SLO breaches, and fault-budget exhaustion dump the
-                // recent event ring to results/flight/.
-                Some(_) => t.with_flight(drybell_obs::FlightRecorder::new("results/flight")),
-                None => t,
-            }
+        Ok(base.map(|t| match self.live {
+            // The live plane comes with a black box: drift windows,
+            // SLO breaches, and fault-budget exhaustion dump the
+            // recent event ring to results/flight/.
+            Some(_) => t.with_flight(drybell_obs::FlightRecorder::new("results/flight")),
+            None => t,
         }))
     }
 
@@ -221,44 +203,6 @@ impl ExpArgs {
                     "cannot bind --live {}: {e}",
                     self.live.as_deref().unwrap_or_default()
                 );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Honor `--trace`: journal the tracer's `trace_summary` digest,
-    /// export its self-time gauges into the metrics registry (so a
-    /// `--summary` written afterwards carries them), and write the
-    /// Chrome trace-event file. Call after the traced work finishes and
-    /// *before* [`ExpArgs::write_summary`]. No-op without `--trace`.
-    pub fn finish_trace(
-        &self,
-        telemetry: &drybell_obs::Telemetry,
-    ) -> Result<Option<PathBuf>, String> {
-        let (Some(out), Some(tracer)) = (&self.trace, telemetry.tracer()) else {
-            return Ok(None);
-        };
-        telemetry.emit(tracer.summary_event());
-        tracer.export_metrics(telemetry.metrics());
-        if let Some(parent) = out.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("create {}: {e}", parent.display()))?;
-            }
-        }
-        tracer
-            .write_chrome(out)
-            .map_err(|e| format!("write {}: {e}", out.display()))?;
-        Ok(Some(out.clone()))
-    }
-
-    /// [`ExpArgs::finish_trace`], exiting on failure.
-    pub fn finish_trace_or_exit(&self, telemetry: &drybell_obs::Telemetry) {
-        match self.finish_trace(telemetry) {
-            Ok(Some(path)) => eprintln!("trace written to {}", path.display()),
-            Ok(None) => {}
-            Err(msg) => {
-                eprintln!("cannot write --trace: {msg}");
                 std::process::exit(2);
             }
         }
@@ -390,6 +334,9 @@ mod tests {
         assert!(parse(&["--scale", "inf"]).is_err());
         assert!(parse(&["--journal"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
+        // There is no `--trace`: a script passing it fails rather than
+        // running untraced.
+        assert!(parse(&["--trace", "x"]).is_err());
         assert!(parse(&["--help"]).is_err());
         assert!(parse(&["--nlp-outage", "1.5"]).is_err());
         assert!(parse(&["--nlp-outage", "x"]).is_err());
@@ -438,38 +385,6 @@ mod tests {
         // Run id is identity, not config: it must not move the print.
         let e = parse(&["--scale", "0.2", "--seed", "7", "--run-id", "x"]).unwrap();
         assert_eq!(a.fingerprint("quickstart"), e.fingerprint("quickstart"));
-    }
-
-    #[test]
-    fn trace_flag_attaches_a_tracer_and_writes_chrome_json() {
-        let a = parse(&["--trace", "/tmp/t.json"]).unwrap();
-        assert_eq!(
-            a.trace.as_deref(),
-            Some(std::path::Path::new("/tmp/t.json"))
-        );
-        // Trace output is a rendering knob, not config: the fingerprint
-        // must not move.
-        let plain = parse(&[]).unwrap();
-        assert_eq!(a.fingerprint("quickstart"), plain.fingerprint("quickstart"));
-        assert!(parse(&["--trace"]).is_err());
-
-        let dir = std::env::temp_dir().join(format!("bench-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        let args = parse(&["--trace", path.to_str().unwrap()]).unwrap();
-        let t = args.telemetry().unwrap().unwrap();
-        assert!(t.tracer().is_some(), "--trace alone must enable telemetry");
-        {
-            let run = t.span("run");
-            let _fit = run.child("fit");
-        }
-        args.finish_trace(&t).unwrap();
-        let doc = drybell_obs::parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let events = doc.get("traceEvents").unwrap().items();
-        assert_eq!(events.len(), 2);
-        // Self-time gauges exported for the summary.
-        assert!(t.metrics().snapshot().gauge("obs/selftime/run") >= 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

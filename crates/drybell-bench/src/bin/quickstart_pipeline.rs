@@ -37,9 +37,8 @@ fn main() {
         args.emit_header(t, TASK);
     }
 
-    // Root of the span tree: every stage below nests under this via
-    // the tracer's thread-local open-span stack, so a `--trace` file
-    // shows run → lf_exec/sharded → job/* → lf/* as one hierarchy.
+    // The whole run's span, around the stage spans below
+    // (lf_exec/sharded, job/*, train/fit).
     let run_span = telemetry.as_ref().map(|t| t.span("run"));
 
     let task = ContentTask::topic(args.scale, args.seed, args.workers);
@@ -159,13 +158,9 @@ fn main() {
         }
     }
 
-    // Close the root span, then export the trace: the Chrome file, the
-    // journaled trace_summary, and the obs/selftime/* gauges all need
-    // the full tree finished before the metrics report is rendered.
+    // Close the run span before the metrics report is rendered, so the
+    // report and the summary carry it.
     drop(run_span);
-    if let Some(t) = &telemetry {
-        args.finish_trace_or_exit(t);
-    }
 
     if args.json {
         if let Some(t) = &telemetry {

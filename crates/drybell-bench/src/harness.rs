@@ -418,7 +418,7 @@ pub struct EventsReport {
     pub drybell_quality: f64,
     /// Precision@k for Logical-OR.
     pub or_quality: f64,
-    /// Figure 6 histograms (20 bins over [0,1]) of test scores.
+    /// Figure 6 histograms (20 bins over `[0, 1]`) of test scores.
     pub drybell_hist: Vec<u64>,
     /// Logical-OR's score histogram.
     pub or_hist: Vec<u64>,

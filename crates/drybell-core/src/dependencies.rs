@@ -1,6 +1,6 @@
 //! Labeling-function dependency diagnostics.
 //!
-//! The Snorkel line of work (Bach et al., ICML 2017 — reference [3] of
+//! The Snorkel line of work (Bach et al., ICML 2017 — reference \[3\] of
 //! the paper) learns the *structure* of the generative model: which LFs
 //! are correlated beyond what the latent class explains. DryBell's
 //! deployed model assumes conditional independence (§5.2), so knowing

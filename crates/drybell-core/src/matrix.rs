@@ -104,9 +104,10 @@ impl LabelMatrix {
         self.data[i * self.num_lfs + j]
     }
 
-    /// Iterate over rows as `&[i8]` slices.
+    /// Iterate over rows as `&[i8]` slices: [`LabelMatrix::num_examples`]
+    /// of them, none for a matrix of no columns (whose data is empty).
     pub fn rows(&self) -> impl Iterator<Item = &[i8]> + '_ {
-        self.data.chunks_exact(self.num_lfs)
+        self.data.chunks_exact(self.num_lfs.max(1))
     }
 
     /// A view of the underlying row-major data.

@@ -459,11 +459,8 @@ fn run_phase<W, InitF, RunF>(
     RunF: Fn(&mut W, usize, &mut CounterHandle) -> Result<(), DataflowError> + Sync,
 {
     let queue = TaskQueue::new(num_tasks);
-    // Phase span, traced when the job's telemetry carries a tracer, so
-    // each worker's shard attempts (and their per-LF trace blocks) nest
-    // under the phase in the exported trace.
-    let phase_span = cfg.telemetry.as_ref().map(|t| t.span("job/map"));
-    let phase_parent = phase_span.as_ref().and_then(drybell_obs::Span::trace_id);
+    // The phase's span: it times the whole map phase, workers included.
+    let _phase_span = cfg.telemetry.as_ref().map(|t| t.span("job/map"));
     std::thread::scope(|scope| {
         for worker_id in 0..workers {
             let queue = &queue;
@@ -476,17 +473,7 @@ fn run_phase<W, InitF, RunF>(
                 // attempt below and retried; reaching this catch means
                 // an engine bug, which fails the job outright.
                 let backstop = catch_unwind(AssertUnwindSafe(|| {
-                    phase_worker(
-                        worker_id,
-                        queue,
-                        counters,
-                        cfg,
-                        state,
-                        busy,
-                        phase_parent,
-                        init,
-                        run,
-                    );
+                    phase_worker(worker_id, queue, counters, cfg, state, busy, init, run);
                 }));
                 if let Err(payload) = backstop {
                     state.fail(DataflowError::WorkerPanicked {
@@ -502,7 +489,7 @@ fn run_phase<W, InitF, RunF>(
 
 #[expect(
     clippy::too_many_arguments,
-    reason = "run_phase's arguments plus the worker's own id and parent span"
+    reason = "run_phase's arguments plus the worker's own id"
 )]
 fn phase_worker<W, InitF, RunF>(
     worker_id: usize,
@@ -511,7 +498,6 @@ fn phase_worker<W, InitF, RunF>(
     cfg: &JobConfig,
     state: &JobState,
     busy: &BusyClock,
-    phase_parent: Option<u64>,
     init: &InitF,
     run: &RunF,
 ) where
@@ -541,11 +527,6 @@ fn phase_worker<W, InitF, RunF>(
     // The engine's own counters count every retry, and go through the
     // worker's handle.
     let mut tally = CounterHandle::new(counters);
-    let tracer = cfg
-        .telemetry
-        .as_ref()
-        .and_then(drybell_obs::Telemetry::tracer)
-        .cloned();
     while let Some(task) = queue.next() {
         if state.failed.load(Ordering::SeqCst) {
             return;
@@ -555,11 +536,6 @@ fn phase_worker<W, InitF, RunF>(
             .as_ref()
             .and_then(|p| p.task_fault(FaultSite::Map, task.index, task.attempt));
         let started = Instant::now();
-        // Each attempt gets its own trace interval, explicitly parented
-        // under the coordinator's phase span. Opening the handle pushes
-        // it onto this thread's open-span stack, so user code running
-        // inside the attempt (LF evaluation, say) parents under it.
-        let attempt_trace = tracer.as_ref().map(|tr| tr.open_child_of(phase_parent));
         // Per-attempt catch: a panicking user function costs one
         // attempt, not the whole job.
         let outcome = catch_unwind(AssertUnwindSafe(|| match injected {
@@ -587,9 +563,6 @@ fn phase_worker<W, InitF, RunF>(
         // Busy time covers task execution only — never queue waits — so
         // an idle worker's clock reads zero.
         busy.charge(worker_id, started);
-        if let Some(handle) = attempt_trace {
-            handle.close("job/shard_attempt", started);
-        }
         let error = match outcome {
             Ok(Ok(())) => None,
             Ok(Err(e)) => Some(e),

@@ -23,7 +23,7 @@ use drybell_dataflow::{
 };
 use drybell_kg::KnowledgeGraph;
 use drybell_nlp::{CacheStats, CachedNlpServer, NlpError, NlpResult, NlpServer};
-use drybell_obs::{HistogramSlot, LocalShard, ShardLayout, Span, Telemetry, Tracer};
+use drybell_obs::{HistogramSlot, LocalShard, ShardLayout, Telemetry};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -133,9 +133,6 @@ struct LfShards {
     layout: Arc<ShardLayout>,
     /// `obs/lf/<lf>/eval_us` — wall-clock latency of each evaluation.
     eval_us: Vec<HistogramSlot>,
-    /// Trace block names (`lf/<lf>`), interned for the trace exporter.
-    trace_names: Vec<String>,
-    tracer: Option<Tracer>,
 }
 
 impl LfShards {
@@ -143,118 +140,46 @@ impl LfShards {
         let metrics = telemetry.metrics();
         let mut layout = ShardLayout::new();
         let mut eval_us = Vec::with_capacity(set.len());
-        let mut trace_names = Vec::with_capacity(set.len());
         for lf in set.lfs() {
             let name = &lf.metadata().name;
             metrics.counter(&format!("votes/{name}"));
             metrics.counter(&format!("lf/{name}/degraded"));
             eval_us
                 .push(layout.slot_histogram(metrics.histogram(&format!("obs/lf/{name}/eval_us"))));
-            trace_names.push(format!("lf/{name}"));
         }
         Arc::new(LfShards {
             layout: Arc::new(layout),
             eval_us,
-            trace_names,
-            tracer: telemetry.tracer().cloned(),
         })
     }
 
-    /// One worker's buffer. `exec_parent` is the executing span's trace
-    /// id — the fallback parent for per-LF trace blocks on worker
-    /// threads that carry no open attempt span of their own.
-    fn worker(self: &Arc<LfShards>, exec_parent: Option<u64>) -> LfWorkerShard {
+    /// One worker's buffer.
+    fn worker(self: &Arc<LfShards>) -> LfWorkerShard {
         LfWorkerShard {
             shard: self.layout.shard(),
-            trace: self.tracer.as_ref().map(|tracer| LfTrace {
-                tracer: tracer.clone(),
-                elapsed: vec![0; self.trace_names.len()],
-                parent: None,
-                cursor: 0,
-                fallback: exec_parent,
-            }),
             shards: Arc::clone(self),
         }
     }
 }
 
-/// Per-attempt aggregation of LF evaluation time for the trace
-/// exporter: one `lf/<name>` block per LF per shard attempt, laid
-/// sequentially from the attempt's first row so the blocks nest inside
-/// the attempt span without a per-row trace event.
-struct LfTrace {
-    tracer: Tracer,
-    /// Accumulated evaluation microseconds per LF for the open attempt.
-    elapsed: Vec<u64>,
-    /// The attempt span the open blocks will parent under.
-    parent: Option<u64>,
-    /// Trace timestamp of the first row under `parent`.
-    cursor: u64,
-    /// Parent when the worker thread has no open attempt span (the
-    /// in-memory path, whose workers run outside any traced span).
-    fallback: Option<u64>,
-}
-
-impl LfTrace {
-    /// Emit the open attempt's per-LF blocks and reset the accumulator.
-    fn emit_blocks(&mut self, names: &[String]) {
-        let mut ts = self.cursor;
-        for (name, us) in names.iter().zip(self.elapsed.iter_mut()) {
-            let dur = std::mem::take(us);
-            if dur > 0 {
-                self.tracer.record_interval_at(name, ts, dur, self.parent);
-                ts += dur;
-            }
-        }
-    }
-
-    /// Called once per row: when the enclosing attempt span changed
-    /// since the previous row, flush the finished attempt's blocks and
-    /// restart the accumulator under the new one.
-    fn begin_row(&mut self, names: &[String]) {
-        let parent = self.tracer.current_parent().or(self.fallback);
-        if parent != self.parent {
-            self.emit_blocks(names);
-            self.parent = parent;
-            self.cursor = self.tracer.now_us();
-        }
-    }
-}
-
-/// One worker's view of the observed execution: the local telemetry
-/// shard plus (when tracing) the per-attempt LF block accumulator.
-/// Flushes everything on drop, i.e. when the worker retires.
+/// One worker's view of the observed execution: its local telemetry
+/// shard, flushed on drop, i.e. when the worker retires.
 struct LfWorkerShard {
     shards: Arc<LfShards>,
     shard: LocalShard,
-    trace: Option<LfTrace>,
 }
 
 impl LfWorkerShard {
-    fn begin_row(&mut self) {
-        if let Some(trace) = &mut self.trace {
-            trace.begin_row(&self.shards.trace_names);
-        }
-    }
-
-    /// Record one LF evaluation's latency and trace-block time.
+    /// Record one LF evaluation's latency.
     fn eval(&mut self, i: usize, elapsed: std::time::Duration) {
         if let Some(&slot) = self.shards.eval_us.get(i) {
             self.shard.observe_duration(slot, elapsed);
-        }
-        if let Some(trace) = &mut self.trace {
-            if let Some(us) = trace.elapsed.get_mut(i) {
-                *us += elapsed.as_micros().min(u64::MAX as u128) as u64;
-            }
         }
     }
 }
 
 impl Drop for LfWorkerShard {
     fn drop(&mut self) {
-        if let Some(trace) = &mut self.trace {
-            trace.emit_blocks(&self.shards.trace_names);
-        }
         self.shard.flush_into();
     }
 }
@@ -298,7 +223,6 @@ fn row_of<X>(
         // next one starts, so its latency also carries the recording of
         // the one before it. A read costs about what a cheap LF does.
         Some(obs) => {
-            obs.begin_row();
             let mut last = Instant::now();
             for (i, (lf, vote)) in lfs.iter().zip(votes).enumerate() {
                 if degraded && lf.needs_nlp() {
@@ -522,7 +446,6 @@ pub fn execute_in_memory_observed<X: Sync>(
     let shards = opts.telemetry.as_ref().map(|t| LfShards::for_set(set, t));
     let shared_cache = build_shared_cache(set, opts)?;
     let _span = opts.telemetry.as_ref().map(|t| t.span("lf_exec/in_memory"));
-    let exec_parent = _span.as_ref().and_then(Span::trace_id);
     let start = Instant::now();
     let nlp_degraded = std::sync::atomic::AtomicU64::new(0);
     // The matrix's own buffer, filled in place. A `par_map_vec` item is a
@@ -544,7 +467,7 @@ pub fn execute_in_memory_observed<X: Sync>(
         // node), warmed up before any record, plus the worker's local
         // telemetry shard (flushed when the worker retires).
         |_worker| {
-            let obs = shards.as_ref().map(|s| s.worker(exec_parent));
+            let obs = shards.as_ref().map(|s| s.worker());
             LfWorker::new(set, text, opts, &shared_cache, obs)
         },
         |worker: &mut LfWorker<'_, X>, (examples, votes)| {
@@ -681,12 +604,10 @@ where
     let shards = opts.telemetry.as_ref().map(|t| LfShards::for_set(set, t));
     let shared_cache = build_shared_cache(set, opts)?;
     let _span = opts.telemetry.as_ref().map(|t| t.span("lf_exec/sharded"));
-    let exec_parent = _span.as_ref().and_then(Span::trace_id);
-    // The dataflow layer reads `JobConfig::telemetry` for its
-    // `job/map` phase span and per-attempt
-    // `job/shard_attempt` spans; callers attach the sink via
-    // `ExecOptions`, so mirror it onto the job config here — otherwise
-    // the trace tree is missing its middle layer.
+    // The dataflow layer reads `JobConfig::telemetry` for its `job/map`
+    // and `job/shard_attempt` spans and its `phase`, `shard_attempt` and
+    // `job` events; callers attach the sink via `ExecOptions`, so mirror
+    // it onto the job config here — otherwise the run has none of them.
     let observed_cfg;
     let cfg = match (&cfg.telemetry, &opts.telemetry) {
         (None, Some(t)) => {
@@ -700,7 +621,7 @@ where
         output,
         cfg,
         |_ctx| {
-            let obs = shards.as_ref().map(|s| s.worker(exec_parent));
+            let obs = shards.as_ref().map(|s| s.worker());
             let worker = LfWorker::new(set, text, opts, &shared_cache, obs)?;
             // One row per worker, overwritten by each record.
             let votes = vec![0; set.len()];
@@ -845,6 +766,7 @@ mod tests {
         let (matrix, stats) = execute_in_memory(&LfSet::new(), None, &docs(), 2).unwrap();
         assert_eq!(matrix, LabelMatrix::new(0));
         assert_eq!((matrix.num_lfs(), matrix.num_examples()), (0, 0));
+        assert_eq!(matrix.rows().count(), 0);
         assert_eq!((stats.examples, stats.nlp_calls), (4, 0));
     }
 

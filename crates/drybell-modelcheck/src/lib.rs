@@ -4,7 +4,7 @@
 //! The concurrency in this workspace is deliberately coarse: shared
 //! state sits behind a mutex, and every lock-protected region is short.
 //! What can still go wrong is the *composition* of critical sections —
-//! [`drybell_nlp`]'s cached NLP server takes its lock twice per
+//! `drybell_nlp`'s cached NLP server takes its lock twice per
 //! annotate call (lookup, then insert/evict), and the dataflow
 //! counters batch locally before merging. Those protocols have
 //! interleaving-dependent behavior that unit tests exercise only on

@@ -1,7 +1,7 @@
 //! The coarse-grained semantic categorizer ("topic model").
 //!
 //! §3.1 describes an internal topic model whose "semantic categorizations
-//! [are] far too coarse-grained for the targeted task at hand, but which
+//! \[are\] far too coarse-grained for the targeted task at hand, but which
 //! nonetheless could be used as effective negative labeling heuristics" —
 //! e.g. content categorized as *Sports* is surely not about the commerce
 //! topic of interest. This module is that resource: a multinomial naive

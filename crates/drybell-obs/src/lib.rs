@@ -59,7 +59,6 @@ pub mod naming;
 pub mod report;
 pub mod shard;
 pub mod span;
-pub mod trace;
 
 pub use flight::FlightRecorder;
 pub use hash::{fnv1a64, Fnv1a64, FnvHashMap, FnvHashSet};
@@ -72,16 +71,14 @@ pub use metrics::{
 pub use report::{histogram_to_json, metrics_to_json, spans_to_json};
 pub use shard::{CounterSlot, GaugeSlot, HistogramSlot, LocalShard, ShardLayout};
 pub use span::{Span, SpanSet, SpanSnapshot, SpanStat};
-pub use trace::{SelfTime, TraceEvent, TraceHandle, Tracer};
 
 /// The bundle handed down a pipeline: metrics + spans + optional
-/// journal, tracer, and flight recorder.
+/// journal and flight recorder.
 #[derive(Debug, Default, Clone)]
 pub struct Telemetry {
     metrics: MetricsRegistry,
     spans: SpanSet,
     journal: Option<RunJournal>,
-    tracer: Option<Tracer>,
     flight: Option<FlightRecorder>,
 }
 
@@ -99,14 +96,6 @@ impl Telemetry {
         }
     }
 
-    /// The same bundle with a tracer attached: spans opened through
-    /// [`Telemetry::span`] additionally record parented trace
-    /// intervals for the Chrome-trace exporter.
-    pub fn with_trace(mut self, tracer: Tracer) -> Telemetry {
-        self.tracer = Some(tracer);
-        self
-    }
-
     /// The metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -120,11 +109,6 @@ impl Telemetry {
     /// The journal, if one is attached.
     pub fn journal(&self) -> Option<&RunJournal> {
         self.journal.as_ref()
-    }
-
-    /// The tracer, if one is attached.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
     }
 
     /// The same bundle with a flight recorder attached: every emitted
@@ -166,13 +150,10 @@ impl Telemetry {
         Some(path)
     }
 
-    /// Open a span at `path` — traced when a tracer is attached, and
-    /// mirrored into the flight recorder when one is attached.
+    /// Open a span at `path`, mirrored into the flight recorder when
+    /// one is attached.
     pub fn span(&self, path: &str) -> Span {
-        let mut span = self.spans.span(path);
-        if let Some(tracer) = &self.tracer {
-            span = span.with_trace(tracer);
-        }
+        let span = self.spans.span(path);
         match &self.flight {
             Some(flight) => span.with_flight(flight.clone()),
             None => span,
@@ -279,26 +260,5 @@ mod tests {
         let telemetry = Telemetry::new();
         assert!(telemetry.flight().is_none());
         assert!(telemetry.dump_flight("anything").is_none());
-    }
-
-    #[test]
-    fn traced_bundle_records_span_intervals() {
-        let tracer = Tracer::new();
-        let telemetry = Telemetry::new().with_trace(tracer.clone());
-        {
-            let run = telemetry.span("run");
-            let _fit = run.child("fit");
-        }
-        {
-            let _plain = Telemetry::new().span("run");
-        }
-        let events = tracer.snapshot();
-        assert_eq!(events.len(), 2);
-        let run = events.iter().find(|e| e.name == "run").unwrap();
-        let fit = events.iter().find(|e| e.name == "run/fit").unwrap();
-        assert_eq!(fit.parent, Some(run.id));
-        assert!(telemetry.tracer().is_some());
-        // Span aggregates record regardless of tracing.
-        assert_eq!(telemetry.spans().snapshot().get("run").unwrap().count, 1);
     }
 }

@@ -130,11 +130,6 @@ pub const REGISTRY: &[NameSpec] = &[
     },
     NameSpec {
         family: Family::Counter,
-        template: "trace/spans",
-        doc: "trace intervals recorded by the tracer (exported at trace write time)",
-    },
-    NameSpec {
-        family: Family::Counter,
         template: "stream/shards_seen",
         doc: "committed shards delivered by the streaming ingestor (exactly once each)",
     },
@@ -203,11 +198,6 @@ pub const REGISTRY: &[NameSpec] = &[
         family: Family::Gauge,
         template: "lf/{lf}/learned_accuracy_ppm",
         doc: "LfReport learned-accuracy export, parts-per-million fixed point (export_to)",
-    },
-    NameSpec {
-        family: Family::Gauge,
-        template: "obs/selftime/{span}",
-        doc: "per-span self time from the trace summary, µs (span path slashes flattened to _)",
     },
     NameSpec {
         family: Family::Gauge,
@@ -321,11 +311,6 @@ pub const REGISTRY: &[NameSpec] = &[
         template: "job/shard_attempt",
         doc: "one attempt at one shard task (retries record one span each)",
     },
-    NameSpec {
-        family: Family::Span,
-        template: "lf/{lf}",
-        doc: "per-LF aggregate trace block within one shard attempt (trace exporter only)",
-    },
     // ---- Journal event kinds ----
     NameSpec {
         family: Family::JournalKind,
@@ -381,11 +366,6 @@ pub const REGISTRY: &[NameSpec] = &[
         family: Family::JournalKind,
         template: "lf_report",
         doc: "full per-LF diagnostics (coverage/overlap/conflict/learned accuracy)",
-    },
-    NameSpec {
-        family: Family::JournalKind,
-        template: "trace_summary",
-        doc: "self-profiling digest: span count, critical path, per-span self-times",
     },
     NameSpec {
         family: Family::JournalKind,
@@ -552,8 +532,6 @@ mod tests {
         assert!(is_registered(Family::JournalKind, "shadow"));
         assert!(is_registered(Family::JournalKind, "run_header"));
         assert!(is_registered(Family::JournalKind, "lf_report"));
-        assert!(is_registered(Family::JournalKind, "trace_summary"));
-        assert!(is_registered(Family::Counter, "trace/spans"));
         assert!(is_registered(Family::Counter, "stream/counter_resets"));
         assert!(is_registered(Family::Counter, "live/requests"));
         assert!(is_registered(Family::Gauge, "slo/fast/p99_us"));
@@ -561,10 +539,9 @@ mod tests {
         assert!(!is_registered(Family::Gauge, "slo/fast/p99"));
         assert!(is_registered(Family::JournalKind, "slo_breach"));
         assert!(is_registered(Family::JournalKind, "flight_dump"));
-        assert!(is_registered(Family::Gauge, "obs/selftime/run"));
-        assert!(is_registered(Family::Gauge, "obs/selftime/job_map"));
-        assert!(!is_registered(Family::Gauge, "obs/selftime/job/map"));
         assert!(is_registered(Family::Gauge, "lf/kw_gossip/coverage_ppm"));
+        // A placeholder stands for one segment: it matches no `/`.
+        assert!(!is_registered(Family::Gauge, "lf/kw/gossip/coverage_ppm"));
         assert!(is_registered(Family::Gauge, "lf/{}/learned_accuracy_ppm"));
         assert!(!is_registered(Family::Gauge, "lf/kw_gossip/coverage"));
         assert!(!is_registered(Family::Counter, "nlp_call"));

@@ -11,16 +11,9 @@
 //! the common shape, since each worker times its own phase — close
 //! without contending on one global lock. Snapshots lock the stripes in
 //! order and sort, so the view stays deterministic.
-//!
-//! When the owning `Telemetry` carries a [`Tracer`], spans opened
-//! through it also record a trace interval (id, parent, thread) on
-//! drop — see [`Span::with_trace`].
-//!
-//! [`Tracer`]: crate::trace::Tracer
 
 use crate::flight::FlightRecorder;
 use crate::hash::fnv1a64;
-use crate::trace::{TraceHandle, Tracer};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -71,7 +64,6 @@ impl SpanSet {
             set: self.clone(),
             path: path.to_string(),
             start: Instant::now(),
-            trace: None,
             flight: None,
         }
     }
@@ -89,24 +81,11 @@ impl SpanSet {
     /// Fold `elapsed_us` into `path` without an RAII guard — for callers
     /// that already measured the interval themselves.
     pub fn record(&self, path: &str, elapsed_us: u64) {
-        self.merge(
-            path,
-            SpanStat {
-                count: 1,
-                total_us: elapsed_us,
-                max_us: elapsed_us,
-            },
-        );
-    }
-
-    /// Fold a whole pre-aggregated [`SpanStat`] into `path` under one
-    /// stripe lock.
-    pub fn merge(&self, path: &str, stat: SpanStat) {
         let mut map = self.stripe(path);
         let entry = map.entry(path.to_string()).or_default();
-        entry.count += stat.count;
-        entry.total_us += stat.total_us;
-        entry.max_us = entry.max_us.max(stat.max_us);
+        entry.count += 1;
+        entry.total_us += elapsed_us;
+        entry.max_us = entry.max_us.max(elapsed_us);
     }
 
     /// Snapshot all spans, sorted by path (parents before children).
@@ -127,7 +106,6 @@ pub struct Span {
     set: SpanSet,
     path: String,
     start: Instant,
-    trace: Option<TraceHandle>,
     flight: Option<FlightRecorder>,
 }
 
@@ -135,17 +113,6 @@ impl Span {
     /// This span's full path.
     pub fn path(&self) -> &str {
         &self.path
-    }
-
-    /// Attach a trace interval: on drop the span also records a
-    /// [`TraceEvent`] parented under the calling thread's innermost
-    /// open traced span. Used by `Telemetry::span` when a tracer is
-    /// configured.
-    ///
-    /// [`TraceEvent`]: crate::trace::TraceEvent
-    pub fn with_trace(mut self, tracer: &Tracer) -> Span {
-        self.trace = Some(tracer.open());
-        self
     }
 
     /// Attach a flight recorder: on drop the span also mirrors a
@@ -157,19 +124,10 @@ impl Span {
         self
     }
 
-    /// The trace id of this span's interval, when traced — the parent
-    /// for explicitly-parented child intervals on other threads.
-    pub fn trace_id(&self) -> Option<u64> {
-        self.trace.as_ref().map(TraceHandle::id)
-    }
-
-    /// Open a child span at `<self.path>/<name>`. A traced parent's
-    /// child is traced too (the thread-local open stack parents it).
+    /// Open a child span at `<self.path>/<name>`, mirrored into the
+    /// parent's flight recorder if it has one.
     pub fn child(&self, name: &str) -> Span {
         let mut child = self.set.span(&format!("{}/{}", self.path, name));
-        if let Some(trace) = &self.trace {
-            child.trace = Some(trace.child());
-        }
         child.flight = self.flight.clone();
         child
     }
@@ -184,9 +142,6 @@ impl Drop for Span {
     fn drop(&mut self) {
         let elapsed = self.elapsed_us();
         self.set.record(&self.path, elapsed);
-        if let Some(trace) = self.trace.take() {
-            trace.close(&self.path, self.start);
-        }
         if let Some(flight) = self.flight.take() {
             flight.span_sample(&self.path, elapsed);
         }
@@ -289,31 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_pre_aggregated_stats() {
-        let set = SpanSet::new();
-        set.merge(
-            "train/fit",
-            SpanStat {
-                count: 5,
-                total_us: 100,
-                max_us: 40,
-            },
-        );
-        set.merge(
-            "train/fit",
-            SpanStat {
-                count: 2,
-                total_us: 10,
-                max_us: 9,
-            },
-        );
-        let stat = set.snapshot().get("train/fit").unwrap();
-        assert_eq!(stat.count, 7);
-        assert_eq!(stat.total_us, 110);
-        assert_eq!(stat.max_us, 40);
-    }
-
-    #[test]
     fn stripes_cover_many_distinct_paths() {
         // Distinct paths land across stripes; the snapshot still sees
         // all of them, sorted.
@@ -325,21 +255,5 @@ mod tests {
         assert_eq!(snap.entries().len(), 64);
         assert!(snap.entries().windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(snap.get("p63").unwrap().total_us, 63);
-    }
-
-    #[test]
-    fn traced_spans_record_intervals() {
-        let set = SpanSet::new();
-        let tracer = Tracer::new();
-        {
-            let parent = set.span("run").with_trace(&tracer);
-            let _child = parent.child("fit");
-        }
-        let events = tracer.snapshot();
-        assert_eq!(events.len(), 2);
-        let run = events.iter().find(|e| e.name == "run").unwrap();
-        let fit = events.iter().find(|e| e.name == "run/fit").unwrap();
-        assert_eq!(fit.parent, Some(run.id));
-        assert!(set.snapshot().get("run/fit").is_some());
     }
 }

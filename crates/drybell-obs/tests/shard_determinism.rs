@@ -52,7 +52,7 @@ fn rig() -> Rig {
     let telemetry = Telemetry::new();
     let mut layout = ShardLayout::new();
     let c0 = layout.slot_counter(telemetry.metrics().counter("nlp_calls"));
-    let c1 = layout.slot_counter(telemetry.metrics().counter("trace/spans"));
+    let c1 = layout.slot_counter(telemetry.metrics().counter("obs/train/rows"));
     let gauge = layout.slot_gauge(telemetry.metrics().gauge("nlp_cache/size"));
     let hist = layout.slot_histogram(telemetry.metrics().histogram("obs/nlp/annotate_us"));
     Rig {

@@ -2,8 +2,7 @@
 //! micro-batched scoring, epoch-pointer hot swap, latency budgets.
 //!
 //! The paper's discriminative models serve production traffic behind
-//! TFX; this module is the request path in front of the
-//! [`ServingRegistry`](crate::ServingRegistry):
+//! TFX; this module is the request path in front of the [`ServingRegistry`]:
 //!
 //! ```text
 //! submit ──▶ admission (bounded, reject-on-overflow)

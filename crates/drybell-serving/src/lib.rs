@@ -10,7 +10,7 @@
 //! knowledge from non-servable resources into servable models.
 //!
 //! Models are exported to JSON files with a manifest, mimicking how TFX
-//! "automatically stage[s] a model for serving" once trained. Each type in
+//! "automatically stage\[s\] a model for serving" once trained. Each type in
 //! an exported model has a `to_json`/`from_json` pair over
 //! [`drybell_obs::Json`]; [`ServingRegistry::load_from_dir`] treats the
 //! directory as outside input and admits a model only if it parses, its

@@ -1,14 +1,13 @@
 //! Integration test: a pipeline run writes a structured JSONL run
 //! journal to disk, and the file is valid — every line parses, sequence
 //! numbers are dense, and the per-phase accounting of the sharded LF
-//! job and the label-model fit is all present. The same run is traced,
-//! and its Chrome trace holds the nested `run` → `job/map` →
-//! `job/shard_attempt` → `lf/*` span tree.
+//! job and the label-model fit is all present, and its span set holds
+//! the run, map-phase, shard-attempt, LF-pass and fit timings.
 
 use drybell::core::generative::{GenerativeModel, TrainConfig};
 use drybell::dataflow::{write_all, JobConfig, ShardSpec};
 use drybell::lf::executor::{execute_sharded_observed, ExecOptions};
-use drybell::obs::{naming, parse_json, Json, RunJournal, Telemetry, Tracer};
+use drybell::obs::{naming, parse_json, Json, RunJournal, Telemetry};
 use drybell_datagen::topic::{self, TopicTaskConfig};
 
 #[test]
@@ -26,8 +25,7 @@ fn pipeline_run_writes_a_valid_jsonl_journal() {
 
     let dir = tempfile::tempdir().unwrap();
     let journal_path = dir.path().join("run.jsonl");
-    let telemetry = Telemetry::with_journal(RunJournal::to_path(&journal_path).unwrap())
-        .with_trace(Tracer::new());
+    let telemetry = Telemetry::with_journal(RunJournal::to_path(&journal_path).unwrap());
 
     // Stage 0: the run header — schema version, run id, and config
     // fingerprint — so cross-run tooling can pair comparable journals.
@@ -37,7 +35,7 @@ fn pipeline_run_writes_a_valid_jsonl_journal() {
         .unwrap()
         .emit_header("journal-test", &fingerprint);
 
-    // The root of the span tree: both stages nest under it.
+    // The whole run's span: both stages happen inside it.
     let run = telemetry.span("run");
 
     // Stage 1: sharded LF execution, instrumented.
@@ -161,47 +159,19 @@ fn pipeline_run_writes_a_valid_jsonl_journal() {
         );
     }
     let spans = telemetry.spans().snapshot();
-    assert!(spans.entries().iter().any(|(p, _)| p == "lf_exec/sharded"));
-    assert!(spans.entries().iter().any(|(p, _)| p == "train/fit"));
-
-    // The trace nests the sharded job's phases, shard attempts and LF
-    // calls under the run, and parents every shard attempt on a phase.
-    let trace = telemetry.tracer().unwrap().to_chrome_json();
-    let spans_named = |wanted: &str| -> Vec<&Json> {
-        trace
-            .get("traceEvents")
-            .unwrap()
-            .items()
-            .iter()
-            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(wanted))
-            .collect()
-    };
-    let arg = |e: &Json, key: &str| {
-        e.get("args")
-            .and_then(|a| a.get(key))
-            .and_then(|v| v.as_i64())
-    };
-    assert_eq!(spans_named("run").len(), 1);
-    let phases: Vec<i64> = spans_named("job/map")
-        .into_iter()
-        .map(|e| arg(e, "id").unwrap())
-        .collect();
-    assert!(!phases.is_empty(), "no job/map phase in the trace");
-    let attempts = spans_named("job/shard_attempt");
-    assert!(!attempts.is_empty(), "no shard attempt in the trace");
-    for attempt in attempts {
-        let parent = arg(attempt, "parent");
+    for path in [
+        "run",
+        "job/map",
+        "job/shard_attempt",
+        "lf_exec/sharded",
+        "train/fit",
+    ] {
         assert!(
-            parent.is_some_and(|p| phases.contains(&p)),
-            "shard attempt parented on {parent:?}, not a job/map phase {phases:?}"
+            spans.get(path).is_some_and(|s| s.count > 0),
+            "no {path} span in {:?}",
+            spans.entries()
         );
     }
-    assert!(
-        set.names()
-            .iter()
-            .any(|name| !spans_named(&format!("lf/{name}")).is_empty()),
-        "no lf/* span in the trace"
-    );
 
     // Every name the run emitted — metrics, span paths, event kinds — is
     // declared in `naming::REGISTRY`.
