@@ -144,20 +144,21 @@ impl StreamIngestor {
         let mut delivered = Vec::new();
         let mut last_lag_us: Option<i64> = None;
         for name in names {
-            let sighting = {
-                let next = self.next_arrival;
-                let s = self
-                    .sightings
-                    .entry(name.clone())
-                    .or_insert_with(|| Sighting {
-                        arrival: next,
+            // Only a name seen for the first time is copied into the map:
+            // the spool keeps every delivered file, and each poll lists
+            // them all.
+            let sighting = match self.sightings.get(&name) {
+                Some(s) => *s,
+                None => {
+                    let s = Sighting {
+                        arrival: self.next_arrival,
                         attempts: 0,
                         delivered: false,
-                    });
-                if s.arrival == next {
+                    };
                     self.next_arrival += 1;
+                    self.sightings.insert(name.clone(), s);
+                    s
                 }
-                *s
             };
             if sighting.delivered {
                 continue;

@@ -297,7 +297,7 @@ impl<'s, X> LfWorker<'s, X> {
                 words = Some(Words::resolve(text, kg, &mut self.words));
             }
         }
-        let (nlp, obs) = (annotation.as_ref(), self.obs.as_mut());
+        let (nlp, obs) = (annotation.as_deref(), self.obs.as_mut());
         row_of(self.lfs, x, nlp, words.as_ref(), obs, failed, votes)?;
         Ok(failed)
     }
@@ -314,10 +314,28 @@ enum WorkerNlp {
 impl WorkerNlp {
     /// Annotate, surfacing service failures so the caller can degrade.
     /// The shared-cache path serves hits even during an outage.
-    fn try_annotate(&self, text: &str) -> Result<NlpResult, NlpError> {
+    fn try_annotate(&self, text: &str) -> Result<Annotation, NlpError> {
+        Ok(match self {
+            WorkerNlp::Plain(server) => Annotation::Owned(server.try_annotate(text)?),
+            WorkerNlp::Shared(cache) => Annotation::Shared(cache.try_annotate(text)?),
+        })
+    }
+}
+
+/// One example's annotation as the LFs read it: the result a private
+/// server returned, or the memo table's entry, shared without a copy.
+enum Annotation {
+    Owned(NlpResult),
+    Shared(Arc<NlpResult>),
+}
+
+impl std::ops::Deref for Annotation {
+    type Target = NlpResult;
+
+    fn deref(&self) -> &NlpResult {
         match self {
-            WorkerNlp::Plain(server) => server.try_annotate(text),
-            WorkerNlp::Shared(cache) => cache.try_annotate(text),
+            Annotation::Owned(result) => result,
+            Annotation::Shared(result) => result,
         }
     }
 }
@@ -768,6 +786,19 @@ mod tests {
         assert_eq!((matrix.num_lfs(), matrix.num_examples()), (0, 0));
         assert_eq!(matrix.rows().count(), 0);
         assert_eq!((stats.examples, stats.nlp_calls), (4, 0));
+        // No LFs through the sharded path: every record is read, and the
+        // matrix is the same width-0 one with no rows.
+        let dir = tempfile::tempdir().unwrap();
+        let input = ShardSpec::new(dir.path(), "docs", 2);
+        write_all(&input, &docs()).unwrap();
+        let output = input.derive("votes");
+        let cfg = JobConfig::new("lf-exec").with_workers(2);
+        let (matrix, stats) =
+            execute_sharded(&LfSet::new(), None, &input, &output, &cfg, |d: &Doc| d.0).unwrap();
+        assert_eq!(matrix, LabelMatrix::new(0));
+        assert_eq!((matrix.num_lfs(), matrix.num_examples()), (0, 0));
+        assert_eq!(matrix.rows().count(), 0);
+        assert_eq!(stats.records_in, 4);
     }
 
     #[test]

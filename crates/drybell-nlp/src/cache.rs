@@ -7,11 +7,12 @@
 //! that cost repeatedly. [`CachedNlpServer`] wraps an [`NlpServer`] with a
 //! bounded, hash-keyed memo table — the standard deployment trick — and
 //! exposes hit/miss statistics so the savings show up in job counters.
+//! Entries are shared [`Arc`]s: a hit clones a pointer, not the result.
 
 use crate::server::{NlpError, NlpResult, NlpServer};
 use drybell_obs::{fnv1a64, MetricsRegistry};
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cumulative cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +54,7 @@ pub struct CachedNlpServer {
 }
 
 struct CacheState {
-    map: HashMap<u64, NlpResult>,
+    map: HashMap<u64, Arc<NlpResult>>,
     /// Insertion ring for eviction.
     ring: Vec<u64>,
     cursor: usize,
@@ -96,10 +97,10 @@ impl CachedNlpServer {
     /// The resident annotation of `text`, counting the hit or the miss.
     /// FNV-1a collisions can be constructed, so the entry under the text's
     /// key must also carry the text.
-    fn lookup(&self, key: u64, text: &str) -> Option<NlpResult> {
+    fn lookup(&self, key: u64, text: &str) -> Option<Arc<NlpResult>> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resident = state.map.get(&key);
-        let hit = resident.filter(|r| r.tokens.text() == text).cloned();
+        let hit = resident.filter(|r| r.tokens.text() == text).map(Arc::clone);
         match hit {
             Some(_) => state.stats.hits += 1,
             None => state.stats.misses += 1,
@@ -108,14 +109,14 @@ impl CachedNlpServer {
     }
 
     /// Annotate `text`, consulting the memo table first.
-    pub fn annotate(&self, text: &str) -> NlpResult {
+    pub fn annotate(&self, text: &str) -> Arc<NlpResult> {
         let key = self.key_of(text);
         if let Some(hit) = self.lookup(key, text) {
             return hit;
         }
         // Compute outside the lock: annotation is the expensive part and
         // other workers shouldn't serialize behind it.
-        let result = self.inner.annotate(text);
+        let result = Arc::new(self.inner.annotate(text));
         self.insert_result(key, &result);
         result
     }
@@ -126,18 +127,18 @@ impl CachedNlpServer {
     /// the memo table acts as a shield during an outage. A miss forwards
     /// to [`NlpServer::try_annotate`]; failed calls are *never* cached, so
     /// the next request for the same text retries the server.
-    pub fn try_annotate(&self, text: &str) -> Result<NlpResult, NlpError> {
+    pub fn try_annotate(&self, text: &str) -> Result<Arc<NlpResult>, NlpError> {
         let key = self.key_of(text);
         if let Some(hit) = self.lookup(key, text) {
             return Ok(hit);
         }
-        let result = self.inner.try_annotate(text)?;
+        let result = Arc::new(self.inner.try_annotate(text)?);
         self.insert_result(key, &result);
         Ok(result)
     }
 
     /// Insert a freshly computed result, enforcing the capacity bound.
-    fn insert_result(&self, key: u64, result: &NlpResult) {
+    fn insert_result(&self, key: u64, result: &Arc<NlpResult>) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.map.contains_key(&key) {
             // Another worker missed on the same key and inserted while we
@@ -159,7 +160,7 @@ impl CachedNlpServer {
         } else {
             state.ring.push(key);
         }
-        state.map.insert(key, result.clone());
+        state.map.insert(key, Arc::clone(result));
     }
 
     /// Snapshot of cache statistics.

@@ -20,9 +20,11 @@
 //!   languages the product-classification task covers.
 //! * [`sentiment`] — a small lexicon scorer (an extra organizational
 //!   resource for tests and examples).
-//! * [`server`] — bundles everything behind an [`server::NlpServer`] that
-//!   implements the dataflow `Service` pattern and tracks simulated cost,
-//!   making these models *non-servable* resources in the sense of §4.
+//! * [`server`] — an [`server::NlpServer`] whose `annotate` computes what
+//!   labeling functions read (tokens, entities, the topic posterior); its
+//!   [`NlpResult`] runs language ID and sentiment only when asked. The
+//!   server implements the dataflow `Service` pattern and tracks simulated
+//!   cost, making these models *non-servable* resources in the sense of §4.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

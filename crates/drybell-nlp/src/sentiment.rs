@@ -5,7 +5,7 @@
 //! more weak supervision source. Scores are in `[-1, 1]`.
 
 use crate::lexicon::NEGATOR;
-use crate::tokenizer::{words, Word};
+use crate::tokenizer::words;
 
 pub(crate) const POSITIVE: &[&str] = &[
     "great",
@@ -57,18 +57,13 @@ impl SentimentScorer {
 
     /// Score `text` in `[-1, 1]`: the mean valence of matched words, with
     /// a preceding negator flipping a word's sign. Returns `0.0` when no
-    /// lexicon word matches.
+    /// lexicon word matches. A word's valence and negator bit are in its
+    /// lexicon entry.
     pub fn score(&self, text: &str) -> f64 {
-        self.score_words(&words(text))
-    }
-
-    /// [`SentimentScorer::score`] over a text already tokenized and looked
-    /// up: a word's valence and negator bit are in its lexicon entry.
-    pub(crate) fn score_words(&self, words: &[Word<'_>]) -> f64 {
         let mut total = 0.0;
         let mut hits = 0usize;
         let mut negated = false;
-        for word in words {
+        for word in words(text) {
             if let Some(valence) = word.entry.and_then(|e| e.valence) {
                 total += if negated { -valence } else { valence };
                 hits += 1;

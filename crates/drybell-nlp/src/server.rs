@@ -4,13 +4,16 @@
 //! content submitted to Google. Snorkel DryBell therefore ... uses Google's
 //! MapReduce framework to launch a model server on each compute node."
 //!
-//! [`NlpServer`] bundles every model in this crate behind one `annotate`
-//! call, tracks per-call statistics, and carries a *declared cost* per call
-//! (simulated microseconds). The cost is what makes these models
-//! non-servable in the sense of §4: the serving layer (`drybell-serving`)
-//! refuses to stage models whose feature dependencies exceed the production
-//! latency budget, which forces the cross-feature transfer the paper
-//! describes.
+//! [`NlpServer`] runs the models labeling functions read (tokens, entities,
+//! the topic posterior) behind one `annotate` call, tracks per-call
+//! statistics, and carries a *declared cost* per call (simulated
+//! microseconds). The cost is what makes these models non-servable in the
+//! sense of §4: the serving layer (`drybell-serving`) refuses to stage
+//! models whose feature dependencies exceed the production latency budget,
+//! which forces the cross-feature transfer the paper describes.
+//!
+//! Language ID and sentiment are [`NlpResult`] methods that run when
+//! called, so a caller that never asks for them never pays for them.
 
 use crate::langid::{Lang, LangDetector};
 use crate::ner::{Entity, EntityKind, NerTagger};
@@ -56,6 +59,9 @@ impl std::error::Error for NlpError {}
 
 /// Everything the NLP service knows about one piece of text — the
 /// `NLPResult` of the paper's `NLPLabelingFunction` example.
+///
+/// `annotate` fills the fields; [`NlpResult::language`] and
+/// [`NlpResult::sentiment`] run their models over the text on each call.
 #[derive(Debug, Clone)]
 pub struct NlpResult {
     /// Tokenization with spans.
@@ -66,10 +72,6 @@ pub struct NlpResult {
     pub topic_probs: [f64; 8],
     /// Most likely coarse topic.
     pub top_topic: Topic,
-    /// Detected language, if any.
-    pub language: Option<Lang>,
-    /// Lexicon sentiment in `[-1, 1]`.
-    pub sentiment: f64,
 }
 
 impl NlpResult {
@@ -82,6 +84,18 @@ impl NlpResult {
     /// Convenience: the person mentions.
     pub fn people(&self) -> Vec<&Entity> {
         self.entities_of(EntityKind::Person).collect()
+    }
+
+    /// Detected language, if any: [`LangDetector::detect`] over the text,
+    /// run on each call.
+    pub fn language(&self) -> Option<Lang> {
+        LangDetector::new().detect(self.tokens.text())
+    }
+
+    /// Lexicon sentiment in `[-1, 1]`: [`SentimentScorer::score`] over the
+    /// text, run on each call.
+    pub fn sentiment(&self) -> f64 {
+        SentimentScorer::new().score(self.tokens.text())
     }
 }
 
@@ -115,8 +129,6 @@ struct ServerTelemetry {
 #[derive(Debug, Clone)]
 pub struct NlpServer {
     ner: NerTagger,
-    langid: LangDetector,
-    sentiment: SentimentScorer,
     /// Declared cost of one `annotate` call, in simulated microseconds.
     cost_per_call_us: u64,
     stats: Arc<StatCells>,
@@ -140,8 +152,6 @@ impl NlpServer {
     pub fn new() -> NlpServer {
         NlpServer {
             ner: NerTagger::new(),
-            langid: LangDetector::new(),
-            sentiment: SentimentScorer::new(),
             cost_per_call_us: Self::DEFAULT_COST_US,
             stats: Arc::default(),
             telemetry: None,
@@ -188,8 +198,10 @@ impl NlpServer {
             .fetch_add(self.cost_per_call_us, Ordering::Relaxed);
     }
 
-    /// Run all models over `text`: one tokenization and one lexicon probe a
-    /// word, shared by NER, the seed topic model and sentiment.
+    /// Tokenize, tag entities and classify the topic of `text`: one
+    /// tokenization and one lexicon probe a word, shared by NER and the seed
+    /// topic model. Language ID and sentiment wait for their
+    /// [`NlpResult`] methods.
     pub fn annotate(&self, text: &str) -> NlpResult {
         let started = self.telemetry.as_ref().map(|_| Instant::now());
         self.count_call();
@@ -202,8 +214,6 @@ impl NlpServer {
             entities: self.ner.tag_words(&words),
             topic_probs,
             top_topic: SemanticCategorizer::top_of(&topic_probs).0,
-            language: self.langid.detect(text),
-            sentiment: self.sentiment.score_words(&words),
         };
         if let (Some(t), Some(started)) = (&self.telemetry, started) {
             t.calls.inc();
@@ -212,7 +222,7 @@ impl NlpServer {
         result
     }
 
-    /// Run all models over `text`, surfacing service failures.
+    /// [`NlpServer::annotate`] `text`, surfacing service failures.
     ///
     /// This is the call sites should prefer when they can degrade: an
     /// `Err` means the service (as simulated by the attached
@@ -247,8 +257,9 @@ impl drybell_dataflow::Service for NlpServer {
     }
 
     fn warm_up(&mut self) -> Result<(), drybell_dataflow::DataflowError> {
-        // Exercise every model once so first-call latency is paid at
-        // worker startup, as a real model server would load weights here.
+        // Exercise every model `annotate` runs once so first-call latency
+        // is paid at worker startup, as a real model server would load
+        // weights here.
         let _ = self.annotate("warm up Alice Johnson buys a camera");
         self.stats.calls.store(0, Ordering::Relaxed);
         self.stats.simulated_cost_us.store(0, Ordering::Relaxed);
@@ -275,8 +286,8 @@ mod tests {
         assert!(r
             .entities_of(EntityKind::Product)
             .any(|e| e.text == "camera"));
-        assert_eq!(r.language, Some(Lang::En));
-        assert!(r.sentiment > 0.0);
+        assert_eq!(r.language(), Some(Lang::En));
+        assert!(r.sentiment() > 0.0);
         let sum: f64 = r.topic_probs.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
@@ -317,19 +328,19 @@ mod tests {
                 "topic posterior of {text:?}"
             );
             assert_eq!(r.top_topic, top, "top topic of {text:?}");
-            assert_eq!(r.language, langid.detect(text), "language of {text:?}");
+            assert_eq!(r.language(), langid.detect(text), "language of {text:?}");
             assert_eq!(
-                r.sentiment.to_bits(),
+                r.sentiment().to_bits(),
                 sentiment.score(text).to_bits(),
                 "sentiment of {text:?}"
             );
             assert_eq!(
-                r.sentiment.to_bits(),
+                r.sentiment().to_bits(),
                 sentiment_oracle::score(text).to_bits(),
                 "sentiment of {text:?}"
             );
             entities += r.entities.len();
-            sentiments += usize::from(r.sentiment != 0.0);
+            sentiments += usize::from(r.sentiment() != 0.0);
         }
         assert!(entities > 1_000 && sentiments > 0, "the corpus has signal");
     }

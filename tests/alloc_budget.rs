@@ -143,8 +143,8 @@ fn the_document_path_stays_within_its_allocation_budget() {
     let annotate_all = |docs: &[ProductDoc]| -> Vec<NlpResult> {
         docs.iter().map(|d| server.annotate(&d.text)).collect()
     };
-    // Annotating everything once also fills every lazily built table (the
-    // lexicon, the trigram table); one vote per LF fills the graphs'
+    // Annotating everything once also fills the lexicon, the one lazily
+    // built table `annotate` reads; one vote per LF fills the graphs'
     // category lists.
     let annotations = annotate_all(&docs);
     let doubled_annotations = annotate_all(&doubled);
@@ -170,8 +170,10 @@ fn the_document_path_stays_within_its_allocation_budget() {
     for d in &docs {
         cached.annotate(&d.text);
     }
+    // A hit shares the resident entry's `Arc`; copying the result out of
+    // the table measured 3.799 here.
     let n = per_doc(&docs, |d| drop(black_box(cached.annotate(&d.text))));
-    assert!(n <= 6.0, "cache hit: {n} allocations a document");
+    assert!(n == 0.0, "cache hit: {n} allocations a document");
     assert_eq!(cached.stats().hits, DOCS as u64);
 
     // --- lf ---
