@@ -65,16 +65,17 @@ impl FeatureHasher {
     pub fn counts(&self, capacity: usize) -> HashedCounts {
         HashedCounts {
             hasher: *self,
-            pairs: Vec::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
         }
     }
 }
 
 /// One document's hashed feature counts, gathered namespace by namespace
-/// into a single list and turned into the document's unit vector by
-/// [`HashedCounts::finish`]: the whole of a featurizer, in two allocator
-/// calls however many words the document has (the list, and cutting it to
-/// size), given a `capacity` that covers them.
+/// into a single list of bucket indices and turned into the document's
+/// unit vector by [`HashedCounts::finish`]: the whole of a featurizer, in
+/// two allocator calls however many words the document has (the list of
+/// indices, and the vector's entries at their exact size), given a
+/// `capacity` that covers them.
 ///
 /// ```
 /// use drybell_features::FeatureHasher;
@@ -89,7 +90,7 @@ impl FeatureHasher {
 #[derive(Debug, Clone)]
 pub struct HashedCounts {
     hasher: FeatureHasher,
-    pairs: Vec<(u32, f64)>,
+    keys: Vec<u32>,
 }
 
 impl HashedCounts {
@@ -106,14 +107,14 @@ impl HashedCounts {
         for name in names {
             let mut hash = prefix;
             hash.write(name.as_ref().as_bytes());
-            self.pairs.push((self.hasher.bucket(hash.finish()), 1.0));
+            self.keys.push(self.hasher.bucket(hash.finish()));
         }
     }
 
     /// The counts as a sparse vector scaled to unit L2 norm, holding
     /// exactly the memory its entries need.
     pub fn finish(self) -> SparseVector {
-        SparseVector::from_unit_counts(self.pairs)
+        SparseVector::from_unit_counts(self.keys)
     }
 }
 

@@ -31,23 +31,29 @@ impl SparseVector {
     /// the result is sorted.
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>) -> SparseVector {
         pairs.sort_by_key(|&(i, _)| i);
-        merge_runs(&mut pairs);
+        // Sum each run of equal indices into its first entry, in order.
+        pairs.dedup_by(|next, kept| {
+            let same = kept.0 == next.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
         SparseVector { entries: pairs }
     }
 
-    /// The unit vector of a document's feature counts: `pairs` holds one
-    /// `(index, 1.0)` per feature occurrence, and is sorted, merged and
-    /// scaled where it lies, then cut to its exact size — a corpus keeps
-    /// one of these per document, so spare capacity is resident memory.
-    pub(crate) fn from_unit_counts(mut pairs: Vec<(u32, f64)>) -> SparseVector {
-        // Whole-number values sum exactly in any order, so the sort need
-        // not be stable (the stable one allocates a merge buffer).
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        merge_runs(&mut pairs);
-        let mut vector = SparseVector { entries: pairs };
+    /// The unit vector of a document's feature counts: `keys` holds the
+    /// index of each feature occurrence, and is sorted where it lies, then
+    /// counted run by run into entries allocated at their exact size — a
+    /// corpus keeps one of these per document, so spare capacity is
+    /// resident memory.
+    pub(crate) fn from_unit_counts(mut keys: Vec<u32>) -> SparseVector {
+        keys.sort_unstable();
+        let runs = keys.chunk_by(|a, b| a == b);
+        let mut entries = Vec::with_capacity(runs.clone().count());
+        entries.extend(runs.map(|run| (run[0], run.len() as f64)));
+        let mut vector = SparseVector { entries };
         vector.l2_normalize();
-        // `shrink_to_fit` may keep spare capacity; a boxed slice cannot.
-        vector.entries = vector.entries.into_boxed_slice().into_vec();
         vector
     }
 
@@ -116,18 +122,6 @@ impl SparseVector {
     }
 }
 
-/// Sum each run of equal indices in an index-sorted list into the run's
-/// first entry, in list order.
-fn merge_runs(pairs: &mut Vec<(u32, f64)>) {
-    pairs.dedup_by(|next, kept| {
-        let same = kept.0 == next.0;
-        if same {
-            kept.1 += next.1;
-        }
-        same
-    });
-}
-
 impl FromIterator<(u32, f64)> for SparseVector {
     fn from_iter<T: IntoIterator<Item = (u32, f64)>>(iter: T) -> SparseVector {
         SparseVector::from_pairs(iter.into_iter().collect())
@@ -173,13 +167,26 @@ mod tests {
         for n in [0usize, 1, 2, 19, 20, 21, 64, 65, 1000] {
             // Capacity well above the length, indices repeating and
             // descending: everything `from_unit_counts` has to undo.
-            let mut pairs = Vec::with_capacity(4 * n + 7);
-            pairs.extend((0..n).rev().map(|i| ((i % 37) as u32, 1.0)));
-            let built = SparseVector::from_unit_counts(pairs.clone());
-            assert_eq!(built, SparseVector::from_pairs(pairs).l2_normalized());
+            let mut keys = Vec::with_capacity(4 * n + 7);
+            keys.extend((0..n).rev().map(|i| (i % 37) as u32));
+            let built = SparseVector::from_unit_counts(keys.clone());
+            let pairs: Vec<(u32, f64)> = keys.iter().map(|&k| (k, 1.0)).collect();
+            let reference = SparseVector::from_pairs(pairs).l2_normalized();
+            // Bit for bit: a count is a whole number however it is summed.
+            let bits = |v: &SparseVector| -> Vec<(u32, u64)> {
+                v.entries().iter().map(|&(i, x)| (i, x.to_bits())).collect()
+            };
+            assert_eq!(bits(&built), bits(&reference), "n = {n}");
             assert_eq!(built.entries.capacity(), built.entries.len(), "n = {n}");
             assert_eq!(built.nnz(), n.min(37));
         }
+        // The largest and smallest indices, each alone and in a run.
+        let built = SparseVector::from_unit_counts(vec![u32::MAX, 0, u32::MAX, 5, 0, u32::MAX]);
+        let norm = (9.0f64 + 4.0 + 1.0).sqrt();
+        assert_eq!(
+            built.entries(),
+            &[(0, 2.0 / norm), (5, 1.0 / norm), (u32::MAX, 3.0 / norm)]
+        );
     }
 
     /// Up to `max_len` pairs with indices below `dims` and values in

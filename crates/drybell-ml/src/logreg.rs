@@ -16,6 +16,13 @@
 //!
 //! with the per-example update `σ = (√(n+g²) − √n)/α`, `z += g − σ·w`,
 //! `n += g²`. The L1 term gives the sparse models production systems want.
+//!
+//! [`LogisticRegression::fit`] visits the examples in a shuffled order, so
+//! read in place each visit would chase a separately allocated vector to a
+//! random address. Instead a helper thread walks the order and copies each
+//! visit's entries into contiguous blocks, which the training thread
+//! updates from while the next block is gathered; see
+//! [`LogisticRegression::fit`] for why this cannot change a bit.
 
 use crate::error::MlError;
 use crate::export::{field, finite, finite_vec, floats, size};
@@ -25,6 +32,16 @@ use drybell_obs::Json;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+
+/// Visits a gather block holds at most.
+const BLOCK_VISITS: usize = 2_048;
+/// Entries a gather block holds at most (1 MiB), unless one example alone
+/// has more, which then fills a block of its own.
+const BLOCK_ENTRIES: usize = 65_536;
+/// Blocks in circulation during a fit: one being gathered, one being
+/// trained on and one waiting between the two.
+const BLOCKS: usize = 3;
 
 /// Which update rule the trainer uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,11 +215,18 @@ impl LogisticRegression {
             // In SGD mode `z` stores the weight directly.
             return z;
         }
+        self.ftrl_weight(z, n.sqrt())
+    }
+
+    /// The FTRL-Proximal weight of a coordinate with state `(z, n)`, given
+    /// `root = √n`.
+    #[inline]
+    fn ftrl_weight(&self, z: f64, root: f64) -> f64 {
         if z.abs() <= self.cfg.l1 {
             0.0
         } else {
             let sign = z.signum();
-            -(z - sign * self.cfg.l1) / ((self.cfg.beta + n.sqrt()) / self.cfg.alpha + self.cfg.l2)
+            -(z - sign * self.cfg.l1) / ((self.cfg.beta + root) / self.cfg.alpha + self.cfg.l2)
         }
     }
 
@@ -221,8 +245,12 @@ impl LogisticRegression {
 
     /// Raw decision score `w·x + b`.
     pub fn score(&self, x: &SparseVector) -> f64 {
+        self.score_entries(x.entries())
+    }
+
+    fn score_entries(&self, x: &[(u32, f64)]) -> f64 {
         let mut s = self.bias();
-        for &(i, v) in x.entries() {
+        for &(i, v) in x {
             s += self.weight(i as usize) * v;
         }
         s
@@ -238,32 +266,52 @@ impl LogisticRegression {
         xs.iter().map(|x| self.predict_proba(x)).collect()
     }
 
-    /// One FTRL update from example `(x, p)` with soft target `p`.
-    fn update_one(&mut self, x: &SparseVector, target: f64) {
-        let g_base = noise_aware_logistic_grad(self.score(x), target);
+    /// One update from an example with entries `x` and soft target
+    /// `target`. `scored` is scratch for FTRL-Proximal: scoring keeps each
+    /// coordinate's `(w_i, √n_i)` there for the update, which finds them
+    /// unchanged because `x`'s indices are unique.
+    fn update_one(&mut self, x: &[(u32, f64)], target: f64, scored: &mut Vec<(f64, f64)>) {
+        let alpha = self.cfg.alpha;
         if self.cfg.algorithm == LrAlgorithm::Sgd {
-            self.z_bias -= self.cfg.alpha * g_base;
-            for &(i, v) in x.entries() {
+            let g_base = noise_aware_logistic_grad(self.score_entries(x), target);
+            self.z_bias -= alpha * g_base;
+            for &(i, v) in x {
                 let i = i as usize;
                 if i < self.dims {
-                    self.z[i] -= self.cfg.alpha * (g_base * v + self.cfg.l2 * self.z[i]);
+                    self.z[i] -= alpha * (g_base * v + self.cfg.l2 * self.z[i]);
                 }
             }
             return;
         }
+        let root_bias = self.n_bias.sqrt();
+        let w_bias = self.ftrl_weight(self.z_bias, root_bias);
+        let mut score = w_bias;
+        scored.clear();
+        for &(i, v) in x {
+            let i = i as usize;
+            // An index past `dims` weighs 0 and is not updated.
+            let (w, root) = if i < self.dims {
+                let root = self.n[i].sqrt();
+                (self.ftrl_weight(self.z[i], root), root)
+            } else {
+                (0.0, 0.0)
+            };
+            score += w * v;
+            scored.push((w, root));
+        }
+        let g_base = noise_aware_logistic_grad(score, target);
         // Bias coordinate (feature value 1).
         let g = g_base;
-        let sigma = ((self.n_bias + g * g).sqrt() - self.n_bias.sqrt()) / self.cfg.alpha;
-        self.z_bias += g - sigma * self.weight_at(self.z_bias, self.n_bias);
+        let sigma = ((self.n_bias + g * g).sqrt() - root_bias) / alpha;
+        self.z_bias += g - sigma * w_bias;
         self.n_bias += g * g;
-        for &(i, v) in x.entries() {
+        for (&(i, v), &(w, root)) in x.iter().zip(scored.iter()) {
             let i = i as usize;
             if i >= self.dims {
                 continue;
             }
             let g = g_base * v;
-            let w = self.weight_at(self.z[i], self.n[i]);
-            let sigma = ((self.n[i] + g * g).sqrt() - self.n[i].sqrt()) / self.cfg.alpha;
+            let sigma = ((self.n[i] + g * g).sqrt() - root) / alpha;
             self.z[i] += g - sigma * w;
             self.n[i] += g * g;
         }
@@ -273,27 +321,46 @@ impl LogisticRegression {
     /// of mini-batch iterations. Targets in `[0, 1]` may be hard labels or
     /// the generative model's probabilistic labels (noise-aware loss).
     ///
+    /// A scoped helper thread walks the visit order (a seeded shuffle of
+    /// the examples, reshuffled each time it runs out) and copies each
+    /// visited example's entries and target into blocks of at most 2 048
+    /// visits and 65 536 entries, which it sends to this thread over a
+    /// bounded channel; this thread updates from each block in turn and
+    /// hands the buffer back for the helper to refill. The trajectory is
+    /// the one reading each example in place gives, bit for bit: the
+    /// visits come in the same order and each update runs the same
+    /// operations in the same order over the same values.
+    ///
+    /// Three buffers circulate, so the gathered bytes in flight stay under
+    /// 3.1 MiB (3 × (1 MiB of entries + 32 KiB of targets and offsets))
+    /// however many examples and visits the fit has; only an example with
+    /// more than 65 536 entries grows the buffer that takes it. The helper
+    /// returns once it has sent its last block or this thread has hung up,
+    /// panics included, and the scope joins it before `fit` returns.
+    ///
     /// Returns [`MlError::EmptyDataset`] on empty input (this used to
     /// `assert!`, aborting the calling worker).
     pub fn fit(&mut self, examples: &[(SparseVector, f64)]) -> Result<(), MlError> {
         if examples.is_empty() {
             return Err(MlError::EmptyDataset);
         }
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut order: Vec<usize> = (0..examples.len()).collect();
-        order.shuffle(&mut rng);
-        let mut cursor = 0usize;
-        for _ in 0..self.cfg.iterations {
-            for _ in 0..self.cfg.batch_size {
-                if cursor == order.len() {
-                    order.shuffle(&mut rng);
-                    cursor = 0;
+        let (seed, iterations, batch_size) =
+            (self.cfg.seed, self.cfg.iterations, self.cfg.batch_size);
+        std::thread::scope(|scope| {
+            let (full_tx, full_rx) = mpsc::sync_channel(BLOCKS);
+            let (empty_tx, empty_rx) = mpsc::sync_channel(BLOCKS);
+            scope.spawn(move || gather(examples, seed, iterations, batch_size, full_tx, empty_rx));
+            let mut scored = Vec::new();
+            for block in full_rx {
+                let mut start = 0;
+                for &(end, target) in &block.visits {
+                    self.update_one(&block.entries[start..end], target, &mut scored);
+                    start = end;
                 }
-                let (x, p) = &examples[order[cursor]];
-                cursor += 1;
-                self.update_one(x, *p);
+                // Fails only once the helper has sent its last block.
+                drop(empty_tx.send(block));
             }
-        }
+        });
         Ok(())
     }
 
@@ -328,6 +395,80 @@ impl LogisticRegression {
             .sum();
         total / examples.len() as f64
     }
+}
+
+/// A run of visits copied out of the examples in visit order: each visit's
+/// entries back to back in `entries`, and per visit the end of its entries
+/// and its target in `visits`.
+struct Block {
+    entries: Vec<(u32, f64)>,
+    visits: Vec<(usize, f64)>,
+}
+
+impl Block {
+    fn new() -> Block {
+        Block {
+            entries: Vec::with_capacity(BLOCK_ENTRIES),
+            visits: Vec::with_capacity(BLOCK_VISITS),
+        }
+    }
+
+    /// Whether `x` joins this block without passing its bounds; an empty
+    /// block takes any example.
+    fn has_room(&self, x: &SparseVector) -> bool {
+        self.visits.is_empty()
+            || (self.visits.len() < BLOCK_VISITS && self.entries.len() + x.nnz() <= BLOCK_ENTRIES)
+    }
+
+    fn push(&mut self, x: &SparseVector, target: f64) {
+        self.entries.extend_from_slice(x.entries());
+        self.visits.push((self.entries.len(), target));
+    }
+}
+
+/// The helper thread of [`LogisticRegression::fit`]: walk `iterations ×
+/// batch_size` visits of `examples` in the order seeded by `seed`, gather
+/// them into blocks sent down `full`, and refill the buffers that come
+/// back on `empty` once [`BLOCKS`] are out. Returns `None` as soon as the
+/// training thread has hung up.
+fn gather(
+    examples: &[(SparseVector, f64)],
+    seed: u64,
+    iterations: usize,
+    batch_size: usize,
+    full: SyncSender<Block>,
+    empty: Receiver<Block>,
+) -> Option<()> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..examples.len()).collect();
+    order.shuffle(&mut rng);
+    let mut cursor = 0usize;
+    let mut block = Block::new();
+    let mut made = 1;
+    for _ in 0..iterations {
+        for _ in 0..batch_size {
+            if cursor == order.len() {
+                order.shuffle(&mut rng);
+                cursor = 0;
+            }
+            let (x, p) = &examples[order[cursor]];
+            cursor += 1;
+            if !block.has_room(x) {
+                full.send(block).ok()?;
+                block = if made < BLOCKS {
+                    made += 1;
+                    Block::new()
+                } else {
+                    let mut recycled = empty.recv().ok()?;
+                    recycled.entries.clear();
+                    recycled.visits.clear();
+                    recycled
+                };
+            }
+            block.push(x, *p);
+        }
+    }
+    full.send(block).ok()
 }
 
 /// Reusable weight-memoization scratch for [`LogisticRegression::batch_scorer`].

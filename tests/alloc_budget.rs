@@ -1,10 +1,11 @@
 //! Allocation budget of the per-example paths: how many times generating,
 //! featurizing, annotating and voting on one product document, generating
-//! and labelling one topic document, and voting on, training
-//! the label model on and taking an end-model step for one event, and
-//! serving one request through the front-end, may call the allocator; and
-//! the per-call kernels that must not call it at all: language ID, the
-//! serving score paths and the SLO tracker.
+//! and labelling one topic document, voting on, training the label model
+//! on and taking an end-model step for one event, visiting one more
+//! example in a text end-model fit, and serving one request through the
+//! front-end, may call the allocator; and the per-call kernels that must
+//! not call it at all: language ID, the serving score paths and the SLO
+//! tracker.
 //!
 //! The per-document path runs 650K times in a `product_batch` window and
 //! the per-event ones one to three million times in an `events_wide`
@@ -351,6 +352,26 @@ fn the_document_path_stays_within_its_allocation_budget() {
         .collect();
     let mut logreg = LogisticRegression::new(1 << 16, FtrlConfig::default());
     logreg.fit(&labelled).unwrap();
+
+    // --- the text end model: a fit recycles its gather buffers ---
+    // 100 × 64 visits of the 2K rows fill a handful of gather blocks and
+    // eight times as many visits several dozen, so a buffer allocated per
+    // block would show here. Both fits measured 23 allocations; what may
+    // differ is whether a side of the fit's two channels ever waited,
+    // which allocates once (the waiting thread's context and the channel's
+    // waiter list).
+    let [shorter, longer] = [100, 800].map(|iterations| {
+        let cfg = FtrlConfig {
+            iterations,
+            ..FtrlConfig::default()
+        };
+        let mut model = LogisticRegression::new(1 << 16, cfg);
+        allocations(|| model.fit(&labelled).unwrap())
+    });
+    assert!(
+        longer.abs_diff(shorter) <= 3,
+        "LogisticRegression::fit: {shorter} allocations for 100 iterations, {longer} for 800"
+    );
     let mut net = Mlp::new(events::SERVABLE_DIMS, MlpConfig::default());
     net.fit(&soft);
     let mut spaces = SpaceRegistry::new();
