@@ -10,8 +10,8 @@
 //! model (given the class balance, as MeTaL assumes) recovers the truth.
 
 use drybell_bench::args::ExpArgs;
+use drybell_bench::harness::{fit_label_model, label_model_config};
 use drybell_core::class_conditional::{CcTrainConfig, ClassConditionalModel};
-use drybell_core::generative::{GenerativeModel, TrainConfig};
 use drybell_core::LabelMatrix;
 use drybell_ml::metrics::BinaryMetrics;
 use rand::rngs::StdRng;
@@ -66,16 +66,7 @@ fn main() {
     );
     let (matrix, gold) = unipolar_matrix(examples, pos_rate, args.seed.unwrap_or(1));
 
-    let mut ci = GenerativeModel::new(6, 0.7);
-    ci.fit(
-        &matrix,
-        &TrainConfig {
-            steps: 6000,
-            batch_size: 256,
-            ..TrainConfig::default()
-        },
-    )
-    .expect("ci fit");
+    let (ci, _) = fit_label_model(&matrix, &label_model_config(0), None);
     report(
         "conditionally independent",
         &ci.predict_proba(&matrix),

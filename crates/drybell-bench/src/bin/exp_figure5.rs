@@ -12,9 +12,9 @@ use drybell_bench::args::ExpArgs;
 use drybell_bench::harness::ContentTask;
 
 fn sweep<X: Sync + Send>(task: &ContentTask<X>, points: &[usize]) {
-    let baseline = task.baseline();
-    let drybell = task.run_full().drybell;
-    let db_rel = drybell.f1() / baseline.f1().max(1e-12);
+    let mut report = task.run_full(None);
+    let baseline = report.baseline.f1().max(1e-12);
+    let db_rel = report.drybell.f1() / baseline;
     println!("{}", task.name);
     println!(
         "  Snorkel DryBell ({} unlabeled): relative F1 = {:.1}%",
@@ -27,8 +27,7 @@ fn sweep<X: Sync + Send>(task: &ContentTask<X>, points: &[usize]) {
         if n > task.unlabeled.len() {
             continue;
         }
-        let m = task.supervised_with_n_labels(n);
-        let rel = m.f1() / baseline.f1().max(1e-12);
+        let rel = report.first_n_gold(n).f1() / baseline;
         let marker = if rel >= db_rel { "<= crossover" } else { "" };
         if rel >= db_rel && crossover.is_none() {
             crossover = Some(n);

@@ -14,7 +14,7 @@
 //! telemetry snapshot as one JSON document instead of text.
 
 use drybell_bench::args::ExpArgs;
-use drybell_core::generative::{GenerativeModel, TrainConfig};
+use drybell_bench::harness::{fit_label_model, label_model_config};
 use drybell_dataflow::{write_all, JobConfig, ShardSpec};
 use drybell_datagen::product;
 use drybell_lf::executor::{execute_sharded_observed, ExecOptions};
@@ -75,19 +75,8 @@ fn main() {
     ));
 
     let t3 = Instant::now();
-    let mut model = GenerativeModel::new(matrix.num_lfs(), 0.7);
-    let report = model
-        .fit_observed(
-            &matrix,
-            &TrainConfig {
-                steps: 3000,
-                batch_size: 64,
-                seed: cfg.seed,
-                ..TrainConfig::default()
-            },
-            telemetry.as_ref(),
-        )
-        .expect("label model");
+    let (model, report) =
+        fit_label_model(&matrix, &label_model_config(cfg.seed), telemetry.as_ref());
     let fit_s = t3.elapsed().as_secs_f64();
     say(format!(
         "fit generative model:   {fit_s:>8.1}s  ({:.0} steps/s)",

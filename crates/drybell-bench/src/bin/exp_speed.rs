@@ -10,7 +10,8 @@
 //! steps/s, examples/s, and the speedup at equal example throughput.
 
 use drybell_bench::args::ExpArgs;
-use drybell_core::generative::{GenerativeModel, TrainConfig};
+use drybell_bench::harness::fit_label_model;
+use drybell_core::generative::TrainConfig;
 use drybell_core::gibbs::{GibbsConfig, GibbsTrainer};
 use drybell_core::LabelMatrix;
 use rand::rngs::StdRng;
@@ -50,18 +51,16 @@ fn main() {
         "== §5.2: sampling-free vs Gibbs ({examples} examples, {lfs} LFs, batch 64, {steps} steps) ==\n"
     );
 
-    let mut sf = GenerativeModel::new(lfs, 0.7);
-    let report = sf
-        .fit(
-            &matrix,
-            &TrainConfig {
-                steps,
-                batch_size: 64,
-                seed: 0,
-                ..TrainConfig::default()
-            },
-        )
-        .expect("sampling-free training");
+    let (sf, report) = fit_label_model(
+        &matrix,
+        &TrainConfig {
+            steps,
+            batch_size: 64,
+            seed: 0,
+            ..TrainConfig::default()
+        },
+        None,
+    );
     println!(
         "sampling-free: {:>10.0} steps/s  {:>12.0} examples/s  (final NLL {:.4})",
         report.steps_per_sec,

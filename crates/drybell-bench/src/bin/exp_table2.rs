@@ -10,7 +10,7 @@
 use drybell_bench::args::ExpArgs;
 use drybell_bench::harness::{ContentReport, ContentTask};
 
-fn print_task(name: &str, report: &ContentReport) {
+fn print_task<X: Sync + Send>(name: &str, report: &ContentReport<X>) {
     let (gen_rel, db_rel) = report.table2_rows();
     println!("{name}");
     println!(
@@ -35,7 +35,8 @@ fn print_task(name: &str, report: &ContentReport) {
         db_rel.row(),
         db_rel.lift() * 100.0
     );
-    println!(
+    // Timing goes to stderr, so stdout is the same on every run.
+    eprintln!(
         "  LF execution: {} examples in {:.1}s ({:.0}/s)",
         report.lf_stats.examples,
         report.lf_stats.seconds,
@@ -55,9 +56,9 @@ fn main() {
         args.scale
     );
     let topic = ContentTask::topic(args.scale, args.seed, args.workers);
-    print_task(topic.name, &topic.run_full_observed(telemetry.as_ref()));
+    print_task(topic.name, &topic.run_full(telemetry.as_ref()));
     let product = ContentTask::product(args.scale, args.seed, args.workers);
-    print_task(product.name, &product.run_full_observed(telemetry.as_ref()));
+    print_task(product.name, &product.run_full(telemetry.as_ref()));
     if let Some(journal) = telemetry.as_ref().and_then(|t| t.journal()) {
         journal.flush().expect("flush journal");
     }

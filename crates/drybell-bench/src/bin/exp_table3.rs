@@ -9,22 +9,14 @@
 
 use drybell_bench::args::ExpArgs;
 use drybell_bench::harness::ContentTask;
-use drybell_ml::metrics::{BinaryMetrics, RelativeMetrics};
-
-fn run<X: Sync + Send>(
-    task: &ContentTask<X>,
-) -> (f64, BinaryMetrics, BinaryMetrics, BinaryMetrics) {
-    let baseline = task.baseline();
-    let servable_only = task.run_servable_only();
-    let full = task.run_full().drybell;
-    let lift = full.f1() / servable_only.f1().max(1e-12) - 1.0;
-    (lift, baseline, servable_only, full)
-}
+use drybell_ml::metrics::RelativeMetrics;
 
 fn print_task<X: Sync + Send>(task: &ContentTask<X>) -> f64 {
-    let (lift, baseline, servable, full) = run(task);
-    let servable_rel = RelativeMetrics::versus(&servable, &baseline);
-    let full_rel = RelativeMetrics::versus(&full, &baseline);
+    let mut report = task.run_full(None);
+    let servable = report.servable_only();
+    let lift = report.drybell.f1() / servable.f1().max(1e-12) - 1.0;
+    let servable_rel = RelativeMetrics::versus(&servable, &report.baseline);
+    let full_rel = RelativeMetrics::versus(&report.drybell, &report.baseline);
     println!("{}", task.name);
     println!(
         "  {:<24} {:>8} {:>8} {:>8} {:>8}",

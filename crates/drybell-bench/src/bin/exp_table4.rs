@@ -11,12 +11,11 @@ use drybell_bench::harness::ContentTask;
 use drybell_ml::metrics::RelativeMetrics;
 
 fn print_task<X: Sync + Send>(task: &ContentTask<X>) -> f64 {
-    let baseline = task.baseline();
-    let equal = task.run_equal_weights();
-    let full = task.run_full().drybell;
-    let lift = full.f1() / equal.f1().max(1e-12) - 1.0;
-    let equal_rel = RelativeMetrics::versus(&equal, &baseline);
-    let full_rel = RelativeMetrics::versus(&full, &baseline);
+    let mut report = task.run_full(None);
+    let equal = report.equal_weights();
+    let lift = report.drybell.f1() / equal.f1().max(1e-12) - 1.0;
+    let equal_rel = RelativeMetrics::versus(&equal, &report.baseline);
+    let full_rel = RelativeMetrics::versus(&report.drybell, &report.baseline);
     println!("{}", task.name);
     println!(
         "  {:<24} {:>8} {:>8} {:>8} {:>8}",

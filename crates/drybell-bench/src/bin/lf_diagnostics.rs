@@ -10,7 +10,7 @@
 //! document instead of text tables.
 
 use drybell_bench::args::ExpArgs;
-use drybell_bench::harness::ContentTask;
+use drybell_bench::harness::{fit_label_model, label_model_config, ContentTask};
 use drybell_core::analysis::{LfReport, LfSummary};
 use drybell_datagen::events;
 use drybell_lf::executor::execute_in_memory;
@@ -26,9 +26,9 @@ fn main() {
 
     // Topic classification diagnostics, against the dev split.
     let t = ContentTask::topic(args.scale, args.seed, args.workers);
-    let (matrix, _) = t.run_lfs_observed(telemetry.as_ref());
-    let model = t.fit_label_model_observed(&matrix, telemetry.as_ref());
-    let dev_matrix = t.run_lfs_on(&t.dev);
+    let (matrix, _) = t.run_lfs(&t.unlabeled, telemetry.as_ref());
+    let (model, _) = fit_label_model(&matrix, &label_model_config(t.seed), telemetry.as_ref());
+    let (dev_matrix, _) = t.run_lfs(&t.dev, None);
     let topic_report = LfReport::build(
         &matrix,
         &model,
@@ -46,15 +46,13 @@ fn main() {
     }
     let topic_low = topic_report.low_quality(0.6);
 
-    // Real-time events diagnostics (no dev split; 140 synthetic LFs).
+    // Real-time events diagnostics (no dev split; 140 synthetic LFs),
+    // from the label model the events pipeline trains on.
     let cfg = events::EventTaskConfig::scaled(args.scale.min(0.02));
     let ds = events::generate(&cfg);
     let set = events::lf_set(cfg.num_lfs, cfg.seed);
     let (ev_matrix, _) = execute_in_memory(&set, None, &ds.unlabeled, args.workers).expect("exec");
-    let mut ev_model = drybell_core::GenerativeModel::new(ev_matrix.num_lfs(), 0.7);
-    ev_model
-        .fit(&ev_matrix, &drybell_core::TrainConfig::default())
-        .expect("fit");
+    let (ev_model, _) = fit_label_model(&ev_matrix, &label_model_config(cfg.seed), None);
     let events_report = LfReport::build(&ev_matrix, &ev_model, &set.names(), None).expect("report");
     let events_low = events_report.low_quality(0.55);
 

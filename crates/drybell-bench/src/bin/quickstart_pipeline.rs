@@ -3,8 +3,9 @@
 //!
 //! Generates the topic task, executes the LFs through the *sharded*
 //! dataflow path (so job/phase events and per-LF vote + degradation
-//! counters are journaled), fits the generative label model, journals
-//! the LF diagnostics report, trains the discriminative model, stages
+//! counters are journaled), composes the rest of the pipeline on those
+//! votes (generative label model, end model), journals the LF
+//! diagnostics report, stages the discriminative model
 //! it behind a shadowed candidate (journaling both score
 //! distributions), and writes the `--summary` RunSummary for
 //! `doctor baseline` / `doctor check`.
@@ -24,7 +25,8 @@ use drybell_bench::harness::ContentTask;
 use drybell_core::analysis::LfReport;
 use drybell_dataflow::{write_all, FaultPlan, JobConfig, ShardSpec};
 use drybell_features::{FeatureHasher, FeatureSpace, SpaceRegistry};
-use drybell_lf::executor::{execute_sharded_observed, ExecOptions};
+use drybell_lf::executor::{execute_sharded_observed, ExecOptions, ExecutionStats};
+use drybell_nlp::CacheStats;
 use drybell_serving::{ExportedModel, ModelSpec, ScoreInput, ServingRegistry, ShadowEval};
 
 const TASK: &str = "quickstart";
@@ -77,13 +79,30 @@ fn main() {
         "lf execution: {} examples in {:.2}s over {} workers",
         stats.records_in, stats.seconds, stats.workers
     );
+    let counter = |name: &str| stats.counters.get(name);
+    let first_nlp_lf = task.lf_set.lfs().iter().find(|lf| lf.needs_nlp());
+    let lf_stats = ExecutionStats {
+        examples: matrix.num_examples(),
+        seconds: stats.seconds,
+        nlp_calls: counter("nlp_calls"),
+        nlp_degraded: first_nlp_lf.map_or(0, |lf| {
+            counter(&format!("lf/{}/degraded", lf.metadata().name))
+        }),
+        cache: Some(CacheStats {
+            hits: counter("nlp_cache/hits"),
+            misses: counter("nlp_cache/misses"),
+            evictions: counter("nlp_cache/evictions"),
+        }),
+    };
 
-    // Stage 2: generative label model (journal: train_epoch/train).
-    let label_model = task.fit_label_model_observed(&matrix, telemetry.as_ref());
+    // Stage 2: the rest of the pipeline on those votes: the generative
+    // label model (journal: train_epoch/train) and the end models.
+    let mut run = task.compose(matrix, lf_stats, telemetry.as_ref());
 
     // Stage 3: LF diagnostics — §3.3's monitored statistics, journaled
     // as an lf_report event and exported as registry-named gauges.
-    let report = LfReport::build(&matrix, &label_model, &lf_names, None).expect("lf report");
+    let report =
+        LfReport::build(&run.matrix, &run.label_model, &lf_names, None).expect("lf report");
     if let Some(t) = &telemetry {
         if let Some(journal) = t.journal() {
             report.emit_to(journal);
@@ -92,16 +111,10 @@ fn main() {
     }
 
     // Stage 4: discriminative model + shadowed candidate. The serving
-    // incumbent trains on the full iteration budget; the candidate on
-    // half — a deterministic stand-in for "the next model version".
-    let posteriors = label_model.predict_proba(&matrix);
-    let serving_lr = task.train_drybell_lr(&posteriors);
-    let drybell = task.eval_on_test(&serving_lr);
-    let candidate_lr = {
-        let feats = task.featurize_all(&task.unlabeled);
-        let examples: Vec<_> = feats.into_iter().zip(posteriors.iter().copied()).collect();
-        task.train_lr(&examples, task.lr_iterations / 2)
-    };
+    // incumbent is the composition's DryBell model, trained on the full
+    // iteration budget; the candidate on half — a deterministic stand-in
+    // for "the next model version".
+    let candidate_lr = run.drybell_lr_with(task.lr_iterations / 2);
 
     let mut spaces = SpaceRegistry::new();
     spaces
@@ -117,7 +130,7 @@ fn main() {
             name: TASK.into(),
             version: 1,
             feature_spaces: vec![hashed],
-            model: ExportedModel::LogReg(serving_lr),
+            model: ExportedModel::LogReg(run.drybell_lr.clone()),
         })
         .expect("stage v1");
     registry
@@ -146,15 +159,7 @@ fn main() {
         if let Some(journal) = t.journal() {
             shadow_report.emit_to(journal);
             // The end-model quality signal the doctor gates on.
-            journal.emit(
-                drybell_obs::Event::new("content_report")
-                    .field("task", task.name)
-                    .field("examples", matrix.num_examples() as u64)
-                    .field("drybell_f1", drybell.f1())
-                    .field("drybell_precision", drybell.precision())
-                    .field("drybell_recall", drybell.recall())
-                    .field("lf_seconds", stats.seconds),
-            );
+            run.emit_to(journal);
         }
     }
 
@@ -169,8 +174,8 @@ fn main() {
     } else {
         println!(
             "quickstart: {} examples, drybell f1 {:.4}, shadow flip rate {:.4}",
-            matrix.num_examples(),
-            drybell.f1(),
+            run.matrix.num_examples(),
+            run.drybell.f1(),
             shadow_report.flip_rate()
         );
         println!("{}", report.to_table());

@@ -1,15 +1,18 @@
 //! Shared experiment pipeline.
 //!
-//! Implements the full §6 methodology once, parameterized by task:
-//! run the labeling functions over the unlabeled pool, fit the
-//! sampling-free generative model (with the class prior estimated from the
-//! dev split, as a developer would), train the discriminative logistic
-//! regression on the probabilistic labels with the noise-aware loss, and
-//! evaluate everything *relative to the baseline of training directly on
-//! the hand-labeled development set* — the paper's reporting convention.
+//! Implements the §6 methodology once, parameterized by task, as one
+//! composition whose stages each run once: the labeling functions over
+//! the unlabeled pool, the sampling-free generative model fitted on their
+//! votes under a uniform class prior ([`label_model_config`]), the
+//! features of the pool, dev and test splits, the baseline trained
+//! directly on the hand-labeled development set, and the discriminative
+//! logistic regression trained on the probabilistic labels with the
+//! noise-aware loss ([`ContentTask::run_full`]). Every ablation trains
+//! from that composition ([`ContentReport`]), and everything is reported
+//! *relative to the dev-set baseline* — the paper's reporting convention.
 
 use drybell_core::baselines::{equal_weight_labels, logical_or_labels};
-use drybell_core::generative::{GenerativeModel, TrainConfig};
+use drybell_core::generative::{GenerativeModel, TrainConfig, TrainReport};
 use drybell_core::vote::Label;
 use drybell_core::LabelMatrix;
 use drybell_dataflow::par_map_vec;
@@ -26,6 +29,41 @@ use std::sync::Arc;
 
 /// Servable featurization callback shared across pipeline stages.
 pub type Featurizer<X> = Arc<dyn Fn(&X, &FeatureHasher) -> SparseVector + Send + Sync>;
+
+/// The label-model training config of every pipeline in the harness.
+///
+/// `P(Y)` is uniform, exactly as §5.2 states ("for simplicity, here we
+/// assume that `P(Y_i)` is uniform"). With sub-1% positive rates a
+/// *fixed* informative prior turns out to be actively harmful: the
+/// marginal likelihood then prefers an inverted basin in which rare
+/// positive-voting LFs are deemed inaccurate, because flipping a
+/// handful of positives costs less than paying `logit(π)` per example.
+/// The uniform prior lets agreement structure, not the prior, assign
+/// the clusters.
+pub fn label_model_config(seed: u64) -> TrainConfig {
+    TrainConfig {
+        steps: 6000,
+        batch_size: 256,
+        class_prior: 0.5,
+        seed,
+        ..TrainConfig::default()
+    }
+}
+
+/// Fit the sampling-free generative model on a label matrix under `cfg`,
+/// with per-epoch telemetry (`train_epoch` and `train` journal events, the
+/// `obs/train/step_us` histogram) when supplied.
+pub fn fit_label_model(
+    matrix: &LabelMatrix,
+    cfg: &TrainConfig,
+    telemetry: Option<&Telemetry>,
+) -> (GenerativeModel, TrainReport) {
+    let mut model = GenerativeModel::new(matrix.num_lfs(), cfg.init_alpha);
+    let report = model
+        .fit_observed(matrix, cfg, telemetry)
+        .expect("label model training");
+    (model, report)
+}
 
 /// A content-classification task instance (topic or product), bundling
 /// data, LFs, featurization, and training hyperparameters.
@@ -50,8 +88,8 @@ pub struct ContentTask<X: Sync + Send> {
     pub text: Option<TextExtractor<X>>,
     /// Servable featurization.
     pub featurizer: Featurizer<X>,
-    /// Positive class rate (for the label-model prior; in practice the
-    /// developer estimates this from the dev split).
+    /// Positive class rate the task was generated at. Its one reader is
+    /// Table 4's equal-weights label for rows on which every LF abstains.
     pub pos_rate: f64,
     /// FTRL iterations for the discriminative model (paper: 10K topic,
     /// 100K product).
@@ -62,53 +100,6 @@ pub struct ContentTask<X: Sync + Send> {
     pub workers: usize,
     /// Seed for all trainers.
     pub seed: u64,
-}
-
-/// Everything `run_full` measures for Table 2.
-pub struct ContentReport {
-    /// Baseline: LR trained directly on the dev split (the denominator of
-    /// every relative number).
-    pub baseline: BinaryMetrics,
-    /// The generative model's own predictions on the test LF votes
-    /// (Table 2 "Generative Model Only" — not servable in production).
-    pub generative: BinaryMetrics,
-    /// DryBell: LR trained on the probabilistic labels.
-    pub drybell: BinaryMetrics,
-    /// LF execution stats over the unlabeled pool.
-    pub lf_stats: ExecutionStats,
-    /// The fitted label model (for diagnostics reports).
-    pub label_model: GenerativeModel,
-    /// The label matrix over the unlabeled pool.
-    pub matrix: LabelMatrix,
-    /// Training labels produced by the generative model.
-    pub posteriors: Vec<f64>,
-}
-
-impl ContentReport {
-    /// Table 2 rows: (generative-only, drybell), both relative to the
-    /// baseline.
-    pub fn table2_rows(&self) -> (RelativeMetrics, RelativeMetrics) {
-        (
-            RelativeMetrics::versus(&self.generative, &self.baseline),
-            RelativeMetrics::versus(&self.drybell, &self.baseline),
-        )
-    }
-
-    /// Emit one `content_report` event with the headline metrics to a run
-    /// journal, closing the journal's account of a `run_full` pipeline.
-    pub fn emit_to(&self, task: &str, journal: &drybell_obs::RunJournal) {
-        journal.emit(
-            drybell_obs::Event::new("content_report")
-                .field("task", task)
-                .field("examples", self.matrix.num_examples() as u64)
-                .field("baseline_f1", self.baseline.f1())
-                .field("generative_f1", self.generative.f1())
-                .field("drybell_f1", self.drybell.f1())
-                .field("drybell_precision", self.drybell.precision())
-                .field("drybell_recall", self.drybell.recall())
-                .field("lf_seconds", self.lf_stats.seconds),
-        );
-    }
 }
 
 impl ContentTask<topic::TopicDoc> {
@@ -177,226 +168,237 @@ impl ContentTask<product::ProductDoc> {
 }
 
 impl<X: Sync + Send> ContentTask<X> {
-    /// The paper-default label-model training config for this task.
-    ///
-    /// `P(Y)` is uniform, exactly as §5.2 states ("for simplicity, here we
-    /// assume that `P(Y_i)` is uniform"). With sub-1% positive rates a
-    /// *fixed* informative prior turns out to be actively harmful: the
-    /// marginal likelihood then prefers an inverted basin in which rare
-    /// positive-voting LFs are deemed inaccurate, because flipping a
-    /// handful of positives costs less than paying `logit(π)` per example.
-    /// The uniform prior lets agreement structure, not the prior, assign
-    /// the clusters.
-    pub fn label_model_config(&self) -> TrainConfig {
-        TrainConfig {
-            steps: 6000,
-            batch_size: 256,
-            class_prior: 0.5,
-            seed: self.seed,
-            ..TrainConfig::default()
-        }
-    }
-
-    /// Run every LF over the unlabeled pool.
-    pub fn run_lfs(&self) -> (LabelMatrix, ExecutionStats) {
-        self.run_lfs_observed(None)
-    }
-
-    /// Run every LF over the unlabeled pool, instrumenting per-LF vote
-    /// counters, latency histograms, and the `lf_execution` journal event
-    /// when telemetry is supplied.
-    pub fn run_lfs_observed(&self, telemetry: Option<&Telemetry>) -> (LabelMatrix, ExecutionStats) {
+    /// Run every LF over `docs`. With telemetry, the run records per-LF
+    /// vote counters and latency histograms and journals an
+    /// `lf_execution` event.
+    pub fn run_lfs(
+        &self,
+        docs: &[X],
+        telemetry: Option<&Telemetry>,
+    ) -> (LabelMatrix, ExecutionStats) {
         let mut opts = ExecOptions::new();
         if let Some(t) = telemetry {
             opts = opts.with_telemetry(t.clone());
         }
-        execute_in_memory_observed(
-            &self.lf_set,
-            self.text.as_ref(),
-            &self.unlabeled,
-            self.workers,
-            &opts,
-        )
-        .expect("LF execution")
-    }
-
-    /// Run every LF over an arbitrary slice (e.g. the test split, for the
-    /// generative-model-only evaluation).
-    pub fn run_lfs_on(&self, docs: &[X]) -> LabelMatrix {
-        execute_in_memory(&self.lf_set, self.text.as_ref(), docs, self.workers)
+        execute_in_memory_observed(&self.lf_set, self.text.as_ref(), docs, self.workers, &opts)
             .expect("LF execution")
-            .0
     }
 
-    /// Fit the sampling-free generative model on a label matrix.
-    pub fn fit_label_model(&self, matrix: &LabelMatrix) -> GenerativeModel {
-        self.fit_label_model_observed(matrix, None)
-    }
-
-    /// Fit the generative model with per-epoch telemetry (`train_epoch`
-    /// journal events, `obs/train/step_us` histogram) when supplied.
-    pub fn fit_label_model_observed(
-        &self,
-        matrix: &LabelMatrix,
-        telemetry: Option<&Telemetry>,
-    ) -> GenerativeModel {
-        let mut model = GenerativeModel::new(matrix.num_lfs(), 0.7);
-        model
-            .fit_observed(matrix, &self.label_model_config(), telemetry)
-            .expect("label model training");
-        model
-    }
-
-    /// Featurize a slice in parallel.
-    pub fn featurize_all(&self, docs: &[X]) -> Vec<SparseVector> {
-        let hasher = FeatureHasher::new(self.hash_dims);
-        let f = self.featurizer.clone();
-        par_map_vec(
-            docs,
-            self.workers,
-            |_| Ok(()),
-            move |_s: &mut (), d: &X| Ok(f(d, &hasher)),
-        )
-        .expect("featurization")
-    }
-
-    /// FTRL config with this task's iteration budget.
-    pub fn lr_config(&self, iterations: usize) -> FtrlConfig {
-        FtrlConfig {
-            alpha: 0.2,
-            iterations,
-            batch_size: 64,
-            seed: self.seed,
-            ..FtrlConfig::default()
+    /// The full §6 pipeline over the unlabeled pool: run the LFs, then
+    /// [`ContentTask::compose`]. With telemetry, LF execution and
+    /// label-model training emit through the bundle and the report closes
+    /// the journal's account as a `content_report` event.
+    pub fn run_full(&self, telemetry: Option<&Telemetry>) -> ContentReport<'_, X> {
+        let (matrix, lf_stats) = self.run_lfs(&self.unlabeled, telemetry);
+        let report = self.compose(matrix, lf_stats, telemetry);
+        if let Some(journal) = telemetry.and_then(Telemetry::journal) {
+            report.emit_to(journal);
         }
+        report
     }
 
-    /// Train a logistic regression on `(features, soft target)` pairs.
-    pub fn train_lr(
+    /// Every stage after LF execution, each computed once, given the label
+    /// matrix over the pool: the label model and its posteriors, the
+    /// generative-only evaluation on the test split's votes, the dev
+    /// baseline, and the DryBell end model trained on the posteriors.
+    /// Label-model training emits through `telemetry` when supplied.
+    pub fn compose(
         &self,
-        examples: &[(SparseVector, f64)],
-        iterations: usize,
-    ) -> LogisticRegression {
-        let mut model =
-            LogisticRegression::new(self.hash_dims as usize, self.lr_config(iterations));
-        model.fit(examples).expect("harness datasets are non-empty");
-        model
-    }
-
-    /// Evaluate a trained LR on the test split (threshold 0.5, as §6.1).
-    pub fn eval_on_test(&self, model: &LogisticRegression) -> BinaryMetrics {
-        let feats = self.featurize_all(&self.test);
-        let scores: Vec<f64> = feats.iter().map(|x| model.predict_proba(x)).collect();
-        let gold: Vec<bool> = self
-            .test_gold
-            .iter()
-            .map(|l| *l == Label::Positive)
-            .collect();
-        BinaryMetrics::at_threshold(&scores, &gold, 0.5)
-    }
-
-    /// The baseline: LR trained directly on the hand-labeled dev split.
-    pub fn baseline(&self) -> BinaryMetrics {
-        let feats = self.featurize_all(&self.dev);
-        let examples: Vec<(SparseVector, f64)> = feats
-            .into_iter()
-            .zip(&self.dev_gold)
-            .map(|(x, y)| (x, y.as_prob()))
-            .collect();
-        let model = self.train_lr(&examples, self.lr_iterations);
-        self.eval_on_test(&model)
-    }
-
-    /// A supervised LR trained on the first `n` (features, gold) pairs of
-    /// the unlabeled pool — Figure 5's hand-label sweep points.
-    pub fn supervised_with_n_labels(&self, n: usize) -> BinaryMetrics {
-        let n = n.min(self.unlabeled.len());
-        let feats = self.featurize_all(&self.unlabeled[..n]);
-        let examples: Vec<(SparseVector, f64)> = feats
-            .into_iter()
-            .zip(&self.unlabeled_gold[..n])
-            .map(|(x, y)| (x, y.as_prob()))
-            .collect();
-        let model = self.train_lr(&examples, self.lr_iterations);
-        self.eval_on_test(&model)
-    }
-
-    /// Train the DryBell discriminative model from probabilistic labels
-    /// over the unlabeled pool.
-    pub fn train_drybell_lr(&self, posteriors: &[f64]) -> LogisticRegression {
-        let feats = self.featurize_all(&self.unlabeled);
-        let examples: Vec<(SparseVector, f64)> =
-            feats.into_iter().zip(posteriors.iter().copied()).collect();
-        self.train_lr(&examples, self.lr_iterations)
-    }
-
-    /// The full Table 2 pipeline.
-    pub fn run_full(&self) -> ContentReport {
-        self.run_full_observed(None)
-    }
-
-    /// The full Table 2 pipeline with end-to-end telemetry: LF execution
-    /// and label-model training emit through the bundle, and the final
-    /// report lands in the journal as a `content_report` event.
-    pub fn run_full_observed(&self, telemetry: Option<&Telemetry>) -> ContentReport {
-        let (matrix, lf_stats) = self.run_lfs_observed(telemetry);
-        let label_model = self.fit_label_model_observed(&matrix, telemetry);
+        matrix: LabelMatrix,
+        lf_stats: ExecutionStats,
+        telemetry: Option<&Telemetry>,
+    ) -> ContentReport<'_, X> {
+        let (label_model, _) = fit_label_model(&matrix, &label_model_config(self.seed), telemetry);
         let posteriors = label_model.predict_proba(&matrix);
-        let drybell_lr = self.train_drybell_lr(&posteriors);
-        let drybell = self.eval_on_test(&drybell_lr);
 
+        let test = self.examples(&self.test, &self.test_gold);
         // Generative model only: posterior over the *test* LF votes.
         // All-abstain rows sit at exactly the uniform prior 0.5; the
         // paper's 0.5 threshold is interpreted as "strictly more likely
         // positive than negative", so ties go negative (the majority
         // class) rather than counting every uncovered example as a
         // predicted positive.
-        let test_matrix = self.run_lfs_on(&self.test);
-        let gen_scores = label_model.predict_proba(&test_matrix);
-        let gold: Vec<bool> = self
-            .test_gold
-            .iter()
-            .map(|l| *l == Label::Positive)
-            .collect();
-        let generative = BinaryMetrics::at_threshold(&gen_scores, &gold, 0.5 + 1e-9);
+        let (test_matrix, _) = self.run_lfs(&self.test, None);
+        let generative = metrics_at(&label_model.predict_proba(&test_matrix), &test, 0.5 + 1e-9);
 
-        let baseline = self.baseline();
-        let report = ContentReport {
+        let dev = self.examples(&self.dev, &self.dev_gold);
+        let baseline = evaluate(&self.train_lr(&dev, self.lr_iterations), &test);
+        drop(dev);
+
+        // The pool's gold stays hidden: its targets are the posteriors.
+        let mut pool = self.examples(&self.unlabeled, &[]);
+        let drybell_lr = self.train_lr(retarget(&mut pool, &posteriors), self.lr_iterations);
+        let drybell = evaluate(&drybell_lr, &test);
+        ContentReport {
+            task: self,
+            pool,
+            test,
             baseline,
             generative,
             drybell,
+            drybell_lr,
             lf_stats,
             label_model,
             matrix,
             posteriors,
-        };
-        if let Some(journal) = telemetry.and_then(Telemetry::journal) {
-            report.emit_to(self.name, journal);
         }
-        report
     }
 
-    /// Table 3 ablation: keep only the servable LF columns, refit, retrain.
-    pub fn run_servable_only(&self) -> BinaryMetrics {
-        let (matrix, _) = self.run_lfs();
-        let mask = self.lf_set.servable_mask();
-        let sub = matrix.select_columns(&mask).expect("mask length");
-        let mut model = GenerativeModel::new(sub.num_lfs(), 0.7);
+    /// Featurize `docs` in parallel, each beside its `gold` label as a
+    /// probability (the target 0 past the end of `gold`).
+    fn examples(&self, docs: &[X], gold: &[Label]) -> Vec<(SparseVector, f64)> {
+        let hasher = FeatureHasher::new(self.hash_dims);
+        let f = self.featurizer.clone();
+        let mut examples = par_map_vec(
+            docs,
+            self.workers,
+            |_| Ok(()),
+            move |_s: &mut (), d: &X| Ok((f(d, &hasher), 0.0)),
+        )
+        .expect("featurization");
+        for (row, y) in examples.iter_mut().zip(gold) {
+            row.1 = y.as_prob();
+        }
+        examples
+    }
+
+    /// Train a logistic regression on `(features, soft target)` pairs.
+    fn train_lr(&self, examples: &[(SparseVector, f64)], iterations: usize) -> LogisticRegression {
+        let cfg = FtrlConfig {
+            alpha: 0.2,
+            iterations,
+            batch_size: 64,
+            seed: self.seed,
+            ..FtrlConfig::default()
+        };
+        let mut model = LogisticRegression::new(self.hash_dims as usize, cfg);
+        model.fit(examples).expect("harness datasets are non-empty");
         model
-            .fit(&sub, &self.label_model_config())
-            .expect("training");
-        let posteriors = model.predict_proba(&sub);
-        let lr = self.train_drybell_lr(&posteriors);
-        self.eval_on_test(&lr)
+    }
+}
+
+/// Metrics of `scores` against the gold targets of `test` at `threshold`.
+fn metrics_at(scores: &[f64], test: &[(SparseVector, f64)], threshold: f64) -> BinaryMetrics {
+    let gold: Vec<bool> = test.iter().map(|(_, y)| *y == 1.0).collect();
+    BinaryMetrics::at_threshold(scores, &gold, threshold)
+}
+
+/// Evaluate a trained LR on the test split (threshold 0.5, as §6.1).
+fn evaluate(model: &LogisticRegression, test: &[(SparseVector, f64)]) -> BinaryMetrics {
+    let scores: Vec<f64> = test.iter().map(|(x, _)| model.predict_proba(x)).collect();
+    metrics_at(&scores, test, 0.5)
+}
+
+/// One content task's composed pipeline: every shared stage's value, the
+/// Table 2 metrics, and the buffers each ablation trains from.
+///
+/// An end-model variant writes its targets into the pool's one
+/// `(features, target)` buffer in place and trains on it, so no variant
+/// featurizes the pool or copies its vectors again.
+pub struct ContentReport<'t, X: Sync + Send> {
+    task: &'t ContentTask<X>,
+    /// Pool features beside the targets of the last end model trained.
+    pool: Vec<(SparseVector, f64)>,
+    /// Test split features beside their gold labels.
+    test: Vec<(SparseVector, f64)>,
+    /// Baseline: LR trained directly on the dev split (the denominator of
+    /// every relative number).
+    pub baseline: BinaryMetrics,
+    /// The generative model's own predictions on the test LF votes
+    /// (Table 2 "Generative Model Only" — not servable in production).
+    pub generative: BinaryMetrics,
+    /// DryBell: LR trained on the probabilistic labels.
+    pub drybell: BinaryMetrics,
+    /// The DryBell end model itself, ready to stage for serving.
+    pub drybell_lr: LogisticRegression,
+    /// LF execution stats over the unlabeled pool.
+    pub lf_stats: ExecutionStats,
+    /// The fitted label model (for diagnostics reports).
+    pub label_model: GenerativeModel,
+    /// The label matrix over the unlabeled pool.
+    pub matrix: LabelMatrix,
+    /// Training labels produced by the generative model.
+    pub posteriors: Vec<f64>,
+}
+
+impl<X: Sync + Send> ContentReport<'_, X> {
+    /// Table 2 rows: (generative-only, drybell), both relative to the
+    /// baseline.
+    pub fn table2_rows(&self) -> (RelativeMetrics, RelativeMetrics) {
+        (
+            RelativeMetrics::versus(&self.generative, &self.baseline),
+            RelativeMetrics::versus(&self.drybell, &self.baseline),
+        )
     }
 
-    /// Table 4 ablation: unweighted average of LF votes as labels.
-    pub fn run_equal_weights(&self) -> BinaryMetrics {
-        let (matrix, _) = self.run_lfs();
-        let labels = equal_weight_labels(&matrix, self.pos_rate);
-        let lr = self.train_drybell_lr(&labels);
-        self.eval_on_test(&lr)
+    /// Emit one `content_report` event with the headline metrics to a run
+    /// journal.
+    pub fn emit_to(&self, journal: &drybell_obs::RunJournal) {
+        journal.emit(
+            drybell_obs::Event::new("content_report")
+                .field("task", self.task.name)
+                .field("examples", self.matrix.num_examples() as u64)
+                .field("baseline_f1", self.baseline.f1())
+                .field("generative_f1", self.generative.f1())
+                .field("drybell_f1", self.drybell.f1())
+                .field("drybell_precision", self.drybell.precision())
+                .field("drybell_recall", self.drybell.recall())
+                .field("lf_seconds", self.lf_stats.seconds),
+        );
     }
+
+    /// The DryBell end model trained again on the posteriors, for
+    /// `iterations` FTRL steps.
+    pub fn drybell_lr_with(&mut self, iterations: usize) -> LogisticRegression {
+        self.task
+            .train_lr(retarget(&mut self.pool, &self.posteriors), iterations)
+    }
+
+    /// Table 3 ablation: keep only the servable LF columns, refit the
+    /// label model, retrain the end model.
+    pub fn servable_only(&mut self) -> BinaryMetrics {
+        let mask = self.task.lf_set.servable_mask();
+        let sub = self.matrix.select_columns(&mask).expect("mask length");
+        let (model, _) = fit_label_model(&sub, &label_model_config(self.task.seed), None);
+        self.end_model(&model.predict_proba(&sub))
+    }
+
+    /// Table 4 ablation: the unweighted average of LF votes as labels.
+    pub fn equal_weights(&mut self) -> BinaryMetrics {
+        let labels = equal_weight_labels(&self.matrix, self.task.pos_rate);
+        self.end_model(&labels)
+    }
+
+    /// A supervised LR trained on the gold labels of the pool's first `n`
+    /// examples — Figure 5's hand-label sweep points.
+    pub fn first_n_gold(&mut self, n: usize) -> BinaryMetrics {
+        let gold: Vec<f64> = self
+            .task
+            .unlabeled_gold
+            .iter()
+            .take(n)
+            .map(|y| y.as_prob())
+            .collect();
+        self.end_model(&gold)
+    }
+
+    /// Test metrics of an end model trained on `targets` over the first
+    /// `targets.len()` pool rows.
+    fn end_model(&mut self, targets: &[f64]) -> BinaryMetrics {
+        let lr = self
+            .task
+            .train_lr(retarget(&mut self.pool, targets), self.task.lr_iterations);
+        evaluate(&lr, &self.test)
+    }
+}
+
+/// Write `targets` over the first `targets.len()` rows of `pool`, and
+/// return those rows.
+fn retarget<'p>(pool: &'p mut [(SparseVector, f64)], targets: &[f64]) -> &'p [(SparseVector, f64)] {
+    for (row, &t) in pool.iter_mut().zip(targets) {
+        row.1 = t;
+    }
+    &pool[..targets.len()]
 }
 
 // ---------------------------------------------------------------------------
@@ -455,19 +457,7 @@ pub fn run_events(
     let (matrix, _) = execute_in_memory(&set, None, &ds.unlabeled, workers).expect("LF exec");
 
     // DryBell labels.
-    let mut label_model = GenerativeModel::new(matrix.num_lfs(), 0.7);
-    label_model
-        .fit(
-            &matrix,
-            &TrainConfig {
-                steps: 6000,
-                batch_size: 256,
-                class_prior: 0.5,
-                seed: cfg.seed,
-                ..TrainConfig::default()
-            },
-        )
-        .expect("label model");
+    let (label_model, _) = fit_label_model(&matrix, &label_model_config(cfg.seed), None);
     let drybell_labels = label_model.predict_proba(&matrix);
     // Logical-OR labels (§6.4 baseline).
     let or_labels = logical_or_labels(&matrix);
@@ -535,15 +525,15 @@ mod tests {
     use super::*;
 
     /// A miniature end-to-end run of the topic pipeline. This is the
-    /// repo's smoke test for the whole §6.1 methodology — run through the
-    /// observed path so it doubles as the harness telemetry check.
+    /// repo's smoke test for the whole §6.1 methodology — run with
+    /// telemetry so it doubles as the harness telemetry check.
     #[test]
     fn topic_pipeline_end_to_end_smoke() {
         let mut task = ContentTask::topic(0.02, Some(11), 4); // ~13.7K docs
         task.lr_iterations = 2000;
         let (journal, buffer) = drybell_obs::RunJournal::in_memory();
         let telemetry = Telemetry::with_journal(journal);
-        let report = task.run_full_observed(Some(&telemetry));
+        let report = task.run_full(Some(&telemetry));
         // DryBell must beat the baseline on F1 (the paper's headline).
         assert!(
             report.drybell.f1() > report.baseline.f1(),

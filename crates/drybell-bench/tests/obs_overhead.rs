@@ -1,8 +1,8 @@
 //! The telemetry layer's own cost, held to fixed ceilings.
 //!
-//! The topic task's LF execution and label-model fit run plain
-//! (`run_lfs`, `fit_label_model`) and observed (`run_lfs_observed`,
-//! `fit_label_model_observed`) against one telemetry bundle carrying
+//! The topic task's LF execution (`ContentTask::run_lfs`) and label-model
+//! fit (`fit_label_model`) run plain (no telemetry) and observed against
+//! one telemetry bundle carrying
 //! metrics, spans, a JSONL run journal and a live snapshot endpoint
 //! (`LiveServer` on `127.0.0.1:0`), so the ceilings hold with everything
 //! a `--journal --live` run attaches.
@@ -22,7 +22,7 @@
 //! Run the ceilings with `cargo test --release -p drybell-bench --test
 //! obs_overhead -- --nocapture` (the percentages are printed).
 
-use drybell_bench::harness::ContentTask;
+use drybell_bench::harness::{fit_label_model, label_model_config, ContentTask};
 use drybell_core::GenerativeModel;
 use drybell_obs::{LiveServer, RunJournal, Telemetry};
 use std::io::{Read, Write};
@@ -93,24 +93,21 @@ fn telemetry_overhead_stays_under_its_ceilings_with_a_live_endpoint() {
     let telemetry = Telemetry::with_journal(RunJournal::to_path(&journal_path).unwrap());
     let live = LiveServer::bind("127.0.0.1:0", &telemetry).unwrap();
 
-    let (plain, _) = task.run_lfs();
-    let (observed, _) = task.run_lfs_observed(Some(&telemetry));
+    let run_lfs = |telemetry| task.run_lfs(&task.unlabeled, telemetry);
+    let (plain, _) = run_lfs(None);
+    let (observed, _) = run_lfs(Some(&telemetry));
     assert_eq!(observed, plain, "observing changed the label matrix");
+    let cfg = label_model_config(task.seed);
+    let fit = |telemetry| fit_label_model(&plain, &cfg, telemetry).0;
     assert_eq!(
-        param_bits(&task.fit_label_model_observed(&plain, Some(&telemetry))),
-        param_bits(&task.fit_label_model(&plain)),
+        param_bits(&fit(Some(&telemetry))),
+        param_bits(&fit(None)),
         "observing changed the fitted parameters"
     );
 
     if !cfg!(debug_assertions) {
-        let lf_pct = overhead_pct(
-            || task.run_lfs(),
-            || task.run_lfs_observed(Some(&telemetry)),
-        );
-        let train_pct = overhead_pct(
-            || task.fit_label_model(&plain),
-            || task.fit_label_model_observed(&plain, Some(&telemetry)),
-        );
+        let lf_pct = overhead_pct(|| run_lfs(None), || run_lfs(Some(&telemetry)));
+        let train_pct = overhead_pct(|| fit(None), || fit(Some(&telemetry)));
         println!("telemetry overhead: lf {lf_pct:+.2}%  train {train_pct:+.2}%");
         assert!(
             lf_pct <= LF_CEILING_PCT,

@@ -26,7 +26,7 @@
 //!   event budget, with no PSI verdict while the candidate is faithful.
 
 use drybell_bench::bits_checksum;
-use drybell_bench::harness::ContentTask;
+use drybell_bench::harness::{fit_label_model, label_model_config, ContentTask};
 use drybell_core::optim::Optimizer;
 use drybell_core::{GenerativeModel, LabelMatrix, TrainConfig};
 use drybell_dataflow::{FaultPlan, ShardReader, ShardWriter, StreamIngestor};
@@ -253,10 +253,7 @@ fn run_stream(
     let per_shard = docs.div_ceil(SHARDS);
     let fold_cfg = TrainConfig {
         steps: FOLD_STEPS,
-        batch_size: 256,
-        class_prior: 0.5,
-        seed: SEED,
-        ..TrainConfig::default()
+        ..label_model_config(SEED)
     };
     let mut model = GenerativeModel::new(task.lf_set.len(), 0.7);
     let mut state = model.begin_incremental(&fold_cfg).unwrap();
@@ -507,7 +504,7 @@ fn seeded_outage_and_score_shift_are_flagged_in_stream() {
     // The streamed model went *through* the outage; its decayed folds
     // must wash the transient out and land where a batch fit on the
     // trustworthy rows lands.
-    let refit = task.fit_label_model(&live.healthy_matrix);
+    let (refit, _) = fit_label_model(&live.healthy_matrix, &label_model_config(SEED), None);
     let nll_incremental = live
         .model
         .nll_threads(&live.healthy_matrix, WORKERS)

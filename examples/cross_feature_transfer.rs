@@ -42,8 +42,7 @@ fn main() {
     let registry = ServingRegistry::new(spaces, 10_000);
 
     println!("training DryBell model (labels derived from NLP + crawl resources)...");
-    let report = task.run_full();
-    let model = task.train_drybell_lr(&report.posteriors);
+    let model = task.run_full(None).drybell_lr;
 
     // Attempt 1: a spec that wants the non-servable resources at serving
     // time. The registry refuses — this is §4's constraint made physical.

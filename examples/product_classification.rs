@@ -33,7 +33,7 @@ fn main() {
         }
     }
 
-    let report = task.run_full();
+    let report = task.run_full(None);
     let (gen_rel, db_rel) = report.table2_rows();
     println!("\nrelative to the dev-set-trained baseline (P / R / F1):");
     println!("  generative model only : {}", gen_rel.row());

@@ -18,7 +18,7 @@ fn main() {
         .unwrap_or(4);
     let task = ContentTask::topic(scale, None, workers);
 
-    let report = task.run_full();
+    let report = task.run_full(None);
     println!(
         "\nLF execution: {} docs in {:.1}s ({} NLP model-server calls)",
         report.lf_stats.examples, report.lf_stats.seconds, report.lf_stats.nlp_calls

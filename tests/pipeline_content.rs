@@ -3,7 +3,8 @@
 //! generative model → noise-aware discriminative training → evaluation.
 
 use drybell::core::vote::Label;
-use drybell_bench::harness::ContentTask;
+use drybell::obs::{RunJournal, Telemetry};
+use drybell_bench::harness::{fit_label_model, label_model_config, ContentTask};
 
 fn workers() -> usize {
     std::thread::available_parallelism()
@@ -15,7 +16,7 @@ fn workers() -> usize {
 fn topic_drybell_beats_dev_baseline() {
     let mut task = ContentTask::topic(0.02, Some(1), workers());
     task.lr_iterations = 2_000;
-    let report = task.run_full();
+    let report = task.run_full(None);
     assert!(
         report.drybell.f1() > report.baseline.f1(),
         "DryBell F1 {:.3} must beat baseline {:.3}",
@@ -36,7 +37,7 @@ fn topic_drybell_beats_dev_baseline() {
 fn product_drybell_beats_dev_baseline() {
     let mut task = ContentTask::product(0.012, Some(2), workers());
     task.lr_iterations = 20_000;
-    let report = task.run_full();
+    let report = task.run_full(None);
     assert!(
         report.drybell.f1() > report.baseline.f1(),
         "DryBell F1 {:.3} must beat baseline {:.3}",
@@ -48,8 +49,8 @@ fn product_drybell_beats_dev_baseline() {
 #[test]
 fn topic_label_model_recovers_lf_quality_without_gold() {
     let task = ContentTask::topic(0.02, Some(3), workers());
-    let (matrix, _) = task.run_lfs();
-    let model = task.fit_label_model(&matrix);
+    let (matrix, _) = task.run_lfs(&task.unlabeled, None);
+    let (model, _) = fit_label_model(&matrix, &label_model_config(task.seed), None);
     let learned = model.learned_accuracies();
     let mut votes_per_lf = vec![0u64; matrix.num_lfs()];
     for row in matrix.rows() {
@@ -82,12 +83,12 @@ fn topic_label_model_recovers_lf_quality_without_gold() {
 fn table3_shape_non_servable_resources_add_value() {
     let mut task = ContentTask::product(0.004, Some(4), workers());
     task.lr_iterations = 20_000;
-    let servable_only = task.run_servable_only();
-    let full = task.run_full().drybell;
+    let mut report = task.run_full(None);
+    let servable_only = report.servable_only();
     assert!(
-        full.f1() > servable_only.f1(),
+        report.drybell.f1() > servable_only.f1(),
         "full {:.3} must beat servable-only {:.3}",
-        full.f1(),
+        report.drybell.f1(),
         servable_only.f1()
     );
 }
@@ -96,14 +97,14 @@ fn table3_shape_non_servable_resources_add_value() {
 fn table4_shape_generative_weighting_beats_equal_weights() {
     let mut task = ContentTask::topic(0.015, Some(5), workers());
     task.lr_iterations = 2_000;
-    let equal = task.run_equal_weights();
-    let full = task.run_full().drybell;
+    let mut report = task.run_full(None);
+    let equal = report.equal_weights();
     // Equal weights must not *beat* the generative model; (ties are
     // possible at small scale, the paper's lift is a few percent).
     assert!(
-        full.f1() >= equal.f1() * 0.98,
+        report.drybell.f1() >= equal.f1() * 0.98,
         "generative {:.3} vs equal-weights {:.3}",
-        full.f1(),
+        report.drybell.f1(),
         equal.f1()
     );
 }
@@ -112,8 +113,9 @@ fn table4_shape_generative_weighting_beats_equal_weights() {
 fn figure5_shape_more_hand_labels_help() {
     let mut task = ContentTask::topic(0.02, Some(6), workers());
     task.lr_iterations = 1_500;
-    let small = task.supervised_with_n_labels(1_000);
-    let large = task.supervised_with_n_labels(13_000);
+    let mut report = task.run_full(None);
+    let small = report.first_n_gold(1_000);
+    let large = report.first_n_gold(13_000);
     assert!(
         large.f1() > small.f1(),
         "13K labels {:.3} must beat 1K labels {:.3}",
@@ -127,7 +129,7 @@ fn pipelines_are_deterministic_given_seed() {
     let run = || {
         let mut task = ContentTask::topic(0.005, Some(7), workers());
         task.lr_iterations = 300;
-        let report = task.run_full();
+        let report = task.run_full(None);
         (
             report.posteriors.clone(),
             report.drybell.tp,
@@ -149,4 +151,49 @@ fn dev_and_test_splits_have_expected_positive_rates() {
     // 11K-example splits at 0.86%: expect within ±0.4pp.
     assert!((rate(&task.dev_gold) - 0.0086).abs() < 0.004);
     assert!((rate(&task.test_gold) - 0.0086).abs() < 0.004);
+}
+
+/// `(tp, fp, fn)` of a metrics row.
+fn counts(m: &drybell::ml::metrics::BinaryMetrics) -> (u64, u64, u64) {
+    (m.tp, m.fp, m.fn_)
+}
+
+/// Every end-model variant of one small topic composition, pinned: a
+/// refactor of the harness must leave each `(tp, fp, fn)` and the
+/// posteriors' bits unchanged. The Table 2, 3 and 4 variants and a
+/// Figure 5 point all train from one run of the LFs over the pool.
+#[test]
+fn golden_small_topic_composition() {
+    let mut task = ContentTask::topic(0.005, Some(7), workers());
+    task.lr_iterations = 2_000;
+    let (journal, buffer) = RunJournal::in_memory();
+    let mut report = task.run_full(Some(&Telemetry::with_journal(journal)));
+    let got = [
+        counts(&report.baseline),
+        counts(&report.generative),
+        counts(&report.drybell),
+        counts(&report.servable_only()),
+        counts(&report.equal_weights()),
+        counts(&report.first_n_gold(1_000)),
+    ];
+    let posteriors = drybell_bench::bits_checksum(report.posteriors.iter().copied());
+    let lf_runs = buffer
+        .parsed_lines()
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("lf_execution"))
+        .count();
+    assert_eq!(lf_runs, 1, "the LFs run over the pool once per composition");
+    assert_eq!(
+        got,
+        [
+            (65, 0, 32),
+            (83, 13, 14),
+            (71, 0, 26),
+            (79, 376, 18),
+            (51, 0, 46),
+            (19, 0, 78),
+        ]
+    );
+    assert_eq!(posteriors, 5_614_236_120_363_416_629);
 }

@@ -31,8 +31,8 @@ fn spaces() -> SpaceRegistry {
 fn trained_pipeline_exports_and_serves_identically() {
     let mut task = ContentTask::topic(0.005, Some(9), workers());
     task.lr_iterations = 500;
-    let report = task.run_full();
-    let model = task.train_drybell_lr(&report.posteriors);
+    let report = task.run_full(None);
+    let model = report.drybell_lr;
 
     let spaces = spaces();
     let hashed = spaces.lookup("hashed-text").unwrap();
@@ -101,8 +101,7 @@ fn trained_pipeline_exports_and_serves_identically() {
 fn non_servable_resources_cannot_reach_production() {
     let mut task = ContentTask::topic(0.003, Some(10), workers());
     task.lr_iterations = 200;
-    let report = task.run_full();
-    let model = task.train_drybell_lr(&report.posteriors);
+    let model = task.run_full(None).drybell_lr;
 
     let spaces = spaces();
     let hashed = spaces.lookup("hashed-text").unwrap();
