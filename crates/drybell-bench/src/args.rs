@@ -54,7 +54,7 @@ impl Default for ExpArgs {
 impl ExpArgs {
     /// Parse from an iterator of arguments (without the program name).
     /// Unknown flags abort with a usage message.
-    pub fn parse_from<I: Iterator<Item = String>>(mut args: I) -> Result<ExpArgs, String> {
+    pub(crate) fn parse_from<I: Iterator<Item = String>>(mut args: I) -> Result<ExpArgs, String> {
         let mut out = ExpArgs::default();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -174,10 +174,8 @@ impl ExpArgs {
         }))
     }
 
-    /// Honor `--live`: bind the snapshot server on the requested
-    /// address. Hold the returned guard for the run's lifetime; it
-    /// stops serving on drop. `None` without `--live`.
-    pub fn serve_live(
+    /// [`ExpArgs::serve_live_or_exit`], returning the bind error.
+    pub(crate) fn serve_live(
         &self,
         telemetry: &drybell_obs::Telemetry,
     ) -> std::io::Result<Option<drybell_obs::LiveServer>> {
@@ -191,7 +189,10 @@ impl ExpArgs {
         }
     }
 
-    /// [`ExpArgs::serve_live`], exiting when the address cannot bind.
+    /// Honor `--live`: bind the snapshot server on the requested
+    /// address, exiting when it cannot bind. Hold the returned guard for
+    /// the run's lifetime; it stops serving on drop. `None` without
+    /// `--live`.
     pub fn serve_live_or_exit(
         &self,
         telemetry: &drybell_obs::Telemetry,
@@ -209,7 +210,7 @@ impl ExpArgs {
     }
 
     /// The run id for the journal header: `--run-id`, else the task name.
-    pub fn run_id_or<'a>(&'a self, task: &'a str) -> &'a str {
+    pub(crate) fn run_id_or<'a>(&'a self, task: &'a str) -> &'a str {
         self.run_id.as_deref().unwrap_or(task)
     }
 

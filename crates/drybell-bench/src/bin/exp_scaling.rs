@@ -63,7 +63,7 @@ fn main() {
         opts = opts.with_telemetry(t.clone());
     }
     let t2 = Instant::now();
-    let (matrix, stats) =
+    let (matrix, stats, _) =
         execute_sharded_observed(&set, Some(&ext), &input, &output, &job, |d| d.id, &opts)
             .expect("LF execution");
     let lf_s = t2.elapsed().as_secs_f64();

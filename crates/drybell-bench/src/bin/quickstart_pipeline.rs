@@ -25,8 +25,7 @@ use drybell_bench::harness::ContentTask;
 use drybell_core::analysis::LfReport;
 use drybell_dataflow::{write_all, FaultPlan, JobConfig, ShardSpec};
 use drybell_features::{FeatureHasher, FeatureSpace, SpaceRegistry};
-use drybell_lf::executor::{execute_sharded_observed, ExecOptions, ExecutionStats};
-use drybell_nlp::CacheStats;
+use drybell_lf::executor::{execute_sharded_observed, ExecOptions};
 use drybell_serving::{ExportedModel, ModelSpec, ScoreInput, ServingRegistry, ShadowEval};
 
 const TASK: &str = "quickstart";
@@ -51,8 +50,9 @@ fn main() {
         .map(|lf| lf.metadata().name.clone())
         .collect();
 
-    // Stage 1: sharded LF execution (journal: phase/job events; job
-    // counters: votes, degradations, cache traffic).
+    // Stage 1: sharded LF execution (journal: phase/job events and the
+    // lf_execution event; job counters: votes, degradations, cache
+    // traffic).
     let dir = tempfile::tempdir().expect("tempdir");
     let input = ShardSpec::new(dir.path(), "docs", 4);
     write_all(&input, &task.unlabeled).expect("write input shards");
@@ -65,7 +65,7 @@ fn main() {
     if let Some(rate) = args.nlp_outage {
         opts = opts.with_nlp_faults(FaultPlan::seeded(task.seed).with_nlp_error_rate(rate));
     }
-    let (matrix, stats) = execute_sharded_observed(
+    let (matrix, stats, lf_stats) = execute_sharded_observed(
         &task.lf_set,
         task.text.as_ref(),
         &input,
@@ -79,21 +79,6 @@ fn main() {
         "lf execution: {} examples in {:.2}s over {} workers",
         stats.records_in, stats.seconds, stats.workers
     );
-    let counter = |name: &str| stats.counters.get(name);
-    let first_nlp_lf = task.lf_set.lfs().iter().find(|lf| lf.needs_nlp());
-    let lf_stats = ExecutionStats {
-        examples: matrix.num_examples(),
-        seconds: stats.seconds,
-        nlp_calls: counter("nlp_calls"),
-        nlp_degraded: first_nlp_lf.map_or(0, |lf| {
-            counter(&format!("lf/{}/degraded", lf.metadata().name))
-        }),
-        cache: Some(CacheStats {
-            hits: counter("nlp_cache/hits"),
-            misses: counter("nlp_cache/misses"),
-            evictions: counter("nlp_cache/evictions"),
-        }),
-    };
 
     // Stage 2: the rest of the pipeline on those votes: the generative
     // label model (journal: train_epoch/train) and the end models.

@@ -220,7 +220,8 @@ impl ClassConditionalModel {
     }
 
     /// Full-data gradient (gradient checks); all-zero for an empty matrix.
-    pub fn full_gradient(&self, m: &LabelMatrix, l2: f64) -> Vec<f64> {
+    #[cfg(test)]
+    fn full_gradient(&self, m: &LabelMatrix, l2: f64) -> Vec<f64> {
         let mut grad = vec![0.0; self.theta.len()];
         self.grad_batch(m, 0..m.num_examples(), l2, &mut grad);
         grad

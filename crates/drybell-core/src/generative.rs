@@ -225,7 +225,7 @@ impl IncrementalState {
     /// Swap the optimizer rule (typically to decay the learning rate as
     /// shards accumulate — a constant rate would keep chasing the most
     /// recent shard's sampling noise and forget earlier data). Moments
-    /// and step count carry over; see [`OptimState::set_rule`].
+    /// and step count carry over.
     pub fn set_optimizer(&mut self, rule: Optimizer) {
         self.opt.set_rule(rule);
     }
@@ -672,16 +672,11 @@ impl GenerativeModel {
         }
     }
 
-    /// Mean NLL gradient over the whole matrix (exposed for gradient checks
-    /// and for full-batch training). Errors on an empty matrix, whose mean
+    /// Mean NLL gradient over the whole matrix, with the row layout forced
+    /// and a worker count. Exposed for the gradient checks and so the
+    /// equivalence property test can assert both layouts produce
+    /// bit-identical gradients. Errors on an empty matrix, whose mean
     /// gradient would be `0/0`.
-    pub fn full_gradient(&self, m: &LabelMatrix, l2: f64) -> Result<Vec<f64>, CoreError> {
-        self.full_gradient_path(m, l2, false, 1)
-    }
-
-    /// [`GenerativeModel::full_gradient`] with the row layout forced and
-    /// a worker count. Exposed so the equivalence property test can assert
-    /// both layouts produce bit-identical gradients.
     pub fn full_gradient_path(
         &self,
         m: &LabelMatrix,
@@ -1249,7 +1244,7 @@ mod tests {
         let model_acc = post
             .iter()
             .zip(&gold)
-            .filter(|(p, y)| Label::from_prob(**p) == **y)
+            .filter(|(p, y)| (**p >= 0.5) == (**y == Label::Positive))
             .count() as f64
             / gold.len() as f64;
         let mv_acc = mat
@@ -1431,16 +1426,16 @@ mod tests {
         let model = GenerativeModel::new(3, 0.7);
         let empty = LabelMatrix::new(3);
         assert!(matches!(
-            model.full_gradient(&empty, 1e-3),
+            model.full_gradient_path(&empty, 1e-3, false, 1),
             Err(CoreError::EmptyMatrix)
         ));
         let mat = random_matrix(8, 3, 2);
-        let grad = model.full_gradient(&mat, 1e-3).unwrap();
+        let grad = model.full_gradient_path(&mat, 1e-3, false, 1).unwrap();
         assert!(grad.iter().all(|g| g.is_finite()));
         // Shape mismatches are typed errors too, not index panics.
         let model = GenerativeModel::new(5, 0.7);
         assert!(matches!(
-            model.full_gradient(&mat, 1e-3),
+            model.full_gradient_path(&mat, 1e-3, false, 1),
             Err(CoreError::LengthMismatch { .. })
         ));
     }

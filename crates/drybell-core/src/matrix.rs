@@ -228,7 +228,7 @@ impl LabelMatrix {
     }
 
     /// Build the compressed active (non-abstain) index of this matrix.
-    pub fn active_index(&self) -> ActiveRows {
+    pub(crate) fn active_index(&self) -> ActiveRows {
         let mut offsets = Vec::with_capacity(self.num_examples() + 1);
         let mut entries = Vec::new();
         offsets.push(0);

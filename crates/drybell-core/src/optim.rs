@@ -131,7 +131,7 @@ impl OptimState {
     /// a long-lived state (streaming training decays the rate as data
     /// accumulates); Adam/momentum moments are step-size-independent
     /// statistics of the gradient, so they stay valid across the swap.
-    pub fn set_rule(&mut self, rule: Optimizer) {
+    pub(crate) fn set_rule(&mut self, rule: Optimizer) {
         self.rule = rule;
     }
 }

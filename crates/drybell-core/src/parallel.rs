@@ -11,7 +11,7 @@
 //!    shared queue, so scheduling is dynamic but what each slot ends up
 //!    holding is a pure function of its chunk's index.
 //! 2. **Fixed-order reduction.** Chunk results are combined with
-//!    [`tree_reduce`], a pairwise reduction whose association order
+//!    `tree_reduce`, a pairwise reduction whose association order
 //!    depends only on the chunk count. Floating-point addition is not
 //!    associative, so a "whoever finishes first" reduction would make
 //!    posteriors drift run-to-run; a fixed tree keeps them exact.
@@ -29,7 +29,7 @@ use std::sync::Mutex;
 pub const CHUNK_ROWS: usize = 1024;
 
 /// Number of fixed chunks covering `n` items.
-pub fn num_chunks(n: usize) -> usize {
+pub(crate) fn num_chunks(n: usize) -> usize {
     n.div_ceil(CHUNK_ROWS)
 }
 
@@ -50,8 +50,12 @@ fn chunk_range(c: usize, n: usize) -> Range<usize> {
 /// nondeterministic but what each slot holds afterwards is not. `slots`
 /// must yield one item per chunk ([`num_chunks`]). With one worker (or one
 /// chunk) everything runs inline on the caller's thread.
-pub fn map_chunks<S, F>(num_threads: usize, n: usize, slots: impl Iterator<Item = S> + Send, f: F)
-where
+pub(crate) fn map_chunks<S, F>(
+    num_threads: usize,
+    n: usize,
+    slots: impl Iterator<Item = S> + Send,
+    f: F,
+) where
     F: Fn(Range<usize>, S) + Sync,
 {
     let chunks = num_chunks(n);
@@ -87,7 +91,7 @@ where
 /// `items[0]`. The order depends only on `items.len()`, so reducing the
 /// same chunk results always produces bit-identical output regardless of
 /// how many workers computed them.
-pub fn tree_reduce<T>(items: &mut [T], mut combine: impl FnMut(&mut T, &T)) {
+pub(crate) fn tree_reduce<T>(items: &mut [T], mut combine: impl FnMut(&mut T, &T)) {
     let mut stride = 1;
     while stride < items.len() {
         for group in items.chunks_mut(2 * stride) {

@@ -101,16 +101,6 @@ impl Label {
             Label::Negative => 0.0,
         }
     }
-
-    /// Threshold a probability of the positive class at `0.5`.
-    #[inline]
-    pub fn from_prob(p: f64) -> Label {
-        if p >= 0.5 {
-            Label::Positive
-        } else {
-            Label::Negative
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +129,5 @@ mod tests {
     fn label_encodings_agree() {
         assert_eq!(Label::Positive.as_f64(), 1.0);
         assert_eq!(Label::Negative.as_f64(), -1.0);
-        assert_eq!(Label::from_prob(0.7), Label::Positive);
-        assert_eq!(Label::from_prob(0.2), Label::Negative);
     }
 }

@@ -127,7 +127,7 @@ fn crc32_tables() -> &'static [[u32; 256]; 16] {
     clippy::indexing_slicing,
     reason = "every index is a byte, into 256-entry tables; per-byte hot loop"
 )]
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let t = crc32_tables();
     let mut crc = 0xFFFF_FFFFu32;
     let mut rest = data;
@@ -237,12 +237,12 @@ pub fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
 }
 
 /// ZigZag-encode a signed integer into a varint.
-pub fn put_varint_i64(buf: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_varint_i64(buf: &mut Vec<u8>, v: i64) {
     put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Read a ZigZag-encoded signed varint.
-pub fn get_varint_i64(buf: &mut &[u8]) -> Result<i64, CodecError> {
+pub(crate) fn get_varint_i64(buf: &mut &[u8]) -> Result<i64, CodecError> {
     let raw = get_varint(buf)?;
     Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
 }
@@ -252,14 +252,14 @@ pub fn get_varint_i64(buf: &mut &[u8]) -> Result<i64, CodecError> {
 // ---------------------------------------------------------------------------
 
 /// Append a checksummed frame containing `payload`.
-pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+pub(crate) fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     put_varint(out, payload.len() as u64);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
 /// Read one frame; returns the verified payload slice, advancing `buf`.
-pub fn get_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
+pub(crate) fn get_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
     let len = get_varint(buf)? as usize;
     let expected = u32::from_le_bytes(take_array(buf)?);
     let payload = take(buf, len)?;
@@ -274,7 +274,7 @@ pub fn get_frame<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
 // Commit footer
 // ---------------------------------------------------------------------------
 
-/// Total size in bytes of the commit footer appended by [`put_footer`]:
+/// Total size in bytes of the commit footer a committed shard ends with:
 /// an 8-byte magic, an 8-byte record count, and a 4-byte CRC-32 over
 /// both.
 pub const FOOTER_LEN: usize = 20;
@@ -286,7 +286,7 @@ const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"DRYBELLF");
 /// over both. `ShardWriter::finish` writes this as the last bytes of a
 /// shard before the atomic rename; its absence marks a torn or
 /// in-progress file that readers must reject.
-pub fn put_footer(out: &mut Vec<u8>, record_count: u64) {
+pub(crate) fn put_footer(out: &mut Vec<u8>, record_count: u64) {
     let mut body = Vec::with_capacity(16);
     body.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
     body.extend_from_slice(&record_count.to_le_bytes());
@@ -297,7 +297,7 @@ pub fn put_footer(out: &mut Vec<u8>, record_count: u64) {
 
 /// Split a fully-buffered shard image into its frame bytes and the
 /// committed record count, validating the footer's magic and checksum.
-pub fn split_footer(buf: &[u8]) -> Result<(&[u8], u64), CodecError> {
+pub(crate) fn split_footer(buf: &[u8]) -> Result<(&[u8], u64), CodecError> {
     let Some(frames_len) = buf.len().checked_sub(FOOTER_LEN) else {
         return Err(CodecError::MissingFooter);
     };

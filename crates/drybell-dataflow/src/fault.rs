@@ -150,7 +150,14 @@ impl FaultPlan {
 
     /// Schedule a delay of `ms` milliseconds for `task` at `site` on
     /// `attempt` (the attempt then runs normally).
-    pub fn delay_task(mut self, site: FaultSite, task: usize, attempt: u32, ms: u64) -> FaultPlan {
+    #[cfg(test)]
+    pub(crate) fn delay_task(
+        mut self,
+        site: FaultSite,
+        task: usize,
+        attempt: u32,
+        ms: u64,
+    ) -> FaultPlan {
         self.schedule.push(ScheduledFault {
             site,
             task,
@@ -170,7 +177,12 @@ impl FaultPlan {
     /// schedule entries win; otherwise the seeded rates apply, and only
     /// to attempt 0 (rate faults are transient by construction, so
     /// retries always find a healthy worker).
-    pub fn task_fault(&self, site: FaultSite, task: usize, attempt: u32) -> Option<FaultKind> {
+    pub(crate) fn task_fault(
+        &self,
+        site: FaultSite,
+        task: usize,
+        attempt: u32,
+    ) -> Option<FaultKind> {
         for s in &self.schedule {
             if s.site == site && s.task == task && s.attempt == attempt {
                 return Some(s.kind);

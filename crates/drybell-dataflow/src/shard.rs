@@ -130,7 +130,7 @@ fn read_footer(path: &Path) -> std::io::Result<[u8; codec::FOOTER_LEN]> {
 ///
 /// Output is staged in a `.tmp` sibling and only renamed onto the final
 /// path by [`ShardWriter::finish`], after a commit footer (record count
-/// and checksum, see [`codec::put_footer`]) has been appended. A reader
+/// and checksum, [`codec::FOOTER_LEN`] bytes) has been appended. A reader
 /// therefore either sees no file at all or a byte-complete committed
 /// one — never the flushed prefix of an interrupted job — and retrying
 /// an aborted shard just truncates the `.tmp` stage and rewrites it,

@@ -61,7 +61,7 @@ pub fn pick<'a, T: ?Sized>(rng: &mut StdRng, items: &'a [&'a T]) -> &'a T {
 }
 
 /// Draw a Bernoulli label with `P(positive) = pos_rate`.
-pub fn draw_label(rng: &mut StdRng, pos_rate: f64) -> Label {
+pub(crate) fn draw_label(rng: &mut StdRng, pos_rate: f64) -> Label {
     if rng.gen_bool(pos_rate) {
         Label::Positive
     } else {
@@ -70,7 +70,7 @@ pub fn draw_label(rng: &mut StdRng, pos_rate: f64) -> Label {
 }
 
 /// A standard-normal sample (Box–Muller; two uniforms per call).
-pub fn gaussian(rng: &mut StdRng) -> f64 {
+pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -78,7 +78,7 @@ pub fn gaussian(rng: &mut StdRng) -> f64 {
 
 /// A full name drawn from the NER gazetteer (capitalized), so the NER
 /// model can recognize it.
-pub fn person_name(rng: &mut StdRng) -> String {
+pub(crate) fn person_name(rng: &mut StdRng) -> String {
     let first = pick(rng, drybell_nlp::ner::PERSON_FIRST_NAMES);
     let last = pick(rng, drybell_nlp::ner::PERSON_LAST_NAMES);
     let mut name = String::with_capacity(first.len() + 1 + last.len());
@@ -89,7 +89,7 @@ pub fn person_name(rng: &mut StdRng) -> String {
 }
 
 /// Uppercase the first ASCII letter.
-pub fn capitalize(word: &str) -> String {
+pub(crate) fn capitalize(word: &str) -> String {
     let mut out = String::with_capacity(word.len());
     push_capitalized(&mut out, word);
     out
@@ -106,7 +106,12 @@ fn push_capitalized(out: &mut String, word: &str) {
 
 /// Split a dataset size into (unlabeled, dev, test) counts scaled by `f`,
 /// keeping every split at least 1.
-pub fn scaled_counts(unlabeled: usize, dev: usize, test: usize, f: f64) -> (usize, usize, usize) {
+pub(crate) fn scaled_counts(
+    unlabeled: usize,
+    dev: usize,
+    test: usize,
+    f: f64,
+) -> (usize, usize, usize) {
     let s = |n: usize| ((n as f64 * f).round() as usize).max(1);
     (s(unlabeled), s(dev), s(test))
 }

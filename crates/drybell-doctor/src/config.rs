@@ -85,7 +85,7 @@ impl DoctorConfig {
     /// negative number for clarity). Anything else is an error — a typo
     /// in a gating file must not silently relax a budget, so a key the
     /// doctor does not read and a NaN or infinite value are errors too.
-    pub fn from_toml_str(text: &str) -> Result<DoctorConfig, DoctorError> {
+    pub(crate) fn from_toml_str(text: &str) -> Result<DoctorConfig, DoctorError> {
         let mut cfg = DoctorConfig::default();
         let mut section = String::new();
         for (idx, raw) in text.lines().enumerate() {

@@ -44,7 +44,7 @@ pub fn psi(expected: &[u64], actual: &[u64]) -> f64 {
 
 /// PSI over sparse `(bucket index, count)` pairs — the shape journal
 /// and metrics snapshots serialize log-bucket histograms in.
-pub fn psi_sparse(expected: &[(usize, u64)], actual: &[(usize, u64)]) -> f64 {
+pub(crate) fn psi_sparse(expected: &[(usize, u64)], actual: &[(usize, u64)]) -> f64 {
     let width = expected
         .iter()
         .chain(actual)

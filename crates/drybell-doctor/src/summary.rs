@@ -75,7 +75,7 @@ pub struct RunSummary {
     pub config_fingerprint: String,
     /// MapReduce phases, in journal order.
     pub phases: Vec<PhaseSummary>,
-    /// Summed wall seconds of jobs, in-memory LF executions, and
+    /// Summed wall seconds of LF executions (in memory or sharded) and
     /// training.
     pub wall_seconds: f64,
     /// Summed per-worker busy seconds across jobs.
@@ -130,14 +130,14 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// NLP cache hit rate, when the run saw any cache traffic.
-    pub fn nlp_cache_hit_rate(&self) -> Option<f64> {
+    pub(crate) fn nlp_cache_hit_rate(&self) -> Option<f64> {
         let total = self.nlp_cache_hits + self.nlp_cache_misses;
         (total > 0).then(|| self.nlp_cache_hits as f64 / total as f64)
     }
 
     /// Coverage for one LF: the LF-report value when present, else
     /// derived from vote counters over the example count.
-    pub fn coverage_of(&self, name: &str) -> Option<f64> {
+    pub(crate) fn coverage_of(&self, name: &str) -> Option<f64> {
         let lf = self.lfs.get(name)?;
         lf.coverage.or_else(|| {
             let votes = lf.votes?;
@@ -254,8 +254,12 @@ impl RunSummary {
                 records_in: req_u64(&mut gaps, "records_in"),
                 records_out: req_u64(&mut gaps, "records_out"),
             }),
+            // A sharded LF execution journals its dataflow job and then its
+            // `lf_execution` event. The job's seconds, `nlp_calls` and cache
+            // counters are that event's figures, so they are read there,
+            // once: the job adds only what the dataflow engine alone knows.
             "job" => {
-                self.wall_seconds += req_f64(&mut gaps, "seconds");
+                req_f64(&mut gaps, "seconds");
                 if let Some(busy) = e.get("worker_busy") {
                     self.busy_seconds += busy.items().iter().filter_map(Json::as_f64).sum::<f64>();
                 }
@@ -265,9 +269,6 @@ impl RunSummary {
                 }
                 self.retries += u64_of("counters/dataflow/retries").unwrap_or(0);
                 self.skipped_records += u64_of("counters/dataflow/skipped_records").unwrap_or(0);
-                self.nlp_calls += u64_of("counters/nlp_calls").unwrap_or(0);
-                self.nlp_cache_hits += u64_of("counters/nlp_cache/hits").unwrap_or(0);
-                self.nlp_cache_misses += u64_of("counters/nlp_cache/misses").unwrap_or(0);
                 self.examples = self.examples.max(req_u64(&mut gaps, "records_in"));
                 if let Json::Obj(fields) = e {
                     for (key, value) in fields {
@@ -873,12 +874,13 @@ mod tests {
             r#"{"seq":0,"t":0.0,"kind":"run_header","schema_version":1,"run_id":"golden","config_fingerprint":"abcd"}"#,
             r#"{"seq":1,"t":0.1,"kind":"phase","job":"lfs","name":"map","seconds":0.4,"records_in":800,"records_out":800}"#,
             r#"{"seq":2,"t":0.5,"kind":"job","name":"lfs","records_in":800,"records_out":800,"seconds":0.5,"workers":2,"straggler_ratio":1.1,"spill_bytes":0,"worker_busy":[0.2,0.25],"counters/nlp_calls":800,"counters/votes/kw":230,"counters/votes/nlp_person":520,"counters/lf/nlp_person/degraded":3,"counters/nlp_cache/hits":600,"counters/nlp_cache/misses":200,"counters/dataflow/retries":1}"#,
-            r#"{"seq":3,"t":0.6,"kind":"train_epoch","epoch":0,"steps":100,"nll":0.693,"seconds":0.05}"#,
-            r#"{"seq":4,"t":0.7,"kind":"train_epoch","epoch":1,"steps":100,"nll":0.51,"seconds":0.05}"#,
-            r#"{"seq":5,"t":0.8,"kind":"train","steps":200,"epochs":2,"final_nll":0.43,"seconds":0.1,"steps_per_sec":2000.0,"rows":1600,"rows_per_sec":16000.0}"#,
-            r#"{"seq":6,"t":0.9,"kind":"lf_report","label_density":0.8,"lfs":[{"index":0,"name":"kw","coverage":0.29,"overlap":0.2,"conflict":0.05,"learned_accuracy":0.9,"learned_propensity":0.3,"empirical_accuracy":null},{"index":1,"name":"nlp_person","coverage":0.65,"overlap":0.2,"conflict":0.04,"learned_accuracy":0.88,"learned_propensity":0.6,"empirical_accuracy":null}]}"#,
-            r#"{"seq":7,"t":1.0,"kind":"shadow","examples":400,"decision_flips":4,"flip_rate":0.01,"new_positives":2,"new_negatives":2,"mean_abs_gap":0.02,"max_abs_gap":0.4,"score_dist/serving":[40,60,80,60,40,30,30,25,20,15],"score_dist/candidate":[42,58,80,61,39,30,30,25,20,15],"invalid/serving":0,"invalid/candidate":2}"#,
-            r#"{"seq":8,"t":1.1,"kind":"content_report","task":"Topic","examples":800,"baseline_f1":0.5,"generative_f1":0.6,"drybell_f1":0.7,"drybell_precision":0.8,"drybell_recall":0.62,"lf_seconds":0.5}"#,
+            r#"{"seq":3,"t":0.55,"kind":"lf_execution","examples":800,"seconds":0.5,"throughput":1600.0,"nlp_calls":800,"nlp_degraded":3,"nlp_cache/hits":600,"nlp_cache/misses":200,"nlp_cache/evictions":0,"nlp_cache/hit_rate":0.75}"#,
+            r#"{"seq":4,"t":0.6,"kind":"train_epoch","epoch":0,"steps":100,"nll":0.693,"seconds":0.05}"#,
+            r#"{"seq":5,"t":0.7,"kind":"train_epoch","epoch":1,"steps":100,"nll":0.51,"seconds":0.05}"#,
+            r#"{"seq":6,"t":0.8,"kind":"train","steps":200,"epochs":2,"final_nll":0.43,"seconds":0.1,"steps_per_sec":2000.0,"rows":1600,"rows_per_sec":16000.0}"#,
+            r#"{"seq":7,"t":0.9,"kind":"lf_report","label_density":0.8,"lfs":[{"index":0,"name":"kw","coverage":0.29,"overlap":0.2,"conflict":0.05,"learned_accuracy":0.9,"learned_propensity":0.3,"empirical_accuracy":null},{"index":1,"name":"nlp_person","coverage":0.65,"overlap":0.2,"conflict":0.04,"learned_accuracy":0.88,"learned_propensity":0.6,"empirical_accuracy":null}]}"#,
+            r#"{"seq":8,"t":1.0,"kind":"shadow","examples":400,"decision_flips":4,"flip_rate":0.01,"new_positives":2,"new_negatives":2,"mean_abs_gap":0.02,"max_abs_gap":0.4,"score_dist/serving":[40,60,80,60,40,30,30,25,20,15],"score_dist/candidate":[42,58,80,61,39,30,30,25,20,15],"invalid/serving":0,"invalid/candidate":2}"#,
+            r#"{"seq":9,"t":1.1,"kind":"content_report","task":"Topic","examples":800,"baseline_f1":0.5,"generative_f1":0.6,"drybell_f1":0.7,"drybell_precision":0.8,"drybell_recall":0.62,"lf_seconds":0.5}"#,
         ]
         .join("\n")
     }
@@ -903,7 +905,7 @@ mod tests {
         assert_eq!(nlp.votes, Some(520));
         assert_eq!(nlp.degraded, 3);
         assert_eq!(nlp.coverage, Some(0.65));
-        // Sharded runs floor run-level degradations at the worst LF.
+        // The lf_execution event's run-level degradations.
         assert_eq!(s.nlp_degraded, 3);
         let t = s.train.as_ref().unwrap();
         assert_eq!(t.steps, 200);
@@ -913,7 +915,7 @@ mod tests {
         assert_eq!(s.score_invalid_serving, 0);
         assert_eq!(s.score_invalid_candidate, 2);
         assert_eq!(s.drybell_f1, Some(0.7));
-        // wall = job + train seconds.
+        // wall = LF execution + train seconds.
         assert!((s.wall_seconds - 0.6).abs() < 1e-12);
     }
 
@@ -935,7 +937,7 @@ mod tests {
     fn unparseable_lines_are_rejected_with_the_line_number() {
         let text = format!("{}\nnot json\n", golden_journal());
         match RunSummary::from_journal_str(&text) {
-            Err(crate::DoctorError::BadJournalLine { line, .. }) => assert_eq!(line, 10),
+            Err(crate::DoctorError::BadJournalLine { line, .. }) => assert_eq!(line, 11),
             other => panic!("expected BadJournalLine, got {other:?}"),
         }
     }

@@ -218,7 +218,7 @@ impl KnowledgeGraph {
 
     /// All `(language, alias)` pairs of an entity, including its canonical
     /// English name.
-    pub fn aliases_of(&self, id: EntityId) -> &[(String, String)] {
+    pub(crate) fn aliases_of(&self, id: EntityId) -> &[(String, String)] {
         self.alias_index
             .get(&id)
             .map(|v| v.as_slice())
@@ -235,7 +235,7 @@ impl KnowledgeGraph {
     }
 
     /// Outgoing `(edge, target)` pairs of an entity.
-    pub fn neighbors(&self, id: EntityId) -> &[(EdgeKind, EntityId)] {
+    pub(crate) fn neighbors(&self, id: EntityId) -> &[(EdgeKind, EntityId)] {
         &self.edges[id.0 as usize]
     }
 
@@ -278,30 +278,6 @@ impl KnowledgeGraph {
             }
         }
         above
-    }
-
-    /// Breadth-first search: all entities within `max_hops` of `start`
-    /// following any edge kind. Used by graph-based LFs over relationship
-    /// graphs (§3.3).
-    pub fn within_hops(&self, start: EntityId, max_hops: usize) -> Vec<(EntityId, usize)> {
-        let mut seen: HashMap<EntityId, usize> = HashMap::new();
-        seen.insert(start, 0);
-        let mut q = VecDeque::new();
-        q.push_back((start, 0usize));
-        while let Some((id, d)) = q.pop_front() {
-            if d == max_hops {
-                continue;
-            }
-            for &(_, to) in self.neighbors(id) {
-                if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(to) {
-                    e.insert(d + 1);
-                    q.push_back((to, d + 1));
-                }
-            }
-        }
-        let mut out: Vec<(EntityId, usize)> = seen.into_iter().collect();
-        out.sort();
-        out
     }
 }
 
@@ -466,18 +442,6 @@ mod tests {
             .neighbors(case)
             .iter()
             .any(|&(k, to)| k == EdgeKind::RelatedTo && to == cam));
-    }
-
-    #[test]
-    fn bfs_within_hops() {
-        let (g, root, photo, cam, _) = tiny();
-        let reach = g.within_hops(cam, 2);
-        // cam -(InCategory)-> photo -(Subcategory)-> root
-        assert!(reach.contains(&(cam, 0)));
-        assert!(reach.contains(&(photo, 1)));
-        assert!(reach.contains(&(root, 2)));
-        let reach1 = g.within_hops(cam, 1);
-        assert!(!reach1.iter().any(|&(id, _)| id == root));
     }
 
     #[test]

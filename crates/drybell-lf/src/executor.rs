@@ -32,7 +32,7 @@ use std::time::Instant;
 /// of the set's word LFs.
 pub type TextExtractor<X> = Arc<dyn Fn(&X) -> String + Send + Sync>;
 
-/// Wall-clock statistics from an in-memory execution.
+/// Wall-clock statistics from an LF execution, in memory or sharded.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutionStats {
     /// Examples labeled.
@@ -57,7 +57,8 @@ impl ExecutionStats {
         self.examples as f64 / self.seconds.max(1e-12)
     }
 
-    /// Emit one `lf_execution` event to a run journal.
+    /// Emit one `lf_execution` event to a run journal. Both executors do
+    /// this when their telemetry carries a journal.
     pub fn emit_to(&self, journal: &drybell_obs::RunJournal) {
         let mut event = drybell_obs::Event::new("lf_execution")
             .field("examples", self.examples)
@@ -581,7 +582,7 @@ pub fn execute_sharded<X>(
 where
     X: Record + Sync,
 {
-    execute_sharded_observed(
+    let (matrix, job, _) = execute_sharded_observed(
         set,
         text,
         input,
@@ -589,15 +590,18 @@ where
         cfg,
         id_of,
         &ExecOptions::default(),
-    )
+    )?;
+    Ok((matrix, job))
 }
 
 /// [`execute_sharded`] with observability knobs (see [`ExecOptions`]).
 ///
-/// With a cache enabled, its final [`CacheStats`] are surfaced as the job
-/// counters `nlp_cache/hits`, `nlp_cache/misses`, and
-/// `nlp_cache/evictions` alongside the `nlp_calls` and `votes/<lf>`
-/// counters read off Λ.
+/// Returns the run's [`ExecutionStats`] beside the job's: the same figures
+/// [`execute_in_memory_observed`] reports, journaled as the same
+/// `lf_execution` event. With a cache enabled, its final [`CacheStats`]
+/// are also surfaced as the job counters `nlp_cache/hits`,
+/// `nlp_cache/misses`, and `nlp_cache/evictions` alongside the
+/// `nlp_calls` and `votes/<lf>` counters read off Λ.
 pub fn execute_sharded_observed<X>(
     set: &LfSet<X>,
     text: Option<&TextExtractor<X>>,
@@ -606,11 +610,12 @@ pub fn execute_sharded_observed<X>(
     cfg: &JobConfig,
     id_of: impl Fn(&X) -> u64 + Sync,
     opts: &ExecOptions,
-) -> Result<(LabelMatrix, JobStats), DataflowError>
+) -> Result<(LabelMatrix, JobStats, ExecutionStats), DataflowError>
 where
     X: Record + Sync,
 {
     check_text(set, text)?;
+    let start = Instant::now();
     // `lf/<name>/degraded` job-counter names for the NLP LFs, interned
     // once: the per-record loop below must not allocate them.
     let degraded_names: Vec<String> = set
@@ -660,13 +665,13 @@ where
             emit.emit(row)
         },
     )?;
-    if let Some(cache) = &shared_cache {
-        let cs = cache.stats();
+    let cache = shared_cache.as_ref().map(|c| c.stats());
+    if let (Some(shared), Some(cs)) = (&shared_cache, cache) {
         stats.counters.add("nlp_cache/hits", cs.hits);
         stats.counters.add("nlp_cache/misses", cs.misses);
         stats.counters.add("nlp_cache/evictions", cs.evictions);
         if let Some(t) = &opts.telemetry {
-            cache.export_to(t.metrics());
+            shared.export_to(t.metrics());
         }
     }
     // Assemble the matrix in id order.
@@ -678,13 +683,23 @@ where
             .push_raw_row(&row.votes)
             .map_err(|e| DataflowError::user(e.to_string()))?;
     }
-    let degraded = degraded_names.first().map_or(0, |n| stats.counters.get(n));
+    // Counted once per example through the attempts' handles, so a
+    // retried shard counts once.
+    let nlp_degraded = degraded_names.first().map_or(0, |n| stats.counters.get(n));
     let telemetry = opts.telemetry.as_ref();
-    report_counts(set, &matrix, degraded, telemetry, Some(&mut stats.counters));
+    let counters = Some(&mut stats.counters);
+    let lf_stats = ExecutionStats {
+        examples: matrix.num_examples(),
+        seconds: start.elapsed().as_secs_f64(),
+        nlp_calls: report_counts(set, &matrix, nlp_degraded, telemetry, counters),
+        nlp_degraded,
+        cache,
+    };
     if let Some(journal) = telemetry.and_then(Telemetry::journal) {
         stats.emit_to(journal);
+        lf_stats.emit_to(journal);
     }
-    Ok((matrix, stats))
+    Ok((matrix, stats, lf_stats))
 }
 
 #[cfg(test)]
@@ -967,7 +982,7 @@ mod tests {
         for workers in [1, 2] {
             let output = input.derive(format!("votes-{workers}w"));
             let cfg = JobConfig::new("lf-exec-cached").with_workers(workers);
-            let (matrix, stats) =
+            let (matrix, stats, _) =
                 execute_sharded_observed(&set, Some(&ext), &input, &output, &cfg, |d| d.0, &opts)
                     .unwrap();
             assert_eq!(matrix, plain);
@@ -1037,9 +1052,10 @@ mod tests {
         let cfg = JobConfig::new("lf-exec-degraded").with_workers(2);
         let plan = FaultPlan::seeded(4).fail_nlp_text("a good day with Alice Johnson");
         let opts = ExecOptions::new().with_nlp_faults(plan);
-        let (matrix, stats) =
+        let (matrix, stats, lf_stats) =
             execute_sharded_observed(&set, Some(&ext), &input, &output, &cfg, |d| d.0, &opts)
                 .unwrap();
+        assert_eq!(lf_stats.nlp_degraded, 1);
         assert_eq!(matrix.row(0), &[1, 0, 0]);
         assert_eq!(matrix.row(3), &[1, -1, -1], "healthy rows unchanged");
         assert_eq!(stats.counters.get("lf/mentions_person/degraded"), 1);
@@ -1081,7 +1097,7 @@ mod tests {
         };
         let set = set_with_tripwire(false);
         let plain = ExecOptions::new();
-        let (clean_matrix, clean) = run(&set, &JobConfig::new("clean").with_workers(2), &plain);
+        let (clean_matrix, clean, _) = run(&set, &JobConfig::new("clean").with_workers(2), &plain);
         // Task-level faults cost an attempt before it counts anything;
         // the tripwire kills one after 25 rows of shard 0 were counted.
         let plan = FaultPlan::seeded(7)
@@ -1092,7 +1108,7 @@ mod tests {
             .with_workers(2)
             .with_max_attempts(3)
             .with_fault_plan(plan);
-        let (matrix, stats) = run(&set_with_tripwire(true), &cfg, &plain);
+        let (matrix, stats, _) = run(&set_with_tripwire(true), &cfg, &plain);
         assert_eq!(matrix, clean_matrix);
         assert!(stats.counters.get("dataflow/retries") >= 2);
         assert_eq!(clean.counters.get("nlp_calls"), 300);
@@ -1118,9 +1134,10 @@ mod tests {
         let opts = ExecOptions::new()
             .with_telemetry(telemetry.clone())
             .with_nlp_faults(outage);
-        let (matrix, stats) = run(&set_with_tripwire(true), &cfg, &opts);
+        let (matrix, stats, lf_stats) = run(&set_with_tripwire(true), &cfg, &opts);
         assert!(stats.counters.get("dataflow/retries") >= 2);
         assert_eq!(stats.counters.get("lf/mentions_person/degraded"), 75);
+        assert_eq!(lf_stats.nlp_degraded, 75, "a retried shard counts once");
         let snap = telemetry.metrics().snapshot();
         let mut votes = 0;
         for name in set.names() {

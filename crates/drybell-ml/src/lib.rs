@@ -45,4 +45,4 @@ pub use error::MlError;
 pub use logreg::{BatchScorer, FtrlConfig, LogisticRegression, LrAlgorithm, WeightCache};
 pub use metrics::{score_histogram, BinaryMetrics, RelativeMetrics};
 pub use mlp::{Mlp, MlpConfig, MlpScratch};
-pub use ranking::{average_precision, expected_calibration_error, precision_at_k, roc_auc};
+pub use ranking::{average_precision, expected_calibration_error};

@@ -261,11 +261,6 @@ impl LogisticRegression {
         sigmoid(self.score(x))
     }
 
-    /// Predicted probabilities for a slice of examples.
-    pub fn predict_all(&self, xs: &[SparseVector]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict_proba(x)).collect()
-    }
-
     /// One update from an example with entries `x` and soft target
     /// `target`. `scored` is scratch for FTRL-Proximal: scoring keeps each
     /// coordinate's `(w_i, √n_i)` there for the update, which finds them
@@ -385,7 +380,8 @@ impl LogisticRegression {
     }
 
     /// Mean noise-aware logistic loss over a dataset.
-    pub fn mean_loss(&self, examples: &[(SparseVector, f64)]) -> f64 {
+    #[cfg(test)]
+    fn mean_loss(&self, examples: &[(SparseVector, f64)]) -> f64 {
         if examples.is_empty() {
             return 0.0;
         }

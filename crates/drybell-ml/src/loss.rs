@@ -18,8 +18,8 @@ pub fn sigmoid(x: f64) -> f64 {
 }
 
 /// `log(1 + e^x)`, numerically stable.
-#[inline]
-pub fn softplus(x: f64) -> f64 {
+#[cfg(test)]
+fn softplus(x: f64) -> f64 {
     if x > 0.0 {
         x + (-x).exp().ln_1p()
     } else {
@@ -30,16 +30,17 @@ pub fn softplus(x: f64) -> f64 {
 /// Noise-aware logistic loss of a raw score `s` against a soft target
 /// `p = P(y = +1)`:
 ///
-/// `ℓ = p·log(1+e^{−s}) + (1−p)·log(1+e^{s})`
-#[inline]
-pub fn noise_aware_logistic_loss(score: f64, target: f64) -> f64 {
+/// `ℓ = p·log(1+e^{−s}) + (1−p)·log(1+e^{s})`, the oracle the gradient
+/// checks hold [`noise_aware_logistic_grad`] and the trainers to.
+#[cfg(test)]
+pub(crate) fn noise_aware_logistic_loss(score: f64, target: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&target));
     target * softplus(-score) + (1.0 - target) * softplus(score)
 }
 
-/// Gradient of [`noise_aware_logistic_loss`] in the score: `σ(s) − p`.
+/// Gradient of the noise-aware logistic loss in the score: `σ(s) − p`.
 #[inline]
-pub fn noise_aware_logistic_grad(score: f64, target: f64) -> f64 {
+pub(crate) fn noise_aware_logistic_grad(score: f64, target: f64) -> f64 {
     sigmoid(score) - target
 }
 

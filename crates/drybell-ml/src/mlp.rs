@@ -9,7 +9,7 @@
 
 use crate::error::MlError;
 use crate::export::{array, field, finite, finite_vec, floats, size};
-use crate::loss::{noise_aware_logistic_grad, noise_aware_logistic_loss, sigmoid};
+use crate::loss::{noise_aware_logistic_grad, sigmoid};
 use drybell_obs::Json;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -297,7 +297,7 @@ impl FitBuffers {
 }
 
 /// Reusable forward-pass buffers for allocation-free scoring via
-/// [`Mlp::try_score_into`]. Create one per scoring thread/handle; the
+/// [`Mlp::try_predict_proba`]. Create one per scoring thread/handle; the
 /// buffers grow to the widest layer on first use and are reused after.
 #[derive(Debug, Default, Clone)]
 pub struct MlpScratch {
@@ -392,7 +392,7 @@ impl Mlp {
 
     /// Raw pre-sigmoid score. Panics on an input-width mismatch and
     /// allocates fresh buffers per call; serving-path callers that need
-    /// neither should use [`Mlp::try_score_into`] with a reused
+    /// neither should use [`Mlp::try_predict_proba`] with a reused
     /// [`MlpScratch`].
     pub fn score(&self, x: &[f64]) -> f64 {
         let mut scratch = MlpScratch::default();
@@ -402,12 +402,12 @@ impl Mlp {
         }
     }
 
-    /// Raw pre-sigmoid score without panicking or allocating: the
-    /// forward pass runs entirely in `scratch`'s buffers (which size
-    /// themselves on first use and are reused afterwards), and a wrong
-    /// input width is a typed [`MlError::DimensionMismatch`] instead of
-    /// an assert. This is the serving hot path's entry point.
-    pub fn try_score_into(&self, x: &[f64], scratch: &mut MlpScratch) -> Result<f64, MlError> {
+    /// The raw pre-sigmoid score behind [`Mlp::try_predict_proba`].
+    pub(crate) fn try_score_into(
+        &self,
+        x: &[f64],
+        scratch: &mut MlpScratch,
+    ) -> Result<f64, MlError> {
         if x.len() != self.input_dim {
             return Err(MlError::DimensionMismatch {
                 expected: self.input_dim,
@@ -445,24 +445,23 @@ impl Mlp {
         sigmoid(self.score(x))
     }
 
-    /// Predicted `P(y = +1 | x)` without panicking or allocating; see
-    /// [`Mlp::try_score_into`].
+    /// Predicted `P(y = +1 | x)` without panicking or allocating: the
+    /// forward pass runs entirely in `scratch`'s buffers (which size
+    /// themselves on first use and are reused afterwards), and a wrong
+    /// input width is a typed [`MlError::DimensionMismatch`] instead of
+    /// an assert. This is the serving hot path's entry point.
     pub fn try_predict_proba(&self, x: &[f64], scratch: &mut MlpScratch) -> Result<f64, MlError> {
         Ok(sigmoid(self.try_score_into(x, scratch)?))
     }
 
-    /// Predicted probabilities for many inputs.
-    pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict_proba(x)).collect()
-    }
-
     /// Mean noise-aware loss over a dataset.
-    pub fn mean_loss(&self, data: &[(Vec<f64>, f64)]) -> f64 {
+    #[cfg(test)]
+    fn mean_loss(&self, data: &[(Vec<f64>, f64)]) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
         data.iter()
-            .map(|(x, p)| noise_aware_logistic_loss(self.score(x), *p))
+            .map(|(x, p)| crate::loss::noise_aware_logistic_loss(self.score(x), *p))
             .sum::<f64>()
             / data.len() as f64
     }
@@ -588,6 +587,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::noise_aware_logistic_loss;
 
     #[test]
     fn learns_xor() {

@@ -3,8 +3,7 @@
 //! The paper's Table 2 reports threshold-0.5 P/R/F1; its §6.4 discussion
 //! of score *distributions* (Figure 6) and review budgets implicitly
 //! relies on ranking quality and calibration. These metrics quantify
-//! both: average precision (PR-AUC), ROC-AUC, precision@k, and expected
-//! calibration error.
+//! both: average precision (PR-AUC) and expected calibration error.
 
 /// Indices `0..n` sorted by descending score (ties keep input order).
 fn ranked_indices(scores: &[f64]) -> Vec<usize> {
@@ -35,52 +34,6 @@ pub fn average_precision(scores: &[f64], gold: &[bool]) -> f64 {
         }
     }
     sum / total_pos as f64
-}
-
-/// ROC-AUC via the rank-sum (Mann–Whitney) statistic; ties get half
-/// credit. Returns 0.5 when either class is empty.
-pub fn roc_auc(scores: &[f64], gold: &[bool]) -> f64 {
-    assert_eq!(scores.len(), gold.len(), "length mismatch");
-    let pos: Vec<f64> = scores
-        .iter()
-        .zip(gold)
-        .filter_map(|(&s, &g)| g.then_some(s))
-        .collect();
-    let neg: Vec<f64> = scores
-        .iter()
-        .zip(gold)
-        .filter_map(|(&s, &g)| (!g).then_some(s))
-        .collect();
-    if pos.is_empty() || neg.is_empty() {
-        return 0.5;
-    }
-    // O(n log n): sort negatives, binary-search each positive.
-    let mut sorted_neg = neg.clone();
-    sorted_neg.sort_by(f64::total_cmp);
-    let mut wins = 0.0;
-    for &p in &pos {
-        // Count negatives strictly below p and ties.
-        let below = sorted_neg.partition_point(|&x| x < p);
-        let below_or_eq = sorted_neg.partition_point(|&x| x <= p);
-        wins += below as f64 + 0.5 * (below_or_eq - below) as f64;
-    }
-    wins / (pos.len() as f64 * neg.len() as f64)
-}
-
-/// Precision among the `k` highest-scored examples (the fixed review
-/// budget of §6.4). Returns 0 for `k == 0`.
-pub fn precision_at_k(scores: &[f64], gold: &[bool], k: usize) -> f64 {
-    assert_eq!(scores.len(), gold.len(), "length mismatch");
-    let k = k.min(scores.len());
-    if k == 0 {
-        return 0.0;
-    }
-    let hits = ranked_indices(scores)
-        .iter()
-        .take(k)
-        .filter(|&&i| gold[i])
-        .count();
-    hits as f64 / k as f64
 }
 
 /// Expected calibration error over `bins` equal-width probability bins:
@@ -123,16 +76,6 @@ mod tests {
         let scores = [0.9, 0.8, 0.3, 0.1];
         let gold = [true, true, false, false];
         assert!((average_precision(&scores, &gold) - 1.0).abs() < 1e-12);
-        assert!((roc_auc(&scores, &gold) - 1.0).abs() < 1e-12);
-        assert_eq!(precision_at_k(&scores, &gold, 2), 1.0);
-    }
-
-    #[test]
-    fn inverted_ranking() {
-        let scores = [0.1, 0.2, 0.8, 0.9];
-        let gold = [true, true, false, false];
-        assert!((roc_auc(&scores, &gold) - 0.0).abs() < 1e-12);
-        assert_eq!(precision_at_k(&scores, &gold, 2), 0.0);
     }
 
     #[test]
@@ -145,17 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn ties_get_half_credit_in_auc() {
-        let scores = [0.5, 0.5];
-        let gold = [true, false];
-        assert!((roc_auc(&scores, &gold) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn degenerate_inputs() {
         assert_eq!(average_precision(&[0.5], &[false]), 0.0);
-        assert_eq!(roc_auc(&[0.5], &[true]), 0.5);
-        assert_eq!(precision_at_k(&[0.5], &[true], 0), 0.0);
         assert_eq!(expected_calibration_error(&[], &[], 10), 0.0);
     }
 
@@ -183,28 +117,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..64 {
             let (scores, gold) = ranked(&mut rng, 1, 200);
-            let k = rng.gen_range(0..50);
             for v in [
                 average_precision(&scores, &gold),
-                roc_auc(&scores, &gold),
-                precision_at_k(&scores, &gold, k),
                 expected_calibration_error(&scores, &gold, 10),
             ] {
                 assert!((0.0..=1.0).contains(&v), "{v}");
             }
-        }
-    }
-
-    #[test]
-    fn prop_auc_is_flip_symmetric() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..64 {
-            let (scores, gold) = ranked(&mut rng, 2, 100);
-            let flipped: Vec<f64> = scores.iter().map(|s| 1.0 - s).collect();
-            let inv_gold: Vec<bool> = gold.iter().map(|g| !g).collect();
-            let a = roc_auc(&scores, &gold);
-            let b = roc_auc(&flipped, &inv_gold);
-            assert!((a - b).abs() < 1e-9);
         }
     }
 }

@@ -81,11 +81,6 @@ impl CachedNlpServer {
         }
     }
 
-    /// The wrapped server.
-    pub fn inner(&self) -> &NlpServer {
-        &self.inner
-    }
-
     fn key_of(&self, text: &str) -> u64 {
         #[cfg(test)]
         if self.all_texts_collide {
@@ -198,7 +193,8 @@ mod tests {
 
     #[test]
     fn repeated_text_hits_the_cache() {
-        let cache = CachedNlpServer::new(NlpServer::new().with_cost_us(100), 16);
+        let metrics = MetricsRegistry::new();
+        let cache = CachedNlpServer::new(NlpServer::new().with_metrics(&metrics), 16);
         let a = cache.annotate("Alice Johnson buys a camera");
         let b = cache.annotate("Alice Johnson buys a camera");
         assert_eq!(a.entities, b.entities);
@@ -207,14 +203,15 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         // The expensive server only ran once.
-        assert_eq!(cache.inner().stats().calls, 1);
+        assert_eq!(metrics.snapshot().counter("nlp_calls"), 1);
     }
 
     /// Two texts under one key: each gets its own annotation, the first
     /// keeps the entry, the second is annotated every time.
     #[test]
     fn texts_with_one_key_are_not_served_each_other() {
-        let mut cache = CachedNlpServer::new(NlpServer::new(), 4);
+        let metrics = MetricsRegistry::new();
+        let mut cache = CachedNlpServer::new(NlpServer::new().with_metrics(&metrics), 4);
         cache.all_texts_collide = true;
         let (camera, alice) = ("buy a camera", "Alice Johnson arrived in Springfield");
         let plain = NlpServer::new();
@@ -232,7 +229,7 @@ mod tests {
         // Eight calls: "camera" misses once and then hits; "alice" always
         // misses, and the entry it cannot take is never evicted for it.
         assert_eq!((stats.hits, stats.misses, stats.evictions), (3, 5, 0));
-        assert_eq!(cache.inner().stats().calls, 5);
+        assert_eq!(metrics.snapshot().counter("nlp_calls"), 5);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! MapReduce framework to launch a model server on each compute node."
 //!
 //! [`NlpServer`] runs the models labeling functions read (tokens, entities,
-//! the topic posterior) behind one `annotate` call, tracks per-call
-//! statistics, and carries a *declared cost* per call (simulated
-//! microseconds). The cost is what makes these models non-servable in the
-//! sense of §4: the serving layer (`drybell-serving`) refuses to stage
+//! the topic posterior) behind one `annotate` call and, given a registry,
+//! counts its calls there. [`NlpServer::DEFAULT_COST_US`] is the declared
+//! cost of one call: it is what makes these models non-servable in the
+//! sense of §4, since the serving layer (`drybell-serving`) refuses to stage
 //! models whose feature dependencies exceed the production latency budget,
 //! which forces the cross-feature transfer the paper describes.
 //!
@@ -23,7 +23,6 @@ use crate::topic_model::{SemanticCategorizer, Topic};
 use drybell_dataflow::FaultPlan;
 use drybell_obs::{Counter, Histogram, MetricsRegistry};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,23 +98,6 @@ impl NlpResult {
     }
 }
 
-/// Cumulative call statistics for one server instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ServerStats {
-    /// Number of `annotate` calls served.
-    pub calls: u64,
-    /// Total simulated cost in microseconds (`calls × cost_per_call`).
-    pub simulated_cost_us: u64,
-}
-
-/// The live cells behind [`ServerStats`]. They are statistics and publish
-/// nothing else, so every access is `Relaxed`.
-#[derive(Debug, Default)]
-struct StatCells {
-    calls: AtomicU64,
-    simulated_cost_us: AtomicU64,
-}
-
 /// Live telemetry hooks for one server (see [`NlpServer::with_metrics`]).
 #[derive(Debug, Clone)]
 struct ServerTelemetry {
@@ -129,9 +111,6 @@ struct ServerTelemetry {
 #[derive(Debug, Clone)]
 pub struct NlpServer {
     ner: NerTagger,
-    /// Declared cost of one `annotate` call, in simulated microseconds.
-    cost_per_call_us: u64,
-    stats: Arc<StatCells>,
     telemetry: Option<ServerTelemetry>,
     faults: Option<FaultPlan>,
 }
@@ -143,7 +122,7 @@ impl Default for NlpServer {
 }
 
 impl NlpServer {
-    /// Declared per-call cost of the default server: 50 ms. Far beyond any
+    /// Declared per-call cost of the server: 50 ms. Far beyond any
     /// real-time serving budget — exactly why these models are
     /// *non-servable* and must be transferred into servable classifiers.
     pub const DEFAULT_COST_US: u64 = 50_000;
@@ -152,17 +131,9 @@ impl NlpServer {
     pub fn new() -> NlpServer {
         NlpServer {
             ner: NerTagger::new(),
-            cost_per_call_us: Self::DEFAULT_COST_US,
-            stats: Arc::default(),
             telemetry: None,
             faults: None,
         }
-    }
-
-    /// Override the declared per-call cost (tests and ablations).
-    pub fn with_cost_us(mut self, cost: u64) -> NlpServer {
-        self.cost_per_call_us = cost;
-        self
     }
 
     /// Attach live metrics: every `annotate` call bumps the `nlp_calls`
@@ -185,26 +156,12 @@ impl NlpServer {
         self
     }
 
-    /// The declared per-call cost in microseconds.
-    pub fn cost_per_call_us(&self) -> u64 {
-        self.cost_per_call_us
-    }
-
-    /// Count one accepted RPC.
-    fn count_call(&self) {
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .simulated_cost_us
-            .fetch_add(self.cost_per_call_us, Ordering::Relaxed);
-    }
-
     /// Tokenize, tag entities and classify the topic of `text`: one
     /// tokenization and one lexicon probe a word, shared by NER and the seed
     /// topic model. Language ID and sentiment wait for their
     /// [`NlpResult`] methods.
     pub fn annotate(&self, text: &str) -> NlpResult {
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        self.count_call();
         let words = words(text);
         // The seed categorizer's `classify`, its rows read from the lexicon.
         let rows = words.iter().filter_map(|w| w.entry?.topic.as_ref());
@@ -226,28 +183,17 @@ impl NlpServer {
     ///
     /// This is the call sites should prefer when they can degrade: an
     /// `Err` means the service (as simulated by the attached
-    /// [`FaultPlan`]) dropped the request. The failed call still counts
-    /// toward [`ServerStats`] — the server accepted the RPC — but no
-    /// annotation work happens. Without a fault plan this never fails.
+    /// [`FaultPlan`]) dropped the request, and no annotation work happens.
+    /// Without a fault plan this never fails.
     pub fn try_annotate(&self, text: &str) -> Result<NlpResult, NlpError> {
         if let Some(plan) = &self.faults {
             if plan.nlp_should_fail(text) {
-                self.count_call();
                 return Err(NlpError::unavailable(
                     "injected fault: annotate RPC dropped",
                 ));
             }
         }
         Ok(self.annotate(text))
-    }
-
-    /// Snapshot of cumulative stats (shared across clones of this server,
-    /// as clones share one underlying instance per worker).
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            calls: self.stats.calls.load(Ordering::Relaxed),
-            simulated_cost_us: self.stats.simulated_cost_us.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -261,8 +207,6 @@ impl drybell_dataflow::Service for NlpServer {
         // is paid at worker startup, as a real model server would load
         // weights here.
         let _ = self.annotate("warm up Alice Johnson buys a camera");
-        self.stats.calls.store(0, Ordering::Relaxed);
-        self.stats.simulated_cost_us.store(0, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -346,20 +290,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_cost() {
-        let server = NlpServer::new().with_cost_us(100);
-        server.annotate("one");
-        server.annotate("two");
-        let stats = server.stats();
-        assert_eq!(stats.calls, 2);
-        assert_eq!(stats.simulated_cost_us, 200);
-    }
-
-    #[test]
-    fn warm_up_resets_stats() {
+    fn warm_up_succeeds_and_names_the_service() {
         let mut server = NlpServer::new();
         server.warm_up().unwrap();
-        assert_eq!(server.stats().calls, 0);
         assert_eq!(server.name(), "nlp-model-server");
     }
 
@@ -367,15 +300,16 @@ mod tests {
     fn default_cost_is_non_servable_scale() {
         // The declared cost must be comfortably above any realistic
         // real-time latency budget (which serving sets at ~10 ms).
-        assert!(NlpServer::new().cost_per_call_us() > 10_000);
+        const { assert!(NlpServer::DEFAULT_COST_US > 10_000) }
     }
 
     #[test]
     fn clones_share_stats() {
-        let server = NlpServer::new();
+        let metrics = MetricsRegistry::new();
+        let server = NlpServer::new().with_metrics(&metrics);
         let clone = server.clone();
         clone.annotate("text");
-        assert_eq!(server.stats().calls, 1);
+        assert_eq!(metrics.snapshot().counter("nlp_calls"), 1);
     }
 
     #[test]
@@ -401,12 +335,10 @@ mod tests {
     #[test]
     fn try_annotate_honors_fault_plan_deterministically() {
         let plan = FaultPlan::seeded(17).fail_nlp_text("poisoned text");
-        let server = NlpServer::new().with_cost_us(100).with_fault_plan(plan);
+        let server = NlpServer::new().with_fault_plan(plan);
         assert!(server.try_annotate("poisoned text").is_err());
         assert!(server.try_annotate("poisoned text").is_err());
         assert!(server.try_annotate("healthy text").is_ok());
-        // Failed RPCs still count as served calls (2 failed + 1 ok).
-        assert_eq!(server.stats().calls, 3);
     }
 
     #[test]

@@ -33,8 +33,9 @@ impl Token {
         self.text.to_lowercase()
     }
 
-    /// `true` if the first character is uppercase.
-    pub fn is_capitalized(&self) -> bool {
+    /// `true` if the first character is uppercase (read by the NER oracle).
+    #[cfg(test)]
+    pub(crate) fn is_capitalized(&self) -> bool {
         is_capitalized(&self.text)
     }
 }
@@ -103,7 +104,7 @@ impl Word<'_> {
         self.start + self.text.len()
     }
 
-    pub fn is_capitalized(&self) -> bool {
+    pub(crate) fn is_capitalized(&self) -> bool {
         is_capitalized(self.text)
     }
 

@@ -105,7 +105,7 @@ impl FlightRecorder {
     }
 
     /// Mirror a closed span as a `span_sample` line.
-    pub fn span_sample(&self, path: &str, dur_us: u64) {
+    pub(crate) fn span_sample(&self, path: &str, dur_us: u64) {
         self.record(Json::obj(vec![
             ("kind", Json::from("span_sample")),
             ("path", Json::from(path)),

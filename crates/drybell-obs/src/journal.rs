@@ -120,7 +120,7 @@ impl RunJournal {
     }
 
     /// Journal into any writer.
-    pub fn to_writer(sink: Box<dyn Write + Send>) -> RunJournal {
+    pub(crate) fn to_writer(sink: Box<dyn Write + Send>) -> RunJournal {
         RunJournal {
             inner: Arc::new(JournalInner {
                 state: Mutex::new(JournalState { sink, seq: 0 }),

@@ -68,7 +68,8 @@ pub use live::LiveServer;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricsRegistry, MetricsSnapshot,
 };
-pub use report::{histogram_to_json, metrics_to_json, spans_to_json};
+pub use report::metrics_to_json;
+pub(crate) use report::spans_to_json;
 pub use shard::{CounterSlot, GaugeSlot, HistogramSlot, LocalShard, ShardLayout};
 pub use span::{Span, SpanSet, SpanSnapshot, SpanStat};
 

@@ -195,7 +195,7 @@ fn prom_name(name: &str) -> String {
 /// Render a metrics snapshot as Prometheus text exposition. Counters
 /// and gauges are single samples; histograms export as summaries
 /// (`_count`, `_sum`, and `quantile`-labelled p50/p95/p99 rows).
-pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
+pub(crate) fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(1024);
     for (name, value) in &snapshot.counters {
         let n = prom_name(name);

@@ -256,7 +256,7 @@ impl HistogramSnapshot {
 
     /// The non-empty buckets as `(index, count)` pairs — the sparse form
     /// reports and journals serialize.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -292,7 +292,7 @@ impl HistogramSnapshot {
     /// reports that sample exactly, and the open-ended top bucket can
     /// never report beyond the observed maximum. Returns `None` when
     /// empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }

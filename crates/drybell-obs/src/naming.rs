@@ -252,11 +252,6 @@ pub const REGISTRY: &[NameSpec] = &[
     },
     NameSpec {
         family: Family::Histogram,
-        template: "obs/serving/score_us",
-        doc: "serving-path score latency",
-    },
-    NameSpec {
-        family: Family::Histogram,
         template: "obs/serving/shadow_score_us",
         doc: "shadow-path dual-score latency",
     },
@@ -389,7 +384,7 @@ fn is_placeholder(segment: &str) -> bool {
 /// segment must match exactly; a `{placeholder}` template segment
 /// matches any non-empty segment, including a `{}`-style placeholder
 /// extracted from a `format!` call site.
-pub fn template_matches(template: &str, name: &str) -> bool {
+pub(crate) fn template_matches(template: &str, name: &str) -> bool {
     let mut t = template.split('/');
     let mut n = name.split('/');
     loop {
@@ -412,7 +407,7 @@ pub fn template_matches(template: &str, name: &str) -> bool {
 /// Whether every segment of `template` is dynamic (e.g. the
 /// `{parent}/{child}` path a child span builds): such a template would
 /// accept any name of its length, so [`validate`] refuses it.
-pub fn is_fully_dynamic(template: &str) -> bool {
+pub(crate) fn is_fully_dynamic(template: &str) -> bool {
     template.split('/').all(is_placeholder)
 }
 

@@ -9,7 +9,7 @@ use crate::span::SpanSnapshot;
 /// and the non-empty log buckets as `[index, count]` pairs (the raw
 /// distribution cross-run diffing needs — percentiles alone cannot feed
 /// a population-stability index).
-pub fn histogram_to_json(h: &HistogramSnapshot) -> Json {
+pub(crate) fn histogram_to_json(h: &HistogramSnapshot) -> Json {
     let buckets = Json::Arr(
         h.nonzero_buckets()
             .into_iter()
@@ -61,7 +61,7 @@ pub fn metrics_to_json(snapshot: &MetricsSnapshot) -> Json {
 }
 
 /// The span snapshot as a JSON array (one object per path, sorted).
-pub fn spans_to_json(snapshot: &SpanSnapshot) -> Json {
+pub(crate) fn spans_to_json(snapshot: &SpanSnapshot) -> Json {
     Json::Arr(
         snapshot
             .entries()
@@ -130,8 +130,8 @@ mod tests {
     fn spans_render_as_sorted_json() {
         let set = SpanSet::new();
         {
-            let run = set.span("run");
-            let _fit = run.child("fit");
+            let _run = set.span("run");
+            let _fit = set.span("run/fit");
         }
         let json = spans_to_json(&set.snapshot());
         assert_eq!(json.items().len(), 2);

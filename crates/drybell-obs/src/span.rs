@@ -124,14 +124,6 @@ impl Span {
         self
     }
 
-    /// Open a child span at `<self.path>/<name>`, mirrored into the
-    /// parent's flight recorder if it has one.
-    pub fn child(&self, name: &str) -> Span {
-        let mut child = self.set.span(&format!("{}/{}", self.path, name));
-        child.flight = self.flight.clone();
-        child
-    }
-
     /// Elapsed time so far, microseconds.
     pub fn elapsed_us(&self) -> u64 {
         self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
@@ -190,18 +182,6 @@ mod tests {
         assert!(snap.get("missing").is_none());
         // Sorted: "job/map" < "job/shard_attempt".
         assert_eq!(snap.entries()[0].0, "job/map");
-    }
-
-    #[test]
-    fn child_paths_nest() {
-        let set = SpanSet::new();
-        {
-            let parent = set.span("run");
-            let _child = parent.child("fit");
-        }
-        let snap = set.snapshot();
-        assert_eq!(snap.get("run").unwrap().count, 1);
-        assert_eq!(snap.get("run/fit").unwrap().count, 1);
     }
 
     #[test]

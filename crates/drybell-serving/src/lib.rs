@@ -320,16 +320,6 @@ pub enum ScoreInput<'a> {
     Dense(&'a [f64]),
 }
 
-/// Pre-interned scoring instruments (built once at
-/// [`ServingRegistry::with_telemetry`] so the scoring hot path never
-/// touches the registry lock in `MetricsRegistry`).
-struct ScoreInstruments {
-    /// `obs/serving/score_us` — latency of production `score` calls.
-    score_us: std::sync::Arc<drybell_obs::Histogram>,
-    /// `obs/serving/shadow_score_us` — latency of `score_both` calls.
-    shadow_score_us: std::sync::Arc<drybell_obs::Histogram>,
-}
-
 /// Every staged/serving version of one named model, oldest first.
 type ModelVersions = Vec<(Arc<ModelSpec>, Stage)>;
 
@@ -350,7 +340,9 @@ pub struct ServingRegistry {
     /// Lock order: `cells` strictly before `models` (enforced by taking
     /// `cells` first in both `promote` and `epoch_cell`).
     cells: Mutex<HashMap<String, Arc<EpochCell>>>,
-    instruments: Option<ScoreInstruments>,
+    /// `obs/serving/shadow_score_us`, interned once at
+    /// [`ServingRegistry::with_telemetry`] for the shadow evaluator.
+    shadow_score_us: Option<Arc<drybell_obs::Histogram>>,
 }
 
 impl ServingRegistry {
@@ -362,21 +354,16 @@ impl ServingRegistry {
             budget_us,
             models: Mutex::new(HashMap::new()),
             cells: Mutex::new(HashMap::new()),
-            instruments: None,
+            shadow_score_us: None,
         }
     }
 
-    /// Record scoring latency into `telemetry`: `obs/serving/score_us`
-    /// for production scores and `obs/serving/shadow_score_us` for shadow
-    /// comparisons. The serving layer is the one place where latency *is*
-    /// the product requirement, so its histograms are the ground truth
-    /// the `budget_us` check is validated against.
+    /// Record shadow-comparison latency into `telemetry`'s
+    /// `obs/serving/shadow_score_us` (see [`ShadowEval`]). Production
+    /// latency is the front-end's to record
+    /// ([`Frontend::for_model_with_telemetry`]).
     pub fn with_telemetry(mut self, telemetry: &drybell_obs::Telemetry) -> ServingRegistry {
-        let metrics = telemetry.metrics();
-        self.instruments = Some(ScoreInstruments {
-            score_us: metrics.histogram("obs/serving/score_us"),
-            shadow_score_us: metrics.histogram("obs/serving/shadow_score_us"),
-        });
+        self.shadow_score_us = Some(telemetry.metrics().histogram("obs/serving/shadow_score_us"));
         self
     }
 
@@ -494,53 +481,12 @@ impl ServingRegistry {
         self.resolve_serving(name).ok().map(|spec| spec.version)
     }
 
-    /// Score one example with both the serving version and a specific
-    /// registered version (shadow evaluation). Returns
-    /// `(serving score, candidate score)`.
-    pub fn score_both(
-        &self,
-        name: &str,
-        candidate_version: u32,
-        input: ScoreInput<'_>,
-    ) -> Result<(f64, f64), ServingError> {
-        let started = self.instruments.as_ref().map(|_| std::time::Instant::now());
-        let result = self.score_both_inner(name, candidate_version, input);
-        if let (Some(inst), Some(s)) = (&self.instruments, started) {
-            inst.shadow_score_us.record_duration(s.elapsed());
-        }
-        result
-    }
-
     /// The shared `obs/serving/shadow_score_us` histogram, for callers
     /// (the shadow evaluator) that batch their own latency samples in a
     /// [`drybell_obs::LocalHistogram`] instead of paying the shared
     /// atomics per scored example.
-    pub(crate) fn shadow_latency_sink(&self) -> Option<std::sync::Arc<drybell_obs::Histogram>> {
-        self.instruments
-            .as_ref()
-            .map(|inst| std::sync::Arc::clone(&inst.shadow_score_us))
-    }
-
-    fn score_both_inner(
-        &self,
-        name: &str,
-        candidate_version: u32,
-        input: ScoreInput<'_>,
-    ) -> Result<(f64, f64), ServingError> {
-        // One lock acquisition so both specs come from the same snapshot,
-        // released before either model runs.
-        let (serving_spec, candidate_spec) = {
-            let models = lock(&self.models);
-            (
-                find_serving(&models, name)?,
-                find_version(&models, name, candidate_version)?,
-            )
-        };
-        let mut scratch = MlpScratch::default();
-        Ok((
-            score_spec(&serving_spec, &input, &mut scratch)?,
-            score_spec(&candidate_spec, &input, &mut scratch)?,
-        ))
+    pub(crate) fn shadow_latency_sink(&self) -> Option<Arc<drybell_obs::Histogram>> {
+        self.shadow_score_us.clone()
     }
 
     /// The serving `Arc<ModelSpec>` for `name`: the lock is held only
@@ -556,22 +502,6 @@ impl ServingRegistry {
         version: u32,
     ) -> Result<Arc<ModelSpec>, ServingError> {
         find_version(&lock(&self.models), name, version)
-    }
-
-    /// Score one example with the serving version of `name`.
-    pub fn score(&self, name: &str, input: ScoreInput<'_>) -> Result<f64, ServingError> {
-        let started = self.instruments.as_ref().map(|_| std::time::Instant::now());
-        let result = self.score_inner(name, input);
-        if let (Some(inst), Some(s)) = (&self.instruments, started) {
-            inst.score_us.record_duration(s.elapsed());
-        }
-        result
-    }
-
-    fn score_inner(&self, name: &str, input: ScoreInput<'_>) -> Result<f64, ServingError> {
-        let spec = self.resolve_serving(name)?;
-        let mut scratch = MlpScratch::default();
-        score_spec(&spec, &input, &mut scratch)
     }
 
     /// Export every registered model version to `dir` as JSON, plus a
@@ -985,6 +915,20 @@ mod tests {
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
+    /// Score one example with the serving version of `name` the way
+    /// programs do: the published spec through the kernel.
+    fn score(
+        reg: &ServingRegistry,
+        name: &str,
+        input: ScoreInput<'_>,
+    ) -> Result<f64, ServingError> {
+        score_spec(
+            reg.epoch_cell(name)?.pin().spec(),
+            &input,
+            &mut MlpScratch::default(),
+        )
+    }
+
     fn spaces() -> Result<
         (
             SpaceRegistry,
@@ -1080,12 +1024,10 @@ mod tests {
         })?;
         // Not yet serving.
         assert_eq!(reg.serving_version("topic"), None);
-        assert!(reg
-            .score("topic", ScoreInput::Sparse(&h.bag_of_words(&["yes"])))
-            .is_err());
+        assert!(score(&reg, "topic", ScoreInput::Sparse(&h.bag_of_words(&["yes"]))).is_err());
         reg.promote("topic", 1)?;
         assert_eq!(reg.serving_version("topic"), Some(1));
-        let p = reg.score("topic", ScoreInput::Sparse(&h.bag_of_words(&["yes"])))?;
+        let p = score(&reg, "topic", ScoreInput::Sparse(&h.bag_of_words(&["yes"])))?;
         assert!(p > 0.8);
         Ok(())
     }
@@ -1138,15 +1080,13 @@ mod tests {
         reg.promote("events", 1)?;
         let h = FeatureHasher::new(8);
         assert!(matches!(
-            reg.score("events", ScoreInput::Sparse(&h.bag_of_words(&["x"]))),
+            score(&reg, "events", ScoreInput::Sparse(&h.bag_of_words(&["x"]))),
             Err(ServingError::WrongInputKind {
                 expected: "dense",
                 ..
             })
         ));
-        assert!(reg
-            .score("events", ScoreInput::Dense(&[0.0, 1.0, 0.5]))
-            .is_ok());
+        assert!(score(&reg, "events", ScoreInput::Dense(&[0.0, 1.0, 0.5])).is_ok());
         Ok(())
     }
 
@@ -1168,7 +1108,7 @@ mod tests {
         })?;
         reg.promote("events", 1)?;
         // A dense input of the wrong width is a typed error, not a panic.
-        match reg.score("events", ScoreInput::Dense(&[1.0])) {
+        match score(&reg, "events", ScoreInput::Dense(&[1.0])) {
             Err(ServingError::ScoreFailed { model, source }) => {
                 assert_eq!(model, "events");
                 assert_eq!(
@@ -1182,9 +1122,8 @@ mod tests {
             other => panic!("expected ScoreFailed, got {other:?}"),
         }
         // The error chain surfaces the model error as a source.
-        let err = reg
-            .score("events", ScoreInput::Dense(&[1.0]))
-            .expect_err("wrong width must fail");
+        let err =
+            score(&reg, "events", ScoreInput::Dense(&[1.0])).expect_err("wrong width must fail");
         assert!(std::error::Error::source(&err).is_some());
         Ok(())
     }
@@ -1227,12 +1166,12 @@ mod tests {
         assert_eq!(loaded.serving_version("topic"), Some(3));
         assert_eq!(loaded.serving_version("events"), Some(1));
         let x = h.bag_of_words(&["yes"]);
-        let p0 = reg.score("topic", ScoreInput::Sparse(&x))?;
-        let p1 = loaded.score("topic", ScoreInput::Sparse(&x))?;
+        let p0 = score(&reg, "topic", ScoreInput::Sparse(&x))?;
+        let p1 = score(&loaded, "topic", ScoreInput::Sparse(&x))?;
         assert_eq!(p0.to_bits(), p1.to_bits());
         let d = [0.25, 0.75];
-        let q0 = reg.score("events", ScoreInput::Dense(&d))?;
-        let q1 = loaded.score("events", ScoreInput::Dense(&d))?;
+        let q0 = score(&reg, "events", ScoreInput::Dense(&d))?;
+        let q1 = score(&loaded, "events", ScoreInput::Dense(&d))?;
         assert_eq!(q0.to_bits(), q1.to_bits());
         Ok(())
     }
@@ -1253,16 +1192,8 @@ mod tests {
         }
         reg.promote("m", 1)?;
         let x = h.bag_of_words(&["yes"]);
-        for _ in 0..5 {
-            reg.score("m", ScoreInput::Sparse(&x))?;
-        }
-        reg.score_both("m", 2, ScoreInput::Sparse(&x))?;
+        crate::ShadowEval::new(&reg, "m", 2)?.observe(ScoreInput::Sparse(&x))?;
         let snap = telemetry.metrics().snapshot();
-        let score = snap
-            .histogram("obs/serving/score_us")
-            .ok_or("missing score_us histogram")?;
-        assert_eq!(score.count(), 5);
-        assert!(score.p99().is_some());
         assert_eq!(
             snap.histogram("obs/serving/shadow_score_us")
                 .ok_or("missing shadow_score_us histogram")?
@@ -1386,7 +1317,7 @@ mod tests {
         ));
         let h = FeatureHasher::new(8);
         assert!(matches!(
-            reg.score("ghost", ScoreInput::Sparse(&h.bag_of_words(&["x"]))),
+            score(&reg, "ghost", ScoreInput::Sparse(&h.bag_of_words(&["x"]))),
             Err(ServingError::UnknownModel(_))
         ));
         Ok(())

@@ -117,7 +117,7 @@ impl ShadowReport {
 
     /// Fold one (serving, candidate) score pair into the report. Plain
     /// memory writes on owned buckets — safe inside the shadow hot loop.
-    pub fn record_pair(&mut self, serving: f64, candidate: f64) {
+    pub(crate) fn record_pair(&mut self, serving: f64, candidate: f64) {
         self.examples += 1;
         self.serving_dist.record(serving);
         self.candidate_dist.record(candidate);
@@ -251,7 +251,7 @@ impl ShadowEval {
 
     /// Drain the accumulated report, resetting the accumulator. Used by
     /// [`WindowedShadow`] to close score-histogram windows.
-    pub fn take_report(&mut self) -> ShadowReport {
+    pub(crate) fn take_report(&mut self) -> ShadowReport {
         std::mem::take(&mut self.report)
     }
 }

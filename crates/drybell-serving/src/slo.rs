@@ -255,11 +255,6 @@ impl SloTracker {
         self.stats_of(&self.slow)
     }
 
-    /// Whether the tracker is inside an excursion.
-    pub fn burning(&self) -> bool {
-        self.burning
-    }
-
     /// The budgets this tracker judges against.
     pub fn config(&self) -> &SloConfig {
         &self.cfg
@@ -286,7 +281,7 @@ mod tests {
         for _ in 0..200 {
             assert_eq!(t.observe(100, false), None);
         }
-        assert!(!t.burning());
+        assert!(!t.burning);
         let fast = t.fast();
         assert!(fast.p99_us < 1_000, "p99 {}", fast.p99_us);
         assert_eq!(fast.error_ppm, 0);
@@ -309,12 +304,12 @@ mod tests {
         assert_eq!(b.signal, "p99_us");
         assert!(b.fast.p99_burn_ppm > 1_000_000);
         assert!(b.slow.p99_burn_ppm > 1_000_000);
-        assert!(t.burning());
+        assert!(t.burning);
         // Recovery drains both windows, clearing the excursion...
         for _ in 0..80 {
             assert_eq!(t.observe(100, false), None);
         }
-        assert!(!t.burning());
+        assert!(!t.burning);
         // ...so the next excursion fires a fresh breach.
         let again: Vec<_> = (0..80).filter_map(|_| t.observe(50_000, false)).collect();
         assert_eq!(again.len(), 1);

@@ -11,12 +11,24 @@
 //! typed error. None of them catches a panic: a panic fails the test.
 
 use drybell_features::{FeatureHasher, FeatureSpace, SpaceRegistry};
-use drybell_ml::{FtrlConfig, LogisticRegression, LrAlgorithm, Mlp, MlpConfig};
+use drybell_ml::{FtrlConfig, LogisticRegression, LrAlgorithm, Mlp, MlpConfig, MlpScratch};
 use drybell_obs::{fnv1a64, parse_json, Json};
-use drybell_serving::{ExportedModel, ModelSpec, ScoreInput, ServingError, ServingRegistry};
+use drybell_serving::{
+    score_spec, ExportedModel, ModelSpec, ScoreInput, ServingError, ServingRegistry,
+};
 use std::path::Path;
 
 type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+/// Score one example with the serving version of `name`: the published
+/// spec through the kernel.
+fn score(reg: &ServingRegistry, name: &str, input: ScoreInput<'_>) -> Result<f64, ServingError> {
+    score_spec(
+        reg.epoch_cell(name)?.pin().spec(),
+        &input,
+        &mut MlpScratch::default(),
+    )
+}
 
 const MANIFEST: &str = "manifest.json";
 const FILES: [&str; 4] = [MANIFEST, "topic-v1.json", "topic-v2.json", "events-v1.json"];
@@ -119,18 +131,20 @@ fn golden_export() -> TestResult {
     loaded.promote("events", 1)?;
     reg.promote("events", 1)?;
     let h = FeatureHasher::new(DIMS);
-    for words in [&["yes"][..], &["no", "thanks"], &["unseen"]] {
-        let x = h.bag_of_words(words);
-        let a = reg.score("topic", ScoreInput::Sparse(&x))?;
-        let b = loaded.score("topic", ScoreInput::Sparse(&x))?;
-        assert_eq!(a.to_bits(), b.to_bits());
-        let (_, a1) = reg.score_both("topic", 1, ScoreInput::Sparse(&x))?;
-        let (_, b1) = loaded.score_both("topic", 1, ScoreInput::Sparse(&x))?;
-        assert_eq!(a1.to_bits(), b1.to_bits());
+    // Both topic versions: the serving v2, then v1 promoted over it.
+    for version in [2, 1] {
+        reg.promote("topic", version)?;
+        loaded.promote("topic", version)?;
+        for words in [&["yes"][..], &["no", "thanks"], &["unseen"]] {
+            let x = h.bag_of_words(words);
+            let a = score(&reg, "topic", ScoreInput::Sparse(&x))?;
+            let b = score(&loaded, "topic", ScoreInput::Sparse(&x))?;
+            assert_eq!(a.to_bits(), b.to_bits(), "topic v{version}");
+        }
     }
     for x in [[0.1, 0.9, 0.01], [0.7, 0.3, 0.49]] {
-        let a = reg.score("events", ScoreInput::Dense(&x))?;
-        let b = loaded.score("events", ScoreInput::Dense(&x))?;
+        let a = score(&reg, "events", ScoreInput::Dense(&x))?;
+        let b = score(&loaded, "events", ScoreInput::Dense(&x))?;
         assert_eq!(a.to_bits(), b.to_bits());
     }
     Ok(())
@@ -356,8 +370,8 @@ fn damaged_exports_are_errors_never_panics() -> TestResult {
         for (name, version) in [("topic", 1), ("topic", 2), ("events", 1)] {
             if reg.promote(name, version).is_ok() {
                 let x = h.bag_of_words(&["yes", "thanks"]);
-                let _ = reg.score(name, ScoreInput::Sparse(&x));
-                let _ = reg.score(name, ScoreInput::Dense(&[0.2, 0.8, 0.04]));
+                let _ = score(reg, name, ScoreInput::Sparse(&x));
+                let _ = score(reg, name, ScoreInput::Dense(&[0.2, 0.8, 0.04]));
             }
         }
     };

@@ -14,7 +14,8 @@
 //! ```
 
 use drybell::features::{FeatureHasher, FeatureSpace, SpaceRegistry};
-use drybell::serving::{ExportedModel, ModelSpec, ScoreInput, ServingRegistry};
+use drybell::ml::MlpScratch;
+use drybell::serving::{score_spec, ExportedModel, ModelSpec, ScoreInput, ServingRegistry};
 use drybell_bench::harness::ContentTask;
 use drybell_datagen::topic;
 
@@ -71,14 +72,16 @@ fn main() {
     registry.promote("topic", 2).expect("promote");
     println!("\nstaged + promoted v2 over servable features only");
 
-    // Score a few test docs through the serving path.
+    // Score a few test docs through the serving path: the published
+    // spec, scored by the serving kernel.
+    let cell = registry.epoch_cell("topic").expect("serving version");
+    let spec = cell.pin().spec().clone();
+    let mut scratch = MlpScratch::default();
     let hasher = FeatureHasher::new(task.hash_dims);
     println!("\nserving-path scores on test documents:");
     for doc in task.test.iter().take(5) {
         let x = topic::featurize(doc, &hasher);
-        let p = registry
-            .score("topic", ScoreInput::Sparse(&x))
-            .expect("score");
+        let p = score_spec(&spec, &ScoreInput::Sparse(&x), &mut scratch).expect("score");
         println!("  {p:.3}  {}", doc.title);
     }
     println!(

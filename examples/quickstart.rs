@@ -18,8 +18,8 @@ use drybell::features::{FeatureHasher, FeatureSpace, SpaceRegistry};
 use drybell::kg::{EdgeKind, KnowledgeGraph, NodeKind};
 use drybell::lf::executor::{execute_in_memory, TextExtractor};
 use drybell::lf::{Lf, LfCategory, LfSet};
-use drybell::ml::{FtrlConfig, LogisticRegression};
-use drybell::serving::{ExportedModel, ModelSpec, ScoreInput, ServingRegistry};
+use drybell::ml::{FtrlConfig, LogisticRegression, MlpScratch};
+use drybell::serving::{score_spec, ExportedModel, ModelSpec, ScoreInput, ServingRegistry};
 use std::sync::Arc;
 
 /// Your data type — anything `Sync` works.
@@ -173,11 +173,13 @@ fn main() {
 
     let probe = "Nina Patel spotted filming with a drone crew";
     let toks = drybell::nlp::tokenizer::lower_tokens(probe);
-    let score = registry
-        .score(
-            "celebrity-topic",
-            ScoreInput::Sparse(&hasher.bag_of_words(&toks)),
-        )
-        .expect("score");
+    // The serving path: the published spec, scored by the serving kernel.
+    let cell = registry.epoch_cell("celebrity-topic").expect("serving");
+    let score = score_spec(
+        cell.pin().spec(),
+        &ScoreInput::Sparse(&hasher.bag_of_words(&toks)),
+        &mut MlpScratch::default(),
+    )
+    .expect("score");
     println!("\nserving model v1 scored {probe:?}: {score:.2}");
 }

@@ -138,7 +138,7 @@ fn telemetry_fixture_flags_only_off_registry_names() {
     // Registered names: all fine.
     metrics.counter("nlp_calls").inc();
     metrics.counter(&format!("votes/{}", "kw_spam")).inc();
-    metrics.histogram("obs/serving/score_us").record(12);
+    metrics.histogram("obs/serving/request_us").record(12);
     spans.record("run/fit", 5);
     kinds.push(Event::new("train"));
 

@@ -2,8 +2,10 @@
 //! the §4 servability guarantees on a real trained pipeline.
 
 use drybell::features::{FeatureHasher, FeatureSpace, SpaceRegistry};
-use drybell::ml::{Mlp, MlpConfig};
-use drybell::serving::{ExportedModel, ModelSpec, ScoreInput, ServingError, ServingRegistry};
+use drybell::ml::{Mlp, MlpConfig, MlpScratch};
+use drybell::serving::{
+    score_spec, ExportedModel, ModelSpec, ScoreInput, ServingError, ServingRegistry,
+};
 use drybell_bench::harness::ContentTask;
 use drybell_datagen::topic;
 
@@ -84,15 +86,26 @@ fn trained_pipeline_exports_and_serves_identically() {
     assert_eq!(reloaded.serving_version("topic"), Some(1));
     assert_eq!(reloaded.serving_version("topic-dense"), Some(1));
 
+    // Score the serving versions as programs do: each registry's
+    // published spec through the kernel.
+    let serving =
+        |reg: &ServingRegistry, name: &str| reg.epoch_cell(name).unwrap().pin().spec().clone();
+    let (sparse_a, sparse_b) = (serving(&registry, "topic"), serving(&reloaded, "topic"));
+    let (dense_a, dense_b) = (
+        serving(&registry, "topic-dense"),
+        serving(&reloaded, "topic-dense"),
+    );
+    let mut scratch = MlpScratch::default();
     let hasher = FeatureHasher::new(task.hash_dims);
     for doc in task.test.iter().take(50) {
         let x = topic::featurize(doc, &hasher);
-        let a = registry.score("topic", ScoreInput::Sparse(&x)).unwrap();
-        let b = reloaded.score("topic", ScoreInput::Sparse(&x)).unwrap();
+        let x = ScoreInput::Sparse(&x);
+        let a = score_spec(&sparse_a, &x, &mut scratch).unwrap();
+        let b = score_spec(&sparse_b, &x, &mut scratch).unwrap();
         assert_eq!(a.to_bits(), b.to_bits(), "export/reload changed a score");
         let d = dense(doc);
-        let a = registry.score("topic-dense", ScoreInput::Dense(&d));
-        let b = reloaded.score("topic-dense", ScoreInput::Dense(&d));
+        let a = score_spec(&dense_a, &ScoreInput::Dense(&d), &mut scratch);
+        let b = score_spec(&dense_b, &ScoreInput::Dense(&d), &mut scratch);
         assert_eq!(a.unwrap().to_bits(), b.unwrap().to_bits());
     }
 }

@@ -8,8 +8,9 @@ use drybell::core::LabelMatrix;
 use drybell::dataflow::{read_all, write_all, FaultPlan, JobConfig, ShardSpec};
 use drybell::lf::executor::{
     execute_in_memory, execute_in_memory_observed, execute_sharded, execute_sharded_observed,
-    ExecOptions, VoteRow,
+    ExecOptions, ExecutionStats, VoteRow,
 };
+use drybell::obs::{RunJournal, Telemetry};
 use drybell_datagen::product::{self, ProductTaskConfig};
 use drybell_datagen::topic::{self, TopicTaskConfig};
 
@@ -91,7 +92,9 @@ fn worker_count_does_not_change_sharded_results() {
 
 /// An NLP outage on every call degrades the one NLP LF and nothing else:
 /// the word LFs read the text the executor extracted, not the annotation,
-/// so their columns equal the healthy run's on both executors.
+/// so their columns equal the healthy run's on both executors. Both
+/// executors report the run in one `ExecutionStats`, and the sharded one
+/// journals it as the one `lf_execution` event the in-memory one writes.
 #[test]
 fn word_lfs_vote_through_an_nlp_outage() {
     let ds = product::generate(&ProductTaskConfig {
@@ -115,9 +118,35 @@ fn word_lfs_vote_through_an_nlp_outage() {
     write_all(&input, docs).unwrap();
     let job = JobConfig::new("outage").with_workers(2);
     let output = input.derive("votes");
-    let (sharded, job_stats) =
-        execute_sharded_observed(&set, Some(&ext), &input, &output, &job, |d| d.id, &outage)
-            .unwrap();
+    let (journal, buffer) = RunJournal::in_memory();
+    let journaled = outage
+        .clone()
+        .with_telemetry(Telemetry::with_journal(journal));
+    let (sharded, job_stats, sharded_stats) = execute_sharded_observed(
+        &set,
+        Some(&ext),
+        &input,
+        &output,
+        &job,
+        |d| d.id,
+        &journaled,
+    )
+    .unwrap();
+    // The sharded run reports the in-memory run's figures, returned and
+    // journaled once.
+    let figures =
+        |s: &ExecutionStats| (s.examples as i64, s.nlp_calls as i64, s.nlp_degraded as i64);
+    assert_eq!(figures(&sharded_stats), figures(&stats));
+    let events = buffer.parsed_lines().unwrap();
+    let lf_execution: Vec<_> = events
+        .iter()
+        .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("lf_execution"))
+        .collect();
+    assert_eq!(lf_execution.len(), 1, "one lf_execution event a run");
+    let field = |name: &str| lf_execution[0].get(name).and_then(|v| v.as_i64()).unwrap();
+    let event = (field("examples"), field("nlp_calls"), field("nlp_degraded"));
+    assert_eq!(event, figures(&stats));
+    assert_eq!(event, (1_000, 1_000, 1_000));
 
     let column = |m: &LabelMatrix, j: usize| m.rows().map(|row| row[j]).collect::<Vec<i8>>();
     let mut degraded = Vec::new();

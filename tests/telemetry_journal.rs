@@ -44,7 +44,7 @@ fn pipeline_run_writes_a_valid_jsonl_journal() {
     let output = input.derive("votes");
     let job = JobConfig::new("topic-lfs").with_workers(2);
     let opts = ExecOptions::new().with_telemetry(telemetry.clone());
-    let (matrix, stats) =
+    let (matrix, stats, _) =
         execute_sharded_observed(&set, Some(&ext), &input, &output, &job, |d| d.id, &opts).unwrap();
     assert_eq!(stats.records_in, 800);
 
