@@ -28,7 +28,7 @@ pub struct ExpArgs {
     /// Serve the live observability plane (`/metrics`, `/snapshot`,
     /// `/healthz`) on this address (e.g. `127.0.0.1:9800`; port `0`
     /// picks a free one, printed to stderr). Also arms a flight
-    /// recorder dumping to `results/flight/` on drift, SLO breach, or
+    /// recorder dumping to `results/flight/` on drift or
     /// stream-fault-budget exhaustion.
     pub live: Option<String>,
 }
@@ -166,9 +166,9 @@ impl ExpArgs {
             None => None,
         };
         Ok(base.map(|t| match self.live {
-            // The live plane comes with a black box: drift windows,
-            // SLO breaches, and fault-budget exhaustion dump the
-            // recent event ring to results/flight/.
+            // The live plane comes with a black box: drift windows
+            // and fault-budget exhaustion dump the recent event ring
+            // to results/flight/.
             Some(_) => t.with_flight(drybell_obs::FlightRecorder::new("results/flight")),
             None => t,
         }))

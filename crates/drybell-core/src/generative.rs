@@ -53,7 +53,6 @@ use crate::optim::{OptimState, Optimizer};
 use crate::parallel::{self, CHUNK_ROWS};
 use crate::train::{self, Params, Sampler, Watch};
 use crate::{logsumexp2, sigmoid};
-use std::time::Instant;
 
 /// Training hyperparameters for [`GenerativeModel::fit`].
 #[derive(Debug, Clone)]
@@ -517,28 +516,6 @@ impl GenerativeModel {
                 );
             },
         );
-        out
-    }
-
-    /// [`GenerativeModel::predict_proba_threads`] with telemetry: records
-    /// one `obs/train/predict_us` latency sample and adds the row count
-    /// to the `obs/train/posterior_rows` throughput counter.
-    pub fn predict_proba_observed(
-        &self,
-        m: &LabelMatrix,
-        num_threads: usize,
-        telemetry: Option<&drybell_obs::Telemetry>,
-    ) -> Vec<f64> {
-        let start = telemetry.map(|_| Instant::now());
-        let out = self.predict_proba_threads(m, num_threads);
-        if let (Some(t), Some(s)) = (telemetry, start) {
-            t.metrics()
-                .histogram("obs/train/predict_us")
-                .record_duration(s.elapsed());
-            t.metrics()
-                .counter("obs/train/posterior_rows")
-                .add(out.len() as u64);
-        }
         out
     }
 

@@ -121,11 +121,6 @@ impl OptimState {
         self.t
     }
 
-    /// The current update rule.
-    pub fn rule(&self) -> Optimizer {
-        self.rule
-    }
-
     /// Swap the update rule in place, keeping the accumulated moments
     /// and step count. The intended use is learning-rate scheduling on
     /// a long-lived state (streaming training decays the rate as data

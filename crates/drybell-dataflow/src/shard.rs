@@ -43,11 +43,6 @@ impl ShardSpec {
         &self.name
     }
 
-    /// Directory holding the shard files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of shard `i` (`name-0000i-of-0000N.rec`).
     pub fn shard_path(&self, i: usize) -> PathBuf {
         assert!(i < self.num_shards, "shard index out of range");

@@ -32,11 +32,6 @@ impl FeatureHasher {
         FeatureHasher { dims }
     }
 
-    /// Output dimensionality.
-    pub fn dims(&self) -> u32 {
-        self.dims
-    }
-
     /// Index of a named feature.
     #[inline]
     pub fn index(&self, name: &str) -> u32 {

@@ -203,11 +203,6 @@ impl LogisticRegression {
         Ok(model)
     }
 
-    /// Feature dimensionality.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// The lazily-materialized weight of coordinate `i`.
     #[inline]
     fn weight_at(&self, z: f64, n: f64) -> f64 {

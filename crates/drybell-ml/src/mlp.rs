@@ -385,11 +385,6 @@ impl Mlp {
         Ok(net)
     }
 
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Raw pre-sigmoid score. Panics on an input-width mismatch and
     /// allocates fresh buffers per call; serving-path callers that need
     /// neither should use [`Mlp::try_predict_proba`] with a reused

@@ -6,11 +6,11 @@
 //!
 //! [`NlpServer`] runs the models labeling functions read (tokens, entities,
 //! the topic posterior) behind one `annotate` call and, given a registry,
-//! counts its calls there. [`NlpServer::DEFAULT_COST_US`] is the declared
-//! cost of one call: it is what makes these models non-servable in the
-//! sense of §4, since the serving layer (`drybell-serving`) refuses to stage
-//! models whose feature dependencies exceed the production latency budget,
-//! which forces the cross-feature transfer the paper describes.
+//! counts its calls there. The server itself declares nothing about
+//! servability: an application registers its output as a
+//! `FeatureSpace::non_servable` space, and `ServingRegistry::validate` in
+//! `drybell-serving` refuses to stage any model that reads such a space,
+//! which forces the cross-feature transfer the paper describes (§4).
 //!
 //! Language ID and sentiment are [`NlpResult`] methods that run when
 //! called, so a caller that never asks for them never pays for them.
@@ -122,11 +122,6 @@ impl Default for NlpServer {
 }
 
 impl NlpServer {
-    /// Declared per-call cost of the server: 50 ms. Far beyond any
-    /// real-time serving budget — exactly why these models are
-    /// *non-servable* and must be transferred into servable classifiers.
-    pub const DEFAULT_COST_US: u64 = 50_000;
-
     /// Build a server with all default models.
     pub fn new() -> NlpServer {
         NlpServer {
@@ -294,13 +289,6 @@ mod tests {
         let mut server = NlpServer::new();
         server.warm_up().unwrap();
         assert_eq!(server.name(), "nlp-model-server");
-    }
-
-    #[test]
-    fn default_cost_is_non_servable_scale() {
-        // The declared cost must be comfortably above any realistic
-        // real-time latency budget (which serving sets at ~10 ms).
-        const { assert!(NlpServer::DEFAULT_COST_US > 10_000) }
     }
 
     #[test]

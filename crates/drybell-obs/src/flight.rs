@@ -6,8 +6,8 @@
 //! buries. A [`FlightRecorder`] keeps that context resident: every
 //! journal event emitted through a [`Telemetry`] bundle with a recorder
 //! attached (and every closed span, as a `span_sample` line) is mirrored
-//! into a bounded ring, and a trigger — a `DRIFT` window verdict, an SLO
-//! breach, a dataflow fault-budget exhaustion — calls [`dump`] to write
+//! into a bounded ring, and a trigger — a `DRIFT` window verdict or a
+//! dataflow fault-budget exhaustion — calls [`dump`] to write
 //! the ring to `flight-<ts>.jsonl` in the recorder's directory.
 //!
 //! Recording takes one short mutex over a `VecDeque` push; triggers are
@@ -197,10 +197,10 @@ mod tests {
     fn dump_writes_ring_in_order_with_trigger_last() {
         let dir = temp_dir("dump");
         let rec = FlightRecorder::with_capacity(&dir, 8);
-        rec.span_sample("run/fit", 42);
+        rec.span_sample("train/fit", 42);
         rec.record(Json::obj(vec![("kind", Json::from("phase"))]));
-        rec.record(Json::obj(vec![("kind", Json::from("slo_breach"))]));
-        let path = rec.dump("slo_breach").unwrap();
+        rec.record(Json::obj(vec![("kind", Json::from("shard_attempt"))]));
+        let path = rec.dump("stream_fault_budget").unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<Json> = text.lines().map(|l| parse(l).unwrap()).collect();
         assert_eq!(lines.len(), 4);
@@ -208,15 +208,18 @@ mod tests {
             lines[0].get("kind").unwrap().as_str(),
             Some("flight_header")
         );
-        assert_eq!(lines[0].get("reason").unwrap().as_str(), Some("slo_breach"));
+        assert_eq!(
+            lines[0].get("reason").unwrap().as_str(),
+            Some("stream_fault_budget")
+        );
         assert_eq!(lines[0].get("events").unwrap().as_i64(), Some(3));
         assert_eq!(lines[1].get("kind").unwrap().as_str(), Some("span_sample"));
-        assert_eq!(lines[1].get("path").unwrap().as_str(), Some("run/fit"));
+        assert_eq!(lines[1].get("path").unwrap().as_str(), Some("train/fit"));
         assert_eq!(lines[1].get("dur_us").unwrap().as_i64(), Some(42));
         // The trigger's event is the last line of the dump.
         assert_eq!(
             lines.last().unwrap().get("kind").unwrap().as_str(),
-            Some("slo_breach")
+            Some("shard_attempt")
         );
         // Dumping drained the ring.
         assert!(rec.is_empty());

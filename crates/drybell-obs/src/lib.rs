@@ -181,7 +181,7 @@ mod tests {
         let telemetry = Telemetry::with_journal(journal);
         telemetry.metrics().counter("nlp_calls").add(2);
         {
-            let _s = telemetry.span("run/fit");
+            let _s = telemetry.span("train/fit");
         }
         telemetry.emit(Event::new("phase").field("name", "map"));
 
@@ -228,9 +228,9 @@ mod tests {
             let _s = telemetry.span("run");
         }
         telemetry.emit(Event::new("phase").field("name", "map"));
-        telemetry.emit(Event::new("slo_breach").field("window", "fast"));
+        telemetry.emit(Event::new("shard_attempt").field("outcome", "failed"));
         assert_eq!(recorder.len(), 3);
-        let path = telemetry.dump_flight("slo_breach").unwrap();
+        let path = telemetry.dump_flight("stream_fault_budget").unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<Json> = text.lines().map(|l| parse_json(l).unwrap()).collect();
         // Header, span sample, then the two events — trigger last.
@@ -238,7 +238,7 @@ mod tests {
         assert_eq!(lines[1].get("path").unwrap().as_str(), Some("run"));
         assert_eq!(
             lines.last().unwrap().get("kind").unwrap().as_str(),
-            Some("slo_breach")
+            Some("shard_attempt")
         );
         // The dump journaled a flight_dump event pointing at the file.
         let journal_lines = buffer.parsed_lines().unwrap();
@@ -246,7 +246,10 @@ mod tests {
             .iter()
             .find(|l| l.get("kind").unwrap().as_str() == Some("flight_dump"))
             .unwrap();
-        assert_eq!(dump.get("reason").unwrap().as_str(), Some("slo_breach"));
+        assert_eq!(
+            dump.get("reason").unwrap().as_str(),
+            Some("stream_fault_budget")
+        );
         assert_eq!(
             dump.get("path").unwrap().as_str(),
             Some(path.display().to_string().as_str())

@@ -244,8 +244,8 @@ mod tests {
     fn busy_telemetry() -> Telemetry {
         let t = Telemetry::new();
         t.metrics().counter("nlp_calls").add(7);
-        t.metrics().gauge("serving/queue_depth").set(3);
-        let h = t.metrics().histogram("obs/serving/request_us");
+        t.metrics().gauge("nlp_cache/size").set(3);
+        let h = t.metrics().histogram("obs/train/step_us");
         h.record(100);
         h.record(2_000);
         {
@@ -277,17 +277,14 @@ mod tests {
         assert!(status.contains("200"), "{status}");
         assert!(body.contains("# TYPE drybell_nlp_calls counter"), "{body}");
         assert!(body.contains("drybell_nlp_calls 7"), "{body}");
-        assert!(body.contains("drybell_serving_queue_depth 3"), "{body}");
+        assert!(body.contains("drybell_nlp_cache_size 3"), "{body}");
         assert!(
-            body.contains("# TYPE drybell_obs_serving_request_us summary"),
+            body.contains("# TYPE drybell_obs_train_step_us summary"),
             "{body}"
         );
+        assert!(body.contains("drybell_obs_train_step_us_count 2"), "{body}");
         assert!(
-            body.contains("drybell_obs_serving_request_us_count 2"),
-            "{body}"
-        );
-        assert!(
-            body.contains("drybell_obs_serving_request_us{quantile=\"0.99\"}"),
+            body.contains("drybell_obs_train_step_us{quantile=\"0.99\"}"),
             "{body}"
         );
     }

@@ -10,8 +10,7 @@
 //!
 //! * tests can check every name a real run emits — the metrics and span
 //!   snapshots and the journal's event kinds — against the registry
-//!   (`tests/telemetry_journal.rs`, the serving front-end's telemetry
-//!   test), and
+//!   (`tests/telemetry_journal.rs`), and
 //! * dashboards and journal consumers have a single source of truth for
 //!   what a run can emit.
 //!
@@ -105,16 +104,6 @@ pub const REGISTRY: &[NameSpec] = &[
     },
     NameSpec {
         family: Family::Counter,
-        template: "serving/rejected",
-        doc: "requests rejected because the front-end admission queue was full",
-    },
-    NameSpec {
-        family: Family::Counter,
-        template: "serving/degraded",
-        doc: "requests answered with the declared default score after their latency budget lapsed",
-    },
-    NameSpec {
-        family: Family::Counter,
         template: "lf/{lf}/degraded",
         doc: "examples where the LF abstained because its backing service errored",
     },
@@ -122,11 +111,6 @@ pub const REGISTRY: &[NameSpec] = &[
         family: Family::Counter,
         template: "obs/train/rows",
         doc: "example rows consumed by generative-model gradient accumulation",
-    },
-    NameSpec {
-        family: Family::Counter,
-        template: "obs/train/posterior_rows",
-        doc: "rows scored by observed posterior inference (predict_proba_observed)",
     },
     NameSpec {
         family: Family::Counter,
@@ -199,36 +183,6 @@ pub const REGISTRY: &[NameSpec] = &[
         template: "lf/{lf}/learned_accuracy_ppm",
         doc: "LfReport learned-accuracy export, parts-per-million fixed point (export_to)",
     },
-    NameSpec {
-        family: Family::Gauge,
-        template: "serving/queue_depth",
-        doc: "requests waiting in the front-end admission queue, sampled after each batch is taken from it",
-    },
-    NameSpec {
-        family: Family::Gauge,
-        template: "serving/batch_size",
-        doc: "size of the most recent micro-batch drained by a scoring worker",
-    },
-    NameSpec {
-        family: Family::Gauge,
-        template: "slo/{window}/p99_us",
-        doc: "rolling-window p99 request latency per SLO window (fast/slow), µs",
-    },
-    NameSpec {
-        family: Family::Gauge,
-        template: "slo/{window}/error_ppm",
-        doc: "rolling-window degraded/error rate per SLO window, parts-per-million",
-    },
-    NameSpec {
-        family: Family::Gauge,
-        template: "slo/{window}/p99_burn_ppm",
-        doc: "latency burn rate per SLO window: window p99 over budget, ppm fixed point",
-    },
-    NameSpec {
-        family: Family::Gauge,
-        template: "slo/{window}/error_burn_ppm",
-        doc: "error burn rate per SLO window: window error rate over budget, ppm fixed point",
-    },
     // ---- Histograms (obs-layer, microseconds, `_us` suffix) ----
     NameSpec {
         family: Family::Histogram,
@@ -242,11 +196,6 @@ pub const REGISTRY: &[NameSpec] = &[
     },
     NameSpec {
         family: Family::Histogram,
-        template: "obs/train/predict_us",
-        doc: "full-matrix posterior inference latency (predict_proba_observed)",
-    },
-    NameSpec {
-        family: Family::Histogram,
         template: "obs/nlp/annotate_us",
         doc: "NLP annotate latency (instrumented server)",
     },
@@ -255,26 +204,11 @@ pub const REGISTRY: &[NameSpec] = &[
         template: "obs/serving/shadow_score_us",
         doc: "shadow-path dual-score latency",
     },
-    NameSpec {
-        family: Family::Histogram,
-        template: "obs/serving/batch_us",
-        doc: "front-end micro-batch drain+score latency (per batch)",
-    },
-    NameSpec {
-        family: Family::Histogram,
-        template: "obs/serving/request_us",
-        doc: "front-end end-to-end request latency, enqueue to response",
-    },
     // ---- Span paths ----
     NameSpec {
         family: Family::Span,
         template: "run",
         doc: "whole-run root span",
-    },
-    NameSpec {
-        family: Family::Span,
-        template: "run/fit",
-        doc: "model fitting within a run",
     },
     NameSpec {
         family: Family::Span,
@@ -295,11 +229,6 @@ pub const REGISTRY: &[NameSpec] = &[
         family: Family::Span,
         template: "job/map",
         doc: "map phase of a MapReduce job",
-    },
-    NameSpec {
-        family: Family::Span,
-        template: "worker/busy",
-        doc: "per-worker busy time",
     },
     NameSpec {
         family: Family::Span,
@@ -361,11 +290,6 @@ pub const REGISTRY: &[NameSpec] = &[
         family: Family::JournalKind,
         template: "lf_report",
         doc: "full per-LF diagnostics (coverage/overlap/conflict/learned accuracy)",
-    },
-    NameSpec {
-        family: Family::JournalKind,
-        template: "slo_breach",
-        doc: "both SLO burn-rate windows exceeded budget (front-end, edge-triggered)",
     },
     NameSpec {
         family: Family::JournalKind,
@@ -519,9 +443,7 @@ mod tests {
         assert!(is_registered(Family::Counter, "nlp_calls"));
         assert!(is_registered(Family::Gauge, "nlp_cache/size"));
         assert!(is_registered(Family::Histogram, "obs/train/step_us"));
-        assert!(is_registered(Family::Histogram, "obs/train/predict_us"));
         assert!(is_registered(Family::Counter, "obs/train/rows"));
-        assert!(is_registered(Family::Counter, "obs/train/posterior_rows"));
         assert!(is_registered(Family::Gauge, "obs/train/threads"));
         assert!(is_registered(Family::Span, "lf_exec/sharded"));
         assert!(is_registered(Family::JournalKind, "shadow"));
@@ -529,10 +451,6 @@ mod tests {
         assert!(is_registered(Family::JournalKind, "lf_report"));
         assert!(is_registered(Family::Counter, "stream/counter_resets"));
         assert!(is_registered(Family::Counter, "live/requests"));
-        assert!(is_registered(Family::Gauge, "slo/fast/p99_us"));
-        assert!(is_registered(Family::Gauge, "slo/slow/error_burn_ppm"));
-        assert!(!is_registered(Family::Gauge, "slo/fast/p99"));
-        assert!(is_registered(Family::JournalKind, "slo_breach"));
         assert!(is_registered(Family::JournalKind, "flight_dump"));
         assert!(is_registered(Family::Gauge, "lf/kw_gossip/coverage_ppm"));
         // A placeholder stands for one segment: it matches no `/`.
@@ -587,6 +505,6 @@ mod tests {
             .map(|spec| spec.template)
             .collect();
         assert!(spans.contains(&"job/map"));
-        assert!(spans.len() >= 8);
+        assert_eq!(spans.len(), 6);
     }
 }

@@ -131,7 +131,7 @@ mod tests {
         let set = SpanSet::new();
         {
             let _run = set.span("run");
-            let _fit = set.span("run/fit");
+            let _fit = set.span("train/fit");
         }
         let json = spans_to_json(&set.snapshot());
         assert_eq!(json.items().len(), 2);

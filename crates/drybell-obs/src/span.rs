@@ -204,12 +204,12 @@ mod tests {
                 let set = set.clone();
                 scope.spawn(move || {
                     for _ in 0..100 {
-                        let _s = set.span("worker/busy");
+                        let _s = set.span("job/shard_attempt");
                     }
                 });
             }
         });
-        assert_eq!(set.snapshot().get("worker/busy").unwrap().count, 800);
+        assert_eq!(set.snapshot().get("job/shard_attempt").unwrap().count, 800);
     }
 
     #[test]

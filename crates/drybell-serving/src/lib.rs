@@ -34,11 +34,9 @@
 
 pub mod frontend;
 pub mod shadow;
-pub mod slo;
 
 pub use frontend::{Frontend, FrontendConfig, OwnedInput, Pending, Scored};
 pub use shadow::{ScoreHistogram, ShadowEval, ShadowReport, WindowedShadow, SCORE_BUCKETS};
-pub use slo::{SloBreach, SloConfig, SloTracker, WindowStats};
 
 use drybell_features::{FeatureSpaceId, SpaceRegistry, SparseVector};
 use drybell_ml::{LogisticRegression, MlError, Mlp, MlpScratch, WeightCache};
@@ -359,9 +357,7 @@ impl ServingRegistry {
     }
 
     /// Record shadow-comparison latency into `telemetry`'s
-    /// `obs/serving/shadow_score_us` (see [`ShadowEval`]). Production
-    /// latency is the front-end's to record
-    /// ([`Frontend::for_model_with_telemetry`]).
+    /// `obs/serving/shadow_score_us` (see [`ShadowEval`]).
     pub fn with_telemetry(mut self, telemetry: &drybell_obs::Telemetry) -> ServingRegistry {
         self.shadow_score_us = Some(telemetry.metrics().histogram("obs/serving/shadow_score_us"));
         self
@@ -370,11 +366,6 @@ impl ServingRegistry {
     /// The latency budget.
     pub fn budget_us(&self) -> u64 {
         self.budget_us
-    }
-
-    /// The feature-space registry.
-    pub fn spaces(&self) -> &SpaceRegistry {
-        &self.spaces
     }
 
     /// Validate a model spec against servability and the latency budget.

@@ -30,11 +30,10 @@ fn main() {
     let hashed = spaces
         .register(FeatureSpace::servable("hashed-text", 40))
         .unwrap();
+    // 50 ms a call: far beyond the budget, though `non_servable` alone
+    // already keeps any model that reads it from being staged.
     let nlp = spaces
-        .register(FeatureSpace::non_servable(
-            "nlp-model-server",
-            drybell::nlp::NlpServer::DEFAULT_COST_US,
-        ))
+        .register(FeatureSpace::non_servable("nlp-model-server", 50_000))
         .unwrap();
     let crawl = spaces
         .register(FeatureSpace::private("crawl-reputation", 5))

@@ -4,8 +4,7 @@
 //! on and taking an end-model step for one event, visiting one more
 //! example in a text end-model fit, and serving one request through the
 //! front-end, may call the allocator; and the per-call kernels that must
-//! not call it at all: language ID, the serving score paths and the SLO
-//! tracker.
+//! not call it at all: language ID and the serving score paths.
 //!
 //! The per-document path runs 650K times in a `product_batch` window and
 //! the per-event ones one to three million times in an `events_wide`
@@ -32,7 +31,6 @@ use drybell_obs::Telemetry;
 use drybell_serving::{
     batch_session, score_spec, score_spec_batch, BatchScratch, ExportedModel, Frontend,
     FrontendConfig, ModelSpec, OwnedInput, Pending, ScoreInput, ServingRegistry, ShadowEval,
-    SloConfig, SloTracker,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -464,15 +462,4 @@ fn the_document_path_stays_within_its_allocation_budget() {
         "Frontend::submit + Pending::wait: {n} allocations a request"
     );
     frontend.shutdown();
-
-    // --- the SLO tracker: a ring write and integer window stats ---
-    let mut slo = SloTracker::new(SloConfig::default());
-    let latencies: Vec<u64> = (0..20_000u64).map(|i| 50 + (i * 7919) % 40_000).collect();
-    for &us in &latencies {
-        slo.observe(us, us % 97 == 0);
-    }
-    let n = per_doc(&latencies, |&us| {
-        black_box(slo.observe(us, us % 97 == 0));
-    });
-    assert!(n == 0.0, "SloTracker::observe: {n} allocations a request");
 }

@@ -19,11 +19,8 @@ fn spaces() -> SpaceRegistry {
     let mut r = SpaceRegistry::new();
     r.register(FeatureSpace::servable("hashed-text", 40))
         .unwrap();
-    r.register(FeatureSpace::non_servable(
-        "nlp-model-server",
-        drybell::nlp::NlpServer::DEFAULT_COST_US,
-    ))
-    .unwrap();
+    r.register(FeatureSpace::non_servable("nlp-model-server", 50_000))
+        .unwrap();
     r.register(FeatureSpace::private("crawl-reputation", 5))
         .unwrap();
     r
